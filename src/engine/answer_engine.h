@@ -39,8 +39,8 @@ namespace dphist::engine {
 
 /// Answers `count` queries against `plan` into out[0..count). When `sel`
 /// is null the queries are ranges[0..count); otherwise the j-th answered
-/// query is ranges[sel[j]] (the cache-miss path: `ranges` is the chunk,
-/// `sel` the miss positions). Every range must lie inside
+/// query is ranges[sel[j]] (a gather over a subset of `ranges`). Every
+/// range must lie inside
 /// [0, plan.domain_size) — the serving layer validates before calling.
 /// Bit-identical to Snapshot::RangeCount at every dispatch level.
 void AnswerBatch(const AnswerPlan& plan, const Interval* ranges,

@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -46,19 +45,6 @@ class RangeCountEstimator {
 
   /// Convenience form of the batched path.
   std::vector<double> RangeCounts(const std::vector<Interval>& ranges) const;
-
-  /// Estimated work to recompute the answer for `range`, in units of one
-  /// O(1) lookup (1.0 = a leaf read or a prefix difference). The serving
-  /// layer's cache admission policy compares this against a threshold:
-  /// answers as cheap to recompute as a cache hit are not memoized, so
-  /// they never squat on LRU capacity that expensive ranges need (see
-  /// Snapshot::AdmitToCache). Must not allocate — it runs on the serving
-  /// hot path. The default assumes recomputation is expensive (an
-  /// unknown estimator's answers are always worth caching).
-  virtual double RangeCostHint(const Interval& range) const {
-    (void)range;
-    return std::numeric_limits<double>::infinity();
-  }
 
   /// The prefix-difference answer state, when this estimator has one
   /// (L~, wavelet, consistent H-bar); empty otherwise. The batch answer

@@ -75,12 +75,6 @@ class LTildeEstimator : public RangeCountEstimator {
                        double* out) const override;
   std::string Name() const override { return "L~"; }
 
-  /// Every range is one prefix difference (plus optional rounding).
-  double RangeCostHint(const Interval& range) const override {
-    (void)range;
-    return 1.0;
-  }
-
   /// L~ is always prefix-served; the final answer is rounded exactly
   /// when Section 5.2 rounding is on.
   PrefixAnswerView PrefixView() const override {
@@ -133,13 +127,6 @@ class HTildeEstimator : public RangeCountEstimator {
   void RangeCountsInto(const Interval* ranges, std::size_t count,
                        double* out) const override;
   std::string Name() const override { return "H~"; }
-
-  /// Every answer walks the minimal subtree decomposition — worth
-  /// caching (proportional to tree height, never O(1)).
-  double RangeCostHint(const Interval& range) const override {
-    (void)range;
-    return static_cast<double>(tree_.height());
-  }
 
   /// Tree geometry (shared with HBar when comparing like-for-like).
   const TreeLayout& tree() const { return tree_; }
@@ -218,13 +205,6 @@ class HBarEstimator : public RangeCountEstimator {
   /// True when construction proved the node estimates exactly consistent,
   /// enabling the O(1) prefix-sum answer path.
   bool uses_prefix_fast_path() const { return consistent_; }
-
-  /// One prefix difference on the consistent fast path; otherwise a
-  /// decomposition walk proportional to the tree height.
-  double RangeCostHint(const Interval& range) const override {
-    (void)range;
-    return consistent_ ? 1.0 : static_cast<double>(tree_.height());
-  }
 
   /// Only the consistent fast path is a raw prefix difference; the
   /// final answer is never rounded (rounding was applied to the node

@@ -80,13 +80,6 @@ class WaveletEstimator : public RangeCountEstimator {
   double RangeCount(const Interval& range) const override;
   std::string Name() const override { return "Wavelet"; }
 
-  /// Reconstruction happens once at build time; every answer afterwards
-  /// is one prefix difference over the reconstructed leaves.
-  double RangeCostHint(const Interval& range) const override {
-    (void)range;
-    return 1.0;
-  }
-
   /// Prefix-served over the reconstructed leaves, rounding the final
   /// answer exactly when Section 5.2 rounding is on.
   PrefixAnswerView PrefixView() const override {

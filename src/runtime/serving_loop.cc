@@ -225,7 +225,6 @@ std::string SessionExecutor::StatsText() {
        << " drift_checks=" << lifecycle.drift_checks
        << " epsilon_spent=" << lifecycle.epsilon_spent
        << " cache_hits=" << cache.hits << " cache_misses=" << cache.misses
-       << " admission_rejects=" << cache.admission_rejects
        << " cache_size=" << service_.cache_size();
   // Batch answer engine: which kernel level is live and how much traffic
   // it has absorbed (totals across levels differ only when a force

@@ -31,9 +31,21 @@ constexpr std::size_t kHighWatermark = std::size_t{1} << 20;
 constexpr std::size_t kLowWatermark = std::size_t{1} << 18;
 /// A single command (text line or frame) larger than this is hostile.
 constexpr std::size_t kMaxInputBuffer = std::size_t{1} << 26;
-/// Compact the write buffer once this much has been flushed off its
-/// front (erase is O(remaining), so amortize it).
+/// Compact a buffer once this much has been consumed off its front
+/// (erase is O(remaining), so amortize it).
 constexpr std::size_t kCompactThreshold = std::size_t{1} << 16;
+
+/// Drops the consumed front [0, *pos) of `buf`: at once when nothing is
+/// left, otherwise only past kCompactThreshold.
+void CompactConsumed(std::string* buf, std::size_t* pos) {
+  if (*pos == buf->size()) {
+    buf->clear();
+    *pos = 0;
+  } else if (*pos >= kCompactThreshold) {
+    buf->erase(0, *pos);
+    *pos = 0;
+  }
+}
 
 void SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -169,6 +181,7 @@ struct Conn {
   int fd;
   Phase phase = Phase::kAuth;
   std::string inbuf;
+  std::size_t in_pos = 0;  // first unconsumed byte of inbuf
   std::string outbuf;
   std::size_t out_pos = 0;
   bool want_write = false;   // registered for writability
@@ -346,6 +359,9 @@ class ConnDriver {
           break;
       }
     }
+    // Commands are read through in_pos; compacting once per call, not
+    // once per command, consumes a deeply pipelined write in linear time.
+    CompactConsumed(&c.inbuf, &c.in_pos);
     if (c.saw_eof && !c.close_after_flush) {
       // The peer finished sending without an explicit quit/GOODBYE:
       // treat it as the implicit quit the blocking transport honored.
@@ -429,20 +445,27 @@ class ConnDriver {
     c.phase = Conn::Phase::kNegotiate;
   }
 
-  bool ProcessAuth(Conn& c) {
-    const std::size_t newline = c.inbuf.find('\n');
+  /// The next complete line of unconsumed input (without its '\n'),
+  /// viewed in place; false when no full line has arrived yet. The view
+  /// stays valid until Process compacts inbuf on its way out.
+  static bool NextLine(Conn& c, std::string_view* line) {
+    const std::size_t newline = c.inbuf.find('\n', c.in_pos);
     if (newline == std::string::npos) return false;
-    std::string line = c.inbuf.substr(0, newline);
-    c.inbuf.erase(0, newline + 1);
-    if (!line.empty() && line.back() == '\r') line.pop_back();
+    *line = std::string_view(c.inbuf).substr(c.in_pos, newline - c.in_pos);
+    c.in_pos = newline + 1;
     c.line_number += 1;
+    return true;
+  }
+
+  bool ProcessAuth(Conn& c) {
+    std::string_view line;
+    if (!NextLine(c, &line)) return false;
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
     const std::string_view prefix = "auth ";
     const bool well_formed =
-        line.size() > prefix.size() &&
-        std::string_view(line).substr(0, prefix.size()) == prefix;
+        line.size() > prefix.size() && line.substr(0, prefix.size()) == prefix;
     const std::string_view token =
-        well_formed ? std::string_view(line).substr(prefix.size())
-                    : std::string_view();
+        well_formed ? line.substr(prefix.size()) : std::string_view();
     // Compare even for malformed lines so a probe cannot time-split
     // "wrong command" from "wrong token".
     const bool match = ConstantTimeEquals(token, options_.auth_token);
@@ -458,9 +481,9 @@ class ConnDriver {
   }
 
   bool ProcessNegotiate(Conn& c) {
-    if (c.inbuf.empty()) return false;
-    if (static_cast<unsigned char>(c.inbuf[0]) == wire::kMagic) {
-      c.inbuf.erase(0, 1);
+    if (c.in_pos == c.inbuf.size()) return false;
+    if (static_cast<unsigned char>(c.inbuf[c.in_pos]) == wire::kMagic) {
+      c.in_pos += 1;
       c.phase = Conn::Phase::kBinary;
       c.executor->set_protocol("binary");
       wire::EncodeHello(static_cast<std::uint64_t>(c.domain_size),
@@ -474,11 +497,8 @@ class ConnDriver {
   }
 
   bool ProcessText(Conn& c) {
-    const std::size_t newline = c.inbuf.find('\n');
-    if (newline == std::string::npos) return false;
-    std::string line = c.inbuf.substr(0, newline);
-    c.inbuf.erase(0, newline + 1);
-    c.line_number += 1;
+    std::string_view line;
+    if (!NextLine(c, &line)) return false;
     SessionCommand command;
     Result<bool> parsed =
         ParseSessionLine(line, c.domain_size, c.line_number, &command);
@@ -502,7 +522,8 @@ class ConnDriver {
 
   bool ProcessBinary(Conn& c) {
     wire::Frame frame;
-    Result<std::size_t> consumed = wire::DecodeFrame(c.inbuf, &frame);
+    Result<std::size_t> consumed =
+        wire::DecodeFrame(std::string_view(c.inbuf).substr(c.in_pos), &frame);
     if (!consumed.ok()) {
       // Framing is broken: nothing after this point can be trusted.
       wire::EncodeError(0, wire::WireError::kBadRequest,
@@ -512,8 +533,8 @@ class ConnDriver {
       return false;
     }
     if (consumed.value() == 0) return false;  // incomplete frame
-    const bool keep = DispatchFrame(c, frame);
-    c.inbuf.erase(0, consumed.value());
+    const bool keep = DispatchFrame(c, frame);  // payload views inbuf
+    c.in_pos += consumed.value();
     return keep;
   }
 
@@ -667,13 +688,7 @@ void SessionPool::WorkerLoop(Worker& worker) {
       }
       c.out_pos += static_cast<std::size_t>(n);
     }
-    if (c.out_pos == c.outbuf.size()) {
-      c.outbuf.clear();
-      c.out_pos = 0;
-    } else if (c.out_pos >= kCompactThreshold) {
-      c.outbuf.erase(0, c.out_pos);
-      c.out_pos = 0;
-    }
+    CompactConsumed(&c.outbuf, &c.out_pos);
     const std::size_t pending = c.outbuf.size() - c.out_pos;
     c.want_write = pending > 0;
     if (c.paused_read && pending < kLowWatermark) c.paused_read = false;
@@ -762,7 +777,7 @@ void SessionPool::WorkerLoop(Worker& worker) {
           const ssize_t n = ::recv(c.fd, buf, sizeof(buf), 0);
           if (n > 0) {
             c.inbuf.append(buf, static_cast<std::size_t>(n));
-            if (c.inbuf.size() > kMaxInputBuffer) {
+            if (c.inbuf.size() - c.in_pos > kMaxInputBuffer) {
               c.session_status =
                   Status::InvalidArgument("input buffer limit exceeded");
               dead = true;

@@ -236,8 +236,6 @@ AnswerCache::Stats AnswerCache::stats() const {
   stats.insertions = insertions_.load(std::memory_order_relaxed);
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.epoch_evictions = epoch_evictions_.load(std::memory_order_relaxed);
-  stats.admission_rejects =
-      admission_rejects_.load(std::memory_order_relaxed);
   return stats;
 }
 

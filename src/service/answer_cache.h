@@ -1,10 +1,12 @@
 // Thread-safe LRU cache of range answers, keyed on (epoch, range).
 //
-// The serving layer memoizes computed range counts so repeated traffic —
-// many clients asking the same popular ranges — pays one estimator walk
-// and then a hash lookup. The snapshot epoch is part of the key, so a
-// republish never needs invalidation: entries from an old epoch simply
-// stop being asked for and age out of the LRU order.
+// The serving layer memoizes range counts of walker-served releases (H~
+// and round+prune H-bar) so repeated traffic — many clients asking the
+// same popular ranges — pays one decomposition walk and then a hash
+// lookup. Releases with an answer plan never come here: their engine
+// recompute is cheaper than a lookup. The snapshot epoch is part of the
+// key, so a republish never needs invalidation: entries from an old
+// epoch simply stop being asked for and age out of the LRU order.
 //
 // Concurrency: the key space is partitioned across independent lock
 // shards (hash-selected), each holding its own mutex, hash map, and LRU
@@ -84,13 +86,6 @@ class AnswerCache {
   /// Entries currently cached, summed over lock shards.
   std::int64_t size() const;
 
-  /// Records `count` computed answers the admission policy kept out of
-  /// the cache (Snapshot::AdmitToCache said recomputing is as cheap as a
-  /// hit). Pure bookkeeping — shows up as stats().admission_rejects.
-  void NoteAdmissionRejects(std::uint64_t count) {
-    admission_rejects_.fetch_add(count, std::memory_order_relaxed);
-  }
-
   /// Monotonic counters; cheap relaxed atomics, safe to read anytime.
   struct Stats {
     std::uint64_t hits = 0;
@@ -98,7 +93,6 @@ class AnswerCache {
     std::uint64_t insertions = 0;
     std::uint64_t evictions = 0;        // LRU capacity evictions
     std::uint64_t epoch_evictions = 0;  // proactive EvictOlderEpochs drops
-    std::uint64_t admission_rejects = 0;  // answers kept out by admission
   };
   Stats stats() const;
 
@@ -140,7 +134,6 @@ class AnswerCache {
   std::atomic<std::uint64_t> insertions_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::atomic<std::uint64_t> epoch_evictions_{0};
-  std::atomic<std::uint64_t> admission_rejects_{0};
 };
 
 }  // namespace dphist

@@ -218,68 +218,38 @@ std::uint64_t QueryService::QueryBatchOn(const Snapshot& snap,
     MutexLock lock(res.mutex);
     for (std::size_t i = 0; i < count; ++i) res.reservoir.Observe(ranges[i]);
   }
-  const engine::AnswerPlan* plan = snap.answer_plan();
-  if (!cache_.enabled()) {
-    // Whole-batch fast path: prefix-served releases run through the
-    // columnar engine (one kernel sweep, zero allocations); walker
-    // strategies keep the estimator batch loop.
-    if (plan != nullptr) {
-      engine::AnswerBatch(*plan, ranges, /*sel=*/nullptr, count, out);
-    } else {
-      snap.RangeCountsInto(ranges, count, out);
-    }
+  if (const engine::AnswerPlan* plan = snap.answer_plan(); plan != nullptr) {
+    // Planned releases answer any range as a prefix difference, cheaper
+    // than a cache probe: the whole batch is one columnar engine pass
+    // (zero allocations) and never touches the cache.
+    engine::AnswerBatch(*plan, ranges, /*sel=*/nullptr, count, out);
     return snap.epoch();
   }
+  if (!cache_.enabled()) {
+    snap.RangeCountsInto(ranges, count, out);
+    return snap.epoch();
+  }
+  // Walker-served releases (H~, round+prune H-bar): every answer is a
+  // decomposition walk, so hits are reused and misses are cached.
   const std::uint64_t epoch = snap.epoch();
   constexpr std::size_t kChunk = 64;
-  std::uint64_t admission_rejects = 0;
   for (std::size_t base = 0; base < count; base += kChunk) {
     const std::size_t chunk = std::min(kChunk, count - base);
     bool hit[kChunk];
     cache_.LookupMany(epoch, ranges + base, chunk, out + base, hit);
-    if (cache_hits != nullptr) {
-      // Count before the admission loop below repurposes hit[] as an
-      // insert-skip mask (rejected answers are marked "hit" but were
-      // computed, not served from the cache).
-      for (std::size_t i = 0; i < chunk; ++i) {
-        if (hit[i]) ++*cache_hits;
-      }
-    }
-    if (plan != nullptr) {
-      // Engine path: answer this chunk's misses as ONE selected batch
-      // (the engine scatter-gathers through `sel`), then run admission.
-      std::int32_t miss[kChunk];
-      double miss_out[kChunk];
-      std::size_t misses = 0;
-      for (std::size_t i = 0; i < chunk; ++i) {
-        if (!hit[i]) miss[misses++] = static_cast<std::int32_t>(i);
-      }
-      engine::AnswerBatch(*plan, ranges + base, miss, misses, miss_out);
-      for (std::size_t m = 0; m < misses; ++m) {
-        out[base + static_cast<std::size_t>(miss[m])] = miss_out[m];
-      }
-    }
-    bool insert_any = false;
+    bool any_miss = false;
     for (std::size_t i = 0; i < chunk; ++i) {
-      if (hit[i]) continue;
-      if (plan == nullptr) {
-        out[base + i] = snap.RangeCount(ranges[base + i]);
+      if (hit[i]) {
+        if (cache_hits != nullptr) ++*cache_hits;
+        continue;
       }
-      // Admission policy: answers as cheap to recompute as a cache hit
-      // never enter the cache — marking them "hit" makes InsertMany
-      // skip them, preserving capacity for expensive ranges.
-      if (snap.AdmitToCache(ranges[base + i])) {
-        insert_any = true;
-      } else {
-        hit[i] = true;
-        ++admission_rejects;
-      }
+      out[base + i] = snap.RangeCount(ranges[base + i]);
+      any_miss = true;
     }
-    if (insert_any) {
+    if (any_miss) {
       cache_.InsertMany(epoch, ranges + base, out + base, chunk, hit);
     }
   }
-  if (admission_rejects > 0) cache_.NoteAdmissionRejects(admission_rejects);
   return epoch;
 }
 

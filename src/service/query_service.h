@@ -1,8 +1,11 @@
 // Thread-safe, read-mostly query serving over published DP releases.
 //
 // QueryService multiplexes any number of concurrent readers over one
-// current Snapshot (see snapshot.h) plus an optional shared LRU answer
-// cache (see answer_cache.h). The snapshot pointer is swapped atomically
+// current Snapshot (see snapshot.h). Releases with an answer plan (L~,
+// wavelet, consistent H-bar) answer every batch in one pass of the
+// columnar engine; the optional shared LRU answer cache (see
+// answer_cache.h) fronts only the walker-served releases (H~ and the
+// default round+prune H-bar). The snapshot pointer is swapped atomically
 // on republish, so:
 //
 //   - readers never block, not even while a publish is building the next
@@ -52,7 +55,9 @@ namespace dphist {
 /// Serving-side knobs (the per-release knobs live in SnapshotOptions).
 struct QueryServiceOptions {
   /// Total cached answers across the cache's lock shards; 0 disables
-  /// caching, which also makes the batch path allocation-free.
+  /// caching. The cache fronts only releases without an answer plan
+  /// (H~ and round+prune H-bar): planned releases always go to the
+  /// engine, so their batches stay allocation-free either way.
   std::int64_t cache_capacity = 0;
   /// Lock shards of the answer cache (rounded up to a power of two).
   std::int64_t cache_lock_shards = 16;
@@ -174,12 +179,13 @@ class QueryService {
 
   /// Answers `count` ranges into `out`, all against the single snapshot
   /// current when the batch started, and returns that snapshot's epoch.
-  /// Cached answers are reused (batched per-lock-shard lookups) and
-  /// misses are cached. Requires a published snapshot. With the cache
-  /// disabled this performs zero heap allocations (single-shard
-  /// snapshots additionally pay only one virtual dispatch for the whole
-  /// batch). Every query's length is recorded in the observed-workload
-  /// histogram that kAuto planning consumes.
+  /// A snapshot with an answer plan answers the whole batch in one
+  /// engine pass; otherwise cached answers are reused (batched
+  /// per-lock-shard lookups) and misses are cached. Requires a published
+  /// snapshot. Planned snapshots, and walker snapshots with the cache
+  /// disabled, perform zero heap allocations. Every query's length is
+  /// recorded in the observed-workload histogram that kAuto planning
+  /// consumes.
   std::uint64_t QueryBatch(const Interval* ranges, std::size_t count,
                            double* out) const;
 
@@ -244,9 +250,9 @@ class QueryService {
   void ReleasePublishToken() DPHIST_EXCLUDES(publish_mutex_);
 
   /// The answering core shared by QueryBatch and TryQueryBatch, running
-  /// against an already-loaded (and validated) snapshot. Cache-miss runs
-  /// route through the batch answer engine when the snapshot carries an
-  /// AnswerPlan; walker strategies keep the per-query path.
+  /// against an already-loaded (and validated) snapshot. A snapshot with
+  /// an AnswerPlan goes to the batch answer engine whole; walker
+  /// strategies take the cache, then the per-query path for misses.
   std::uint64_t QueryBatchOn(const Snapshot& snap, const Interval* ranges,
                              std::size_t count, double* out,
                              std::uint64_t* cache_hits) const;

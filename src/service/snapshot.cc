@@ -245,18 +245,6 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Restore(
       new Snapshot(options, epoch, n, width, std::move(shards)));
 }
 
-bool Snapshot::AdmitToCache(const Interval& range) const {
-  const std::int64_t first = range.lo() / shard_width_;
-  const std::int64_t last = range.hi() / shard_width_;
-  // Spanning ranges recompute as one answer per shard touched plus the
-  // summation — always at least two lookups, always worth caching.
-  if (first != last) return true;
-  const std::int64_t base = first * shard_width_;
-  return shards_[static_cast<std::size_t>(first)]->RangeCostHint(
-             Interval(range.lo() - base, range.hi() - base)) >=
-         options_.cache_admit_min_cost;
-}
-
 const RangeCountEstimator& Snapshot::shard(std::int64_t index) const {
   DPHIST_CHECK_MSG(index >= 0 && index < shard_count(),
                    "shard index out of range");

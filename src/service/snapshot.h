@@ -70,12 +70,6 @@ struct SnapshotOptions {
   /// streams are forked in shard order before any worker runs, so the
   /// snapshot is a pure function of (data, options, rng) at any count.
   std::int64_t build_threads = 1;
-  /// Cache admission threshold, in units of one O(1) lookup: an answer
-  /// whose estimated recompute cost (RangeCountEstimator::RangeCostHint)
-  /// is below this is never memoized — recomputing it is as cheap as a
-  /// cache hit, so the entry would only squat on LRU capacity. 2.0 means
-  /// "strictly more than a single prefix difference / leaf read".
-  double cache_admit_min_cost = 2.0;
 };
 
 /// One immutable epsilon-DP release, safe for lock-free concurrent reads.
@@ -140,19 +134,6 @@ class Snapshot {
   /// range — surfaced as a session "error:" line by the transports,
   /// where the walker/engine paths would CHECK-abort.
   Status ValidateRanges(const Interval* ranges, std::size_t count) const;
-
-  /// Cache admission policy: false when `range` is so cheap to recompute
-  /// from this release that memoizing it wastes LRU capacity. A range
-  /// spanning several shards is always admitted (its recomputation sums
-  /// one answer per shard touched); a single-shard range is admitted
-  /// only when that shard's own cost estimate
-  /// (RangeCountEstimator::RangeCostHint) reaches
-  /// options.cache_admit_min_cost — so on prefix-served releases (L~,
-  /// consistent H-bar, wavelet) nothing single-shard is cached, while
-  /// decomposition-walk releases (H~, inconsistent H-bar) cache
-  /// everything. QueryService::QueryBatch consults this before inserting
-  /// misses and counts the skips as admission_rejects.
-  bool AdmitToCache(const Interval& range) const;
 
   /// Estimated count for `range` (must lie within [0, domain_size)).
   /// Sums clipped per-shard answers; no heap allocation.

@@ -164,7 +164,9 @@ std::string EncodeMetaPayload(const Snapshot& snapshot,
   out.U8(options.round_to_nonnegative_integers ? 1 : 0);
   out.U8(options.prune_nonpositive_subtrees ? 1 : 0);
   out.I64(options.build_threads);
-  out.F64(options.cache_admit_min_cost);
+  // Retired cache-admission threshold: the slot stays so the format
+  // version (and every existing state dir) remains valid.
+  out.F64(2.0);
   out.U64(static_cast<std::uint64_t>(data_stream.size()));
   out.U32(Crc32(data_stream.data(), data_stream.size()));
   return out.data();
@@ -197,7 +199,7 @@ Result<DecodedMeta> DecodeMetaPayload(std::string_view payload) {
   meta.options.round_to_nonnegative_integers = in.U8() != 0;
   meta.options.prune_nonpositive_subtrees = in.U8() != 0;
   meta.options.build_threads = in.I64();
-  meta.options.cache_admit_min_cost = in.F64();
+  in.F64();  // retired cache-admission threshold, ignored
   meta.data_bytes = in.U64();
   meta.data_crc = in.U32();
   if (!in.ok() || !in.AtEnd()) {

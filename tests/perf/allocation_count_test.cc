@@ -230,6 +230,29 @@ TEST(ServiceAllocationTest, EngineBatchesAreAllocationFreeOnceWarm) {
     service.QueryBatch(workload.data(), workload.size(), answers.data());
   });
   EXPECT_EQ(allocs, 0u);
+
+  // A configured cache changes nothing for a planned release: the batch
+  // still goes to the engine whole. Each pass sends spanning ranges the
+  // previous pass did not, so caching them would allocate an entry per
+  // range.
+  QueryServiceOptions cached_options;
+  cached_options.cache_capacity = 4096;
+  QueryService cached(cached_options);
+  ASSERT_TRUE(cached.Publish(data, options, 9).ok());
+  std::vector<Interval> fresh[2];
+  for (std::int64_t pass = 0; pass < 2; ++pass) {
+    for (std::int64_t i = 0; i < 256; ++i) {
+      const std::int64_t lo = pass * 256 + i;
+      fresh[pass].emplace_back(lo, lo + 1500);  // spans 3-4 shards
+    }
+  }
+  std::size_t pass = 0;
+  allocs = AllocationsDuring([&] {
+    const std::vector<Interval>& ranges = fresh[pass++];
+    cached.QueryBatch(ranges.data(), ranges.size(), answers.data());
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(cached.cache_size(), 0);
 }
 
 TEST_F(EstimatorAllocationTest, LegacyDecomposeRangeStillAllocates) {

@@ -181,8 +181,7 @@ TEST(EpochManagerTest, StaleCacheEntriesUnreachableAfterReplan) {
   EpochManager manager(&service, data, options, 7);
   ASSERT_TRUE(manager.PublishInitial().ok());
 
-  // Multi-position ranges so the admission policy caches them whatever
-  // strategy each epoch publishes.
+  // The initial H~ release is walker-served, so the cache fronts it.
   std::vector<Interval> workload;
   for (std::int64_t i = 0; i + 3 < n; i += 4) workload.emplace_back(i, i + 3);
   std::vector<double> answers(workload.size());

@@ -7,12 +7,15 @@
 #include "runtime/session_pool.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <numeric>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "data/zipf.h"
 #include "domain/histogram.h"
 #include "runtime/epoch_manager.h"
+#include "runtime/session.h"
 #include "runtime/transport.h"
 #include "runtime/wire_format.h"
 #include "service/query_service.h"
@@ -370,8 +374,8 @@ TEST(SessionPoolTransportTest, SessionStatsReportProtocolAndCounters) {
   service_options.cache_capacity = 1 << 10;
   QueryService service(service_options);
   EpochManagerOptions options;
-  // H~ answers via decomposition walks, so its ranges pass the cache
-  // admission policy — cache-hit counters below are deterministic.
+  // H~ answers via decomposition walks, so the cache fronts it — the
+  // cache-hit counters below are deterministic.
   options.base.strategy = StrategyKind::kHTilde;
   EpochManager manager(&service, data, options, 7);
   ASSERT_TRUE(manager.PublishInitial().ok());
@@ -602,6 +606,135 @@ TEST(SessionPoolTransportTest, ManyConnectionsShareTwoWorkers) {
   EXPECT_EQ(stats.accepted, static_cast<std::uint64_t>(kClients));
   EXPECT_EQ(stats.completed, static_cast<std::uint64_t>(kClients));
   EXPECT_EQ(stats.queries, static_cast<std::uint64_t>(3 * kClients));
+  EXPECT_EQ(stats.session_errors, 0u);
+  EXPECT_EQ(stats.write_errors, 0u);
+}
+
+/// Sends `bytes` over a fresh loopback connection in one send loop on a
+/// writer thread, so the server finds the whole pipeline buffered at
+/// once, while this thread reads every reply byte until the server
+/// closes the connection.
+std::string PipelineOverLoopback(int port, const std::string& bytes) {
+  auto stream = ConnectLoopback(port);
+  EXPECT_TRUE(stream.ok()) << stream.status().ToString();
+  if (!stream.ok()) return {};
+  const int fd = stream.value()->fd();
+  std::thread writer([fd, &bytes] {
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+      const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      sent += static_cast<std::size_t>(n);
+    }
+  });
+  std::string reply((std::istreambuf_iterator<char>(*stream.value())),
+                    std::istreambuf_iterator<char>());
+  writer.join();
+  return reply;
+}
+
+// Regression test for quadratic input consumption: the worker used to
+// copy each command out and erase it from the front of the connection's
+// input buffer, so one deeply pipelined write cost time quadratic in its
+// size. Every answer must still arrive, in order, and a malformed line
+// must be reported under its own line number.
+TEST(SessionPoolTransportTest, DeeplyPipelinedWritesAnswerEveryCommandInOrder) {
+  const std::int64_t n = 512;
+  Histogram data = TestData(n);
+  QueryService service;
+  EpochManagerOptions options;
+  options.base.strategy = StrategyKind::kLTilde;
+  EpochManager manager(&service, data, options, 7);
+  auto initial = manager.PublishInitial();
+  ASSERT_TRUE(initial.ok());
+  const Snapshot& snap = *initial.value().snapshot;
+
+  TransportOptions transport;
+  transport.port = 0;
+  transport.max_sessions = 2;
+  SocketServer server(service, manager, transport);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto range_of = [n](std::int64_t k) {
+    const std::int64_t lo = (k * 7) % n;
+    return Interval(lo, std::min(n - 1, lo + k % 13));
+  };
+
+  // Text: > 4 MB of query lines, one of them malformed.
+  constexpr std::int64_t kBadLine = 200001;
+  std::string script;
+  std::vector<std::string> expected;
+  for (std::int64_t line = 1; script.size() < (std::size_t{4} << 20);
+       ++line) {
+    if (line == kBadLine) {
+      script += "q 5\n";
+      expected.push_back("error");
+      continue;
+    }
+    const Interval range = range_of(line);
+    script += "q " + std::to_string(range.lo()) + " " +
+              std::to_string(range.hi()) + "\n";
+    std::string answer;
+    AppendAnswerLine(snap.RangeCount(range), &answer);
+    answer.pop_back();  // the newline
+    expected.push_back(std::move(answer));
+  }
+  script += "quit\n";
+  std::istringstream text_reply(PipelineOverLoopback(server.port(), script));
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(text_reply, line);) {
+    if (!line.empty() && line[0] != '#') lines.push_back(line);
+  }
+  ASSERT_EQ(lines.size(), expected.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (expected[i] == "error") {
+      EXPECT_EQ(lines[i].rfind("error: ", 0), 0u) << lines[i];
+      EXPECT_NE(lines[i].find("query line " + std::to_string(kBadLine) + ":"),
+                std::string::npos)
+          << lines[i];
+      continue;
+    }
+    ASSERT_EQ(lines[i], expected[i]) << "line " << i + 1;
+  }
+
+  // Binary: 20 000 QUERY frames after the negotiation byte, one write.
+  constexpr std::uint64_t kFrames = 20000;
+  std::string frames(1, static_cast<char>(wire::kMagic));
+  for (std::uint64_t id = 1; id <= kFrames; ++id) {
+    const Interval range = range_of(static_cast<std::int64_t>(id));
+    wire::EncodeQuery(id, 0, &range, 1, &frames);
+  }
+  wire::EncodeGoodbye(&frames);
+  const std::string reply = PipelineOverLoopback(server.port(), frames);
+  std::string_view rest(reply);
+  rest.remove_prefix(rest.find('\n') + 1);  // the text banner
+  wire::Frame frame;
+  auto consumed = wire::DecodeFrame(rest, &frame);
+  ASSERT_TRUE(consumed.ok() && consumed.value() > 0);
+  ASSERT_EQ(frame.type, wire::FrameType::kHello);
+  rest.remove_prefix(consumed.value());
+  for (std::uint64_t id = 1; id <= kFrames; ++id) {
+    consumed = wire::DecodeFrame(rest, &frame);
+    ASSERT_TRUE(consumed.ok() && consumed.value() > 0) << "id=" << id;
+    ASSERT_EQ(frame.type, wire::FrameType::kAnswers) << "id=" << id;
+    wire::AnswersFrame answers;
+    ASSERT_TRUE(wire::ParseAnswers(frame.payload, &answers).ok());
+    ASSERT_EQ(answers.id, id);
+    ASSERT_EQ(answers.values.size(), 1u);
+    ASSERT_EQ(answers.values[0],
+              snap.RangeCount(range_of(static_cast<std::int64_t>(id))))
+        << "id=" << id;
+    rest.remove_prefix(consumed.value());
+  }
+  consumed = wire::DecodeFrame(rest, &frame);
+  ASSERT_TRUE(consumed.ok() && consumed.value() > 0);
+  EXPECT_EQ(frame.type, wire::FrameType::kBye);
+
+  server.WaitUntilStopped();
+  const SocketServer::Stats stats = server.stats();
+  EXPECT_EQ(stats.queries, expected.size() - 1 + kFrames);
   EXPECT_EQ(stats.session_errors, 0u);
   EXPECT_EQ(stats.write_errors, 0u);
 }

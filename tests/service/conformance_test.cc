@@ -64,17 +64,18 @@ std::vector<ConformanceCase> Cases() {
   hbar.options.epsilon = 1.0;
   cases.push_back(hbar);
 
-  ConformanceCase hbar_sharded;
-  hbar_sharded.name = "hbar_sharded_cached";
-  hbar_sharded.domain_size = 32;
-  hbar_sharded.options.strategy = StrategyKind::kHBar;
-  hbar_sharded.options.epsilon = 0.5;
-  hbar_sharded.options.shards = 4;
+  ConformanceCase htilde_sharded;
+  htilde_sharded.name = "htilde_sharded_cached";
+  htilde_sharded.domain_size = 32;
+  htilde_sharded.options.strategy = StrategyKind::kHTilde;
+  htilde_sharded.options.epsilon = 0.5;
+  htilde_sharded.options.shards = 4;
   // The cache must be statistically invisible: epochs key the entries,
   // every trial republishes, so a hit can only ever return the current
-  // release's own answer.
-  hbar_sharded.cache_capacity = 512;
-  cases.push_back(hbar_sharded);
+  // release's own answer. H~ is walker-served, so the cache fronts it
+  // (planned releases bypass the cache entirely).
+  htilde_sharded.cache_capacity = 512;
+  cases.push_back(htilde_sharded);
 
   ConformanceCase wavelet;
   wavelet.name = "wavelet_sharded";
@@ -98,10 +99,7 @@ std::vector<ConformanceCase> Cases() {
 /// first batch inserted — putting cache hits themselves under the
 /// statistical test. (Within one batch, LookupMany resolves the whole
 /// chunk before any insert, so an intra-batch duplicate is recomputed
-/// rather than hit. The duplicate is a shard-spanning range on purpose:
-/// the admission policy keeps cheap single-shard answers out of the
-/// cache on prefix-served snapshots like the consistent-H-bar case
-/// below, so a single-shard duplicate would never hit.)
+/// rather than hit.)
 std::vector<Interval> ProbeQueries(std::int64_t n) {
   std::vector<Interval> queries = {
       Interval(0, 0),         Interval(n / 2, n / 2), Interval(0, n - 1),

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <thread>
@@ -305,33 +306,74 @@ TEST(QueryServiceTest, ConcurrentSwapsServeSingleEpochBatches) {
   EXPECT_EQ(service.current_epoch(), kEpochs);
 }
 
-TEST(QueryServiceTest, AdmissionKeepsPrefixServedAnswersOutOfTheCache) {
-  // L~ answers EVERY range with one prefix difference — recomputing is
-  // as cheap as a cache hit, so on an unsharded L~ snapshot the
-  // admission policy must never let any answer consume LRU capacity.
-  Histogram data = TestData(64);
-  QueryServiceOptions service_options;
-  service_options.cache_capacity = 256;
-  QueryService service(service_options);
-  SnapshotOptions options;
-  options.strategy = StrategyKind::kLTilde;
-  ASSERT_TRUE(service.Publish(data, options, 1).ok());
+TEST(QueryServiceTest, PlannedReleasesBypassTheCache) {
+  // Releases with an answer plan answer any range as a prefix
+  // difference, cheaper than a cache probe: behind a configured cache
+  // every batch still goes to the engine whole, so the answers match a
+  // cache-off service bit for bit and the cache is never touched.
+  Histogram data = TestData(256);
+  QueryServiceOptions cached_options;
+  cached_options.cache_capacity = 256;
+  QueryService cached(cached_options);
+  QueryService uncached;
 
-  std::vector<Interval> queries;
+  std::vector<Interval> queries = ProbeWorkload(256, 200, 5);
   for (std::int64_t i = 0; i < 32; ++i) queries.emplace_back(i, i);
-  queries.emplace_back(0, 31);
-  queries.emplace_back(8, 60);
-  std::vector<double> answers(queries.size());
-  service.QueryBatch(queries.data(), queries.size(), answers.data());
-  EXPECT_EQ(service.cache_size(), 0);
-  EXPECT_EQ(service.cache_stats().insertions, 0u);
-  EXPECT_EQ(service.cache_stats().admission_rejects, 34u);
+  queries.emplace_back(0, 255);
+  queries.emplace_back(60, 70);  // spans the 64-wide shards below
+  struct Release {
+    StrategyKind strategy;
+    std::int64_t shards;
+  };
+  const Release releases[] = {{StrategyKind::kLTilde, 4},
+                              {StrategyKind::kWavelet, 2},
+                              {StrategyKind::kHBar, 4}};
+  std::uint64_t seed = 1;
+  for (const Release& release : releases) {
+    SnapshotOptions options;
+    options.strategy = release.strategy;
+    options.shards = release.shards;
+    if (release.strategy == StrategyKind::kHBar) {
+      // Without Section 5.2 post-processing H-bar stays consistent and
+      // prefix-served; L~ and wavelet are planned in their default config.
+      options.round_to_nonnegative_integers = false;
+      options.prune_nonpositive_subtrees = false;
+    }
+    auto published = cached.Publish(data, options, seed);
+    ASSERT_TRUE(published.ok());
+    ASSERT_NE(published.value()->answer_plan(), nullptr)
+        << StrategyKindName(release.strategy);
+    ASSERT_TRUE(uncached.Publish(data, options, seed).ok());
+    ++seed;
+
+    std::vector<double> expected(queries.size());
+    uncached.QueryBatch(queries.data(), queries.size(), expected.data());
+    // Twice: the repeat would be all hits if anything had been cached.
+    for (int pass = 0; pass < 2; ++pass) {
+      std::vector<double> answers(queries.size());
+      std::uint64_t hits = 0;
+      cached.QueryBatch(queries.data(), queries.size(), answers.data(),
+                        &hits);
+      EXPECT_EQ(hits, 0u);
+      for (std::size_t i = 0; i < queries.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(answers[i]),
+                  std::bit_cast<std::uint64_t>(expected[i]))
+            << StrategyKindName(release.strategy) << " query " << i;
+      }
+    }
+  }
+  const AnswerCache::Stats stats = cached.cache_stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.insertions, 0u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.epoch_evictions, 0u);
+  EXPECT_EQ(cached.cache_size(), 0);
 }
 
-TEST(QueryServiceTest, AdmissionAdmitsDecompositionWalkSnapshots) {
-  // H~ walks a subtree decomposition even for a unit range
-  // (RangeCostHint = tree height), so all its answers are worth
-  // caching: same traffic, zero admission rejects.
+TEST(QueryServiceTest, WalkerSnapshotsAreCached) {
+  // H~ walks a subtree decomposition even for a unit range, so the
+  // cache fronts it: every miss is inserted and a repeat is all hits.
   Histogram data = TestData(64);
   QueryServiceOptions service_options;
   service_options.cache_capacity = 256;
@@ -339,71 +381,16 @@ TEST(QueryServiceTest, AdmissionAdmitsDecompositionWalkSnapshots) {
   SnapshotOptions options;
   options.strategy = StrategyKind::kHTilde;
   ASSERT_TRUE(service.Publish(data, options, 1).ok());
+  ASSERT_EQ(service.snapshot()->answer_plan(), nullptr);
 
   std::vector<Interval> units;
   for (std::int64_t i = 0; i < 16; ++i) units.emplace_back(i, i);
   std::vector<double> answers(units.size());
   service.QueryBatch(units.data(), units.size(), answers.data());
   EXPECT_EQ(service.cache_size(), 16);
-  EXPECT_EQ(service.cache_stats().admission_rejects, 0u);
-}
-
-TEST(QueryServiceTest, AdmissionAdmitsOnlySpanningRangesOnShardedCheapSnapshots) {
-  // On a sharded L~ snapshot, a shard-spanning range recomputes as one
-  // answer per shard touched — worth caching — while a single-shard
-  // range is still one prefix difference and is rejected.
-  Histogram data = TestData(256);
-  QueryServiceOptions service_options;
-  service_options.cache_capacity = 256;
-  QueryService service(service_options);
-  SnapshotOptions options;
-  options.strategy = StrategyKind::kLTilde;
-  options.shards = 4;  // shard width 64
-  ASSERT_TRUE(service.Publish(data, options, 1).ok());
-
-  std::vector<Interval> spanning = {Interval(0, 99), Interval(50, 249),
-                                    Interval(60, 70)};
-  std::vector<Interval> interior = {Interval(0, 63), Interval(70, 120),
-                                    Interval(5, 5)};
-  std::vector<double> answers(3);
-  service.QueryBatch(spanning.data(), spanning.size(), answers.data());
-  EXPECT_EQ(service.cache_size(), 3);
-  EXPECT_EQ(service.cache_stats().admission_rejects, 0u);
-  service.QueryBatch(interior.data(), interior.size(), answers.data());
-  EXPECT_EQ(service.cache_size(), 3);
-  EXPECT_EQ(service.cache_stats().admission_rejects, 3u);
-}
-
-TEST(QueryServiceTest, AdmissionPreservesCapacityForExpensiveRanges) {
-  // The point of the policy: a flood of cheap single-shard queries must
-  // not evict the expensive shard-spanning answers already cached.
-  Histogram data = TestData(256);
-  QueryServiceOptions service_options;
-  service_options.cache_capacity = 4;
-  service_options.cache_lock_shards = 1;  // one LRU, deterministic order
-  QueryService service(service_options);
-  SnapshotOptions options;
-  options.strategy = StrategyKind::kLTilde;
-  options.shards = 4;  // shard width 64: all four ranges below span
-  ASSERT_TRUE(service.Publish(data, options, 1).ok());
-
-  std::vector<Interval> ranges = {Interval(0, 99), Interval(50, 249),
-                                  Interval(10, 200), Interval(30, 77)};
-  std::vector<double> answers(ranges.size());
-  service.QueryBatch(ranges.data(), ranges.size(), answers.data());
-  EXPECT_EQ(service.cache_size(), 4);
-
-  std::vector<Interval> units;
-  for (std::int64_t i = 0; i < 200; ++i) units.emplace_back(i, i);
-  std::vector<double> unit_answers(units.size());
-  service.QueryBatch(units.data(), units.size(), unit_answers.data());
-
-  // Every expensive range is still resident: the replay is pure hits.
-  const std::uint64_t hits_before = service.cache_stats().hits;
-  service.QueryBatch(ranges.data(), ranges.size(), answers.data());
-  EXPECT_EQ(service.cache_stats().hits, hits_before + 4);
-  EXPECT_EQ(service.cache_stats().evictions, 0u);
-  EXPECT_EQ(service.cache_stats().admission_rejects, 200u);
+  std::uint64_t hits = 0;
+  service.QueryBatch(units.data(), units.size(), answers.data(), &hits);
+  EXPECT_EQ(hits, 16u);
 }
 
 TEST(QueryServiceTest, ObservedQueryCountSumsAllTraffic) {

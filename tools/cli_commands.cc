@@ -48,6 +48,9 @@ constexpr char kUsage[] =
     "                    (--queries P | --stdin | --listen PORT)\n"
     "                    [--strategy hbar|htilde|ltilde|wavelet|auto]\n"
     "                    [--branching K] [--shards S] [--cache N]\n"
+    "                    (--cache: LRU answers for H~ and round+prune\n"
+    "                     H-bar, default 65536, 0 = off; planned releases\n"
+    "                     always go to the engine)\n"
     "                    [--threads T] [--build-threads B] [--seed S]\n"
     "                    [--kernel auto|scalar|sse2|avx2]\n"
     "                    [--no-round] [--no-prune] [--max-shards M]\n"
