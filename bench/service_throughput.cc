@@ -4,33 +4,27 @@
 //
 // Protocol: T client threads replay the same stream of query phases —
 // each phase is a fresh batch of distinct random ranges, shared by every
-// client, modeling concurrent traffic over the same popular queries
-// (hot-set traffic is what a serving cache exists for). Clients
-// rendezvous at a barrier between phases so "the same phase" really is
-// concurrent; within a phase the shared LRU answer cache dedups the
-// estimator work: the first client to reach a range pays the subtree
-// walk, the rest pay a hash lookup. Aggregate queries/sec is the total
-// number of answers produced divided by wall time.
+// client. Clients rendezvous at a barrier between phases so "the same
+// phase" really is concurrent. Every answer is recomputed from the
+// release (the service keeps no answer cache), so aggregate throughput
+// scales with clients only as far as the host has free cores.
+// Aggregate queries/sec is the total number of answers produced divided
+// by wall time.
 //
-// Two configurations per thread count:
-//   cached:   shared AnswerCache sized to hold the hot set, so aggregate
-//             throughput scales with clients even on one core (dedup
-//             turns T-1 of every T identical queries into hash hits);
-//   uncached: every client pays the full estimator walk — on a
-//             single-core host this stays flat (or dips) as threads are
-//             added, which is reported honestly alongside.
-//
-// The summary records cached aggregate qps at 1 and at max threads plus
-// their ratio — the acceptance metric for the serving layer.
+// Each thread count runs --repeats times on a fresh service and reports
+// the median, min and max aggregate qps: one slow stretch of a shared
+// host otherwise skews the PR-to-PR comparison. The summary records the
+// median at the smallest and largest thread counts and their ratio.
 //
 // Flags (DPHIST_* env equivalents): --domain-log2, --strategy,
 // --branching, --epsilon, --queries (per phase), --phases,
-// --threads-list (comma separated), --cache (entries), --lock-shards,
-// --seed.
+// --threads-list (comma separated), --repeats, --seed.
 
+#include <algorithm>
 #include <barrier>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -52,16 +46,10 @@ double NowSeconds() {
       .count();
 }
 
-struct RunResult {
-  double aggregate_qps;
-  double hit_rate;
-};
-
 /// T clients replay `phases` against one service; returns aggregate
-/// throughput across all clients and the cache hit rate of the run.
-RunResult RunClients(const QueryService& service, int threads,
-                     const std::vector<std::vector<Interval>>& phases) {
-  AnswerCache::Stats before = service.cache_stats();
+/// throughput across all clients.
+double RunClients(const QueryService& service, int threads,
+                  const std::vector<std::vector<Interval>>& phases) {
   std::barrier<> barrier(threads);
   std::vector<std::thread> clients;
   clients.reserve(static_cast<std::size_t>(threads));
@@ -83,23 +71,14 @@ RunResult RunClients(const QueryService& service, int threads,
   for (const std::vector<Interval>& phase : phases) {
     total_queries += phase.size() * static_cast<std::size_t>(threads);
   }
-  AnswerCache::Stats after = service.cache_stats();
-  const std::uint64_t lookups =
-      (after.hits + after.misses) - (before.hits + before.misses);
-  RunResult result;
-  result.aggregate_qps = static_cast<double>(total_queries) / elapsed;
-  result.hit_rate =
-      lookups == 0 ? 0.0
-                   : static_cast<double>(after.hits - before.hits) /
-                         static_cast<double>(lookups);
-  return result;
+  return static_cast<double>(total_queries) / elapsed;
 }
 
 struct ResultRow {
   int threads;
-  bool cached;
-  double aggregate_qps;
-  double hit_rate;
+  double median_qps;
+  double min_qps;
+  double max_qps;
 };
 
 std::vector<int> ParseThreadsList(const std::string& csv) {
@@ -121,6 +100,26 @@ std::vector<int> ParseThreadsList(const std::string& csv) {
   return threads;
 }
 
+#if defined(__clang__)
+constexpr char kCompiler[] = __VERSION__;  // names Clang itself
+#else
+constexpr char kCompiler[] = "gcc " __VERSION__;
+#endif
+
+/// The "model name" line of /proc/cpuinfo; "unknown" where there is none.
+std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size()) {
+      return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -129,7 +128,7 @@ int main(int argc, char** argv) {
       flags.GetInt("domain-log2", 20, "DPHIST_DOMAIN_LOG2");
   const std::int64_t n = std::int64_t{1} << domain_log2;
   const std::string strategy_name =
-      flags.GetString("strategy", "htilde", "DPHIST_STRATEGY");
+      flags.GetString("strategy", "hbar", "DPHIST_STRATEGY");
   const std::int64_t branching =
       flags.GetInt("branching", 2, "DPHIST_BRANCHING");
   const double epsilon = flags.GetDouble("epsilon", 0.1, "DPHIST_EPSILON");
@@ -138,10 +137,8 @@ int main(int argc, char** argv) {
   const std::int64_t phase_count = flags.GetInt("phases", 24, "DPHIST_PHASES");
   const std::vector<int> thread_counts = ParseThreadsList(
       flags.GetString("threads-list", "1,2,4,8", "DPHIST_THREADS_LIST"));
-  const std::int64_t cache_capacity =
-      flags.GetInt("cache", 8 * queries_per_phase, "DPHIST_CACHE");
-  const std::int64_t lock_shards =
-      flags.GetInt("lock-shards", 64, "DPHIST_LOCK_SHARDS");
+  const std::int64_t repeats = std::max<std::int64_t>(
+      1, flags.GetInt("repeats", 3, "DPHIST_REPEATS"));
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.GetInt("seed", 42));
 
@@ -152,6 +149,7 @@ int main(int argc, char** argv) {
   Histogram data =
       Histogram::FromCounts(ZipfCounts(n, 1.1, 5 * n, &data_rng));
 
+  // serve's defaults otherwise: round+prune on, so H-bar is walker-served.
   SnapshotOptions snapshot_options;
   snapshot_options.epsilon = epsilon;
   snapshot_options.strategy = strategy.value();
@@ -171,41 +169,29 @@ int main(int argc, char** argv) {
   }
 
   std::vector<ResultRow> rows;
-  // Speedup baseline: the smallest thread count actually run (1 with the
-  // default list), so a custom --threads-list can never yield a silently
-  // zero acceptance metric.
-  double qps_base_cached = 0.0;
-  double qps_max_cached = 0.0;
-  int base_threads = 0;
-  int max_threads = 0;
-  for (bool cached : {false, true}) {
-    for (int threads : thread_counts) {
-      // Fresh service per run: empty cache, then one publish.
-      QueryServiceOptions service_options;
-      service_options.cache_capacity = cached ? cache_capacity : 0;
-      service_options.cache_lock_shards = lock_shards;
-      QueryService service(service_options);
+  for (int threads : thread_counts) {
+    std::vector<double> samples;
+    for (std::int64_t r = 0; r < repeats; ++r) {
+      QueryService service;
       auto published = service.Publish(data, snapshot_options, seed);
       DPHIST_CHECK_MSG(published.ok(), "publish failed");
-
-      RunResult result = RunClients(service, threads, phases);
-      rows.push_back(
-          {threads, cached, result.aggregate_qps, result.hit_rate});
-      std::fprintf(stderr, "%s %d thread(s): %.3g q/s (hit rate %.2f)\n",
-                   cached ? "cached" : "uncached", threads,
-                   result.aggregate_qps, result.hit_rate);
-      if (cached) {
-        if (base_threads == 0 || threads < base_threads) {
-          base_threads = threads;
-          qps_base_cached = result.aggregate_qps;
-        }
-        if (threads >= max_threads) {
-          max_threads = threads;
-          qps_max_cached = result.aggregate_qps;
-        }
-      }
+      samples.push_back(RunClients(service, threads, phases));
     }
+    std::sort(samples.begin(), samples.end());
+    rows.push_back({threads, samples[samples.size() / 2], samples.front(),
+                    samples.back()});
+    std::fprintf(stderr, "%d thread(s): median %.3g q/s (min %.3g, max %.3g)\n",
+                 threads, rows.back().median_qps, rows.back().min_qps,
+                 rows.back().max_qps);
   }
+  // Speedup baseline: the smallest thread count actually run (1 with the
+  // default list), so a custom --threads-list can never yield a silently
+  // zero ratio.
+  const auto [base, top] = std::minmax_element(
+      rows.begin(), rows.end(),
+      [](const ResultRow& a, const ResultRow& b) {
+        return a.threads < b.threads;
+      });
 
   std::printf("{\n");
   std::printf("  \"benchmark\": \"service_throughput\",\n");
@@ -216,6 +202,10 @@ int main(int argc, char** argv) {
               "Debug"
 #endif
   );
+  std::printf("  \"compiler\": \"%s\",\n", kCompiler);
+  std::printf("  \"cpu_model\": \"%s\",\n", CpuModel().c_str());
+  std::printf("  \"hardware_concurrency\": %u,\n",
+              std::thread::hardware_concurrency());
   std::printf("  \"domain_log2\": %lld,\n",
               static_cast<long long>(domain_log2));
   std::printf("  \"strategy\": \"%s\",\n",
@@ -225,28 +215,23 @@ int main(int argc, char** argv) {
   std::printf("  \"queries_per_phase\": %lld,\n",
               static_cast<long long>(queries_per_phase));
   std::printf("  \"phases\": %lld,\n", static_cast<long long>(phase_count));
-  std::printf("  \"cache_capacity\": %lld,\n",
-              static_cast<long long>(cache_capacity));
-  std::printf("  \"hardware_concurrency\": %u,\n",
-              std::thread::hardware_concurrency());
+  std::printf("  \"repeats\": %lld,\n", static_cast<long long>(repeats));
   std::printf("  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::printf(
-        "    {\"threads\": %d, \"cached\": %s, "
-        "\"aggregate_queries_per_sec\": %.6g, \"cache_hit_rate\": %.4f}%s\n",
-        rows[i].threads, rows[i].cached ? "true" : "false",
-        rows[i].aggregate_qps, rows[i].hit_rate,
-        i + 1 < rows.size() ? "," : "");
+        "    {\"threads\": %d, \"median_queries_per_sec\": %.6g, "
+        "\"min_queries_per_sec\": %.6g, \"max_queries_per_sec\": %.6g}%s\n",
+        rows[i].threads, rows[i].median_qps, rows[i].min_qps,
+        rows[i].max_qps, i + 1 < rows.size() ? "," : "");
   }
   std::printf("  ],\n");
   std::printf("  \"summary\": {\n");
-  std::printf("    \"min_threads\": %d,\n", base_threads);
-  std::printf("    \"max_threads\": %d,\n", max_threads);
-  std::printf("    \"cached_qps_at_min_threads\": %.6g,\n", qps_base_cached);
-  std::printf("    \"cached_qps_at_max_threads\": %.6g,\n", qps_max_cached);
-  std::printf("    \"cached_speedup_max_over_min\": %.3f\n",
-              qps_base_cached > 0.0 ? qps_max_cached / qps_base_cached
-                                    : 0.0);
+  std::printf("    \"min_threads\": %d,\n", base->threads);
+  std::printf("    \"max_threads\": %d,\n", top->threads);
+  std::printf("    \"median_qps_at_min_threads\": %.6g,\n", base->median_qps);
+  std::printf("    \"median_qps_at_max_threads\": %.6g,\n", top->median_qps);
+  std::printf("    \"speedup_max_over_min\": %.3f\n",
+              top->median_qps / base->median_qps);
   std::printf("  }\n");
   std::printf("}\n");
   return 0;

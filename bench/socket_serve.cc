@@ -38,7 +38,7 @@
 //
 // Flags (DPHIST_* env equivalents): --domain-log2, --strategy,
 // --epsilon, --batch, --measure, --warmup, --connections-list,
-// --protocols, --client-threads, --workers, --cache, --seed.
+// --protocols, --client-threads, --workers, --seed.
 
 #include <algorithm>
 #include <chrono>
@@ -286,8 +286,6 @@ int main(int argc, char** argv) {
   // enough that scheduler noise stops dominating the 1-core numbers.
   const std::int64_t measure =
       flags.GetInt("measure", 1000, "DPHIST_MEASURE");
-  const std::int64_t cache_capacity =
-      flags.GetInt("cache", 1 << 15, "DPHIST_CACHE");
   const std::int64_t client_threads =
       flags.GetInt("client-threads", 2, "DPHIST_CLIENT_THREADS");
   const std::int64_t workers = flags.GetInt("workers", 2, "DPHIST_WORKERS");
@@ -328,10 +326,8 @@ int main(int argc, char** argv) {
       for (std::int64_t repeat = 0; repeat < std::max<std::int64_t>(
                repeats, 1); ++repeat) {
       // A fresh service + manager + listener per configuration, so
-      // cache warmth never leaks between runs.
-      QueryServiceOptions service_options;
-      service_options.cache_capacity = cache_capacity;
-      QueryService service(service_options);
+      // no state leaks between runs.
+      QueryService service;
       runtime::EpochManagerOptions manager_options;
       manager_options.base.epsilon = epsilon;
       manager_options.base.strategy = strategy.value();
@@ -453,8 +449,6 @@ int main(int argc, char** argv) {
               static_cast<long long>(pipeline));
   std::printf("  \"measure_batches_per_client\": %lld,\n",
               static_cast<long long>(measure));
-  std::printf("  \"cache_capacity\": %lld,\n",
-              static_cast<long long>(cache_capacity));
   std::printf("  \"client_threads\": %lld,\n",
               static_cast<long long>(client_threads));
   std::printf("  \"repeats_median_of\": %lld,\n",

@@ -19,7 +19,7 @@
 //
 // Flags (DPHIST_* env equivalents): --domain-log2, --strategy,
 // --branching, --epsilon, --batch, --measure, --warmup, --repeats,
-// --cache, --seed.
+// --seed.
 
 #include <algorithm>
 #include <atomic>
@@ -79,8 +79,6 @@ int main(int argc, char** argv) {
   const std::int64_t measure_batches =
       flags.GetInt("measure", 2000, "DPHIST_MEASURE");
   const std::int64_t repeats = flags.GetInt("repeats", 5, "DPHIST_REPEATS");
-  const std::int64_t cache_capacity =
-      flags.GetInt("cache", 1 << 15, "DPHIST_CACHE");
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.GetInt("seed", 42));
 
@@ -91,9 +89,7 @@ int main(int argc, char** argv) {
   Histogram data =
       Histogram::FromCounts(ZipfCounts(n, 1.1, 5 * n, &data_rng));
 
-  QueryServiceOptions service_options;
-  service_options.cache_capacity = cache_capacity;
-  QueryService service(service_options);
+  QueryService service;
 
   runtime::EpochManagerOptions manager_options;
   manager_options.base.epsilon = epsilon;
@@ -199,8 +195,6 @@ int main(int argc, char** argv) {
   std::printf("  \"batch\": %lld,\n", static_cast<long long>(batch_size));
   std::printf("  \"measure_batches\": %lld,\n",
               static_cast<long long>(measure_batches));
-  std::printf("  \"cache_capacity\": %lld,\n",
-              static_cast<long long>(cache_capacity));
   std::printf("  \"hardware_concurrency\": %u,\n",
               std::thread::hardware_concurrency());
   std::printf("  \"replans\": [\n");

@@ -1,5 +1,6 @@
 #include "common/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
 
@@ -74,6 +75,16 @@ bool Flags::GetBool(const std::string& name, bool fallback) const {
   const std::string& v = it->second;
   if (v.empty() || v == "true" || v == "1" || v == "yes") return true;
   return false;
+}
+
+Status Flags::CheckKnown(
+    std::initializer_list<std::string_view> known) const {
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      return Status::InvalidArgument("unknown flag --" + name);
+    }
+  }
+  return Status::Ok();
 }
 
 }  // namespace dphist

@@ -1,7 +1,9 @@
 // Minimal command-line flag parsing for bench and example binaries.
 //
 // Supports --name=value and --name value forms plus boolean --name.
-// Unrecognized flags are reported; positional arguments are collected.
+// Positional arguments are collected. A caller that lists the flags it
+// reads (CheckKnown) turns a misspelt or retired flag into an error
+// instead of a silently ignored default.
 // Values can also be supplied through environment variables (used by the
 // bench suite so `DPHIST_TRIALS=50 ./bench_...` restores the paper's full
 // protocol without editing commands).
@@ -10,9 +12,13 @@
 #define DPHIST_COMMON_FLAGS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "common/status.h"
 
 namespace dphist {
 
@@ -41,6 +47,10 @@ class Flags {
 
   /// Boolean value; a bare `--name` means true, `--name=false` means false.
   bool GetBool(const std::string& name, bool fallback) const;
+
+  /// InvalidArgument naming the first supplied flag (in name order) that
+  /// is not in `known`; Ok when every supplied flag is known.
+  Status CheckKnown(std::initializer_list<std::string_view> known) const;
 
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

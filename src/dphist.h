@@ -47,7 +47,6 @@
 #include "estimators/wavelet.h"              // IWYU pragma: export
 
 // Serving layer.
-#include "service/answer_cache.h"   // IWYU pragma: export
 #include "service/query_service.h"  // IWYU pragma: export
 #include "service/snapshot.h"       // IWYU pragma: export
 

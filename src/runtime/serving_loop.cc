@@ -15,16 +15,15 @@ namespace {
 
 /// Answers `count` ranges over `threads` workers in contiguous slices;
 /// each slice is one QueryBatch (single-epoch within itself). Returns
-/// the epoch of the last non-empty slice and adds the run's cache hits
-/// to `*cache_hits` (when non-null).
+/// the epoch of the last non-empty slice.
 std::uint64_t AnswerParallel(QueryService& service, const Interval* ranges,
                              std::size_t count, std::int64_t threads,
-                             double* out, std::uint64_t* cache_hits) {
+                             double* out) {
   if (count == 0) return service.current_epoch();
   const std::int64_t total = static_cast<std::int64_t>(count);
   const std::int64_t slices = std::max<std::int64_t>(
       1, std::min(ResolveThreadCount(threads), total));
-  if (slices == 1) return service.QueryBatch(ranges, count, out, cache_hits);
+  if (slices == 1) return service.QueryBatch(ranges, count, out);
   const std::int64_t slice_width = (total + slices - 1) / slices;
   // Rounding can leave trailing slices empty (4 queries over 3 slices
   // of width 2 fills only slices 0 and 1), so anchor the summary epoch
@@ -33,22 +32,14 @@ std::uint64_t AnswerParallel(QueryService& service, const Interval* ranges,
   // under when a swap lands between the fan-out and the summary.
   const std::int64_t last_nonempty = (total + slice_width - 1) / slice_width - 1;
   std::uint64_t last_epoch = 0;
-  // Per-slice hit counters: slices run on different workers, so they
-  // must not share one accumulator.
-  std::vector<std::uint64_t> slice_hits(
-      static_cast<std::size_t>(slices), 0);
   ParallelFor(slices, slices, [&](std::int64_t slice) {
     const std::int64_t begin = slice * slice_width;
     const std::int64_t end = std::min(total, begin + slice_width);
     if (begin >= end) return;
     const std::uint64_t epoch = service.QueryBatch(
-        ranges + begin, static_cast<std::size_t>(end - begin), out + begin,
-        &slice_hits[static_cast<std::size_t>(slice)]);
+        ranges + begin, static_cast<std::size_t>(end - begin), out + begin);
     if (slice == last_nonempty) last_epoch = epoch;
   });
-  if (cache_hits != nullptr) {
-    for (std::uint64_t h : slice_hits) *cache_hits += h;
-  }
   return last_epoch;
 }
 
@@ -78,10 +69,8 @@ Status SessionExecutor::AnswerRun(const Interval* ranges, std::size_t count,
   Status valid = service_.ValidateBatch(ranges, count);
   if (!valid.ok()) return valid;
   answers_.resize(count);
-  std::uint64_t hits = 0;
   summary_.last_epoch =
-      AnswerParallel(service_, ranges, count, threads, answers_.data(), &hits);
-  summary_.cache_hits += hits;
+      AnswerParallel(service_, ranges, count, threads, answers_.data());
   NoteAnswerEpoch(summary_.last_epoch);
   writer_.Answers(answers_.data(), count);
   summary_.queries += count;
@@ -91,15 +80,13 @@ Status SessionExecutor::AnswerRun(const Interval* ranges, std::size_t count,
 Result<std::uint64_t> SessionExecutor::AnswerBatch(
     const Interval* ranges, std::size_t count, std::vector<double>* answers) {
   answers->resize(count);
-  std::uint64_t hits = 0;
   Result<std::uint64_t> answered =
-      service_.TryQueryBatch(ranges, count, answers->data(), &hits);
+      service_.TryQueryBatch(ranges, count, answers->data());
   if (!answered.ok()) return answered.status();
   const std::uint64_t epoch = answered.value();
   summary_.commands += 1;
   summary_.queries += count;
   summary_.batches += 1;
-  summary_.cache_hits += hits;
   summary_.last_epoch = epoch;
   NoteAnswerEpoch(epoch);
   return epoch;
@@ -113,16 +100,14 @@ Status SessionExecutor::Execute(const SessionCommand& command,
       return AnswerRun(command.ranges.data(), command.ranges.size(), 1);
     case SessionVerb::kBatch: {
       answers_.resize(command.ranges.size());
-      std::uint64_t hits = 0;
       Result<std::uint64_t> answered =
           service_.TryQueryBatch(command.ranges.data(), command.ranges.size(),
-                                 answers_.data(), &hits);
+                                 answers_.data());
       if (!answered.ok()) return answered.status();
       const std::uint64_t epoch = answered.value();
       summary_.last_epoch = epoch;
       summary_.queries += command.ranges.size();
       summary_.batches += 1;
-      summary_.cache_hits += hits;
       NoteAnswerEpoch(epoch);
       writer_.Answers(answers_.data(), command.ranges.size());
       // The receipt is what lets a transcript prove the whole batch
@@ -208,7 +193,6 @@ void SessionExecutor::ReportOutcome(const ReplanOutcome& outcome) {
 
 std::string SessionExecutor::StatsText() {
   std::shared_ptr<const Snapshot> snap = service_.snapshot();
-  const AnswerCache::Stats cache = service_.cache_stats();
   const QueryService::SwapStats swaps = service_.swap_stats();
   const EpochManager::Stats lifecycle = manager_.stats();
   std::ostringstream text;
@@ -219,13 +203,10 @@ std::string SessionExecutor::StatsText() {
        << " shards=" << (snap != nullptr ? snap->shard_count() : 0)
        << " queries=" << service_.observed_query_count()
        << " publishes=" << swaps.publishes
-       << " swap_evictions=" << swaps.total_swap_evictions
        << " replans=" << (lifecycle.manual + lifecycle.every +
                           lifecycle.drift)
        << " drift_checks=" << lifecycle.drift_checks
-       << " epsilon_spent=" << lifecycle.epsilon_spent
-       << " cache_hits=" << cache.hits << " cache_misses=" << cache.misses
-       << " cache_size=" << service_.cache_size();
+       << " epsilon_spent=" << lifecycle.epsilon_spent;
   // Batch answer engine: which kernel level is live and how much traffic
   // it has absorbed (totals across levels differ only when a force
   // override changed mid-run).
@@ -238,7 +219,6 @@ std::string SessionExecutor::StatsText() {
        // debugging (the fields above are server-global).
        << " session_queries=" << summary_.queries
        << " session_batches=" << summary_.batches
-       << " session_cache_hits=" << summary_.cache_hits
        << " session_epochs=" << summary_.epochs_seen
        << " protocol=" << protocol_;
   if (session_write_errors_) {

@@ -52,8 +52,8 @@ struct ServingLoopOptions {
 };
 
 /// What a session did, for the final "# served ..." report and the
-/// per-session `stats` fields (multi-tenant debugging: which tenant is
-/// hammering the cache, which never saw a republish).
+/// per-session `stats` fields (multi-tenant debugging: which tenant
+/// sends the most traffic, which never saw a republish).
 struct SessionSummary {
   std::uint64_t queries = 0;       // ranges answered
   std::uint64_t commands = 0;      // commands executed (incl. stats/replan)
@@ -61,7 +61,6 @@ struct SessionSummary {
   std::uint64_t replans_reported = 0;  // "# planned ..." lines / PLAN frames
   std::uint64_t last_epoch = 0;        // epoch of the last answered batch
   std::uint64_t batches = 0;     // qb commands / binary QUERY frames
-  std::uint64_t cache_hits = 0;  // of `queries`, answered from the cache
   /// Distinct consecutive epoch values this session answered under (an
   /// A->B->A sequence counts 3: the session really crossed two swaps).
   std::uint64_t epochs_seen = 0;

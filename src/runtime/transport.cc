@@ -298,7 +298,6 @@ Status SocketServer::Start() {
       stats_.completed += 1;
       stats_.queries += done.summary.queries;
       stats_.batches += done.summary.batches;
-      stats_.cache_hits += done.summary.cache_hits;
       stats_.replans_announced += done.summary.replans_reported;
       stats_.write_errors += done.write_errors;
       if (done.peer_reset) stats_.peer_resets += 1;

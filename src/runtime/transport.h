@@ -249,7 +249,6 @@ class SocketServer {
     std::uint64_t auth_failures = 0;   // handshakes refused and closed
     std::uint64_t queries = 0;         // ranges answered across sessions
     std::uint64_t batches = 0;         // qb commands + QUERY frames
-    std::uint64_t cache_hits = 0;      // per-session cache hits, summed
     std::uint64_t replans_announced = 0;  // PLAN frames + "# planned"
     std::uint64_t text_sessions = 0;      // completed line-text sessions
     std::uint64_t binary_sessions = 0;    // completed frame sessions

@@ -13,8 +13,7 @@
 namespace dphist {
 
 QueryService::QueryService(const QueryServiceOptions& options)
-    : cache_(options.cache_capacity, options.cache_lock_shards),
-      planner_options_(options.planner) {
+    : planner_options_(options.planner) {
   if (options.observed_reservoir > 0) {
     // Spread the capacity over the stripes (ceil, so it is never lost to
     // rounding); each stripe samples its own sub-stream and
@@ -89,17 +88,10 @@ std::shared_ptr<const Snapshot> QueryService::CommitPublish(
   DPHIST_CHECK_MSG(pending.service_ == this && pending.snapshot_ != nullptr,
                    "CommitPublish needs a pending publish from this service");
   const std::uint64_t epoch = pending.snapshot_->epoch();
-  // Swap and purge BEFORE releasing the publish token: the next
-  // publisher may only observe last_epoch_ == epoch once this snapshot
-  // is the one readers see, or its own (newer) swap could be overwritten
-  // by ours.
+  // Swap BEFORE releasing the publish token: the next publisher may
+  // only observe last_epoch_ == epoch once this snapshot is the one
+  // readers see, or its own (newer) swap could be overwritten by ours.
   snapshot_.store(pending.snapshot_, std::memory_order_release);
-  // Entries keyed by older epochs can never be served again (readers
-  // that loaded the old snapshot before the swap still look up under the
-  // old epoch, and a concurrent re-insert of such an entry is dropped at
-  // the next swap); purge them now instead of letting them squat on LRU
-  // capacity until they age out.
-  const std::int64_t evicted = cache_.EvictOlderEpochs(epoch);
   {
     MutexLock lock(publish_mutex_);
     last_epoch_ = epoch;
@@ -111,8 +103,6 @@ std::shared_ptr<const Snapshot> QueryService::CommitPublish(
     MutexLock stats_lock(swap_stats_mutex_);
     swap_stats_.publishes += 1;
     swap_stats_.last_epoch = epoch;
-    swap_stats_.last_swap_evictions = evicted;
-    swap_stats_.total_swap_evictions += evicted;
   }
   return std::move(pending.snapshot_);
 }
@@ -157,21 +147,15 @@ Result<std::shared_ptr<const Snapshot>> QueryService::PublishFromPlan(
 
 std::uint64_t QueryService::QueryBatch(const Interval* ranges,
                                        std::size_t count, double* out) const {
-  return QueryBatch(ranges, count, out, nullptr);
-}
-
-std::uint64_t QueryService::QueryBatch(const Interval* ranges,
-                                       std::size_t count, double* out,
-                                       std::uint64_t* cache_hits) const {
   std::shared_ptr<const Snapshot> snap =
       snapshot_.load(std::memory_order_acquire);
   DPHIST_CHECK_MSG(snap != nullptr, "QueryBatch before the first Publish");
-  return QueryBatchOn(*snap, ranges, count, out, cache_hits);
+  return QueryBatchOn(*snap, ranges, count, out);
 }
 
 Result<std::uint64_t> QueryService::TryQueryBatch(
     const Interval* ranges, std::size_t count, double* out,
-    std::uint64_t* cache_hits) const {
+    std::uint64_t* /*cache_hits*/) const {
   std::shared_ptr<const Snapshot> snap =
       snapshot_.load(std::memory_order_acquire);
   if (snap == nullptr) {
@@ -180,7 +164,7 @@ Result<std::uint64_t> QueryService::TryQueryBatch(
   }
   Status valid = snap->ValidateRanges(ranges, count);
   if (!valid.ok()) return valid;
-  return QueryBatchOn(*snap, ranges, count, out, cache_hits);
+  return QueryBatchOn(*snap, ranges, count, out);
 }
 
 Status QueryService::ValidateBatch(const Interval* ranges,
@@ -196,8 +180,8 @@ Status QueryService::ValidateBatch(const Interval* ranges,
 
 std::uint64_t QueryService::QueryBatchOn(const Snapshot& snap,
                                          const Interval* ranges,
-                                         std::size_t count, double* out,
-                                         std::uint64_t* cache_hits) const {
+                                         std::size_t count,
+                                         double* out) const {
   // Feed the observed-workload histogram the planner consumes: one
   // relaxed increment per query, on this thread's counter stripe — no
   // locks, no heap, and no hot cache line shared across readers.
@@ -218,39 +202,15 @@ std::uint64_t QueryService::QueryBatchOn(const Snapshot& snap,
     MutexLock lock(res.mutex);
     for (std::size_t i = 0; i < count; ++i) res.reservoir.Observe(ranges[i]);
   }
+  // Planned releases answer any range as a prefix difference in one
+  // columnar engine pass; walker releases (H~, round+prune H-bar) sum at
+  // most 2(k-1) log_k n tree nodes per range. Neither allocates.
   if (const engine::AnswerPlan* plan = snap.answer_plan(); plan != nullptr) {
-    // Planned releases answer any range as a prefix difference, cheaper
-    // than a cache probe: the whole batch is one columnar engine pass
-    // (zero allocations) and never touches the cache.
     engine::AnswerBatch(*plan, ranges, /*sel=*/nullptr, count, out);
-    return snap.epoch();
-  }
-  if (!cache_.enabled()) {
+  } else {
     snap.RangeCountsInto(ranges, count, out);
-    return snap.epoch();
   }
-  // Walker-served releases (H~, round+prune H-bar): every answer is a
-  // decomposition walk, so hits are reused and misses are cached.
-  const std::uint64_t epoch = snap.epoch();
-  constexpr std::size_t kChunk = 64;
-  for (std::size_t base = 0; base < count; base += kChunk) {
-    const std::size_t chunk = std::min(kChunk, count - base);
-    bool hit[kChunk];
-    cache_.LookupMany(epoch, ranges + base, chunk, out + base, hit);
-    bool any_miss = false;
-    for (std::size_t i = 0; i < chunk; ++i) {
-      if (hit[i]) {
-        if (cache_hits != nullptr) ++*cache_hits;
-        continue;
-      }
-      out[base + i] = snap.RangeCount(ranges[base + i]);
-      any_miss = true;
-    }
-    if (any_miss) {
-      cache_.InsertMany(epoch, ranges + base, out + base, chunk, hit);
-    }
-  }
-  return epoch;
+  return snap.epoch();
 }
 
 std::uint64_t QueryService::Query(const Interval& range, double* out) const {

@@ -3,21 +3,18 @@
 // QueryService multiplexes any number of concurrent readers over one
 // current Snapshot (see snapshot.h). Releases with an answer plan (L~,
 // wavelet, consistent H-bar) answer every batch in one pass of the
-// columnar engine; the optional shared LRU answer cache (see
-// answer_cache.h) fronts only the walker-served releases (H~ and the
-// default round+prune H-bar). The snapshot pointer is swapped atomically
-// on republish, so:
+// columnar engine; the rest (H~ and the default round+prune H-bar) sum
+// tree nodes along each range's decomposition. Either way every answer
+// is post-processing of the published release, so it is recomputed per
+// query rather than cached: recomputing costs no privacy, and it is
+// cheaper than the probe and insert a cache would spend on it. The
+// snapshot pointer is swapped atomically on republish, so:
 //
 //   - readers never block, not even while a publish is building the next
 //     release (construction happens outside the swap);
 //   - a batch is answered entirely against the single snapshot loaded at
 //     its start, so its answers are internally consistent — one epoch,
-//     one release — even when a swap lands mid-batch;
-//   - cache keys include the epoch, so answers computed under different
-//     releases can never be served for one another — and a swap
-//     additionally purges every entry from older epochs up front
-//     (AnswerCache::EvictOlderEpochs) so dead entries never squat on
-//     capacity.
+//     one release — even when a swap lands mid-batch.
 //
 // Publishing with SnapshotOptions{strategy = kAuto} invokes the
 // cost-based planner (src/planner/planner.h): the service keeps a
@@ -47,20 +44,35 @@
 #include "domain/interval.h"
 #include "planner/planner.h"
 #include "planner/workload_profile.h"
-#include "service/answer_cache.h"
 #include "service/snapshot.h"
 
 namespace dphist {
 
+// ---- Retired answer-cache surface, kept for perfbench only ------------
+// The LRU answer cache is gone, but the perfbench/ sources still read
+// these names, and those sources change only in a benchmark change of
+// their own. Delete this block, the two base-class mentions below and
+// TryQueryBatch's `cache_hits` argument in the next change to
+// perfbench/.
+struct AnswerCache {
+  struct Stats {
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t insertions = 0;
+  };
+};
+struct RetiredCacheOptions {
+  std::int64_t cache_capacity = 0;  // accepted and ignored
+};
+class RetiredCacheCounters {
+ public:
+  AnswerCache::Stats cache_stats() const { return {}; }  // always zero
+  std::int64_t cache_size() const { return 0; }
+};
+// ---- end of the retired answer-cache surface ---------------------------
+
 /// Serving-side knobs (the per-release knobs live in SnapshotOptions).
-struct QueryServiceOptions {
-  /// Total cached answers across the cache's lock shards; 0 disables
-  /// caching. The cache fronts only releases without an answer plan
-  /// (H~ and round+prune H-bar): planned releases always go to the
-  /// engine, so their batches stay allocation-free either way.
-  std::int64_t cache_capacity = 0;
-  /// Lock shards of the answer cache (rounded up to a power of two).
-  std::int64_t cache_lock_shards = 16;
+struct QueryServiceOptions : RetiredCacheOptions {
   /// Candidate enumeration used when a publish must resolve kAuto.
   planner::PlannerOptions planner;
   /// Capacity of the exact-length query reservoir sampled from answered
@@ -73,7 +85,7 @@ struct QueryServiceOptions {
 };
 
 /// Concurrent range-count server over atomically swappable snapshots.
-class QueryService {
+class QueryService : public RetiredCacheCounters {
  public:
   explicit QueryService(const QueryServiceOptions& options = {});
 
@@ -81,8 +93,7 @@ class QueryService {
   QueryService& operator=(const QueryService&) = delete;
 
   /// Builds a release from `data` and atomically swaps it in as the
-  /// current snapshot with a fresh monotonically increasing epoch,
-  /// then proactively purges cache entries from older epochs.
+  /// current snapshot with a fresh monotonically increasing epoch.
   /// Building happens outside the swap, so concurrent readers keep
   /// answering from the previous snapshot until the new one is ready.
   /// Concurrent publishers are serialized; readers are never blocked.
@@ -153,8 +164,7 @@ class QueryService {
       const planner::WorkloadProfile* workload = nullptr);
 
   /// The second half of Publish: atomically swaps the pending snapshot
-  /// in, purges stale cache epochs, and records the swap stats. Returns
-  /// the now-current snapshot.
+  /// in and records the swap stats. Returns the now-current snapshot.
   std::shared_ptr<const Snapshot> CommitPublish(PendingPublish pending);
 
   /// Installs a snapshot recovered from durable storage as the current
@@ -180,30 +190,22 @@ class QueryService {
   /// Answers `count` ranges into `out`, all against the single snapshot
   /// current when the batch started, and returns that snapshot's epoch.
   /// A snapshot with an answer plan answers the whole batch in one
-  /// engine pass; otherwise cached answers are reused (batched
-  /// per-lock-shard lookups) and misses are cached. Requires a published
-  /// snapshot. Planned snapshots, and walker snapshots with the cache
-  /// disabled, perform zero heap allocations. Every query's length is
-  /// recorded in the observed-workload histogram that kAuto planning
-  /// consumes.
+  /// engine pass; any other sums each range's decomposition nodes. Both
+  /// paths perform zero heap allocations once warm. Requires a published
+  /// snapshot. Every query's length is recorded in the observed-workload
+  /// histogram that kAuto planning consumes.
   std::uint64_t QueryBatch(const Interval* ranges, std::size_t count,
                            double* out) const;
-
-  /// As above, additionally adding the number of this batch's answers
-  /// served from the cache to `*cache_hits` (left untouched when null).
-  /// cache_stats() is a global counter; per-session accounting needs the
-  /// per-batch figure, which only the batch itself can attribute.
-  std::uint64_t QueryBatch(const Interval* ranges, std::size_t count,
-                           double* out, std::uint64_t* cache_hits) const;
 
   /// Validating form for the serving transports: answering before the
   /// first Publish or asking for a range outside the snapshot's domain
   /// returns a Status (surfaced as a session "error:" line) where
   /// QueryBatch would CHECK-abort the server. On success behaves exactly
-  /// like QueryBatch and returns the batch's epoch.
-  Result<std::uint64_t> TryQueryBatch(const Interval* ranges,
-                                      std::size_t count, double* out,
-                                      std::uint64_t* cache_hits) const;
+  /// like QueryBatch and returns the batch's epoch. `cache_hits` is part
+  /// of the retired answer-cache surface above: never written.
+  Result<std::uint64_t> TryQueryBatch(
+      const Interval* ranges, std::size_t count, double* out,
+      std::uint64_t* cache_hits = nullptr) const;
 
   /// The validation half of TryQueryBatch alone — for callers that
   /// pre-validate a run once and then fan slices out through QueryBatch.
@@ -222,12 +224,6 @@ class QueryService {
   /// The EpochManager's every-N and drift triggers anchor on this.
   std::uint64_t observed_query_count() const;
 
-  bool cache_enabled() const { return cache_.enabled(); }
-  AnswerCache::Stats cache_stats() const { return cache_.stats(); }
-
-  /// Entries currently cached (sums the cache's lock shards).
-  std::int64_t cache_size() const { return cache_.size(); }
-
   /// Epoch of the current snapshot; 0 before the first Publish.
   std::uint64_t current_epoch() const;
 
@@ -235,8 +231,6 @@ class QueryService {
   struct SwapStats {
     std::uint64_t publishes = 0;        // successful snapshot swaps
     std::uint64_t last_epoch = 0;       // epoch of the latest swap
-    std::int64_t last_swap_evictions = 0;   // stale entries purged by it
-    std::int64_t total_swap_evictions = 0;  // across every swap
   };
   SwapStats swap_stats() const;
 
@@ -252,10 +246,9 @@ class QueryService {
   /// The answering core shared by QueryBatch and TryQueryBatch, running
   /// against an already-loaded (and validated) snapshot. A snapshot with
   /// an AnswerPlan goes to the batch answer engine whole; walker
-  /// strategies take the cache, then the per-query path for misses.
+  /// strategies go to Snapshot::RangeCountsInto whole.
   std::uint64_t QueryBatchOn(const Snapshot& snap, const Interval* ranges,
-                             std::size_t count, double* out,
-                             std::uint64_t* cache_hits) const;
+                             std::size_t count, double* out) const;
 
   /// floor(log2(length)) buckets; 63 covers any int64 length.
   static constexpr std::size_t kLengthBuckets = 63;
@@ -264,7 +257,6 @@ class QueryService {
   /// line; ObservedWorkload sums across stripes.
   static constexpr std::size_t kLengthStripes = 8;
 
-  mutable AnswerCache cache_;
   planner::PlannerOptions planner_options_;
   /// Serializes publishers so epochs increase in publish order. The
   /// mutex itself is only held for short flag/epoch updates; the

@@ -100,8 +100,8 @@ class Snapshot {
       std::int64_t domain_size,
       const std::vector<std::vector<double>>& shard_states);
 
-  /// Epoch assigned by the publisher; cache keys include it so answers
-  /// from different releases can never be confused.
+  /// Epoch assigned by the publisher; every answered batch reports it,
+  /// so answers from different releases can never be confused.
   std::uint64_t epoch() const { return epoch_; }
 
   double epsilon() const { return options_.epsilon; }

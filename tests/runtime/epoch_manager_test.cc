@@ -169,37 +169,6 @@ TEST(EpochManagerTest, BudgetRefusalKeepsServingTheOldEpoch) {
   EXPECT_EQ(service.Query(Interval(0, 5), &out), 1u);
 }
 
-TEST(EpochManagerTest, StaleCacheEntriesUnreachableAfterReplan) {
-  const std::int64_t n = 64;
-  Histogram data = TestData(n);
-  QueryServiceOptions service_options;
-  service_options.cache_capacity = 256;
-  QueryService service(service_options);
-  EpochManagerOptions options;
-  options.base.strategy = StrategyKind::kHTilde;
-  options.async = false;
-  EpochManager manager(&service, data, options, 7);
-  ASSERT_TRUE(manager.PublishInitial().ok());
-
-  // The initial H~ release is walker-served, so the cache fronts it.
-  std::vector<Interval> workload;
-  for (std::int64_t i = 0; i + 3 < n; i += 4) workload.emplace_back(i, i + 3);
-  std::vector<double> answers(workload.size());
-  service.QueryBatch(workload.data(), workload.size(), answers.data());
-  const std::int64_t cached = service.cache_size();
-  ASSERT_GT(cached, 0);
-
-  ASSERT_TRUE(manager.ReplanNow().ok());
-  // The swap purged every stale entry up front...
-  EXPECT_EQ(service.cache_size(), 0);
-  EXPECT_GE(service.cache_stats().epoch_evictions,
-            static_cast<std::uint64_t>(cached));
-  // ...so replaying the same workload under the new epoch hits nothing.
-  const std::uint64_t hits_before = service.cache_stats().hits;
-  service.QueryBatch(workload.data(), workload.size(), answers.data());
-  EXPECT_EQ(service.cache_stats().hits, hits_before);
-}
-
 // Subscriber queues are independent: every broadcast lands in every
 // queue exactly once, a manual replan skips its reporter (the caller
 // prints it directly), and a late subscriber sees nothing from before
@@ -404,9 +373,7 @@ TEST(EpochManagerTest, TwoThreadedSessionsEachSeeEveryRepublishOnce) {
 TEST(EpochManagerTest, ReplanLifecycleUnderConcurrentReaders) {
   const std::int64_t n = 128;
   Histogram data = TestData(n);
-  QueryServiceOptions service_options;
-  service_options.cache_capacity = 512;
-  QueryService service(service_options);
+  QueryService service;
   EpochManagerOptions options;
   options.base.strategy = StrategyKind::kHTilde;
   options.base.epsilon = 0.5;

@@ -129,9 +129,7 @@ TEST(SocketTransportTest, SingleClientGetsBannerAnswersAndReceipts) {
 TEST(SocketTransportTest, ConcurrentClientsIdenticalAcrossAsyncRepublish) {
   const std::int64_t n = 256;
   Histogram data = TestData(n);
-  QueryServiceOptions service_options;
-  service_options.cache_capacity = 1 << 10;
-  QueryService service(service_options);
+  QueryService service;
   EpochManagerOptions options;
   options.base.strategy = StrategyKind::kHBar;
   options.base.epsilon = 400.0;  // every epoch rounds to the exact counts

@@ -8,9 +8,9 @@
 // is validated statistically, not spot-checked: over T independent
 // releases the empirical per-query mean squared error must land within
 // the Monte-Carlo confidence bound of the closed form. A wiring bug that
-// shifted a shard boundary, reused noise across shards, mixed epochs in
-// the cache, or double-counted a node would move the empirical error off
-// the curve and fail these assertions.
+// shifted a shard boundary, reused noise across shards, served an answer
+// from another epoch, or double-counted a node would move the empirical
+// error off the curve and fail these assertions.
 
 #include <gtest/gtest.h>
 
@@ -34,7 +34,6 @@ struct ConformanceCase {
   std::string name;
   std::int64_t domain_size;
   SnapshotOptions options;
-  std::int64_t cache_capacity = 0;  // 0 = uncached
 };
 
 std::vector<ConformanceCase> Cases() {
@@ -65,16 +64,11 @@ std::vector<ConformanceCase> Cases() {
   cases.push_back(hbar);
 
   ConformanceCase htilde_sharded;
-  htilde_sharded.name = "htilde_sharded_cached";
-  htilde_sharded.domain_size = 32;
+  htilde_sharded.name = "htilde_sharded";
+  htilde_sharded.domain_size = 32;  // binary trees, unpadded 8-wide shards
   htilde_sharded.options.strategy = StrategyKind::kHTilde;
   htilde_sharded.options.epsilon = 0.5;
   htilde_sharded.options.shards = 4;
-  // The cache must be statistically invisible: epochs key the entries,
-  // every trial republishes, so a hit can only ever return the current
-  // release's own answer. H~ is walker-served, so the cache fronts it
-  // (planned releases bypass the cache entirely).
-  htilde_sharded.cache_capacity = 512;
   cases.push_back(htilde_sharded);
 
   ConformanceCase wavelet;
@@ -94,17 +88,10 @@ std::vector<ConformanceCase> Cases() {
 }
 
 /// Probe queries: unit, shard-interior, shard-spanning, and full-domain.
-/// The last query repeats the fourth; the trial loop answers it in a
-/// follow-up batch, so a cached service serves it from the entry the
-/// first batch inserted — putting cache hits themselves under the
-/// statistical test. (Within one batch, LookupMany resolves the whole
-/// chunk before any insert, so an intra-batch duplicate is recomputed
-/// rather than hit.)
 std::vector<Interval> ProbeQueries(std::int64_t n) {
   std::vector<Interval> queries = {
-      Interval(0, 0),         Interval(n / 2, n / 2), Interval(0, n - 1),
-      Interval(1, n / 2),     Interval(n / 3, n - 2), Interval(n / 4, 3 * n / 4),
-      Interval(1, n / 2),
+      Interval(0, 0),     Interval(n / 2, n / 2), Interval(0, n - 1),
+      Interval(1, n / 2), Interval(n / 3, n - 2), Interval(n / 4, 3 * n / 4),
   };
   return queries;
 }
@@ -125,9 +112,7 @@ TEST(ServiceConformanceTest, EmpiricalErrorMatchesClosedFormPerQuery) {
     VarianceOracle oracle(test_case.options, test_case.domain_size);
     std::vector<Interval> queries = ProbeQueries(test_case.domain_size);
 
-    QueryServiceOptions service_options;
-    service_options.cache_capacity = test_case.cache_capacity;
-    QueryService service(service_options);
+    QueryService service;
 
     std::vector<double> truth(queries.size());
     for (std::size_t q = 0; q < queries.size(); ++q) {
@@ -137,19 +122,13 @@ TEST(ServiceConformanceTest, EmpiricalErrorMatchesClosedFormPerQuery) {
     std::vector<double> answers(queries.size());
     std::vector<double> sum_squared_error(queries.size(), 0.0);
     for (std::int64_t trial = 0; trial < kTrials; ++trial) {
-      // One fresh release per trial; the epoch advances every time, so
-      // cached entries from earlier trials can never be (wrongly) reused.
+      // One fresh release per trial, answered as one batch.
       ASSERT_TRUE(service
                       .Publish(data, test_case.options,
                                /*seed=*/1000 + static_cast<std::uint64_t>(
                                                    trial))
                       .ok());
-      // First batch: all distinct probes; second batch: the duplicate,
-      // which a cached service must serve from the first batch's insert.
-      // Both batches land on the same snapshot (no concurrent publish).
-      const std::size_t head = queries.size() - 1;
-      service.QueryBatch(queries.data(), head, answers.data());
-      service.QueryBatch(queries.data() + head, 1, answers.data() + head);
+      service.QueryBatch(queries.data(), queries.size(), answers.data());
       for (std::size_t q = 0; q < queries.size(); ++q) {
         const double err = answers[q] - truth[q];
         sum_squared_error[q] += err * err;
@@ -164,12 +143,6 @@ TEST(ServiceConformanceTest, EmpiricalErrorMatchesClosedFormPerQuery) {
       EXPECT_NEAR(empirical / exact, 1.0, tolerance)
           << "query " << queries[q].ToString() << " empirical " << empirical
           << " exact " << exact;
-    }
-    if (test_case.cache_capacity > 0) {
-      // The duplicated probe query really was served from the cache
-      // (once per trial), so cache hits are inside the statistics above.
-      EXPECT_GE(service.cache_stats().hits,
-                static_cast<std::uint64_t>(kTrials));
     }
   }
 }

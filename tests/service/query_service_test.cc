@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "data/zipf.h"
 #include "domain/histogram.h"
+#include "engine/answer_engine.h"
 
 namespace dphist {
 namespace {
@@ -87,36 +88,6 @@ TEST(QueryServiceTest, AnswersMatchTheSnapshotExactly) {
   }
 }
 
-TEST(QueryServiceTest, CachedAndUncachedServicesAgreeBitForBit) {
-  Histogram data = TestData(128);
-  QueryServiceOptions cached_options;
-  cached_options.cache_capacity = 256;
-  QueryService cached(cached_options);
-  QueryService uncached;
-
-  SnapshotOptions options;
-  options.strategy = StrategyKind::kHTilde;
-  ASSERT_TRUE(cached.Publish(data, options, 4).ok());
-  ASSERT_TRUE(uncached.Publish(data, options, 4).ok());
-
-  // Repeat the workload so the second pass is answered from the cache.
-  std::vector<Interval> workload = ProbeWorkload(128, 100, 23);
-  std::vector<double> first(workload.size());
-  std::vector<double> second(workload.size());
-  std::vector<double> reference(workload.size());
-  cached.QueryBatch(workload.data(), workload.size(), first.data());
-  cached.QueryBatch(workload.data(), workload.size(), second.data());
-  uncached.QueryBatch(workload.data(), workload.size(), reference.data());
-
-  for (std::size_t i = 0; i < workload.size(); ++i) {
-    EXPECT_EQ(first[i], reference[i]) << i;
-    EXPECT_EQ(second[i], reference[i]) << i;
-  }
-  AnswerCache::Stats stats = cached.cache_stats();
-  EXPECT_GT(stats.hits, 0u);
-  EXPECT_EQ(uncached.cache_stats().hits, 0u);
-}
-
 TEST(QueryServiceTest, SingleQueryFormMatchesBatch) {
   Histogram data = TestData(64);
   QueryService service;
@@ -127,33 +98,6 @@ TEST(QueryServiceTest, SingleQueryFormMatchesBatch) {
   double batched = 0.0;
   service.QueryBatch(&q, 1, &batched);
   EXPECT_EQ(single, batched);
-}
-
-TEST(QueryServiceTest, SnapshotSwapPurgesStaleEpochEntries) {
-  Histogram data = TestData(64);
-  QueryServiceOptions service_options;
-  service_options.cache_capacity = 256;
-  QueryService service(service_options);
-  ASSERT_TRUE(service.Publish(data, SnapshotOptions(), 1).ok());
-
-  std::vector<Interval> workload = ProbeWorkload(64, 40, 7);
-  std::vector<double> answers(workload.size());
-  service.QueryBatch(workload.data(), workload.size(), answers.data());
-  const std::int64_t cached_before = service.cache_size();
-  ASSERT_GT(cached_before, 0);
-
-  // The swap must leave no epoch-1 entry reachable — the cache is empty
-  // until the new epoch's traffic arrives, not full of dead weight.
-  ASSERT_TRUE(service.Publish(data, SnapshotOptions(), 2).ok());
-  EXPECT_EQ(service.cache_size(), 0);
-  EXPECT_EQ(service.cache_stats().epoch_evictions,
-            static_cast<std::uint64_t>(cached_before));
-
-  // Fresh traffic repopulates under the new epoch only.
-  service.QueryBatch(workload.data(), workload.size(), answers.data());
-  EXPECT_GT(service.cache_size(), 0);
-  ASSERT_TRUE(service.Publish(data, SnapshotOptions(), 3).ok());
-  EXPECT_EQ(service.cache_size(), 0);
 }
 
 TEST(QueryServiceTest, ObservedWorkloadTracksAnsweredLengths) {
@@ -231,7 +175,7 @@ TEST(QueryServiceTest, AutoStrategyHonorsExplicitProfileOverObservation) {
 // The acceptance-criterion test: concurrent readers during repeated
 // snapshot swaps must always see internally consistent single-epoch
 // batches — every answer in a batch comes from the release whose epoch
-// the batch reports, bit for bit, even with the shared cache on.
+// the batch reports, bit for bit.
 TEST(QueryServiceTest, ConcurrentSwapsServeSingleEpochBatches) {
   const std::int64_t n = 96;
   Histogram data = TestData(n);
@@ -254,9 +198,7 @@ TEST(QueryServiceTest, ConcurrentSwapsServeSingleEpochBatches) {
     expected.emplace(epoch, std::move(answers));
   }
 
-  QueryServiceOptions service_options;
-  service_options.cache_capacity = 1024;
-  QueryService service(service_options);
+  QueryService service;
   ASSERT_TRUE(service.Publish(data, options, 1).ok());
 
   std::atomic<bool> done{false};
@@ -306,16 +248,13 @@ TEST(QueryServiceTest, ConcurrentSwapsServeSingleEpochBatches) {
   EXPECT_EQ(service.current_epoch(), kEpochs);
 }
 
-TEST(QueryServiceTest, PlannedReleasesBypassTheCache) {
-  // Releases with an answer plan answer any range as a prefix
-  // difference, cheaper than a cache probe: behind a configured cache
-  // every batch still goes to the engine whole, so the answers match a
-  // cache-off service bit for bit and the cache is never touched.
+TEST(QueryServiceTest, OnlyPlannedReleasesReachTheEngine) {
+  // A release with an answer plan answers every batch in one engine
+  // pass; a walker release (H~, round+prune H-bar) sums each range's
+  // decomposition nodes and never touches the engine. Either way every
+  // answer, repeats included, is the snapshot's own, bit for bit.
   Histogram data = TestData(256);
-  QueryServiceOptions cached_options;
-  cached_options.cache_capacity = 256;
-  QueryService cached(cached_options);
-  QueryService uncached;
+  QueryService service;
 
   std::vector<Interval> queries = ProbeWorkload(256, 200, 5);
   for (std::int64_t i = 0; i < 32; ++i) queries.emplace_back(i, i);
@@ -324,73 +263,45 @@ TEST(QueryServiceTest, PlannedReleasesBypassTheCache) {
   struct Release {
     StrategyKind strategy;
     std::int64_t shards;
+    bool section52;  // Section 5.2 rounding and pruning
+    bool planned;
   };
-  const Release releases[] = {{StrategyKind::kLTilde, 4},
-                              {StrategyKind::kWavelet, 2},
-                              {StrategyKind::kHBar, 4}};
+  const Release releases[] = {{StrategyKind::kLTilde, 4, true, true},
+                              {StrategyKind::kWavelet, 2, true, true},
+                              {StrategyKind::kHBar, 4, false, true},
+                              {StrategyKind::kHTilde, 4, true, false},
+                              {StrategyKind::kHBar, 4, true, false}};
   std::uint64_t seed = 1;
   for (const Release& release : releases) {
+    SCOPED_TRACE(StrategyKindName(release.strategy));
     SnapshotOptions options;
     options.strategy = release.strategy;
     options.shards = release.shards;
-    if (release.strategy == StrategyKind::kHBar) {
-      // Without Section 5.2 post-processing H-bar stays consistent and
-      // prefix-served; L~ and wavelet are planned in their default config.
-      options.round_to_nonnegative_integers = false;
-      options.prune_nonpositive_subtrees = false;
-    }
-    auto published = cached.Publish(data, options, seed);
+    // Without Section 5.2 post-processing H-bar stays consistent and
+    // prefix-served; L~ and wavelet are planned in their default config.
+    options.round_to_nonnegative_integers = release.section52;
+    options.prune_nonpositive_subtrees = release.section52;
+    auto published = service.Publish(data, options, seed++);
     ASSERT_TRUE(published.ok());
-    ASSERT_NE(published.value()->answer_plan(), nullptr)
-        << StrategyKindName(release.strategy);
-    ASSERT_TRUE(uncached.Publish(data, options, seed).ok());
-    ++seed;
+    const Snapshot& snap = *published.value();
+    ASSERT_EQ(snap.answer_plan() != nullptr, release.planned);
 
     std::vector<double> expected(queries.size());
-    uncached.QueryBatch(queries.data(), queries.size(), expected.data());
-    // Twice: the repeat would be all hits if anything had been cached.
+    snap.RangeCountsInto(queries.data(), queries.size(), expected.data());
+    const std::uint64_t engine_before =
+        engine::GlobalEngineCounters().total_queries();
     for (int pass = 0; pass < 2; ++pass) {
       std::vector<double> answers(queries.size());
-      std::uint64_t hits = 0;
-      cached.QueryBatch(queries.data(), queries.size(), answers.data(),
-                        &hits);
-      EXPECT_EQ(hits, 0u);
+      service.QueryBatch(queries.data(), queries.size(), answers.data());
       for (std::size_t i = 0; i < queries.size(); ++i) {
         ASSERT_EQ(std::bit_cast<std::uint64_t>(answers[i]),
                   std::bit_cast<std::uint64_t>(expected[i]))
-            << StrategyKindName(release.strategy) << " query " << i;
+            << "pass " << pass << " query " << i;
       }
     }
+    EXPECT_EQ(engine::GlobalEngineCounters().total_queries() - engine_before,
+              release.planned ? 2 * queries.size() : 0u);
   }
-  const AnswerCache::Stats stats = cached.cache_stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(stats.insertions, 0u);
-  EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_EQ(stats.epoch_evictions, 0u);
-  EXPECT_EQ(cached.cache_size(), 0);
-}
-
-TEST(QueryServiceTest, WalkerSnapshotsAreCached) {
-  // H~ walks a subtree decomposition even for a unit range, so the
-  // cache fronts it: every miss is inserted and a repeat is all hits.
-  Histogram data = TestData(64);
-  QueryServiceOptions service_options;
-  service_options.cache_capacity = 256;
-  QueryService service(service_options);
-  SnapshotOptions options;
-  options.strategy = StrategyKind::kHTilde;
-  ASSERT_TRUE(service.Publish(data, options, 1).ok());
-  ASSERT_EQ(service.snapshot()->answer_plan(), nullptr);
-
-  std::vector<Interval> units;
-  for (std::int64_t i = 0; i < 16; ++i) units.emplace_back(i, i);
-  std::vector<double> answers(units.size());
-  service.QueryBatch(units.data(), units.size(), answers.data());
-  EXPECT_EQ(service.cache_size(), 16);
-  std::uint64_t hits = 0;
-  service.QueryBatch(units.data(), units.size(), answers.data(), &hits);
-  EXPECT_EQ(hits, 16u);
 }
 
 TEST(QueryServiceTest, ObservedQueryCountSumsAllTraffic) {
@@ -407,26 +318,15 @@ TEST(QueryServiceTest, ObservedQueryCountSumsAllTraffic) {
   EXPECT_EQ(service.observed_query_count(), 38u);
 }
 
-TEST(QueryServiceTest, SwapStatsTrackPublishesAndEvictions) {
+TEST(QueryServiceTest, SwapStatsTrackPublishes) {
   Histogram data = TestData(64);
-  QueryServiceOptions service_options;
-  service_options.cache_capacity = 128;
-  QueryService service(service_options);
+  QueryService service;
   EXPECT_EQ(service.swap_stats().publishes, 0u);
   ASSERT_TRUE(service.Publish(data, SnapshotOptions(), 1).ok());
-
-  std::vector<Interval> workload = ProbeWorkload(64, 20, 11);
-  std::vector<double> answers(workload.size());
-  service.QueryBatch(workload.data(), workload.size(), answers.data());
-  const std::int64_t cached = service.cache_size();
-  ASSERT_GT(cached, 0);
-
   ASSERT_TRUE(service.Publish(data, SnapshotOptions(), 2).ok());
   QueryService::SwapStats swaps = service.swap_stats();
   EXPECT_EQ(swaps.publishes, 2u);
   EXPECT_EQ(swaps.last_epoch, 2u);
-  EXPECT_EQ(swaps.last_swap_evictions, cached);
-  EXPECT_EQ(swaps.total_swap_evictions, cached);
 }
 
 TEST(QueryServiceTest, ReservoirMakesObservedProfileLengthExact) {

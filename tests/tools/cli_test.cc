@@ -186,7 +186,7 @@ TEST(CliTest, ServeAnswersWorkloadFile) {
     queries << "0 199\n"        // full domain
             << "5,9\n"          // comma form
             << "\n"             // blank lines are skipped
-            << "0 199\n";       // repeat: served from the cache
+            << "0 199\n";       // repeat
   }
 
   ASSERT_EQ(RunMain({"serve", "--input", data_path.c_str(), "--queries",
@@ -200,7 +200,7 @@ TEST(CliTest, ServeAnswersWorkloadFile) {
   std::vector<std::string> rows;
   while (std::getline(lines, line)) rows.push_back(line);
   ASSERT_EQ(rows.size(), 4u);  // 3 answers + stats comment
-  // Identical queries get identical answers (one snapshot, one cache).
+  // Identical queries get identical answers (one snapshot).
   EXPECT_EQ(rows[0], rows[2]);
   EXPECT_NE(rows[3].find("# served 3 queries from epoch 1"),
             std::string::npos);
@@ -262,6 +262,49 @@ TEST(CliTest, ServeValidatesQueriesAndFlags) {
 
   std::remove(data_path.c_str());
   std::remove(queries_path.c_str());
+}
+
+TEST(CliTest, ServeRejectsFlagsItDoesNotRead) {
+  std::string data_path = TempPath("cli_unknown_flag_data.csv");
+  std::string out, err;
+  ASSERT_EQ(RunMain({"generate", "--dataset", "social", "--output",
+                     data_path.c_str(), "--size", "64"},
+                    &out, &err),
+            0);
+  // Ignoring any of these would serve at the default epsilon, with no
+  // budget, unauthenticated, or as if a cache were configured.
+  const char* const misspelt[][2] = {{"--eps", "0.1"},
+                                     {"--epsilon_budget", "2"},
+                                     {"--auth_token", "T"},
+                                     {"--cache", "65536"}};
+  for (const auto& [flag, value] : misspelt) {
+    SCOPED_TRACE(flag);
+    // Were the flag accepted, serve would bind, print "# listening" and
+    // exit 0 at the empty stdin.
+    EXPECT_EQ(RunMain({"serve", "--input", data_path.c_str(), "--epsilon",
+                       "1", "--listen", "0", flag, value},
+                      &out, &err),
+              1);
+    EXPECT_EQ(out, "");  // refused before any publish or bind
+    EXPECT_NE(err.find(std::string("error: InvalidArgument: unknown flag ") +
+                       flag + "\n"),
+              std::string::npos)
+        << err;
+  }
+  std::remove(data_path.c_str());
+}
+
+TEST(CliTest, EveryCommandChecksItsFlagsFirst) {
+  // The check runs before anything else, so an unknown flag is reported
+  // even when every required flag is missing too.
+  for (const char* command : {"generate", "release-universal",
+                              "release-sorted", "query", "serve", "client",
+                              "plan", "recover", "lint"}) {
+    SCOPED_TRACE(command);
+    std::string out, err;
+    EXPECT_EQ(RunMain({command, "--bogus", "1"}, &out, &err), 1);
+    EXPECT_NE(err.find("unknown flag --bogus"), std::string::npos) << err;
+  }
 }
 
 TEST(CliTest, ServeIsDeterministicAcrossThreadCounts) {

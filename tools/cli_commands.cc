@@ -47,10 +47,7 @@ constexpr char kUsage[] =
     "  serve             --input P --epsilon E\n"
     "                    (--queries P | --stdin | --listen PORT)\n"
     "                    [--strategy hbar|htilde|ltilde|wavelet|auto]\n"
-    "                    [--branching K] [--shards S] [--cache N]\n"
-    "                    (--cache: LRU answers for H~ and round+prune\n"
-    "                     H-bar, default 65536, 0 = off; planned releases\n"
-    "                     always go to the engine)\n"
+    "                    [--branching K] [--shards S]\n"
     "                    [--threads T] [--build-threads B] [--seed S]\n"
     "                    [--kernel auto|scalar|sse2|avx2]\n"
     "                    [--no-round] [--no-prune] [--max-shards M]\n"
@@ -73,6 +70,8 @@ constexpr char kUsage[] =
     "                     binary frames — multiplexed onto a fixed pool\n"
     "                     of --workers readiness-loop threads over one\n"
     "                     shared release lifecycle)\n"
+    "                    (every answer is recomputed from the published\n"
+    "                     release; nothing is cached)\n"
     "  client            --port P [--host A] [--auth-token T] [--binary]\n"
     "                    [--queries P]  (else reads commands from stdin)\n"
     "                    (drives one serve --listen session and prints\n"
@@ -92,7 +91,9 @@ constexpr char kUsage[] =
     "                    (repo invariant checker over root/src: serving-\n"
     "                     path asserts, hot-file allocations, unguarded\n"
     "                     mutexes, non-Status factories; ratcheted\n"
-    "                     baseline — see tools/lint/lint.h)\n";
+    "                     baseline — see tools/lint/lint.h)\n"
+    "\n"
+    "Every command rejects a flag it does not read.\n";
 
 Status RequireFlag(const Flags& flags, const std::string& name) {
   if (!flags.Has(name)) {
@@ -156,6 +157,8 @@ Status FillPlannerOptions(const Flags& flags,
 }  // namespace
 
 Status RunGenerate(const Flags& flags, std::ostream& out) {
+  Status known = flags.CheckKnown({"dataset", "output", "seed", "size"});
+  if (!known.ok()) return known;
   for (const char* required : {"dataset", "output"}) {
     Status s = RequireFlag(flags, required);
     if (!s.ok()) return s;
@@ -196,6 +199,9 @@ Status RunGenerate(const Flags& flags, std::ostream& out) {
 }
 
 Status RunReleaseUniversal(const Flags& flags, std::ostream& out) {
+  Status known = flags.CheckKnown({"input", "output", "epsilon", "branching",
+                                   "no-prune", "no-round", "seed"});
+  if (!known.ok()) return known;
   for (const char* required : {"input", "output", "epsilon"}) {
     Status s = RequireFlag(flags, required);
     if (!s.ok()) return s;
@@ -229,6 +235,8 @@ Status RunReleaseUniversal(const Flags& flags, std::ostream& out) {
 }
 
 Status RunReleaseSorted(const Flags& flags, std::ostream& out) {
+  Status known = flags.CheckKnown({"input", "output", "epsilon", "seed"});
+  if (!known.ok()) return known;
   for (const char* required : {"input", "output", "epsilon"}) {
     Status s = RequireFlag(flags, required);
     if (!s.ok()) return s;
@@ -254,6 +262,8 @@ Status RunReleaseSorted(const Flags& flags, std::ostream& out) {
 }
 
 Status RunQuery(const Flags& flags, std::ostream& out) {
+  Status known = flags.CheckKnown({"release", "lo", "hi"});
+  if (!known.ok()) return known;
   for (const char* required : {"release", "lo", "hi"}) {
     Status s = RequireFlag(flags, required);
     if (!s.ok()) return s;
@@ -272,6 +282,15 @@ Status RunQuery(const Flags& flags, std::ostream& out) {
 }
 
 Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
+  Status known = flags.CheckKnown(
+      {"input", "epsilon", "queries", "stdin", "listen", "strategy",
+       "branching", "shards", "no-round", "no-prune", "build-threads",
+       "reservoir", "max-shards", "strategies", "objective", "dense-oracle",
+       "max-analyzer-width", "replan-every", "replan-drift",
+       "drift-check-every", "replan-sync", "epsilon-budget", "state-dir",
+       "seed", "threads", "kernel", "max-sessions", "port-file", "workers",
+       "bind-addr", "auth-token"});
+  if (!known.ok()) return known;
   for (const char* required : {"input", "epsilon"}) {
     Status s = RequireFlag(flags, required);
     if (!s.ok()) return s;
@@ -313,7 +332,6 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
   options.build_threads = flags.GetInt("build-threads", 1);
 
   QueryServiceOptions service_options;
-  service_options.cache_capacity = flags.GetInt("cache", 1 << 16);
   service_options.observed_reservoir = flags.GetInt("reservoir", 0);
   if (service_options.observed_reservoir < 0) {
     return Status::InvalidArgument("reservoir must be >= 0");
@@ -455,7 +473,6 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
     server.Stop();
 
     const runtime::SocketServer::Stats tstats = server.stats();
-    AnswerCache::Stats cache = service.cache_stats();
     out << "# served " << tstats.queries << " queries over "
         << tstats.completed << " sessions (errors=" << tstats.session_errors
         << " write_errors=" << tstats.write_errors
@@ -468,7 +485,6 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
         << engine::KernelKindName(engine::ActiveKernel())
         << " engine_batches=" << engine::GlobalEngineCounters().total_batches()
         << " engine_queries=" << engine::GlobalEngineCounters().total_queries()
-        << ", cache hits=" << cache.hits << " misses=" << cache.misses
         << ")\n";
     return Status::Ok();
   }
@@ -521,7 +537,6 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
   }
 
   std::shared_ptr<const Snapshot> current = service.snapshot();
-  AnswerCache::Stats stats = service.cache_stats();
   const std::uint64_t report_epoch =
       summary.last_epoch != 0 ? summary.last_epoch : current->epoch();
   // Report the *resolved* strategy: with --strategy auto this is the
@@ -533,7 +548,6 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
       << ", engine_kernel=" << engine::KernelKindName(engine::ActiveKernel())
       << " engine_batches=" << engine::GlobalEngineCounters().total_batches()
       << " engine_queries=" << engine::GlobalEngineCounters().total_queries()
-      << ", cache hits=" << stats.hits << " misses=" << stats.misses
       << ")\n";
   if (!streaming && initial.value().planned) {
     writer.PlanNote(initial.value().plan, initial.value().epoch, "initial");
@@ -734,6 +748,9 @@ Status RunTextClientSession(const std::string& host, int port,
 }  // namespace
 
 Status RunClient(const Flags& flags, std::istream& in, std::ostream& out) {
+  Status known =
+      flags.CheckKnown({"port", "host", "auth-token", "binary", "queries"});
+  if (!known.ok()) return known;
   Status s = RequireFlag(flags, "port");
   if (!s.ok()) return s;
   const int port = static_cast<int>(flags.GetInt("port", 0));
@@ -763,6 +780,10 @@ Status RunClient(const Flags& flags, std::istream& in, std::ostream& out) {
 }
 
 Status RunPlan(const Flags& flags, std::ostream& out) {
+  Status known = flags.CheckKnown(
+      {"queries", "epsilon", "input", "domain", "branching", "max-shards",
+       "strategies", "objective", "dense-oracle", "max-analyzer-width"});
+  if (!known.ok()) return known;
   for (const char* required : {"queries", "epsilon"}) {
     Status s = RequireFlag(flags, required);
     if (!s.ok()) return s;
@@ -806,6 +827,8 @@ Status RunPlan(const Flags& flags, std::ostream& out) {
 }
 
 Status RunRecover(const Flags& flags, std::ostream& out) {
+  Status known = flags.CheckKnown({"state-dir", "inspect"});
+  if (!known.ok()) return known;
   Status s = RequireFlag(flags, "state-dir");
   if (!s.ok()) return s;
   auto store = storage::EpochStore::Open(flags.GetString("state-dir", ""));
@@ -851,6 +874,9 @@ Status RunRecover(const Flags& flags, std::ostream& out) {
 }
 
 Status RunLint(const Flags& flags, std::ostream& out) {
+  Status known = flags.CheckKnown(
+      {"root", "config", "baseline", "write-baseline", "summary-md"});
+  if (!known.ok()) return known;
   const std::string root = flags.GetString("root", ".");
   lint::Config config;
   std::string error;

@@ -45,7 +45,7 @@ Status RunQuery(const Flags& flags, std::ostream& out);
 
 /// `serve --input PATH --epsilon E (--queries PATH | --stdin)
 ///  [--strategy hbar|htilde|ltilde|wavelet|auto] [--branching K]
-///  [--shards S] [--cache N] [--threads T] [--build-threads B] [--seed S]
+///  [--shards S] [--threads T] [--build-threads B] [--seed S]
 ///  [--no-round] [--no-prune] [--max-shards M] [--strategies a,b,c]
 ///  [--objective mean|worst] [--max-analyzer-width W]
 ///  [--replan-every N] [--replan-drift X] [--drift-check-every N]

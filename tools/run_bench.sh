@@ -79,9 +79,9 @@ print(f"Answer engine ({kernel['active_kernel']}) at qb-4096: "
 with open(sys.argv[2]) as f:
     service = json.load(f)
 s = service["summary"]
-print(f"QueryService cached aggregate at {s['max_threads']} threads: "
-      f"{s['cached_qps_at_max_threads']:.3g} q/s "
-      f"({s['cached_speedup_max_over_min']:.1f}x over {s['min_threads']})")
+print(f"QueryService {service['strategy']} aggregate at {s['max_threads']} "
+      f"threads: {s['median_qps_at_max_threads']:.3g} q/s median "
+      f"({s['speedup_max_over_min']:.1f}x over {s['min_threads']})")
 with open(sys.argv[3]) as f:
     snapshot = json.load(f)
 s = snapshot["summary"]
