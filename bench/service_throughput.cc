@@ -11,20 +11,21 @@
 // Aggregate queries/sec is the total number of answers produced divided
 // by wall time.
 //
-// Each thread count runs --repeats times on a fresh service and reports
-// the median, min and max aggregate qps: one slow stretch of a shared
-// host otherwise skews the PR-to-PR comparison. The summary records the
-// median at the smallest and largest thread counts and their ratio.
+// The whole thread-count sweep runs kRepeats times, each run on a fresh
+// service, and every thread count reports the median, min and max
+// aggregate qps of its runs. Sweeping all thread counts once per round
+// spreads a slow stretch of a shared host across every row instead of
+// letting it land on one. The summary records the median at the smallest
+// and largest thread counts and their ratio.
 //
 // Flags (DPHIST_* env equivalents): --domain-log2, --strategy,
 // --branching, --epsilon, --queries (per phase), --phases,
-// --threads-list (comma separated), --repeats, --seed.
+// --threads-list (comma separated), --seed.
 
 #include <algorithm>
 #include <barrier>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,6 +40,8 @@
 using namespace dphist;  // NOLINT(build/namespaces)
 
 namespace {
+
+constexpr int kRepeats = 3;
 
 double NowSeconds() {
   return std::chrono::duration<double>(
@@ -100,26 +103,6 @@ std::vector<int> ParseThreadsList(const std::string& csv) {
   return threads;
 }
 
-#if defined(__clang__)
-constexpr char kCompiler[] = __VERSION__;  // names Clang itself
-#else
-constexpr char kCompiler[] = "gcc " __VERSION__;
-#endif
-
-/// The "model name" line of /proc/cpuinfo; "unknown" where there is none.
-std::string CpuModel() {
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(cpuinfo, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const std::size_t colon = line.find(':');
-    if (colon != std::string::npos && colon + 2 <= line.size()) {
-      return line.substr(colon + 2);
-    }
-  }
-  return "unknown";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -137,8 +120,6 @@ int main(int argc, char** argv) {
   const std::int64_t phase_count = flags.GetInt("phases", 24, "DPHIST_PHASES");
   const std::vector<int> thread_counts = ParseThreadsList(
       flags.GetString("threads-list", "1,2,4,8", "DPHIST_THREADS_LIST"));
-  const std::int64_t repeats = std::max<std::int64_t>(
-      1, flags.GetInt("repeats", 3, "DPHIST_REPEATS"));
   const std::uint64_t seed =
       static_cast<std::uint64_t>(flags.GetInt("seed", 42));
 
@@ -168,21 +149,24 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<ResultRow> rows;
-  for (int threads : thread_counts) {
-    std::vector<double> samples;
-    for (std::int64_t r = 0; r < repeats; ++r) {
+  std::vector<std::vector<double>> samples(thread_counts.size());
+  for (int r = 0; r < kRepeats; ++r) {
+    for (std::size_t i = 0; i < thread_counts.size(); ++i) {
       QueryService service;
       auto published = service.Publish(data, snapshot_options, seed);
       DPHIST_CHECK_MSG(published.ok(), "publish failed");
-      samples.push_back(RunClients(service, threads, phases));
+      samples[i].push_back(RunClients(service, thread_counts[i], phases));
     }
-    std::sort(samples.begin(), samples.end());
-    rows.push_back({threads, samples[samples.size() / 2], samples.front(),
-                    samples.back()});
+  }
+  std::vector<ResultRow> rows;
+  for (std::size_t i = 0; i < thread_counts.size(); ++i) {
+    std::vector<double>& runs = samples[i];
+    std::sort(runs.begin(), runs.end());
+    rows.push_back({thread_counts[i], runs[runs.size() / 2], runs.front(),
+                    runs.back()});
     std::fprintf(stderr, "%d thread(s): median %.3g q/s (min %.3g, max %.3g)\n",
-                 threads, rows.back().median_qps, rows.back().min_qps,
-                 rows.back().max_qps);
+                 rows.back().threads, rows.back().median_qps,
+                 rows.back().min_qps, rows.back().max_qps);
   }
   // Speedup baseline: the smallest thread count actually run (1 with the
   // default list), so a custom --threads-list can never yield a silently
@@ -202,8 +186,6 @@ int main(int argc, char** argv) {
               "Debug"
 #endif
   );
-  std::printf("  \"compiler\": \"%s\",\n", kCompiler);
-  std::printf("  \"cpu_model\": \"%s\",\n", CpuModel().c_str());
   std::printf("  \"hardware_concurrency\": %u,\n",
               std::thread::hardware_concurrency());
   std::printf("  \"domain_log2\": %lld,\n",
@@ -215,7 +197,7 @@ int main(int argc, char** argv) {
   std::printf("  \"queries_per_phase\": %lld,\n",
               static_cast<long long>(queries_per_phase));
   std::printf("  \"phases\": %lld,\n", static_cast<long long>(phase_count));
-  std::printf("  \"repeats\": %lld,\n", static_cast<long long>(repeats));
+  std::printf("  \"repeats\": %d,\n", kRepeats);
   std::printf("  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     std::printf(

@@ -6,9 +6,10 @@
 // columnar engine; the rest (H~ and the default round+prune H-bar) sum
 // tree nodes along each range's decomposition. Either way every answer
 // is post-processing of the published release, so it is recomputed per
-// query rather than cached: recomputing costs no privacy, and it is
-// cheaper than the probe and insert a cache would spend on it. The
-// snapshot pointer is swapped atomically on republish, so:
+// query rather than cached: recomputing costs no privacy, and unless
+// the host is saturated it is cheaper than the probe and insert a cache
+// would spend on it. The snapshot pointer is swapped atomically on
+// republish, so:
 //
 //   - readers never block, not even while a publish is building the next
 //     release (construction happens outside the swap);
