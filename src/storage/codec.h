@@ -6,11 +6,14 @@
 // integers, IEEE-754 doubles carried bit-exactly through a uint64
 // round-trip (recovery must reproduce estimator state and the
 // accountant ledger to the last bit, so no decimal formatting is ever
-// involved), and u32-length-prefixed strings.
+// involved), and u32-length-prefixed strings. Double vectors, the bulk
+// of a snapshot, are copied with one memcpy: on a little-endian host a
+// double's object representation is already its on-disk encoding.
 
 #ifndef DPHIST_STORAGE_CODEC_H_
 #define DPHIST_STORAGE_CODEC_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -18,6 +21,10 @@
 #include <vector>
 
 namespace dphist::storage {
+
+static_assert(std::endian::native == std::endian::little,
+              "F64Vector copies doubles in host byte order; the storage "
+              "format is little-endian");
 
 /// Appends fixed-width little-endian values to a growing byte buffer.
 class ByteWriter {
@@ -50,9 +57,10 @@ class ByteWriter {
     buf_.append(value.data(), value.size());
   }
 
+  /// u64 count + the doubles, each encoded exactly as F64 would.
   void F64Vector(const std::vector<double>& values) {
     U64(static_cast<std::uint64_t>(values.size()));
-    for (double v : values) F64(v);
+    Bytes(values.data(), values.size() * sizeof(double));
   }
 
   const std::string& data() const { return buf_; }
@@ -112,9 +120,9 @@ class ByteReader {
       ok_ = false;
       return {};
     }
-    std::vector<double> out;
-    out.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) out.push_back(F64());
+    std::vector<double> out(static_cast<std::size_t>(count));
+    if (count > 0) std::memcpy(out.data(), p_, out.size() * sizeof(double));
+    p_ += out.size() * sizeof(double);
     return out;
   }
 

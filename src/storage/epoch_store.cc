@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
 #include <utility>
 
 #include "storage/codec.h"
@@ -20,26 +21,72 @@ constexpr std::uint16_t kSnapshotFormatVersion = 1;
 constexpr char kWalFile[] = "wal.log";
 constexpr char kSnapshotFile[] = "snapshot.db";
 constexpr char kSnapshotTmpFile[] = "snapshot.db.tmp";
-/// Recovery's pool only rescans the file once; keep it small.
-constexpr std::size_t kPoolFrames = 32;
 
 Status ErrnoStatus(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
 }
 
-/// fsync on the directory so a rename inside it is itself durable.
-Status SyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return ErrnoStatus("open dir " + dir);
+/// Owns one file descriptor and closes it on every return path.
+class ScopedFd {
+ public:
+  explicit ScopedFd(int fd) : fd_(fd) {}
+  ~ScopedFd() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  ScopedFd(const ScopedFd&) = delete;
+  ScopedFd& operator=(const ScopedFd&) = delete;
+
+  int get() const { return fd_; }
+
+ private:
+  int fd_;
+};
+
+Status SyncFd(int fd, const std::string& what) {
   int rc;
   do {
     rc = ::fsync(fd);
   } while (rc < 0 && errno == EINTR);
-  const int saved = errno;
-  ::close(fd);
-  if (rc < 0) {
-    errno = saved;
-    return ErrnoStatus("fsync dir " + dir);
+  return rc < 0 ? ErrnoStatus("fsync " + what) : Status::Ok();
+}
+
+/// fsync on the directory so a rename inside it is itself durable.
+Status SyncDir(const std::string& dir) {
+  const ScopedFd fd(::open(dir.c_str(), O_RDONLY | O_DIRECTORY));
+  if (fd.get() < 0) return ErrnoStatus("open dir " + dir);
+  return SyncFd(fd.get(), "dir " + dir);
+}
+
+/// write(2) of all `size` bytes, retrying EINTR and short writes.
+Status WriteAll(int fd, const void* data, std::size_t size,
+                const std::string& path) {
+  const auto* p = static_cast<const char*>(data);
+  while (size > 0) {
+    const ssize_t n = ::write(fd, p, size);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("write " + path);
+    }
+    if (n == 0) return Status::IoError("write " + path + " made no progress");
+    p += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return Status::Ok();
+}
+
+/// read(2) of exactly `size` bytes, retrying EINTR and short reads; an
+/// early end of file is an IoError.
+Status ReadAll(int fd, void* data, std::size_t size, const std::string& path) {
+  auto* p = static_cast<char*>(data);
+  while (size > 0) {
+    const ssize_t n = ::read(fd, p, size);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("read " + path);
+    }
+    if (n == 0) return Status::IoError("short read in " + path);
+    p += n;
+    size -= static_cast<std::size_t>(n);
   }
   return Status::Ok();
 }
@@ -208,6 +255,111 @@ Result<DecodedMeta> DecodeMetaPayload(std::string_view payload) {
   return meta;
 }
 
+// Staged pages go to and from disk as one contiguous run of bytes.
+static_assert(sizeof(Page) == kPageSize);
+
+/// Writes the meta page and then the data stream's pages to `fd` in one
+/// sequential pass: pages are sealed into `staging`, and each full
+/// buffer goes down with one write loop. Returns the pages written.
+Result<std::uint64_t> WriteSnapshotPages(int fd, const std::string& path,
+                                         std::string_view meta,
+                                         std::string_view data,
+                                         std::vector<Page>& staging) {
+  std::size_t staged = 0;
+  std::uint64_t pages = 0;
+  auto flush = [&] {
+    Status written = WriteAll(fd, staging.data(), staged * kPageSize, path);
+    staged = 0;
+    return written;
+  };
+  auto stage = [&](PageType type, std::string_view payload) {
+    Status status = SealPage(type, payload.data(), payload.size(),
+                             &staging[staged]);
+    ++staged;
+    ++pages;
+    if (status.ok() && staged == staging.size()) status = flush();
+    return status;
+  };
+  Status status = stage(PageType::kSnapshotMeta, meta);
+  for (std::size_t offset = 0; status.ok() && offset < data.size();
+       offset += kPagePayloadCapacity) {
+    status = stage(PageType::kSnapshotData,
+                   data.substr(offset, kPagePayloadCapacity));
+  }
+  if (status.ok() && staged > 0) status = flush();
+  if (!status.ok()) return status;
+  return pages;
+}
+
+struct SnapshotFile {
+  DecodedMeta meta;
+  /// The data stream reassembled from the data pages, CRC-verified.
+  std::string data;
+};
+
+/// Reads a snapshot file front to back in batches of `staging.size()`
+/// pages, verifying every page it consumes with OpenPage: page 0 must be
+/// the meta page, and data pages follow until the stream's recorded
+/// length is reached. A short, torn or damaged file is an IoError.
+Result<SnapshotFile> ReadSnapshotPages(int fd, const std::string& path,
+                                       std::vector<Page>& staging) {
+  struct stat info {};
+  if (::fstat(fd, &info) < 0) return ErrnoStatus("fstat " + path);
+  const auto size = static_cast<std::uint64_t>(info.st_size);
+  if (size == 0 || size % kPageSize != 0) {
+    return Status::IoError(path + " is not a whole, non-zero number of "
+                                  "pages (torn write?)");
+  }
+  const std::uint64_t file_pages = size / kPageSize;
+  auto read_batch = [&](std::uint64_t first_page) {
+    const std::uint64_t count =
+        std::min<std::uint64_t>(staging.size(), file_pages - first_page);
+    return ReadAll(fd, staging.data(), count * kPageSize, path);
+  };
+
+  Status loaded = read_batch(0);
+  if (!loaded.ok()) return loaded;
+  Result<PageView> meta_view = OpenPage(staging[0]);
+  if (!meta_view.ok()) return meta_view.status();
+  if (meta_view.value().type != PageType::kSnapshotMeta) {
+    return Status::IoError("snapshot page 0 is not a meta page");
+  }
+  Result<DecodedMeta> meta = DecodeMetaPayload(meta_view.value().payload);
+  if (!meta.ok()) return meta.status();
+  SnapshotFile file;
+  file.meta = meta.value();
+  const std::uint64_t data_bytes = file.meta.data_bytes;
+  // Bounded by what the file can hold, whatever the meta page claims.
+  file.data.reserve(std::min<std::uint64_t>(data_bytes, size - kPageSize));
+  std::uint32_t crc = 0;
+  for (std::uint64_t page_id = 1; file.data.size() < data_bytes; ++page_id) {
+    if (page_id == file_pages) {
+      return Status::IoError(path + " ends before its data stream does");
+    }
+    const std::size_t slot = page_id % staging.size();
+    if (slot == 0) {
+      loaded = read_batch(page_id);
+      if (!loaded.ok()) return loaded;
+    }
+    Result<PageView> view = OpenPage(staging[slot]);
+    if (!view.ok()) return view.status();
+    if (view.value().type != PageType::kSnapshotData) {
+      return Status::IoError("snapshot page " + std::to_string(page_id) +
+                             " is not a data page");
+    }
+    const std::string_view payload = view.value().payload;
+    crc = Crc32(payload.data(), payload.size(), crc);
+    file.data.append(payload);
+  }
+  if (file.data.size() != data_bytes) {
+    return Status::IoError("snapshot data stream length mismatch");
+  }
+  if (crc != file.meta.data_crc) {
+    return Status::IoError("snapshot data stream checksum mismatch");
+  }
+  return file;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<EpochStore>> EpochStore::Open(const std::string& dir) {
@@ -260,36 +412,15 @@ Status EpochStore::PersistSnapshot(const Snapshot& snapshot,
 
   const std::string tmp_path = dir_ + "/" + kSnapshotTmpFile;
   {
-    Result<std::unique_ptr<DiskManager>> disk =
-        DiskManager::Open(tmp_path, /*create=*/true);
-    if (!disk.ok()) return disk.status();
-    BufferPool pool(disk.value().get(), kPoolFrames);
-
-    Page page;
-    Status sealed = SealPage(PageType::kSnapshotMeta, meta.data(),
-                             meta.size(), &page);
-    if (!sealed.ok()) return sealed;
-    Status put = pool.Put(0, page);
-    if (!put.ok()) return put;
-
-    std::uint64_t page_id = 1;
-    for (std::size_t offset = 0; offset < data.size();
-         offset += kPagePayloadCapacity) {
-      const std::size_t chunk =
-          std::min(kPagePayloadCapacity, data.size() - offset);
-      sealed = SealPage(PageType::kSnapshotData, data.data() + offset, chunk,
-                        &page);
-      if (!sealed.ok()) return sealed;
-      put = pool.Put(page_id, page);
-      if (!put.ok()) return put;
-      ++page_id;
-    }
-    // An empty data stream is impossible (shard count is always
-    // present), but an empty-page guard costs nothing: the reader walks
-    // pages by data_bytes, not by file size.
-    Status flushed = pool.FlushAll();
-    if (!flushed.ok()) return flushed;
-    stats_.snapshot_pages_written += page_id;
+    const ScopedFd fd(
+        ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
+    if (fd.get() < 0) return ErrnoStatus("open " + tmp_path);
+    Result<std::uint64_t> pages =
+        WriteSnapshotPages(fd.get(), tmp_path, meta, data, staging_);
+    if (!pages.ok()) return pages.status();
+    Status synced = SyncFd(fd.get(), tmp_path);
+    if (!synced.ok()) return synced;
+    stats_.snapshot_pages_written += pages.value();
   }
 
   const std::string final_path = dir_ + "/" + kSnapshotFile;
@@ -329,56 +460,22 @@ Result<RecoveredState> EpochStore::Recover() {
   }
 
   const std::string snapshot_path = dir_ + "/" + kSnapshotFile;
-  struct stat info {};
-  if (::stat(snapshot_path.c_str(), &info) < 0) {
+  const ScopedFd fd(::open(snapshot_path.c_str(), O_RDONLY));
+  if (fd.get() < 0) {
     if (errno == ENOENT) return state;  // never persisted: WAL-only state
-    return ErrnoStatus("stat " + snapshot_path);
+    return ErrnoStatus("open " + snapshot_path);
   }
+  Result<SnapshotFile> file =
+      ReadSnapshotPages(fd.get(), snapshot_path, staging_);
+  if (!file.ok()) return file.status();
+  const DecodedMeta& meta = file.value().meta;
 
-  Result<std::unique_ptr<DiskManager>> disk =
-      DiskManager::Open(snapshot_path, /*create=*/false);
-  if (!disk.ok()) return disk.status();
-  BufferPool pool(disk.value().get(), kPoolFrames);
-
-  Result<std::shared_ptr<const Page>> meta_page = pool.Fetch(0);
-  if (!meta_page.ok()) return meta_page.status();
-  Result<PageView> meta_view = OpenPage(*meta_page.value());
-  if (!meta_view.ok()) return meta_view.status();
-  if (meta_view.value().type != PageType::kSnapshotMeta) {
-    return Status::IoError("snapshot page 0 is not a meta page");
-  }
-  Result<DecodedMeta> meta = DecodeMetaPayload(meta_view.value().payload);
-  if (!meta.ok()) return meta.status();
-
-  std::string data;
-  data.reserve(meta.value().data_bytes);
-  std::uint64_t page_id = 1;
-  while (data.size() < meta.value().data_bytes) {
-    Result<std::shared_ptr<const Page>> page = pool.Fetch(page_id);
-    if (!page.ok()) return page.status();
-    Result<PageView> view = OpenPage(*page.value());
-    if (!view.ok()) return view.status();
-    if (view.value().type != PageType::kSnapshotData) {
-      return Status::IoError("snapshot page " + std::to_string(page_id) +
-                             " is not a data page");
-    }
-    data.append(view.value().payload);
-    ++page_id;
-  }
-  if (data.size() != meta.value().data_bytes) {
-    return Status::IoError("snapshot data stream length mismatch");
-  }
-  if (Crc32(data.data(), data.size()) != meta.value().data_crc) {
-    return Status::IoError("snapshot data stream checksum mismatch");
-  }
-
-  Result<DecodedDataStream> decoded = DecodeDataStream(data);
+  Result<DecodedDataStream> decoded = DecodeDataStream(file.value().data);
   if (!decoded.ok()) return decoded.status();
   DecodedDataStream stream = std::move(decoded).value();
 
   Result<std::shared_ptr<const Snapshot>> snapshot = Snapshot::Restore(
-      meta.value().options, meta.value().epoch, meta.value().domain_size,
-      stream.shard_states);
+      meta.options, meta.epoch, meta.domain_size, stream.shard_states);
   if (!snapshot.ok()) return snapshot.status();
   state.snapshot = std::move(snapshot).value();
   state.profile = std::move(stream.profile);

@@ -12,8 +12,15 @@
 //                    SnapshotOptions, byte count and CRC of the data
 //                    stream), pages 1..N carry the serialized per-shard
 //                    estimator state and the planner's WorkloadProfile.
-//                    Replaced atomically (tmp + rename) by every
-//                    publish, so the file is always a complete epoch.
+//                    Replaced atomically by every publish, so the file
+//                    is always a complete epoch: the pages are written
+//                    front to back into a fresh temp file, 64 at a time
+//                    from one reusable staging buffer, then the temp
+//                    file is fsynced, renamed over snapshot.db, and the
+//                    directory fsynced. Recovery reads the file front to
+//                    back in the same batches and verifies every page
+//                    it uses, so neither direction holds a whole-file
+//                    copy.
 //
 // Ordering contract with the EpochManager (all under the busy token):
 //
@@ -43,7 +50,7 @@
 #include "mechanism/privacy_accountant.h"
 #include "planner/workload_profile.h"
 #include "service/snapshot.h"
-#include "storage/buffer_pool.h"
+#include "storage/page.h"
 #include "storage/wal.h"
 
 namespace dphist::storage {
@@ -93,7 +100,9 @@ class EpochStore {
 
   /// Replays the WAL (truncating a torn tail) and loads the persisted
   /// snapshot, refusing loudly — IoError, never garbage — on any
-  /// checksum or structure violation that is not a crash signature.
+  /// checksum or structure violation that is not a crash signature,
+  /// including a snapshot.db that is empty, torn mid-page, or ends
+  /// before its data stream does.
   Result<RecoveredState> Recover();
 
   const std::string& dir() const { return dir_; }
@@ -109,11 +118,17 @@ class EpochStore {
   const Stats& stats() const { return stats_; }
 
  private:
+  /// Pages per sequential write or read batch (256 KB).
+  static constexpr std::size_t kStagingPages = 64;
+
   EpochStore(std::string dir, std::unique_ptr<WriteAheadLog> wal)
-      : dir_(std::move(dir)), wal_(std::move(wal)) {}
+      : dir_(std::move(dir)), wal_(std::move(wal)), staging_(kStagingPages) {}
 
   std::string dir_;
   std::unique_ptr<WriteAheadLog> wal_;
+  /// The one buffer PersistSnapshot and Recover move snapshot.db
+  /// through, so neither holds a whole-file copy.
+  std::vector<Page> staging_;
   Stats stats_;
 };
 

@@ -7,30 +7,55 @@
 namespace dphist::storage {
 namespace {
 
-/// The CRC-32 lookup table, built once on first use.
-const std::uint32_t* Crc32Table() {
-  static const auto* table = [] {
-    auto* t = new std::array<std::uint32_t, 256>();
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
-      }
-      (*t)[i] = crc;
+using Crc32Table = std::array<std::uint32_t, 256>;
+
+/// Slicing-by-8 tables for the reflected IEEE polynomial: tables[0] is
+/// the classic bytewise table, and tables[k][b] is the CRC of byte b
+/// followed by k zero bytes, so one step folds eight input bytes with
+/// eight independent lookups.
+constexpr std::array<Crc32Table, 8> BuildCrc32Tables() {
+  std::array<Crc32Table, 8> tables{};
+  for (std::uint32_t i = 0; i < 256; ++i) {
+    std::uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
     }
-    return t;
-  }();
-  return table->data();
+    tables[0][i] = crc;
+  }
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffu];
+    }
+  }
+  return tables;
+}
+
+constexpr std::array<Crc32Table, 8> kCrc32Tables = BuildCrc32Tables();
+
+/// Four bytes as a little-endian word, whatever the host byte order.
+std::uint32_t LoadLittleEndian32(const unsigned char* p) {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 }  // namespace
 
 std::uint32_t Crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  const std::uint32_t* table = Crc32Table();
+  const std::array<Crc32Table, 8>& t = kCrc32Tables;
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t crc = ~seed;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo = crc ^ LoadLittleEndian32(p);
+    const std::uint32_t hi = LoadLittleEndian32(p + 4);
+    crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    crc = t[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
   }
   return ~crc;
 }

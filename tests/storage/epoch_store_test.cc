@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +20,8 @@
 #include "domain/interval.h"
 #include "planner/workload_profile.h"
 #include "service/snapshot.h"
+#include "storage/page.h"
+#include "tree/tree_layout.h"
 
 namespace dphist::storage {
 namespace {
@@ -32,6 +40,54 @@ Histogram TestData(std::int64_t n) {
 std::vector<Interval> Probes(std::int64_t n) {
   return {Interval(0, 0), Interval(0, n - 1), Interval(n / 4, n / 2),
           Interval(3, 3 + n / 3), Interval(n / 2, n - 1)};
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream file(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(file), {});
+}
+
+bool BitIdentical(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Per-shard states of the shape Snapshot::Restore expects for
+/// (options, n), filled by exact arithmetic so no RNG or libm is
+/// involved: L~ and wavelet persist one leaf per position, H~ and H-bar
+/// one value per tree node.
+std::vector<std::vector<double>> FixedShardStates(
+    const SnapshotOptions& options, std::int64_t n) {
+  const bool tree = options.strategy == StrategyKind::kHTilde ||
+                    options.strategy == StrategyKind::kHBar;
+  const std::int64_t width = (n + options.shards - 1) / options.shards;
+  std::vector<std::vector<double>> states;
+  for (std::int64_t lo = 0; lo < n; lo += width) {
+    const std::int64_t shard_domain = std::min(width, n - lo);
+    const std::int64_t size =
+        tree ? TreeLayout(shard_domain, options.branching).node_count()
+             : shard_domain;
+    std::vector<double> state(static_cast<std::size_t>(size));
+    for (std::size_t j = 0; j < state.size(); ++j) {
+      state[j] = static_cast<double>((j * 7 + states.size()) % 23) * 0.1 - 0.5;
+    }
+    states.push_back(std::move(state));
+  }
+  return states;
+}
+
+/// A profile restored from fixed values, not built by GeometricSweep, so
+/// libm cannot move its bits.
+planner::WorkloadProfile FixedProfile(std::int64_t n) {
+  std::array<double, planner::WorkloadProfile::kHeatBins> heat{};
+  for (std::size_t i = 0; i < heat.size(); ++i) {
+    heat[i] = static_cast<double>(i % 5) * 0.75;
+  }
+  auto profile = planner::WorkloadProfile::Restore(
+      n, {{1, 2.0}, {4, 0.375}, {17, 3.5}, {n, 1.25}}, heat);
+  EXPECT_TRUE(profile.ok()) << profile.status().ToString();
+  return std::move(profile).value();
 }
 
 TEST(EpochStoreTest, FreshDirectoryRecoversEmpty) {
@@ -173,8 +229,87 @@ TEST(EpochStoreTest, WorkloadProfileRoundTrips) {
   EXPECT_EQ(restored.total_weight(), profile.total_weight());
 }
 
+// The snapshot file format, pinned byte for byte: each fixed release
+// must persist to exactly this many bytes with exactly this CRC-32, and
+// recover to bit-identical shard states. A change to the writer that
+// moves a single byte fails here, whatever the reader accepts.
+TEST(EpochStoreTest, SnapshotFileFormatIsPinned) {
+  struct Pinned {
+    StrategyKind strategy;
+    std::int64_t n;
+    std::int64_t shards;
+    bool with_profile;
+    std::uint64_t file_size;
+    std::uint32_t file_crc;
+  };
+  // n = 1000 spreads every release over several data pages; the last
+  // case spans more pages than one write batch holds.
+  const Pinned pins[] = {
+      {StrategyKind::kLTilde, 1000, 1, false, 12288, 0xBFBAF6A6u},
+      {StrategyKind::kLTilde, 1000, 3, false, 12288, 0x2290C1E5u},
+      {StrategyKind::kHTilde, 1000, 1, false, 24576, 0x123B6FA4u},
+      {StrategyKind::kHTilde, 1000, 3, false, 32768, 0xBC4A2064u},
+      {StrategyKind::kHBar, 1000, 1, false, 24576, 0xEFD64A8Du},
+      {StrategyKind::kHBar, 1000, 3, false, 32768, 0x6F95805Eu},
+      {StrategyKind::kHBar, 1000, 3, true, 32768, 0x40D77DC0u},
+      {StrategyKind::kWavelet, 1000, 1, false, 12288, 0xBACDF528u},
+      {StrategyKind::kWavelet, 1000, 3, false, 12288, 0x27E7C26Bu},
+      {StrategyKind::kLTilde, 36000, 1, false, 294912, 0x632EBFD3u},
+  };
+  for (const Pinned& pin : pins) {
+    const std::int64_t n = pin.n;
+    SCOPED_TRACE(std::string(StrategyKindName(pin.strategy)) + " n=" +
+                 std::to_string(n) + " x" + std::to_string(pin.shards) +
+                 (pin.with_profile ? " + profile" : ""));
+    SnapshotOptions options;
+    options.strategy = pin.strategy;
+    options.epsilon = 0.5;
+    options.shards = pin.shards;
+    const std::vector<std::vector<double>> states =
+        FixedShardStates(options, n);
+    auto snapshot = Snapshot::Restore(options, 9, n, states);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    std::optional<planner::WorkloadProfile> profile;
+    if (pin.with_profile) profile = FixedProfile(n);
+
+    const std::string dir = FreshDir("es_pinned");
+    auto store = EpochStore::Open(dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.value()
+                    ->PersistSnapshot(*snapshot.value(),
+                                      profile ? &*profile : nullptr)
+                    .ok());
+    const std::string bytes = ReadFile(dir + "/snapshot.db");
+    EXPECT_EQ(bytes.size(), pin.file_size);
+    EXPECT_EQ(Crc32(bytes.data(), bytes.size()), pin.file_crc);
+
+    auto state = store.value()->Recover();
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    ASSERT_NE(state.value().snapshot, nullptr);
+    const Snapshot& restored = *state.value().snapshot;
+    EXPECT_EQ(restored.epoch(), 9u);
+    EXPECT_EQ(restored.domain_size(), n);
+    EXPECT_EQ(restored.strategy(), pin.strategy);
+    ASSERT_EQ(restored.shard_count(),
+              static_cast<std::int64_t>(states.size()));
+    for (std::int64_t i = 0; i < restored.shard_count(); ++i) {
+      const std::vector<double>* got = restored.shard(i).SerializableState();
+      ASSERT_NE(got, nullptr);
+      EXPECT_TRUE(BitIdentical(*got, states[static_cast<std::size_t>(i)]))
+          << "shard " << i;
+    }
+    ASSERT_EQ(state.value().profile.has_value(), pin.with_profile);
+    if (pin.with_profile) {
+      EXPECT_EQ(state.value().profile->length_weights(),
+                profile->length_weights());
+      EXPECT_EQ(state.value().profile->position_heat(),
+                profile->position_heat());
+    }
+  }
+}
+
 TEST(EpochStoreTest, CorruptSnapshotRefusesLoudly) {
-  const std::int64_t n = 64;
+  const std::int64_t n = 2000;
   Histogram data = TestData(n);
   SnapshotOptions options;
   options.strategy = StrategyKind::kLTilde;
@@ -189,23 +324,83 @@ TEST(EpochStoreTest, CorruptSnapshotRefusesLoudly) {
     ASSERT_TRUE(store.ok());
     ASSERT_TRUE(store.value()->PersistSnapshot(*built.value(), nullptr).ok());
   }
-  // Flip one byte inside the first data page's payload.
-  {
-    std::fstream file(dir + "/snapshot.db",
-                      std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(file.good());
-    file.seekp(4096 + 100);
-    char byte = 0;
-    file.read(&byte, 1);
-    file.seekp(4096 + 100);
-    byte = static_cast<char>(byte ^ 0x10);
-    file.write(&byte, 1);
+  const std::string pristine = ReadFile(dir + "/snapshot.db");
+  // Meta page plus several data pages, so a page-boundary cut can land
+  // before the data stream ends.
+  ASSERT_GE(pristine.size(), 4 * kPageSize);
+
+  struct Damage {
+    const char* name;
+    void (*apply)(std::string* file);
+  };
+  const Damage damages[] = {
+      {"zero-length file", [](std::string* file) { file->clear(); }},
+      {"cut at a page boundary",
+       [](std::string* file) { file->resize(2 * kPageSize); }},
+      {"torn final page",
+       [](std::string* file) { file->resize(file->size() - 100); }},
+      {"byte flipped in the meta payload",
+       [](std::string* file) { (*file)[kPageHeaderSize + 5] ^= 0x10; }},
+      {"byte flipped in a data payload",
+       [](std::string* file) { (*file)[kPageSize + 100] ^= 0x10; }},
+      {"data page typed as a meta page",
+       [](std::string* file) {
+         // The type is the u16 at header offset 6; the page CRC covers
+         // only the payload, so the page itself still opens.
+         (*file)[kPageSize + 6] = static_cast<char>(PageType::kSnapshotMeta);
+         (*file)[kPageSize + 7] = 0;
+       }},
+  };
+  for (const Damage& damage : damages) {
+    SCOPED_TRACE(damage.name);
+    std::string bytes = pristine;
+    damage.apply(&bytes);
+    {
+      std::ofstream file(dir + "/snapshot.db",
+                         std::ios::binary | std::ios::trunc);
+      file.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      ASSERT_TRUE(file.good());
+    }
+    auto store = EpochStore::Open(dir);
+    ASSERT_TRUE(store.ok());
+    auto state = store.value()->Recover();
+    ASSERT_FALSE(state.ok());
+    EXPECT_EQ(state.status().code(), StatusCode::kIoError)
+        << state.status().ToString();
   }
+}
+
+TEST(EpochStoreTest, FailedPersistLeavesPreviousReleaseServing) {
+  const std::int64_t n = 256;
+  Histogram data = TestData(n);
+  SnapshotOptions options;
+  options.strategy = StrategyKind::kHBar;
+  options.epsilon = 0.3;
+  Rng rng(5);
+  auto first = Snapshot::Build(data, options, 1, &rng);
+  auto second = Snapshot::Build(data, options, 2, &rng);
+  ASSERT_TRUE(first.ok() && second.ok());
+
+  const std::string dir = FreshDir("es_failed_persist");
   auto store = EpochStore::Open(dir);
   ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store.value()->PersistSnapshot(*first.value(), nullptr).ok());
+  // After Open, which unlinks a stale temp file: a directory in the temp
+  // file's place makes the next persist fail before it writes a byte.
+  ASSERT_TRUE(std::filesystem::create_directory(dir + "/snapshot.db.tmp"));
+  const Status failed =
+      store.value()->PersistSnapshot(*second.value(), nullptr);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.code(), StatusCode::kIoError) << failed.ToString();
+
   auto state = store.value()->Recover();
-  ASSERT_FALSE(state.ok());
-  EXPECT_EQ(state.status().code(), StatusCode::kIoError);
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  ASSERT_NE(state.value().snapshot, nullptr);
+  EXPECT_EQ(state.value().snapshot->epoch(), 1u);
+  for (const Interval& probe : Probes(n)) {
+    EXPECT_EQ(state.value().snapshot->RangeCount(probe),
+              first.value()->RangeCount(probe));
+  }
 }
 
 TEST(EpochStoreTest, TornWalTailIsTruncatedOnRecover) {

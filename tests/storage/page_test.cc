@@ -2,11 +2,53 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <vector>
+
+#include "storage/codec.h"
 
 namespace dphist::storage {
 namespace {
+
+/// CRC-32 one byte and one bit at a time over the reflected IEEE
+/// polynomial: the reference the table-driven Crc32 must match.
+std::uint32_t BitwiseCrc32(const unsigned char* p, std::size_t size,
+                           std::uint32_t seed = 0) {
+  std::uint32_t crc = ~seed;
+  for (std::size_t i = 0; i < size; ++i) {
+    crc ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0xEDB88320u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+/// Deterministic bytes (a 64-bit LCG's high byte per step).
+std::vector<unsigned char> TestBytes(std::size_t size) {
+  std::vector<unsigned char> bytes(size);
+  std::uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (unsigned char& b : bytes) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    b = static_cast<unsigned char>(state >> 56);
+  }
+  return bytes;
+}
+
+std::uint64_t Bits(double value) {
+  std::uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+double FromBits(std::uint64_t bits) {
+  double value;
+  std::memcpy(&value, &bits, sizeof(value));
+  return value;
+}
 
 TEST(PageTest, SealAndOpenRoundTrip) {
   const std::string payload = "per-shard estimator state";
@@ -79,6 +121,83 @@ TEST(PageTest, Crc32MatchesKnownVector) {
   std::uint32_t chained = Crc32("12345", 5);
   chained = Crc32("6789", 4, chained);
   EXPECT_EQ(chained, 0xCBF43926u);
+}
+
+TEST(PageTest, Crc32MatchesBytewiseReference) {
+  const std::vector<unsigned char> bytes = TestBytes(kPagePayloadCapacity + 8);
+  std::vector<std::size_t> lengths;
+  for (std::size_t length = 0; length <= 64; ++length) {
+    lengths.push_back(length);
+  }
+  lengths.push_back(kPagePayloadCapacity);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length : lengths) {
+      EXPECT_EQ(Crc32(bytes.data() + offset, length),
+                BitwiseCrc32(bytes.data() + offset, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(PageTest, Crc32ChainsAcrossEverySplit) {
+  const std::vector<unsigned char> bytes = TestBytes(kPagePayloadCapacity);
+  const std::uint32_t whole = BitwiseCrc32(bytes.data(), bytes.size());
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    const std::uint32_t head = Crc32(bytes.data(), split);
+    EXPECT_EQ(Crc32(bytes.data() + split, bytes.size() - split, head), whole)
+        << "split " << split;
+  }
+}
+
+TEST(PageTest, F64VectorRoundTripsBitExactly) {
+  const std::vector<double> values = {
+      FromBits(0x7FF8000000001234ull),  // quiet NaN with a payload
+      FromBits(0xFFF0000000000001ull),  // signalling NaN, sign bit set
+      -0.0,
+      0.0,
+      std::numeric_limits<double>::denorm_min(),
+      FromBits(0x800FFFFFFFFFFFFFull),  // largest negative denormal
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::max(),
+      0.1,
+  };
+  for (const std::vector<double>& vector : {values, std::vector<double>{}}) {
+    ByteWriter bulk;
+    bulk.F64Vector(vector);
+    // The bulk copy must encode exactly what one F64 per element does.
+    ByteWriter one_by_one;
+    one_by_one.U64(vector.size());
+    for (double v : vector) one_by_one.F64(v);
+    EXPECT_EQ(bulk.data(), one_by_one.data());
+
+    ByteReader in(bulk.data());
+    const std::vector<double> decoded = in.F64Vector();
+    EXPECT_TRUE(in.ok());
+    EXPECT_TRUE(in.AtEnd());
+    ASSERT_EQ(decoded.size(), vector.size());
+    for (std::size_t i = 0; i < vector.size(); ++i) {
+      EXPECT_EQ(Bits(decoded[i]), Bits(vector[i])) << "element " << i;
+    }
+  }
+}
+
+TEST(PageTest, F64VectorCountPastEndLatchesNotOk) {
+  // Three doubles promised, two present.
+  ByteWriter short_by_one;
+  short_by_one.U64(3);
+  short_by_one.F64(1.0);
+  short_by_one.F64(2.0);
+  ByteReader in(short_by_one.data());
+  EXPECT_TRUE(in.F64Vector().empty());
+  EXPECT_FALSE(in.ok());
+  EXPECT_EQ(in.U64(), 0u);  // latched: later reads return zero
+
+  // An absurd count is refused before any allocation is attempted.
+  ByteWriter absurd;
+  absurd.U64(std::uint64_t{1} << 61);
+  ByteReader huge(absurd.data());
+  EXPECT_TRUE(huge.F64Vector().empty());
+  EXPECT_FALSE(huge.ok());
 }
 
 }  // namespace
