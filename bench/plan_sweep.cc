@@ -5,24 +5,18 @@
 // deterministic mixed workload (placed units, short/medium/long ranges,
 // one full-domain scan) is planned with ChoosePlan over the default
 // candidate grid (every strategy x power-of-two shard ladder up to
-// --max-shards). Three timings are recorded, best of --repeats:
+// --max-shards). Two timings are recorded, best of --repeats:
 //
-//   plan_seconds        cold ChoosePlan on the recurrence closed forms
-//                       (the default path; every candidate feasible at
-//                       every width — `infeasible` must stay 0),
+//   plan_seconds        cold ChoosePlan on the recurrence closed forms,
 //   warm_replan_seconds ChoosePlan through a pre-warmed
 //                       IncrementalCostModel after a one-query drift
-//                       (the runtime's replan loop), and
-//   dense_plan_seconds  the same cold sweep through the dense Gram
-//                       Cholesky test oracle, only at domains small
-//                       enough to afford it (--dense-max-log2).
+//                       (the runtime's replan loop).
 //
 // The summary's acceptance metric is plan_seconds at the largest domain:
-// the sweep at n = 2^24 must land in microseconds-to-low-milliseconds,
-// where the dense path cannot even represent the unsharded candidates.
+// the sweep at n = 2^24 must land in microseconds-to-low-milliseconds.
 //
 // Flags (DPHIST_* env equivalents): --min-log2, --max-log2,
-// --dense-max-log2, --max-shards, --epsilon, --repeats.
+// --max-shards, --epsilon, --repeats.
 
 #include <algorithm>
 #include <chrono>
@@ -63,14 +57,6 @@ planner::WorkloadProfile MakeProfile(std::int64_t n) {
   return profile;
 }
 
-std::int64_t CountInfeasible(const planner::Plan& plan) {
-  std::int64_t infeasible = 0;
-  for (const planner::Candidate& candidate : plan.candidates) {
-    if (!candidate.feasible) ++infeasible;
-  }
-  return infeasible;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -79,8 +65,6 @@ int main(int argc, char** argv) {
       flags.GetInt("min-log2", 10, "DPHIST_MIN_LOG2");
   const std::int64_t max_log2 =
       flags.GetInt("max-log2", 24, "DPHIST_MAX_LOG2");
-  const std::int64_t dense_max_log2 =
-      flags.GetInt("dense-max-log2", 10, "DPHIST_DENSE_MAX_LOG2");
   const std::int64_t max_shards =
       flags.GetInt("max-shards", 64, "DPHIST_MAX_SHARDS");
   const double epsilon = flags.GetDouble("epsilon", 1.0, "DPHIST_EPSILON");
@@ -96,11 +80,9 @@ int main(int argc, char** argv) {
   struct Row {
     std::int64_t log2 = 0;
     std::int64_t candidates = 0;
-    std::int64_t infeasible = 0;
     double plan_seconds = 0.0;
     double warm_replan_seconds = 0.0;
     std::int64_t warm_lengths_reused = 0;
-    double dense_plan_seconds = -1.0;  // -1 = not affordable at this n
   };
   std::vector<Row> rows;
 
@@ -117,11 +99,10 @@ int main(int argc, char** argv) {
       const double start = NowSeconds();
       auto plan = planner::ChoosePlan(profile, base, options);
       const double elapsed = NowSeconds() - start;
-      DPHIST_CHECK_MSG(plan.ok(), "recurrence-path plan failed");
+      DPHIST_CHECK_MSG(plan.ok(), "plan failed");
       if (r == 0) {
         row.candidates =
             static_cast<std::int64_t>(plan.value().candidates.size());
-        row.infeasible = CountInfeasible(plan.value());
         row.plan_seconds = elapsed;
       }
       row.plan_seconds = std::min(row.plan_seconds, elapsed);
@@ -130,7 +111,7 @@ int main(int argc, char** argv) {
     // Warm replan: one-query drift through a pre-warmed incremental
     // cache, the exact shape of the runtime's replan loop. The drift
     // reuses every length whose observed weight did not move.
-    planner::IncrementalCostModel cache(n, options.cost);
+    planner::IncrementalCostModel cache(n);
     DPHIST_CHECK_MSG(
         planner::ChoosePlan(profile, base, options, &cache).ok(),
         "cache warmup failed");
@@ -150,43 +131,15 @@ int main(int argc, char** argv) {
       row.warm_replan_seconds = std::min(row.warm_replan_seconds, elapsed);
     }
 
-    if (log2 <= dense_max_log2) {
-      planner::PlannerOptions dense_options = options;
-      dense_options.cost.use_dense_oracle = true;
-      dense_options.cost.max_analyzer_width = n;  // afford every candidate
-      const double start = NowSeconds();
-      auto plan = planner::ChoosePlan(profile, base, dense_options);
-      row.dense_plan_seconds = NowSeconds() - start;
-      DPHIST_CHECK_MSG(plan.ok(), "dense-path plan failed");
-      DPHIST_CHECK_MSG(CountInfeasible(plan.value()) == 0,
-                       "dense plan infeasible below the cap");
-    }
-
     rows.push_back(row);
     std::fprintf(stderr,
-                 "n=2^%lld: %lld candidates, %lld infeasible, "
-                 "plan %.3g ms, warm %.3g ms%s\n",
+                 "n=2^%lld: %lld candidates, plan %.3g ms, warm %.3g ms\n",
                  static_cast<long long>(log2),
                  static_cast<long long>(row.candidates),
-                 static_cast<long long>(row.infeasible),
-                 row.plan_seconds * 1e3, row.warm_replan_seconds * 1e3,
-                 row.dense_plan_seconds >= 0.0 ? ", dense ran" : "");
+                 row.plan_seconds * 1e3, row.warm_replan_seconds * 1e3);
   }
 
-  std::int64_t infeasible_total = 0;
-  for (const Row& row : rows) infeasible_total += row.infeasible;
   const Row& widest = rows.back();
-  // Dense-vs-recurrence speedup at the widest domain the dense path ran.
-  double dense_seconds = -1.0;
-  double recurrence_seconds_at_dense = -1.0;
-  std::int64_t dense_log2 = -1;
-  for (const Row& row : rows) {
-    if (row.dense_plan_seconds >= 0.0) {
-      dense_log2 = row.log2;
-      dense_seconds = row.dense_plan_seconds;
-      recurrence_seconds_at_dense = row.plan_seconds;
-    }
-  }
 
   std::printf("{\n");
   std::printf("  \"benchmark\": \"plan_sweep\",\n");
@@ -205,18 +158,13 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& row = rows[i];
     std::printf("    {\"domain_log2\": %lld, \"candidates\": %lld, "
-                "\"infeasible\": %lld, \"plan_seconds\": %.6g, "
-                "\"warm_replan_seconds\": %.6g, "
-                "\"warm_lengths_reused\": %lld",
+                "\"plan_seconds\": %.6g, \"warm_replan_seconds\": %.6g, "
+                "\"warm_lengths_reused\": %lld}%s\n",
                 static_cast<long long>(row.log2),
-                static_cast<long long>(row.candidates),
-                static_cast<long long>(row.infeasible), row.plan_seconds,
+                static_cast<long long>(row.candidates), row.plan_seconds,
                 row.warm_replan_seconds,
-                static_cast<long long>(row.warm_lengths_reused));
-    if (row.dense_plan_seconds >= 0.0) {
-      std::printf(", \"dense_plan_seconds\": %.6g", row.dense_plan_seconds);
-    }
-    std::printf("}%s\n", i + 1 < rows.size() ? "," : "");
+                static_cast<long long>(row.warm_lengths_reused),
+                i + 1 < rows.size() ? "," : "");
   }
   std::printf("  ],\n");
   std::printf("  \"summary\": {\n");
@@ -224,17 +172,8 @@ int main(int argc, char** argv) {
               static_cast<long long>(widest.log2));
   std::printf("    \"plan_seconds_at_max_domain\": %.6g,\n",
               widest.plan_seconds);
-  std::printf("    \"warm_replan_seconds_at_max_domain\": %.6g,\n",
+  std::printf("    \"warm_replan_seconds_at_max_domain\": %.6g\n",
               widest.warm_replan_seconds);
-  std::printf("    \"infeasible_rows\": %lld,\n",
-              static_cast<long long>(infeasible_total));
-  std::printf("    \"dense_domain_log2\": %lld,\n",
-              static_cast<long long>(dense_log2));
-  std::printf("    \"dense_plan_seconds\": %.6g,\n", dense_seconds);
-  std::printf("    \"dense_over_recurrence\": %.3f\n",
-              recurrence_seconds_at_dense > 0.0
-                  ? dense_seconds / recurrence_seconds_at_dense
-                  : 0.0);
   std::printf("  }\n");
   std::printf("}\n");
   return 0;

@@ -160,9 +160,11 @@ int main(int argc, char** argv) {
         DPHIST_CHECK_MSG(published.ok(), "durable publish failed");
         auto replanned = manager.ReplanNow();
         DPHIST_CHECK_MSG(replanned.ok(), "replan failed");
-        for (std::size_t i = 0; i < probes.size(); ++i) {
-          service.Query(probes[i], &before[i]);
-        }
+        DPHIST_CHECK_MSG(service
+                             .TryQueryBatch(probes.data(), probes.size(),
+                                            before.data())
+                             .ok(),
+                         "probe batch failed");
         if (r == 0 || elapsed < row.durable_publish_seconds) {
           row.durable_publish_seconds = elapsed;
         }
@@ -182,11 +184,12 @@ int main(int argc, char** argv) {
       if (r == 0 || elapsed < row.recover_seconds) {
         row.recover_seconds = elapsed;
       }
-      for (std::size_t i = 0; i < probes.size(); ++i) {
-        double answer = 0.0;
-        service.Query(probes[i], &answer);
-        if (answer != before[i]) bit_identical = false;
-      }
+      std::vector<double> after(probes.size());
+      DPHIST_CHECK_MSG(
+          service.TryQueryBatch(probes.data(), probes.size(), after.data())
+              .ok(),
+          "probe batch failed");
+      if (after != before) bit_identical = false;
       row.wal_bytes = store.value()->wal_size();
       std::error_code ec;
       const auto snapshot_size =

@@ -63,7 +63,10 @@ double RunClients(const QueryService& service, int threads,
       for (const std::vector<Interval>& phase : phases) {
         answers.resize(phase.size());
         barrier.arrive_and_wait();
-        service.QueryBatch(phase.data(), phase.size(), answers.data());
+        DPHIST_CHECK_MSG(
+            service.TryQueryBatch(phase.data(), phase.size(), answers.data())
+                .ok(),
+            "batch failed");
       }
     });
   }

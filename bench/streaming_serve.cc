@@ -112,7 +112,10 @@ int main(int argc, char** argv) {
   };
   auto run_batch = [&]() -> std::uint64_t {
     fill_batch();
-    return service.QueryBatch(batch.data(), batch.size(), answers.data());
+    Result<std::uint64_t> answered =
+        service.TryQueryBatch(batch.data(), batch.size(), answers.data());
+    DPHIST_CHECK_MSG(answered.ok(), "batch failed");
+    return answered.value();
   };
 
   for (std::int64_t i = 0; i < warmup_batches; ++i) run_batch();

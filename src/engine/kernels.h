@@ -19,8 +19,8 @@
 // (tests/engine/) property-tests this across all supported levels.
 //
 // Selection: the highest CPU-supported level wins; the
-// DPHIST_FORCE_KERNEL environment variable (or ForceKernel, the flag /
-// test hook) overrides it downward. Forcing a level the CPU lacks falls
+// DPHIST_FORCE_KERNEL environment variable (or ForceKernel, the test and
+// bench hook) overrides it downward. Forcing a level the CPU lacks falls
 // back to the best supported one.
 
 #ifndef DPHIST_ENGINE_KERNELS_H_
@@ -61,8 +61,8 @@ KernelKind BestSupportedKernel();
 /// supported level.
 KernelKind ActiveKernel();
 
-/// Overrides ActiveKernel for this process (serve --kernel and the
-/// conformance tests); nullopt restores env/auto selection.
+/// Overrides ActiveKernel for this process (the conformance tests and
+/// bench_answer_kernel); nullopt restores env/auto selection.
 void ForceKernel(std::optional<KernelKind> kind);
 
 /// Runs the prefix-difference kernel at `kind` (caller obtains it from

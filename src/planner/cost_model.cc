@@ -1,7 +1,6 @@
 #include "planner/cost_model.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -42,45 +41,20 @@ Status ValidateForCosting(const SnapshotOptions& config,
   return Status::Ok();
 }
 
-/// Dense-path feasibility gate (the recurrence path has no width limit).
-Status CheckDenseFeasible(const SnapshotOptions& config,
-                          std::int64_t domain_size,
-                          const CostModel::Options& options) {
-  if (!options.use_dense_oracle) return Status::Ok();
-  if (config.strategy != StrategyKind::kHBar &&
-      config.strategy != StrategyKind::kWavelet) {
-    return Status::Ok();
-  }
-  // MaxAnalyzerWidth is exactly what the oracle's Gram factorization
-  // will be asked to handle (wavelet shards pad to a power of two).
-  const std::int64_t analyzer_width = MaxAnalyzerWidth(config, domain_size);
-  if (analyzer_width > options.max_analyzer_width) {
-    return Status::OutOfRange(
-        "closed form infeasible: shard width " +
-        std::to_string(analyzer_width) + " exceeds analyzer cap " +
-        std::to_string(options.max_analyzer_width));
-  }
-  return Status::Ok();
-}
-
 /// Builds the candidate's oracle over the linear protocol (the closed
 /// forms' precondition; rounding/pruning only ever shrink error, so the
 /// linear cost ranks configurations as a monotone proxy either way).
 Result<VarianceOracle> MakeOracle(const SnapshotOptions& config,
-                                  std::int64_t domain_size,
-                                  const CostModel::Options& options) {
+                                  std::int64_t domain_size) {
   SnapshotOptions linear = config;
   linear.round_to_nonnegative_integers = false;
   linear.prune_nonpositive_subtrees = false;
-  VarianceOracleOptions oracle_options;
-  oracle_options.use_dense_analyzer = options.use_dense_oracle;
-  return VarianceOracle::Create(linear, domain_size, oracle_options);
+  return VarianceOracle::Create(linear, domain_size);
 }
 
-std::int64_t PlacementCount(std::int64_t domain_size, std::int64_t length,
-                            const CostModel::Options& options) {
+std::int64_t PlacementCount(std::int64_t domain_size, std::int64_t length) {
   const std::int64_t max_lo = domain_size - length;
-  return std::min(options.placements_per_length, max_lo + 1);
+  return std::min(CostModel::kPlacementsPerLength, max_lo + 1);
 }
 
 /// Evenly spaced placements, always including both extremes when more
@@ -96,11 +70,9 @@ std::int64_t PlacementLo(std::int64_t domain_size, std::int64_t length,
 /// function of (configuration, length): profile weights and heat never
 /// enter, which is what makes IncrementalCostModel's memo exact.
 std::vector<double> PlacementVariances(const VarianceOracle& oracle,
-                                       std::int64_t length,
-                                       const CostModel::Options& options) {
+                                       std::int64_t length) {
   const std::int64_t domain_size = oracle.domain_size();
-  const std::int64_t placements =
-      PlacementCount(domain_size, length, options);
+  const std::int64_t placements = PlacementCount(domain_size, length);
   std::vector<double> variances;
   variances.reserve(static_cast<std::size_t>(placements));
   for (std::int64_t p = 0; p < placements; ++p) {
@@ -118,10 +90,9 @@ std::vector<double> PlacementVariances(const VarianceOracle& oracle,
 /// never diverge from a from-scratch evaluation.
 double FoldLength(const std::vector<double>& variances,
                   const WorkloadProfile& profile, std::int64_t length,
-                  const CostModel::Options& options, double* worst) {
+                  double* worst) {
   const std::int64_t domain_size = profile.domain_size();
-  const std::int64_t placements =
-      PlacementCount(domain_size, length, options);
+  const std::int64_t placements = PlacementCount(domain_size, length);
   DPHIST_CHECK_MSG(static_cast<std::size_t>(placements) == variances.size(),
                    "placement grid and variance vector disagree");
   const bool heat = profile.has_position_heat();
@@ -145,48 +116,37 @@ double FoldLength(const std::vector<double>& variances,
 
 }  // namespace
 
-CostModel::CostModel(std::int64_t domain_size, const Options& options)
-    : domain_size_(domain_size), options_(options) {
+CostModel::CostModel(std::int64_t domain_size) : domain_size_(domain_size) {
   DPHIST_CHECK_MSG(domain_size_ >= 1, "domain must be non-empty");
-  DPHIST_CHECK_MSG(options_.max_analyzer_width >= 1,
-                   "max_analyzer_width must be >= 1");
-  DPHIST_CHECK_MSG(options_.placements_per_length >= 1,
-                   "placements_per_length must be >= 1");
 }
 
 Result<QueryCost> CostModel::Evaluate(const SnapshotOptions& config,
                                       const WorkloadProfile& profile) const {
   Status valid = ValidateForCosting(config, profile, domain_size_);
   if (!valid.ok()) return valid;
-  Status feasible = CheckDenseFeasible(config, domain_size_, options_);
-  if (!feasible.ok()) return feasible;
-  Result<VarianceOracle> oracle = MakeOracle(config, domain_size_, options_);
+  Result<VarianceOracle> oracle = MakeOracle(config, domain_size_);
   if (!oracle.ok()) return oracle.status();
 
   QueryCost cost;
   double weighted_sum = 0.0;
   for (const auto& [length, weight] : profile.length_weights()) {
     const std::vector<double> variances =
-        PlacementVariances(oracle.value(), length, options_);
-    weighted_sum += weight * FoldLength(variances, profile, length,
-                                        options_, &cost.worst_variance);
+        PlacementVariances(oracle.value(), length);
+    weighted_sum +=
+        weight * FoldLength(variances, profile, length, &cost.worst_variance);
   }
   cost.mean_variance = weighted_sum / profile.total_weight();
   return cost;
 }
 
-IncrementalCostModel::IncrementalCostModel(std::int64_t domain_size,
-                                           const CostModel::Options& options)
-    : model_(domain_size, options) {}
+IncrementalCostModel::IncrementalCostModel(std::int64_t domain_size)
+    : model_(domain_size) {}
 
 Result<QueryCost> IncrementalCostModel::Evaluate(
     const SnapshotOptions& config, const WorkloadProfile& profile) {
   const std::int64_t domain_size = model_.domain_size();
-  const CostModel::Options& options = model_.options();
   Status valid = ValidateForCosting(config, profile, domain_size);
   if (!valid.ok()) return valid;
-  Status feasible = CheckDenseFeasible(config, domain_size, options);
-  if (!feasible.ok()) return feasible;
 
   stats_.evaluations += 1;
   if (!seen_profile_ || profile.length_weights() != last_weights_) {
@@ -199,7 +159,7 @@ Result<QueryCost> IncrementalCostModel::Evaluate(
                          config.epsilon};
   CandidateEntry& entry = candidates_[key];
   if (entry.oracle == nullptr) {
-    Result<VarianceOracle> oracle = MakeOracle(config, domain_size, options);
+    Result<VarianceOracle> oracle = MakeOracle(config, domain_size);
     if (!oracle.ok()) {
       candidates_.erase(key);
       return oracle.status();
@@ -214,15 +174,14 @@ Result<QueryCost> IncrementalCostModel::Evaluate(
     auto it = entry.lengths.find(length);
     if (it == entry.lengths.end()) {
       it = entry.lengths
-               .emplace(length,
-                        PlacementVariances(*entry.oracle, length, options))
+               .emplace(length, PlacementVariances(*entry.oracle, length))
                .first;
       stats_.lengths_costed += 1;
     } else {
       stats_.lengths_reused += 1;
     }
-    weighted_sum += weight * FoldLength(it->second, profile, length,
-                                        options, &cost.worst_variance);
+    weighted_sum +=
+        weight * FoldLength(it->second, profile, length, &cost.worst_variance);
   }
   cost.mean_variance = weighted_sum / profile.total_weight();
   return cost;

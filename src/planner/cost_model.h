@@ -20,12 +20,8 @@
 // monotone proxy.
 //
 // H-bar and wavelet variances go through the Gram recurrence closed
-// forms by default — exact and O(branching * log width) at every width,
-// so no candidate is ever infeasible. Setting use_dense_oracle routes
-// them through the dense O(width^3) Cholesky instead (the independent
-// test oracle); only then does max_analyzer_width apply, reporting
-// candidates whose shard width exceeds it as infeasible rather than
-// stalling the planner.
+// forms, exact and O(branching * log width) at every width, so every
+// configuration with valid epsilon, branching and shards has a cost.
 
 #ifndef DPHIST_PLANNER_COST_MODEL_H_
 #define DPHIST_PLANNER_COST_MODEL_H_
@@ -56,39 +52,24 @@ struct QueryCost {
 /// Evaluates configurations against profiles over one domain.
 class CostModel {
  public:
-  struct Options {
-    /// Dense-path safety cap: with use_dense_oracle, H-bar/wavelet
-    /// candidates whose per-shard strategy matrix would exceed this
-    /// width are reported infeasible (the Cholesky is O(width^3)). The
-    /// default recurrence path is exact at every width and ignores it.
-    std::int64_t max_analyzer_width = 1024;
-    /// Placements sampled per query length (deterministic, evenly
-    /// spaced); variance is averaged over them (heat-weighted when the
-    /// profile knows where traffic lands).
-    std::int64_t placements_per_length = 8;
-    /// Route H-bar/wavelet through the dense Gram Cholesky instead of
-    /// the recurrence closed forms. The test-oracle escape hatch
-    /// (--dense-oracle in the CLI); see VarianceOracleOptions.
-    bool use_dense_oracle = false;
-  };
+  /// Placements sampled per query length (deterministic, evenly
+  /// spaced); variance is averaged over them (heat-weighted when the
+  /// profile knows where traffic lands).
+  static constexpr std::int64_t kPlacementsPerLength = 8;
 
-  explicit CostModel(std::int64_t domain_size)
-      : CostModel(domain_size, Options()) {}
-  CostModel(std::int64_t domain_size, const Options& options);
+  explicit CostModel(std::int64_t domain_size);
 
   /// Expected per-query variance of `config` under `profile`. Fails on
   /// kAuto (nothing to evaluate), an empty profile, a profile for a
-  /// different domain, or (dense path only) an infeasible analyzer
-  /// width.
+  /// different domain, non-positive epsilon, branching < 2 or
+  /// shards < 1.
   Result<QueryCost> Evaluate(const SnapshotOptions& config,
                              const WorkloadProfile& profile) const;
 
   std::int64_t domain_size() const { return domain_size_; }
-  const Options& options() const { return options_; }
 
  private:
   std::int64_t domain_size_;
-  Options options_;
 };
 
 /// Incremental, cached cost evaluation for repeated replan decisions.
@@ -109,8 +90,7 @@ class CostModel {
 /// the service's lifetime.
 class IncrementalCostModel {
  public:
-  IncrementalCostModel(std::int64_t domain_size,
-                       const CostModel::Options& options);
+  explicit IncrementalCostModel(std::int64_t domain_size);
 
   /// Same contract and same result as model().Evaluate(config, profile),
   /// served from the per-candidate memo where possible.

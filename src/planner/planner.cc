@@ -49,17 +49,10 @@ Result<Plan> ChoosePlan(const WorkloadProfile& profile,
   if (profile.empty()) {
     return Status::InvalidArgument("cannot plan for an empty workload");
   }
-  if (cost_cache != nullptr) {
-    const CostModel& cached = cost_cache->model();
-    const CostModel::Options& a = cached.options();
-    const CostModel::Options& b = planner_options.cost;
-    if (cached.domain_size() != profile.domain_size() ||
-        a.max_analyzer_width != b.max_analyzer_width ||
-        a.placements_per_length != b.placements_per_length ||
-        a.use_dense_oracle != b.use_dense_oracle) {
-      return Status::InvalidArgument(
-          "cost cache was built for a different domain or cost options");
-    }
+  if (cost_cache != nullptr &&
+      cost_cache->model().domain_size() != profile.domain_size()) {
+    return Status::InvalidArgument(
+        "cost cache was built for a different domain");
   }
   std::vector<StrategyKind> strategies = planner_options.strategies;
   if (strategies.empty()) {
@@ -76,13 +69,16 @@ Result<Plan> ChoosePlan(const WorkloadProfile& profile,
     shard_counts = DefaultShardCounts(profile.domain_size(),
                                       planner_options.max_shards);
   }
+  if (shard_counts.empty()) {
+    return Status::InvalidArgument("max_shards must be >= 1");
+  }
   for (std::int64_t shards : shard_counts) {
     if (shards < 1) {
       return Status::InvalidArgument("shard counts must be >= 1");
     }
   }
 
-  const CostModel model(profile.domain_size(), planner_options.cost);
+  const CostModel model(profile.domain_size());
   Plan plan;
   plan.candidates.reserve(strategies.size() * shard_counts.size());
   for (StrategyKind kind : strategies) {
@@ -95,21 +91,19 @@ Result<Plan> ChoosePlan(const WorkloadProfile& profile,
           cost_cache != nullptr
               ? cost_cache->Evaluate(candidate.options, profile)
               : model.Evaluate(candidate.options, profile);
-      if (cost.ok()) {
-        candidate.feasible = true;
-        candidate.mean_variance = cost.value().mean_variance;
-        candidate.worst_variance = cost.value().worst_variance;
-      } else {
-        candidate.note = cost.status().message();
-      }
+      // One oracle costs every configuration at every width, so a
+      // failure here is the shared base's (epsilon, branching), not
+      // this candidate's.
+      if (!cost.ok()) return cost.status();
+      candidate.mean_variance = cost.value().mean_variance;
+      candidate.worst_variance = cost.value().worst_variance;
       plan.candidates.push_back(std::move(candidate));
     }
   }
 
   const bool worst = planner_options.minimize_worst_case;
   auto rank = [worst](const Candidate& c) {
-    return std::make_tuple(!c.feasible,
-                           worst ? c.worst_variance : c.mean_variance,
+    return std::make_tuple(worst ? c.worst_variance : c.mean_variance,
                            StrategyOrder(c.options.strategy),
                            c.options.shards);
   };
@@ -117,15 +111,6 @@ Result<Plan> ChoosePlan(const WorkloadProfile& profile,
                    [&rank](const Candidate& a, const Candidate& b) {
                      return rank(a) < rank(b);
                    });
-  if (plan.candidates.empty() || !plan.candidates.front().feasible) {
-    // Candidates fail for their own reasons (analyzer width cap, bad
-    // epsilon/branching from `base`, ...); surface one verbatim instead
-    // of guessing.
-    std::string reason = plan.candidates.empty()
-                             ? "no candidates enumerated"
-                             : plan.candidates.front().note;
-    return Status::OutOfRange("no feasible candidate: " + reason);
-  }
   const Candidate& best = plan.candidates.front();
   plan.options = best.options;
   plan.predicted_mean_variance = best.mean_variance;
@@ -157,17 +142,10 @@ std::string FormatPlanTable(const Plan& plan,
                 "shards", "mean_var", "worst_var", "note");
   out += line;
   for (const Candidate& c : plan.candidates) {
-    if (c.feasible) {
-      std::snprintf(line, sizeof(line), "%-8s %6lld %14.6g %14.6g\n",
-                    StrategyKindName(c.options.strategy),
-                    static_cast<long long>(c.options.shards),
-                    c.mean_variance, c.worst_variance);
-    } else {
-      std::snprintf(line, sizeof(line), "%-8s %6lld %14s %14s  %s\n",
-                    StrategyKindName(c.options.strategy),
-                    static_cast<long long>(c.options.shards), "-", "-",
-                    c.note.c_str());
-    }
+    std::snprintf(line, sizeof(line), "%-8s %6lld %14.6g %14.6g\n",
+                  StrategyKindName(c.options.strategy),
+                  static_cast<long long>(c.options.shards), c.mean_variance,
+                  c.worst_variance);
     out += line;
   }
   std::snprintf(line, sizeof(line),

@@ -39,7 +39,6 @@ struct PlannerOptions {
   /// Minimize the worst per-query variance instead of the
   /// profile-weighted mean.
   bool minimize_worst_case = false;
-  CostModel::Options cost;
 };
 
 /// One evaluated configuration.
@@ -47,9 +46,6 @@ struct Candidate {
   SnapshotOptions options;
   double mean_variance = 0.0;
   double worst_variance = 0.0;
-  bool feasible = false;
-  /// Why the closed form was unavailable, when !feasible.
-  std::string note;
 };
 
 /// The planner's decision plus the full evaluation table.
@@ -60,21 +56,23 @@ struct Plan {
   SnapshotOptions options;
   double predicted_mean_variance = 0.0;
   double predicted_worst_variance = 0.0;
-  /// Every candidate, best first (infeasible candidates last).
+  /// Every candidate, best first.
   std::vector<Candidate> candidates;
 };
 
 /// Enumerates candidates around `base` (its epsilon, branching, and
 /// protocol knobs are kept; strategy and shards are replaced by each
 /// candidate's) and returns the cost-minimizing plan for `profile`.
-/// Fails when no candidate is feasible or the profile is empty.
+/// Fails on an empty profile, a kAuto candidate strategy, a shard count
+/// below 1, or an empty shard ladder (max_shards < 1). Every candidate
+/// is costable unless `base` itself is not (non-positive epsilon,
+/// branching < 2); the cost model's error is then returned as is.
 ///
 /// When `cost_cache` is non-null, candidates are costed through it
 /// instead of a fresh CostModel, so repeated plans over a drifting
 /// profile reuse every previously computed (candidate, length) variance
 /// vector — the runtime's replan loop passes its long-lived cache here.
-/// The cache must have been built for the same domain and the same
-/// CostModel::Options as `planner_options.cost` (checked).
+/// The cache must have been built for the profile's domain (checked).
 Result<Plan> ChoosePlan(const WorkloadProfile& profile,
                         const SnapshotOptions& base,
                         const PlannerOptions& planner_options = {},

@@ -4,9 +4,9 @@
 //
 // The dense route (analysis/strategy_matrix.h) materializes A, factorizes
 // the width x width Gram matrix (O(width^3)) and back-substitutes a dense
-// workload vector per query (O(width^2)). That is exact but caps the
-// planner at --max-analyzer-width. Both strategies it serves admit exact
-// closed forms:
+// workload vector per query (O(width^2)). That is exact but unaffordable
+// at serving widths, so it survives only as the tests' reference. Both
+// strategies this oracle serves admit exact closed forms:
 //
 //   H-bar (hierarchical strategy H, any branching k):
 //     A^T A = G with G_ij = |common ancestors of leaves i and j|, i.e.
@@ -77,7 +77,7 @@ class RecurrenceOracle {
 
   /// Builds the per-depth shape tables for `kind` over `width` real
   /// positions. The wavelet pads to the next power of two internally,
-  /// mirroring MaxAnalyzerWidth and the dense analyzer. `branching` is
+  /// as its dense strategy matrix does. `branching` is
   /// used by kHBar only. Fails on unsupported kinds or invalid
   /// parameters; never CHECK-fails.
   static Result<RecurrenceOracle> Create(StrategyKind kind,
@@ -103,8 +103,8 @@ class RecurrenceOracle {
 
   std::int64_t width() const { return width_; }
   /// Width the underlying strategy matrix covers: `width` for kHBar,
-  /// the next power of two for kWavelet — exactly MaxAnalyzerWidth's
-  /// padding, so the two paths can never disagree about geometry.
+  /// the next power of two for kWavelet (the Haar matrix only exists at
+  /// power-of-two sizes).
   std::int64_t analyzer_width() const { return analyzer_width_; }
   double sensitivity() const { return sensitivity_; }
 

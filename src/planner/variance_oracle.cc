@@ -11,12 +11,6 @@
 namespace dphist::planner {
 namespace {
 
-std::int64_t NextPowerOfTwo(std::int64_t n) {
-  std::int64_t p = 1;
-  while (p < n) p *= 2;
-  return p;
-}
-
 Status ValidateOracleConfig(const SnapshotOptions& options,
                             std::int64_t domain_size) {
   if (domain_size < 1) {
@@ -50,14 +44,13 @@ Status ValidateOracleConfig(const SnapshotOptions& options,
 }  // namespace
 
 Result<VarianceOracle> VarianceOracle::Create(
-    const SnapshotOptions& options, std::int64_t domain_size,
-    const VarianceOracleOptions& oracle_options) {
+    const SnapshotOptions& options, std::int64_t domain_size) {
   Status valid = ValidateOracleConfig(options, domain_size);
   if (!valid.ok()) return valid;
   const std::int64_t requested = std::min(options.shards, domain_size);
   const std::int64_t shard_width =
       (domain_size + requested - 1) / requested;
-  return VarianceOracle(options, oracle_options, domain_size, shard_width);
+  return VarianceOracle(options, domain_size, shard_width);
 }
 
 VarianceOracle::VarianceOracle(const SnapshotOptions& options,
@@ -107,35 +100,13 @@ double VarianceOracle::ShardVariance(std::int64_t width,
     case StrategyKind::kHBar:
     case StrategyKind::kWavelet:
       // Theorem 3 inference and Haar reconstruction are both exactly the
-      // OLS estimate under their strategy matrix; the recurrence and the
-      // dense factorization compute the same quantity.
-      return oracle_options_.use_dense_analyzer
-                 ? DenseAnalyzerFor(width).RangeVariance(local)
-                 : RecurrenceFor(width).RangeVariance(local);
+      // OLS estimate under their strategy matrix.
+      return RecurrenceFor(width).RangeVariance(local);
     case StrategyKind::kAuto:
       break;  // rejected at construction
   }
   DPHIST_CHECK_MSG(false, "unreachable: unknown StrategyKind");
   return 0.0;
-}
-
-const StrategyAnalyzer& VarianceOracle::DenseAnalyzerFor(
-    std::int64_t width) const {
-  auto it = analyzers_.find(width);
-  if (it == analyzers_.end()) {
-    linalg::Matrix strategy =
-        options_.strategy == StrategyKind::kWavelet
-            ? WaveletStrategy(NextPowerOfTwo(width))
-            : HierarchicalStrategy(width, options_.branching);
-    Result<StrategyAnalyzer> analyzer =
-        StrategyAnalyzer::Create(strategy, options_.epsilon);
-    DPHIST_CHECK_MSG(analyzer.ok(), "strategy analyzer construction failed");
-    it = analyzers_
-             .emplace(width, std::make_unique<StrategyAnalyzer>(
-                                 std::move(analyzer).value()))
-             .first;
-  }
-  return *it->second;
 }
 
 const RecurrenceOracle& VarianceOracle::RecurrenceFor(
@@ -153,16 +124,6 @@ const RecurrenceOracle& VarianceOracle::RecurrenceFor(
              .first;
   }
   return *it->second;
-}
-
-std::int64_t MaxAnalyzerWidth(const SnapshotOptions& options,
-                              std::int64_t domain_size) {
-  DPHIST_CHECK_MSG(domain_size >= 1, "domain must be non-empty");
-  DPHIST_CHECK_MSG(options.shards >= 1, "shards must be >= 1");
-  const std::int64_t requested = std::min(options.shards, domain_size);
-  const std::int64_t width = (domain_size + requested - 1) / requested;
-  return options.strategy == StrategyKind::kWavelet ? NextPowerOfTwo(width)
-                                                    : width;
 }
 
 double SquaredErrorRelativeBound(std::int64_t trials, double z_score) {

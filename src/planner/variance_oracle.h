@@ -20,12 +20,10 @@
 // to *choose* a configuration before publishing — the paper's Section 4
 // variance analysis turned into a query optimizer.
 //
-// The H-bar and wavelet OLS forms have two implementations: the Gram
-// recurrences of planner/recurrence_oracle.h (O(branching * log width)
-// per query, the default — exact at any width) and the dense Cholesky
-// of analysis/strategy_matrix.h (O(width^3) setup, kept behind
-// VarianceOracleOptions::use_dense_analyzer as the independent test
-// oracle the recurrences are pinned against).
+// The H-bar and wavelet OLS forms are evaluated by the Gram recurrences
+// of planner/recurrence_oracle.h: O(branching * log width) per query and
+// exact at any width. The dense Cholesky of analysis/strategy_matrix.h
+// computes the same quantity in O(width^3) and is the tests' reference.
 
 #ifndef DPHIST_PLANNER_VARIANCE_ORACLE_H_
 #define DPHIST_PLANNER_VARIANCE_ORACLE_H_
@@ -34,24 +32,12 @@
 #include <map>
 #include <memory>
 
-#include "analysis/strategy_matrix.h"
 #include "common/status.h"
 #include "domain/interval.h"
 #include "planner/recurrence_oracle.h"
 #include "service/snapshot.h"
 
 namespace dphist::planner {
-
-/// Implementation knobs for the oracle (not part of what is evaluated —
-/// every path computes the same closed form).
-struct VarianceOracleOptions {
-  /// Answer H-bar/wavelet through the dense Gram Cholesky instead of
-  /// the recurrence closed forms. O(width^3) setup per distinct shard
-  /// width — the planner caps it with max_analyzer_width. Exists so
-  /// tests can pin the two implementations together and so benches can
-  /// record the dense baseline.
-  bool use_dense_analyzer = false;
-};
 
 /// Exact expected squared error of a Snapshot's range answers.
 ///
@@ -65,9 +51,8 @@ class VarianceOracle {
   /// Validating factory. Fails (never aborts) on kAuto, the nonlinear
   /// protocol, non-positive epsilon, an empty domain, shards < 1, or
   /// branching < 2 where the strategy uses a tree.
-  static Result<VarianceOracle> Create(
-      const SnapshotOptions& options, std::int64_t domain_size,
-      const VarianceOracleOptions& oracle_options = {});
+  static Result<VarianceOracle> Create(const SnapshotOptions& options,
+                                       std::int64_t domain_size);
 
   /// Convenience constructor for statically known-good configurations
   /// (tests, benches); CHECK-fails where Create would return an error.
@@ -81,11 +66,9 @@ class VarianceOracle {
   std::int64_t shard_width() const { return shard_width_; }
 
  private:
-  VarianceOracle(const SnapshotOptions& options,
-                 const VarianceOracleOptions& oracle_options,
-                 std::int64_t domain_size, std::int64_t shard_width)
+  VarianceOracle(const SnapshotOptions& options, std::int64_t domain_size,
+                 std::int64_t shard_width)
       : options_(options),
-        oracle_options_(oracle_options),
         domain_size_(domain_size),
         shard_width_(shard_width) {}
 
@@ -93,32 +76,16 @@ class VarianceOracle {
   /// shard of `width` positions.
   double ShardVariance(std::int64_t width, const Interval& local) const;
 
-  /// Lazily built per-width dense analyzer (use_dense_analyzer path).
-  const StrategyAnalyzer& DenseAnalyzerFor(std::int64_t width) const;
-
-  /// Lazily built per-width recurrence oracle (the default path).
+  /// Lazily built per-width recurrence oracle.
   const RecurrenceOracle& RecurrenceFor(std::int64_t width) const;
 
   SnapshotOptions options_;
-  VarianceOracleOptions oracle_options_;
   std::int64_t domain_size_;
   std::int64_t shard_width_;
   /// Shards come in at most two widths (the last may be narrower).
-  mutable std::map<std::int64_t, std::unique_ptr<StrategyAnalyzer>>
-      analyzers_;
   mutable std::map<std::int64_t, std::unique_ptr<RecurrenceOracle>>
       recurrences_;
 };
-
-/// Width of the widest per-shard strategy matrix evaluating `options`
-/// over `domain_size` positions requires: the (ceil) shard width, padded
-/// to a power of two for the wavelet (whose strategy matrix only exists
-/// at power-of-two sizes). This is the exact width the dense analyzer
-/// factorizes AND the recurrence oracle's analyzer_width(), so the cost
-/// model's dense-path feasibility cap and both oracles can never
-/// disagree.
-std::int64_t MaxAnalyzerWidth(const SnapshotOptions& options,
-                              std::int64_t domain_size);
 
 /// Conservative relative half-width of a Monte-Carlo mean of `trials`
 /// iid squared errors, at `z_score` standard deviations.

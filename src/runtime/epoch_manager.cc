@@ -32,7 +32,7 @@ EpochManager::EpochManager(QueryService* service, Histogram data,
     : service_(service),
       data_(std::move(data)),
       options_(options),
-      cost_cache_(data_.size(), options_.planner.cost),
+      cost_cache_(data_.size()),
       accountant_(options.epsilon_budget > 0.0
                       ? options.epsilon_budget
                       : std::numeric_limits<double>::infinity()),
@@ -316,20 +316,18 @@ ReplanOutcome EpochManager::ExecuteReplan(ReplanTrigger trigger) {
           "drift check before first publish");
       return outcome;
     }
+    // Snapshot::Build and Restore refuse every configuration the cost
+    // model would, so the live release is always costable.
     Result<planner::QueryCost> current_cost =
         cost_cache_.Evaluate(current->options(), profile);
-    if (current_cost.ok() && outcome.plan.predicted_mean_variance > 0.0) {
-      outcome.measured_drift = current_cost.value().mean_variance /
-                               outcome.plan.predicted_mean_variance;
-      outcome.drift_measured = true;
-      if (outcome.measured_drift < 1.0 + options_.drift_ratio) {
-        return outcome;  // still the right release
-      }
-    } else if (current->options().strategy == outcome.plan.options.strategy &&
-               current->options().shards == outcome.plan.options.shards) {
-      // The current config cannot be costed (e.g. analyzer width cap)
-      // but the planner would choose it again — nothing to do.
+    if (!current_cost.ok()) {
+      outcome.status = current_cost.status();
       return outcome;
+    }
+    outcome.measured_drift = current_cost.value().mean_variance /
+                             outcome.plan.predicted_mean_variance;
+    if (outcome.measured_drift < 1.0 + options_.drift_ratio) {
+      return outcome;  // still the right release
     }
   }
 

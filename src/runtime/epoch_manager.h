@@ -105,12 +105,7 @@ struct ReplanOutcome {
   std::uint64_t epoch = 0;
   std::shared_ptr<const Snapshot> snapshot;
   /// Measured predicted-MSE ratio current/best for drift evaluations.
-  /// Meaningful only when drift_measured is true: a drift check can
-  /// also keep the release because the current configuration is not
-  /// costable (e.g. analyzer width cap) while the planner re-chooses
-  /// it — no ratio was ever computed then.
   double measured_drift = 0.0;
-  bool drift_measured = false;
   Status status = Status::Ok();
 };
 
@@ -168,7 +163,7 @@ class EpochManager {
   /// Explicit synchronous replan (the REPL `replan` command): waits for
   /// any in-flight replan, then plans and republishes on this thread.
   /// Fails (without publishing) when the budget would be overspent or
-  /// no candidate is feasible. The outcome is returned to the caller
+  /// planning fails. The outcome is returned to the caller
   /// AND broadcast to every subscriber except `reporter` (the calling
   /// session reports it directly; everyone else still learns the epoch
   /// changed under them).

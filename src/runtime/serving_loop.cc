@@ -1,49 +1,14 @@
 #include "runtime/serving_loop.h"
 
-#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <utility>
 #include <vector>
 
-#include "common/parallel.h"
 #include "engine/answer_engine.h"
 
 namespace dphist::runtime {
-namespace {
-
-/// Answers `count` ranges over `threads` workers in contiguous slices;
-/// each slice is one QueryBatch (single-epoch within itself). Returns
-/// the epoch of the last non-empty slice.
-std::uint64_t AnswerParallel(QueryService& service, const Interval* ranges,
-                             std::size_t count, std::int64_t threads,
-                             double* out) {
-  if (count == 0) return service.current_epoch();
-  const std::int64_t total = static_cast<std::int64_t>(count);
-  const std::int64_t slices = std::max<std::int64_t>(
-      1, std::min(ResolveThreadCount(threads), total));
-  if (slices == 1) return service.QueryBatch(ranges, count, out);
-  const std::int64_t slice_width = (total + slices - 1) / slices;
-  // Rounding can leave trailing slices empty (4 queries over 3 slices
-  // of width 2 fills only slices 0 and 1), so anchor the summary epoch
-  // on the last slice that actually answered queries — falling back to
-  // current_epoch() could report an epoch newer than any slice ran
-  // under when a swap lands between the fan-out and the summary.
-  const std::int64_t last_nonempty = (total + slice_width - 1) / slice_width - 1;
-  std::uint64_t last_epoch = 0;
-  ParallelFor(slices, slices, [&](std::int64_t slice) {
-    const std::int64_t begin = slice * slice_width;
-    const std::int64_t end = std::min(total, begin + slice_width);
-    if (begin >= end) return;
-    const std::uint64_t epoch = service.QueryBatch(
-        ranges + begin, static_cast<std::size_t>(end - begin), out + begin);
-    if (slice == last_nonempty) last_epoch = epoch;
-  });
-  return last_epoch;
-}
-
-}  // namespace
 
 SessionExecutor::SessionExecutor(
     SessionWriter& writer, QueryService& service, EpochManager& manager,
@@ -61,35 +26,32 @@ void SessionExecutor::NoteAnswerEpoch(std::uint64_t epoch) {
   }
 }
 
-Status SessionExecutor::AnswerRun(const Interval* ranges, std::size_t count,
-                                  std::int64_t threads) {
-  // One validation up front covers every slice: the domain never changes
-  // across epochs, so a swap mid-run cannot invalidate a range the
-  // current snapshot accepts.
-  Status valid = service_.ValidateBatch(ranges, count);
-  if (!valid.ok()) return valid;
-  answers_.resize(count);
-  summary_.last_epoch =
-      AnswerParallel(service_, ranges, count, threads, answers_.data());
-  NoteAnswerEpoch(summary_.last_epoch);
-  writer_.Answers(answers_.data(), count);
+Result<std::uint64_t> SessionExecutor::AnswerInto(
+    const Interval* ranges, std::size_t count, std::vector<double>* answers) {
+  answers->resize(count);
+  Result<std::uint64_t> answered =
+      service_.TryQueryBatch(ranges, count, answers->data());
+  if (!answered.ok()) return answered;
   summary_.queries += count;
+  summary_.last_epoch = answered.value();
+  NoteAnswerEpoch(answered.value());
+  return answered;
+}
+
+Status SessionExecutor::AnswerRun(const Interval* ranges, std::size_t count) {
+  Result<std::uint64_t> answered = AnswerInto(ranges, count, &answers_);
+  if (!answered.ok()) return answered.status();
+  writer_.Answers(answers_.data(), count);
   return Status::Ok();
 }
 
 Result<std::uint64_t> SessionExecutor::AnswerBatch(
     const Interval* ranges, std::size_t count, std::vector<double>* answers) {
-  answers->resize(count);
-  Result<std::uint64_t> answered =
-      service_.TryQueryBatch(ranges, count, answers->data());
-  if (!answered.ok()) return answered.status();
-  const std::uint64_t epoch = answered.value();
+  Result<std::uint64_t> answered = AnswerInto(ranges, count, answers);
+  if (!answered.ok()) return answered;
   summary_.commands += 1;
-  summary_.queries += count;
   summary_.batches += 1;
-  summary_.last_epoch = epoch;
-  NoteAnswerEpoch(epoch);
-  return epoch;
+  return answered;
 }
 
 Status SessionExecutor::Execute(const SessionCommand& command,
@@ -97,24 +59,18 @@ Status SessionExecutor::Execute(const SessionCommand& command,
   summary_.commands += 1;
   switch (command.verb) {
     case SessionVerb::kQuery:
-      return AnswerRun(command.ranges.data(), command.ranges.size(), 1);
+      return AnswerRun(command.ranges.data(), command.ranges.size());
     case SessionVerb::kBatch: {
-      answers_.resize(command.ranges.size());
-      Result<std::uint64_t> answered =
-          service_.TryQueryBatch(command.ranges.data(), command.ranges.size(),
-                                 answers_.data());
+      Result<std::uint64_t> answered = AnswerInto(
+          command.ranges.data(), command.ranges.size(), &answers_);
       if (!answered.ok()) return answered.status();
-      const std::uint64_t epoch = answered.value();
-      summary_.last_epoch = epoch;
-      summary_.queries += command.ranges.size();
       summary_.batches += 1;
-      NoteAnswerEpoch(epoch);
       writer_.Answers(answers_.data(), command.ranges.size());
       // The receipt is what lets a transcript prove the whole batch
       // was served under one epoch; scripts keep the pre-runtime
       // answers-only format.
       if (interactive) {
-        writer_.BatchReceipt(command.ranges.size(), epoch);
+        writer_.BatchReceipt(command.ranges.size(), answered.value());
       }
       return Status::Ok();
     }
@@ -159,17 +115,10 @@ std::string SessionExecutor::OutcomeComment(const ReplanOutcome& outcome) {
   if (outcome.status.ok()) {
     text.precision(4);
     text << "drift check kept "
-         << StrategyKindName(outcome.plan.options.strategy);
-    if (outcome.drift_measured) {
-      text << " measured=" << outcome.measured_drift;
-    } else {
-      // No ratio was ever computed: the current configuration is not
-      // costable but the planner re-chose it. Printing "measured=0"
-      // here would claim a measurement that never happened.
-      text << " (planner re-chose current config; not costable)";
-    }
+         << StrategyKindName(outcome.plan.options.strategy)
+         << " measured=" << outcome.measured_drift;
   } else {
-    // A failed lifecycle replan (budget refusal, infeasible plan) is
+    // A failed lifecycle replan (budget refusal, planning error) is
     // shared state, not this session's fault: render it as a comment.
     // "error:" stays reserved for the session's own commands — a
     // client must never see its transcript flagged because another
@@ -237,17 +186,17 @@ void WriteServingBanner(SessionWriter& writer, const Snapshot& snapshot) {
   writer.Comment(banner.str());
 }
 
-Result<SessionSummary> RunStreamingSession(
-    std::istream& in, SessionWriter& writer, QueryService& service,
-    EpochManager& manager, const ServingLoopOptions& options) {
+Result<SessionSummary> RunStreamingSession(std::istream& in,
+                                           SessionWriter& writer,
+                                           QueryService& service,
+                                           EpochManager& manager) {
   std::shared_ptr<const Snapshot> snap = service.snapshot();
   if (snap == nullptr) {
     return Status::FailedPrecondition(
         "streaming session needs a published snapshot");
   }
   SessionReader reader(in, snap->domain_size());
-  SessionExecutor executor(writer, service, manager,
-                           options.session_write_errors);
+  SessionExecutor executor(writer, service, manager);
   while (true) {
     Result<SessionCommand> command = reader.Next();
     if (!command.ok()) {
@@ -273,24 +222,20 @@ Result<SessionSummary> RunStreamingSession(
 
 Result<SessionSummary> RunScriptedSession(
     const std::vector<SessionCommand>& script, SessionWriter& writer,
-    QueryService& service, EpochManager& manager,
-    const ServingLoopOptions& options) {
+    QueryService& service, EpochManager& manager) {
   if (service.snapshot() == nullptr) {
     return Status::FailedPrecondition(
         "scripted session needs a published snapshot");
   }
-  SessionExecutor executor(writer, service, manager,
-                           options.session_write_errors);
+  SessionExecutor executor(writer, service, manager);
   std::vector<Interval> run;  // coalesced consecutive single-range queries
   std::size_t i = 0;
   while (i < script.size()) {
     const SessionVerb verb = script[i].verb;
     if (verb == SessionVerb::kQuery) {
-      // Only single-range commands coalesce: a slice boundary can never
-      // split one, so the fan-out keeps each command single-epoch. A
-      // `qb` batch must NOT be merged — its contract is that all k
-      // ranges answer under one snapshot, which one QueryBatch call
-      // below guarantees and a re-sliced run would not.
+      // Only single-range commands coalesce into the run's one batch;
+      // a `qb` command goes through Execute as on every other path, so
+      // the session's stats count it as a batch of its own.
       run.clear();
       std::size_t j = i;
       while (j < script.size() && script[j].verb == SessionVerb::kQuery) {
@@ -299,8 +244,7 @@ Result<SessionSummary> RunScriptedSession(
         executor.summary().commands += 1;
         ++j;
       }
-      Status status = executor.AnswerRun(run.data(), run.size(),
-                                         options.threads);
+      Status status = executor.AnswerRun(run.data(), run.size());
       if (!status.ok()) return status;
       i = j;
     } else if (verb == SessionVerb::kQuit) {

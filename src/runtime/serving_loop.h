@@ -7,10 +7,8 @@
 // asynchronous replans are announced as "# planned ..." lines between
 // commands. RunScriptedSession drives a pre-parsed script (the
 // `serve --queries FILE` path): runs of consecutive single-range query
-// commands are coalesced into one flat workload and fanned out over
-// worker threads (the PR 1-3 batched path; a slice boundary can never
-// split a one-range command, so each stays single-epoch), `qb` batches
-// execute as one atomic QueryBatch to keep their one-epoch contract,
+// commands are coalesced into one batch (one answering pass per run, not
+// per line), `qb` batches execute as one batch of their own,
 // control commands execute between runs, and any error aborts the
 // script — the strictness workload files always had.
 //
@@ -37,19 +35,6 @@
 #include "service/query_service.h"
 
 namespace dphist::runtime {
-
-struct ServingLoopOptions {
-  /// Worker threads for a scripted session's coalesced query runs
-  /// (contiguous slices, each one single-epoch QueryBatch). Interactive
-  /// sessions answer on the calling thread — concurrency there comes
-  /// from the manager's replan worker.
-  std::int64_t threads = 1;
-  /// When set, the `stats` command appends " write_errors=N" with this
-  /// callback's value — the transport binds it to the session's own
-  /// stream so a client can ask whether any of its answers were lost to
-  /// a failed flush. Unset (stdin/file sessions) omits the field.
-  std::function<std::uint64_t()> session_write_errors;
-};
 
 /// What a session did, for the final "# served ..." report and the
 /// per-session `stats` fields (multi-tenant debugging: which tenant
@@ -78,6 +63,11 @@ void WriteServingBanner(SessionWriter& writer, const Snapshot& snapshot);
 /// (Execute / PollAndReport) render through the SessionWriter; the
 /// binary frame path uses the raw entry points (AnswerBatch / StatsText
 /// / PollAndTake) and encodes the same data itself.
+///
+/// When `session_write_errors` is set, the `stats` reply appends
+/// " write_errors=N" with its value: the socket transport binds it to
+/// the connection, so a client can ask whether any of its answers were
+/// lost to a failed flush. Stdin and file sessions leave it unset.
 class SessionExecutor {
  public:
   SessionExecutor(
@@ -92,12 +82,11 @@ class SessionExecutor {
   const char* protocol() const { return protocol_; }
 
   /// Answers a contiguous run of ranges (a coalesced script segment or a
-  /// single command's ranges) and prints the answer lines. An
-  /// out-of-domain range (or answering before the first publish) is a
-  /// Status — reported as a session error line, never an abort — and
+  /// single command's ranges) as one batch and prints the answer lines.
+  /// An out-of-domain range (or answering before the first publish) is
+  /// a Status — reported as a session error line, never an abort — and
   /// prints no answers.
-  Status AnswerRun(const Interval* ranges, std::size_t count,
-                   std::int64_t threads);
+  Status AnswerRun(const Interval* ranges, std::size_t count);
 
   /// Executes one control or query command interactively. Returns a
   /// non-OK status only for errors (the caller decides whether they are
@@ -140,6 +129,12 @@ class SessionExecutor {
 
  private:
   void ReportOutcome(const ReplanOutcome& outcome);
+  /// The one answering call behind AnswerRun, `qb` and AnswerBatch:
+  /// answers `count` ranges into `answers` (resized) through
+  /// TryQueryBatch and, on success, folds the batch into the query and
+  /// epoch counters. Returns the batch's epoch.
+  Result<std::uint64_t> AnswerInto(const Interval* ranges, std::size_t count,
+                                   std::vector<double>* answers);
   /// Folds an answered batch's epoch into epochs_seen/last_epoch.
   void NoteAnswerEpoch(std::uint64_t epoch);
 
@@ -161,15 +156,13 @@ class SessionExecutor {
 Result<SessionSummary> RunStreamingSession(std::istream& in,
                                            SessionWriter& writer,
                                            QueryService& service,
-                                           EpochManager& manager,
-                                           const ServingLoopOptions& options);
+                                           EpochManager& manager);
 
 /// Scripted session: executes `script` (see ReadSessionScript), failing
 /// on the first command error. Requires a published snapshot.
 Result<SessionSummary> RunScriptedSession(
     const std::vector<SessionCommand>& script, SessionWriter& writer,
-    QueryService& service, EpochManager& manager,
-    const ServingLoopOptions& options);
+    QueryService& service, EpochManager& manager);
 
 }  // namespace dphist::runtime
 

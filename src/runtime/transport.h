@@ -204,10 +204,6 @@ struct TransportOptions {
   /// (constant-time compare) before anything is served; failed
   /// handshakes are counted and closed.
   std::string auth_token;
-  /// Per-session serving-loop knobs (kept for API compatibility;
-  /// pool sessions answer on their worker thread, so only fields that
-  /// make sense per-session apply).
-  ServingLoopOptions loop;
 };
 
 /// TCP listener fanning connections into the worker-pool readiness loop

@@ -145,14 +145,6 @@ Result<std::shared_ptr<const Snapshot>> QueryService::PublishFromPlan(
   return Publish(data, plan.options, seed);
 }
 
-std::uint64_t QueryService::QueryBatch(const Interval* ranges,
-                                       std::size_t count, double* out) const {
-  std::shared_ptr<const Snapshot> snap =
-      snapshot_.load(std::memory_order_acquire);
-  DPHIST_CHECK_MSG(snap != nullptr, "QueryBatch before the first Publish");
-  return QueryBatchOn(*snap, ranges, count, out);
-}
-
 Result<std::uint64_t> QueryService::TryQueryBatch(
     const Interval* ranges, std::size_t count, double* out,
     std::uint64_t* /*cache_hits*/) const {
@@ -211,10 +203,6 @@ std::uint64_t QueryService::QueryBatchOn(const Snapshot& snap,
     snap.RangeCountsInto(ranges, count, out);
   }
   return snap.epoch();
-}
-
-std::uint64_t QueryService::Query(const Interval& range, double* out) const {
-  return QueryBatch(&range, 1, out);
 }
 
 planner::WorkloadProfile QueryService::ObservedWorkload(

@@ -188,32 +188,24 @@ class QueryService : public RetiredCacheCounters {
     return snapshot_.load(std::memory_order_acquire);
   }
 
-  /// Answers `count` ranges into `out`, all against the single snapshot
-  /// current when the batch started, and returns that snapshot's epoch.
-  /// A snapshot with an answer plan answers the whole batch in one
-  /// engine pass; any other sums each range's decomposition nodes. Both
-  /// paths perform zero heap allocations once warm. Requires a published
-  /// snapshot. Every query's length is recorded in the observed-workload
-  /// histogram that kAuto planning consumes.
-  std::uint64_t QueryBatch(const Interval* ranges, std::size_t count,
-                           double* out) const;
-
-  /// Validating form for the serving transports: answering before the
-  /// first Publish or asking for a range outside the snapshot's domain
-  /// returns a Status (surfaced as a session "error:" line) where
-  /// QueryBatch would CHECK-abort the server. On success behaves exactly
-  /// like QueryBatch and returns the batch's epoch. `cache_hits` is part
-  /// of the retired answer-cache surface above: never written.
+  /// The one answering call. Answers `count` ranges into `out`, all
+  /// against the single snapshot current when the batch started, and
+  /// returns that snapshot's epoch. A snapshot with an answer plan
+  /// answers the whole batch in one engine pass; any other sums each
+  /// range's decomposition nodes. Both paths perform zero heap
+  /// allocations once warm. Every query's length is recorded in the
+  /// observed-workload histogram that kAuto planning consumes.
+  /// Answering before the first Publish or asking for a range outside
+  /// the snapshot's domain returns a Status (surfaced as a session
+  /// "error:" line) and answers nothing. `cache_hits` is part of the
+  /// retired answer-cache surface above: never written.
   Result<std::uint64_t> TryQueryBatch(
       const Interval* ranges, std::size_t count, double* out,
       std::uint64_t* cache_hits = nullptr) const;
 
-  /// The validation half of TryQueryBatch alone — for callers that
-  /// pre-validate a run once and then fan slices out through QueryBatch.
+  /// The validation half of TryQueryBatch alone, answering nothing
+  /// (perfbench times the validation layer through it).
   Status ValidateBatch(const Interval* ranges, std::size_t count) const;
-
-  /// Single-range convenience form of QueryBatch.
-  std::uint64_t Query(const Interval& range, double* out) const;
 
   /// The traffic seen so far as a planner profile over `domain_size`
   /// positions: query lengths are log2-bucketed at record time and each
@@ -244,10 +236,10 @@ class QueryService : public RetiredCacheCounters {
   /// the epoch reserved by Acquire is reused by the next publisher.
   void ReleasePublishToken() DPHIST_EXCLUDES(publish_mutex_);
 
-  /// The answering core shared by QueryBatch and TryQueryBatch, running
-  /// against an already-loaded (and validated) snapshot. A snapshot with
-  /// an AnswerPlan goes to the batch answer engine whole; walker
-  /// strategies go to Snapshot::RangeCountsInto whole.
+  /// TryQueryBatch's answering core, running against an already-loaded
+  /// and validated snapshot. A snapshot with an AnswerPlan goes to the
+  /// batch answer engine whole; walker strategies go to
+  /// Snapshot::RangeCountsInto whole.
   std::uint64_t QueryBatchOn(const Snapshot& snap, const Interval* ranges,
                              std::size_t count, double* out) const;
 

@@ -165,8 +165,8 @@ TEST_F(EstimatorAllocationTest, HBarDecompositionFallbackIsAllocationFree) {
 
 TEST(ServiceAllocationTest, UncachedQueryBatchIsAllocationFree) {
   // The serving hot path inherits the estimators' zero-allocation
-  // guarantee: QueryBatch loads the snapshot shared_ptr (refcount bump,
-  // no heap) and forwards the whole batch.
+  // guarantee: TryQueryBatch loads the snapshot shared_ptr (refcount
+  // bump, no heap), validates, and forwards the whole batch.
   Rng data_rng(3);
   Histogram data = Histogram::FromCounts(
       ZipfCounts(1 << 12, 1.2, 4 << 12, &data_rng));
@@ -177,10 +177,15 @@ TEST(ServiceAllocationTest, UncachedQueryBatchIsAllocationFree) {
 
   std::vector<Interval> workload = FixedWorkload(1 << 12);
   std::vector<double> answers(workload.size());
+  std::size_t answered = 0;
   std::size_t allocs = AllocationsDuring([&] {
-    service.QueryBatch(workload.data(), workload.size(), answers.data());
+    answered += service
+                    .TryQueryBatch(workload.data(), workload.size(),
+                                   answers.data())
+                    .ok();
   });
   EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(answered, 2u);
 }
 
 TEST(ServiceAllocationTest, DefaultServeConfigIsAllocationFreeOnFreshRanges) {
@@ -207,11 +212,15 @@ TEST(ServiceAllocationTest, DefaultServeConfigIsAllocationFreeOnFreshRanges) {
   }
   std::vector<double> answers(256);
   std::size_t pass = 0;
+  std::size_t answered = 0;
   std::size_t allocs = AllocationsDuring([&] {
     const std::vector<Interval>& ranges = fresh[pass++];
-    service.QueryBatch(ranges.data(), ranges.size(), answers.data());
+    answered +=
+        service.TryQueryBatch(ranges.data(), ranges.size(), answers.data())
+            .ok();
   });
   EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(answered, 2u);
 }
 
 TEST(ServiceAllocationTest, EngineBatchesAreAllocationFreeOnceWarm) {
@@ -234,10 +243,15 @@ TEST(ServiceAllocationTest, EngineBatchesAreAllocationFreeOnceWarm) {
   // shard (width 512), so the batch is dominated by spanning queries.
   std::vector<Interval> workload = FixedWorkload(1 << 12);
   std::vector<double> answers(workload.size());
+  std::size_t answered = 0;
   std::size_t allocs = AllocationsDuring([&] {
-    service.QueryBatch(workload.data(), workload.size(), answers.data());
+    answered += service
+                    .TryQueryBatch(workload.data(), workload.size(),
+                                   answers.data())
+                    .ok();
   });
   EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(answered, 2u);
 }
 
 TEST_F(EstimatorAllocationTest, LegacyDecomposeRangeStillAllocates) {

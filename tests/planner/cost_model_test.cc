@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+
+#include "analysis/strategy_matrix.h"
 #include "planner/variance_oracle.h"
 #include "planner/workload_profile.h"
 #include "service/snapshot.h"
@@ -93,79 +99,68 @@ TEST(CostModelTest, RoundingKnobsAreLinearizedNotRejected) {
   EXPECT_TRUE(cost.ok()) << cost.status().ToString();
 }
 
-TEST(CostModelTest, AnalyzerWidthCapMakesWideOlsCandidatesInfeasible) {
-  // The cap is a dense-path safety valve: it only bites when the caller
-  // opted into the O(width^3) Cholesky oracle.
-  CostModel::Options options;
-  options.max_analyzer_width = 16;
-  options.use_dense_oracle = true;
-  CostModel model(64, options);
-  WorkloadProfile profile(64);
-  profile.AddLength(4);
+/// Independent sharded reference: the sum, over the shards a range
+/// touches, of the dense Gram Cholesky variance of the range clipped to
+/// each shard (shards draw independent noise). Factorizes each distinct
+/// shard width once.
+class DenseShardedVariance {
+ public:
+  DenseShardedVariance(const SnapshotOptions& config, std::int64_t n)
+      : n_(n), shard_width_((n + config.shards - 1) / config.shards) {
+    for (std::int64_t base = 0; base < n; base += shard_width_) {
+      const std::int64_t width = std::min(shard_width_, n - base);
+      if (analyzers_.count(width) != 0) continue;
+      std::int64_t padded = 1;
+      while (padded < width) padded *= 2;
+      Result<StrategyAnalyzer> analyzer = StrategyAnalyzer::Create(
+          config.strategy == StrategyKind::kWavelet
+              ? WaveletStrategy(padded)
+              : HierarchicalStrategy(width, config.branching),
+          config.epsilon);
+      EXPECT_TRUE(analyzer.ok());
+      analyzers_.emplace(width, std::move(analyzer).value());
+    }
+  }
 
-  // 64-wide H-bar shard exceeds the cap; 8 shards of width 8 fit.
-  auto wide = model.Evaluate(LinearOptions(StrategyKind::kHBar), profile);
-  EXPECT_FALSE(wide.ok());
-  EXPECT_NE(wide.status().message().find("infeasible"), std::string::npos);
-  auto sharded =
-      model.Evaluate(LinearOptions(StrategyKind::kHBar, 1.0, 8), profile);
-  EXPECT_TRUE(sharded.ok()) << sharded.status().ToString();
+  double operator()(const Interval& range) const {
+    double total = 0.0;
+    for (std::int64_t base = (range.lo() / shard_width_) * shard_width_;
+         base <= range.hi(); base += shard_width_) {
+      const std::int64_t width = std::min(shard_width_, n_ - base);
+      const std::int64_t lo = std::max(range.lo(), base);
+      const std::int64_t hi = std::min(range.hi(), base + width - 1);
+      total += analyzers_.at(width).RangeVariance(
+          Interval(lo - base, hi - base));
+    }
+    return total;
+  }
 
-  // The wavelet pads shards to a power of two: width 10 pads to 16
-  // (feasible at the cap), width 22 pads to 32 (infeasible).
-  auto padded_ok =
-      model.Evaluate(LinearOptions(StrategyKind::kWavelet, 1.0, 7), profile);
-  EXPECT_TRUE(padded_ok.ok()) << padded_ok.status().ToString();
-  auto padded_wide =
-      model.Evaluate(LinearOptions(StrategyKind::kWavelet, 1.0, 3), profile);
-  EXPECT_FALSE(padded_wide.ok());
+ private:
+  std::int64_t n_;
+  std::int64_t shard_width_;
+  std::map<std::int64_t, StrategyAnalyzer> analyzers_;
+};
 
-  // H~ has no Gram factorization, so the cap never applies.
-  auto htilde = model.Evaluate(LinearOptions(StrategyKind::kHTilde), profile);
-  EXPECT_TRUE(htilde.ok());
-}
-
-TEST(CostModelTest, RecurrencePathIgnoresTheAnalyzerWidthCap) {
-  // Default (recurrence) mode: the same wide candidates that the dense
-  // path rejects are costed exactly, at any width.
-  CostModel::Options options;
-  options.max_analyzer_width = 16;
-  CostModel model(64, options);
-  WorkloadProfile profile(64);
-  profile.AddLength(4);
-  EXPECT_TRUE(model.Evaluate(LinearOptions(StrategyKind::kHBar), profile)
-                  .ok());
-  EXPECT_TRUE(
-      model.Evaluate(LinearOptions(StrategyKind::kWavelet, 1.0, 3), profile)
-          .ok());
-}
-
-TEST(CostModelTest, RecurrenceAndDenseOraclesAgreeOnCosts) {
-  // The two oracle routes must produce the same QueryCost for every
-  // strategy the closed forms cover, including sharded configurations
-  // with ragged tails.
+TEST(CostModelTest, ShardedOracleMatchesDenseShardSums) {
+  // The planner's oracle must compose shards exactly: every probe range
+  // (every placement of lengths 1, 7, 40 and the full domain) costs the
+  // sum of the dense per-shard variances, for H-bar and the wavelet.
+  // Seven shards leave a narrower last shard (six of width 14, one of 12).
   const std::int64_t n = 96;
-  CostModel::Options dense_options;
-  dense_options.use_dense_oracle = true;
-  CostModel recurrence(n);
-  CostModel dense(n, dense_options);
-  WorkloadProfile profile(n);
-  profile.AddLength(1, 5.0);
-  profile.AddLength(7, 2.0);
-  profile.AddLength(40, 1.0);
   for (StrategyKind kind : {StrategyKind::kHBar, StrategyKind::kWavelet}) {
-    for (std::int64_t shards : {1, 3, 8}) {
-      SnapshotOptions config = LinearOptions(kind, 0.7, shards);
-      auto a = recurrence.Evaluate(config, profile);
-      auto b = dense.Evaluate(config, profile);
-      ASSERT_TRUE(a.ok()) << StrategyKindName(kind) << " shards " << shards;
-      ASSERT_TRUE(b.ok()) << StrategyKindName(kind) << " shards " << shards;
-      EXPECT_NEAR(a.value().mean_variance, b.value().mean_variance,
-                  1e-9 * b.value().mean_variance)
-          << StrategyKindName(kind) << " shards " << shards;
-      EXPECT_NEAR(a.value().worst_variance, b.value().worst_variance,
-                  1e-9 * b.value().worst_variance)
-          << StrategyKindName(kind) << " shards " << shards;
+    for (std::int64_t shards : {1, 3, 7, 8}) {
+      SCOPED_TRACE(std::string(StrategyKindName(kind)) + " shards " +
+                   std::to_string(shards));
+      const SnapshotOptions config = LinearOptions(kind, 0.7, shards);
+      const VarianceOracle oracle(config, n);
+      const DenseShardedVariance dense(config, n);
+      for (std::int64_t length : {1, 7, 40, 96}) {
+        for (std::int64_t lo = 0; lo + length <= n; ++lo) {
+          const Interval q(lo, lo + length - 1);
+          EXPECT_NEAR(oracle.RangeVariance(q), dense(q), 1e-9 * dense(q))
+              << q.ToString();
+        }
+      }
     }
   }
 }
@@ -216,7 +211,7 @@ TEST(IncrementalCostModelTest, CachedRecostEqualsFromScratchBitForBit) {
   // re-evaluation over memoized placement variances must equal a fresh
   // CostModel::Evaluate exactly — no tolerance.
   const std::int64_t n = 128;
-  IncrementalCostModel cache(n, CostModel::Options());
+  IncrementalCostModel cache(n);
   CostModel fresh(n);
 
   WorkloadProfile first(n);
@@ -267,7 +262,7 @@ TEST(IncrementalCostModelTest, CachedRecostEqualsFromScratchBitForBit) {
 
 TEST(IncrementalCostModelTest, ReusesCachedLengthsAndBumpsGeneration) {
   const std::int64_t n = 64;
-  IncrementalCostModel cache(n, CostModel::Options());
+  IncrementalCostModel cache(n);
   const SnapshotOptions config = LinearOptions(StrategyKind::kHBar);
 
   WorkloadProfile profile(n);

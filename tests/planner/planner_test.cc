@@ -85,17 +85,10 @@ TEST(PlannerTest, CandidatesAreSortedBestFirstAndChosenIsMinimal) {
   ASSERT_TRUE(plan.ok());
   const Plan& p = plan.value();
   ASSERT_FALSE(p.candidates.empty());
-  EXPECT_TRUE(p.candidates.front().feasible);
   EXPECT_EQ(p.candidates.front().options.strategy, p.options.strategy);
   EXPECT_EQ(p.candidates.front().options.shards, p.options.shards);
   double previous = -1.0;
-  bool seen_infeasible = false;
   for (const Candidate& c : p.candidates) {
-    if (!c.feasible) {
-      seen_infeasible = true;
-      continue;
-    }
-    EXPECT_FALSE(seen_infeasible) << "infeasible candidates must sort last";
     EXPECT_GE(c.mean_variance, previous);
     EXPECT_GE(c.mean_variance, p.predicted_mean_variance - 1e-12);
     previous = c.mean_variance;
@@ -119,21 +112,36 @@ TEST(PlannerTest, WorstCaseObjectiveChangesTheRanking) {
   EXPECT_EQ(by_worst.value().options.strategy, StrategyKind::kHBar);
 }
 
-TEST(PlannerTest, InfeasibleEverywhereIsAnError) {
+TEST(PlannerTest, UnshardedWideHBarPlans) {
+  // The recurrence closed forms have no width cap: a lone unsharded
+  // width-256 H-bar candidate is costed and chosen.
   WorkloadProfile profile(256);
   profile.AddLength(4);
   PlannerOptions options;
   options.strategies = {StrategyKind::kHBar};
-  options.shard_counts = {1};  // width 256 > cap below
-  options.cost.max_analyzer_width = 64;
-  options.cost.use_dense_oracle = true;  // the cap is dense-path only
-  auto plan = ChoosePlan(profile, LinearBase(), options);
-  ASSERT_FALSE(plan.ok());
-  EXPECT_NE(plan.status().message().find("no feasible"), std::string::npos);
-
-  // The default recurrence path has no cap: the same enumeration plans.
-  options.cost.use_dense_oracle = false;
+  options.shard_counts = {1};
   EXPECT_TRUE(ChoosePlan(profile, LinearBase(), options).ok());
+}
+
+TEST(PlannerTest, EnumerationAndBaseErrorsAreReturnedAsIs) {
+  WorkloadProfile profile(64);
+  profile.AddLength(4);
+  PlannerOptions no_shards;
+  no_shards.max_shards = 0;  // empty default shard ladder
+  EXPECT_FALSE(ChoosePlan(profile, LinearBase(), no_shards).ok());
+  PlannerOptions zero_shards;
+  zero_shards.shard_counts = {0};
+  EXPECT_FALSE(ChoosePlan(profile, LinearBase(), zero_shards).ok());
+  PlannerOptions auto_candidate;
+  auto_candidate.strategies = {StrategyKind::kAuto};
+  EXPECT_FALSE(ChoosePlan(profile, LinearBase(), auto_candidate).ok());
+
+  // A base no candidate can be costed under fails with the cost model's
+  // own error, not a per-candidate summary.
+  auto plan = ChoosePlan(profile, LinearBase(/*epsilon=*/0.0));
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(plan.status().message(), "epsilon must be positive");
 }
 
 TEST(PlannerTest, IncrementalCostCacheMatchesFreshEvaluation) {
@@ -149,7 +157,7 @@ TEST(PlannerTest, IncrementalCostCacheMatchesFreshEvaluation) {
   PlannerOptions options;
   options.max_shards = 8;
 
-  IncrementalCostModel cache(n, options.cost);
+  IncrementalCostModel cache(n);
   auto fresh = ChoosePlan(profile, LinearBase(), options);
   auto cached = ChoosePlan(profile, LinearBase(), options, &cache);
   ASSERT_TRUE(fresh.ok());
@@ -178,7 +186,7 @@ TEST(PlannerTest, IncrementalCostCacheMatchesFreshEvaluation) {
   EXPECT_EQ(after.lengths_costed - before.lengths_costed, candidates);
   EXPECT_GT(after.lengths_reused, before.lengths_reused);
 
-  // The cache refuses a mismatched configuration instead of serving
+  // The cache refuses a profile over another domain instead of serving
   // stale geometry.
   WorkloadProfile other(128);
   other.AddLength(1);
@@ -222,7 +230,9 @@ double EmpiricalMeanSquaredError(const Histogram& data,
                     .Publish(data, options,
                              /*seed=*/7000 + static_cast<std::uint64_t>(trial))
                     .ok());
-    service.QueryBatch(workload.data(), workload.size(), answers.data());
+    EXPECT_TRUE(
+        service.TryQueryBatch(workload.data(), workload.size(), answers.data())
+            .ok());
     for (std::size_t q = 0; q < workload.size(); ++q) {
       const double err = answers[q] - truth[q];
       total += err * err;
@@ -267,8 +277,7 @@ TEST(PlannerConformanceTest, ChosenPlanDeliversItsPredictedError) {
     std::vector<Interval> workload;
     for (std::int64_t length : scenario.lengths) {
       for (const Interval& q : PlacementGrid(
-               kDomain, length,
-               planner_options.cost.placements_per_length)) {
+               kDomain, length, CostModel::kPlacementsPerLength)) {
         profile.AddQuery(q);
         workload.push_back(q);
       }
@@ -280,7 +289,6 @@ TEST(PlannerConformanceTest, ChosenPlanDeliversItsPredictedError) {
 
     // The decision is optimal among the evaluated candidates...
     for (const Candidate& candidate : plan.value().candidates) {
-      if (!candidate.feasible) continue;
       EXPECT_LE(plan.value().predicted_mean_variance,
                 candidate.mean_variance + 1e-12)
           << StrategyKindName(candidate.options.strategy) << "/"
@@ -300,10 +308,7 @@ TEST(PlannerConformanceTest, ChosenPlanDeliversItsPredictedError) {
     double best_forbidden = -1.0;
     SnapshotOptions forbidden_options;
     for (const Candidate& candidate : plan.value().candidates) {
-      if (!candidate.feasible ||
-          candidate.options.strategy != scenario.forbidden) {
-        continue;
-      }
+      if (candidate.options.strategy != scenario.forbidden) continue;
       if (best_forbidden < 0.0 ||
           candidate.mean_variance < best_forbidden) {
         best_forbidden = candidate.mean_variance;

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -22,7 +23,6 @@
 #include "analysis/strategy_matrix.h"
 #include "domain/interval.h"
 #include "planner/recurrence_oracle.h"
-#include "planner/variance_oracle.h"
 #include "service/snapshot.h"
 
 namespace dphist::planner {
@@ -224,20 +224,19 @@ TEST(RecurrenceOracleTest, WaveletMatchesBruteForceHaarSumAt4096) {
   }
 }
 
-TEST(RecurrenceOracleTest, WaveletPaddingAgreesWithMaxAnalyzerWidth) {
+TEST(RecurrenceOracleTest, WaveletPadsShardWidthToAPowerOfTwo) {
   // The oracle's internal power-of-two padding must be exactly the width
-  // the dense path would factorize, shard by shard, or the two paths
+  // the dense Haar matrix is built at, shard by shard, or the two paths
   // could disagree about geometry at non-power domains.
   for (std::int64_t domain : {1, 5, 48, 100, 1000, 4096}) {
     for (std::int64_t shards : {1, 3}) {
-      SnapshotOptions options;
-      options.strategy = StrategyKind::kWavelet;
-      options.shards = shards;
-      const std::int64_t shard_width = (domain + shards - 1) / shards;
-      if (shard_width < 1) continue;
+      const std::int64_t requested = std::min<std::int64_t>(shards, domain);
+      const std::int64_t shard_width = (domain + requested - 1) / requested;
+      std::int64_t padded = 1;
+      while (padded < shard_width) padded *= 2;
       RecurrenceOracle oracle = MakeOracle(StrategyKind::kWavelet,
                                            shard_width, 2, 1.0);
-      EXPECT_EQ(oracle.analyzer_width(), MaxAnalyzerWidth(options, domain))
+      EXPECT_EQ(oracle.analyzer_width(), padded)
           << "domain " << domain << " shards " << shards;
       EXPECT_DOUBLE_EQ(
           oracle.sensitivity(),

@@ -59,7 +59,7 @@ TEST(EpochManagerTest, ManualReplanMatchesChoosePlanOnExportedProfile) {
   std::vector<double> answer(1);
   for (std::int64_t i = 0; i < 64; ++i) {
     Interval q(i % n, i % n);
-    service.QueryBatch(&q, 1, answer.data());
+    EXPECT_TRUE(service.TryQueryBatch(&q, 1, answer.data()).ok());
   }
   auto expected = planner::ChoosePlan(service.ObservedWorkload(n),
                                       options.base, options.planner);
@@ -95,11 +95,11 @@ TEST(EpochManagerTest, EveryNTriggerFiresOnPoll) {
   std::vector<double> answer(1);
   for (std::int64_t i = 0; i < 15; ++i) {
     Interval q(i, i);
-    service.QueryBatch(&q, 1, answer.data());
+    EXPECT_TRUE(service.TryQueryBatch(&q, 1, answer.data()).ok());
   }
   EXPECT_FALSE(manager.Poll());  // 15 < 16: nothing fires
   Interval q(0, 0);
-  service.QueryBatch(&q, 1, answer.data());
+  EXPECT_TRUE(service.TryQueryBatch(&q, 1, answer.data()).ok());
   EXPECT_TRUE(manager.Poll());
   EXPECT_EQ(manager.stats().every, 1u);
   EXPECT_EQ(service.current_epoch(), 2u);
@@ -129,7 +129,7 @@ TEST(EpochManagerTest, DriftTriggerRepublishesOnlyOnMeasuredDrift) {
   std::vector<double> answer(1);
   for (int i = 0; i < 8; ++i) {
     Interval q(0, n - 1);
-    service.QueryBatch(&q, 1, answer.data());
+    EXPECT_TRUE(service.TryQueryBatch(&q, 1, answer.data()).ok());
   }
   EXPECT_TRUE(manager.Poll());  // a drift check ran...
   EXPECT_EQ(manager.stats().drift_checks, 1u);
@@ -141,7 +141,7 @@ TEST(EpochManagerTest, DriftTriggerRepublishesOnlyOnMeasuredDrift) {
   // 1.25 and the manager republishes.
   for (std::int64_t i = 0; i < 64; ++i) {
     Interval q(i % n, i % n);
-    service.QueryBatch(&q, 1, answer.data());
+    EXPECT_TRUE(service.TryQueryBatch(&q, 1, answer.data()).ok());
   }
   EXPECT_TRUE(manager.Poll());
   EXPECT_EQ(manager.stats().drift, 1u);
@@ -166,7 +166,8 @@ TEST(EpochManagerTest, BudgetRefusalKeepsServingTheOldEpoch) {
   EXPECT_EQ(manager.stats().republishes, 1u);
   EXPECT_EQ(service.current_epoch(), 1u);  // old release still serving
   double out = 0.0;
-  EXPECT_EQ(service.Query(Interval(0, 5), &out), 1u);
+  const Interval probe(0, 5);
+  EXPECT_EQ(service.TryQueryBatch(&probe, 1, &out).value(), 1u);
 }
 
 // Subscriber queues are independent: every broadcast lands in every
@@ -190,7 +191,7 @@ TEST(EpochManagerTest, SubscriberQueuesAreIndependent) {
   std::vector<double> answer(1);
   for (std::int64_t i = 0; i < 4; ++i) {
     Interval q(i, i);
-    service.QueryBatch(&q, 1, answer.data());
+    EXPECT_TRUE(service.TryQueryBatch(&q, 1, answer.data()).ok());
   }
   ASSERT_TRUE(manager.Poll());  // every-N republish -> epoch 2
 
@@ -254,7 +255,7 @@ TEST(EpochManagerTest, PublishInitialBudgetRaceIsGraceful) {
   // Queue an async replan (it will spend the last unit of budget)...
   std::vector<double> answer(1);
   Interval q(0, 0);
-  service.QueryBatch(&q, 1, answer.data());
+  EXPECT_TRUE(service.TryQueryBatch(&q, 1, answer.data()).ok());
   ASSERT_TRUE(manager.Poll());
 
   // ...and race a second initial publish against it. It must wait for
@@ -271,7 +272,8 @@ TEST(EpochManagerTest, PublishInitialBudgetRaceIsGraceful) {
   EXPECT_DOUBLE_EQ(stats.epsilon_spent, 2.0);
   EXPECT_EQ(service.current_epoch(), 2u);  // still serving
   double out = 0.0;
-  EXPECT_EQ(service.Query(Interval(0, 5), &out), 2u);
+  const Interval probe(0, 5);
+  EXPECT_EQ(service.TryQueryBatch(&probe, 1, &out).value(), 2u);
 }
 
 // The multi-session satellite: two threaded sessions share one manager,
@@ -312,7 +314,9 @@ TEST(EpochManagerTest, TwoThreadedSessionsEachSeeEveryRepublishOnce) {
           const std::int64_t lo = rng.NextInt(0, n - 2);
           range = Interval(lo, rng.NextInt(lo, n - 1));
         }
-        service.QueryBatch(batch.data(), batch.size(), answers.data());
+        EXPECT_TRUE(
+            service.TryQueryBatch(batch.data(), batch.size(), answers.data())
+                .ok());
         manager.Poll();
         for (const ReplanOutcome& outcome : manager.TakeCompleted(id)) {
           ASSERT_TRUE(outcome.status.ok());
@@ -421,7 +425,8 @@ TEST(EpochManagerTest, ReplanLifecycleUnderConcurrentReaders) {
           ranges[j] = Interval(lo, rng.NextInt(lo + 1, n - 1));
         }
         const std::uint64_t epoch =
-            service.QueryBatch(ranges.data(), kBatch, answers.data());
+            service.TryQueryBatch(ranges.data(), kBatch, answers.data())
+                .value();
         if (iter % 5 == 0 &&
             samples[static_cast<std::size_t>(t)].size() < 100) {
           samples[static_cast<std::size_t>(t)].push_back(

@@ -71,7 +71,7 @@ TEST(RecoveryTest, RestartReplaysLedgerAndServesBitIdenticalAnswers) {
     epoch_before = service.current_epoch();
     for (const Interval& probe : Probes(n)) {
       double answer = 0.0;
-      service.Query(probe, &answer);
+      EXPECT_TRUE(service.TryQueryBatch(&probe, 1, &answer).ok());
       answers_before.push_back(answer);
     }
   }  // the process "dies": everything in memory is gone
@@ -94,7 +94,7 @@ TEST(RecoveryTest, RestartReplaysLedgerAndServesBitIdenticalAnswers) {
   std::size_t i = 0;
   for (const Interval& probe : Probes(n)) {
     double answer = 0.0;
-    service.Query(probe, &answer);
+    EXPECT_TRUE(service.TryQueryBatch(&probe, 1, &answer).ok());
     EXPECT_EQ(answer, answers_before[i++])
         << "probe [" << probe.lo() << ", " << probe.hi() << "]";
   }

@@ -128,7 +128,9 @@ TEST(ServiceConformanceTest, EmpiricalErrorMatchesClosedFormPerQuery) {
                                /*seed=*/1000 + static_cast<std::uint64_t>(
                                                    trial))
                       .ok());
-      service.QueryBatch(queries.data(), queries.size(), answers.data());
+      EXPECT_TRUE(
+          service.TryQueryBatch(queries.data(), queries.size(), answers.data())
+              .ok());
       for (std::size_t q = 0; q < queries.size(); ++q) {
         const double err = answers[q] - truth[q];
         sum_squared_error[q] += err * err;

@@ -80,24 +80,13 @@ TEST(QueryServiceTest, AnswersMatchTheSnapshotExactly) {
 
   std::vector<Interval> workload = ProbeWorkload(100, 64, 5);
   std::vector<double> answers(workload.size());
-  EXPECT_EQ(service.QueryBatch(workload.data(), workload.size(),
-                               answers.data()),
-            1u);
+  EXPECT_EQ(
+      service.TryQueryBatch(workload.data(), workload.size(), answers.data())
+          .value(),
+      1u);
   for (std::size_t i = 0; i < workload.size(); ++i) {
     EXPECT_EQ(answers[i], snap.value()->RangeCount(workload[i])) << i;
   }
-}
-
-TEST(QueryServiceTest, SingleQueryFormMatchesBatch) {
-  Histogram data = TestData(64);
-  QueryService service;
-  ASSERT_TRUE(service.Publish(data, SnapshotOptions(), 2).ok());
-  Interval q(5, 40);
-  double single = 0.0;
-  EXPECT_EQ(service.Query(q, &single), 1u);
-  double batched = 0.0;
-  service.QueryBatch(&q, 1, &batched);
-  EXPECT_EQ(single, batched);
 }
 
 TEST(QueryServiceTest, ObservedWorkloadTracksAnsweredLengths) {
@@ -109,7 +98,9 @@ TEST(QueryServiceTest, ObservedWorkloadTracksAnsweredLengths) {
   std::vector<Interval> workload = {Interval(0, 0), Interval(5, 5),
                                     Interval(0, 41), Interval(10, 51)};
   std::vector<double> answers(workload.size());
-  service.QueryBatch(workload.data(), workload.size(), answers.data());
+  EXPECT_TRUE(
+      service.TryQueryBatch(workload.data(), workload.size(), answers.data())
+          .ok());
 
   planner::WorkloadProfile profile = service.ObservedWorkload(64);
   EXPECT_DOUBLE_EQ(profile.total_weight(), 4.0);
@@ -128,7 +119,7 @@ TEST(QueryServiceTest, AutoStrategyPlansFromObservedTraffic) {
   std::vector<double> answer(1);
   for (std::int64_t i = 0; i < 64; ++i) {
     Interval q(i, i);
-    service.QueryBatch(&q, 1, answer.data());
+    EXPECT_TRUE(service.TryQueryBatch(&q, 1, answer.data()).ok());
   }
   SnapshotOptions auto_options;
   auto_options.strategy = StrategyKind::kAuto;
@@ -149,7 +140,8 @@ TEST(QueryServiceTest, AutoStrategyFallsBackToNeutralPriorWhenUnobserved) {
   ASSERT_TRUE(published.ok()) << published.status().ToString();
   EXPECT_NE(published.value()->strategy(), StrategyKind::kAuto);
   double out = 0.0;
-  EXPECT_EQ(service.Query(Interval(0, 47), &out), 1u);
+  const Interval range(0, 47);
+  EXPECT_EQ(service.TryQueryBatch(&range, 1, &out).value(), 1u);
 }
 
 TEST(QueryServiceTest, AutoStrategyHonorsExplicitProfileOverObservation) {
@@ -160,7 +152,7 @@ TEST(QueryServiceTest, AutoStrategyHonorsExplicitProfileOverObservation) {
   std::vector<double> answer(1);
   for (int i = 0; i < 32; ++i) {
     Interval q(0, 63);
-    service.QueryBatch(&q, 1, answer.data());
+    EXPECT_TRUE(service.TryQueryBatch(&q, 1, answer.data()).ok());
   }
   // ...but the caller plans for a unit-count profile explicitly.
   planner::WorkloadProfile units(64);
@@ -212,8 +204,11 @@ TEST(QueryServiceTest, ConcurrentSwapsServeSingleEpochBatches) {
     readers.emplace_back([&] {
       std::vector<double> answers(workload.size());
       auto run_batch = [&] {
-        const std::uint64_t epoch = service.QueryBatch(
-            workload.data(), workload.size(), answers.data());
+        const std::uint64_t epoch =
+            service
+                .TryQueryBatch(workload.data(), workload.size(),
+                               answers.data())
+                .value();
         const std::vector<double>& want = expected.at(epoch);
         for (std::size_t i = 0; i < workload.size(); ++i) {
           if (answers[i] != want[i]) {
@@ -292,7 +287,9 @@ TEST(QueryServiceTest, OnlyPlannedReleasesReachTheEngine) {
         engine::GlobalEngineCounters().total_queries();
     for (int pass = 0; pass < 2; ++pass) {
       std::vector<double> answers(queries.size());
-      service.QueryBatch(queries.data(), queries.size(), answers.data());
+      EXPECT_TRUE(
+          service.TryQueryBatch(queries.data(), queries.size(), answers.data())
+              .ok());
       for (std::size_t i = 0; i < queries.size(); ++i) {
         ASSERT_EQ(std::bit_cast<std::uint64_t>(answers[i]),
                   std::bit_cast<std::uint64_t>(expected[i]))
@@ -311,10 +308,13 @@ TEST(QueryServiceTest, ObservedQueryCountSumsAllTraffic) {
   EXPECT_EQ(service.observed_query_count(), 0u);
   std::vector<Interval> workload = ProbeWorkload(64, 37, 3);
   std::vector<double> answers(workload.size());
-  service.QueryBatch(workload.data(), workload.size(), answers.data());
+  EXPECT_TRUE(
+      service.TryQueryBatch(workload.data(), workload.size(), answers.data())
+          .ok());
   EXPECT_EQ(service.observed_query_count(), 37u);
   double out = 0.0;
-  service.Query(Interval(0, 5), &out);
+  const Interval range(0, 5);
+  EXPECT_TRUE(service.TryQueryBatch(&range, 1, &out).ok());
   EXPECT_EQ(service.observed_query_count(), 38u);
 }
 
@@ -343,7 +343,9 @@ TEST(QueryServiceTest, ReservoirMakesObservedProfileLengthExact) {
   QueryServiceOptions bucketed_options;
   QueryService bucketed(bucketed_options);
   ASSERT_TRUE(bucketed.Publish(data, SnapshotOptions(), 1).ok());
-  bucketed.QueryBatch(workload.data(), workload.size(), answers.data());
+  EXPECT_TRUE(
+      bucketed.TryQueryBatch(workload.data(), workload.size(), answers.data())
+          .ok());
   planner::WorkloadProfile bucketed_profile = bucketed.ObservedWorkload(64);
   EXPECT_DOUBLE_EQ(bucketed_profile.length_weights().at(2), 20.0);
   EXPECT_EQ(bucketed_profile.length_weights().count(3), 0u);
@@ -352,7 +354,9 @@ TEST(QueryServiceTest, ReservoirMakesObservedProfileLengthExact) {
   exact_options.observed_reservoir = 256;  // holds the whole stream
   QueryService exact(exact_options);
   ASSERT_TRUE(exact.Publish(data, SnapshotOptions(), 1).ok());
-  exact.QueryBatch(workload.data(), workload.size(), answers.data());
+  EXPECT_TRUE(
+      exact.TryQueryBatch(workload.data(), workload.size(), answers.data())
+          .ok());
   planner::WorkloadProfile exact_profile = exact.ObservedWorkload(64);
   EXPECT_DOUBLE_EQ(exact_profile.length_weights().at(3), 20.0);
   EXPECT_DOUBLE_EQ(exact_profile.total_weight(), 20.0);

@@ -37,7 +37,8 @@ TEST(UmbrellaTest, WholePipelineThroughSingleInclude) {
   QueryService service;
   ASSERT_TRUE(service.Publish(data, SnapshotOptions(), 1).ok());
   double answer = 0.0;
-  EXPECT_EQ(service.Query(Interval(0, 3), &answer), 1u);
+  const Interval range(0, 3);
+  EXPECT_EQ(service.TryQueryBatch(&range, 1, &answer).value(), 1u);
   EXPECT_GE(answer, 0.0);
 }
 

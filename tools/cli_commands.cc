@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "data/csv.h"
 #include "data/nettrace.h"
@@ -48,11 +47,9 @@ constexpr char kUsage[] =
     "                    (--queries P | --stdin | --listen PORT)\n"
     "                    [--strategy hbar|htilde|ltilde|wavelet|auto]\n"
     "                    [--branching K] [--shards S]\n"
-    "                    [--threads T] [--build-threads B] [--seed S]\n"
-    "                    [--kernel auto|scalar|sse2|avx2]\n"
+    "                    [--build-threads B] [--seed S]\n"
     "                    [--no-round] [--no-prune] [--max-shards M]\n"
     "                    [--strategies a,b,c] [--objective mean|worst]\n"
-    "                    [--dense-oracle [--max-analyzer-width W]]\n"
     "                                               (auto planning)\n"
     "                    [--replan-every N] [--replan-drift X]\n"
     "                    [--drift-check-every N] [--replan-sync]\n"
@@ -81,7 +78,6 @@ constexpr char kUsage[] =
     "  plan              --queries P --epsilon E (--input P | --domain N)\n"
     "                    [--branching K] [--max-shards M]\n"
     "                    [--strategies a,b,c] [--objective mean|worst]\n"
-    "                    [--dense-oracle [--max-analyzer-width W]]\n"
     "  recover           --state-dir D [--inspect]\n"
     "                    (replay a serve --state-dir directory offline:\n"
     "                     ledger total, last epoch, persisted snapshot;\n"
@@ -130,15 +126,6 @@ Status FillPlannerOptions(const Flags& flags,
   options->max_shards = flags.GetInt("max-shards", 64);
   if (options->max_shards < 1) {
     return Status::InvalidArgument("max-shards must be >= 1");
-  }
-  // The dense Cholesky oracle is the recurrence path's independent test
-  // oracle; --max-analyzer-width is its safety cap (the default
-  // recurrence closed forms are exact at every width and ignore it).
-  options->cost.use_dense_oracle = flags.Has("dense-oracle");
-  options->cost.max_analyzer_width =
-      flags.GetInt("max-analyzer-width", 1024);
-  if (options->cost.max_analyzer_width < 1) {
-    return Status::InvalidArgument("max-analyzer-width must be >= 1");
   }
   if (flags.Has("strategies")) {
     auto strategies = ParseStrategiesList(flags.GetString("strategies", ""));
@@ -285,10 +272,9 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
   Status known = flags.CheckKnown(
       {"input", "epsilon", "queries", "stdin", "listen", "strategy",
        "branching", "shards", "no-round", "no-prune", "build-threads",
-       "reservoir", "max-shards", "strategies", "objective", "dense-oracle",
-       "max-analyzer-width", "replan-every", "replan-drift",
-       "drift-check-every", "replan-sync", "epsilon-budget", "state-dir",
-       "seed", "threads", "kernel", "max-sessions", "port-file", "workers",
+       "reservoir", "max-shards", "strategies", "objective", "replan-every",
+       "replan-drift", "drift-check-every", "replan-sync", "epsilon-budget",
+       "state-dir", "seed", "max-sessions", "port-file", "workers",
        "bind-addr", "auth-token"});
   if (!known.ok()) return known;
   for (const char* required : {"input", "epsilon"}) {
@@ -372,23 +358,6 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
       &service, data.value(), manager_options,
       static_cast<std::uint64_t>(flags.GetInt("seed", 42)));
   runtime::SessionWriter writer(out);
-  runtime::ServingLoopOptions loop_options;
-  loop_options.threads =
-      ResolveThreadCount(flags.GetInt("threads", 1, "DPHIST_THREADS"));
-
-  // --kernel pins the answer engine's dispatch level (the flag form of
-  // the DPHIST_FORCE_KERNEL env override; "auto" restores detection).
-  // Levels the CPU lacks clamp to the best supported one.
-  if (flags.Has("kernel")) {
-    const std::string kernel_name = flags.GetString("kernel", "auto");
-    if (kernel_name == "auto") {
-      engine::ForceKernel(std::nullopt);
-    } else {
-      Result<engine::KernelKind> kind = engine::ParseKernelKind(kernel_name);
-      if (!kind.ok()) return kind.status();
-      engine::ForceKernel(kind.value());
-    }
-  }
 
   // With a state directory, recovery runs first: a restored snapshot is
   // re-served as-is (no fresh epsilon spent), and only a fresh/empty
@@ -433,7 +402,6 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
     transport_options.bind_addr =
         flags.GetString("bind-addr", "127.0.0.1");
     transport_options.auth_token = flags.GetString("auth-token", "");
-    transport_options.loop = loop_options;
 
     initial = publish_initial(nullptr);
     if (!initial.ok()) return initial.status();
@@ -500,17 +468,15 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
       writer.PlanNote(initial.value().plan, snap.epoch(), "initial");
     }
     writer.Flush();
-    auto session =
-        runtime::RunStreamingSession(in, writer, service, manager,
-                                     loop_options);
+    auto session = runtime::RunStreamingSession(in, writer, service, manager);
     if (!session.ok()) return session.status();
     summary = session.value();
   } else {
     // Batch mode: one parse pass through the session grammar (the
     // workload-file format is its bare-range subset), profile built
     // from the whole script — the best picture of the workload a
-    // planner will ever get — then the scripted loop answers runs of
-    // queries with the threaded fan-out.
+    // planner will ever get — then the scripted loop answers each run
+    // of single-range queries as one batch.
     std::ifstream file(flags.GetString("queries", ""));
     if (!file) {
       return Status::IoError("cannot open query file: " +
@@ -529,9 +495,8 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
     }
     initial = publish_initial(profile.empty() ? nullptr : &profile);
     if (!initial.ok()) return initial.status();
-    auto session = runtime::RunScriptedSession(script.value(), writer,
-                                               service, manager,
-                                               loop_options);
+    auto session =
+        runtime::RunScriptedSession(script.value(), writer, service, manager);
     if (!session.ok()) return session.status();
     summary = session.value();
   }
@@ -544,7 +509,7 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
   out << "# served " << summary.queries << " queries from epoch "
       << report_epoch << " (" << StrategyKindName(current->strategy())
       << ", eps=" << options.epsilon << ", shards="
-      << current->shard_count() << ", threads=" << loop_options.threads
+      << current->shard_count()
       << ", engine_kernel=" << engine::KernelKindName(engine::ActiveKernel())
       << " engine_batches=" << engine::GlobalEngineCounters().total_batches()
       << " engine_queries=" << engine::GlobalEngineCounters().total_queries()
@@ -782,7 +747,7 @@ Status RunClient(const Flags& flags, std::istream& in, std::ostream& out) {
 Status RunPlan(const Flags& flags, std::ostream& out) {
   Status known = flags.CheckKnown(
       {"queries", "epsilon", "input", "domain", "branching", "max-shards",
-       "strategies", "objective", "dense-oracle", "max-analyzer-width"});
+       "strategies", "objective"});
   if (!known.ok()) return known;
   for (const char* required : {"queries", "epsilon"}) {
     Status s = RequireFlag(flags, required);

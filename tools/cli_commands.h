@@ -7,8 +7,9 @@
 //   release-sorted    publish an epsilon-DP unattributed histogram (S-bar)
 //   query             answer a range count from a published histogram
 //   serve             long-lived serving runtime (src/runtime/): publish
-//                     a QueryService snapshot and answer a workload file
-//                     concurrently, or --stdin for a streaming REPL;
+//                     a QueryService snapshot and answer a workload file,
+//                     or --stdin for a streaming REPL, or --listen for
+//                     network sessions;
 //                     --strategy auto lets the planner pick and
 //                     --replan-every/--replan-drift let the EpochManager
 //                     republish as observed traffic shifts
@@ -43,19 +44,21 @@ Status RunReleaseSorted(const Flags& flags, std::ostream& out);
 /// Sums the published per-position estimates over [lo, hi].
 Status RunQuery(const Flags& flags, std::ostream& out);
 
-/// `serve --input PATH --epsilon E (--queries PATH | --stdin)
-///  [--strategy hbar|htilde|ltilde|wavelet|auto] [--branching K]
-///  [--shards S] [--threads T] [--build-threads B] [--seed S]
+/// `serve --input PATH --epsilon E (--queries PATH | --stdin |
+///  --listen PORT) [--strategy hbar|htilde|ltilde|wavelet|auto]
+///  [--branching K] [--shards S] [--build-threads B] [--seed S]
 ///  [--no-round] [--no-prune] [--max-shards M] [--strategies a,b,c]
-///  [--objective mean|worst] [--max-analyzer-width W]
-///  [--replan-every N] [--replan-drift X] [--drift-check-every N]
-///  [--replan-sync] [--reservoir N] [--epsilon-budget B]`
+///  [--objective mean|worst] [--replan-every N] [--replan-drift X]
+///  [--drift-check-every N] [--replan-sync] [--reservoir N]
+///  [--epsilon-budget B] [--state-dir D] (+ --listen's --max-sessions,
+///  --port-file, --workers, --bind-addr, --auth-token)`
 /// The serving runtime. With --queries it publishes one snapshot and
-/// answers the session script (one answer per line, input order, T
-/// worker threads) followed by a `# served ...` stats line — the classic
-/// batch mode, now a thin driver over src/runtime/. With --stdin it
-/// serves a streaming session from standard input (`q lo hi`,
-/// `qb k ...`, `stats`, `replan`, `quit` — see runtime/session.h).
+/// answers the session script (one answer per line, input order, each
+/// run of single-range lines as one batch) followed by a `# served ...`
+/// stats line — the classic batch mode, now a thin driver over
+/// src/runtime/. With --stdin it serves a streaming session from
+/// standard input (`q lo hi`, `qb k ...`, `stats`, `replan`, `quit` —
+/// see runtime/session.h).
 /// Either way the EpochManager can republish mid-session: every N
 /// observed queries, on predicted-MSE drift, or on the `replan` command
 /// — each republish spends a fresh epsilon and is announced as a
@@ -75,7 +78,7 @@ Status RunClient(const Flags& flags, std::istream& in, std::ostream& out);
 
 /// `plan --queries PATH --epsilon E (--input PATH | --domain N)
 ///  [--branching K] [--max-shards M] [--strategies a,b,c]
-///  [--objective mean|worst] [--max-analyzer-width W]`
+///  [--objective mean|worst]`
 /// Costs every candidate (strategy, shard count) against the workload
 /// file's length profile and prints the full evaluation table plus the
 /// chosen plan. Purely analytical: reads no private data beyond the
