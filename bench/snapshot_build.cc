@@ -17,6 +17,14 @@
 // builds (>= 3x at 8 threads on an 8-core host; on smaller hosts the
 // honestly measured ratio lands near 1x and is reported as such).
 //
+// `hbar_build_steps` splits one unsharded H-bar build in serve's default
+// config (n = 2^16, k = 2, eps = 1, round+prune) into the steps
+// HBarEstimator runs over its node buffer, each the median of
+// kStepRepeats runs, so a publish-latency change can be placed in one
+// step: counts, Laplace noise, inference (z and h passes), prune,
+// round, leaf state (leaf copy, prefix table and consistency check, as
+// Restore runs them), and the whole constructor.
+//
 // Flags (DPHIST_* env equivalents): --domain-log2, --strategy,
 // --branching, --epsilon, --shards, --threads-list (comma separated),
 // --repeats, --seed.
@@ -24,8 +32,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -33,6 +43,11 @@
 #include "common/rng.h"
 #include "data/zipf.h"
 #include "domain/histogram.h"
+#include "estimators/universal.h"
+#include "inference/hierarchical.h"
+#include "inference/nonnegative_pruning.h"
+#include "mechanism/laplace_mechanism.h"
+#include "query/hierarchical_query.h"
 #include "service/snapshot.h"
 
 using namespace dphist;  // NOLINT(build/namespaces)
@@ -62,6 +77,86 @@ std::vector<int> ParseThreadsList(const std::string& csv) {
   if (have_digit) threads.push_back(value);
   DPHIST_CHECK_MSG(!threads.empty(), "empty --threads-list");
   return threads;
+}
+
+/// The host CPU's model name from /proc/cpuinfo, "unknown" elsewhere.
+std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon != std::string::npos && colon + 2 <= line.size()) {
+      return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+double Median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+constexpr std::int64_t kStepsDomainLog2 = 16;
+constexpr int kStepRepeats = 41;
+
+/// Median milliseconds of each step of one default H-bar build.
+struct BuildSteps {
+  double counts = 0.0;
+  double noise = 0.0;
+  double inference = 0.0;
+  double prune = 0.0;
+  double round = 0.0;
+  double leaf_state = 0.0;
+  double whole_build = 0.0;
+};
+
+BuildSteps TimeHBarBuildSteps(std::uint64_t seed) {
+  const std::int64_t n = std::int64_t{1} << kStepsDomainLog2;
+  Rng data_rng(seed);
+  const Histogram data =
+      Histogram::FromCounts(ZipfCounts(n, 1.1, 5 * n, &data_rng));
+  const UniversalOptions options;
+  const HierarchicalQuery query(n, options.branching);
+  const TreeLayout& tree = query.tree();
+  const LaplaceMechanism mechanism(options.epsilon);
+  std::vector<double> steps[7];
+  Rng rng(seed + 1);
+  for (int r = 0; r < kStepRepeats; ++r) {
+    double t[8];
+    t[0] = NowSeconds();
+    std::vector<double> nodes = query.Evaluate(data);
+    t[1] = NowSeconds();
+    mechanism.PerturbInPlace(&nodes, mechanism.NoiseScale(query), &rng);
+    t[2] = NowSeconds();
+    nodes =
+        ConsistentEstimates(tree, SubtreeEstimates(tree, std::move(nodes)));
+    t[3] = NowSeconds();
+    nodes = PruneNonPositiveSubtrees(tree, std::move(nodes));
+    t[4] = NowSeconds();
+    nodes = RoundToNonNegativeIntegers(std::move(nodes));
+    t[5] = NowSeconds();
+    auto restored = HBarEstimator::Restore(n, options, std::move(nodes));
+    t[6] = NowSeconds();
+    DPHIST_CHECK_MSG(restored.ok(), "restore failed");
+    HBarEstimator built(data, options, &rng);
+    t[7] = NowSeconds();
+    for (int i = 0; i < 7; ++i) steps[i].push_back((t[i + 1] - t[i]) * 1e3);
+  }
+  return {Median(steps[0]), Median(steps[1]), Median(steps[2]),
+          Median(steps[3]), Median(steps[4]), Median(steps[5]),
+          Median(steps[6])};
+}
+
+const char* Compiler() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
 }
 
 }  // namespace
@@ -175,6 +270,8 @@ int main(int argc, char** argv) {
   std::printf("  \"repeats\": %lld,\n", static_cast<long long>(repeats));
   std::printf("  \"hardware_concurrency\": %u,\n",
               std::thread::hardware_concurrency());
+  std::printf("  \"cpu_model\": \"%s\",\n", CpuModel().c_str());
+  std::printf("  \"compiler\": \"%s\",\n", Compiler());
   std::printf("  \"bit_identical\": %s,\n", bit_identical ? "true" : "false");
   std::printf("  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -184,6 +281,18 @@ int main(int argc, char** argv) {
         i + 1 < rows.size() ? "," : "");
   }
   std::printf("  ],\n");
+  const BuildSteps steps = TimeHBarBuildSteps(seed);
+  std::printf("  \"hbar_build_steps\": {\n");
+  std::printf("    \"domain_log2\": %lld,\n",
+              static_cast<long long>(kStepsDomainLog2));
+  std::printf("    \"repeats\": %d,\n", kStepRepeats);
+  std::printf(
+      "    \"median_ms\": {\"counts\": %.3f, \"noise\": %.3f, "
+      "\"inference\": %.3f, \"prune\": %.3f, \"round\": %.3f, "
+      "\"leaf_state\": %.3f, \"whole_build\": %.3f}\n",
+      steps.counts, steps.noise, steps.inference, steps.prune, steps.round,
+      steps.leaf_state, steps.whole_build);
+  std::printf("  },\n");
   std::printf("  \"summary\": {\n");
   std::printf("    \"min_threads\": %d,\n", min_threads);
   std::printf("    \"max_threads\": %d,\n", max_threads);

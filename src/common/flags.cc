@@ -1,8 +1,12 @@
 #include "common/flags.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <string>
+
+#include "common/check.h"
 
 namespace dphist {
 namespace {
@@ -12,6 +16,15 @@ bool LooksLikeFlag(const std::string& arg) {
 }
 
 }  // namespace
+
+Status Flags::Malformed(const std::string& name, const std::string& env,
+                        const std::string& value, const char* what) const {
+  auto it = values_.find(name);
+  const bool from_flag = it != values_.end() && !it->second.empty();
+  return Status::InvalidArgument(
+      "--" + name + (from_flag ? "" : " (from " + env + ")") + ": \"" +
+      value + "\" is not " + what);
+}
 
 Flags Flags::Parse(int argc, const char* const* argv) {
   Flags flags;
@@ -55,18 +68,46 @@ std::string Flags::GetString(const std::string& name,
   return fallback;
 }
 
+Result<std::int64_t> Flags::ParseInt(const std::string& name,
+                                     std::int64_t fallback,
+                                     const std::string& env) const {
+  const std::string s = GetString(name, "", env);
+  if (s.empty()) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(s.c_str(), &end, 10);
+  if (end == s.c_str() || *end != '\0' || errno == ERANGE) {
+    return Malformed(name, env, s, "an integer in the int64 range");
+  }
+  return static_cast<std::int64_t>(value);
+}
+
+Result<double> Flags::ParseDouble(const std::string& name, double fallback,
+                                  const std::string& env) const {
+  const std::string s = GetString(name, "", env);
+  if (s.empty()) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(s.c_str(), &end);
+  if (end == s.c_str() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value)) {
+    return Malformed(name, env, s, "a finite number");
+  }
+  return value;
+}
+
 std::int64_t Flags::GetInt(const std::string& name, std::int64_t fallback,
                            const std::string& env) const {
-  std::string s = GetString(name, "", env);
-  if (s.empty()) return fallback;
-  return std::strtoll(s.c_str(), nullptr, 10);
+  Result<std::int64_t> value = ParseInt(name, fallback, env);
+  DPHIST_CHECK_MSG(value.ok(), value.status().message().c_str());
+  return value.value();
 }
 
 double Flags::GetDouble(const std::string& name, double fallback,
                         const std::string& env) const {
-  std::string s = GetString(name, "", env);
-  if (s.empty()) return fallback;
-  return std::strtod(s.c_str(), nullptr);
+  Result<double> value = ParseDouble(name, fallback, env);
+  DPHIST_CHECK_MSG(value.ok(), value.status().message().c_str());
+  return value.value();
 }
 
 bool Flags::GetBool(const std::string& name, bool fallback) const {

@@ -3,7 +3,8 @@
 // Supports --name=value and --name value forms plus boolean --name.
 // Positional arguments are collected. A caller that lists the flags it
 // reads (CheckKnown) turns a misspelt or retired flag into an error
-// instead of a silently ignored default.
+// instead of a silently ignored default, and a numeric value must parse
+// whole ("2x" or an out-of-range number is an error, never a truncation).
 // Values can also be supplied through environment variables (used by the
 // bench suite so `DPHIST_TRIALS=50 ./bench_...` restores the paper's full
 // protocol without editing commands).
@@ -38,10 +39,22 @@ class Flags {
                         const std::string& env = "") const;
 
   /// Integer value of the flag with env-var and fallback handling as above.
+  /// A value with trailing characters or outside the int64 range is an
+  /// InvalidArgument naming the flag (and the env var it came from).
+  Result<std::int64_t> ParseInt(const std::string& name,
+                                std::int64_t fallback,
+                                const std::string& env = "") const;
+
+  /// Double value, as ParseInt; the value must also be finite.
+  Result<double> ParseDouble(const std::string& name, double fallback,
+                             const std::string& env = "") const;
+
+  /// ParseInt for bench and example binaries: a malformed value aborts
+  /// with ParseInt's message.
   std::int64_t GetInt(const std::string& name, std::int64_t fallback,
                       const std::string& env = "") const;
 
-  /// Double value of the flag with env-var and fallback handling as above.
+  /// ParseDouble for bench and example binaries, aborting as GetInt.
   double GetDouble(const std::string& name, double fallback,
                    const std::string& env = "") const;
 
@@ -59,6 +72,11 @@ class Flags {
   const std::string& program() const { return program_; }
 
  private:
+  /// The error for a `value` of flag `name` that is not `what`; names
+  /// the env var when the value came from there.
+  Status Malformed(const std::string& name, const std::string& env,
+                   const std::string& value, const char* what) const;
+
   std::string program_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;

@@ -1,6 +1,7 @@
 #include "estimators/unattributed.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "inference/isotonic.h"
@@ -41,7 +42,7 @@ std::vector<double> ApplyUnattributedEstimator(
     case UnattributedEstimator::kSTildeRounded: {
       std::vector<double> sorted = noisy;
       std::sort(sorted.begin(), sorted.end());
-      return RoundToNonNegativeIntegers(sorted);
+      return RoundToNonNegativeIntegers(std::move(sorted));
     }
     case UnattributedEstimator::kSBar:
       return IsotonicRegression(noisy);

@@ -178,14 +178,17 @@ HBarEstimator::HBarEstimator(const Histogram& data,
     : domain_size_(data.size()), tree_(data.size(), options.branching) {
   HierarchicalQuery query(data.size(), options.branching);
   LaplaceMechanism mechanism(options.epsilon);
-  FinishConstruction(options, mechanism.AnswerQuery(query, data, rng));
+  nodes_ = mechanism.AnswerQuery(query, data, rng);
+  FinishConstruction(options);
 }
 
 HBarEstimator::HBarEstimator(std::int64_t domain_size,
                              const UniversalOptions& options,
                              const std::vector<double>& noisy_nodes)
-    : domain_size_(domain_size), tree_(domain_size, options.branching) {
-  FinishConstruction(options, noisy_nodes);
+    : domain_size_(domain_size),
+      tree_(domain_size, options.branching),
+      nodes_(noisy_nodes) {
+  FinishConstruction(options);
 }
 
 HBarEstimator::HBarEstimator(RestoreTag, std::int64_t domain_size,
@@ -224,19 +227,19 @@ Result<std::unique_ptr<HBarEstimator>> HBarEstimator::Restore(
                         options.branching));
 }
 
-void HBarEstimator::FinishConstruction(
-    const UniversalOptions& options, const std::vector<double>& noisy_nodes) {
+void HBarEstimator::FinishConstruction(const UniversalOptions& options) {
   DPHIST_CHECK_MSG(
-      noisy_nodes.size() == static_cast<std::size_t>(tree_.node_count()),
+      nodes_.size() == static_cast<std::size_t>(tree_.node_count()),
       "noisy node vector does not match the tree");
-  HierarchicalInferenceResult inference =
-      HierarchicalInference(tree_, noisy_nodes);
-  nodes_ = std::move(inference.node_estimates);
+  // Every pass rewrites nodes_ in place: noisy -> z -> h-bar -> pruned ->
+  // rounded.
+  nodes_ =
+      ConsistentEstimates(tree_, SubtreeEstimates(tree_, std::move(nodes_)));
   if (options.prune_nonpositive_subtrees) {
-    nodes_ = PruneNonPositiveSubtrees(tree_, nodes_);
+    nodes_ = PruneNonPositiveSubtrees(tree_, std::move(nodes_));
   }
   if (options.round_to_nonnegative_integers) {
-    nodes_ = RoundToNonNegativeIntegers(nodes_);
+    nodes_ = RoundToNonNegativeIntegers(std::move(nodes_));
   }
   ComputeLeafState();
 }

@@ -236,8 +236,9 @@ class HBarEstimator : public RangeCountEstimator {
   HBarEstimator(RestoreTag, std::int64_t domain_size,
                 std::vector<double> final_nodes, std::int64_t branching);
 
-  void FinishConstruction(const UniversalOptions& options,
-                          const std::vector<double>& noisy_nodes);
+  /// Runs inference and the configured post-processing on the noisy
+  /// counts in nodes_, then computes the leaf state.
+  void FinishConstruction(const UniversalOptions& options);
 
   /// The deterministic tail of construction shared with Restore:
   /// computes leaves_, prefix_, and consistent_ from nodes_.

@@ -2,11 +2,13 @@
 
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "common/check.h"
 #include "common/laplace.h"
 #include "inference/hierarchical.h"
 #include "inference/nonnegative_pruning.h"
+#include "query/hierarchical_query.h"
 
 namespace dphist {
 namespace {
@@ -36,18 +38,14 @@ std::vector<double> EvaluateQuadtreeCounts(const QuadtreeLayout& quad,
                                            const GridHistogram& data) {
   DPHIST_CHECK_MSG(data.rows() <= quad.side() && data.cols() <= quad.side(),
                    "grid does not fit the quadtree");
-  const TreeLayout& tree = quad.tree();
-  std::vector<double> counts(static_cast<std::size_t>(tree.node_count()),
+  std::vector<double> counts(static_cast<std::size_t>(quad.node_count()),
                              0.0);
   for (std::int64_t r = 0; r < data.rows(); ++r) {
     for (std::int64_t c = 0; c < data.cols(); ++c) {
       counts[static_cast<std::size_t>(quad.LeafNode(r, c))] = data.At(r, c);
     }
   }
-  for (std::int64_t v = tree.node_count() - 1; v > 0; --v) {
-    counts[static_cast<std::size_t>(tree.Parent(v))] +=
-        counts[static_cast<std::size_t>(v)];
-  }
+  FillInternalCounts(quad.tree(), &counts);
   return counts;
 }
 
@@ -116,34 +114,33 @@ Quad2dBarEstimator::Quad2dBarEstimator(const GridHistogram& data,
       quad_(data.rows(), data.cols()) {
   DPHIST_CHECK(rng != nullptr);
   DPHIST_CHECK_MSG(options.epsilon > 0.0, "epsilon must be positive");
-  std::vector<double> noisy = EvaluateQuadtreeCounts(quad_, data);
+  nodes_ = EvaluateQuadtreeCounts(quad_, data);
   LaplaceDistribution noise(static_cast<double>(quad_.height()) /
                             options.epsilon);
-  for (double& v : noisy) v += noise.Sample(rng);
-  FinishConstruction(options, noisy);
+  noise.AddSamplesTo(nodes_.data(), nodes_.size(), rng);
+  FinishConstruction(options);
 }
 
 Quad2dBarEstimator::Quad2dBarEstimator(std::int64_t rows, std::int64_t cols,
                                        const Universal2dOptions& options,
                                        const std::vector<double>& noisy_nodes)
-    : rows_(rows), cols_(cols), quad_(rows, cols) {
-  FinishConstruction(options, noisy_nodes);
+    : rows_(rows), cols_(cols), quad_(rows, cols), nodes_(noisy_nodes) {
+  FinishConstruction(options);
 }
 
 void Quad2dBarEstimator::FinishConstruction(
-    const Universal2dOptions& options,
-    const std::vector<double>& noisy_nodes) {
-  DPHIST_CHECK_MSG(noisy_nodes.size() ==
+    const Universal2dOptions& options) {
+  DPHIST_CHECK_MSG(nodes_.size() ==
                        static_cast<std::size_t>(quad_.node_count()),
                    "noisy node vector does not match the quadtree");
-  HierarchicalInferenceResult inference =
-      HierarchicalInference(quad_.tree(), noisy_nodes);
-  nodes_ = std::move(inference.node_estimates);
+  const TreeLayout& tree = quad_.tree();
+  nodes_ =
+      ConsistentEstimates(tree, SubtreeEstimates(tree, std::move(nodes_)));
   if (options.prune_nonpositive_subtrees) {
-    nodes_ = PruneNonPositiveSubtrees(quad_.tree(), nodes_);
+    nodes_ = PruneNonPositiveSubtrees(tree, std::move(nodes_));
   }
   if (options.round_to_nonnegative_integers) {
-    nodes_ = RoundToNonNegativeIntegers(nodes_);
+    nodes_ = RoundToNonNegativeIntegers(std::move(nodes_));
   }
 }
 

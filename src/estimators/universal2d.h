@@ -117,8 +117,9 @@ class Quad2dBarEstimator : public RectCountEstimator {
   const std::vector<double>& node_estimates() const { return nodes_; }
 
  private:
-  void FinishConstruction(const Universal2dOptions& options,
-                          const std::vector<double>& noisy_nodes);
+  /// Runs inference and the configured post-processing on the noisy
+  /// counts in nodes_.
+  void FinishConstruction(const Universal2dOptions& options);
 
   std::int64_t rows_;
   std::int64_t cols_;

@@ -6,70 +6,75 @@
 #include "common/check.h"
 
 namespace dphist {
+namespace {
+
+void CheckNodeVector(const TreeLayout& tree,
+                     const std::vector<double>& values) {
+  DPHIST_CHECK_MSG(
+      values.size() == static_cast<std::size_t>(tree.node_count()),
+      "noisy vector size must equal the tree's node count");
+}
+
+}  // namespace
 
 HierarchicalInferenceResult HierarchicalInference(
     const TreeLayout& tree, const std::vector<double>& noisy) {
-  DPHIST_CHECK_MSG(
-      noisy.size() == static_cast<std::size_t>(tree.node_count()),
-      "noisy vector size must equal the tree's node count");
-  const std::int64_t k = tree.branching();
-  const std::int64_t m = tree.node_count();
-  const std::int64_t height = tree.height();
-
-  // Per-depth weights: a node at depth d has height l = height - d.
-  // alpha[l] multiplies the node's own noisy count, beta[l] the children
-  // sum. Precomputing avoids k^l recomputation per node.
-  std::vector<double> alpha(static_cast<std::size_t>(height) + 1, 0.0);
-  std::vector<double> beta(static_cast<std::size_t>(height) + 1, 0.0);
-  double k_pow = static_cast<double>(k);  // k^1
-  for (std::int64_t l = 2; l <= height; ++l) {
-    double k_lm1 = k_pow;  // k^(l-1)
-    k_pow *= static_cast<double>(k);
-    double denom = k_pow - 1.0;
-    alpha[static_cast<std::size_t>(l)] = (k_pow - k_lm1) / denom;
-    beta[static_cast<std::size_t>(l)] = (k_lm1 - 1.0) / denom;
-  }
-
   HierarchicalInferenceResult result;
-  result.subtree_estimates.assign(noisy.begin(), noisy.end());
-  std::vector<double>& z = result.subtree_estimates;
-
-  // Bottom-up z pass. Children have larger ids, so iterate ids descending.
-  // Leaves keep z[v] = h~[v] from the copy above.
-  for (std::int64_t v = m - 1; v >= 0; --v) {
-    if (tree.IsLeaf(v)) continue;
-    std::int64_t l = height - tree.Depth(v);
-    double child_sum = 0.0;
-    std::int64_t first = tree.FirstChild(v);
-    for (std::int64_t c = 0; c < k; ++c) {
-      child_sum += z[static_cast<std::size_t>(first + c)];
-    }
-    z[static_cast<std::size_t>(v)] =
-        alpha[static_cast<std::size_t>(l)] * noisy[static_cast<std::size_t>(v)] +
-        beta[static_cast<std::size_t>(l)] * child_sum;
-  }
-
-  // Top-down h pass.
-  std::vector<double>& h = result.node_estimates;
-  h.assign(z.begin(), z.end());
-  for (std::int64_t u = 0; u < m; ++u) {
-    if (tree.IsLeaf(u)) continue;
-    double child_z_sum = 0.0;
-    std::int64_t first = tree.FirstChild(u);
-    for (std::int64_t c = 0; c < k; ++c) {
-      child_z_sum += z[static_cast<std::size_t>(first + c)];
-    }
-    double adjustment =
-        (h[static_cast<std::size_t>(u)] - child_z_sum) / static_cast<double>(k);
-    for (std::int64_t c = 0; c < k; ++c) {
-      // h[child] starts at z[child] (from the copy) and receives the
-      // parent's correction; parents are processed before children because
-      // BFS ids increase with depth.
-      h[static_cast<std::size_t>(first + c)] =
-          z[static_cast<std::size_t>(first + c)] + adjustment;
-    }
-  }
+  result.subtree_estimates = SubtreeEstimates(tree, noisy);
+  result.node_estimates = ConsistentEstimates(tree, result.subtree_estimates);
   return result;
+}
+
+std::vector<double> SubtreeEstimates(const TreeLayout& tree,
+                                     std::vector<double> noisy) {
+  CheckNodeVector(tree, noisy);
+  const std::int64_t k = tree.branching();
+  double* z = noisy.data();
+  // Leaves keep z[v] = h~[v]. A node at depth d has height l = height - d;
+  // alpha multiplies its own noisy count and beta its children's z sum.
+  // The weights advance with l as the pass climbs: k_pow is k^(l-1) on
+  // entry to each level.
+  double k_pow = static_cast<double>(k);
+  for (std::int64_t d = tree.height() - 2; d >= 0; --d) {
+    const double k_lm1 = k_pow;
+    k_pow *= static_cast<double>(k);
+    const double denom = k_pow - 1.0;
+    const double alpha = (k_pow - k_lm1) / denom;
+    const double beta = (k_lm1 - 1.0) / denom;
+    double* level = z + tree.LevelStart(d);
+    const double* children = z + tree.LevelStart(d + 1);
+    const std::int64_t size = tree.LevelSize(d);
+    for (std::int64_t i = 0; i < size; ++i) {
+      const double* child = children + i * k;
+      double child_sum = 0.0;
+      for (std::int64_t c = 0; c < k; ++c) child_sum += child[c];
+      level[i] = alpha * level[i] + beta * child_sum;
+    }
+  }
+  return noisy;
+}
+
+std::vector<double> ConsistentEstimates(
+    const TreeLayout& tree, std::vector<double> subtree_estimates) {
+  CheckNodeVector(tree, subtree_estimates);
+  const std::int64_t k = tree.branching();
+  double* h = subtree_estimates.data();
+  // h[root] = z[root]. Levels descend, so a parent already holds h when
+  // its children, still holding z, receive its correction.
+  for (std::int64_t d = 0; d + 1 < tree.height(); ++d) {
+    const double* level = h + tree.LevelStart(d);
+    double* children = h + tree.LevelStart(d + 1);
+    const std::int64_t size = tree.LevelSize(d);
+    for (std::int64_t i = 0; i < size; ++i) {
+      double* child = children + i * k;
+      double child_z_sum = 0.0;
+      for (std::int64_t c = 0; c < k; ++c) child_z_sum += child[c];
+      const double adjustment =
+          (level[i] - child_z_sum) / static_cast<double>(k);
+      for (std::int64_t c = 0; c < k; ++c) child[c] += adjustment;
+    }
+  }
+  return subtree_estimates;
 }
 
 std::vector<double> LeafEstimates(const TreeLayout& tree,
@@ -78,28 +83,28 @@ std::vector<double> LeafEstimates(const TreeLayout& tree,
   DPHIST_CHECK(node_estimates.size() ==
                static_cast<std::size_t>(tree.node_count()));
   DPHIST_CHECK(domain_size >= 1 && domain_size <= tree.leaf_count());
-  std::vector<double> leaves(static_cast<std::size_t>(domain_size));
-  for (std::int64_t pos = 0; pos < domain_size; ++pos) {
-    leaves[static_cast<std::size_t>(pos)] =
-        node_estimates[static_cast<std::size_t>(tree.LeafNode(pos))];
-  }
-  return leaves;
+  const auto leaves =
+      node_estimates.begin() + tree.LevelStart(tree.height() - 1);
+  return std::vector<double>(leaves, leaves + domain_size);
 }
 
 double MaxConsistencyViolation(const TreeLayout& tree,
                                const std::vector<double>& node_values) {
   DPHIST_CHECK(node_values.size() ==
                static_cast<std::size_t>(tree.node_count()));
+  const std::int64_t k = tree.branching();
+  const double* values = node_values.data();
   double worst = 0.0;
-  for (std::int64_t v = 0; v < tree.node_count(); ++v) {
-    if (tree.IsLeaf(v)) continue;
-    double child_sum = 0.0;
-    std::int64_t first = tree.FirstChild(v);
-    for (std::int64_t c = 0; c < tree.branching(); ++c) {
-      child_sum += node_values[static_cast<std::size_t>(first + c)];
+  for (std::int64_t d = 0; d + 1 < tree.height(); ++d) {
+    const double* level = values + tree.LevelStart(d);
+    const double* children = values + tree.LevelStart(d + 1);
+    const std::int64_t size = tree.LevelSize(d);
+    for (std::int64_t i = 0; i < size; ++i) {
+      const double* child = children + i * k;
+      double child_sum = 0.0;
+      for (std::int64_t c = 0; c < k; ++c) child_sum += child[c];
+      worst = std::max(worst, std::abs(level[i] - child_sum));
     }
-    worst = std::max(
-        worst, std::abs(node_values[static_cast<std::size_t>(v)] - child_sum));
   }
   return worst;
 }

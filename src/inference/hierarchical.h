@@ -23,6 +23,11 @@
 // The result is the least-squares (OLS) estimate of every node count
 // (Theorem 4: minimal MSE among linear unbiased estimators), computed in
 // O(m) instead of the O(n^3) of a dense solve.
+//
+// Both passes run level by level over a BFS node vector: the children of
+// the i-th node at depth d are the k consecutive nodes starting at
+// LevelStart(d + 1) + i * k. Each pass rewrites its input vector in
+// place, so a caller that owns the noisy counts infers with no scratch.
 
 #ifndef DPHIST_INFERENCE_HIERARCHICAL_H_
 #define DPHIST_INFERENCE_HIERARCHICAL_H_
@@ -49,8 +54,20 @@ struct HierarchicalInferenceResult {
 HierarchicalInferenceResult HierarchicalInference(
     const TreeLayout& tree, const std::vector<double>& noisy);
 
-/// Extracts the first `domain_size` leaf estimates (dropping padding) from
-/// a node-estimate vector.
+/// The bottom-up z pass alone: takes the noisy counts h~ (BFS order,
+/// tree.node_count() entries) and returns the subtree estimates z in the
+/// same vector. Children are summed first to last. Pass an rvalue to
+/// infer without a copy.
+std::vector<double> SubtreeEstimates(const TreeLayout& tree,
+                                     std::vector<double> noisy);
+
+/// The top-down h pass alone: takes the z vector and returns h-bar in the
+/// same vector, adding each parent's correction to its children's z.
+std::vector<double> ConsistentEstimates(const TreeLayout& tree,
+                                        std::vector<double> subtree_estimates);
+
+/// Copies the first `domain_size` leaf estimates (dropping padding) out of
+/// the contiguous leaf level of a node-estimate vector.
 std::vector<double> LeafEstimates(const TreeLayout& tree,
                                   const std::vector<double>& node_estimates,
                                   std::int64_t domain_size);

@@ -17,17 +17,17 @@
 
 namespace dphist {
 
-/// Returns a copy of `node_estimates` where every subtree rooted at a node
-/// with estimate <= 0 is zeroed (the root of the subtree and all of its
-/// descendants).
+/// Returns `node_estimates` (BFS order) with every subtree rooted at a
+/// node with estimate <= 0 set to +0.0: the root of the subtree and all of
+/// its descendants. Works in the vector it is given: pass an rvalue to
+/// prune without a copy.
 std::vector<double> PruneNonPositiveSubtrees(
-    const TreeLayout& tree, const std::vector<double>& node_estimates);
+    const TreeLayout& tree, std::vector<double> node_estimates);
 
 /// Componentwise round to the nearest non-negative integer — the
 /// integrality/non-negativity post-processing Section 5.2 applies to every
-/// estimator before measuring error.
-std::vector<double> RoundToNonNegativeIntegers(
-    const std::vector<double>& values);
+/// estimator before measuring error. Works in the vector it is given.
+std::vector<double> RoundToNonNegativeIntegers(std::vector<double> values);
 
 }  // namespace dphist
 

@@ -8,6 +8,8 @@
 #ifndef DPHIST_QUERY_HIERARCHICAL_QUERY_H_
 #define DPHIST_QUERY_HIERARCHICAL_QUERY_H_
 
+#include <vector>
+
 #include "query/query_sequence.h"
 #include "tree/tree_layout.h"
 
@@ -42,6 +44,12 @@ class HierarchicalQuery : public QuerySequence {
   std::int64_t domain_size_;
   TreeLayout tree_;
 };
+
+/// Sets every internal node of `counts` (BFS order over `tree`) to the sum
+/// of its children, deepest level first, so each node ends up holding the
+/// total of its leaves. The leaf level must already hold the leaf counts.
+/// Children are added last to first, starting from 0.0.
+void FillInternalCounts(const TreeLayout& tree, std::vector<double>* counts);
 
 }  // namespace dphist
 

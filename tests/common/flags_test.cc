@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <string>
 
 namespace dphist {
 namespace {
@@ -59,6 +61,56 @@ TEST(FlagsTest, EnvironmentFallback) {
   Flags g = ParseArgs({"prog", "--trials=5"});
   EXPECT_EQ(g.GetInt("trials", 1, "DPHIST_TEST_FLAG_ENV"), 5);
   ::unsetenv("DPHIST_TEST_FLAG_ENV");
+}
+
+TEST(FlagsTest, NumbersMustParseWhole) {
+  Flags f = ParseArgs({"prog", "--listen", "abc", "--epsilon", "1x",
+                       "--shards=2x", "--lo", "-3", "--scale", "+2.5e-1"});
+  for (const char* name : {"listen", "shards"}) {
+    Result<std::int64_t> value = f.ParseInt(name, 0);
+    ASSERT_FALSE(value.ok()) << name;
+    EXPECT_EQ(value.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(value.status().message().find(std::string("--") + name + ":"),
+              std::string::npos)
+        << value.status().message();
+  }
+  Result<double> epsilon = f.ParseDouble("epsilon", 0.0);
+  ASSERT_FALSE(epsilon.ok());
+  EXPECT_NE(epsilon.status().message().find("--epsilon: \"1x\""),
+            std::string::npos)
+      << epsilon.status().message();
+  EXPECT_EQ(f.ParseInt("lo", 0).value(), -3);
+  EXPECT_DOUBLE_EQ(f.ParseDouble("scale", 0.0).value(), 0.25);
+  EXPECT_EQ(f.ParseInt("absent", 9).value(), 9);
+}
+
+TEST(FlagsTest, OutOfRangeNumbersAreRefused) {
+  Flags f = ParseArgs({"prog", "--seed", "99999999999999999999", "--min",
+                       "-9223372036854775808", "--big", "1e999", "--tiny",
+                       "1e-400", "--inf", "inf", "--nan", "nan"});
+  EXPECT_FALSE(f.ParseInt("seed", 0).ok());
+  EXPECT_EQ(f.ParseInt("min", 0).value(), INT64_MIN);
+  for (const char* name : {"big", "tiny", "inf", "nan"}) {
+    EXPECT_FALSE(f.ParseDouble(name, 1.0).ok()) << name;
+  }
+}
+
+TEST(FlagsTest, EnvironmentValuesAreCheckedToo) {
+  ::setenv("DPHIST_TEST_FLAG_ENV", "7x", 1);
+  Flags f = ParseArgs({"prog"});
+  Result<std::int64_t> trials = f.ParseInt("trials", 1, "DPHIST_TEST_FLAG_ENV");
+  ::unsetenv("DPHIST_TEST_FLAG_ENV");
+  ASSERT_FALSE(trials.ok());
+  EXPECT_NE(trials.status().message().find(
+                "--trials (from DPHIST_TEST_FLAG_ENV): \"7x\""),
+            std::string::npos)
+      << trials.status().message();
+}
+
+TEST(FlagsDeathTest, GetIntAbortsOnAMalformedValue) {
+  Flags f = ParseArgs({"prog", "--trials", "5x", "--epsilon", "0.1y"});
+  EXPECT_DEATH(f.GetInt("trials", 1), "--trials: \"5x\"");
+  EXPECT_DEATH(f.GetDouble("epsilon", 1.0), "--epsilon: \"0.1y\"");
 }
 
 TEST(FlagsTest, FlagFollowedByFlagKeepsBoth) {

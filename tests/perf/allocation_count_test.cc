@@ -2,8 +2,9 @@
 // global operator new/delete with counting versions and asserts that
 // answering ranges — scalar or batched, on all three universal
 // estimators and on the raw tree visitor — performs zero heap
-// allocations per query. Kept out of dphist_tests so the instrumentation
-// cannot interfere with unrelated suites.
+// allocations per query. It also counts requested bytes, to bound what
+// one H-bar build asks for. Kept out of dphist_tests so the
+// instrumentation cannot interfere with unrelated suites.
 
 #include <gtest/gtest.h>
 
@@ -24,19 +25,25 @@
 
 namespace {
 std::atomic<std::size_t> g_allocation_count{0};
+std::atomic<std::size_t> g_allocated_bytes{0};
+/// Requests of at least kLargeRequest bytes: node-sized buffers.
+std::atomic<std::size_t> g_large_allocation_count{0};
+constexpr std::size_t kLargeRequest = 512 * 1024;
+
+void* CountedMalloc(std::size_t size) {
+  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
+  if (size >= kLargeRequest) {
+    g_large_allocation_count.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size)) return p;
+  throw std::bad_alloc();
+}
 }  // namespace
 
-void* operator new(std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
+void* operator new(std::size_t size) { return CountedMalloc(size); }
 
-void* operator new[](std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
+void* operator new[](std::size_t size) { return CountedMalloc(size); }
 
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -53,6 +60,24 @@ std::size_t AllocationsDuring(Fn&& fn) {
   const std::size_t before = g_allocation_count.load();
   fn();
   return g_allocation_count.load() - before;
+}
+
+/// What one call of `fn` requested from the heap.
+struct Requests {
+  std::size_t bytes = 0;
+  std::size_t large_buffers = 0;
+};
+
+/// Runs `fn` once as warm-up, then again while counting requested bytes
+/// and large buffers.
+template <typename Fn>
+Requests RequestsDuring(Fn&& fn) {
+  fn();
+  const std::size_t bytes = g_allocated_bytes.load();
+  const std::size_t large = g_large_allocation_count.load();
+  fn();
+  return {g_allocated_bytes.load() - bytes,
+          g_large_allocation_count.load() - large};
 }
 
 std::vector<Interval> FixedWorkload(std::int64_t domain_size) {
@@ -252,6 +277,28 @@ TEST(ServiceAllocationTest, EngineBatchesAreAllocationFreeOnceWarm) {
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(answered, 2u);
+}
+
+TEST(BuildAllocationTest, DefaultHBarBuildWorksInOneNodeBuffer) {
+  // serve's default release at n = 2^16: k = 2, round+prune, 131 071
+  // nodes (1 MiB). Counts, noise, inference, pruning and rounding all
+  // rewrite one node buffer; the leaf level (512 KiB) and its prefix
+  // table (512 KiB) are the only other node-sized requests. A pass that
+  // copies the node vector again adds a 1 MiB buffer and fails here.
+  constexpr std::int64_t kDomain = 1 << 16;
+  Rng data_rng(3);
+  const Histogram data = Histogram::FromCounts(
+      ZipfCounts(kDomain, 1.2, 4 * kDomain, &data_rng));
+  const UniversalOptions options;
+  ASSERT_TRUE(options.round_to_nonnegative_integers);
+  ASSERT_TRUE(options.prune_nonpositive_subtrees);
+  Rng rng(9);
+  const Requests requests = RequestsDuring([&] {
+    HBarEstimator h_bar(data, options, &rng);
+    EXPECT_EQ(h_bar.node_estimates().size(), 131071u);
+  });
+  EXPECT_LE(requests.large_buffers, 3u);
+  EXPECT_LE(requests.bytes, static_cast<std::size_t>(2.1 * (1 << 20)));
 }
 
 TEST_F(EstimatorAllocationTest, LegacyDecomposeRangeStillAllocates) {

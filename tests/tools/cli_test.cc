@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -17,10 +18,10 @@ namespace dphist::cli {
 namespace {
 
 int RunMainWithInput(const std::string& input,
-                     std::initializer_list<const char*> args,
+                     const std::vector<const char*>& args,
                      std::string* out_text, std::string* err_text) {
   std::vector<const char*> argv = {"dphist_cli"};
-  argv.insert(argv.end(), args);
+  argv.insert(argv.end(), args.begin(), args.end());
   std::istringstream in(input);
   std::ostringstream out, err;
   int code = Main(static_cast<int>(argv.size()), argv.data(), in, out, err);
@@ -311,6 +312,72 @@ TEST(CliTest, EveryCommandChecksItsFlagsFirst) {
     EXPECT_EQ(RunMain({command, "--bogus", "1"}, &out, &err), 1);
     EXPECT_NE(err.find("unknown flag --bogus"), std::string::npos) << err;
   }
+}
+
+TEST(CliTest, MalformedNumbersAreRefusedBeforeAnyEffect) {
+  // A numeric flag must parse whole. Truncating "abc" to 0 or "2x" to 2
+  // would bind an ephemeral port or serve at settings nobody asked for,
+  // so each row must fail naming its flag, before any publish, bind or
+  // write.
+  const std::string data_path = TempPath("cli_malformed_data.csv");
+  const std::string out_path = TempPath("cli_malformed_out.csv");
+  const std::string state_dir = TempPath("cli_malformed_state");
+  const std::string queries_path = TempPath("cli_malformed_queries.txt");
+  std::string out, err;
+  ASSERT_EQ(RunMain({"generate", "--dataset", "social", "--output",
+                     data_path.c_str(), "--size", "64"},
+                    &out, &err),
+            0)
+      << err;
+  std::remove(out_path.c_str());
+  std::filesystem::remove_all(state_dir);
+  const char* data = data_path.c_str();
+  const char* output = out_path.c_str();
+  struct Row {
+    std::vector<const char*> args;
+    const char* flag;
+  };
+  const Row rows[] = {
+      {{"serve", "--input", data, "--epsilon", "1", "--listen", "abc"},
+       "--listen"},
+      {{"serve", "--input", data, "--epsilon", "1x", "--listen", "0"},
+       "--epsilon"},
+      {{"serve", "--input", data, "--epsilon", "1", "--listen", "0",
+        "--shards", "2x"},
+       "--shards"},
+      {{"serve", "--input", data, "--epsilon", "1", "--listen", "0",
+        "--state-dir", state_dir.c_str(), "--seed", "99999999999999999999"},
+       "--seed"},
+      {{"serve", "--input", data, "--epsilon", "1", "--listen", "0",
+        "--epsilon-budget", "nan"},
+       "--epsilon-budget"},
+      {{"generate", "--dataset", "social", "--output", output, "--size",
+        "5x"},
+       "--size"},
+      {{"release-universal", "--input", data, "--output", output,
+        "--epsilon", "1e999"},
+       "--epsilon"},
+      {{"release-sorted", "--input", data, "--output", output, "--epsilon",
+        "1", "--seed", "-"},
+       "--seed"},
+      {{"query", "--release", data, "--lo", "0", "--hi", "3.5"}, "--hi"},
+      {{"plan", "--queries", queries_path.c_str(), "--domain", "64",
+        "--epsilon", "1", "--max-shards", "8x"},
+       "--max-shards"},
+      {{"client", "--port", "80x"}, "--port"},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(row.args[0]) + " " + row.flag);
+    EXPECT_EQ(RunMainWithInput("", row.args, &out, &err), 1);
+    EXPECT_EQ(out, "");
+    EXPECT_NE(err.find(std::string("error: InvalidArgument: ") + row.flag +
+                       ": "),
+              std::string::npos)
+        << err;
+  }
+  EXPECT_FALSE(std::filesystem::exists(out_path));
+  EXPECT_FALSE(std::filesystem::exists(state_dir));
+  std::remove(data_path.c_str());
 }
 
 TEST(CliTest, PlanGoldenOutput) {

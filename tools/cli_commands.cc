@@ -98,6 +98,34 @@ Status RequireFlag(const Flags& flags, const std::string& name) {
   return Status::Ok();
 }
 
+/// Parses the integer flag `name` (`fallback` when absent) into *out.
+Status ReadInt(const Flags& flags, const std::string& name,
+               std::int64_t fallback, std::int64_t* out) {
+  Result<std::int64_t> value = flags.ParseInt(name, fallback);
+  if (!value.ok()) return value.status();
+  *out = value.value();
+  return Status::Ok();
+}
+
+/// Parses the numeric flag `name` (`fallback` when absent) into *out.
+Status ReadDouble(const Flags& flags, const std::string& name,
+                  double fallback, double* out) {
+  Result<double> value = flags.ParseDouble(name, fallback);
+  if (!value.ok()) return value.status();
+  *out = value.value();
+  return Status::Ok();
+}
+
+/// The first error among `parsed`, each the Status of one ReadInt or
+/// ReadDouble; commands parse every number before they read, write,
+/// publish or bind anything.
+Status FirstError(std::initializer_list<Status> parsed) {
+  for (const Status& status : parsed) {
+    if (!status.ok()) return status;
+  }
+  return Status::Ok();
+}
+
 /// Parses a comma-separated strategy list ("ltilde,hbar").
 Result<std::vector<StrategyKind>> ParseStrategiesList(
     const std::string& csv) {
@@ -123,7 +151,8 @@ Result<std::vector<StrategyKind>> ParseStrategiesList(
 /// Shared `plan`/`serve` planner knobs from flags.
 Status FillPlannerOptions(const Flags& flags,
                           planner::PlannerOptions* options) {
-  options->max_shards = flags.GetInt("max-shards", 64);
+  Status parsed = ReadInt(flags, "max-shards", 64, &options->max_shards);
+  if (!parsed.ok()) return parsed;
   if (options->max_shards < 1) {
     return Status::InvalidArgument("max-shards must be >= 1");
   }
@@ -152,9 +181,11 @@ Status RunGenerate(const Flags& flags, std::ostream& out) {
   }
   std::string dataset = flags.GetString("dataset", "");
   std::string output = flags.GetString("output", "");
-  std::uint64_t seed =
-      static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  std::int64_t size = flags.GetInt("size", 0);
+  std::int64_t seed = 42;
+  std::int64_t size = 0;
+  Status parsed = FirstError({ReadInt(flags, "seed", 42, &seed),
+                              ReadInt(flags, "size", 0, &size)});
+  if (!parsed.ok()) return parsed;
 
   Histogram data = Histogram::FromCounts({0});
   if (dataset == "nettrace") {
@@ -163,17 +194,17 @@ Status RunGenerate(const Flags& flags, std::ostream& out) {
       config.num_hosts = size;
       config.num_connections = size * 5;
     }
-    config.seed = seed;
+    config.seed = static_cast<std::uint64_t>(seed);
     data = GenerateNetTrace(config);
   } else if (dataset == "social") {
     SocialNetworkConfig config;
     if (size > 0) config.num_nodes = size;
-    config.seed = seed;
+    config.seed = static_cast<std::uint64_t>(seed);
     data = GenerateSocialNetworkDegrees(config);
   } else if (dataset == "searchlogs") {
     TemporalSeriesConfig config;
     if (size > 0) config.num_slots = size;
-    config.seed = seed;
+    config.seed = static_cast<std::uint64_t>(seed);
     data = GenerateTemporalSeries(config);
   } else {
     return Status::InvalidArgument("unknown dataset: " + dataset);
@@ -193,22 +224,26 @@ Status RunReleaseUniversal(const Flags& flags, std::ostream& out) {
     Status s = RequireFlag(flags, required);
     if (!s.ok()) return s;
   }
+  UniversalOptions options;
+  std::int64_t seed = 42;
+  Status parsed =
+      FirstError({ReadDouble(flags, "epsilon", 1.0, &options.epsilon),
+                  ReadInt(flags, "branching", 2, &options.branching),
+                  ReadInt(flags, "seed", 42, &seed)});
+  if (!parsed.ok()) return parsed;
   auto data = LoadHistogramCsv(flags.GetString("input", ""));
   if (!data.ok()) return data.status();
 
-  UniversalOptions options;
-  options.epsilon = flags.GetDouble("epsilon", 1.0);
   if (options.epsilon <= 0.0) {
     return Status::InvalidArgument("epsilon must be positive");
   }
-  options.branching = flags.GetInt("branching", 2);
   if (options.branching < 2) {
     return Status::InvalidArgument("branching must be >= 2");
   }
   options.prune_nonpositive_subtrees = !flags.GetBool("no-prune", false);
   options.round_to_nonnegative_integers = !flags.GetBool("no-round", false);
 
-  Rng rng(static_cast<std::uint64_t>(flags.GetInt("seed", 42)));
+  Rng rng(static_cast<std::uint64_t>(seed));
   HBarEstimator estimator(data.value(), options, &rng);
   Histogram release(estimator.leaf_estimates(),
                     data.value().domain().attribute());
@@ -228,13 +263,17 @@ Status RunReleaseSorted(const Flags& flags, std::ostream& out) {
     Status s = RequireFlag(flags, required);
     if (!s.ok()) return s;
   }
+  double epsilon = 1.0;
+  std::int64_t seed = 42;
+  Status parsed = FirstError({ReadDouble(flags, "epsilon", 1.0, &epsilon),
+                              ReadInt(flags, "seed", 42, &seed)});
+  if (!parsed.ok()) return parsed;
   auto data = LoadHistogramCsv(flags.GetString("input", ""));
   if (!data.ok()) return data.status();
-  double epsilon = flags.GetDouble("epsilon", 1.0);
   if (epsilon <= 0.0) {
     return Status::InvalidArgument("epsilon must be positive");
   }
-  Rng rng(static_cast<std::uint64_t>(flags.GetInt("seed", 42)));
+  Rng rng(static_cast<std::uint64_t>(seed));
   std::vector<double> noisy =
       SampleNoisySortedCounts(data.value(), epsilon, &rng);
   std::vector<double> sbar =
@@ -255,10 +294,13 @@ Status RunQuery(const Flags& flags, std::ostream& out) {
     Status s = RequireFlag(flags, required);
     if (!s.ok()) return s;
   }
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  Status parsed = FirstError(
+      {ReadInt(flags, "lo", 0, &lo), ReadInt(flags, "hi", 0, &hi)});
+  if (!parsed.ok()) return parsed;
   auto release = LoadHistogramCsv(flags.GetString("release", ""));
   if (!release.ok()) return release.status();
-  std::int64_t lo = flags.GetInt("lo", 0);
-  std::int64_t hi = flags.GetInt("hi", 0);
   if (lo > hi || lo < 0 || hi >= release.value().size()) {
     return Status::OutOfRange("query range out of bounds");
   }
@@ -293,46 +335,57 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
     Status s = RequireFlag(flags, "queries");
     if (!s.ok()) return s;
   }
+  SnapshotOptions options;
+  QueryServiceOptions service_options;
+  runtime::EpochManagerOptions manager_options;
+  std::int64_t seed = 42;
+  std::int64_t port = 0;
+  std::int64_t max_sessions = 0;
+  std::int64_t workers = 2;
+  Status parsed = FirstError(
+      {ReadDouble(flags, "epsilon", 1.0, &options.epsilon),
+       ReadInt(flags, "branching", 2, &options.branching),
+       ReadInt(flags, "shards", 1, &options.shards),
+       ReadInt(flags, "build-threads", 1, &options.build_threads),
+       ReadInt(flags, "reservoir", 0, &service_options.observed_reservoir),
+       ReadInt(flags, "replan-every", 0, &manager_options.replan_every),
+       ReadDouble(flags, "replan-drift", 0.0, &manager_options.drift_ratio),
+       ReadInt(flags, "drift-check-every", 256,
+               &manager_options.drift_check_every),
+       ReadDouble(flags, "epsilon-budget", 0.0,
+                  &manager_options.epsilon_budget),
+       ReadInt(flags, "seed", 42, &seed), ReadInt(flags, "listen", 0, &port),
+       ReadInt(flags, "max-sessions", 0, &max_sessions),
+       ReadInt(flags, "workers", 2, &workers)});
+  if (!parsed.ok()) return parsed;
   auto data = LoadHistogramCsv(flags.GetString("input", ""));
   if (!data.ok()) return data.status();
   const std::int64_t n = data.value().size();
 
-  SnapshotOptions options;
-  options.epsilon = flags.GetDouble("epsilon", 1.0);
   if (options.epsilon <= 0.0) {
     return Status::InvalidArgument("epsilon must be positive");
   }
   auto strategy = ParseStrategyKind(flags.GetString("strategy", "hbar"));
   if (!strategy.ok()) return strategy.status();
   options.strategy = strategy.value();
-  options.branching = flags.GetInt("branching", 2);
   if (options.branching < 2) {
     return Status::InvalidArgument("branching must be >= 2");
   }
-  options.shards = flags.GetInt("shards", 1);
   if (options.shards < 1) {
     return Status::InvalidArgument("shards must be >= 1");
   }
   options.round_to_nonnegative_integers = !flags.GetBool("no-round", false);
   options.prune_nonpositive_subtrees = !flags.GetBool("no-prune", false);
-  options.build_threads = flags.GetInt("build-threads", 1);
 
-  QueryServiceOptions service_options;
-  service_options.observed_reservoir = flags.GetInt("reservoir", 0);
   if (service_options.observed_reservoir < 0) {
     return Status::InvalidArgument("reservoir must be >= 0");
   }
   Status planner_status = FillPlannerOptions(flags, &service_options.planner);
   if (!planner_status.ok()) return planner_status;
 
-  runtime::EpochManagerOptions manager_options;
   manager_options.base = options;
   manager_options.planner = service_options.planner;
-  manager_options.replan_every = flags.GetInt("replan-every", 0);
-  manager_options.drift_ratio = flags.GetDouble("replan-drift", 0.0);
-  manager_options.drift_check_every = flags.GetInt("drift-check-every", 256);
   manager_options.async = !flags.GetBool("replan-sync", false);
-  manager_options.epsilon_budget = flags.GetDouble("epsilon-budget", 0.0);
   if (manager_options.replan_every < 0 ||
       manager_options.drift_ratio < 0.0 ||
       manager_options.drift_check_every < 1 ||
@@ -354,9 +407,8 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
   }
 
   QueryService service(service_options);
-  runtime::EpochManager manager(
-      &service, data.value(), manager_options,
-      static_cast<std::uint64_t>(flags.GetInt("seed", 42)));
+  runtime::EpochManager manager(&service, data.value(), manager_options,
+                                static_cast<std::uint64_t>(seed));
   runtime::SessionWriter writer(out);
 
   // With a state directory, recovery runs first: a restored snapshot is
@@ -385,20 +437,19 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
     // accepted connections into streaming sessions over this one
     // service + manager. Each connection greets and reports on its own
     // socket; `out` only carries the listener lifecycle lines.
-    runtime::TransportOptions transport_options;
-    transport_options.port = static_cast<int>(flags.GetInt("listen", 0));
-    if (transport_options.port < 0 || transport_options.port > 65535) {
+    if (port < 0 || port > 65535) {
       return Status::InvalidArgument("listen port must be in [0, 65535]");
     }
-    transport_options.max_sessions = flags.GetInt("max-sessions", 0);
-    if (transport_options.max_sessions < 0) {
+    if (max_sessions < 0) {
       return Status::InvalidArgument("max-sessions must be >= 0");
     }
-    transport_options.workers =
-        static_cast<int>(flags.GetInt("workers", 2));
-    if (transport_options.workers < 1) {
-      return Status::InvalidArgument("workers must be >= 1");
+    if (workers < 1 || workers > std::numeric_limits<int>::max()) {
+      return Status::InvalidArgument("workers must be in [1, 2^31 - 1]");
     }
+    runtime::TransportOptions transport_options;
+    transport_options.port = static_cast<int>(port);
+    transport_options.max_sessions = max_sessions;
+    transport_options.workers = static_cast<int>(workers);
     transport_options.bind_addr =
         flags.GetString("bind-addr", "127.0.0.1");
     transport_options.auth_token = flags.GetString("auth-token", "");
@@ -718,7 +769,9 @@ Status RunClient(const Flags& flags, std::istream& in, std::ostream& out) {
   if (!known.ok()) return known;
   Status s = RequireFlag(flags, "port");
   if (!s.ok()) return s;
-  const int port = static_cast<int>(flags.GetInt("port", 0));
+  std::int64_t port = 0;
+  s = ReadInt(flags, "port", 0, &port);
+  if (!s.ok()) return s;
   if (port < 1 || port > 65535) {
     return Status::InvalidArgument("port must be in [1, 65535]");
   }
@@ -739,9 +792,11 @@ Status RunClient(const Flags& flags, std::istream& in, std::ostream& out) {
   }
 
   if (flags.GetBool("binary", false)) {
-    return RunBinaryClientSession(host, port, auth_token, lines, out);
+    return RunBinaryClientSession(host, static_cast<int>(port), auth_token,
+                                  lines, out);
   }
-  return RunTextClientSession(host, port, auth_token, lines, out);
+  return RunTextClientSession(host, static_cast<int>(port), auth_token, lines,
+                              out);
 }
 
 Status RunPlan(const Flags& flags, std::ostream& out) {
@@ -753,25 +808,27 @@ Status RunPlan(const Flags& flags, std::ostream& out) {
     Status s = RequireFlag(flags, required);
     if (!s.ok()) return s;
   }
+  SnapshotOptions base;
   std::int64_t n = 0;
+  Status parsed =
+      FirstError({ReadInt(flags, "domain", 0, &n),
+                  ReadDouble(flags, "epsilon", 1.0, &base.epsilon),
+                  ReadInt(flags, "branching", 2, &base.branching)});
+  if (!parsed.ok()) return parsed;
   if (flags.Has("input")) {
     auto data = LoadHistogramCsv(flags.GetString("input", ""));
     if (!data.ok()) return data.status();
     n = data.value().size();
   } else if (flags.Has("domain")) {
-    n = flags.GetInt("domain", 0);
     if (n < 1) return Status::InvalidArgument("domain must be >= 1");
   } else {
     return Status::InvalidArgument(
         "plan needs --input (histogram CSV) or --domain (size)");
   }
 
-  SnapshotOptions base;
-  base.epsilon = flags.GetDouble("epsilon", 1.0);
   if (base.epsilon <= 0.0) {
     return Status::InvalidArgument("epsilon must be positive");
   }
-  base.branching = flags.GetInt("branching", 2);
   if (base.branching < 2) {
     return Status::InvalidArgument("branching must be >= 2");
   }
