@@ -22,8 +22,9 @@
 // HBarEstimator runs over its node buffer, each the median of
 // kStepRepeats runs, so a publish-latency change can be placed in one
 // step: counts, Laplace noise, inference (z and h passes), prune,
-// round, leaf state (leaf copy, prefix table and consistency check, as
-// Restore runs them), and the whole constructor.
+// round, leaf state (leaf copy and the streamed consistency check, plus
+// the prefix table for a consistent tree, as Restore runs them), and the
+// whole constructor.
 //
 // Flags (DPHIST_* env equivalents): --domain-log2, --strategy,
 // --branching, --epsilon, --shards, --threads-list (comma separated),

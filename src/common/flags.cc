@@ -110,12 +110,13 @@ double Flags::GetDouble(const std::string& name, double fallback,
   return value.value();
 }
 
-bool Flags::GetBool(const std::string& name, bool fallback) const {
+Result<bool> Flags::ParseBool(const std::string& name, bool fallback) const {
   auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   const std::string& v = it->second;
   if (v.empty() || v == "true" || v == "1" || v == "yes") return true;
-  return false;
+  if (v == "false" || v == "0" || v == "no") return false;
+  return Malformed(name, "", v, "a boolean (true/false, 1/0, yes/no)");
 }
 
 Status Flags::CheckKnown(

@@ -3,8 +3,10 @@
 // Supports --name=value and --name value forms plus boolean --name.
 // Positional arguments are collected. A caller that lists the flags it
 // reads (CheckKnown) turns a misspelt or retired flag into an error
-// instead of a silently ignored default, and a numeric value must parse
-// whole ("2x" or an out-of-range number is an error, never a truncation).
+// instead of a silently ignored default, a numeric value must parse
+// whole ("2x" or an out-of-range number is an error, never a truncation),
+// and a boolean value must be one of its spellings ("on" is an error,
+// never a silent false).
 // Values can also be supplied through environment variables (used by the
 // bench suite so `DPHIST_TRIALS=50 ./bench_...` restores the paper's full
 // protocol without editing commands).
@@ -58,8 +60,10 @@ class Flags {
   double GetDouble(const std::string& name, double fallback,
                    const std::string& env = "") const;
 
-  /// Boolean value; a bare `--name` means true, `--name=false` means false.
-  bool GetBool(const std::string& name, bool fallback) const;
+  /// Boolean value, `fallback` when absent. A bare `--name`, `true`, `1`
+  /// or `yes` means true; `false`, `0` or `no` means false. Any other
+  /// value is an InvalidArgument naming the flag, as ParseInt's are.
+  Result<bool> ParseBool(const std::string& name, bool fallback) const;
 
   /// InvalidArgument naming the first supplied flag (in name order) that
   /// is not in `known`; Ok when every supplied flag is known.

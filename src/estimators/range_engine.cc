@@ -18,6 +18,14 @@ std::vector<double> RangeCountEstimator::RangeCounts(
   return out;
 }
 
+std::vector<double> LeafPrefixSums(const std::vector<double>& leaves) {
+  std::vector<double> prefix(leaves.size() + 1, 0.0);
+  for (std::size_t i = 0; i < leaves.size(); ++i) {
+    prefix[i + 1] = prefix[i] + leaves[i];
+  }
+  return prefix;
+}
+
 std::vector<Interval> RandomRangesOfSize(std::int64_t domain_size,
                                          std::int64_t size,
                                          std::int64_t count, Rng* rng) {

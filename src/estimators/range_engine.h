@@ -28,6 +28,12 @@ struct PrefixAnswerView {
   bool round_final_answer = false;
 };
 
+/// The prefix table a PrefixAnswerView points at: prefix[0] = 0 and
+/// prefix[i + 1] = prefix[i] + leaves[i], folded left to right. Every
+/// prefix-served estimator builds its table with this one fold, so a
+/// restored release reproduces the original's answers bit for bit.
+std::vector<double> LeafPrefixSums(const std::vector<double>& leaves);
+
 /// Anything that can answer c([x, y]) from a privately derived state.
 class RangeCountEstimator {
  public:

@@ -15,14 +15,6 @@
 namespace dphist {
 namespace {
 
-std::vector<double> PrefixSums(const std::vector<double>& values) {
-  std::vector<double> prefix(values.size() + 1, 0.0);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    prefix[i + 1] = prefix[i] + values[i];
-  }
-  return prefix;
-}
-
 double PrefixRangeSum(const std::vector<double>& prefix,
                       const Interval& range) {
   DPHIST_CHECK_MSG(
@@ -38,28 +30,6 @@ double RoundAnswer(double answer, bool enabled) {
   return answer <= 0.0 ? 0.0 : std::round(answer);
 }
 
-/// Shared validation behind the Create factories: everything the plain
-/// constructors CHECK, as a Status. `needs_tree` adds the hierarchical
-/// strategies' branching requirement.
-Status ValidateUniversalBuild(const Histogram& data,
-                              const UniversalOptions& options, Rng* rng,
-                              bool needs_tree) {
-  if (rng == nullptr) {
-    return Status::InvalidArgument("universal estimator needs an RNG");
-  }
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  if (data.size() < 1) {
-    return Status::InvalidArgument(
-        "universal estimator needs a non-empty domain");
-  }
-  if (needs_tree && options.branching < 2) {
-    return Status::InvalidArgument("branching must be >= 2");
-  }
-  return Status::Ok();
-}
-
 }  // namespace
 
 LTildeEstimator::LTildeEstimator(const Histogram& data,
@@ -68,22 +38,14 @@ LTildeEstimator::LTildeEstimator(const Histogram& data,
   UnitQuery query(data.size());
   LaplaceMechanism mechanism(options.epsilon);
   leaves_ = mechanism.AnswerQuery(query, data, rng);
-  prefix_ = PrefixSums(leaves_);
+  prefix_ = LeafPrefixSums(leaves_);
 }
 
 LTildeEstimator::LTildeEstimator(const UniversalOptions& options,
                                  std::vector<double> leaves)
     : round_answers_(options.round_to_nonnegative_integers),
       leaves_(std::move(leaves)) {
-  prefix_ = PrefixSums(leaves_);
-}
-
-Result<std::unique_ptr<LTildeEstimator>> LTildeEstimator::Create(
-    const Histogram& data, const UniversalOptions& options, Rng* rng) {
-  Status valid = ValidateUniversalBuild(data, options, rng,
-                                        /*needs_tree=*/false);
-  if (!valid.ok()) return valid;
-  return std::make_unique<LTildeEstimator>(data, options, rng);
+  prefix_ = LeafPrefixSums(leaves_);
 }
 
 Result<std::unique_ptr<LTildeEstimator>> LTildeEstimator::Restore(
@@ -126,14 +88,6 @@ HTildeEstimator::HTildeEstimator(std::int64_t domain_size,
   DPHIST_CHECK_MSG(
       nodes_.size() == static_cast<std::size_t>(tree_.node_count()),
       "noisy node vector does not match the tree");
-}
-
-Result<std::unique_ptr<HTildeEstimator>> HTildeEstimator::Create(
-    const Histogram& data, const UniversalOptions& options, Rng* rng) {
-  Status valid = ValidateUniversalBuild(data, options, rng,
-                                        /*needs_tree=*/true);
-  if (!valid.ok()) return valid;
-  return std::make_unique<HTildeEstimator>(data, options, rng);
 }
 
 Result<std::unique_ptr<HTildeEstimator>> HTildeEstimator::Restore(
@@ -200,14 +154,6 @@ HBarEstimator::HBarEstimator(RestoreTag, std::int64_t domain_size,
   ComputeLeafState();
 }
 
-Result<std::unique_ptr<HBarEstimator>> HBarEstimator::Create(
-    const Histogram& data, const UniversalOptions& options, Rng* rng) {
-  Status valid = ValidateUniversalBuild(data, options, rng,
-                                        /*needs_tree=*/true);
-  if (!valid.ok()) return valid;
-  return std::make_unique<HBarEstimator>(data, options, rng);
-}
-
 Result<std::unique_ptr<HBarEstimator>> HBarEstimator::Restore(
     std::int64_t domain_size, const UniversalOptions& options,
     std::vector<double> final_nodes) {
@@ -252,39 +198,44 @@ void HBarEstimator::ComputeLeafState() {
   // leaf prefix sums, which equals the decomposition answer iff every
   // node that could appear in a decomposition agrees with the sum of its
   // leaf descendants. Verify exactly that, node by node against the
-  // prefix array — a per-parent tolerance would let tiny violations
+  // prefix sums — a per-parent tolerance would let tiny violations
   // compound over a subtree, this per-node check cannot: any range's two
   // answers then differ by at most (decomposition size) * tolerance.
   // Only nodes fully inside the real (unpadded) domain matter: a
   // decomposition of an in-domain range never touches padding.
-  prefix_ = PrefixSums(leaves_);
   double max_abs = 0.0;
   for (double v : nodes_) max_abs = std::max(max_abs, std::abs(v));
   const double tolerance = 1e-9 * std::max(1.0, max_abs);
+
+  // One left-to-right fold of the leaves yields every prefix sum the
+  // table would hold, bit for bit. A node's range ends where the fold
+  // stands when the node closes, and starts where the previous node of
+  // its level closed, so each level keeps one saved boundary sum. Leaf
+  // `p` closes its leaf node and every ancestor whose last leaf it is.
+  const std::int64_t leaf_depth = tree_.height() - 1;
+  std::vector<double> level_start_sum(static_cast<std::size_t>(tree_.height()),
+                                      0.0);
+  double sum = 0.0;
   consistent_ = true;
-  std::int64_t width = tree_.leaf_count();
-  for (std::int64_t depth = 0; depth < tree_.height() && consistent_;
-       ++depth) {
-    const std::int64_t level_start = tree_.LevelStart(depth);
-    const std::int64_t level_size = tree_.LevelSize(depth);
-    for (std::int64_t i = 0; i < level_size; ++i) {
-      const std::int64_t lo = i * width;
-      if (lo + width > domain_size_) break;  // rest of level hits padding
-      const double from_prefix =
-          prefix_[static_cast<std::size_t>(lo + width)] -
-          prefix_[static_cast<std::size_t>(lo)];
-      if (std::abs(nodes_[static_cast<std::size_t>(level_start + i)] -
-                   from_prefix) > tolerance) {
+  for (std::int64_t p = 0; p < domain_size_ && consistent_; ++p) {
+    sum += leaves_[static_cast<std::size_t>(p)];
+    std::int64_t depth = leaf_depth;
+    std::int64_t index = p;  // the closing node's index in its level
+    while (true) {
+      double& start = level_start_sum[static_cast<std::size_t>(depth)];
+      const double node =
+          nodes_[static_cast<std::size_t>(tree_.LevelStart(depth) + index)];
+      if (std::abs(node - (sum - start)) > tolerance) {
         consistent_ = false;
         break;
       }
+      start = sum;
+      if (depth == 0 || (index + 1) % tree_.branching() != 0) break;
+      index /= tree_.branching();
+      --depth;
     }
-    width /= tree_.branching();
   }
-  if (!consistent_) {
-    prefix_.clear();
-    prefix_.shrink_to_fit();
-  }
+  if (consistent_) prefix_ = LeafPrefixSums(leaves_);
 }
 
 double HBarEstimator::DecompositionAnswer(const Interval& range) const {

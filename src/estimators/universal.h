@@ -14,6 +14,12 @@
 // equals one interaction with the private data — and then answers any
 // number of ranges as pure post-processing. Following Section 5.2, all
 // estimators round to non-negative integers (configurable).
+//
+// The drawing constructors CHECK their inputs (positive epsilon, an RNG,
+// a non-empty domain, branching >= 2 for the trees). The serving layer
+// reaches them only through Snapshot::Build, which refuses bad release
+// options as a Status before any shard exists; the Restore factories
+// validate persisted state, which comes from outside the process.
 
 #ifndef DPHIST_ESTIMATORS_UNIVERSAL_H_
 #define DPHIST_ESTIMATORS_UNIVERSAL_H_
@@ -57,12 +63,6 @@ class LTildeEstimator : public RangeCountEstimator {
   LTildeEstimator(const Histogram& data, const UniversalOptions& options,
                   Rng* rng);
 
-  /// Validating construction for serving paths: invalid options or a
-  /// missing RNG become a Status instead of aborting the process. The
-  /// plain constructor keeps its CHECKs for the experiment binaries.
-  static Result<std::unique_ptr<LTildeEstimator>> Create(
-      const Histogram& data, const UniversalOptions& options, Rng* rng);
-
   /// Rebuilds the estimator from a persisted leaf vector (the
   /// SerializableState of a previous construction): the prefix table is
   /// recomputed by the same deterministic fold, so every answer is
@@ -105,11 +105,6 @@ class HTildeEstimator : public RangeCountEstimator {
  public:
   HTildeEstimator(const Histogram& data, const UniversalOptions& options,
                   Rng* rng);
-
-  /// Validating construction for serving paths (see LTilde::Create);
-  /// additionally rejects branching < 2.
-  static Result<std::unique_ptr<HTildeEstimator>> Create(
-      const Histogram& data, const UniversalOptions& options, Rng* rng);
 
   /// Builds from an existing noisy node vector (so experiments can feed
   /// H~ and H-bar the *same* draw).
@@ -162,18 +157,14 @@ class HTildeEstimator : public RangeCountEstimator {
 /// Performance: construction detects whether the final node estimates are
 /// exactly consistent (they are whenever pruning and rounding leave the
 /// inference output untouched). If so, every decomposition answer equals
-/// a difference of two leaf prefix sums, so RangeCount runs in O(1);
-/// otherwise it falls back to the allocation-free O(k log_k n)
-/// decomposition walk. Both paths allocate nothing per query.
+/// a difference of two leaf prefix sums, so RangeCount runs in O(1) off a
+/// prefix table built for that case alone; otherwise it falls back to the
+/// allocation-free O(k log_k n) decomposition walk. Both paths allocate
+/// nothing per query.
 class HBarEstimator : public RangeCountEstimator {
  public:
   HBarEstimator(const Histogram& data, const UniversalOptions& options,
                 Rng* rng);
-
-  /// Validating construction for serving paths (see LTilde::Create);
-  /// additionally rejects branching < 2.
-  static Result<std::unique_ptr<HBarEstimator>> Create(
-      const Histogram& data, const UniversalOptions& options, Rng* rng);
 
   /// Builds from an existing noisy node vector (so experiments can feed
   /// H~ and H-bar the *same* draw). `noisy_nodes` must match the tree of
@@ -241,7 +232,8 @@ class HBarEstimator : public RangeCountEstimator {
   void FinishConstruction(const UniversalOptions& options);
 
   /// The deterministic tail of construction shared with Restore:
-  /// computes leaves_, prefix_, and consistent_ from nodes_.
+  /// computes leaves_ and consistent_ from nodes_, and prefix_ only when
+  /// the tree is consistent.
   void ComputeLeafState();
 
   /// Non-virtual decomposition walk shared by the fallback paths and
@@ -253,6 +245,7 @@ class HBarEstimator : public RangeCountEstimator {
   std::vector<double> nodes_;
   std::vector<double> leaves_;
   /// prefix_[i] = sum of leaves_[0..i); drives the O(1) answer path.
+  /// Empty unless consistent_.
   std::vector<double> prefix_;
   bool consistent_ = false;
 };

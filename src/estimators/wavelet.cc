@@ -16,14 +16,6 @@ std::int64_t PadToPowerOfTwo(std::int64_t n) {
   return p;
 }
 
-std::vector<double> PrefixSums(const std::vector<double>& values) {
-  std::vector<double> prefix(values.size() + 1, 0.0);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    prefix[i + 1] = prefix[i] + values[i];
-  }
-  return prefix;
-}
-
 }  // namespace
 
 std::vector<double> HaarTransform(const std::vector<double>& values) {
@@ -116,7 +108,7 @@ WaveletEstimator::WaveletEstimator(const Histogram& data,
   std::vector<double> reconstructed = InverseHaarTransform(coefficients);
   leaves_.assign(reconstructed.begin(),
                  reconstructed.begin() + domain_size_);
-  prefix_ = PrefixSums(leaves_);
+  prefix_ = LeafPrefixSums(leaves_);
 }
 
 WaveletEstimator::WaveletEstimator(const WaveletOptions& options,
@@ -125,21 +117,7 @@ WaveletEstimator::WaveletEstimator(const WaveletOptions& options,
       domain_size_(static_cast<std::int64_t>(leaves.size())),
       padded_size_(PadToPowerOfTwo(static_cast<std::int64_t>(leaves.size()))),
       leaves_(std::move(leaves)) {
-  prefix_ = PrefixSums(leaves_);
-}
-
-Result<std::unique_ptr<WaveletEstimator>> WaveletEstimator::Create(
-    const Histogram& data, const WaveletOptions& options, Rng* rng) {
-  if (rng == nullptr) {
-    return Status::InvalidArgument("wavelet estimator needs an RNG");
-  }
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  if (data.size() < 1) {
-    return Status::InvalidArgument("wavelet estimator needs a non-empty domain");
-  }
-  return std::make_unique<WaveletEstimator>(data, options, rng);
+  prefix_ = LeafPrefixSums(leaves_);
 }
 
 Result<std::unique_ptr<WaveletEstimator>> WaveletEstimator::Restore(

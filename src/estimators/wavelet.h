@@ -61,14 +61,11 @@ struct WaveletOptions {
 /// Privelet-style epsilon-DP range-count estimator.
 class WaveletEstimator : public RangeCountEstimator {
  public:
+  /// Draws the noise; CHECKs an RNG and a positive epsilon. The serving
+  /// layer reaches it only through Snapshot::Build, which refuses bad
+  /// release options as a Status first.
   WaveletEstimator(const Histogram& data, const WaveletOptions& options,
                    Rng* rng);
-
-  /// Validating construction for serving paths: invalid options or a
-  /// missing RNG become a Status instead of aborting the process. The
-  /// plain constructor keeps its CHECKs for the experiment binaries.
-  static Result<std::unique_ptr<WaveletEstimator>> Create(
-      const Histogram& data, const WaveletOptions& options, Rng* rng);
 
   /// Rebuilds the estimator from persisted reconstructed leaves: padding
   /// geometry and the prefix table are recomputed deterministically, so

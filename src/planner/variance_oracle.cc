@@ -47,10 +47,8 @@ Result<VarianceOracle> VarianceOracle::Create(
     const SnapshotOptions& options, std::int64_t domain_size) {
   Status valid = ValidateOracleConfig(options, domain_size);
   if (!valid.ok()) return valid;
-  const std::int64_t requested = std::min(options.shards, domain_size);
-  const std::int64_t shard_width =
-      (domain_size + requested - 1) / requested;
-  return VarianceOracle(options, domain_size, shard_width);
+  return VarianceOracle(options, domain_size,
+                        ShardWidth(domain_size, options.shards));
 }
 
 VarianceOracle::VarianceOracle(const SnapshotOptions& options,
@@ -58,8 +56,7 @@ VarianceOracle::VarianceOracle(const SnapshotOptions& options,
     : options_(options), domain_size_(domain_size) {
   Status valid = ValidateOracleConfig(options, domain_size);
   DPHIST_CHECK_MSG(valid.ok(), valid.message().c_str());
-  const std::int64_t requested = std::min(options_.shards, domain_size_);
-  shard_width_ = (domain_size_ + requested - 1) / requested;
+  shard_width_ = ShardWidth(domain_size_, options_.shards);
 }
 
 double VarianceOracle::RangeVariance(const Interval& range) const {

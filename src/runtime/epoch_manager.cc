@@ -82,7 +82,6 @@ void EpochManager::RollbackCharge(bool logged, std::uint64_t wal_offset) {
     Status rolled = accountant_.RollbackLast();
     DPHIST_CHECK_MSG(rolled.ok(), "rollback of a fresh charge failed");
     stats_.epsilon_spent = accountant_.spent();
-    stats_.spend_rollbacks += 1;
   }
   if (logged && options_.store != nullptr) {
     // Best-effort: if the truncation itself fails, the WAL over-counts
@@ -211,7 +210,6 @@ Result<ReplanOutcome> EpochManager::PublishInitial(
   {
     MutexLock lock(mutex_);
     stats_.republishes += 1;
-    SnapshotCostCacheStatsLocked();
     count_at_last_publish_ = service_->observed_query_count();
     count_at_last_drift_check_ = count_at_last_publish_;
   }
@@ -344,18 +342,8 @@ ReplanOutcome EpochManager::ExecuteReplan(ReplanTrigger trigger) {
   return outcome;
 }
 
-void EpochManager::SnapshotCostCacheStatsLocked() {
-  // Safe without further synchronization: the cache is only mutated by
-  // the busy-token holder, which is the thread calling this.
-  const planner::IncrementalCostModel::Stats& cache = cost_cache_.stats();
-  stats_.cost_evaluations = cache.evaluations;
-  stats_.cost_lengths_costed = cache.lengths_costed;
-  stats_.cost_lengths_reused = cache.lengths_reused;
-}
-
 void EpochManager::RecordLocked(const ReplanOutcome& outcome,
                                 SubscriberId skip) {
-  SnapshotCostCacheStatsLocked();
   if (outcome.republished) {
     stats_.republishes += 1;
     switch (outcome.trigger) {

@@ -209,15 +209,6 @@ class EpochManager {
     std::uint64_t failures = 0;       // attempts that errored
     std::uint64_t budget_refusals = 0;
     std::uint64_t recoveries = 0;     // successful Recover() calls
-    /// Charges rolled back (memory + WAL) because the publish they paid
-    /// for failed before becoming visible.
-    std::uint64_t spend_rollbacks = 0;
-    /// Incremental cost-cache counters (IncrementalCostModel::Stats):
-    /// candidate costings served by re-running the variance oracle vs.
-    /// re-weighting memoized per-length variance vectors.
-    std::uint64_t cost_evaluations = 0;
-    std::uint64_t cost_lengths_costed = 0;
-    std::uint64_t cost_lengths_reused = 0;
     /// Announcements evicted from a subscriber queue that outgrew
     /// kMaxQueuedPerSubscriber (a session that stopped polling).
     std::uint64_t announcements_dropped = 0;
@@ -279,15 +270,10 @@ class EpochManager {
   void FinishNotifierCall() DPHIST_EXCLUDES(mutex_);
 
   /// Records the outcome in stats_ and broadcasts it to every
-  /// subscriber queue except `skip`. Needs the busy token too: it
-  /// snapshots the cost cache, which only the token holder may touch.
+  /// subscriber queue except `skip`.
   void RecordLocked(const ReplanOutcome& outcome,
                     SubscriberId skip = kNoSubscriber)
-      DPHIST_REQUIRES(mutex_, busy_cap_);
-
-  /// Copies cost_cache_.stats() into stats_. Must be called by the
-  /// busy-token holder (the only cache mutator).
-  void SnapshotCostCacheStatsLocked() DPHIST_REQUIRES(mutex_, busy_cap_);
+      DPHIST_REQUIRES(mutex_);
 
   /// Next publish seed from the deterministic stream.
   std::uint64_t NextSeedLocked() DPHIST_REQUIRES(mutex_);

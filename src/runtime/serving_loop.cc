@@ -49,14 +49,12 @@ Result<std::uint64_t> SessionExecutor::AnswerBatch(
     const Interval* ranges, std::size_t count, std::vector<double>* answers) {
   Result<std::uint64_t> answered = AnswerInto(ranges, count, answers);
   if (!answered.ok()) return answered;
-  summary_.commands += 1;
   summary_.batches += 1;
   return answered;
 }
 
 Status SessionExecutor::Execute(const SessionCommand& command,
                                 bool interactive) {
-  summary_.commands += 1;
   switch (command.verb) {
     case SessionVerb::kQuery:
       return AnswerRun(command.ranges.data(), command.ranges.size());
@@ -142,7 +140,6 @@ void SessionExecutor::ReportOutcome(const ReplanOutcome& outcome) {
 
 std::string SessionExecutor::StatsText() {
   std::shared_ptr<const Snapshot> snap = service_.snapshot();
-  const QueryService::SwapStats swaps = service_.swap_stats();
   const EpochManager::Stats lifecycle = manager_.stats();
   std::ostringstream text;
   text.precision(6);
@@ -151,7 +148,7 @@ std::string SessionExecutor::StatsText() {
        << (snap != nullptr ? StrategyKindName(snap->strategy()) : "none")
        << " shards=" << (snap != nullptr ? snap->shard_count() : 0)
        << " queries=" << service_.observed_query_count()
-       << " publishes=" << swaps.publishes
+       << " publishes=" << lifecycle.republishes
        << " replans=" << (lifecycle.manual + lifecycle.every +
                           lifecycle.drift)
        << " drift_checks=" << lifecycle.drift_checks
@@ -201,7 +198,6 @@ Result<SessionSummary> RunStreamingSession(std::istream& in,
     Result<SessionCommand> command = reader.Next();
     if (!command.ok()) {
       // An interactive typo should not kill a server mid-session.
-      executor.summary().parse_errors += 1;
       writer.Error(command.status());
       writer.Flush();
       continue;
@@ -241,7 +237,6 @@ Result<SessionSummary> RunScriptedSession(
       while (j < script.size() && script[j].verb == SessionVerb::kQuery) {
         run.insert(run.end(), script[j].ranges.begin(),
                    script[j].ranges.end());
-        executor.summary().commands += 1;
         ++j;
       }
       Status status = executor.AnswerRun(run.data(), run.size());

@@ -40,9 +40,7 @@ namespace dphist::runtime {
 /// per-session `stats` fields (multi-tenant debugging: which tenant
 /// sends the most traffic, which never saw a republish).
 struct SessionSummary {
-  std::uint64_t queries = 0;       // ranges answered
-  std::uint64_t commands = 0;      // commands executed (incl. stats/replan)
-  std::uint64_t parse_errors = 0;  // malformed lines survived (interactive)
+  std::uint64_t queries = 0;           // ranges answered
   std::uint64_t replans_reported = 0;  // "# planned ..." lines / PLAN frames
   std::uint64_t last_epoch = 0;        // epoch of the last answered batch
   std::uint64_t batches = 0;     // qb commands / binary QUERY frames

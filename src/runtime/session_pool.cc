@@ -190,7 +190,6 @@ struct Conn {
   bool saw_eof = false;
   std::int64_t line_number = 0;
   std::uint64_t write_errors = 0;
-  bool peer_reset = false;
   bool auth_failed = false;
   Status session_status = Status::Ok();
   std::int64_t domain_size = 0;
@@ -503,7 +502,6 @@ class ConnDriver {
     Result<bool> parsed =
         ParseSessionLine(line, c.domain_size, c.line_number, &command);
     if (!parsed.ok()) {
-      c.executor->summary().parse_errors += 1;
       c.writer.Error(parsed.status());
       MoveStaging(c);
       return true;
@@ -597,7 +595,6 @@ class ConnDriver {
           c.close_after_flush = true;
           return false;
         }
-        c.executor->summary().commands += 1;
         wire::EncodeStatsText(id, c.executor->StatsText(), &c.outbuf);
         return true;
       }
@@ -607,7 +604,6 @@ class ConnDriver {
           c.close_after_flush = true;
           return false;
         }
-        c.executor->summary().commands += 1;
         Result<ReplanOutcome> outcome = c.executor->ManualReplan();
         if (!outcome.ok()) {
           wire::EncodeError(id, wire::WireError::kFailed,
@@ -682,7 +678,6 @@ void SessionPool::WorkerLoop(Worker& worker) {
       if (n < 0) {
         if (errno == EINTR) continue;
         if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-        if (errno == ECONNRESET || errno == EPIPE) c.peer_reset = true;
         c.write_errors += 1;
         return false;
       }
@@ -700,7 +695,6 @@ void SessionPool::WorkerLoop(Worker& worker) {
     if (c.executor != nullptr) done.summary = c.executor->summary();
     done.status = c.session_status;
     done.write_errors = c.write_errors;
-    done.peer_reset = c.peer_reset;
     done.auth_failed = c.auth_failed;
     done.binary = c.phase == Conn::Phase::kBinary;
     worker.poller.Forget(c.fd);
@@ -755,7 +749,6 @@ void SessionPool::WorkerLoop(Worker& worker) {
       Conn& c = *it->second;
 
       if (ready.error) {
-        c.peer_reset = true;
         close_conn(ready.fd);
         continue;
       }
@@ -795,7 +788,6 @@ void SessionPool::WorkerLoop(Worker& worker) {
           }
           if (errno == EINTR) continue;
           if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-          if (errno == ECONNRESET) c.peer_reset = true;
           dead = true;
           break;
         }

@@ -64,7 +64,6 @@ struct SessionDone {
   /// protocol violation, refused auth handshake).
   Status status = Status::Ok();
   std::uint64_t write_errors = 0;
-  bool peer_reset = false;
   bool auth_failed = false;
   bool binary = false;  // negotiated the frame protocol
 };

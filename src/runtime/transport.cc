@@ -300,7 +300,6 @@ Status SocketServer::Start() {
       stats_.batches += done.summary.batches;
       stats_.replans_announced += done.summary.replans_reported;
       stats_.write_errors += done.write_errors;
-      if (done.peer_reset) stats_.peer_resets += 1;
       if (done.auth_failed) {
         stats_.auth_failures += 1;
       } else if (done.binary) {

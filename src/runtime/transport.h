@@ -249,7 +249,6 @@ class SocketServer {
     std::uint64_t text_sessions = 0;      // completed line-text sessions
     std::uint64_t binary_sessions = 0;    // completed frame sessions
     std::uint64_t write_errors = 0;    // flushes that lost output bytes
-    std::uint64_t peer_resets = 0;     // sessions ended by ECONNRESET
   };
   Stats stats() const;
 

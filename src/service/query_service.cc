@@ -99,11 +99,6 @@ std::shared_ptr<const Snapshot> QueryService::CommitPublish(
   }
   publish_cv_.NotifyOne();
   pending.service_ = nullptr;  // token released; Abandon must not re-release
-  {
-    MutexLock stats_lock(swap_stats_mutex_);
-    swap_stats_.publishes += 1;
-    swap_stats_.last_epoch = epoch;
-  }
   return std::move(pending.snapshot_);
 }
 
@@ -249,11 +244,6 @@ std::uint64_t QueryService::current_epoch() const {
   std::shared_ptr<const Snapshot> snap =
       snapshot_.load(std::memory_order_acquire);
   return snap == nullptr ? 0 : snap->epoch();
-}
-
-QueryService::SwapStats QueryService::swap_stats() const {
-  MutexLock lock(swap_stats_mutex_);
-  return swap_stats_;
 }
 
 }  // namespace dphist

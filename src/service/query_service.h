@@ -165,7 +165,7 @@ class QueryService : public RetiredCacheCounters {
       const planner::WorkloadProfile* workload = nullptr);
 
   /// The second half of Publish: atomically swaps the pending snapshot
-  /// in and records the swap stats. Returns the now-current snapshot.
+  /// in. Returns the now-current snapshot.
   std::shared_ptr<const Snapshot> CommitPublish(PendingPublish pending);
 
   /// Installs a snapshot recovered from durable storage as the current
@@ -220,13 +220,6 @@ class QueryService : public RetiredCacheCounters {
   /// Epoch of the current snapshot; 0 before the first Publish.
   std::uint64_t current_epoch() const;
 
-  /// Publish/swap lifecycle counters for the runtime's stats surface.
-  struct SwapStats {
-    std::uint64_t publishes = 0;        // successful snapshot swaps
-    std::uint64_t last_epoch = 0;       // epoch of the latest swap
-  };
-  SwapStats swap_stats() const;
-
  private:
   /// Blocks until no other publish is in flight and takes the publish
   /// token; returns the epoch the next publish will use (stable while
@@ -262,10 +255,6 @@ class QueryService : public RetiredCacheCounters {
   /// CommitPublish or PendingPublish::Abandon.
   bool publishing_ DPHIST_GUARDED_BY(publish_mutex_) = false;
   std::uint64_t last_epoch_ DPHIST_GUARDED_BY(publish_mutex_) = 0;
-  /// Guards swap_stats_ alone — a stats read must never wait on a
-  /// publish in flight.
-  mutable Mutex swap_stats_mutex_;
-  SwapStats swap_stats_ DPHIST_GUARDED_BY(swap_stats_mutex_);
   std::atomic<std::shared_ptr<const Snapshot>> snapshot_;
   /// observed_lengths_[s][b] counts answered queries with
   /// 2^b <= length < 2^(b+1) recorded by stripe s; relaxed increments

@@ -20,52 +20,65 @@ Histogram SliceHistogram(const Histogram& data, std::int64_t lo,
   return Histogram(std::move(slice), data.domain().attribute());
 }
 
-/// Serving-path shard construction: every failure (including a
-/// StrategyKind no case handles, which older revisions CHECK-aborted
-/// on) is a Status the session layer can surface as an error line. The
-/// validating Create factories re-check the per-shard inputs, so a
-/// corrupted slice can never abort a live server.
-Result<std::unique_ptr<RangeCountEstimator>> BuildShard(
-    const Histogram& shard_data, const SnapshotOptions& options, Rng* rng) {
+UniversalOptions UniversalOptionsOf(const SnapshotOptions& options) {
   UniversalOptions universal;
   universal.epsilon = options.epsilon;
   universal.branching = options.branching;
   universal.round_to_nonnegative_integers =
       options.round_to_nonnegative_integers;
   universal.prune_nonpositive_subtrees = options.prune_nonpositive_subtrees;
-  switch (options.strategy) {
-    case StrategyKind::kLTilde: {
-      Result<std::unique_ptr<LTildeEstimator>> built =
-          LTildeEstimator::Create(shard_data, universal, rng);
-      if (!built.ok()) return built.status();
-      return std::unique_ptr<RangeCountEstimator>(std::move(built).value());
-    }
-    case StrategyKind::kHTilde: {
-      Result<std::unique_ptr<HTildeEstimator>> built =
-          HTildeEstimator::Create(shard_data, universal, rng);
-      if (!built.ok()) return built.status();
-      return std::unique_ptr<RangeCountEstimator>(std::move(built).value());
-    }
-    case StrategyKind::kHBar: {
-      Result<std::unique_ptr<HBarEstimator>> built =
-          HBarEstimator::Create(shard_data, universal, rng);
-      if (!built.ok()) return built.status();
-      return std::unique_ptr<RangeCountEstimator>(std::move(built).value());
-    }
-    case StrategyKind::kWavelet: {
-      WaveletOptions wavelet;
-      wavelet.epsilon = options.epsilon;
-      wavelet.round_to_nonnegative_integers =
-          options.round_to_nonnegative_integers;
-      Result<std::unique_ptr<WaveletEstimator>> built =
-          WaveletEstimator::Create(shard_data, wavelet, rng);
-      if (!built.ok()) return built.status();
-      return std::unique_ptr<RangeCountEstimator>(std::move(built).value());
-    }
-    case StrategyKind::kAuto:
-      break;  // rejected in Build before any shard is constructed
+  return universal;
+}
+
+WaveletOptions WaveletOptionsOf(const SnapshotOptions& options) {
+  WaveletOptions wavelet;
+  wavelet.epsilon = options.epsilon;
+  wavelet.round_to_nonnegative_integers =
+      options.round_to_nonnegative_integers;
+  return wavelet;
+}
+
+/// The checks Build and Restore share: everything a shard constructor
+/// CHECKs, refused once as a Status before any shard exists.
+Status CheckReleaseOptions(const SnapshotOptions& options,
+                           std::int64_t domain_size) {
+  if (options.epsilon <= 0.0) {
+    return Status::InvalidArgument("epsilon must be positive");
   }
-  return Status::Internal("cannot build a shard for an unknown strategy");
+  if (options.branching < 2) {
+    return Status::InvalidArgument("branching must be >= 2");
+  }
+  if (options.shards < 1) {
+    return Status::InvalidArgument("shards must be >= 1");
+  }
+  if (domain_size < 1) {
+    return Status::InvalidArgument("domain must be non-empty");
+  }
+  return Status::Ok();
+}
+
+/// Draws one shard's release with the plain constructors, whose CHECKs
+/// Build's gate has already satisfied. Null only for a StrategyKind no
+/// case handles (kAuto, which Build also refuses first).
+std::unique_ptr<RangeCountEstimator> BuildShard(
+    const Histogram& shard_data, const SnapshotOptions& options, Rng* rng) {
+  switch (options.strategy) {
+    case StrategyKind::kLTilde:
+      return std::make_unique<LTildeEstimator>(
+          shard_data, UniversalOptionsOf(options), rng);
+    case StrategyKind::kHTilde:
+      return std::make_unique<HTildeEstimator>(
+          shard_data, UniversalOptionsOf(options), rng);
+    case StrategyKind::kHBar:
+      return std::make_unique<HBarEstimator>(
+          shard_data, UniversalOptionsOf(options), rng);
+    case StrategyKind::kWavelet:
+      return std::make_unique<WaveletEstimator>(
+          shard_data, WaveletOptionsOf(options), rng);
+    case StrategyKind::kAuto:
+      break;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -95,28 +108,27 @@ Result<StrategyKind> ParseStrategyKind(const std::string& name) {
   return Status::InvalidArgument("unknown strategy: " + name);
 }
 
+std::int64_t ShardWidth(std::int64_t domain_size, std::int64_t shards) {
+  const std::int64_t count = std::min(shards, domain_size);
+  return (domain_size + count - 1) / count;
+}
+
 Result<std::shared_ptr<const Snapshot>> Snapshot::Build(
     const Histogram& data, const SnapshotOptions& options,
     std::uint64_t epoch, Rng* rng) {
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+  if (rng == nullptr) {
+    return Status::InvalidArgument("Snapshot::Build needs an RNG");
   }
-  if (options.branching < 2) {
-    return Status::InvalidArgument("branching must be >= 2");
-  }
-  if (options.shards < 1) {
-    return Status::InvalidArgument("shards must be >= 1");
-  }
+  const std::int64_t n = data.size();
+  Status valid = CheckReleaseOptions(options, n);
+  if (!valid.ok()) return valid;
   if (options.strategy == StrategyKind::kAuto) {
     return Status::InvalidArgument(
         "auto strategy must be resolved by the planner before Build "
         "(QueryService::Publish and serve --strategy auto resolve it)");
   }
-  const std::int64_t n = data.size();
-  if (n < 1) return Status::InvalidArgument("domain must be non-empty");
 
-  const std::int64_t requested = std::min(options.shards, n);
-  const std::int64_t width = (n + requested - 1) / requested;
+  const std::int64_t width = ShardWidth(n, options.shards);
   const std::int64_t count = (n + width - 1) / width;
 
   // Fork every shard stream up front, in shard order, so the release is
@@ -128,22 +140,18 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Build(
 
   std::vector<std::unique_ptr<RangeCountEstimator>> shards(
       static_cast<std::size_t>(count));
-  std::vector<Status> shard_status(static_cast<std::size_t>(count));
   ParallelFor(count, ResolveThreadCount(options.build_threads),
               [&](std::int64_t i) {
                 const std::int64_t lo = i * width;
                 const std::int64_t hi = std::min(n - 1, lo + width - 1);
-                Result<std::unique_ptr<RangeCountEstimator>> built =
+                shards[static_cast<std::size_t>(i)] =
                     BuildShard(SliceHistogram(data, lo, hi), options,
                                &shard_rngs[static_cast<std::size_t>(i)]);
-                if (!built.ok()) {
-                  shard_status[static_cast<std::size_t>(i)] = built.status();
-                  return;
-                }
-                shards[static_cast<std::size_t>(i)] = std::move(built).value();
               });
-  for (const Status& status : shard_status) {
-    if (!status.ok()) return status;
+  for (const std::unique_ptr<RangeCountEstimator>& shard : shards) {
+    if (shard == nullptr) {
+      return Status::Internal("cannot build a shard for an unknown strategy");
+    }
   }
   return std::shared_ptr<const Snapshot>(
       new Snapshot(options, epoch, n, width, std::move(shards)));
@@ -154,33 +162,30 @@ namespace {
 Result<std::unique_ptr<RangeCountEstimator>> RestoreShard(
     std::int64_t shard_domain, const SnapshotOptions& options,
     std::vector<double> state) {
-  UniversalOptions universal;
-  universal.epsilon = options.epsilon;
-  universal.branching = options.branching;
-  universal.round_to_nonnegative_integers =
-      options.round_to_nonnegative_integers;
-  universal.prune_nonpositive_subtrees = options.prune_nonpositive_subtrees;
   switch (options.strategy) {
     case StrategyKind::kLTilde: {
       if (static_cast<std::int64_t>(state.size()) != shard_domain) {
         return Status::IoError("persisted L~ shard has the wrong width");
       }
       Result<std::unique_ptr<LTildeEstimator>> restored =
-          LTildeEstimator::Restore(universal, std::move(state));
+          LTildeEstimator::Restore(UniversalOptionsOf(options),
+                                   std::move(state));
       if (!restored.ok()) return restored.status();
       return std::unique_ptr<RangeCountEstimator>(
           std::move(restored).value());
     }
     case StrategyKind::kHTilde: {
       Result<std::unique_ptr<HTildeEstimator>> restored =
-          HTildeEstimator::Restore(shard_domain, universal, std::move(state));
+          HTildeEstimator::Restore(shard_domain, UniversalOptionsOf(options),
+                                   std::move(state));
       if (!restored.ok()) return restored.status();
       return std::unique_ptr<RangeCountEstimator>(
           std::move(restored).value());
     }
     case StrategyKind::kHBar: {
       Result<std::unique_ptr<HBarEstimator>> restored =
-          HBarEstimator::Restore(shard_domain, universal, std::move(state));
+          HBarEstimator::Restore(shard_domain, UniversalOptionsOf(options),
+                                 std::move(state));
       if (!restored.ok()) return restored.status();
       return std::unique_ptr<RangeCountEstimator>(
           std::move(restored).value());
@@ -189,12 +194,9 @@ Result<std::unique_ptr<RangeCountEstimator>> RestoreShard(
       if (static_cast<std::int64_t>(state.size()) != shard_domain) {
         return Status::IoError("persisted wavelet shard has the wrong width");
       }
-      WaveletOptions wavelet;
-      wavelet.epsilon = options.epsilon;
-      wavelet.round_to_nonnegative_integers =
-          options.round_to_nonnegative_integers;
       Result<std::unique_ptr<WaveletEstimator>> restored =
-          WaveletEstimator::Restore(wavelet, std::move(state));
+          WaveletEstimator::Restore(WaveletOptionsOf(options),
+                                    std::move(state));
       if (!restored.ok()) return restored.status();
       return std::unique_ptr<RangeCountEstimator>(
           std::move(restored).value());
@@ -210,22 +212,11 @@ Result<std::unique_ptr<RangeCountEstimator>> RestoreShard(
 Result<std::shared_ptr<const Snapshot>> Snapshot::Restore(
     const SnapshotOptions& options, std::uint64_t epoch,
     std::int64_t domain_size,
-    const std::vector<std::vector<double>>& shard_states) {
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  if (options.branching < 2) {
-    return Status::InvalidArgument("branching must be >= 2");
-  }
-  if (options.shards < 1) {
-    return Status::InvalidArgument("shards must be >= 1");
-  }
-  if (domain_size < 1) {
-    return Status::InvalidArgument("domain must be non-empty");
-  }
+    std::vector<std::vector<double>> shard_states) {
   const std::int64_t n = domain_size;
-  const std::int64_t requested = std::min(options.shards, n);
-  const std::int64_t width = (n + requested - 1) / requested;
+  Status valid = CheckReleaseOptions(options, n);
+  if (!valid.ok()) return valid;
+  const std::int64_t width = ShardWidth(n, options.shards);
   const std::int64_t count = (n + width - 1) / width;
   if (static_cast<std::int64_t>(shard_states.size()) != count) {
     return Status::IoError(
@@ -236,8 +227,9 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Restore(
   for (std::int64_t i = 0; i < count; ++i) {
     const std::int64_t lo = i * width;
     const std::int64_t hi = std::min(n - 1, lo + width - 1);
-    Result<std::unique_ptr<RangeCountEstimator>> shard = RestoreShard(
-        hi - lo + 1, options, shard_states[static_cast<std::size_t>(i)]);
+    Result<std::unique_ptr<RangeCountEstimator>> shard =
+        RestoreShard(hi - lo + 1, options,
+                     std::move(shard_states[static_cast<std::size_t>(i)]));
     if (!shard.ok()) return shard.status();
     shards.push_back(std::move(shard).value());
   }

@@ -9,7 +9,8 @@
 // epsilon swaps in a *new* Snapshot rather than mutating this one.
 //
 // Sharding: the domain is split into contiguous shards of equal width
-// and each shard gets its own estimator over its sub-histogram. Every
+// (ShardWidth) and each shard gets its own estimator over its
+// sub-histogram. Every
 // record lives in exactly one shard, so the per-shard releases compose
 // in parallel (McSherry's parallel composition) and the whole snapshot
 // is still epsilon-DP. A range spanning shards is answered by summing
@@ -52,6 +53,13 @@ const char* StrategyKindName(StrategyKind kind);
 /// ("L~", "H~", "H-bar").
 Result<StrategyKind> ParseStrategyKind(const std::string& name);
 
+/// Positions per shard when `domain_size` positions are split into
+/// `shards` contiguous shards of equal width, clamped to one position
+/// per shard; the last shard may be narrower. The one shard geometry:
+/// Snapshot::Build, Snapshot::Restore and the planner's VarianceOracle
+/// all call it. Requires domain_size >= 1 and shards >= 1.
+std::int64_t ShardWidth(std::int64_t domain_size, std::int64_t shards);
+
 /// Everything that defines one published release.
 struct SnapshotOptions {
   /// Privacy parameter of the release (per shard; parallel composition
@@ -80,25 +88,28 @@ class Snapshot {
   /// shard forks its own stream from `rng` in shard order before the
   /// fan-out, so the release is a deterministic function of
   /// (data, options, rng state) — bit-identical at every thread count.
-  /// Fails on non-positive epsilon, branching < 2, shards < 1, an empty
-  /// domain, or an unresolved kAuto strategy.
+  /// The serving layer's one validation gate: fails on a null `rng`,
+  /// non-positive epsilon, branching < 2, shards < 1, an empty domain,
+  /// or an unresolved kAuto strategy, before any shard exists, and then
+  /// builds each shard with its estimator's plain constructor.
   static Result<std::shared_ptr<const Snapshot>> Build(
       const Histogram& data, const SnapshotOptions& options,
       std::uint64_t epoch, Rng* rng);
 
   /// Rebuilds a published snapshot from persisted per-shard estimator
   /// state (each shard's RangeCountEstimator::SerializableState, in
-  /// domain order). Shard geometry is recomputed by Build's formula, so
+  /// domain order). Shard geometry is recomputed by ShardWidth, so
   /// `shard_states.size()` must equal the count Build would have chosen
   /// for (options.shards, domain_size); each shard's vector must match
-  /// the strategy's expected shape for its sub-domain. No noise is
-  /// drawn — answers are bit-identical to the release that was
+  /// the strategy's expected shape for its sub-domain. Each state moves
+  /// into its shard, so pass the vectors as an rvalue to copy none. No
+  /// noise is drawn — answers are bit-identical to the release that was
   /// persisted. Fails with a Status (never aborts) on any mismatch, so
   /// corrupt or stale state files are refusable.
   static Result<std::shared_ptr<const Snapshot>> Restore(
       const SnapshotOptions& options, std::uint64_t epoch,
       std::int64_t domain_size,
-      const std::vector<std::vector<double>>& shard_states);
+      std::vector<std::vector<double>> shard_states);
 
   /// Epoch assigned by the publisher; every answered batch reports it,
   /// so answers from different releases can never be confused.

@@ -382,25 +382,18 @@ Result<std::uint64_t> EpochStore::AppendSpend(double epsilon,
   record.type = WalRecordType::kSpend;
   record.epsilon = epsilon;
   record.purpose = purpose;
-  Result<std::uint64_t> offset = wal_->Append(record);
-  if (offset.ok()) stats_.spends_logged += 1;
-  return offset;
+  return wal_->Append(record);
 }
 
 Status EpochStore::AppendEpochSwap(std::uint64_t epoch) {
   WalRecord record;
   record.type = WalRecordType::kEpochSwap;
   record.epoch = epoch;
-  Result<std::uint64_t> offset = wal_->Append(record);
-  if (!offset.ok()) return offset.status();
-  stats_.swaps_logged += 1;
-  return Status::Ok();
+  return wal_->Append(record).status();
 }
 
 Status EpochStore::RollbackTo(std::uint64_t wal_offset) {
-  Status status = wal_->TruncateTo(wal_offset);
-  if (status.ok()) stats_.rollbacks += 1;
-  return status;
+  return wal_->TruncateTo(wal_offset);
 }
 
 Status EpochStore::PersistSnapshot(const Snapshot& snapshot,
@@ -427,10 +420,7 @@ Status EpochStore::PersistSnapshot(const Snapshot& snapshot,
   if (::rename(tmp_path.c_str(), final_path.c_str()) < 0) {
     return ErrnoStatus("rename " + tmp_path);
   }
-  Status synced = SyncDir(dir_);
-  if (!synced.ok()) return synced;
-  stats_.snapshots_persisted += 1;
-  return Status::Ok();
+  return SyncDir(dir_);
 }
 
 Result<RecoveredState> EpochStore::Recover() {
@@ -474,8 +464,9 @@ Result<RecoveredState> EpochStore::Recover() {
   if (!decoded.ok()) return decoded.status();
   DecodedDataStream stream = std::move(decoded).value();
 
-  Result<std::shared_ptr<const Snapshot>> snapshot = Snapshot::Restore(
-      meta.options, meta.epoch, meta.domain_size, stream.shard_states);
+  Result<std::shared_ptr<const Snapshot>> snapshot =
+      Snapshot::Restore(meta.options, meta.epoch, meta.domain_size,
+                        std::move(stream.shard_states));
   if (!snapshot.ok()) return snapshot.status();
   state.snapshot = std::move(snapshot).value();
   state.profile = std::move(stream.profile);

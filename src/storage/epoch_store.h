@@ -109,10 +109,6 @@ class EpochStore {
   std::uint64_t wal_size() const { return wal_->size(); }
 
   struct Stats {
-    std::uint64_t spends_logged = 0;
-    std::uint64_t swaps_logged = 0;
-    std::uint64_t rollbacks = 0;
-    std::uint64_t snapshots_persisted = 0;
     std::uint64_t snapshot_pages_written = 0;
   };
   const Stats& stats() const { return stats_; }

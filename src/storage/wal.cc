@@ -116,7 +116,6 @@ Result<std::uint64_t> WriteAheadLog::Append(const WalRecord& record) {
     return ErrnoStatus("fsync " + path_);
   }
   size_ = offset + bytes.size();
-  stats_.appends += 1;
   return offset;
 }
 
@@ -133,7 +132,6 @@ Status WriteAheadLog::TruncateTo(std::uint64_t offset) {
   } while (rc < 0 && errno == EINTR);
   if (rc < 0) return ErrnoStatus("fsync " + path_);
   size_ = offset;
-  stats_.truncations += 1;
   return Status::Ok();
 }
 

@@ -86,12 +86,6 @@ class WriteAheadLog {
   /// Current append offset.
   std::uint64_t size() const { return size_; }
 
-  struct Stats {
-    std::uint64_t appends = 0;
-    std::uint64_t truncations = 0;
-  };
-  const Stats& stats() const { return stats_; }
-
  private:
   WriteAheadLog(std::string path, int fd, std::uint64_t size)
       : path_(std::move(path)), fd_(fd), size_(size) {}
@@ -99,7 +93,6 @@ class WriteAheadLog {
   std::string path_;
   int fd_;
   std::uint64_t size_;
-  Stats stats_;
 };
 
 }  // namespace dphist::storage

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 namespace dphist {
 namespace {
@@ -28,14 +29,39 @@ TEST(FlagsTest, SpaceForm) {
 TEST(FlagsTest, BareBooleanFlag) {
   Flags f = ParseArgs({"prog", "--verbose"});
   EXPECT_TRUE(f.Has("verbose"));
-  EXPECT_TRUE(f.GetBool("verbose", false));
-  EXPECT_FALSE(f.GetBool("absent", false));
-  EXPECT_TRUE(f.GetBool("absent", true));
+  EXPECT_TRUE(f.ParseBool("verbose", false).value());
+  EXPECT_FALSE(f.ParseBool("absent", false).value());
+  EXPECT_TRUE(f.ParseBool("absent", true).value());
 }
 
 TEST(FlagsTest, ExplicitFalse) {
   Flags f = ParseArgs({"prog", "--round=false"});
-  EXPECT_FALSE(f.GetBool("round", true));
+  EXPECT_FALSE(f.ParseBool("round", true).value());
+}
+
+TEST(FlagsTest, BooleansTakeOnlyTheirSpellings) {
+  Flags f = ParseArgs({"prog", "--a=true", "--b=1", "--c=yes", "--d=false",
+                       "--e=0", "--f=no", "--no-round=on", "--inspect=maybe",
+                       "--binary", "2"});
+  for (const char* name : {"a", "b", "c"}) {
+    EXPECT_TRUE(f.ParseBool(name, false).value()) << name;
+  }
+  for (const char* name : {"d", "e", "f"}) {
+    EXPECT_FALSE(f.ParseBool(name, true).value()) << name;
+  }
+  // Anything else is refused, naming the flag, instead of read as false.
+  for (const auto& [name, value] :
+       {std::pair<const char*, const char*>{"no-round", "on"},
+        {"inspect", "maybe"},
+        {"binary", "2"}}) {
+    Result<bool> parsed = f.ParseBool(name, false);
+    ASSERT_FALSE(parsed.ok()) << name;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find(std::string("--") + name +
+                                             ": \"" + value + "\""),
+              std::string::npos)
+        << parsed.status().message();
+  }
 }
 
 TEST(FlagsTest, FallbacksWhenAbsent) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -15,6 +16,7 @@
 #include "estimators/universal.h"
 #include "mechanism/laplace_mechanism.h"
 #include "query/hierarchical_query.h"
+#include "tree/tree_layout.h"
 
 namespace dphist {
 namespace {
@@ -67,6 +69,35 @@ TEST(HBarFastPathTest, RoundingDisablesThePrefixPathButKeepsAnswers) {
     std::int64_t hi = query_rng.NextInt(lo, data.size() - 1);
     Interval q(lo, hi);
     EXPECT_DOUBLE_EQ(h_bar.RangeCount(q), h_bar.RangeCountViaDecomposition(q));
+  }
+}
+
+TEST(HBarFastPathTest, ConsistencyCheckFindsAnySingleBrokenNode) {
+  // The check streams one left-to-right fold of the leaves, so every
+  // internal node inside the domain must still be compared, wherever it
+  // sits. Break one node at a time in a consistent release: the fast
+  // path must go exactly when that node lies wholly inside the domain
+  // (a node over padding never appears in an in-domain decomposition).
+  const std::int64_t n = 600;
+  for (std::int64_t branching : {2, 3, 7}) {
+    UniversalOptions options;
+    options.branching = branching;
+    options.round_to_nonnegative_integers = false;
+    options.prune_nonpositive_subtrees = false;
+    Rng rng(101u + static_cast<std::uint64_t>(branching));
+    HBarEstimator consistent(ZipfData(n, 4), options, &rng);
+    ASSERT_TRUE(consistent.uses_prefix_fast_path());
+    const TreeLayout& tree = consistent.tree();
+    const std::int64_t internal = tree.LevelStart(tree.height() - 1);
+    for (std::int64_t v = 0; v < internal; ++v) {
+      std::vector<double> nodes = consistent.node_estimates();
+      nodes[static_cast<std::size_t>(v)] += 1.0;
+      auto broken = HBarEstimator::Restore(n, options, std::move(nodes));
+      ASSERT_TRUE(broken.ok());
+      EXPECT_EQ(broken.value()->uses_prefix_fast_path(),
+                tree.NodeRange(v).hi() >= n)
+          << "k=" << branching << " node " << v;
+    }
   }
 }
 

@@ -275,44 +275,5 @@ TEST(RestoreTest, StructurallyWrongStateIsRefused) {
       HTildeEstimator::Restore(6, bad, std::vector<double>(11, 0.0)).ok());
 }
 
-TEST(CreateTest, ValidatesInsteadOfAborting) {
-  Histogram data = SparseData();
-  UniversalOptions options;
-  options.epsilon = 1.0;
-  Rng rng(5);
-
-  // A missing RNG is a Status for every strategy, not an abort.
-  EXPECT_FALSE(LTildeEstimator::Create(data, options, nullptr).ok());
-  EXPECT_FALSE(HTildeEstimator::Create(data, options, nullptr).ok());
-  EXPECT_FALSE(HBarEstimator::Create(data, options, nullptr).ok());
-
-  // So is a non-positive epsilon...
-  UniversalOptions no_budget = options;
-  no_budget.epsilon = 0.0;
-  EXPECT_FALSE(LTildeEstimator::Create(data, no_budget, &rng).ok());
-  EXPECT_FALSE(HBarEstimator::Create(data, no_budget, &rng).ok());
-
-  // ...and a degenerate branching factor for the tree strategies (L~
-  // has no tree, so it does not care).
-  UniversalOptions flat = options;
-  flat.branching = 1;
-  EXPECT_FALSE(HTildeEstimator::Create(data, flat, &rng).ok());
-  EXPECT_FALSE(HBarEstimator::Create(data, flat, &rng).ok());
-  EXPECT_TRUE(LTildeEstimator::Create(data, flat, &rng).ok());
-
-  // Valid inputs build estimators that answer like the constructors'.
-  auto l = LTildeEstimator::Create(data, options, &rng);
-  auto h = HTildeEstimator::Create(data, options, &rng);
-  auto b = HBarEstimator::Create(data, options, &rng);
-  ASSERT_TRUE(l.ok());
-  ASSERT_TRUE(h.ok());
-  ASSERT_TRUE(b.ok()) << b.status().ToString();
-  const Interval whole(0, data.size() - 1);
-  EXPECT_EQ(l.value()->leaf_estimates().size(),
-            static_cast<std::size_t>(data.size()));
-  EXPECT_GE(b.value()->RangeCount(whole), 0.0);
-  EXPECT_NO_FATAL_FAILURE({ (void)h.value()->RangeCount(whole); });
-}
-
 }  // namespace
 }  // namespace dphist

@@ -161,20 +161,6 @@ TEST(WaveletEstimatorTest, ErrorComparableToBinaryHTheory) {
   EXPECT_GT(err.Mean(), 0.05 * log_n * log_n * log_n);
 }
 
-TEST(WaveletTest, CreateValidatesInsteadOfAborting) {
-  Histogram data = Histogram::FromCounts({1, 2, 3});
-  WaveletOptions options;
-  options.epsilon = 1.0;
-  Rng rng(5);
-  EXPECT_FALSE(WaveletEstimator::Create(data, options, nullptr).ok());
-  WaveletOptions bad = options;
-  bad.epsilon = 0.0;
-  EXPECT_FALSE(WaveletEstimator::Create(data, bad, &rng).ok());
-  auto built = WaveletEstimator::Create(data, options, &rng);
-  ASSERT_TRUE(built.ok());
-  EXPECT_GT(built.value()->RangeCount(Interval(0, 2)), -100.0);
-}
-
 TEST(WaveletTest, RestoreReproducesAnswersBitForBit) {
   Histogram data = Histogram::FromCounts({4, 1, 0, 7, 2});
   WaveletOptions options;

@@ -3,13 +3,14 @@
 // answering ranges — scalar or batched, on all three universal
 // estimators and on the raw tree visitor — performs zero heap
 // allocations per query. It also counts requested bytes, to bound what
-// one H-bar build asks for. Kept out of dphist_tests so the
+// one H-bar build and one default Snapshot::Build ask for. Kept out of dphist_tests so the
 // instrumentation cannot interfere with unrelated suites.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "mechanism/laplace_mechanism.h"
 #include "query/hierarchical_query.h"
 #include "service/query_service.h"
+#include "service/snapshot.h"
 #include "tree/range_decomposition.h"
 
 namespace {
@@ -282,9 +284,11 @@ TEST(ServiceAllocationTest, EngineBatchesAreAllocationFreeOnceWarm) {
 TEST(BuildAllocationTest, DefaultHBarBuildWorksInOneNodeBuffer) {
   // serve's default release at n = 2^16: k = 2, round+prune, 131 071
   // nodes (1 MiB). Counts, noise, inference, pruning and rounding all
-  // rewrite one node buffer; the leaf level (512 KiB) and its prefix
-  // table (512 KiB) are the only other node-sized requests. A pass that
-  // copies the node vector again adds a 1 MiB buffer and fails here.
+  // rewrite one node buffer; the leaf level (512 KiB) is the only other
+  // node-sized request. Round+prune breaks consistency, so the
+  // consistency check streams its prefix sums and no prefix table is
+  // built. A pass that copies the node vector again, or a table built
+  // only to be freed, adds a buffer and fails here.
   constexpr std::int64_t kDomain = 1 << 16;
   Rng data_rng(3);
   const Histogram data = Histogram::FromCounts(
@@ -296,6 +300,30 @@ TEST(BuildAllocationTest, DefaultHBarBuildWorksInOneNodeBuffer) {
   const Requests requests = RequestsDuring([&] {
     HBarEstimator h_bar(data, options, &rng);
     EXPECT_EQ(h_bar.node_estimates().size(), 131071u);
+    EXPECT_FALSE(h_bar.uses_prefix_fast_path());
+  });
+  EXPECT_LE(requests.large_buffers, 2u);
+  EXPECT_LE(requests.bytes, static_cast<std::size_t>(1.6 * (1 << 20)));
+}
+
+TEST(BuildAllocationTest, DefaultSnapshotBuildAddsOnlyTheShardSlice) {
+  // The same release through the serving gate: Snapshot::Build adds the
+  // shard's slice of the histogram (512 KiB) and builds the shard with
+  // the plain constructor, so three node-sized requests in all. A
+  // discarded prefix table or a copied state vector fails here.
+  constexpr std::int64_t kDomain = 1 << 16;
+  Rng data_rng(3);
+  const Histogram data = Histogram::FromCounts(
+      ZipfCounts(kDomain, 1.2, 4 * kDomain, &data_rng));
+  const SnapshotOptions options;
+  ASSERT_EQ(options.strategy, StrategyKind::kHBar);
+  ASSERT_EQ(options.shards, 1);
+  Rng rng(9);
+  const Requests requests = RequestsDuring([&] {
+    Result<std::shared_ptr<const Snapshot>> built =
+        Snapshot::Build(data, options, 1, &rng);
+    ASSERT_TRUE(built.ok());
+    EXPECT_EQ(built.value()->answer_plan(), nullptr);
   });
   EXPECT_LE(requests.large_buffers, 3u);
   EXPECT_LE(requests.bytes, static_cast<std::size_t>(2.1 * (1 << 20)));

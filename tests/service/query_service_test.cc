@@ -318,17 +318,6 @@ TEST(QueryServiceTest, ObservedQueryCountSumsAllTraffic) {
   EXPECT_EQ(service.observed_query_count(), 38u);
 }
 
-TEST(QueryServiceTest, SwapStatsTrackPublishes) {
-  Histogram data = TestData(64);
-  QueryService service;
-  EXPECT_EQ(service.swap_stats().publishes, 0u);
-  ASSERT_TRUE(service.Publish(data, SnapshotOptions(), 1).ok());
-  ASSERT_TRUE(service.Publish(data, SnapshotOptions(), 2).ok());
-  QueryService::SwapStats swaps = service.swap_stats();
-  EXPECT_EQ(swaps.publishes, 2u);
-  EXPECT_EQ(swaps.last_epoch, 2u);
-}
-
 TEST(QueryServiceTest, ReservoirMakesObservedProfileLengthExact) {
   // The divergence case from the ROADMAP: a stream of length-3 queries
   // is bucketed into [2, 4) and reported at representative length 2,

@@ -28,17 +28,41 @@ std::shared_ptr<const Snapshot> MustBuild(const Histogram& data,
 }
 
 TEST(SnapshotTest, BuildValidatesOptions) {
+  // Build is the serving layer's one gate: every input a shard
+  // constructor would CHECK-abort on is an InvalidArgument here, for
+  // every strategy, before any shard exists.
   Histogram data = TestData(16);
   Rng rng(1);
-  SnapshotOptions options;
-  options.epsilon = 0.0;
-  EXPECT_FALSE(Snapshot::Build(data, options, 1, &rng).ok());
-  options = SnapshotOptions();
-  options.branching = 1;
-  EXPECT_FALSE(Snapshot::Build(data, options, 1, &rng).ok());
-  options = SnapshotOptions();
-  options.shards = 0;
-  EXPECT_FALSE(Snapshot::Build(data, options, 1, &rng).ok());
+  for (StrategyKind kind :
+       {StrategyKind::kLTilde, StrategyKind::kHTilde, StrategyKind::kHBar,
+        StrategyKind::kWavelet}) {
+    SCOPED_TRACE(StrategyKindName(kind));
+    SnapshotOptions valid;
+    valid.strategy = kind;
+    valid.shards = 3;
+    struct Row {
+      const char* what;
+      SnapshotOptions options;
+      Rng* rng;
+    };
+    std::vector<Row> rows;
+    rows.push_back({"null rng", valid, nullptr});
+    for (double epsilon : {0.0, -1.0}) {
+      rows.push_back({"epsilon <= 0", valid, &rng});
+      rows.back().options.epsilon = epsilon;
+    }
+    rows.push_back({"branching < 2", valid, &rng});
+    rows.back().options.branching = 1;
+    rows.push_back({"shards < 1", valid, &rng});
+    rows.back().options.shards = 0;
+    for (const Row& row : rows) {
+      auto built = Snapshot::Build(data, row.options, 1, row.rng);
+      ASSERT_FALSE(built.ok()) << row.what;
+      EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument)
+          << row.what;
+    }
+    EXPECT_TRUE(Snapshot::Build(data, valid, 1, &rng).ok());
+  }
 }
 
 TEST(SnapshotTest, CarriesEpochAndOptions) {

@@ -314,11 +314,12 @@ TEST(CliTest, EveryCommandChecksItsFlagsFirst) {
   }
 }
 
-TEST(CliTest, MalformedNumbersAreRefusedBeforeAnyEffect) {
-  // A numeric flag must parse whole. Truncating "abc" to 0 or "2x" to 2
-  // would bind an ephemeral port or serve at settings nobody asked for,
-  // so each row must fail naming its flag, before any publish, bind or
-  // write.
+TEST(CliTest, MalformedFlagValuesAreRefusedBeforeAnyEffect) {
+  // A numeric flag must parse whole, and a boolean flag must be one of
+  // its spellings. Truncating "abc" to 0 or "2x" to 2, or reading "on"
+  // as false, would bind an ephemeral port or serve at settings nobody
+  // asked for, so each row must fail naming its flag, before any
+  // publish, bind, read or write.
   const std::string data_path = TempPath("cli_malformed_data.csv");
   const std::string out_path = TempPath("cli_malformed_out.csv");
   const std::string state_dir = TempPath("cli_malformed_state");
@@ -365,6 +366,12 @@ TEST(CliTest, MalformedNumbersAreRefusedBeforeAnyEffect) {
         "--epsilon", "1", "--max-shards", "8x"},
        "--max-shards"},
       {{"client", "--port", "80x"}, "--port"},
+      {{"serve", "--input", data, "--epsilon", "1", "--listen", "0",
+        "--no-round=on"},
+       "--no-round"},
+      {{"recover", "--state-dir", state_dir.c_str(), "--inspect=maybe"},
+       "--inspect"},
+      {{"client", "--port", "1", "--binary=2"}, "--binary"},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(std::string(row.args[0]) + " " + row.flag);
@@ -590,6 +597,8 @@ TEST(CliTest, ServeStdinManualReplanAndStats) {
   EXPECT_NE(out.find("reason=manual"), std::string::npos) << out;
   EXPECT_NE(out.find("epoch=2"), std::string::npos) << out;
   EXPECT_NE(out.find("epsilon_spent=2"), std::string::npos) << out;
+  // The initial publish and the replan: the lifecycle's count.
+  EXPECT_NE(out.find(" publishes=2 "), std::string::npos) << out;
   std::remove(data_path.c_str());
 }
 

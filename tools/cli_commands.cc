@@ -116,9 +116,17 @@ Status ReadDouble(const Flags& flags, const std::string& name,
   return Status::Ok();
 }
 
-/// The first error among `parsed`, each the Status of one ReadInt or
-/// ReadDouble; commands parse every number before they read, write,
-/// publish or bind anything.
+/// Parses the boolean flag `name` (false when absent) into *out.
+Status ReadBool(const Flags& flags, const std::string& name, bool* out) {
+  Result<bool> value = flags.ParseBool(name, false);
+  if (!value.ok()) return value.status();
+  *out = value.value();
+  return Status::Ok();
+}
+
+/// The first error among `parsed`, each the Status of one ReadInt,
+/// ReadDouble or ReadBool; commands parse every number and boolean
+/// before they read, write, publish or bind anything.
 Status FirstError(std::initializer_list<Status> parsed) {
   for (const Status& status : parsed) {
     if (!status.ok()) return status;
@@ -226,10 +234,14 @@ Status RunReleaseUniversal(const Flags& flags, std::ostream& out) {
   }
   UniversalOptions options;
   std::int64_t seed = 42;
+  bool no_prune = false;
+  bool no_round = false;
   Status parsed =
       FirstError({ReadDouble(flags, "epsilon", 1.0, &options.epsilon),
                   ReadInt(flags, "branching", 2, &options.branching),
-                  ReadInt(flags, "seed", 42, &seed)});
+                  ReadInt(flags, "seed", 42, &seed),
+                  ReadBool(flags, "no-prune", &no_prune),
+                  ReadBool(flags, "no-round", &no_round)});
   if (!parsed.ok()) return parsed;
   auto data = LoadHistogramCsv(flags.GetString("input", ""));
   if (!data.ok()) return data.status();
@@ -240,8 +252,8 @@ Status RunReleaseUniversal(const Flags& flags, std::ostream& out) {
   if (options.branching < 2) {
     return Status::InvalidArgument("branching must be >= 2");
   }
-  options.prune_nonpositive_subtrees = !flags.GetBool("no-prune", false);
-  options.round_to_nonnegative_integers = !flags.GetBool("no-round", false);
+  options.prune_nonpositive_subtrees = !no_prune;
+  options.round_to_nonnegative_integers = !no_round;
 
   Rng rng(static_cast<std::uint64_t>(seed));
   HBarEstimator estimator(data.value(), options, &rng);
@@ -323,18 +335,6 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
     Status s = RequireFlag(flags, required);
     if (!s.ok()) return s;
   }
-  const bool streaming = flags.GetBool("stdin", false);
-  const bool listening = flags.Has("listen");
-  if ((streaming && listening) ||
-      (listening && flags.Has("queries")) ||
-      (streaming && flags.Has("queries"))) {
-    return Status::InvalidArgument(
-        "--queries, --stdin, and --listen are exclusive");
-  }
-  if (!streaming && !listening) {
-    Status s = RequireFlag(flags, "queries");
-    if (!s.ok()) return s;
-  }
   SnapshotOptions options;
   QueryServiceOptions service_options;
   runtime::EpochManagerOptions manager_options;
@@ -342,6 +342,10 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
   std::int64_t port = 0;
   std::int64_t max_sessions = 0;
   std::int64_t workers = 2;
+  bool streaming = false;
+  bool no_round = false;
+  bool no_prune = false;
+  bool replan_sync = false;
   Status parsed = FirstError(
       {ReadDouble(flags, "epsilon", 1.0, &options.epsilon),
        ReadInt(flags, "branching", 2, &options.branching),
@@ -356,8 +360,23 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
                   &manager_options.epsilon_budget),
        ReadInt(flags, "seed", 42, &seed), ReadInt(flags, "listen", 0, &port),
        ReadInt(flags, "max-sessions", 0, &max_sessions),
-       ReadInt(flags, "workers", 2, &workers)});
+       ReadInt(flags, "workers", 2, &workers),
+       ReadBool(flags, "stdin", &streaming),
+       ReadBool(flags, "no-round", &no_round),
+       ReadBool(flags, "no-prune", &no_prune),
+       ReadBool(flags, "replan-sync", &replan_sync)});
   if (!parsed.ok()) return parsed;
+  const bool listening = flags.Has("listen");
+  if ((streaming && listening) ||
+      (listening && flags.Has("queries")) ||
+      (streaming && flags.Has("queries"))) {
+    return Status::InvalidArgument(
+        "--queries, --stdin, and --listen are exclusive");
+  }
+  if (!streaming && !listening) {
+    Status s = RequireFlag(flags, "queries");
+    if (!s.ok()) return s;
+  }
   auto data = LoadHistogramCsv(flags.GetString("input", ""));
   if (!data.ok()) return data.status();
   const std::int64_t n = data.value().size();
@@ -374,8 +393,8 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
   if (options.shards < 1) {
     return Status::InvalidArgument("shards must be >= 1");
   }
-  options.round_to_nonnegative_integers = !flags.GetBool("no-round", false);
-  options.prune_nonpositive_subtrees = !flags.GetBool("no-prune", false);
+  options.round_to_nonnegative_integers = !no_round;
+  options.prune_nonpositive_subtrees = !no_prune;
 
   if (service_options.observed_reservoir < 0) {
     return Status::InvalidArgument("reservoir must be >= 0");
@@ -385,7 +404,7 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
 
   manager_options.base = options;
   manager_options.planner = service_options.planner;
-  manager_options.async = !flags.GetBool("replan-sync", false);
+  manager_options.async = !replan_sync;
   if (manager_options.replan_every < 0 ||
       manager_options.drift_ratio < 0.0 ||
       manager_options.drift_check_every < 1 ||
@@ -770,7 +789,9 @@ Status RunClient(const Flags& flags, std::istream& in, std::ostream& out) {
   Status s = RequireFlag(flags, "port");
   if (!s.ok()) return s;
   std::int64_t port = 0;
-  s = ReadInt(flags, "port", 0, &port);
+  bool binary = false;
+  s = FirstError(
+      {ReadInt(flags, "port", 0, &port), ReadBool(flags, "binary", &binary)});
   if (!s.ok()) return s;
   if (port < 1 || port > 65535) {
     return Status::InvalidArgument("port must be in [1, 65535]");
@@ -791,7 +812,7 @@ Status RunClient(const Flags& flags, std::istream& in, std::ostream& out) {
     while (std::getline(in, line)) lines.push_back(line);
   }
 
-  if (flags.GetBool("binary", false)) {
+  if (binary) {
     return RunBinaryClientSession(host, static_cast<int>(port), auth_token,
                                   lines, out);
   }
@@ -853,6 +874,9 @@ Status RunRecover(const Flags& flags, std::ostream& out) {
   if (!known.ok()) return known;
   Status s = RequireFlag(flags, "state-dir");
   if (!s.ok()) return s;
+  bool inspect = false;
+  s = ReadBool(flags, "inspect", &inspect);
+  if (!s.ok()) return s;
   auto store = storage::EpochStore::Open(flags.GetString("state-dir", ""));
   if (!store.ok()) return store.status();
   auto recovered = store.value()->Recover();
@@ -884,7 +908,7 @@ Status RunRecover(const Flags& flags, std::ostream& out) {
   }
   out << "profile " << (state.profile.has_value() ? "present" : "none")
       << "\n";
-  if (flags.GetBool("inspect", false)) {
+  if (inspect) {
     std::size_t index = 0;
     for (const PrivacyAccountant::Entry& entry : state.ledger) {
       out << "spend " << index++ << " eps=" << entry.epsilon << " purpose=\""
@@ -899,6 +923,9 @@ Status RunLint(const Flags& flags, std::ostream& out) {
   Status known = flags.CheckKnown(
       {"root", "config", "baseline", "write-baseline", "summary-md"});
   if (!known.ok()) return known;
+  bool write_baseline = false;
+  Status parsed = ReadBool(flags, "write-baseline", &write_baseline);
+  if (!parsed.ok()) return parsed;
   const std::string root = flags.GetString("root", ".");
   lint::Config config;
   std::string error;
@@ -921,7 +948,7 @@ Status RunLint(const Flags& flags, std::ostream& out) {
   const std::string baseline_path =
       flags.GetString("baseline", root + "/" + config.baseline);
 
-  if (flags.GetBool("write-baseline", false)) {
+  if (write_baseline) {
     std::ofstream baseline_out(baseline_path, std::ios::trunc);
     if (!baseline_out) {
       return Status::IoError("cannot write " + baseline_path);
