@@ -337,8 +337,6 @@ int main(int argc, char** argv) {
       runtime::TransportOptions transport;
       transport.port = 0;
       transport.max_sessions = connections;
-      transport.backlog = static_cast<int>(std::max<std::int64_t>(
-          connections, 128));
       transport.workers = static_cast<int>(workers);
       runtime::SocketServer server(service, manager, transport);
       DPHIST_CHECK_MSG(server.Start().ok(), "listener failed to start");

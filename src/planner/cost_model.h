@@ -61,8 +61,9 @@ class CostModel {
 
   /// Expected per-query variance of `config` under `profile`. Fails on
   /// kAuto (nothing to evaluate), an empty profile, a profile for a
-  /// different domain, non-positive epsilon, branching < 2 or
-  /// shards < 1.
+  /// different domain, or a config CheckReleaseOptions refuses
+  /// (non-positive epsilon, branching < 2, shards < 1, trees past 2^31
+  /// nodes).
   Result<QueryCost> Evaluate(const SnapshotOptions& config,
                              const WorkloadProfile& profile) const;
 

@@ -92,8 +92,9 @@ Result<Plan> ChoosePlan(const WorkloadProfile& profile,
               ? cost_cache->Evaluate(candidate.options, profile)
               : model.Evaluate(candidate.options, profile);
       // One oracle costs every configuration at every width, so a
-      // failure here is the shared base's (epsilon, branching), not
-      // this candidate's.
+      // failure here is the shared base's (epsilon, or a branching too
+      // small or too large for the domain), not a quirk of this
+      // candidate's.
       if (!cost.ok()) return cost.status();
       candidate.mean_variance = cost.value().mean_variance;
       candidate.worst_variance = cost.value().worst_variance;

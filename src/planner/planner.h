@@ -64,9 +64,10 @@ struct Plan {
 /// protocol knobs are kept; strategy and shards are replaced by each
 /// candidate's) and returns the cost-minimizing plan for `profile`.
 /// Fails on an empty profile, a kAuto candidate strategy, a shard count
-/// below 1, or an empty shard ladder (max_shards < 1). Every candidate
-/// is costable unless `base` itself is not (non-positive epsilon,
-/// branching < 2); the cost model's error is then returned as is.
+/// below 1, or an empty shard ladder (max_shards < 1), and on the first
+/// candidate the cost model refuses (a non-positive epsilon or
+/// branching < 2 in `base`, or a branching whose trees would pass 2^31
+/// nodes); that error is returned as is.
 ///
 /// When `cost_cache` is non-null, candidates are costed through it
 /// instead of a fresh CostModel, so repeated plans over a drifting

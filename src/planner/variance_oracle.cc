@@ -11,11 +11,10 @@
 namespace dphist::planner {
 namespace {
 
+/// The release gate (CheckReleaseOptions) plus what only the closed
+/// forms need: a resolved strategy and the linear protocol.
 Status ValidateOracleConfig(const SnapshotOptions& options,
                             std::int64_t domain_size) {
-  if (domain_size < 1) {
-    return Status::InvalidArgument("domain must be non-empty");
-  }
   if (options.strategy == StrategyKind::kAuto) {
     return Status::InvalidArgument(
         "kAuto must be resolved by the planner before the closed form "
@@ -27,18 +26,7 @@ Status ValidateOracleConfig(const SnapshotOptions& options,
         "closed forms hold only for the linear protocol (rounding and "
         "pruning off)");
   }
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  if (options.shards < 1) {
-    return Status::InvalidArgument("shards must be >= 1");
-  }
-  if (options.branching < 2 &&
-      (options.strategy == StrategyKind::kHTilde ||
-       options.strategy == StrategyKind::kHBar)) {
-    return Status::InvalidArgument("branching must be >= 2");
-  }
-  return Status::Ok();
+  return CheckReleaseOptions(options, domain_size);
 }
 
 }  // namespace

@@ -49,8 +49,8 @@ namespace dphist::planner {
 class VarianceOracle {
  public:
   /// Validating factory. Fails (never aborts) on kAuto, the nonlinear
-  /// protocol, non-positive epsilon, an empty domain, shards < 1, or
-  /// branching < 2 where the strategy uses a tree.
+  /// protocol, or anything CheckReleaseOptions (service/snapshot.h)
+  /// refuses.
   static Result<VarianceOracle> Create(const SnapshotOptions& options,
                                        std::int64_t domain_size);
 

@@ -38,7 +38,6 @@ EpochManager::EpochManager(QueryService* service, Histogram data,
                       : std::numeric_limits<double>::infinity()),
       seed_rng_(seed) {
   DPHIST_CHECK_MSG(service_ != nullptr, "EpochManager needs a service");
-  stats_.epsilon_budget = options_.epsilon_budget;
   if (options_.async) {
     worker_ = std::thread([this] { WorkerLoop(); });
   }
@@ -424,43 +423,16 @@ bool EpochManager::Poll() {
   }
   ReplanTrigger trigger;
   if (!TryStartSyncReplan(&trigger)) return false;
-  ReplanOutcome outcome = ExecuteReplan(trigger);
-  std::function<void()> notify;
-  {
-    MutexLock lock(mutex_);
-    RecordLocked(outcome);
-    busy_ = false;
-    busy_cap_.Release();
-    notify = announcement_notifier_;
-    if (notify) notifier_calls_in_flight_ += 1;
-  }
-  idle_cv_.NotifyAll();
-  if (notify) {
-    notify();
-    FinishNotifierCall();
-  }
+  FinishReplan(ExecuteReplan(trigger));
   return true;
 }
 
 Result<ReplanOutcome> EpochManager::ReplanNow(SubscriberId reporter) {
   AcquireBusy();
   ReplanOutcome outcome = ExecuteReplan(ReplanTrigger::kManual);
-  std::function<void()> notify;
-  {
-    MutexLock lock(mutex_);
-    // The caller reports this outcome directly, so its own subscription
-    // is skipped; every other session still gets the announcement.
-    RecordLocked(outcome, /*skip=*/reporter);
-    busy_ = false;
-    busy_cap_.Release();
-    notify = announcement_notifier_;
-    if (notify) notifier_calls_in_flight_ += 1;
-  }
-  idle_cv_.NotifyAll();
-  if (notify) {
-    notify();
-    FinishNotifierCall();
-  }
+  // The caller reports this outcome directly, so its own subscription is
+  // skipped; every other session still gets the announcement.
+  FinishReplan(outcome, /*skip=*/reporter);
   if (!outcome.status.ok()) return outcome.status;
   return outcome;
 }
@@ -495,15 +467,28 @@ std::vector<ReplanOutcome> EpochManager::TakeCompleted(SubscriberId id) {
 
 void EpochManager::SetAnnouncementNotifier(std::function<void()> notifier) {
   MutexLock lock(mutex_);
-  // Every call site copies the notifier and bumps the in-flight count
-  // under mutex_ before invoking it unlocked, so waiting for zero here
-  // means the OLD callback is not mid-call on any thread — the caller
-  // may tear down whatever it captures the moment we return.
+  // FinishReplan copies the notifier and bumps the in-flight count under
+  // mutex_ before invoking it unlocked, so waiting for zero here means
+  // the OLD callback is not mid-call on any thread — the caller may tear
+  // down whatever it captures the moment we return.
   while (notifier_calls_in_flight_ != 0) idle_cv_.Wait(mutex_);
   announcement_notifier_ = std::move(notifier);
 }
 
-void EpochManager::FinishNotifierCall() {
+void EpochManager::FinishReplan(const ReplanOutcome& outcome,
+                                SubscriberId skip) {
+  std::function<void()> notify;
+  {
+    MutexLock lock(mutex_);
+    RecordLocked(outcome, skip);
+    busy_ = false;
+    busy_cap_.Release();
+    notify = announcement_notifier_;
+    if (notify) notifier_calls_in_flight_ += 1;
+  }
+  idle_cv_.NotifyAll();
+  if (!notify) return;
+  notify();
   {
     MutexLock lock(mutex_);
     notifier_calls_in_flight_ -= 1;
@@ -517,31 +502,19 @@ EpochManager::Stats EpochManager::stats() const {
 }
 
 void EpochManager::WorkerLoop() {
-  mutex_.Lock();
   while (true) {
-    while (!stop_ && !request_pending_) work_cv_.Wait(mutex_);
-    if (stop_) break;
-    const ReplanTrigger trigger = request_trigger_;
-    request_pending_ = false;
-    busy_ = true;
-    busy_cap_.Acquire();
-    mutex_.Unlock();
-    ReplanOutcome outcome = ExecuteReplan(trigger);
-    mutex_.Lock();
-    RecordLocked(outcome);
-    busy_ = false;
-    busy_cap_.Release();
-    std::function<void()> notify = announcement_notifier_;
-    if (notify) notifier_calls_in_flight_ += 1;
-    mutex_.Unlock();
-    idle_cv_.NotifyAll();
-    if (notify) {
-      notify();
-      FinishNotifierCall();
+    ReplanTrigger trigger;
+    {
+      MutexLock lock(mutex_);
+      while (!stop_ && !request_pending_) work_cv_.Wait(mutex_);
+      if (stop_) return;
+      trigger = request_trigger_;
+      request_pending_ = false;
+      busy_ = true;
+      busy_cap_.Acquire();
     }
-    mutex_.Lock();
+    FinishReplan(ExecuteReplan(trigger));
   }
-  mutex_.Unlock();
 }
 
 }  // namespace dphist::runtime

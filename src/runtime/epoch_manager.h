@@ -213,7 +213,6 @@ class EpochManager {
     /// kMaxQueuedPerSubscriber (a session that stopped polling).
     std::uint64_t announcements_dropped = 0;
     double epsilon_spent = 0.0;
-    double epsilon_budget = 0.0;      // 0 = unlimited
   };
   Stats stats() const;
 
@@ -264,15 +263,18 @@ class EpochManager {
   bool TryStartSyncReplan(ReplanTrigger* trigger)
       DPHIST_TRY_ACQUIRE(true, busy_cap_) DPHIST_EXCLUDES(mutex_);
 
-  /// Decrements notifier_calls_in_flight_ and wakes a pending
-  /// SetAnnouncementNotifier; paired with the increment each call site
-  /// takes under mutex_ before invoking the notifier unlocked.
-  void FinishNotifierCall() DPHIST_EXCLUDES(mutex_);
+  /// The tail of every replan (sync Poll, ReplanNow, the worker):
+  /// records the outcome and broadcasts it (RecordLocked), frees the
+  /// busy token, then calls the announcement notifier outside every
+  /// lock, counted in notifier_calls_in_flight_ for the duration so
+  /// SetAnnouncementNotifier can wait it out.
+  void FinishReplan(const ReplanOutcome& outcome,
+                    SubscriberId skip = kNoSubscriber)
+      DPHIST_RELEASE(busy_cap_) DPHIST_EXCLUDES(mutex_);
 
   /// Records the outcome in stats_ and broadcasts it to every
   /// subscriber queue except `skip`.
-  void RecordLocked(const ReplanOutcome& outcome,
-                    SubscriberId skip = kNoSubscriber)
+  void RecordLocked(const ReplanOutcome& outcome, SubscriberId skip)
       DPHIST_REQUIRES(mutex_);
 
   /// Next publish seed from the deterministic stream.

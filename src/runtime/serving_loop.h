@@ -120,13 +120,18 @@ class SessionExecutor {
   /// the trigger already ran on another thread.
   std::vector<ReplanOutcome> TakeAnnouncements();
 
+  /// Writes one outcome through the SessionWriter: a "# planned ..."
+  /// line (counted in replans_reported) for a republish, the
+  /// OutcomeComment otherwise. The socket transport's text connections
+  /// report pushed announcements through it too.
+  void ReportOutcome(const ReplanOutcome& outcome);
+
   /// The comment text for a non-republished outcome (drift kept /
   /// failed lifecycle replan) — one wording shared by the text writer
   /// path and the binary NOTE frame.
   static std::string OutcomeComment(const ReplanOutcome& outcome);
 
  private:
-  void ReportOutcome(const ReplanOutcome& outcome);
   /// The one answering call behind AnswerRun, `qb` and AnswerBatch:
   /// answers `count` ranges into `answers` (resized) through
   /// TryQueryBatch and, on success, folds the batch into the query and

@@ -1,19 +1,35 @@
 // Socket transport for the serving runtime: real network traffic into
 // the stream-agnostic session layer.
 //
-// SocketServer binds a listening socket (loopback by default; see
-// TransportOptions::bind_addr) and runs one accept loop; accepted
-// connections are handed to a fixed-size SessionPool of worker threads
-// driving an epoll/poll readiness loop (see session_pool.h) — a
-// connection is a state machine in a worker's shard, never a dedicated
-// thread, so thousands of idle REPLs cost file descriptors, not stacks.
+// SocketServer binds a non-blocking listening socket (loopback by
+// default; see TransportOptions::bind_addr) and runs a fixed set of
+// worker threads, each driving its own epoll readiness loop (poll(2) on
+// non-Linux builds). There is no accept thread: the listener is one more
+// fd in worker 0's loop, which accepts until EAGAIN and hands each
+// connection round-robin to a worker (itself included) through that
+// worker's incoming queue and self-pipe. Worker 0 alone accepts and alone
+// closes the listener (after max_sessions accepts, or at Stop), so no fd
+// is ever closed under another thread's accept. No loop waits on a
+// timeout: Stop wakes every worker through its pipe and joins it.
+//
+// A connection is a state machine in one worker's shard, never a thread
+// of its own, so thousands of idle REPLs cost file descriptors, not
+// stacks, and a connection's whole lifetime runs on one thread with no
+// per-connection locks:
+//
+//   read buffer -> parse (text line or binary frame) -> execute against
+//   the shared QueryService via a SessionExecutor -> write buffer,
+//   flushed as the socket accepts bytes (EPOLLOUT backpressure: a slow
+//   reader pauses its own reads once its write buffer passes the high
+//   watermark, and only its own).
+//
 // All connections share ONE QueryService and ONE EpochManager:
 //
 //   - each connection owns a private write buffer and SessionWriter, so
 //     per-connection transcripts can never interleave mid-line;
 //   - each session holds its own EpochManager subscription, and
 //     completed replans are PUSHED into every session's write buffer
-//     (the manager's announcement notifier wakes the pool), so every
+//     (the manager's announcement notifier wakes every worker), so every
 //     client sees every replan announcement exactly once — without
 //     waiting for its own next command;
 //   - queries from every connection feed the same observed-traffic
@@ -21,13 +37,21 @@
 //     load, and a republish lands for all clients at once (each
 //     in-flight batch still finishes under the epoch it started on).
 //
-// Two protocols share the port. A session opens with the same
-// "# serving ..." banner as the stdin REPL; a client whose first
+// Two protocols share the port. A connection opens in text mode (an
+// "auth <token>" line first when a token is configured), then gets the
+// same "# serving ..." banner as the stdin REPL; a client whose first
 // post-banner byte is wire::kMagic switches to the length-prefixed
 // binary frame protocol (wire_format.h — batched queries in, batched
 // answers + epoch receipts out, replan announcements as push frames),
 // anything else speaks the line-text protocol byte-for-byte unchanged
 // and closes with the "# served N queries ..." receipt.
+//
+// `quit`/GOODBYE intentionally drains any in-flight replan before the
+// final receipt (deterministic transcript endings — the CI smoke greps
+// for announcements before the receipt). The drain blocks one worker for
+// the tail of one snapshot build; the other shards keep serving, and
+// when the blocked worker is worker 0, new connections wait that long
+// for their banner.
 //
 // SocketStream / ConnectLoopback / ConnectTcp are exposed for text
 // clients (tests, the socket bench, bash-style scripts driven from
@@ -42,7 +66,7 @@
 #include <memory>
 #include <streambuf>
 #include <string>
-#include <thread>
+#include <string_view>
 #include <vector>
 
 #include "common/mutex.h"
@@ -50,7 +74,6 @@
 #include "common/thread_annotations.h"
 #include "runtime/epoch_manager.h"
 #include "runtime/serving_loop.h"
-#include "runtime/session_pool.h"
 #include "runtime/wire_format.h"
 #include "service/query_service.h"
 
@@ -193,22 +216,22 @@ struct TransportOptions {
   /// binding anything else ("0.0.0.0", a NIC address) exposes the
   /// server off-host — pair it with auth_token.
   std::string bind_addr = "127.0.0.1";
-  /// Listen backlog.
-  int backlog = 128;
-  /// Accept at most this many connections, then stop accepting and let
-  /// WaitUntilStopped return once they finish; 0 = accept until Stop().
+  /// Accept at most this many connections, then close the listener and
+  /// let WaitUntilStopped return once they finish; 0 = accept until
+  /// Stop().
   std::int64_t max_sessions = 0;
-  /// Worker threads in the session pool.
+  /// Worker threads, each driving its own readiness loop over its shard
+  /// of the connections; worker 0's loop also owns the listener.
+  /// Clamped to at least 1.
   int workers = 2;
   /// Non-empty requires every connection to open with "auth <token>"
   /// (constant-time compare) before anything is served; failed
-  /// handshakes are counted and closed.
+  /// handshakes are counted, answered with one error line, and closed.
   std::string auth_token;
 };
 
-/// TCP listener fanning connections into the worker-pool readiness loop
-/// over one shared QueryService + EpochManager. All public methods are
-/// thread-safe.
+/// TCP listener and worker readiness loops over one shared QueryService
+/// + EpochManager. All public methods are thread-safe.
 class SocketServer {
  public:
   /// The service must already have a published snapshot (PublishInitial
@@ -222,18 +245,19 @@ class SocketServer {
   SocketServer(const SocketServer&) = delete;
   SocketServer& operator=(const SocketServer&) = delete;
 
-  /// Binds bind_addr:port, listens, starts the worker pool and the
-  /// accept loop, and registers the announcement push notifier.
+  /// Binds bind_addr:port, listens, starts the workers (worker 0 watches
+  /// the listener), and registers the announcement push notifier.
   Status Start();
 
   /// The bound port (resolves port 0); 0 before Start().
   int port() const;
 
-  /// Stops accepting, force-closes every active connection, and joins
-  /// the accept loop and the worker pool. Idempotent.
+  /// Closes the listener, force-closes every active connection, and
+  /// joins the workers. Idempotent; a concurrent caller returns once the
+  /// joins are done.
   void Stop();
 
-  /// Blocks until the accept loop has exited (Stop() was called, or
+  /// Blocks until the listener is closed (Stop() was called, or
   /// max_sessions connections were accepted) and every accepted
   /// connection has completed. Does NOT force active sessions to end.
   void WaitUntilStopped();
@@ -253,29 +277,37 @@ class SocketServer {
   Stats stats() const;
 
  private:
-  void AcceptLoop();
+  struct Worker;
+  enum class State { kIdle, kRunning, kStopping, kStopped };
+
+  /// One worker's readiness loop until Stop; worker 0's also accepts.
+  void WorkerLoop(Worker& worker);
 
   QueryService& service_;
   EpochManager& manager_;
   const TransportOptions options_;
 
   mutable Mutex mutex_;
-  /// Created by Start() and never replaced while the accept loop or the
-  /// workers run; users snapshot the raw pointer under mutex_ and call
-  /// it unlocked (SessionPool is itself thread-safe).
-  std::unique_ptr<SessionPool> pool_ DPHIST_GUARDED_BY(mutex_);
-  int listen_fd_ DPHIST_GUARDED_BY(mutex_) = -1;
-  int port_ DPHIST_GUARDED_BY(mutex_) = 0;
-  bool stopping_ DPHIST_GUARDED_BY(mutex_) = false;
-  bool started_ DPHIST_GUARDED_BY(mutex_) = false;
-  /// True once the accept loop has exited (and before Start()), so
-  /// waiters never block on a loop that was never started.
-  bool accept_done_ DPHIST_GUARDED_BY(mutex_) = true;
   CondVar state_cv_;
-  /// Assigned by Start, swapped out (for the join) by exactly one Stop.
-  std::thread accept_thread_ DPHIST_GUARDED_BY(mutex_);
+  /// kIdle until Start succeeds; the first Stop moves kRunning to
+  /// kStopping, joins the workers unlocked, then sets kStopped.
+  State state_ DPHIST_GUARDED_BY(mutex_) = State::kIdle;
+  /// Filled by Start before any worker runs and never resized before
+  /// the destructor, so Stop may join through raw pointers it copied
+  /// out under mutex_ while the loops take mutex_ to record sessions.
+  std::vector<std::unique_ptr<Worker>> workers_ DPHIST_GUARDED_BY(mutex_);
+  /// Round-robin cursor for handing accepted connections to workers.
+  std::uint64_t next_worker_ DPHIST_GUARDED_BY(mutex_) = 0;
+  int port_ DPHIST_GUARDED_BY(mutex_) = 0;
+  /// True from Start until worker 0 closes the listener, so waiters
+  /// never block on a listener that was never opened.
+  bool listening_ DPHIST_GUARDED_BY(mutex_) = false;
   Stats stats_ DPHIST_GUARDED_BY(mutex_);
 };
+
+/// Constant-time equality for secrets: the comparison time depends only
+/// on the lengths, never on where the first mismatch sits.
+bool ConstantTimeEquals(std::string_view a, std::string_view b);
 
 }  // namespace dphist::runtime
 

@@ -1,6 +1,7 @@
 #include "service/snapshot.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/check.h"
@@ -38,23 +39,26 @@ WaveletOptions WaveletOptionsOf(const SnapshotOptions& options) {
   return wavelet;
 }
 
-/// The checks Build and Restore share: everything a shard constructor
-/// CHECKs, refused once as a Status before any shard exists.
-Status CheckReleaseOptions(const SnapshotOptions& options,
-                           std::int64_t domain_size) {
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
+/// The most tree nodes one release may hold across its shards: 16 GiB of
+/// node doubles, far above any real release (n = 2^24 at branching 2 is
+/// about 2^25 nodes).
+constexpr std::int64_t kMaxReleaseTreeNodes = std::int64_t{1} << 31;
+
+/// Nodes in the tree TreeLayout pads `leaves` positions into, or
+/// kMaxReleaseTreeNodes + 1 as soon as the count passes that cap, so no
+/// branching can overflow it.
+std::int64_t CappedTreeNodes(std::int64_t leaves, std::int64_t branching) {
+  std::int64_t level = 1;  // nodes on the deepest level so far
+  std::int64_t total = 1;
+  while (level < leaves) {
+    if (level > kMaxReleaseTreeNodes / branching) {
+      return kMaxReleaseTreeNodes + 1;
+    }
+    level *= branching;
+    total += level;
+    if (total > kMaxReleaseTreeNodes) return kMaxReleaseTreeNodes + 1;
   }
-  if (options.branching < 2) {
-    return Status::InvalidArgument("branching must be >= 2");
-  }
-  if (options.shards < 1) {
-    return Status::InvalidArgument("shards must be >= 1");
-  }
-  if (domain_size < 1) {
-    return Status::InvalidArgument("domain must be non-empty");
-  }
-  return Status::Ok();
+  return total;
 }
 
 /// Draws one shard's release with the plain constructors, whose CHECKs
@@ -113,6 +117,40 @@ std::int64_t ShardWidth(std::int64_t domain_size, std::int64_t shards) {
   return (domain_size + count - 1) / count;
 }
 
+Status CheckReleaseOptions(const SnapshotOptions& options,
+                           std::int64_t domain_size) {
+  if (options.epsilon <= 0.0) {
+    return Status::InvalidArgument("epsilon must be positive");
+  }
+  if (options.branching < 2) {
+    return Status::InvalidArgument("branching must be >= 2");
+  }
+  if (options.shards < 1) {
+    return Status::InvalidArgument("shards must be >= 1");
+  }
+  if (domain_size < 1) {
+    return Status::InvalidArgument("domain must be non-empty");
+  }
+  if (options.strategy == StrategyKind::kHTilde ||
+      options.strategy == StrategyKind::kHBar ||
+      options.strategy == StrategyKind::kAuto) {
+    const std::int64_t width = ShardWidth(domain_size, options.shards);
+    const std::int64_t count = (domain_size + width - 1) / width;
+    const std::int64_t full = CappedTreeNodes(width, options.branching);
+    const std::int64_t last =
+        CappedTreeNodes(domain_size - (count - 1) * width, options.branching);
+    // (count - 1) * full + last <= kMaxReleaseTreeNodes, by division.
+    if (last > kMaxReleaseTreeNodes ||
+        count - 1 > (kMaxReleaseTreeNodes - last) / full) {
+      return Status::InvalidArgument(
+          "branching " + std::to_string(options.branching) +
+          " over shards of width " + std::to_string(width) +
+          " would pad the release's trees past 2^31 nodes");
+    }
+  }
+  return Status::Ok();
+}
+
 Result<std::shared_ptr<const Snapshot>> Snapshot::Build(
     const Histogram& data, const SnapshotOptions& options,
     std::uint64_t epoch, Rng* rng) {
@@ -140,14 +178,19 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Build(
 
   std::vector<std::unique_ptr<RangeCountEstimator>> shards(
       static_cast<std::size_t>(count));
-  ParallelFor(count, ResolveThreadCount(options.build_threads),
-              [&](std::int64_t i) {
-                const std::int64_t lo = i * width;
-                const std::int64_t hi = std::min(n - 1, lo + width - 1);
-                shards[static_cast<std::size_t>(i)] =
-                    BuildShard(SliceHistogram(data, lo, hi), options,
-                               &shard_rngs[static_cast<std::size_t>(i)]);
-              });
+  if (count == 1) {
+    // The one shard is the whole histogram: read it in place.
+    shards[0] = BuildShard(data, options, &shard_rngs[0]);
+  } else {
+    ParallelFor(count, ResolveThreadCount(options.build_threads),
+                [&](std::int64_t i) {
+                  const std::int64_t lo = i * width;
+                  const std::int64_t hi = std::min(n - 1, lo + width - 1);
+                  shards[static_cast<std::size_t>(i)] =
+                      BuildShard(SliceHistogram(data, lo, hi), options,
+                                 &shard_rngs[static_cast<std::size_t>(i)]);
+                });
+  }
   for (const std::unique_ptr<RangeCountEstimator>& shard : shards) {
     if (shard == nullptr) {
       return Status::Internal("cannot build a shard for an unknown strategy");

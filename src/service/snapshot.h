@@ -80,6 +80,18 @@ struct SnapshotOptions {
   std::int64_t build_threads = 1;
 };
 
+/// The one release-options gate. Snapshot::Build and Snapshot::Restore
+/// apply it, and the planner's oracle and the serve, plan and
+/// release-universal commands call it before they plan, open a state
+/// directory or write anything. Refuses, as an InvalidArgument,
+/// non-positive epsilon, branching < 2, shards < 1, an empty domain, and,
+/// for H~, H-bar and an unresolved kAuto, a release whose shard trees,
+/// padded as TreeLayout pads them, would hold more than 2^31 nodes in
+/// all (counted without allocating or overflowing). kAuto itself passes:
+/// Build refuses it, and the planner resolves it.
+Status CheckReleaseOptions(const SnapshotOptions& options,
+                           std::int64_t domain_size);
+
 /// One immutable epsilon-DP release, safe for lock-free concurrent reads.
 class Snapshot {
  public:
@@ -89,9 +101,10 @@ class Snapshot {
   /// fan-out, so the release is a deterministic function of
   /// (data, options, rng state) — bit-identical at every thread count.
   /// The serving layer's one validation gate: fails on a null `rng`,
-  /// non-positive epsilon, branching < 2, shards < 1, an empty domain,
-  /// or an unresolved kAuto strategy, before any shard exists, and then
-  /// builds each shard with its estimator's plain constructor.
+  /// anything CheckReleaseOptions refuses, or an unresolved kAuto
+  /// strategy, before any shard exists, and then builds each shard with
+  /// its estimator's plain constructor. A one-shard release reads `data`
+  /// in place; only a sharded one copies each shard's slice.
   static Result<std::shared_ptr<const Snapshot>> Build(
       const Histogram& data, const SnapshotOptions& options,
       std::uint64_t epoch, Rng* rng);

@@ -306,11 +306,12 @@ TEST(BuildAllocationTest, DefaultHBarBuildWorksInOneNodeBuffer) {
   EXPECT_LE(requests.bytes, static_cast<std::size_t>(1.6 * (1 << 20)));
 }
 
-TEST(BuildAllocationTest, DefaultSnapshotBuildAddsOnlyTheShardSlice) {
-  // The same release through the serving gate: Snapshot::Build adds the
-  // shard's slice of the histogram (512 KiB) and builds the shard with
-  // the plain constructor, so three node-sized requests in all. A
-  // discarded prefix table or a copied state vector fails here.
+TEST(BuildAllocationTest, DefaultSnapshotBuildReadsTheHistogramInPlace) {
+  // The same release through the serving gate: Snapshot::Build hands the
+  // one shard the histogram itself (no 512 KiB slice copy) and builds it
+  // with the plain constructor, so two node-sized requests in all. A
+  // slice copy, a discarded prefix table or a copied state vector fails
+  // here.
   constexpr std::int64_t kDomain = 1 << 16;
   Rng data_rng(3);
   const Histogram data = Histogram::FromCounts(
@@ -325,8 +326,8 @@ TEST(BuildAllocationTest, DefaultSnapshotBuildAddsOnlyTheShardSlice) {
     ASSERT_TRUE(built.ok());
     EXPECT_EQ(built.value()->answer_plan(), nullptr);
   });
-  EXPECT_LE(requests.large_buffers, 3u);
-  EXPECT_LE(requests.bytes, static_cast<std::size_t>(2.1 * (1 << 20)));
+  EXPECT_LE(requests.large_buffers, 2u);
+  EXPECT_LE(requests.bytes, static_cast<std::size_t>(1.6 * (1 << 20)));
 }
 
 TEST_F(EstimatorAllocationTest, LegacyDecomposeRangeStillAllocates) {

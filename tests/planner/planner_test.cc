@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -142,6 +143,17 @@ TEST(PlannerTest, EnumerationAndBaseErrorsAreReturnedAsIs) {
   ASSERT_FALSE(plan.ok());
   EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(plan.status().message(), "epsilon must be positive");
+
+  // So does a branching whose trees no candidate could allocate: the
+  // release gate refuses it before any oracle is built.
+  SnapshotOptions absurd = LinearBase();
+  absurd.branching = std::int64_t{1} << 40;
+  plan = ChoosePlan(profile, absurd);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(plan.status().message().find("branching 1099511627776"),
+            std::string::npos)
+      << plan.status().ToString();
 }
 
 TEST(PlannerTest, IncrementalCostCacheMatchesFreshEvaluation) {

@@ -1,10 +1,8 @@
-// Threaded tests for the worker-pool transport: the binary frame
-// protocol, protocol negotiation next to unchanged text sessions, the
-// auth handshake, pipelining, and per-session stats — all over real
-// loopback connections into the epoll/poll readiness loop. Part of the
-// TSan CI filter (SessionPoolTransportTest.*).
-
-#include "runtime/session_pool.h"
+// Threaded tests for the socket server's worker readiness loops: the
+// binary frame protocol, protocol negotiation next to unchanged text
+// sessions, the auth handshake, pipelining, and per-session stats — all
+// over real loopback connections into the epoll/poll loops. Part of the
+// TSan and ASan+LSan CI filters (SessionPoolTransportTest.*).
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -569,7 +567,6 @@ TEST(SessionPoolTransportTest, ManyConnectionsShareTwoWorkers) {
   transport.port = 0;
   transport.max_sessions = kClients;
   transport.workers = 2;
-  transport.backlog = kClients;
   SocketServer server(service, manager, transport);
   ASSERT_TRUE(server.Start().ok());
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -55,6 +57,13 @@ TEST(SnapshotTest, BuildValidatesOptions) {
     rows.back().options.branching = 1;
     rows.push_back({"shards < 1", valid, &rng});
     rows.back().options.shards = 0;
+    // A branching no tree can be padded to: a tree of 2^40 + 1 nodes
+    // per shard. Only the tree strategies read branching at all.
+    SnapshotOptions absurd = valid;
+    absurd.branching = std::int64_t{1} << 40;
+    const bool tree =
+        kind == StrategyKind::kHTilde || kind == StrategyKind::kHBar;
+    if (tree) rows.push_back({"branching pads past 2^31 nodes", absurd, &rng});
     for (const Row& row : rows) {
       auto built = Snapshot::Build(data, row.options, 1, row.rng);
       ASSERT_FALSE(built.ok()) << row.what;
@@ -62,7 +71,64 @@ TEST(SnapshotTest, BuildValidatesOptions) {
           << row.what;
     }
     EXPECT_TRUE(Snapshot::Build(data, valid, 1, &rng).ok());
+    if (!tree) {
+      EXPECT_TRUE(Snapshot::Build(data, absurd, 1, &rng).ok());
+    }
   }
+}
+
+TEST(SnapshotTest, ReleaseGateCountsPaddedShardTreesWithoutBuilding) {
+  // CheckReleaseOptions counts every shard's padded tree against 2^31
+  // nodes in all, for domains no test could allocate.
+  struct Row {
+    StrategyKind strategy;
+    std::int64_t branching;
+    std::int64_t shards;
+    std::int64_t domain;
+    bool ok;
+  };
+  const std::int64_t k30 = std::int64_t{1} << 30;
+  const Row rows[] = {
+      // One binary tree over 2^30 leaves: 2^31 - 1 nodes, the most that
+      // passes; one more leaf pads to 2^31 leaves.
+      {StrategyKind::kHBar, 2, 1, k30, true},
+      {StrategyKind::kHBar, 2, 1, k30 + 1, false},
+      {StrategyKind::kHTilde, 2, 1, k30 + 1, false},
+      {StrategyKind::kAuto, 2, 1, k30 + 1, false},
+      // Shards add up: 2 x (2^31 - 1) fails, 4 x (2^29 - 1) passes.
+      {StrategyKind::kHBar, 2, 2, 2 * k30, false},
+      {StrategyKind::kHBar, 2, 4, k30, true},
+      // Branching beyond the domain: k + 1 nodes per shard, no overflow
+      // at any k.
+      {StrategyKind::kHBar, std::int64_t{1} << 40, 1, 5000, false},
+      {StrategyKind::kHBar, INT64_MAX, 64, 5000, false},
+      {StrategyKind::kHBar, std::int64_t{1} << 40, 1, 1, true},
+      {StrategyKind::kHBar, std::int64_t{1} << 20, 1, 5000, true},
+      // L~ and wavelet have no tree.
+      {StrategyKind::kLTilde, INT64_MAX, 1, k30 + 1, true},
+      {StrategyKind::kWavelet, INT64_MAX, 1, k30 + 1, true},
+  };
+  for (const Row& row : rows) {
+    SnapshotOptions options;
+    options.strategy = row.strategy;
+    options.branching = row.branching;
+    options.shards = row.shards;
+    SCOPED_TRACE(std::string(StrategyKindName(row.strategy)) + " k=" +
+                 std::to_string(row.branching) + " shards=" +
+                 std::to_string(row.shards) + " n=" +
+                 std::to_string(row.domain));
+    const Status status = CheckReleaseOptions(options, row.domain);
+    EXPECT_EQ(status.ok(), row.ok) << status.ToString();
+    if (!row.ok) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+    }
+  }
+  // The refusal names the branching and the shard width.
+  SnapshotOptions options;
+  options.branching = std::int64_t{1} << 40;
+  EXPECT_EQ(CheckReleaseOptions(options, 5000).message(),
+            "branching 1099511627776 over shards of width 5000 would pad "
+            "the release's trees past 2^31 nodes");
 }
 
 TEST(SnapshotTest, CarriesEpochAndOptions) {

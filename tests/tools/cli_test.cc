@@ -387,6 +387,52 @@ TEST(CliTest, MalformedFlagValuesAreRefusedBeforeAnyEffect) {
   std::remove(data_path.c_str());
 }
 
+TEST(CliTest, AbsurdBranchingIsRefusedBeforeAnyEffect) {
+  // A branching far beyond the domain pads each shard's tree to
+  // branching leaves. serve, plan and release-universal share the one
+  // release gate, so each refuses it as an InvalidArgument before it
+  // plans, opens a state directory or writes a file, instead of dying
+  // in an allocation that cannot succeed.
+  const std::string data_path = TempPath("cli_branching_data.csv");
+  const std::string out_path = TempPath("cli_branching_out.csv");
+  const std::string state_dir = TempPath("cli_branching_state");
+  const std::string queries_path = TempPath("cli_branching_queries.txt");
+  std::string out, err;
+  ASSERT_EQ(RunMain({"generate", "--dataset", "social", "--output",
+                     data_path.c_str(), "--size", "5000"},
+                    &out, &err),
+            0)
+      << err;
+  { std::ofstream queries(queries_path); queries << "0 9\n0 4999\n"; }
+  std::remove(out_path.c_str());
+  std::filesystem::remove_all(state_dir);
+  const char* data = data_path.c_str();
+  const char* k = "1099511627776";  // 2^40
+  const std::vector<std::vector<const char*>> rows = {
+      {"serve", "--input", data, "--stdin", "--epsilon", "1", "--branching",
+       k, "--strategy", "hbar", "--state-dir", state_dir.c_str()},
+      {"serve", "--input", data, "--stdin", "--epsilon", "1", "--branching",
+       k, "--strategy", "auto", "--state-dir", state_dir.c_str()},
+      {"plan", "--queries", queries_path.c_str(), "--input", data,
+       "--epsilon", "1", "--branching", k},
+      {"release-universal", "--input", data, "--output", out_path.c_str(),
+       "--epsilon", "1", "--branching", k},
+  };
+  for (const std::vector<const char*>& args : rows) {
+    SCOPED_TRACE(std::string(args[0]) + " " + args[args.size() - 1]);
+    EXPECT_EQ(RunMainWithInput("quit\n", args, &out, &err), 1);
+    EXPECT_EQ(out, "");
+    EXPECT_NE(err.find("error: InvalidArgument: branching 1099511627776 "
+                       "over shards of width 5000"),
+              std::string::npos)
+        << err;
+  }
+  EXPECT_FALSE(std::filesystem::exists(state_dir));
+  EXPECT_FALSE(std::filesystem::exists(out_path));
+  std::remove(data_path.c_str());
+  std::remove(queries_path.c_str());
+}
+
 TEST(CliTest, PlanGoldenOutput) {
   // Golden regression for `dphist plan`: L~ and H~ costs are exact
   // rational closed forms (no linear algebra), so this table must

@@ -27,6 +27,7 @@
 #include "runtime/session.h"
 #include "runtime/transport.h"
 #include "service/query_service.h"
+#include "service/snapshot.h"
 #include "storage/epoch_store.h"
 #include "tools/lint/lint.h"
 
@@ -246,12 +247,12 @@ Status RunReleaseUniversal(const Flags& flags, std::ostream& out) {
   auto data = LoadHistogramCsv(flags.GetString("input", ""));
   if (!data.ok()) return data.status();
 
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  if (options.branching < 2) {
-    return Status::InvalidArgument("branching must be >= 2");
-  }
+  // The one-shard H-bar release this command draws, as the gate sees it.
+  SnapshotOptions gated;
+  gated.epsilon = options.epsilon;
+  gated.branching = options.branching;
+  Status valid = CheckReleaseOptions(gated, data.value().size());
+  if (!valid.ok()) return valid;
   options.prune_nonpositive_subtrees = !no_prune;
   options.round_to_nonnegative_integers = !no_round;
 
@@ -381,18 +382,11 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
   if (!data.ok()) return data.status();
   const std::int64_t n = data.value().size();
 
-  if (options.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
   auto strategy = ParseStrategyKind(flags.GetString("strategy", "hbar"));
   if (!strategy.ok()) return strategy.status();
   options.strategy = strategy.value();
-  if (options.branching < 2) {
-    return Status::InvalidArgument("branching must be >= 2");
-  }
-  if (options.shards < 1) {
-    return Status::InvalidArgument("shards must be >= 1");
-  }
+  Status valid = CheckReleaseOptions(options, n);
+  if (!valid.ok()) return valid;
   options.round_to_nonnegative_integers = !no_round;
   options.prune_nonpositive_subtrees = !no_prune;
 
@@ -847,12 +841,8 @@ Status RunPlan(const Flags& flags, std::ostream& out) {
         "plan needs --input (histogram CSV) or --domain (size)");
   }
 
-  if (base.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  if (base.branching < 2) {
-    return Status::InvalidArgument("branching must be >= 2");
-  }
+  Status valid = CheckReleaseOptions(base, n);
+  if (!valid.ok()) return valid;
 
   planner::PlannerOptions planner_options;
   Status s = FillPlannerOptions(flags, &planner_options);
