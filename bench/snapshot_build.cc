@@ -33,7 +33,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -50,6 +49,8 @@
 #include "mechanism/laplace_mechanism.h"
 #include "query/hierarchical_query.h"
 #include "service/snapshot.h"
+
+#include "provenance.h"
 
 using namespace dphist;  // NOLINT(build/namespaces)
 
@@ -78,20 +79,6 @@ std::vector<int> ParseThreadsList(const std::string& csv) {
   if (have_digit) threads.push_back(value);
   DPHIST_CHECK_MSG(!threads.empty(), "empty --threads-list");
   return threads;
-}
-
-/// The host CPU's model name from /proc/cpuinfo, "unknown" elsewhere.
-std::string CpuModel() {
-  std::ifstream cpuinfo("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(cpuinfo, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const std::size_t colon = line.find(':');
-    if (colon != std::string::npos && colon + 2 <= line.size()) {
-      return line.substr(colon + 2);
-    }
-  }
-  return "unknown";
 }
 
 double Median(std::vector<double> values) {
@@ -148,16 +135,6 @@ BuildSteps TimeHBarBuildSteps(std::uint64_t seed) {
   return {Median(steps[0]), Median(steps[1]), Median(steps[2]),
           Median(steps[3]), Median(steps[4]), Median(steps[5]),
           Median(steps[6])};
-}
-
-const char* Compiler() {
-#if defined(__clang__)
-  return "clang " __clang_version__;
-#elif defined(__GNUC__)
-  return "gcc " __VERSION__;
-#else
-  return "unknown";
-#endif
 }
 
 }  // namespace
@@ -271,8 +248,8 @@ int main(int argc, char** argv) {
   std::printf("  \"repeats\": %lld,\n", static_cast<long long>(repeats));
   std::printf("  \"hardware_concurrency\": %u,\n",
               std::thread::hardware_concurrency());
-  std::printf("  \"cpu_model\": \"%s\",\n", CpuModel().c_str());
-  std::printf("  \"compiler\": \"%s\",\n", Compiler());
+  std::printf("  \"cpu_model\": \"%s\",\n", bench::CpuModel().c_str());
+  std::printf("  \"compiler\": \"%s\",\n", bench::Compiler());
   std::printf("  \"bit_identical\": %s,\n", bit_identical ? "true" : "false");
   std::printf("  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {

@@ -28,12 +28,11 @@
 // slowest client thread; per_batch_us is the per-batch cost implied by
 // that aggregate (batch * 1e6 / qps).
 //
-// On the 1-core reference container every client thread, server
-// worker, and the measurement share one core, so the sweep measures
-// protocol + readiness-loop overhead under contention rather than
-// scaling; re-record on multicore for honest scaling (README "Network
-// serving"). The PR 5 blocking thread-per-connection numbers recorded
-// on this same container are embedded as the baseline block so the
+// Client threads, server workers and the measurement share the host's
+// cores, so the sweep measures protocol and readiness-loop cost under
+// that contention; the JSON names the CPU and compiler it ran on. The
+// earlier blocking thread-per-connection transport's numbers (recorded
+// on a 1-core container) are embedded as the baseline block so the
 // transition stays visible in the JSON.
 //
 // Flags (DPHIST_* env equivalents): --domain-log2, --strategy,
@@ -60,6 +59,8 @@
 #include "runtime/transport.h"
 #include "runtime/wire_format.h"
 #include "service/query_service.h"
+
+#include "provenance.h"
 
 using namespace dphist;  // NOLINT(build/namespaces)
 
@@ -455,6 +456,8 @@ int main(int argc, char** argv) {
               static_cast<long long>(workers));
   std::printf("  \"hardware_concurrency\": %u,\n",
               std::thread::hardware_concurrency());
+  std::printf("  \"cpu_model\": \"%s\",\n", bench::CpuModel().c_str());
+  std::printf("  \"compiler\": \"%s\",\n", bench::Compiler());
   std::printf("  \"runs\": [\n");
   for (std::size_t i = 0; i < runs.size(); ++i) {
     std::printf(

@@ -21,8 +21,9 @@
 // SessionReader parses commands one at a time with line-numbered errors
 // (the same messages the workload-file loader produced, so `serve
 // --queries` diagnostics are unchanged). SessionWriter owns the answer
-// and "# ..." report formatting shared by the streaming REPL and the
-// batch driver, so transcripts from either mode look alike.
+// and "# ..." report formatting shared by the streaming REPL, the batch
+// driver and the socket transport, so transcripts from every mode look
+// alike.
 
 #ifndef DPHIST_RUNTIME_SESSION_H_
 #define DPHIST_RUNTIME_SESSION_H_
@@ -59,9 +60,21 @@ struct SessionCommand {
 /// Parses one already-extracted line (no trailing newline) as a session
 /// command. The non-blocking transport uses this directly: its readiness
 /// loop splits its receive buffer on '\n' and never owns an istream.
-/// Returns false when the line carries no command (blank or comment);
-/// true fills `out`. A malformed line is a Status naming `line_number`
-/// (1-based), with diagnostics byte-identical to SessionReader's.
+/// Returns false when the line carries no command (blank or comment) and
+/// leaves `out` untouched; true fills `out`, reusing its `ranges`
+/// capacity, so a caller that keeps one SessionCommand across lines
+/// parses warm lines without allocating. A malformed line is a Status
+/// naming `line_number` (1-based), with diagnostics byte-identical to
+/// SessionReader's; `out` then holds whatever parsed before the error.
+///
+/// The line is scanned in place with the field rules of `std::istream
+/// >>` in the "C" locale: space, '\t' to '\r' and ',' separate fields;
+/// an integer is one optional '+' or '-' followed by decimal digits and
+/// ends at the first byte that cannot continue it; no digits, or a value
+/// outside int64, fails the field. A line of only spaces, tabs, '\r' and
+/// commas is blank; one whose first other byte is '#' is a comment.
+/// Ranges are stored as they parse, so a `qb` count reserves nothing by
+/// itself.
 Result<bool> ParseSessionLine(std::string_view line,
                               std::int64_t domain_size,
                               std::int64_t line_number, SessionCommand* out);
@@ -101,23 +114,34 @@ class SessionReader {
 Result<std::vector<SessionCommand>> ReadSessionScript(
     std::istream& in, std::int64_t domain_size);
 
-/// Appends one answer line ("%.15g" + '\n') to `out` via std::to_chars
-/// — byte-identical to the ostream formatting the transcripts have
-/// always used, minus the per-value locale machinery. Shared by
-/// SessionWriter and the binary client's ANSWERS rendering so both
-/// transcripts stay identical.
+/// Appends one answer line ("%.15g" + '\n') to `out`, byte-identical to
+/// std::to_chars(general, 15) and so to the ostream formatting the
+/// transcripts have always used. An integral value below 1e15 in
+/// magnitude (every count Section 5.2 rounding serves), other than -0.0,
+/// goes through integer std::to_chars: "%.15g" prints exactly its
+/// digits. Shared by SessionWriter and the binary client's ANSWERS
+/// rendering so both transcripts stay identical.
 void AppendAnswerLine(double value, std::string* out);
 
 /// Formats session output: answer lines at full precision plus the
-/// "# ..." report lines both serving modes share.
+/// "# ..." report lines both serving modes share. Every call renders
+/// into a string with std::to_chars, never through stream formatting:
+/// the string form appends to the caller's string (the socket
+/// transport's connection buffer); the stream form renders into one
+/// reusable buffer and writes it to the stream before the call returns,
+/// so output interleaves with the caller's own stream writes.
 class SessionWriter {
  public:
-  explicit SessionWriter(std::ostream& out) : out_(out) {}
+  explicit SessionWriter(std::ostream& out)
+      : stream_(&out), text_(&buffer_) {}
+  /// Appends everything to `*out`, which must outlive the writer.
+  explicit SessionWriter(std::string* out) : text_(out) {}
+
+  SessionWriter(const SessionWriter&) = delete;
+  SessionWriter& operator=(const SessionWriter&) = delete;
 
   /// One answer per line, 15 significant digits (round-trips every
-  /// integral count a double holds exactly). Formatted with
-  /// std::to_chars into one reusable buffer (see AppendAnswerLine) and
-  /// written with a single stream write per batch.
+  /// integral count a double holds exactly); see AppendAnswerLine.
   void Answers(const double* values, std::size_t count);
 
   /// "# batch n=K epoch=E" — the single-epoch receipt after a `qb`.
@@ -134,14 +158,20 @@ class SessionWriter {
   /// "error: <status>" — interactive sessions keep serving after this.
   void Error(const Status& status);
 
+  /// Flushes the stream form's stream; the string form has nothing
+  /// buffered.
   void Flush();
 
-  std::ostream& stream() { return out_; }
-
  private:
-  std::ostream& out_;
-  /// Reused across Answers calls; steady-state batches allocate nothing.
+  /// The stream form writes what the call rendered and empties the
+  /// buffer; the string form has nothing to do.
+  void WriteThrough();
+
+  std::ostream* stream_ = nullptr;  // null in the string form
+  /// The stream form's render buffer, reused across calls: steady-state
+  /// batches allocate nothing.
   std::string buffer_;
+  std::string* text_;  // where calls render: the caller's string or buffer_
 };
 
 }  // namespace dphist::runtime

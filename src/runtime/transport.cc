@@ -18,7 +18,6 @@
 #include <cstring>
 #include <deque>
 #include <map>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -415,7 +414,9 @@ struct Conn {
     kBinary,     // frame protocol
   };
 
-  explicit Conn(int fd_in) : fd(fd_in), writer(staging) {}
+  explicit Conn(int fd_in) : fd(fd_in), writer(&outbuf) {}
+  Conn(const Conn&) = delete;  // the writer points at outbuf
+  Conn& operator=(const Conn&) = delete;
 
   int fd;
   Phase phase = Phase::kAuth;
@@ -432,10 +433,11 @@ struct Conn {
   bool auth_failed = false;
   Status session_status = Status::Ok();
   std::int64_t domain_size = 0;
-  /// Text output staging: the SessionWriter renders into this, and the
-  /// worker moves the bytes to outbuf after each command.
-  std::ostringstream staging;
+  /// Renders text-protocol output straight into outbuf.
   SessionWriter writer;
+  /// The text command being parsed, reused across lines so warm lines
+  /// parse into capacity they already have.
+  SessionCommand command;
   std::unique_ptr<SessionExecutor> executor;
 };
 
@@ -499,7 +501,6 @@ class ConnDriver {
       for (const ReplanOutcome& outcome : c.executor->TakeAnnouncements()) {
         c.executor->ReportOutcome(outcome);
       }
-      MoveStaging(c);
     } else if (c.phase == Conn::Phase::kBinary) {
       for (const ReplanOutcome& outcome : c.executor->TakeAnnouncements()) {
         ReportBinary(c, outcome);
@@ -525,22 +526,15 @@ class ConnDriver {
         wire::EncodeBye(c.executor->summary().queries, epoch, &c.outbuf);
       } else {
         c.executor->PollAndReport();
-        std::ostringstream text;
-        text << "served " << c.executor->summary().queries
-             << " queries from epoch " << epoch;
-        c.writer.Comment(text.str());
-        MoveStaging(c);
+        c.writer.Comment("served " +
+                         std::to_string(c.executor->summary().queries) +
+                         " queries from epoch " + std::to_string(epoch));
       }
     }
     c.close_after_flush = true;
   }
 
  private:
-  void MoveStaging(Conn& c) {
-    c.outbuf += c.staging.str();
-    c.staging.str(std::string());
-  }
-
   /// Sends the banner (or the no-snapshot error) and creates the
   /// executor; the connection then negotiates its protocol.
   void EnterSession(Conn& c) {
@@ -549,13 +543,11 @@ class ConnDriver {
       c.session_status = Status::FailedPrecondition(
           "socket session needs a published snapshot");
       c.writer.Error(c.session_status);
-      MoveStaging(c);
       c.close_after_flush = true;
       return;
     }
     c.domain_size = snapshot->domain_size();
     WriteServingBanner(c.writer, *snapshot);
-    MoveStaging(c);
     // Bind the stats line's write_errors field to THIS connection, so a
     // client can ask mid-session whether any of its answers were lost.
     // The Conn outlives its executor, and both live on this worker.
@@ -619,23 +611,20 @@ class ConnDriver {
   bool ProcessText(Conn& c) {
     std::string_view line;
     if (!NextLine(c, &line)) return false;
-    SessionCommand command;
     Result<bool> parsed =
-        ParseSessionLine(line, c.domain_size, c.line_number, &command);
+        ParseSessionLine(line, c.domain_size, c.line_number, &c.command);
     if (!parsed.ok()) {
       c.writer.Error(parsed.status());
-      MoveStaging(c);
       return true;
     }
     if (!parsed.value()) return true;  // blank or comment
-    if (command.verb == SessionVerb::kQuit) {
+    if (c.command.verb == SessionVerb::kQuit) {
       FinishSession(c);
       return false;
     }
-    Status status = c.executor->Execute(command, /*interactive=*/true);
+    Status status = c.executor->Execute(c.command, /*interactive=*/true);
     if (!status.ok()) c.writer.Error(status);
     c.executor->PollAndReport();
-    MoveStaging(c);
     return true;
   }
 

@@ -257,8 +257,8 @@ class QueryService : public RetiredCacheCounters {
   std::uint64_t last_epoch_ DPHIST_GUARDED_BY(publish_mutex_) = 0;
   std::atomic<std::shared_ptr<const Snapshot>> snapshot_;
   /// observed_lengths_[s][b] counts answered queries with
-  /// 2^b <= length < 2^(b+1) recorded by stripe s; relaxed increments
-  /// on the read path.
+  /// 2^b <= length < 2^(b+1) recorded by stripe s; the read path adds a
+  /// whole batch's count per bucket with one relaxed add.
   mutable std::array<std::array<std::atomic<std::uint64_t>, kLengthBuckets>,
                      kLengthStripes>
       observed_lengths_{};

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace dphist::storage {
@@ -63,8 +64,14 @@ class ByteWriter {
     Bytes(values.data(), values.size() * sizeof(double));
   }
 
+  /// Sizes the buffer for `bytes` in all, so a large image is encoded
+  /// without regrowth.
+  void Reserve(std::size_t bytes) { buf_.reserve(bytes); }
+
   const std::string& data() const { return buf_; }
   std::size_t size() const { return buf_.size(); }
+  /// Hands the encoded bytes over without copying them.
+  std::string Take() && { return std::move(buf_); }
 
  private:
   void AppendLittleEndian(std::uint64_t value, int bytes) {

@@ -127,8 +127,9 @@ std::uint16_t EncodeStrategy(StrategyKind kind) {
 /// order, then the optional planner profile.
 Result<std::string> EncodeDataStream(const Snapshot& snapshot,
                                      const planner::WorkloadProfile* profile) {
-  ByteWriter out;
-  out.U64(static_cast<std::uint64_t>(snapshot.shard_count()));
+  // Size the whole image up front, so a publish asks for one buffer
+  // instead of a doubling series of them.
+  std::size_t bytes = 8 + 1;
   for (std::int64_t i = 0; i < snapshot.shard_count(); ++i) {
     const std::vector<double>* state = snapshot.shard(i).SerializableState();
     if (state == nullptr) {
@@ -136,7 +137,17 @@ Result<std::string> EncodeDataStream(const Snapshot& snapshot,
           "shard estimator \"" + snapshot.shard(i).Name() +
           "\" does not support persistence");
     }
-    out.F64Vector(*state);
+    bytes += 8 + state->size() * sizeof(double);
+  }
+  if (profile != nullptr) {
+    bytes += 16 + 16 * profile->length_weights().size() +
+             8 * profile->position_heat().size();
+  }
+  ByteWriter out;
+  out.Reserve(bytes);
+  out.U64(static_cast<std::uint64_t>(snapshot.shard_count()));
+  for (std::int64_t i = 0; i < snapshot.shard_count(); ++i) {
+    out.F64Vector(*snapshot.shard(i).SerializableState());
   }
   out.U8(profile != nullptr ? 1 : 0);
   if (profile != nullptr) {
@@ -148,7 +159,7 @@ Result<std::string> EncodeDataStream(const Snapshot& snapshot,
     }
     for (double bin : profile->position_heat()) out.F64(bin);
   }
-  return out.data();
+  return std::move(out).Take();
 }
 
 struct DecodedDataStream {

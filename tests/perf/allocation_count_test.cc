@@ -2,16 +2,22 @@
 // global operator new/delete with counting versions and asserts that
 // answering ranges — scalar or batched, on all three universal
 // estimators and on the raw tree visitor — performs zero heap
-// allocations per query. It also counts requested bytes, to bound what
-// one H-bar build and one default Snapshot::Build ask for. Kept out of dphist_tests so the
-// instrumentation cannot interfere with unrelated suites.
+// allocations per query, and that a warm text-protocol command is
+// parsed, answered and rendered without one. It also counts requested
+// bytes, to bound what one H-bar build, one default Snapshot::Build, one
+// persisted snapshot image and one hostile `qb` line ask for. Kept out
+// of dphist_tests so the instrumentation cannot interfere with
+// unrelated suites.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -21,8 +27,12 @@
 #include "estimators/universal.h"
 #include "mechanism/laplace_mechanism.h"
 #include "query/hierarchical_query.h"
+#include "runtime/epoch_manager.h"
+#include "runtime/serving_loop.h"
+#include "runtime/session.h"
 #include "service/query_service.h"
 #include "service/snapshot.h"
+#include "storage/epoch_store.h"
 #include "tree/range_decomposition.h"
 
 namespace {
@@ -328,6 +338,96 @@ TEST(BuildAllocationTest, DefaultSnapshotBuildReadsTheHistogramInPlace) {
   });
   EXPECT_LE(requests.large_buffers, 2u);
   EXPECT_LE(requests.bytes, static_cast<std::size_t>(1.6 * (1 << 20)));
+}
+
+TEST(SessionAllocationTest, WarmTextBatchIsParsedAnsweredAndRenderedInPlace) {
+  // One `qb 64` line through the socket transport's text path: parsed
+  // into the connection's reused command, answered by its session
+  // executor, rendered (64 answers and the receipt) into its output
+  // string, then the trigger poll. The release is the one
+  // replan-durable's planner picks, wavelet over 2 shards with rounding,
+  // so the engine answers and every answer prints as an integer.
+  constexpr std::int64_t kDomain = 1 << 12;
+  Rng data_rng(3);
+  const Histogram data = Histogram::FromCounts(
+      ZipfCounts(kDomain, 1.2, 4 * kDomain, &data_rng));
+  QueryService service;
+  runtime::EpochManagerOptions manager_options;
+  manager_options.base.strategy = StrategyKind::kWavelet;
+  manager_options.base.shards = 2;
+  manager_options.async = false;
+  runtime::EpochManager manager(&service, data, manager_options, 9);
+  ASSERT_TRUE(manager.PublishInitial().ok());
+  ASSERT_NE(service.snapshot()->answer_plan(), nullptr);
+
+  Rng range_rng(5);
+  std::string line = "qb 64";
+  for (const Interval& range :
+       RandomRangesOfSize(kDomain, kDomain / 3, 64, &range_rng)) {
+    line += " " + std::to_string(range.lo()) + " " +
+            std::to_string(range.hi());
+  }
+  std::string outbuf;
+  runtime::SessionWriter writer(&outbuf);
+  runtime::SessionExecutor executor(writer, service, manager);
+  runtime::SessionCommand command;
+  std::size_t served = 0;
+  const std::size_t allocs = AllocationsDuring([&] {
+    outbuf.clear();
+    const Result<bool> parsed =
+        runtime::ParseSessionLine(line, kDomain, 1, &command);
+    if (!parsed.ok() || !parsed.value()) return;
+    if (!executor.Execute(command, /*interactive=*/true).ok()) return;
+    executor.PollAndReport();
+    served += 1;
+  });
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(served, 2u);
+  EXPECT_EQ(std::count(outbuf.begin(), outbuf.end(), '\n'), 65);
+  EXPECT_NE(outbuf.find("# batch n=64 epoch=1\n"), std::string::npos);
+}
+
+TEST(SessionAllocationTest, BatchCountAloneReservesNothing) {
+  // A `qb` count is a claim, not data: a line that declares 2^20 ranges
+  // and carries one stores what it carried before it is refused, and
+  // never reserves the 16 MiB its count asks for.
+  const Requests requests = RequestsDuring([] {
+    runtime::SessionCommand command;
+    const Result<bool> parsed =
+        runtime::ParseSessionLine("qb 1048576 0 1", 1 << 16, 1, &command);
+    EXPECT_FALSE(parsed.ok());
+  });
+  EXPECT_LT(requests.bytes, 4096u);
+}
+
+TEST(BuildAllocationTest, PersistedImageIsEncodedIntoOneBuffer) {
+  // A durable publish encodes the release's state (here wavelet over 2
+  // shards at n = 2^16: 2 x 256 KiB of leaves) into one buffer sized up
+  // front, then writes it through the store's page staging. An image
+  // grown by doubling, or copied on its way to the writer, asks for
+  // about three times its size and fails here.
+  constexpr std::int64_t kDomain = 1 << 16;
+  Rng data_rng(3);
+  const Histogram data = Histogram::FromCounts(
+      ZipfCounts(kDomain, 1.2, 4 * kDomain, &data_rng));
+  SnapshotOptions options;
+  options.strategy = StrategyKind::kWavelet;
+  options.shards = 2;
+  Rng rng(9);
+  Result<std::shared_ptr<const Snapshot>> built =
+      Snapshot::Build(data, options, 1, &rng);
+  ASSERT_TRUE(built.ok());
+  const std::string dir = ::testing::TempDir() + "/alloc_persist";
+  std::filesystem::remove_all(dir);
+  Result<std::unique_ptr<storage::EpochStore>> store =
+      storage::EpochStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  const Requests requests = RequestsDuring([&] {
+    EXPECT_TRUE(store.value()->PersistSnapshot(*built.value(), nullptr).ok());
+  });
+  constexpr std::size_t kImage = 2 * (8 + (kDomain / 2) * sizeof(double));
+  EXPECT_LE(requests.bytes, kImage + 64 * 1024);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(EstimatorAllocationTest, LegacyDecomposeRangeStillAllocates) {

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <charconv>
+#include <cstdint>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 namespace dphist::runtime {
 namespace {
@@ -149,6 +157,375 @@ TEST(ParseSessionLineTest, DiagnosticsNameTheCallersLineNumber) {
   EXPECT_EQ(via_line.status().message(), via_reader.status().message());
 }
 
+TEST(ParseSessionLineTest, RefillsAReusedCommand) {
+  // The socket transport keeps one SessionCommand per connection: every
+  // line must replace the previous command's verb and ranges, and a
+  // blank or comment line must leave it alone.
+  SessionCommand command;
+  ASSERT_TRUE(ParseSessionLine("qb 3 0 0 1 4 2 2", 64, 1, &command).value());
+  EXPECT_EQ(command.ranges.size(), 3u);
+  ASSERT_TRUE(ParseSessionLine("q 5 6", 64, 2, &command).value());
+  EXPECT_EQ(command.verb, SessionVerb::kQuery);
+  ASSERT_EQ(command.ranges.size(), 1u);
+  EXPECT_EQ(command.ranges[0].lo(), 5);
+  EXPECT_FALSE(ParseSessionLine("# note", 64, 3, &command).value());
+  EXPECT_EQ(command.verb, SessionVerb::kQuery);
+  EXPECT_EQ(command.ranges.size(), 1u);
+  ASSERT_TRUE(ParseSessionLine("stats", 64, 4, &command).value());
+  EXPECT_EQ(command.verb, SessionVerb::kStats);
+  EXPECT_TRUE(command.ranges.empty());
+}
+
+// ---- The stream parser as oracle ----------------------------------------
+// ParseSessionLine as it was written over std::istringstream, before it
+// scanned lines in place. Its field rules are operator>>'s, which the
+// in-place parser must reproduce byte for byte, diagnostics included.
+
+std::string OracleLinePrefix(std::int64_t line) {
+  return "query line " + std::to_string(line) + ": ";
+}
+
+bool OracleLooksLikeInteger(const std::string& token) {
+  std::size_t i = (!token.empty() && (token[0] == '-' || token[0] == '+'))
+                      ? 1
+                      : 0;
+  if (i >= token.size()) return false;
+  for (; i < token.size(); ++i) {
+    if (token[i] < '0' || token[i] > '9') return false;
+  }
+  return true;
+}
+
+Result<bool> OracleParseSessionLine(std::string_view line_view,
+                                    std::int64_t domain_size,
+                                    std::int64_t line_number,
+                                    SessionCommand* out) {
+  std::string line(line_view);
+  for (char& c : line) {
+    if (c == ',') c = ' ';
+  }
+  const std::size_t first = line.find_first_not_of(" \t\r");
+  if (first == std::string::npos) return false;  // blank
+  if (line[first] == '#') return false;          // comment
+  std::istringstream fields(line);
+  std::string head;
+  fields >> head;
+
+  SessionCommand command;
+  if (head == "stats") {
+    command.verb = SessionVerb::kStats;
+    *out = std::move(command);
+    return true;
+  }
+  if (head == "replan") {
+    command.verb = SessionVerb::kReplan;
+    *out = std::move(command);
+    return true;
+  }
+  if (head == "quit") {
+    command.verb = SessionVerb::kQuit;
+    *out = std::move(command);
+    return true;
+  }
+
+  auto read_range = [&](Interval* range_out) -> Status {
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
+    if (!(fields >> lo) || !(fields >> hi)) {
+      return Status::InvalidArgument(OracleLinePrefix(line_number) +
+                                     "expected \"lo hi\"");
+    }
+    if (lo > hi || lo < 0 || hi >= domain_size) {
+      return Status::OutOfRange(OracleLinePrefix(line_number) +
+                                "range out of bounds");
+    }
+    *range_out = Interval(lo, hi);
+    return Status::Ok();
+  };
+
+  if (head == "q") {
+    command.verb = SessionVerb::kQuery;
+    command.ranges.resize(1, Interval(0, 0));
+    Status s = read_range(&command.ranges[0]);
+    if (!s.ok()) return s;
+    *out = std::move(command);
+    return true;
+  }
+  if (head == "qb") {
+    std::int64_t k = 0;
+    if (!(fields >> k) || k < 1) {
+      return Status::InvalidArgument(OracleLinePrefix(line_number) +
+                                     "qb expects a positive batch size");
+    }
+    if (k > kMaxSessionBatch) {
+      return Status::InvalidArgument(OracleLinePrefix(line_number) +
+                                     "qb batch size exceeds " +
+                                     std::to_string(kMaxSessionBatch));
+    }
+    command.verb = SessionVerb::kBatch;
+    command.ranges.resize(static_cast<std::size_t>(k), Interval(0, 0));
+    for (Interval& range : command.ranges) {
+      Status s = read_range(&range);
+      if (!s.ok()) return s;
+    }
+    *out = std::move(command);
+    return true;
+  }
+  if (OracleLooksLikeInteger(head)) {
+    std::istringstream bare(line);
+    fields.swap(bare);
+    command.verb = SessionVerb::kQuery;
+    command.ranges.resize(1, Interval(0, 0));
+    Status s = read_range(&command.ranges[0]);
+    if (!s.ok()) return s;
+    *out = std::move(command);
+    return true;
+  }
+  return Status::InvalidArgument("query line " + std::to_string(line_number) +
+                                 ": unknown command \"" + head + "\"");
+}
+
+/// Parses `line` with both parsers (the in-place one into `reused`, a
+/// command kept across calls) and returns a description of the first
+/// difference, or an empty string.
+std::string CompareWithOracle(std::string_view line, std::int64_t domain,
+                              std::int64_t line_number,
+                              SessionCommand* reused) {
+  SessionCommand expected;
+  const Result<bool> want =
+      OracleParseSessionLine(line, domain, line_number, &expected);
+  const Result<bool> got = ParseSessionLine(line, domain, line_number, reused);
+  if (want.ok() != got.ok()) return "one parser failed, the other did not";
+  if (!want.ok()) {
+    return want.status().ToString() == got.status().ToString()
+               ? ""
+               : "status " + got.status().ToString() + " != " +
+                     want.status().ToString();
+  }
+  if (want.value() != got.value()) return "blank/comment verdicts differ";
+  if (!want.value()) return "";
+  if (expected.verb != reused->verb) return "verbs differ";
+  if (expected.ranges.size() != reused->ranges.size()) {
+    return "range counts differ";
+  }
+  for (std::size_t i = 0; i < expected.ranges.size(); ++i) {
+    if (expected.ranges[i].lo() != reused->ranges[i].lo() ||
+        expected.ranges[i].hi() != reused->ranges[i].hi()) {
+      return "range " + std::to_string(i) + " differs";
+    }
+  }
+  return "";
+}
+
+/// Printable form of a line for failure messages: bytes outside ASCII
+/// print as \xHH.
+std::string Escaped(std::string_view line) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  for (char c : line) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte >= 0x20 && byte < 0x7f) {
+      out.push_back(c);
+    } else {
+      out += "\\x";
+      out.push_back(kHex[byte >> 4]);
+      out.push_back(kHex[byte & 0xf]);
+    }
+  }
+  return out;
+}
+
+TEST(ParseSessionLineOracleTest, EdgeLinesMatchTheStreamParser) {
+  using namespace std::string_literals;
+  const std::vector<std::string> lines = {
+      "q 0 5", "3 9", "3,9", ",,3,,9,,", "+5 9", "q +5 +9", "q +-5 6",
+      "q --5 6", "q -+5 6", "q -0 3", "-5 9", "q 0x10 20", "q 007 010",
+      "5x 7", "q 5x 7", "q 1 5x", "q 1+2", "q 1-2", "q 1.5 2", "1e2 30",
+      "q 9223372036854775807 9223372036854775807",
+      "q -9223372036854775808 1", "q 0 9223372036854775808",
+      "q -9223372036854775809 1", "9223372036854775808 1",
+      "99999999999999999999 1", "q 0 00000000000000000000000000000000063",
+      "qb 2 0 1", "qb 1 0 1 2 3", "qb 1048577 0 1", "qb 1048576 0 1",
+      "qb 0", "qb -1 0 0", "qb 99999999999999999999 0 0", "qb +2 1 2 3 4",
+      "qb 3x 0 0", "qb 2 5 1 x", "qb 3 1 2 3 4 5", "qb 1 2", "qb",
+      "qb 9223372036854775807 0 0", "qb -9223372036854775808 0 0",
+      "\t q \t 1 \t 2", "\vq 1 2", "\v", "\f3 4", "3 4\r", "\r", " , \t",
+      "\n", "q\n1\n2", "stats", "stats x", "stats\r", "replan", "quit",
+      "quit now", "#comment", " ,# comment", "\v# x", "\t#", "q 1 2\0"s,
+      "q\0 1 2"s, "\0"s, "1\0 2"s, "q 1\0002"s, "Q 1 2", "q5 7", "qbb 1 0 0",
+      "frobnicate 1 2", "-", "+", "q - 1", "q + 1", "q", "", "q 63 63",
+      "q 63 64", "q 5 4", "q \xff 1", "\xff 1 2", "q 1 2 \xa0",
+      "quit,stats", "qb,1,0,0", "q,,,1,,,2"};
+  SessionCommand reused;
+  for (const std::string& line : lines) {
+    EXPECT_EQ(CompareWithOracle(line, 64, 7, &reused), "")
+        << "line \"" << Escaped(line) << "\"";
+  }
+}
+
+/// Draws session lines from fragments that probe every field rule:
+/// verbs, typos, signs, leading zeros, hex and exponent tails, the int64
+/// boundaries, every separator byte, NULs, and qb counts that are right,
+/// short, long, or over the cap. (`qb 1048576` with too few ranges is in
+/// the edge table only: the oracle zero-fills 16 MiB for it.)
+class LineGenerator {
+ public:
+  explicit LineGenerator(std::uint64_t seed) : rng_(seed) {}
+
+  std::string Next() {
+    std::string line;
+    if (Chance(8)) line += Separators();
+    const int shape = Pick(10);
+    if (shape < 4) {
+      const int declared = Pick(6);
+      line += "qb";
+      line += Separators(true);
+      line += Chance(10) ? Number() : std::to_string(declared);
+      const int given = declared + Pick(3) - 1;
+      for (int i = 0; i < given; ++i) {
+        line += Separators(true) + Number() + Separators(true) + Number();
+      }
+    } else if (shape < 6) {
+      line += "q" + Separators(true) + Number() + Separators(true) +
+              Number();
+    } else if (shape < 8) {
+      line += Number() + Separators(true) + Number();
+    } else {
+      static const char* const kHeads[] = {
+          "stats", "replan", "quit", "#", "Q", "qbx", "frob", "", "q",
+          "qb 1048577", "qb 1048577 0 1", "qb 0", "-", "+"};
+      line += kHeads[Pick(sizeof(kHeads) / sizeof(kHeads[0]))];
+    }
+    if (Chance(4)) line += Separators() + Number();
+    if (Chance(8)) line += Separators();
+    return line;
+  }
+
+ private:
+  int Pick(int n) {
+    return static_cast<int>(rng_() % static_cast<std::uint64_t>(n));
+  }
+  bool Chance(int one_in) { return Pick(one_in) == 0; }
+
+  /// Zero or more separator bytes (at least one when `required`), now
+  /// and then a byte that separates nothing.
+  std::string Separators(bool required = false) {
+    static const char kBytes[] = {' ', ' ', ' ', '\t', ',', '\v',
+                                  '\f', '\r', '\n'};
+    std::string out;
+    int count = Pick(3) + (required ? 1 : 0);
+    if (required && Chance(20)) count = 0;  // fields run together
+    for (int i = 0; i < count; ++i) {
+      out.push_back(kBytes[Pick(sizeof(kBytes))]);
+    }
+    if (Chance(50)) out.push_back('\0');
+    return out;
+  }
+
+  std::string Number() {
+    static const char* const kLiterals[] = {
+        "+5", "+-5", "--5", "-+5", "-0", "+0", "007", "0x10", "5x", "1e3",
+        "1.5", "-", "+", "9223372036854775807", "-9223372036854775808",
+        "9223372036854775808", "-9223372036854775809",
+        "99999999999999999999", "000000000000000000000042", "\xff" "7",
+        "63", "64", "1048577"};
+    const int kind = Pick(10);
+    if (kind < 7) return std::to_string(Pick(64));
+    if (kind == 7) return std::to_string(Pick(200) - 100);
+    return kLiterals[Pick(sizeof(kLiterals) / sizeof(kLiterals[0]))];
+  }
+
+  std::mt19937_64 rng_;
+};
+
+TEST(ParseSessionLineOracleTest, SeededCorpusMatchesTheStreamParser) {
+  constexpr int kLines = 1 << 20;
+  LineGenerator generator(20101018);
+  SessionCommand reused;
+  int mismatches = 0;
+  for (int i = 0; i < kLines && mismatches < 10; ++i) {
+    const std::string line = generator.Next();
+    const std::string diff = CompareWithOracle(line, 64, i + 1, &reused);
+    if (!diff.empty()) {
+      ADD_FAILURE() << diff << " on line \"" << Escaped(line) << "\"";
+      ++mismatches;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
+// ---- Answer formatting against to_chars(general, 15) ----------------------
+
+std::string GeneralFifteen(double value) {
+  char buffer[64];
+  const std::to_chars_result result = std::to_chars(
+      buffer, buffer + sizeof(buffer), value, std::chars_format::general, 15);
+  return std::string(buffer, result.ptr) + "\n";
+}
+
+std::string AnswerLine(double value) {
+  std::string out;
+  AppendAnswerLine(value, &out);
+  return out;
+}
+
+TEST(AppendAnswerLineTest, EdgeValuesMatchGeneralFormatting) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double values[] = {
+      0.0, -0.0, 1.0, -1.0, 1e15 - 1, -(1e15 - 1), 1e15, -1e15, 1e15 + 1,
+      1e15 - 0.5, 999999999999999.5, 9007199254740992.0, -9007199254740992.0,
+      1e16, 1e17, 1e300, kInf, -kInf, kNaN, -kNaN,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(), 0.5, -0.5, 1e-5, 123456789012345.0,
+      1234567890123456.0, 100.0, 1e14, 2.5, 1801.365, 9.2233720368547758e18,
+      -9.2233720368547758e18};
+  for (double value : values) {
+    EXPECT_EQ(AnswerLine(value), GeneralFifteen(value)) << value;
+  }
+  EXPECT_EQ(AnswerLine(-0.0), "-0\n");
+  EXPECT_EQ(AnswerLine(1e15 - 1), "999999999999999\n");
+  EXPECT_EQ(AnswerLine(1e15), "1e+15\n");
+}
+
+TEST(AppendAnswerLineTest, RandomValuesMatchGeneralFormatting) {
+  // 10 M values: raw bit patterns (every exponent, NaN payloads and
+  // subnormals included), integers of every magnitude up to 2^63, and
+  // integers and near-integers about the 1e15 switch-over.
+  std::mt19937_64 rng(15);
+  int mismatches = 0;
+  auto check = [&](double value) {
+    if (mismatches >= 10) return;
+    const std::string got = AnswerLine(value);
+    const std::string want = GeneralFifteen(value);
+    if (got != want) {
+      ADD_FAILURE() << "bits " << std::hex
+                    << std::bit_cast<std::uint64_t>(value) << ": " << got
+                    << " != " << want;
+      ++mismatches;
+    }
+  };
+  for (int i = 0; i < 4'000'000; ++i) {
+    check(std::bit_cast<double>(rng()));
+  }
+  for (int i = 0; i < 4'000'000; ++i) {
+    // A random integer of a random bit length, either sign.
+    const std::uint64_t bits = rng();
+    const int length = static_cast<int>(bits % 64);
+    const auto magnitude =
+        static_cast<std::int64_t>((rng() >> 1) >> (63 - length));
+    check(static_cast<double>((bits & 64) != 0 ? -magnitude : magnitude));
+  }
+  for (int i = 0; i < 2'000'000; ++i) {
+    const double step = static_cast<double>(rng() % 4) * 0.25;
+    const double near = 1e15 - 1000.0 + static_cast<double>(rng() % 2000);
+    check(((rng() & 1) != 0 ? -1.0 : 1.0) * (near + step));
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
 TEST(SessionScriptTest, ReadsWholeScriptsAndStopsAtQuit) {
   std::istringstream in("0 5\nqb 2 0 0 1 1\nstats\nreplan\nquit\n8 8\n");
   auto script = ReadSessionScript(in, 64);
@@ -178,6 +555,61 @@ TEST(SessionWriterTest, FormatsAnswersAndReports) {
   EXPECT_EQ(out.str(),
             "1234567\n2.5\n# batch n=2 epoch=7\n# hello\n"
             "error: InvalidArgument: bad\n");
+}
+
+TEST(SessionWriterTest, StreamFormWritesThroughEveryCall) {
+  // perfbench's replay and the stdin REPL interleave their own stream
+  // writes with the writer's and never rely on Flush for ordering.
+  std::ostringstream out;
+  SessionWriter writer(out);
+  const double answer = 3.0;
+  writer.Answers(&answer, 1);
+  EXPECT_EQ(out.str(), "3\n");
+  out << "between\n";
+  writer.BatchReceipt(1, 2);
+  EXPECT_EQ(out.str(), "3\nbetween\n# batch n=1 epoch=2\n");
+  out.str(std::string());
+  writer.Comment("c");
+  EXPECT_EQ(out.str(), "# c\n");
+}
+
+TEST(SessionWriterTest, StringFormAppendsTheStreamFormsBytes) {
+  planner::Plan plan;
+  plan.options.strategy = StrategyKind::kWavelet;
+  plan.options.shards = 2;
+  std::string text = "kept ";
+  SessionWriter to_string(&text);
+  std::ostringstream stream;
+  SessionWriter to_stream(stream);
+  const double answers[] = {0.0, -0.0, 42.0, 1801.365, 1e15, -7.0};
+  const double variances[] = {128.545,
+                              0.0,
+                              1e-7,
+                              123456789.0,
+                              std::numeric_limits<double>::infinity(),
+                              std::numeric_limits<double>::quiet_NaN()};
+  for (SessionWriter* writer : {&to_string, &to_stream}) {
+    writer->Answers(answers, 6);
+    writer->BatchReceipt(6, 18446744073709551615u);
+    for (double variance : variances) {
+      plan.predicted_mean_variance = variance;
+      writer->PlanNote(plan, 3, "every");
+    }
+    writer->Comment("served 6 queries from epoch 3");
+    writer->Error(Status::OutOfRange("range out of bounds"));
+    writer->Flush();
+  }
+  EXPECT_EQ(text, "kept " + stream.str());
+
+  // PlanNote's variance prints as a precision-6 ostream did.
+  std::ostringstream legacy;
+  legacy.precision(6);
+  for (double variance : variances) {
+    legacy << "# planned strategy=wavelet shards=2 epoch=3 reason=every"
+           << " predicted_mean_var=" << variance << "\n";
+  }
+  EXPECT_NE(stream.str().find(legacy.str()), std::string::npos)
+      << stream.str() << "\nwanted\n" << legacy.str();
 }
 
 }  // namespace

@@ -108,6 +108,35 @@ TEST(QueryServiceTest, ObservedWorkloadTracksAnsweredLengths) {
   // 42-length queries land in [32,63], reported at its midpoint 47.
   EXPECT_DOUBLE_EQ(profile.length_weights().at(1), 2.0);
   EXPECT_DOUBLE_EQ(profile.length_weights().at(47), 2.0);
+
+  // One batch over every bucket the domain has, [1,1] to [64,127], with
+  // a different count in each: the batch's per-bucket counts land whole
+  // once it is answered, on top of the first batch's.
+  std::vector<Interval> spread;
+  const std::int64_t lengths[] = {1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64};
+  for (std::size_t i = 0; i < std::size(lengths); ++i) {
+    for (std::size_t copy = 0; copy <= i % 3; ++copy) {
+      spread.emplace_back(0, lengths[i] - 1);
+    }
+  }
+  answers.resize(spread.size());
+  ASSERT_TRUE(
+      service.TryQueryBatch(spread.data(), spread.size(), answers.data())
+          .ok());
+  EXPECT_EQ(service.observed_query_count(), 4 + spread.size());
+  profile = service.ObservedWorkload(64);
+  EXPECT_DOUBLE_EQ(profile.total_weight(),
+                   static_cast<double>(4 + spread.size()));
+  // Bucket midpoints 1, 2, 5, 11, 23, 47 and (clamped to the domain) 64;
+  // each bucket's count sums the copies of the lengths it holds, and
+  // buckets 1 and 47 keep the first batch's two queries each.
+  const std::map<std::int64_t, double> expected = {
+      {1, 3.0}, {2, 5.0}, {5, 3.0}, {11, 4.0}, {23, 5.0}, {47, 5.0},
+      {64, 3.0}};
+  EXPECT_EQ(profile.length_weights().size(), expected.size());
+  for (const auto& [length, weight] : expected) {
+    EXPECT_DOUBLE_EQ(profile.length_weights().at(length), weight) << length;
+  }
 }
 
 TEST(QueryServiceTest, AutoStrategyPlansFromObservedTraffic) {

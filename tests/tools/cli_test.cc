@@ -670,6 +670,115 @@ TEST(CliTest, ServeStdinSurvivesParseErrors) {
   std::remove(data_path.c_str());
 }
 
+TEST(CliTest, ServeStdinEdgeScriptTranscriptIsPinned) {
+  // Transcripts recorded with the stream-based line parser and answer
+  // formatting: signs, hex and trailing garbage, qb counts that are
+  // short, long or over the cap, int64 boundaries, \v, \f, \r and NUL
+  // bytes, a manual replan's plan note, integral answers (wavelet with
+  // rounding) and fractional ones (L~ with --no-round). The in-place
+  // parser and the integer fast path must reproduce them byte for byte.
+  // The final receipt's engine counters are process-wide, so each pin
+  // stops before them.
+  using namespace std::string_literals;
+  std::string data_path = TempPath("cli_stdin_pin_data.csv");
+  std::string out, err;
+  ASSERT_EQ(RunMain({"generate", "--dataset", "social", "--output",
+                     data_path.c_str(), "--size", "300"},
+                    &out, &err),
+            0)
+      << err;
+  const std::string script =
+      "q 0 5\n3,9\n+5 9\nq +-5 6\nq 0x10 20\nq 007 010\n5x 7\nq 1 5x\n"
+      "qb 2 0 1\nqb 1 0 1 2 3\nqb 1048577 0 1\nqb 1048576 0 1\nqb 0\n"
+      "q -9223372036854775808 1\nq 0 9223372036854775808\n\v\n\f3 4\n"
+      "3 4\r\n ,# comment\nq 1 2\0\nq\0 1 2\nfrobnicate 1 2\nq 0 299\n"
+      "q 0 300\nqb 3 0 299 10 200 150 151\nreplan\nq 17 17\nquit\n"s;
+  const std::string wavelet =
+      "# serving n=300 epoch=1 strategy=wavelet shards=1 eps=1\n"
+      "277\n"
+      "229\n"
+      "184\n"
+      "error: InvalidArgument: query line 4: expected \"lo hi\"\n"
+      "error: InvalidArgument: query line 5: expected \"lo hi\"\n"
+      "136\n"
+      "error: InvalidArgument: query line 7: unknown command \"5x\"\n"
+      "215\n"
+      "error: InvalidArgument: query line 9: expected \"lo hi\"\n"
+      "79\n"
+      "# batch n=1 epoch=1\n"
+      "error: InvalidArgument: query line 11: qb batch size exceeds 1048576\n"
+      "error: InvalidArgument: query line 12: expected \"lo hi\"\n"
+      "error: InvalidArgument: query line 13: qb expects a positive batch "
+      "size\n"
+      "error: OutOfRange: query line 14: range out of bounds\n"
+      "error: InvalidArgument: query line 15: expected \"lo hi\"\n"
+      "error: InvalidArgument: query line 16: unknown command \"\"\n"
+      "45\n"
+      "45\n"
+      "120\n"
+      "error: InvalidArgument: query line 21: unknown command \"q\0\"\n"
+      "error: InvalidArgument: query line 22: unknown command \"frobnicate\"\n"
+      "2382\n"
+      "error: OutOfRange: query line 24: range out of bounds\n"
+      "2382\n"
+      "1539\n"
+      "15\n"
+      "# batch n=3 epoch=1\n"
+      "# planned strategy=hbar shards=4 epoch=2 reason=manual "
+      "predicted_mean_var=123.666\n"
+      "19\n"
+      "# served 14 queries from epoch 2 (hbar, eps=1, shards=4, "
+      "engine_kernel="s;
+  const std::string ltilde_no_round =
+      "# serving n=300 epoch=1 strategy=ltilde shards=1 eps=1\n"
+      "273.826770793887\n"
+      "225.306778975417\n"
+      "184.02972422666\n"
+      "error: InvalidArgument: query line 4: expected \"lo hi\"\n"
+      "error: InvalidArgument: query line 5: expected \"lo hi\"\n"
+      "135.839431103411\n"
+      "error: InvalidArgument: query line 7: unknown command \"5x\"\n"
+      "200.638526403573\n"
+      "error: InvalidArgument: query line 9: expected \"lo hi\"\n"
+      "87.4825594774178\n"
+      "# batch n=1 epoch=1\n"
+      "error: InvalidArgument: query line 11: qb batch size exceeds 1048576\n"
+      "error: InvalidArgument: query line 12: expected \"lo hi\"\n"
+      "error: InvalidArgument: query line 13: qb expects a positive batch "
+      "size\n"
+      "error: OutOfRange: query line 14: range out of bounds\n"
+      "error: InvalidArgument: query line 15: expected \"lo hi\"\n"
+      "error: InvalidArgument: query line 16: unknown command \"\"\n"
+      "41.2770547487571\n"
+      "41.2770547487571\n"
+      "112.832930724261\n"
+      "error: InvalidArgument: query line 21: unknown command \"q\0\"\n"
+      "error: InvalidArgument: query line 22: unknown command \"frobnicate\"\n"
+      "2388.30712781782\n"
+      "error: OutOfRange: query line 24: range out of bounds\n"
+      "2388.30712781782\n"
+      "1543.4942749644\n"
+      "10.0863184247912\n"
+      "# batch n=3 epoch=1\n"
+      "# planned strategy=hbar shards=4 epoch=2 reason=manual "
+      "predicted_mean_var=123.666\n"
+      "19.3132714017284\n"
+      "# served 14 queries from epoch 2 (hbar, eps=1, shards=4, "
+      "engine_kernel="s;
+  const std::pair<std::vector<const char*>, std::string> pins[] = {
+      {{"--strategy", "wavelet"}, wavelet},
+      {{"--strategy", "ltilde", "--no-round"}, ltilde_no_round},
+  };
+  for (const auto& [flags, expected] : pins) {
+    std::vector<const char*> args = {"serve", "--input", data_path.c_str(),
+                                     "--stdin", "--epsilon", "1"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    ASSERT_EQ(RunMainWithInput(script, args, &out, &err), 0) << err;
+    EXPECT_EQ(out.substr(0, expected.size()), expected);
+  }
+  std::remove(data_path.c_str());
+}
+
 TEST(CliTest, ServeQueriesFileAcceptsSessionCommands) {
   // The file mode shares the session grammar: a workload file may carry
   // control commands, and the same parser serves both paths.
