@@ -41,6 +41,10 @@ void AnswerBatch(const AnswerPlan& plan, const Interval* ranges,
   if (s.lo.size() < count) {
     s.lo.resize(count);
     s.hi.resize(count);
+  }
+  // Only a query that crosses a shard boundary touches the spanning
+  // scratch, so a one-shard plan never grows it.
+  if (plan.shard_count > 1 && s.spanning.size() < count) {
     s.spanning.resize(count);
     s.span_first.resize(count);
     s.span_last.resize(count);

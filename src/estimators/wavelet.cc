@@ -1,6 +1,7 @@
 #include "estimators/wavelet.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "common/laplace.h"
@@ -18,13 +19,13 @@ std::int64_t PadToPowerOfTwo(std::int64_t n) {
 
 }  // namespace
 
-std::vector<double> HaarTransform(const std::vector<double>& values) {
+std::vector<double> HaarTransform(std::vector<double> values) {
   std::int64_t n = static_cast<std::int64_t>(values.size());
   DPHIST_CHECK_MSG(IsPowerOfTwo(n), "Haar transform needs a power of two");
   // averages[] starts as the leaves and is halved level by level; the
   // detail coefficients are recorded in BFS positions as we ascend.
   std::vector<double> coefficients(values.size(), 0.0);
-  std::vector<double> averages = values;
+  std::vector<double> averages = std::move(values);
   std::int64_t width = n;  // number of blocks at the current level * 2
   while (width > 1) {
     std::int64_t half = width / 2;
@@ -81,7 +82,7 @@ WaveletEstimator::WaveletEstimator(const Histogram& data,
   for (std::int64_t i = 0; i < domain_size_; ++i) {
     padded[static_cast<std::size_t>(i)] = data.At(i);
   }
-  std::vector<double> coefficients = HaarTransform(padded);
+  std::vector<double> coefficients = HaarTransform(std::move(padded));
 
   // Per-coefficient weighted Laplace noise (the Privelet mechanism).
   const double sensitivity = HaarWeightedSensitivity(padded_size_);
@@ -106,8 +107,13 @@ WaveletEstimator::WaveletEstimator(const Histogram& data,
   }
 
   std::vector<double> reconstructed = InverseHaarTransform(coefficients);
-  leaves_.assign(reconstructed.begin(),
-                 reconstructed.begin() + domain_size_);
+  if (padded_size_ == domain_size_) {
+    leaves_ = std::move(reconstructed);
+  } else {
+    // A copy, so the leaves never keep the padding's capacity.
+    leaves_.assign(reconstructed.begin(),
+                   reconstructed.begin() + domain_size_);
+  }
   prefix_ = LeafPrefixSums(leaves_);
 }
 

@@ -40,8 +40,9 @@ namespace dphist {
 /// Forward Haar transform of a power-of-two-length vector.
 /// Output layout: index 0 holds the base coefficient (global average);
 /// index i >= 1 holds the detail coefficient of dyadic node i in BFS
-/// order (node 1 = root split, children of i at 2i and 2i+1).
-std::vector<double> HaarTransform(const std::vector<double>& values);
+/// order (node 1 = root split, children of i at 2i and 2i+1). Works in
+/// `values`' own buffer: a caller done with its input moves it in.
+std::vector<double> HaarTransform(std::vector<double> values);
 
 /// Inverse of HaarTransform.
 std::vector<double> InverseHaarTransform(

@@ -1,8 +1,6 @@
 #include "planner/workload_profile.h"
 
 #include <algorithm>
-#include <fstream>
-#include <sstream>
 
 #include "common/check.h"
 
@@ -87,16 +85,6 @@ Result<WorkloadProfile> WorkloadProfile::Restore(
   return profile;
 }
 
-Result<WorkloadProfile> WorkloadProfile::FromQueryFile(
-    const std::string& path, std::int64_t domain_size) {
-  Result<std::vector<Interval>> workload =
-      LoadWorkloadFile(path, domain_size);
-  if (!workload.ok()) return workload.status();
-  WorkloadProfile profile(domain_size);
-  for (const Interval& query : workload.value()) profile.AddQuery(query);
-  return profile;
-}
-
 namespace {
 
 /// splitmix64 finalizer: the deterministic replacement stream behind
@@ -143,40 +131,6 @@ void QueryReservoir::AddTo(WorkloadProfile* profile) const {
                            std::min(query.hi(), max_position));
     profile->AddQueryWeighted(clipped, weight);
   }
-}
-
-Result<std::vector<Interval>> LoadWorkloadFile(const std::string& path,
-                                               std::int64_t domain_size) {
-  std::ifstream file(path);
-  if (!file) {
-    return Status::IoError("cannot open query file: " + path);
-  }
-  std::vector<Interval> workload;
-  std::string line;
-  std::int64_t line_number = 0;
-  while (std::getline(file, line)) {
-    ++line_number;
-    for (char& c : line) {
-      if (c == ',') c = ' ';
-    }
-    if (line.find_first_not_of(" \t\r") == std::string::npos) {
-      continue;  // blank line
-    }
-    std::istringstream fields(line);
-    std::int64_t lo = 0;
-    std::int64_t hi = 0;
-    if (!(fields >> lo) || !(fields >> hi)) {
-      return Status::InvalidArgument(
-          "query line " + std::to_string(line_number) +
-          ": expected \"lo hi\"");
-    }
-    if (lo > hi || lo < 0 || hi >= domain_size) {
-      return Status::OutOfRange("query line " + std::to_string(line_number) +
-                                ": range out of bounds");
-    }
-    workload.emplace_back(lo, hi);
-  }
-  return workload;
 }
 
 }  // namespace dphist::planner

@@ -10,7 +10,8 @@
 // cost model averages over placements, so positions need not be kept.)
 //
 // Profiles come from three places:
-//   - a workload file ("lo hi" lines, the serve/plan CLI format),
+//   - the ranges of a workload file (AddQuery over what the session
+//     parser read for `serve --queries` and `plan --queries`),
 //   - observed QueryService traffic (log2-bucketed, lock-free counters),
 //   - an explicit prior (AddLength) when neither exists yet.
 
@@ -20,7 +21,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -58,10 +58,6 @@ class WorkloadProfile {
   /// A neutral prior when nothing has been observed: one unit of weight
   /// at every power-of-two length up to the domain (1, 2, 4, ..., n).
   static WorkloadProfile GeometricSweep(std::int64_t domain_size);
-
-  /// Profile of a whole workload file (one "lo hi" query per line).
-  static Result<WorkloadProfile> FromQueryFile(const std::string& path,
-                                               std::int64_t domain_size);
 
   /// Rebuilds a profile from its persisted summary (the length_weights
   /// map plus the raw position-heat bins); total and heat weights are
@@ -109,13 +105,6 @@ class WorkloadProfile {
   std::map<std::int64_t, double> lengths_;
   std::array<double, kHeatBins> heat_{};
 };
-
-/// Parses a range workload file: one query per line, "lo hi" (comma or
-/// whitespace separated), blank lines skipped. Every range must lie in
-/// [0, domain_size); errors carry the offending line number. This is the
-/// format `dphist serve --queries` and `dphist plan --queries` consume.
-Result<std::vector<Interval>> LoadWorkloadFile(const std::string& path,
-                                               std::int64_t domain_size);
 
 /// Fixed-capacity uniform sample of observed queries (Algorithm R).
 ///

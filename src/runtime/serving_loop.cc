@@ -1,10 +1,9 @@
 #include "runtime/serving_loop.h"
 
 #include <istream>
-#include <ostream>
 #include <sstream>
+#include <string>
 #include <utility>
-#include <vector>
 
 #include "engine/answer_engine.h"
 
@@ -17,7 +16,10 @@ SessionExecutor::SessionExecutor(
       service_(service),
       manager_(manager),
       subscription_(manager),
-      session_write_errors_(std::move(session_write_errors)) {}
+      session_write_errors_(std::move(session_write_errors)) {
+  std::shared_ptr<const Snapshot> snapshot = service.snapshot();
+  if (snapshot != nullptr) domain_size_ = snapshot->domain_size();
+}
 
 void SessionExecutor::NoteAnswerEpoch(std::uint64_t epoch) {
   if (epoch != last_answer_epoch_) {
@@ -38,13 +40,6 @@ Result<std::uint64_t> SessionExecutor::AnswerInto(
   return answered;
 }
 
-Status SessionExecutor::AnswerRun(const Interval* ranges, std::size_t count) {
-  Result<std::uint64_t> answered = AnswerInto(ranges, count, &answers_);
-  if (!answered.ok()) return answered.status();
-  writer_.Answers(answers_.data(), count);
-  return Status::Ok();
-}
-
 Result<std::uint64_t> SessionExecutor::AnswerBatch(
     const Interval* ranges, std::size_t count, std::vector<double>* answers) {
   Result<std::uint64_t> answered = AnswerInto(ranges, count, answers);
@@ -53,22 +48,40 @@ Result<std::uint64_t> SessionExecutor::AnswerBatch(
   return answered;
 }
 
-Status SessionExecutor::Execute(const SessionCommand& command,
+bool SessionExecutor::ExecuteLine(std::string_view line,
+                                  std::int64_t line_number) {
+  Result<bool> parsed =
+      ParseSessionLine(line, domain_size_, line_number, &command_);
+  if (!parsed.ok()) {
+    // A typo should not end a session mid-stream.
+    writer_.Error(parsed.status());
+  } else if (parsed.value()) {  // not blank, not a comment
+    if (command_.verb == SessionVerb::kQuit) return false;
+    Status status =
+        Execute(command_.verb, command_.ranges, /*interactive=*/true);
+    if (!status.ok()) writer_.Error(status);
+    PollAndReport();
+  }
+  writer_.Flush();
+  return true;
+}
+
+Status SessionExecutor::Execute(SessionVerb verb,
+                                std::span<const Interval> ranges,
                                 bool interactive) {
-  switch (command.verb) {
+  switch (verb) {
     case SessionVerb::kQuery:
-      return AnswerRun(command.ranges.data(), command.ranges.size());
     case SessionVerb::kBatch: {
-      Result<std::uint64_t> answered = AnswerInto(
-          command.ranges.data(), command.ranges.size(), &answers_);
+      Result<std::uint64_t> answered =
+          AnswerInto(ranges.data(), ranges.size(), &answers_);
       if (!answered.ok()) return answered.status();
-      summary_.batches += 1;
-      writer_.Answers(answers_.data(), command.ranges.size());
-      // The receipt is what lets a transcript prove the whole batch
-      // was served under one epoch; scripts keep the pre-runtime
-      // answers-only format.
-      if (interactive) {
-        writer_.BatchReceipt(command.ranges.size(), answered.value());
+      writer_.Answers(answers_.data(), ranges.size());
+      if (verb == SessionVerb::kBatch) {
+        summary_.batches += 1;
+        // The receipt is what lets a transcript prove the whole batch
+        // was served under one epoch; scripts keep the pre-runtime
+        // answers-only format.
+        if (interactive) writer_.BatchReceipt(ranges.size(), answered.value());
       }
       return Status::Ok();
     }
@@ -187,26 +200,15 @@ Result<SessionSummary> RunStreamingSession(std::istream& in,
                                            SessionWriter& writer,
                                            QueryService& service,
                                            EpochManager& manager) {
-  std::shared_ptr<const Snapshot> snap = service.snapshot();
-  if (snap == nullptr) {
+  if (service.snapshot() == nullptr) {
     return Status::FailedPrecondition(
         "streaming session needs a published snapshot");
   }
-  SessionReader reader(in, snap->domain_size());
   SessionExecutor executor(writer, service, manager);
-  while (true) {
-    Result<SessionCommand> command = reader.Next();
-    if (!command.ok()) {
-      // An interactive typo should not kill a server mid-session.
-      writer.Error(command.status());
-      writer.Flush();
-      continue;
-    }
-    if (command.value().verb == SessionVerb::kQuit) break;
-    Status status = executor.Execute(command.value(), /*interactive=*/true);
-    if (!status.ok()) writer.Error(status);
-    executor.PollAndReport();
-    writer.Flush();
+  std::string line;
+  std::int64_t line_number = 0;
+  while (std::getline(in, line) &&
+         executor.ExecuteLine(line, ++line_number)) {
   }
   // Let any in-flight asynchronous replan land so the transcript ends in
   // a deterministic state, then announce it.
@@ -216,39 +218,21 @@ Result<SessionSummary> RunStreamingSession(std::istream& in,
   return executor.summary();
 }
 
-Result<SessionSummary> RunScriptedSession(
-    const std::vector<SessionCommand>& script, SessionWriter& writer,
-    QueryService& service, EpochManager& manager) {
+Result<SessionSummary> RunScriptedSession(const SessionScript& script,
+                                          SessionWriter& writer,
+                                          QueryService& service,
+                                          EpochManager& manager) {
   if (service.snapshot() == nullptr) {
     return Status::FailedPrecondition(
         "scripted session needs a published snapshot");
   }
   SessionExecutor executor(writer, service, manager);
-  std::vector<Interval> run;  // coalesced consecutive single-range queries
-  std::size_t i = 0;
-  while (i < script.size()) {
-    const SessionVerb verb = script[i].verb;
-    if (verb == SessionVerb::kQuery) {
-      // Only single-range commands coalesce into the run's one batch;
-      // a `qb` command goes through Execute as on every other path, so
-      // the session's stats count it as a batch of its own.
-      run.clear();
-      std::size_t j = i;
-      while (j < script.size() && script[j].verb == SessionVerb::kQuery) {
-        run.insert(run.end(), script[j].ranges.begin(),
-                   script[j].ranges.end());
-        ++j;
-      }
-      Status status = executor.AnswerRun(run.data(), run.size());
-      if (!status.ok()) return status;
-      i = j;
-    } else if (verb == SessionVerb::kQuit) {
-      break;
-    } else {
-      Status status = executor.Execute(script[i], /*interactive=*/false);
-      if (!status.ok()) return status;
-      ++i;
-    }
+  const std::span<const Interval> ranges(script.ranges);
+  for (const SessionStep& step : script.steps) {
+    Status status =
+        executor.Execute(step.verb, ranges.subspan(step.first, step.count),
+                         /*interactive=*/false);
+    if (!status.ok()) return status;
     executor.PollAndReport();
   }
   manager.Drain();

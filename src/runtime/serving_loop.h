@@ -1,24 +1,25 @@
 // The serving runtime's command loop: one executor for every way a
 // session reaches the server.
 //
-// RunStreamingSession drives an interactive (REPL) session: commands are
-// parsed and answered one at a time, output is flushed after every
-// command, parse errors are reported and survived, and completed
-// asynchronous replans are announced as "# planned ..." lines between
-// commands. RunScriptedSession drives a pre-parsed script (the
-// `serve --queries FILE` path): runs of consecutive single-range query
-// commands are coalesced into one batch (one answering pass per run, not
-// per line), `qb` batches execute as one batch of their own,
-// control commands execute between runs, and any error aborts the
-// script — the strictness workload files always had.
+// Every text line, from the stdin REPL or a socket connection, goes
+// through SessionExecutor::ExecuteLine: parsed by ParseSessionLine,
+// executed, then the EpochManager is polled (which is what lets the
+// every-N and drift triggers fire mid-session and announces completed
+// asynchronous replans as "# planned ..." lines). A malformed line is
+// reported as "error: ..." and survived. RunStreamingSession is a
+// getline loop over it; the non-blocking socket state machines call it
+// from their readiness loop for each complete line.
 //
-// Both entry points — and the non-blocking socket state machines, which
-// call the SessionExecutor directly from a readiness loop instead of
-// through a blocking read — answer queries through the same QueryService
-// calls and report through the same SessionWriter formats, so a
-// transcript from one mode reads like the other; after every command (or
-// coalesced run) the EpochManager is polled, which is what lets the
-// every-N and drift triggers fire mid-session.
+// RunScriptedSession drives a script read whole by ReadSessionScript
+// (the `serve --queries FILE` path): a walk over its steps, each
+// answered straight from the script's one range array. A run of
+// single-range lines is one step, so it is answered as one batch, and
+// any error aborts the script — the strictness workload files always
+// had.
+//
+// Every path answers through the same QueryService calls and reports
+// through the same SessionWriter formats, so a transcript from one mode
+// reads like the other.
 
 #ifndef DPHIST_RUNTIME_SERVING_LOOP_H_
 #define DPHIST_RUNTIME_SERVING_LOOP_H_
@@ -26,7 +27,9 @@
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -58,9 +61,10 @@ void WriteServingBanner(SessionWriter& writer, const Snapshot& snapshot);
 /// — funnels through one of these. It owns the session's EpochManager
 /// subscription (so concurrent sessions each see every completed replan
 /// exactly once) and the per-session counters. The text entry points
-/// (Execute / PollAndReport) render through the SessionWriter; the
-/// binary frame path uses the raw entry points (AnswerBatch / StatsText
-/// / PollAndTake) and encodes the same data itself.
+/// (ExecuteLine / Execute / PollAndReport) render through the
+/// SessionWriter; the binary frame path uses the raw entry points
+/// (AnswerBatch / StatsText / PollAndTake) and encodes the same data
+/// itself.
 ///
 /// When `session_write_errors` is set, the `stats` reply appends
 /// " write_errors=N" with its value: the socket transport binds it to
@@ -68,6 +72,8 @@ void WriteServingBanner(SessionWriter& writer, const Snapshot& snapshot);
 /// lost to a failed flush. Stdin and file sessions leave it unset.
 class SessionExecutor {
  public:
+  /// Text lines are validated against the domain of the service's
+  /// current snapshot; construct after the first publish.
   SessionExecutor(
       SessionWriter& writer, QueryService& service, EpochManager& manager,
       std::function<std::uint64_t()> session_write_errors = nullptr);
@@ -79,17 +85,25 @@ class SessionExecutor {
   void set_protocol(const char* protocol) { protocol_ = protocol; }
   const char* protocol() const { return protocol_; }
 
-  /// Answers a contiguous run of ranges (a coalesced script segment or a
-  /// single command's ranges) as one batch and prints the answer lines.
-  /// An out-of-domain range (or answering before the first publish) is
-  /// a Status — reported as a session error line, never an abort — and
-  /// prints no answers.
-  Status AnswerRun(const Interval* ranges, std::size_t count);
+  /// Runs one text line (no trailing newline), the REPL's and the
+  /// socket text protocol's one entry point: parses it (`line_number`,
+  /// 1-based, names it in diagnostics), executes it interactively,
+  /// reports a failure as "error: ..." and keeps serving, polls the
+  /// triggers, and flushes the writer. A blank, comment or malformed
+  /// line executes nothing and polls nothing. Returns false on `quit`,
+  /// which the caller ends the session on.
+  bool ExecuteLine(std::string_view line, std::int64_t line_number);
 
-  /// Executes one control or query command interactively. Returns a
-  /// non-OK status only for errors (the caller decides whether they are
-  /// fatal); kQuit is handled by the caller.
-  Status Execute(const SessionCommand& command, bool interactive);
+  /// Executes one command over `ranges`. kQuery answers them all as one
+  /// batch and prints the answer lines (a scripted run of single-range
+  /// lines arrives as one call); kBatch does the same as a `qb` batch,
+  /// counted in `batches` and, when `interactive`, followed by its
+  /// "# batch" receipt; kStats and kReplan report; kQuit does nothing.
+  /// An out-of-domain range (or answering before the first publish) is
+  /// a Status and prints no answers; the caller decides whether it is
+  /// fatal.
+  Status Execute(SessionVerb verb, std::span<const Interval> ranges,
+                 bool interactive);
 
   /// Fires due triggers and announces any replans completed since the
   /// last call (including asynchronous ones from earlier commands).
@@ -132,7 +146,7 @@ class SessionExecutor {
   static std::string OutcomeComment(const ReplanOutcome& outcome);
 
  private:
-  /// The one answering call behind AnswerRun, `qb` and AnswerBatch:
+  /// The one answering call behind Execute and AnswerBatch:
   /// answers `count` ranges into `answers` (resized) through
   /// TryQueryBatch and, on success, folds the batch into the query and
   /// epoch counters. Returns the batch's epoch.
@@ -148,24 +162,28 @@ class SessionExecutor {
   std::function<std::uint64_t()> session_write_errors_;
   const char* protocol_ = "text";
   std::uint64_t last_answer_epoch_ = 0;  // 0 = nothing answered yet
+  std::int64_t domain_size_ = 0;  // of the snapshot at construction
   SessionSummary summary_;
+  SessionCommand command_;       // ExecuteLine's, reused across lines
   std::vector<double> answers_;  // reused across commands
 };
 
-/// Interactive session: reads commands from `in` until quit/EOF.
-/// Requires a published snapshot (PublishInitial first). The session
-/// holds its own EpochManager subscription, so any number of concurrent
-/// sessions may share one service + manager.
+/// Interactive session: runs the lines of `in` through ExecuteLine until
+/// quit/EOF. Requires a published snapshot (PublishInitial first). The
+/// session holds its own EpochManager subscription, so any number of
+/// concurrent sessions may share one service + manager.
 Result<SessionSummary> RunStreamingSession(std::istream& in,
                                            SessionWriter& writer,
                                            QueryService& service,
                                            EpochManager& manager);
 
-/// Scripted session: executes `script` (see ReadSessionScript), failing
-/// on the first command error. Requires a published snapshot.
-Result<SessionSummary> RunScriptedSession(
-    const std::vector<SessionCommand>& script, SessionWriter& writer,
-    QueryService& service, EpochManager& manager);
+/// Scripted session: executes the steps of `script` (see
+/// ReadSessionScript) in order, polling after each, and fails on the
+/// first command error. Requires a published snapshot.
+Result<SessionSummary> RunScriptedSession(const SessionScript& script,
+                                          SessionWriter& writer,
+                                          QueryService& service,
+                                          EpochManager& manager);
 
 }  // namespace dphist::runtime
 

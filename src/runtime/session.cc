@@ -7,13 +7,12 @@
 #include <string>
 #include <string_view>
 #include <system_error>
-#include <utility>
 
 namespace dphist::runtime {
 namespace {
 
-/// Error prefix matching the workload-file loader so `serve --queries`
-/// diagnostics are byte-compatible with the pre-runtime path.
+/// The prefix of every diagnostic, as workload files have always been
+/// reported.
 std::string LinePrefix(std::int64_t line) {
   return "query line " + std::to_string(line) + ": ";
 }
@@ -118,9 +117,6 @@ void AppendGeneral(double value, int precision, std::string* out) {
 
 }  // namespace
 
-SessionReader::SessionReader(std::istream& in, std::int64_t domain_size)
-    : in_(in), domain_size_(domain_size) {}
-
 Result<bool> ParseSessionLine(std::string_view line,
                               std::int64_t domain_size,
                               std::int64_t line_number,
@@ -174,31 +170,27 @@ Result<bool> ParseSessionLine(std::string_view line,
                                  "\"");
 }
 
-Result<SessionCommand> SessionReader::Next() {
+Result<SessionScript> ReadSessionScript(std::istream& in,
+                                        std::int64_t domain_size) {
+  SessionScript script;
+  SessionCommand command;  // reused: warm lines parse without allocating
   std::string line;
-  while (std::getline(in_, line)) {
-    ++line_;
-    SessionCommand command;
-    Result<bool> parsed = ParseSessionLine(line, domain_size_, line_, &command);
+  std::int64_t line_number = 0;
+  while (std::getline(in, line)) {
+    Result<bool> parsed =
+        ParseSessionLine(line, domain_size, ++line_number, &command);
     if (!parsed.ok()) return parsed.status();
     if (!parsed.value()) continue;  // blank or comment
-    return command;
+    if (command.verb == SessionVerb::kQuit) break;
+    if (command.verb != SessionVerb::kQuery || script.steps.empty() ||
+        script.steps.back().verb != SessionVerb::kQuery) {
+      script.steps.push_back({command.verb, script.ranges.size(), 0});
+    }
+    script.ranges.insert(script.ranges.end(), command.ranges.begin(),
+                         command.ranges.end());
+    script.steps.back().count += command.ranges.size();
   }
-  SessionCommand quit;
-  quit.verb = SessionVerb::kQuit;
-  return quit;
-}
-
-Result<std::vector<SessionCommand>> ReadSessionScript(
-    std::istream& in, std::int64_t domain_size) {
-  SessionReader reader(in, domain_size);
-  std::vector<SessionCommand> script;
-  while (true) {
-    Result<SessionCommand> command = reader.Next();
-    if (!command.ok()) return command.status();
-    if (command.value().verb == SessionVerb::kQuit) return script;
-    script.push_back(std::move(command).value());
-  }
+  return script;
 }
 
 void AppendAnswerLine(double value, std::string* out) {

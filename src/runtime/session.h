@@ -1,10 +1,10 @@
 // Streaming session line protocol for the serving runtime.
 //
 // One grammar powers every way queries reach a long-lived server —
-// `dphist serve --stdin` (interactive REPL), scripted transcripts piped
-// through stdin, and the classic workload files `serve --queries`
-// consumed before this subsystem existed. A session is a sequence of
-// newline-terminated commands over any std::istream:
+// `dphist serve --stdin` (interactive REPL), a socket connection's text
+// protocol, the workload files `serve --queries` answers and the ones
+// `plan --queries` profiles. A session is a sequence of
+// newline-terminated commands:
 //
 //   lo hi                answer one range (bare workload-file form;
 //                        commas work: "lo,hi")
@@ -18,12 +18,11 @@
 //   quit                 end the session (EOF is an implicit quit)
 //   # anything           comment, ignored; blank lines are ignored
 //
-// SessionReader parses commands one at a time with line-numbered errors
-// (the same messages the workload-file loader produced, so `serve
-// --queries` diagnostics are unchanged). SessionWriter owns the answer
-// and "# ..." report formatting shared by the streaming REPL, the batch
-// driver and the socket transport, so transcripts from every mode look
-// alike.
+// ParseSessionLine parses one line with line-numbered errors;
+// ReadSessionScript parses a whole file into one range array and a list
+// of steps over it. SessionWriter owns the answer and "# ..." report
+// formatting shared by the REPL, scripted sessions and the socket
+// transport, so transcripts from every mode look alike.
 
 #ifndef DPHIST_RUNTIME_SESSION_H_
 #define DPHIST_RUNTIME_SESSION_H_
@@ -64,8 +63,9 @@ struct SessionCommand {
 /// leaves `out` untouched; true fills `out`, reusing its `ranges`
 /// capacity, so a caller that keeps one SessionCommand across lines
 /// parses warm lines without allocating. A malformed line is a Status
-/// naming `line_number` (1-based), with diagnostics byte-identical to
-/// SessionReader's; `out` then holds whatever parsed before the error.
+/// naming `line_number` (1-based), "query line N: ..." as the workload
+/// files have always reported it; `out` then holds whatever parsed
+/// before the error.
 ///
 /// The line is scanned in place with the field rules of `std::istream
 /// >>` in the "C" locale: space, '\t' to '\r' and ',' separate fields;
@@ -84,35 +84,29 @@ Result<bool> ParseSessionLine(std::string_view line,
 /// gigabytes.
 inline constexpr std::int64_t kMaxSessionBatch = 1 << 20;
 
-/// Incremental command parser over a line stream.
-class SessionReader {
- public:
-  /// See kMaxSessionBatch (kept as a member name for existing callers).
-  static constexpr std::int64_t kMaxBatch = kMaxSessionBatch;
-
-  /// Ranges are validated against [0, domain_size).
-  SessionReader(std::istream& in, std::int64_t domain_size);
-
-  /// Parses the next command; kQuit at end of stream. A malformed line
-  /// returns a Status naming the 1-based line number and leaves the
-  /// reader usable (the next call parses the following line), so an
-  /// interactive session can report the error and keep serving.
-  Result<SessionCommand> Next();
-
-  /// 1-based number of the last line consumed.
-  std::int64_t line() const { return line_; }
-
- private:
-  std::istream& in_;
-  std::int64_t domain_size_;
-  std::int64_t line_ = 0;
+/// One step of a script: `count` ranges of the script's array from
+/// `first` on (none for stats/replan).
+struct SessionStep {
+  SessionVerb verb = SessionVerb::kQuit;
+  std::size_t first = 0;
+  std::size_t count = 0;
 };
 
-/// Reads a whole session script up front (the `serve --queries` file
-/// path): every command until quit/EOF, failing on the first malformed
-/// line. Control commands (stats/replan) are legal in files too.
-Result<std::vector<SessionCommand>> ReadSessionScript(
-    std::istream& in, std::int64_t domain_size);
+/// A whole session file, parsed once: every range in file order, and
+/// the steps that answer them. Consecutive single-range lines merge into
+/// one kQuery step, answered as one batch; comments and blank lines do
+/// not split a run, any other command does. A `qb` line is a kBatch step
+/// of its own.
+struct SessionScript {
+  std::vector<Interval> ranges;
+  std::vector<SessionStep> steps;
+};
+
+/// Reads a session file up to `quit` or EOF (the `serve --queries` and
+/// `plan --queries` path), failing on the first malformed line.
+/// Control commands (stats/replan) are legal in files too.
+Result<SessionScript> ReadSessionScript(std::istream& in,
+                                        std::int64_t domain_size);
 
 /// Appends one answer line ("%.15g" + '\n') to `out`, byte-identical to
 /// std::to_chars(general, 15) and so to the ostream formatting the

@@ -119,8 +119,6 @@ SocketStream::~SocketStream() {
   if (fd_ >= 0) ::close(fd_);
 }
 
-void SocketStream::Shutdown() { ::shutdown(fd_, SHUT_RDWR); }
-
 Result<std::unique_ptr<SocketStream>> ConnectTcp(const std::string& host,
                                                  int port) {
   sockaddr_in addr{};
@@ -435,9 +433,6 @@ struct Conn {
   std::int64_t domain_size = 0;
   /// Renders text-protocol output straight into outbuf.
   SessionWriter writer;
-  /// The text command being parsed, reused across lines so warm lines
-  /// parse into capacity they already have.
-  SessionCommand command;
   std::unique_ptr<SessionExecutor> executor;
 };
 
@@ -611,21 +606,9 @@ class ConnDriver {
   bool ProcessText(Conn& c) {
     std::string_view line;
     if (!NextLine(c, &line)) return false;
-    Result<bool> parsed =
-        ParseSessionLine(line, c.domain_size, c.line_number, &c.command);
-    if (!parsed.ok()) {
-      c.writer.Error(parsed.status());
-      return true;
-    }
-    if (!parsed.value()) return true;  // blank or comment
-    if (c.command.verb == SessionVerb::kQuit) {
-      FinishSession(c);
-      return false;
-    }
-    Status status = c.executor->Execute(c.command, /*interactive=*/true);
-    if (!status.ok()) c.writer.Error(status);
-    c.executor->PollAndReport();
-    return true;
+    if (c.executor->ExecuteLine(line, c.line_number)) return true;
+    FinishSession(c);  // quit
+    return false;
   }
 
   bool ProcessBinary(Conn& c) {

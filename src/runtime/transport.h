@@ -140,10 +140,6 @@ class SocketStream : public std::iostream {
   bool orderly_eof() const { return buf_.orderly_eof(); }
   bool peer_reset() const { return buf_.peer_reset(); }
 
-  /// Shuts the socket down in both directions, unblocking a thread
-  /// parked in a read. Safe to call from another thread.
-  void Shutdown();
-
  private:
   FdStreamBuf buf_;
   int fd_;

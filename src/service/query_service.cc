@@ -132,15 +132,6 @@ Result<std::shared_ptr<const Snapshot>> QueryService::PublishRestored(
   return CommitPublish(std::move(pending));
 }
 
-Result<std::shared_ptr<const Snapshot>> QueryService::PublishFromPlan(
-    const Histogram& data, const planner::Plan& plan, std::uint64_t seed) {
-  if (plan.options.strategy == StrategyKind::kAuto) {
-    return Status::InvalidArgument(
-        "PublishFromPlan needs a resolved plan (strategy is still auto)");
-  }
-  return Publish(data, plan.options, seed);
-}
-
 Result<std::uint64_t> QueryService::TryQueryBatch(
     const Interval* ranges, std::size_t count, double* out,
     std::uint64_t* /*cache_hits*/) const {

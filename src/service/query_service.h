@@ -176,13 +176,6 @@ class QueryService : public RetiredCacheCounters {
   Result<std::shared_ptr<const Snapshot>> PublishRestored(
       std::shared_ptr<const Snapshot> snapshot);
 
-  /// Publishes the configuration a planner already chose (plan.options
-  /// is concrete and ready for Snapshot::Build). The hook the runtime's
-  /// EpochManager uses: it runs ChoosePlan itself — off the serving
-  /// thread — and hands the decision here, so Publish never re-plans.
-  Result<std::shared_ptr<const Snapshot>> PublishFromPlan(
-      const Histogram& data, const planner::Plan& plan, std::uint64_t seed);
-
   /// The currently published snapshot; null before the first Publish.
   std::shared_ptr<const Snapshot> snapshot() const {
     return snapshot_.load(std::memory_order_acquire);

@@ -1,10 +1,12 @@
-// Pins the exact bits of the hierarchical releases. Every value is folded
-// into a CRC-32 of its in-memory bytes, so a changed summation order, a
-// -0.0 that became +0.0, a different fast-path choice or one extra noise
-// draw all change a checksum. The expected values were recorded from the
-// node-at-a-time implementation the level-structured passes replaced;
-// any rewrite of the build, inference, pruning or rounding code must
-// reproduce them unchanged.
+// Pins the exact bits of the hierarchical and wavelet releases. Every
+// value is folded into a CRC-32 of its in-memory bytes, so a changed
+// summation order, a -0.0 that became +0.0, a different fast-path choice
+// or one extra noise draw all change a checksum. The hierarchical values
+// were recorded from the node-at-a-time implementation the
+// level-structured passes replaced, the wavelet values from the build
+// that copied its padded input and reconstructed leaves; any rewrite of
+// the build, inference, pruning or rounding code must reproduce them
+// unchanged.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,7 @@
 #include "domain/histogram.h"
 #include "estimators/universal.h"
 #include "estimators/universal2d.h"
+#include "estimators/wavelet.h"
 #include "inference/hierarchical.h"
 #include "inference/nonnegative_pruning.h"
 #include "storage/page.h"
@@ -97,6 +100,37 @@ TEST(ReleasePinTest, HBarAndHTildeBuildsAreBitIdentical) {
     }
     EXPECT_EQ(hbar.crc(), expected_hbar[s]) << "n=" << sizes[s];
     EXPECT_EQ(htilde.crc(), expected_htilde[s]) << "n=" << sizes[s];
+  }
+}
+
+TEST(ReleasePinTest, WaveletBuildsAreBitIdentical) {
+  // n = 7, 100 and 70000 pad to the next power of two, so the leaves are
+  // a prefix of the reconstructed transform; n = 1 and 4096 need no
+  // padding. The answers pin the rounding on top of the leaves.
+  const std::int64_t sizes[] = {1, 7, 100, 4096, 70000};
+  const std::uint32_t expected[] = {0x19363d2c, 0xd7f30d5e, 0xa8896db5,
+                                    0x94e84872, 0x60596db7};
+  for (std::size_t s = 0; s < 5; ++s) {
+    const std::int64_t n = sizes[s];
+    const Histogram data = ZipfData(n);
+    Pin pin;
+    for (const BuildSeed& build : kSeeds) {
+      for (const bool round : {false, true}) {
+        WaveletOptions options;
+        options.epsilon = build.epsilon;
+        options.round_to_nonnegative_integers = round;
+        Rng rng(build.seed);
+        const WaveletEstimator est(data, options, &rng);
+        pin.Add(est.leaf_estimates());
+        std::vector<double> answers;
+        for (std::int64_t lo = 0; lo < n; lo += 1 + n / 16) {
+          answers.push_back(est.RangeCount(Interval(lo / 2, lo)));
+        }
+        pin.Add(answers);
+        pin.Add(static_cast<std::uint64_t>(rng.engine()()));
+      }
+    }
+    EXPECT_EQ(pin.crc(), expected[s]) << "n=" << n;
   }
 }
 

@@ -5,24 +5,30 @@
 // allocations per query, and that a warm text-protocol command is
 // parsed, answered and rendered without one. It also counts requested
 // bytes, to bound what one H-bar build, one default Snapshot::Build, one
-// persisted snapshot image and one hostile `qb` line ask for. Kept out
-// of dphist_tests so the instrumentation cannot interfere with
-// unrelated suites.
+// wavelet Snapshot::Build, one persisted snapshot image, one cold
+// unsharded engine batch, one read session script and one hostile `qb`
+// line ask for. Kept out of dphist_tests so the instrumentation cannot
+// interfere with unrelated suites.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <filesystem>
+#include <istream>
 #include <memory>
 #include <new>
+#include <streambuf>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "data/zipf.h"
 #include "domain/histogram.h"
+#include "engine/answer_engine.h"
 #include "estimators/range_engine.h"
 #include "estimators/universal.h"
 #include "mechanism/laplace_mechanism.h"
@@ -291,6 +297,37 @@ TEST(ServiceAllocationTest, EngineBatchesAreAllocationFreeOnceWarm) {
   EXPECT_EQ(answered, 2u);
 }
 
+TEST(ServiceAllocationTest, ColdUnshardedBatchGrowsOnlyTheGatherArrays) {
+  // A one-shard plan has no shard boundary to span, so a thread's first
+  // batch through it grows the two gather arrays (16 B per range) and
+  // none of the spanning scratch (60 B per range more), which a thread
+  // would otherwise keep for the life of the process.
+  constexpr std::int64_t kDomain = 1 << 12;
+  Rng data_rng(3);
+  Histogram data = Histogram::FromCounts(
+      ZipfCounts(kDomain, 1.2, 4 * kDomain, &data_rng));
+  QueryService service;
+  SnapshotOptions options;
+  options.strategy = StrategyKind::kLTilde;
+  ASSERT_TRUE(service.Publish(data, options, 9).ok());
+  const engine::AnswerPlan* plan = service.snapshot()->answer_plan();
+  ASSERT_NE(plan, nullptr);
+  ASSERT_EQ(plan->shard_count, 1);
+
+  Rng range_rng(5);
+  const std::vector<Interval> ranges =
+      RandomRangesOfSize(kDomain, kDomain / 3, 1 << 16, &range_rng);
+  std::vector<double> answers(ranges.size());
+  const std::size_t before = g_allocated_bytes.load();
+  std::thread cold([&] {
+    engine::AnswerBatch(*plan, ranges.data(), nullptr, ranges.size(),
+                        answers.data());
+  });
+  cold.join();
+  EXPECT_LE(g_allocated_bytes.load() - before, 16 * ranges.size() + 4096);
+  EXPECT_EQ(answers[0], service.snapshot()->RangeCount(ranges[0]));
+}
+
 TEST(BuildAllocationTest, DefaultHBarBuildWorksInOneNodeBuffer) {
   // serve's default release at n = 2^16: k = 2, round+prune, 131 071
   // nodes (1 MiB). Counts, noise, inference, pruning and rounding all
@@ -340,13 +377,68 @@ TEST(BuildAllocationTest, DefaultSnapshotBuildReadsTheHistogramInPlace) {
   EXPECT_LE(requests.bytes, static_cast<std::size_t>(1.6 * (1 << 20)));
 }
 
+TEST(BuildAllocationTest, WaveletBuildMovesItsTransformBuffers) {
+  // The release replan-durable republishes every 250 ms: wavelet over 2
+  // shards at n = 2^18, so each shard transforms 2^17 leaves (1 MiB).
+  // The padded input becomes the transform's working buffer and the
+  // inverse's output becomes the leaves, which leaves five node-sized
+  // buffers per shard: the counts slice, the padded input, the
+  // coefficients, the leaves and the prefix table. Copying the input or
+  // the leaves again adds one per shard.
+  constexpr std::int64_t kDomain = 1 << 18;
+  Rng data_rng(3);
+  const Histogram data = Histogram::FromCounts(
+      ZipfCounts(kDomain, 1.2, 4 * kDomain, &data_rng));
+  SnapshotOptions options;
+  options.strategy = StrategyKind::kWavelet;
+  options.shards = 2;
+  Rng rng(9);
+  const Requests requests = RequestsDuring([&] {
+    Result<std::shared_ptr<const Snapshot>> built =
+        Snapshot::Build(data, options, 1, &rng);
+    ASSERT_TRUE(built.ok());
+    EXPECT_NE(built.value()->answer_plan(), nullptr);
+  });
+  EXPECT_LE(requests.large_buffers, 10u);
+  EXPECT_LE(requests.bytes, static_cast<std::size_t>(10.1 * (1 << 20)));
+}
+
+/// Reads a string's bytes as an istream without copying them.
+class StringViewBuf : public std::streambuf {
+ public:
+  explicit StringViewBuf(std::string& text) {
+    setg(text.data(), text.data(), text.data() + text.size());
+  }
+};
+
+TEST(SessionAllocationTest, ScriptReadKeepsOneRangeArray) {
+  // 100 000 bare "lo hi" lines merge into one step over one range array,
+  // which grows by doubling: under 2 x 16 B per range of its final
+  // power-of-two capacity. A command object with its own range vector
+  // per line asks for more than twice that.
+  constexpr std::size_t kLines = 100000;
+  std::string text;
+  for (std::size_t i = 0; i < kLines; ++i) {
+    text += std::to_string(i % 4000) + " " + std::to_string(i % 4000 + 9) +
+            "\n";
+  }
+  const Requests requests = RequestsDuring([&] {
+    StringViewBuf buffer(text);
+    std::istream in(&buffer);
+    EXPECT_TRUE(runtime::ReadSessionScript(in, 1 << 16).ok());
+  });
+  EXPECT_LE(requests.bytes,
+            2 * sizeof(Interval) * std::bit_ceil(kLines) + 64 * 1024);
+}
+
 TEST(SessionAllocationTest, WarmTextBatchIsParsedAnsweredAndRenderedInPlace) {
-  // One `qb 64` line through the socket transport's text path: parsed
-  // into the connection's reused command, answered by its session
-  // executor, rendered (64 answers and the receipt) into its output
-  // string, then the trigger poll. The release is the one
-  // replan-durable's planner picks, wavelet over 2 shards with rounding,
-  // so the engine answers and every answer prints as an integer.
+  // One `qb 64` line through the text path every session shares,
+  // ExecuteLine: parsed into the executor's reused command, answered,
+  // rendered (64 answers and the receipt) into the output string the
+  // socket transport hands its writer, then the trigger poll. The
+  // release is the one replan-durable's planner picks, wavelet over 2
+  // shards with rounding, so the engine answers and every answer prints
+  // as an integer.
   constexpr std::int64_t kDomain = 1 << 12;
   Rng data_rng(3);
   const Histogram data = Histogram::FromCounts(
@@ -370,16 +462,10 @@ TEST(SessionAllocationTest, WarmTextBatchIsParsedAnsweredAndRenderedInPlace) {
   std::string outbuf;
   runtime::SessionWriter writer(&outbuf);
   runtime::SessionExecutor executor(writer, service, manager);
-  runtime::SessionCommand command;
   std::size_t served = 0;
   const std::size_t allocs = AllocationsDuring([&] {
     outbuf.clear();
-    const Result<bool> parsed =
-        runtime::ParseSessionLine(line, kDomain, 1, &command);
-    if (!parsed.ok() || !parsed.value()) return;
-    if (!executor.Execute(command, /*interactive=*/true).ok()) return;
-    executor.PollAndReport();
-    served += 1;
+    if (executor.ExecuteLine(line, 1)) served += 1;
   });
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(served, 2u);

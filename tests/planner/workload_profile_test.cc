@@ -2,10 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <string>
-
 namespace dphist::planner {
 namespace {
 
@@ -35,49 +31,6 @@ TEST(WorkloadProfileTest, GeometricSweepCoversPowersOfTwoAndDomain) {
   WorkloadProfile pow2 = WorkloadProfile::GeometricSweep(64);
   EXPECT_EQ(pow2.length_weights().size(), 7u);  // 1..64
   EXPECT_DOUBLE_EQ(pow2.length_weights().at(64), 1.0);
-}
-
-TEST(WorkloadProfileTest, FromQueryFileParsesTheServeFormat) {
-  std::string path = ::testing::TempDir() + "/profile_queries.txt";
-  {
-    std::ofstream file(path);
-    file << "0 9\n"
-         << "5,14\n"
-         << "\n"
-         << "63 63\n";
-  }
-  auto profile = WorkloadProfile::FromQueryFile(path, 64);
-  ASSERT_TRUE(profile.ok()) << profile.status().ToString();
-  EXPECT_DOUBLE_EQ(profile.value().total_weight(), 3.0);
-  EXPECT_DOUBLE_EQ(profile.value().length_weights().at(10), 2.0);
-  EXPECT_DOUBLE_EQ(profile.value().length_weights().at(1), 1.0);
-  std::remove(path.c_str());
-}
-
-TEST(WorkloadProfileTest, FileErrorsCarryLineNumbers) {
-  std::string path = ::testing::TempDir() + "/profile_bad.txt";
-  {
-    std::ofstream file(path);
-    file << "0 9\n9 100\n";
-  }
-  auto out_of_range = WorkloadProfile::FromQueryFile(path, 64);
-  ASSERT_FALSE(out_of_range.ok());
-  EXPECT_NE(out_of_range.status().message().find("line 2"),
-            std::string::npos);
-
-  {
-    std::ofstream file(path);
-    file << "7\n";
-  }
-  auto malformed = WorkloadProfile::FromQueryFile(path, 64);
-  ASSERT_FALSE(malformed.ok());
-  EXPECT_NE(malformed.status().message().find("expected"),
-            std::string::npos);
-
-  auto missing =
-      WorkloadProfile::FromQueryFile(path + ".does-not-exist", 64);
-  EXPECT_FALSE(missing.ok());
-  std::remove(path.c_str());
 }
 
 TEST(WorkloadProfileDeathTest, RejectsQueriesOutsideTheDomain) {

@@ -13,98 +13,88 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "data/zipf.h"
+#include "domain/histogram.h"
+#include "runtime/epoch_manager.h"
+#include "runtime/serving_loop.h"
+#include "service/query_service.h"
+
 namespace dphist::runtime {
 namespace {
 
-Result<SessionCommand> ParseOne(const std::string& text,
-                                std::int64_t domain = 64) {
-  std::istringstream in(text);
-  SessionReader reader(in, domain);
-  return reader.Next();
+/// Parses one line into a fresh command.
+Result<SessionCommand> ParseOne(std::string_view line,
+                                std::int64_t line_number = 1) {
+  SessionCommand command;
+  Result<bool> parsed = ParseSessionLine(line, 64, line_number, &command);
+  if (!parsed.ok()) return parsed.status();
+  EXPECT_TRUE(parsed.value()) << "no command on \"" << line << "\"";
+  return command;
 }
 
-TEST(SessionReaderTest, ParsesBareRangeLikeAWorkloadFile) {
-  auto command = ParseOne("3 9\n");
+Result<SessionScript> ReadScript(const std::string& text) {
+  std::istringstream in(text);
+  return ReadSessionScript(in, 64);
+}
+
+TEST(ParseSessionLineTest, ParsesBareRangeLikeAWorkloadFile) {
+  auto command = ParseOne("3 9");
   ASSERT_TRUE(command.ok());
   EXPECT_EQ(command.value().verb, SessionVerb::kQuery);
   ASSERT_EQ(command.value().ranges.size(), 1u);
   EXPECT_EQ(command.value().ranges[0].lo(), 3);
   EXPECT_EQ(command.value().ranges[0].hi(), 9);
 
-  auto comma = ParseOne("3,9\n");
+  auto comma = ParseOne("3,9");
   ASSERT_TRUE(comma.ok());
   EXPECT_EQ(comma.value().ranges[0].hi(), 9);
 }
 
-TEST(SessionReaderTest, ParsesExplicitVerbs) {
-  auto q = ParseOne("q 0 5\n");
+TEST(ParseSessionLineTest, ParsesExplicitVerbs) {
+  auto q = ParseOne("q 0 5");
   ASSERT_TRUE(q.ok());
   EXPECT_EQ(q.value().verb, SessionVerb::kQuery);
 
-  auto qb = ParseOne("qb 3 0 0 1 4 2 2\n");
+  auto qb = ParseOne("qb 3 0 0 1 4 2 2");
   ASSERT_TRUE(qb.ok());
   EXPECT_EQ(qb.value().verb, SessionVerb::kBatch);
   ASSERT_EQ(qb.value().ranges.size(), 3u);
   EXPECT_EQ(qb.value().ranges[1].lo(), 1);
   EXPECT_EQ(qb.value().ranges[1].hi(), 4);
 
-  EXPECT_EQ(ParseOne("stats\n").value().verb, SessionVerb::kStats);
-  EXPECT_EQ(ParseOne("replan\n").value().verb, SessionVerb::kReplan);
-  EXPECT_EQ(ParseOne("quit\n").value().verb, SessionVerb::kQuit);
-  EXPECT_EQ(ParseOne("").value().verb, SessionVerb::kQuit);  // EOF
+  EXPECT_EQ(ParseOne("stats").value().verb, SessionVerb::kStats);
+  EXPECT_EQ(ParseOne("replan").value().verb, SessionVerb::kReplan);
+  EXPECT_EQ(ParseOne("quit").value().verb, SessionVerb::kQuit);
 }
 
-TEST(SessionReaderTest, SkipsBlanksAndComments) {
-  std::istringstream in("\n# a comment\n   \n7 8\n");
-  SessionReader reader(in, 64);
-  auto command = reader.Next();
-  ASSERT_TRUE(command.ok());
-  EXPECT_EQ(command.value().verb, SessionVerb::kQuery);
-  EXPECT_EQ(reader.line(), 4);
-}
-
-TEST(SessionReaderTest, ErrorsCarryLineNumbersAndMatchLegacyMessages) {
-  // The pre-runtime workload loader's messages are load-bearing: CLI
-  // tests and user scripts grep for them.
-  auto malformed = ParseOne("7\n");
+TEST(ParseSessionLineTest, ErrorsCarryLineNumbersAndMatchLegacyMessages) {
+  // The workload files' messages are load-bearing: CLI tests and user
+  // scripts grep for them.
+  auto malformed = ParseOne("7");
   EXPECT_FALSE(malformed.ok());
   EXPECT_NE(malformed.status().message().find("query line 1"),
             std::string::npos);
   EXPECT_NE(malformed.status().message().find("expected \"lo hi\""),
             std::string::npos);
 
-  std::istringstream in("0 5\n5 99\n");
-  SessionReader reader(in, 64);
-  ASSERT_TRUE(reader.Next().ok());
-  auto oob = reader.Next();
+  auto oob = ParseOne("5 99", 2);
   EXPECT_FALSE(oob.ok());
   EXPECT_EQ(oob.status().code(), StatusCode::kOutOfRange);
   EXPECT_NE(oob.status().message().find("line 2"), std::string::npos);
 
-  auto unknown = ParseOne("frobnicate 1 2\n");
+  auto unknown = ParseOne("frobnicate 1 2");
   EXPECT_FALSE(unknown.ok());
   EXPECT_NE(unknown.status().message().find("line 1"), std::string::npos);
   EXPECT_NE(unknown.status().message().find("unknown command"),
             std::string::npos);
 }
 
-TEST(SessionReaderTest, SurvivesAMalformedLine) {
-  // Interactive sessions report the error and keep serving: the reader
-  // must stay usable after a failed Next().
-  std::istringstream in("bogus\nq 1 2\n");
-  SessionReader reader(in, 64);
-  EXPECT_FALSE(reader.Next().ok());
-  auto next = reader.Next();
-  ASSERT_TRUE(next.ok());
-  EXPECT_EQ(next.value().verb, SessionVerb::kQuery);
-  EXPECT_EQ(next.value().ranges[0].lo(), 1);
-}
-
-TEST(SessionReaderTest, ValidatesBatchShape) {
-  EXPECT_FALSE(ParseOne("qb 0\n").ok());
-  EXPECT_FALSE(ParseOne("qb -3 0 0\n").ok());
-  EXPECT_FALSE(ParseOne("qb 2 0 0\n").ok());  // missing second pair
-  auto oversized = ParseOne("qb 99999999 0 0\n");
+TEST(ParseSessionLineTest, ValidatesBatchShape) {
+  EXPECT_FALSE(ParseOne("qb 0").ok());
+  EXPECT_FALSE(ParseOne("qb -3 0 0").ok());
+  EXPECT_FALSE(ParseOne("qb 2 0 0").ok());  // missing second pair
+  auto oversized = ParseOne("qb 99999999 0 0");
   EXPECT_FALSE(oversized.ok());
   EXPECT_NE(oversized.status().message().find("exceeds"),
             std::string::npos);
@@ -135,8 +125,8 @@ TEST(ParseSessionLineTest, ParsesExtractedLinesWithoutAStream) {
 }
 
 TEST(ParseSessionLineTest, DiagnosticsNameTheCallersLineNumber) {
-  // Errors must be byte-identical to SessionReader's for the same line
-  // number, so both transports report identically.
+  // Errors must be byte-identical to a script's for the same line
+  // number, so every front end reports identically.
   SessionCommand command;
   auto direct = ParseSessionLine("7", 64, 41, &command);
   EXPECT_FALSE(direct.ok());
@@ -148,13 +138,11 @@ TEST(ParseSessionLineTest, DiagnosticsNameTheCallersLineNumber) {
   EXPECT_EQ(oob.status().code(), StatusCode::kOutOfRange);
   EXPECT_NE(oob.status().message().find("line 2"), std::string::npos);
 
-  std::istringstream in("frobnicate 1 2\n");
-  SessionReader reader(in, 64);
-  auto via_reader = reader.Next();
-  auto via_line = ParseSessionLine("frobnicate 1 2", 64, 1, &command);
-  ASSERT_FALSE(via_reader.ok());
+  auto via_script = ReadScript("\n# c\nfrobnicate 1 2\n");
+  auto via_line = ParseSessionLine("frobnicate 1 2", 64, 3, &command);
+  ASSERT_FALSE(via_script.ok());
   ASSERT_FALSE(via_line.ok());
-  EXPECT_EQ(via_line.status().message(), via_reader.status().message());
+  EXPECT_EQ(via_line.status().message(), via_script.status().message());
 }
 
 TEST(ParseSessionLineTest, RefillsAReusedCommand) {
@@ -526,22 +514,131 @@ TEST(AppendAnswerLineTest, RandomValuesMatchGeneralFormatting) {
   EXPECT_EQ(mismatches, 0);
 }
 
-TEST(SessionScriptTest, ReadsWholeScriptsAndStopsAtQuit) {
-  std::istringstream in("0 5\nqb 2 0 0 1 1\nstats\nreplan\nquit\n8 8\n");
-  auto script = ReadSessionScript(in, 64);
+/// A script's steps as text: the verb's letter, the first range and
+/// the count, one "v<first>+<count> " per step.
+std::string Layout(const SessionScript& script) {
+  std::string out;
+  for (const SessionStep& step : script.steps) {
+    switch (step.verb) {
+      case SessionVerb::kQuery: out += 'q'; break;
+      case SessionVerb::kBatch: out += 'b'; break;
+      case SessionVerb::kStats: out += 's'; break;
+      case SessionVerb::kReplan: out += 'r'; break;
+      case SessionVerb::kQuit: out += 'x'; break;
+    }
+    out += std::to_string(step.first) + "+" + std::to_string(step.count) +
+           " ";
+  }
+  return out;
+}
+
+TEST(SessionScriptTest, ReadsWholeScriptsIntoOneRangeArray) {
+  auto script = ReadScript("0 5\nqb 2 0 0 1 1\nstats\nreplan\n");
   ASSERT_TRUE(script.ok());
-  ASSERT_EQ(script.value().size(), 4u);  // quit strips the tail
-  EXPECT_EQ(script.value()[0].verb, SessionVerb::kQuery);
-  EXPECT_EQ(script.value()[1].verb, SessionVerb::kBatch);
-  EXPECT_EQ(script.value()[2].verb, SessionVerb::kStats);
-  EXPECT_EQ(script.value()[3].verb, SessionVerb::kReplan);
+  EXPECT_EQ(Layout(script.value()), "q0+1 b1+2 s3+0 r3+0 ");
+  const std::vector<Interval>& ranges = script.value().ranges;
+  ASSERT_EQ(ranges.size(), 3u);
+  EXPECT_EQ(ranges[0].hi(), 5);
+  EXPECT_EQ(ranges[2].lo(), 1);
+  EXPECT_EQ(ranges[2].hi(), 1);
+}
+
+TEST(SessionScriptTest, OnlyNonQueryCommandsSplitARun) {
+  // Comments and blank lines carry no command, so the single-range
+  // lines around them stay one step, answered as one batch.
+  auto script = ReadScript(
+      "0 5\n# note\n\n q 1 2\n3,4\nstats\n5 6\nreplan\n7 7\n \n8 8\n");
+  ASSERT_TRUE(script.ok());
+  EXPECT_EQ(Layout(script.value()), "q0+3 s3+0 q3+1 r4+0 q4+2 ");
+  EXPECT_EQ(script.value().ranges.size(), 6u);
+}
+
+TEST(SessionScriptTest, ABatchIsAStepOfItsOwn) {
+  // A `qb` line is counted and receipted as a batch, so it never merges
+  // with the single-range lines or the `qb` beside it.
+  auto script = ReadScript("0 5\nqb 2 1 1 2 2\nqb 1 3 3\n4 4\n");
+  ASSERT_TRUE(script.ok());
+  EXPECT_EQ(Layout(script.value()), "q0+1 b1+2 b3+1 q4+1 ");
+}
+
+TEST(SessionScriptTest, QuitTruncatesTheScript) {
+  // Nothing after `quit` is read, not even a malformed line.
+  auto script = ReadScript("0 1\nquit\nbogus\n2 3\n");
+  ASSERT_TRUE(script.ok());
+  EXPECT_EQ(Layout(script.value()), "q0+1 ");
+  EXPECT_EQ(script.value().ranges.size(), 1u);
+
+  for (const char* empty : {"", "quit\n0 1\n", "# only a comment\n"}) {
+    auto nothing = ReadScript(empty);
+    ASSERT_TRUE(nothing.ok());
+    EXPECT_TRUE(nothing.value().steps.empty()) << empty;
+    EXPECT_TRUE(nothing.value().ranges.empty()) << empty;
+  }
 }
 
 TEST(SessionScriptTest, PropagatesTheFirstError) {
-  std::istringstream in("0 5\nxx 1\n");
-  auto script = ReadSessionScript(in, 64);
+  auto script = ReadScript("0 5\nxx 1\n");
   EXPECT_FALSE(script.ok());
   EXPECT_NE(script.status().message().find("line 2"), std::string::npos);
+
+  // Blank and comment lines still count toward the line number.
+  auto numbered = ReadScript("\n# a comment\n   \n0 5\n5 99\n");
+  EXPECT_FALSE(numbered.ok());
+  EXPECT_EQ(numbered.status().code(), StatusCode::kOutOfRange);
+  EXPECT_NE(numbered.status().message().find("query line 5:"),
+            std::string::npos);
+}
+
+/// A service over 64 positions with a manager that replans inline.
+class SessionExecutorTest : public ::testing::Test {
+ protected:
+  SessionExecutorTest()
+      : data_(Histogram::FromCounts(ZipfCounts(64, 1.3, 384, &data_rng_))),
+        manager_(&service_, data_, ManagerOptions(), 7) {}
+
+  static EpochManagerOptions ManagerOptions() {
+    EpochManagerOptions options;
+    options.base.strategy = StrategyKind::kLTilde;
+    options.async = false;
+    return options;
+  }
+
+  std::string Answer(std::int64_t lo, std::int64_t hi) {
+    std::string line;
+    AppendAnswerLine(service_.snapshot()->RangeCount(Interval(lo, hi)), &line);
+    return line;
+  }
+
+  Rng data_rng_{23};
+  Histogram data_;
+  QueryService service_;
+  EpochManager manager_;
+};
+
+TEST_F(SessionExecutorTest, ExecuteLineReportsABadLineAndKeepsServing) {
+  // The REPL and a socket connection share this path: a malformed line
+  // and a failed command each print one "error:" line naming the
+  // caller's line number, blank lines print nothing, and `quit` ends
+  // the session without executing.
+  ASSERT_TRUE(manager_.PublishInitial().ok());
+  std::string text;
+  SessionWriter writer(&text);
+  SessionExecutor executor(writer, service_, manager_);
+  EXPECT_TRUE(executor.ExecuteLine("bogus", 1));
+  EXPECT_TRUE(executor.ExecuteLine("", 2));
+  EXPECT_TRUE(executor.ExecuteLine("# note", 3));
+  EXPECT_TRUE(executor.ExecuteLine("q 1 2", 4));
+  EXPECT_TRUE(executor.ExecuteLine("q 1 99", 5));
+  EXPECT_TRUE(executor.ExecuteLine("qb 2 0 0 3,9", 6));
+  EXPECT_FALSE(executor.ExecuteLine("quit", 7));
+  EXPECT_EQ(text,
+            "error: InvalidArgument: query line 1: unknown command "
+            "\"bogus\"\n" +
+                Answer(1, 2) +
+                "error: OutOfRange: query line 5: range out of bounds\n" +
+                Answer(0, 0) + Answer(3, 9) + "# batch n=2 epoch=1\n");
+  EXPECT_EQ(executor.summary().queries, 3u);
+  EXPECT_EQ(executor.summary().batches, 1u);
 }
 
 TEST(SessionWriterTest, FormatsAnswersAndReports) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "data/csv.h"
+#include "engine/answer_engine.h"
 #include "runtime/transport.h"
 
 namespace dphist::cli {
@@ -464,6 +466,52 @@ TEST(CliTest, PlanGoldenOutput) {
   std::remove(queries_path.c_str());
 }
 
+TEST(CliTest, PlanReadsQueryFilesWithTheSessionGrammar) {
+  // `plan --queries` reads the file `serve --queries` answers, with the
+  // same parser: comments and session verbs are accepted (a `qb` line's
+  // ranges join the workload, `quit` ends it), and every diagnostic is
+  // the one `serve` prints for the same file.
+  const std::string queries_path = TempPath("cli_plan_grammar.txt");
+  const std::string missing_path = TempPath("cli_plan_missing.txt");
+  std::remove(missing_path.c_str());
+  struct Row {
+    const char* file;  // null: the file does not exist
+    int exit_code;
+    const char* expected;  // in stdout on success, stderr on failure
+  };
+  const Row rows[] = {
+      {"0 9\n5,14\n\n63 63\n", 0,
+       "# workload: 3 queries over domain 64 (2 distinct lengths)\n"},
+      {"# a comment\n0 9\n5,14\n\n63 63\n", 0,
+       "# workload: 3 queries over domain 64 (2 distinct lengths)\n"},
+      {"q 0 9\nqb 2 5 14 63 63\nstats\nreplan\nquit\n0 0\n", 0,
+       "# workload: 3 queries over domain 64 (2 distinct lengths)\n"},
+      {"0 9\n9 100\n", 1,
+       "error: OutOfRange: query line 2: range out of bounds\n"},
+      {"7\n", 1, "error: InvalidArgument: query line 1: expected \"lo hi\"\n"},
+      {"0 9\nabc\n", 1,
+       "error: InvalidArgument: query line 2: unknown command \"abc\"\n"},
+      {nullptr, 1, "error: IoError: cannot open query file: "},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.file != nullptr ? row.file : "(missing)");
+    if (row.file != nullptr) {
+      std::ofstream queries(queries_path);
+      queries << row.file;
+    }
+    const std::string path = row.file != nullptr ? queries_path : missing_path;
+    std::string out, err;
+    EXPECT_EQ(RunMain({"plan", "--queries", path.c_str(), "--domain", "64",
+                       "--epsilon", "1", "--strategies", "ltilde",
+                       "--max-shards", "1"},
+                      &out, &err),
+              row.exit_code);
+    const std::string& text = row.exit_code == 0 ? out : err;
+    EXPECT_NE(text.find(row.expected), std::string::npos) << text;
+  }
+  std::remove(queries_path.c_str());
+}
+
 TEST(CliTest, PlanAcceptsMeanOrWorstObjective) {
   std::string queries_path = TempPath("cli_plan_objective.txt");
   { std::ofstream queries(queries_path); queries << "0 63\n"; }
@@ -810,6 +858,62 @@ TEST(CliTest, ServeQueriesFileAcceptsSessionCommands) {
   EXPECT_NE(out.find("reason=manual"), std::string::npos) << out;
   EXPECT_NE(out.find("# served 4 queries from epoch 2"), std::string::npos)
       << out;
+  std::remove(data_path.c_str());
+  std::remove(queries_path.c_str());
+}
+
+TEST(CliTest, ServeQueriesFileTranscriptIsPinned) {
+  // A mixed workload file: comments, blank lines, bare, comma and `q`
+  // ranges, a `qb` batch, a manual replan and a mid-file `quit`. The
+  // transcripts were recorded before a script became one range array
+  // with steps over it, and each run of single-range lines must still
+  // be answered as one engine batch. The final receipt's engine
+  // counters are process-wide, so each pin stops before them and the
+  // batches are counted as a difference.
+  const std::string data_path = TempPath("cli_file_pin_data.csv");
+  const std::string queries_path = TempPath("cli_file_pin_queries.txt");
+  std::string out, err;
+  ASSERT_EQ(RunMain({"generate", "--dataset", "social", "--output",
+                     data_path.c_str(), "--size", "300"},
+                    &out, &err),
+            0)
+      << err;
+  {
+    std::ofstream queries(queries_path);
+    queries << "# mixed workload\n0 5\n3,9\n\nq 1 2\nqb 2 0 0 1 1\n7 7\n"
+               "  # indented comment\n8 9\nreplan\n10 20\nq 0 299\nquit\n"
+               "11 11\n";
+  }
+  const std::string replanned =
+      "# planned strategy=ltilde shards=1 epoch=2 reason=manual "
+      "predicted_mean_var=4.85714\n"
+      "228\n"
+      "2404\n"
+      "# served 9 queries from epoch 2 (ltilde, eps=1, shards=1, "
+      "engine_kernel=";
+  struct Pin {
+    std::vector<const char*> flags;
+    std::string expected;
+    std::uint64_t engine_batches;  // H-bar is walker-served until replan
+  };
+  const Pin pins[] = {
+      {{"--strategy", "hbar"},
+       "272\n204\n128\n78\n17\n43\n65\n" + replanned, 1},
+      {{"--strategy", "wavelet", "--shards", "3"},
+       "285\n224\n116\n72\n11\n39\n63\n" + replanned, 4},
+  };
+  for (const Pin& pin : pins) {
+    std::vector<const char*> args = {"serve", "--input", data_path.c_str(),
+                                     "--queries", queries_path.c_str(),
+                                     "--epsilon", "1"};
+    args.insert(args.end(), pin.flags.begin(), pin.flags.end());
+    const std::uint64_t before =
+        engine::GlobalEngineCounters().total_batches();
+    ASSERT_EQ(RunMainWithInput("", args, &out, &err), 0) << err;
+    EXPECT_EQ(out.substr(0, pin.expected.size()), pin.expected);
+    EXPECT_EQ(engine::GlobalEngineCounters().total_batches() - before,
+              pin.engine_batches);
+  }
   std::remove(data_path.c_str());
   std::remove(queries_path.c_str());
 }

@@ -179,6 +179,16 @@ Status FillPlannerOptions(const Flags& flags,
   return Status::Ok();
 }
 
+/// Reads the `--queries` file through the session grammar: the script
+/// `serve` answers and the workload `plan` profiles.
+Result<runtime::SessionScript> ReadQueryFile(const Flags& flags,
+                                             std::int64_t domain_size) {
+  const std::string path = flags.GetString("queries", "");
+  std::ifstream file(path);
+  if (!file) return Status::IoError("cannot open query file: " + path);
+  return runtime::ReadSessionScript(file, domain_size);
+}
+
 }  // namespace
 
 Status RunGenerate(const Flags& flags, std::ostream& out) {
@@ -541,20 +551,13 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
     // from the whole script — the best picture of the workload a
     // planner will ever get — then the scripted loop answers each run
     // of single-range queries as one batch.
-    std::ifstream file(flags.GetString("queries", ""));
-    if (!file) {
-      return Status::IoError("cannot open query file: " +
-                             flags.GetString("queries", ""));
-    }
-    auto script = runtime::ReadSessionScript(file, n);
+    auto script = ReadQueryFile(flags, n);
     if (!script.ok()) return script.status();
 
     planner::WorkloadProfile profile(n);
     if (options.strategy == StrategyKind::kAuto) {
-      for (const runtime::SessionCommand& command : script.value()) {
-        for (const Interval& query : command.ranges) {
-          profile.AddQuery(query);
-        }
+      for (const Interval& query : script.value().ranges) {
+        profile.AddQuery(query);
       }
     }
     initial = publish_initial(profile.empty() ? nullptr : &profile);
@@ -848,14 +851,14 @@ Status RunPlan(const Flags& flags, std::ostream& out) {
   Status s = FillPlannerOptions(flags, &planner_options);
   if (!s.ok()) return s;
 
-  auto profile =
-      planner::WorkloadProfile::FromQueryFile(flags.GetString("queries", ""),
-                                              n);
-  if (!profile.ok()) return profile.status();
+  auto script = ReadQueryFile(flags, n);
+  if (!script.ok()) return script.status();
+  planner::WorkloadProfile profile(n);
+  for (const Interval& query : script.value().ranges) profile.AddQuery(query);
 
-  auto plan = planner::ChoosePlan(profile.value(), base, planner_options);
+  auto plan = planner::ChoosePlan(profile, base, planner_options);
   if (!plan.ok()) return plan.status();
-  out << planner::FormatPlanTable(plan.value(), profile.value());
+  out << planner::FormatPlanTable(plan.value(), profile);
   return Status::Ok();
 }
 
