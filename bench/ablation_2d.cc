@@ -9,10 +9,10 @@
 
 #include "common/flags.h"
 #include "common/rng.h"
-#include "common/statistics.h"
-#include "data/spatial.h"
-#include "estimators/universal2d.h"
-#include "experiments/report.h"
+#include "paper/common/statistics.h"
+#include "paper/data/spatial.h"
+#include "paper/estimators/universal2d.h"
+#include "paper/experiments/report.h"
 
 using namespace dphist;  // NOLINT(build/namespaces)
 

@@ -15,12 +15,13 @@
 
 #include "common/flags.h"
 #include "common/rng.h"
-#include "common/statistics.h"
+#include "paper/common/statistics.h"
 #include "data/zipf.h"
-#include "estimators/blum_histogram.h"
+#include "paper/estimators/blum_histogram.h"
 #include "estimators/range_engine.h"
 #include "estimators/universal.h"
-#include "experiments/report.h"
+#include "paper/experiments/report.h"
+#include "paper/experiments/runner.h"
 
 using namespace dphist;  // NOLINT(build/namespaces)
 

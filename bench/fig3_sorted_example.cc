@@ -12,10 +12,10 @@
 
 #include "common/flags.h"
 #include "common/rng.h"
-#include "common/statistics.h"
-#include "estimators/unattributed.h"
-#include "experiments/report.h"
-#include "inference/isotonic.h"
+#include "paper/common/statistics.h"
+#include "paper/estimators/unattributed.h"
+#include "paper/experiments/report.h"
+#include "paper/inference/isotonic.h"
 
 using namespace dphist;  // NOLINT(build/namespaces)
 

@@ -15,11 +15,11 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "data/nettrace.h"
-#include "data/search_logs.h"
-#include "data/social_network.h"
-#include "experiments/report.h"
-#include "experiments/runner.h"
+#include "paper/data/nettrace.h"
+#include "paper/data/search_logs.h"
+#include "paper/data/social_network.h"
+#include "paper/experiments/report.h"
+#include "paper/experiments/runner.h"
 
 namespace {
 

@@ -17,9 +17,9 @@
 #include <string>
 
 #include "common/flags.h"
-#include "data/nettrace.h"
-#include "experiments/report.h"
-#include "experiments/runner.h"
+#include "paper/data/nettrace.h"
+#include "paper/experiments/report.h"
+#include "paper/experiments/runner.h"
 
 using namespace dphist;  // NOLINT(build/namespaces)
 

@@ -12,9 +12,9 @@
 #include <string>
 
 #include "common/flags.h"
-#include "data/search_logs.h"
-#include "experiments/report.h"
-#include "experiments/runner.h"
+#include "paper/data/search_logs.h"
+#include "paper/experiments/report.h"
+#include "paper/experiments/runner.h"
 
 using namespace dphist;  // NOLINT(build/namespaces)
 

@@ -14,11 +14,11 @@
 #include <string>
 
 #include "common/flags.h"
-#include "common/statistics.h"
+#include "paper/common/statistics.h"
 #include "data/csv.h"
-#include "data/nettrace.h"
-#include "experiments/report.h"
-#include "experiments/runner.h"
+#include "paper/data/nettrace.h"
+#include "paper/experiments/report.h"
+#include "paper/experiments/runner.h"
 
 using namespace dphist;  // NOLINT(build/namespaces)
 

@@ -17,9 +17,9 @@
 #include "common/flags.h"
 #include "common/laplace.h"
 #include "common/rng.h"
-#include "common/statistics.h"
-#include "experiments/report.h"
-#include "inference/constrained_ls.h"
+#include "paper/common/statistics.h"
+#include "paper/experiments/report.h"
+#include "paper/inference/constrained_ls.h"
 
 using namespace dphist;  // NOLINT(build/namespaces)
 

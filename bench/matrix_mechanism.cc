@@ -11,10 +11,10 @@
 #include <iostream>
 #include <vector>
 
-#include "analysis/strategy_matrix.h"
+#include "paper/analysis/strategy_matrix.h"
 #include "common/flags.h"
-#include "common/statistics.h"
-#include "experiments/report.h"
+#include "paper/common/statistics.h"
+#include "paper/experiments/report.h"
 
 using namespace dphist;  // NOLINT(build/namespaces)
 

@@ -14,9 +14,10 @@
 #include "domain/histogram.h"
 #include "estimators/range_engine.h"
 #include "estimators/universal.h"
+#include "paper/experiments/runner.h"
 #include "inference/hierarchical.h"
-#include "inference/isotonic.h"
-#include "inference/minmax_isotonic.h"
+#include "paper/inference/isotonic.h"
+#include "paper/inference/minmax_isotonic.h"
 #include "mechanism/laplace_mechanism.h"
 #include "query/hierarchical_query.h"
 #include "tree/range_decomposition.h"

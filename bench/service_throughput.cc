@@ -35,6 +35,8 @@
 #include "common/rng.h"
 #include "data/zipf.h"
 #include "domain/histogram.h"
+#include "planner/planner.h"
+#include "planner/workload_profile.h"
 #include "service/query_service.h"
 
 using namespace dphist;  // NOLINT(build/namespaces)
@@ -138,6 +140,12 @@ int main(int argc, char** argv) {
   snapshot_options.epsilon = epsilon;
   snapshot_options.strategy = strategy.value();
   snapshot_options.branching = branching;
+  // `auto` plans against the neutral geometric sweep, as a first publish
+  // with no observed traffic does.
+  auto resolved = planner::ResolveAutoStrategy(
+      snapshot_options, planner::WorkloadProfile::GeometricSweep(n));
+  DPHIST_CHECK_MSG(resolved.ok(), "planning --strategy auto failed");
+  snapshot_options = resolved.value();
 
   // Pre-generated phase workloads: random location, mixed sizes, shared
   // verbatim by every client thread of a run.
@@ -194,7 +202,7 @@ int main(int argc, char** argv) {
   std::printf("  \"domain_log2\": %lld,\n",
               static_cast<long long>(domain_log2));
   std::printf("  \"strategy\": \"%s\",\n",
-              StrategyKindName(strategy.value()));
+              StrategyKindName(snapshot_options.strategy));
   std::printf("  \"branching\": %lld,\n", static_cast<long long>(branching));
   std::printf("  \"epsilon\": %g,\n", epsilon);
   std::printf("  \"queries_per_phase\": %lld,\n",

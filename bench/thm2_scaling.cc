@@ -15,9 +15,9 @@
 #include "common/flags.h"
 #include "common/laplace.h"
 #include "common/rng.h"
-#include "common/statistics.h"
-#include "experiments/report.h"
-#include "inference/isotonic.h"
+#include "paper/common/statistics.h"
+#include "paper/experiments/report.h"
+#include "paper/inference/isotonic.h"
 
 using namespace dphist;  // NOLINT(build/namespaces)
 

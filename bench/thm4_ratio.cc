@@ -12,9 +12,9 @@
 
 #include "common/flags.h"
 #include "common/rng.h"
-#include "common/statistics.h"
+#include "paper/common/statistics.h"
 #include "estimators/universal.h"
-#include "experiments/report.h"
+#include "paper/experiments/report.h"
 #include "mechanism/laplace_mechanism.h"
 #include "query/hierarchical_query.h"
 #include "tree/range_decomposition.h"

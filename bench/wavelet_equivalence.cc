@@ -10,11 +10,12 @@
 
 #include "common/flags.h"
 #include "common/rng.h"
-#include "common/statistics.h"
-#include "data/nettrace.h"
+#include "paper/common/statistics.h"
+#include "paper/data/nettrace.h"
 #include "estimators/universal.h"
 #include "estimators/wavelet.h"
-#include "experiments/report.h"
+#include "paper/experiments/report.h"
+#include "paper/experiments/runner.h"
 
 using namespace dphist;  // NOLINT(build/namespaces)
 

@@ -10,8 +10,8 @@
 
 #include "common/laplace.h"
 #include "common/rng.h"
-#include "data/search_logs.h"
-#include "estimators/continual_counter.h"
+#include "paper/data/search_logs.h"
+#include "paper/estimators/continual_counter.h"
 
 int main() {
   using namespace dphist;

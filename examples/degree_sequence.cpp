@@ -10,9 +10,9 @@
 #include <cstdio>
 
 #include "common/rng.h"
-#include "common/statistics.h"
-#include "data/social_network.h"
-#include "estimators/unattributed.h"
+#include "paper/common/statistics.h"
+#include "paper/data/social_network.h"
+#include "paper/estimators/unattributed.h"
 
 int main() {
   using namespace dphist;

@@ -7,10 +7,11 @@
 // paper on ranges of growing size, and demonstrate the consistency
 // property that motivates constrained inference.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/rng.h"
-#include "data/nettrace.h"
+#include "paper/data/nettrace.h"
 #include "estimators/universal.h"
 #include "mechanism/laplace_mechanism.h"
 #include "query/hierarchical_query.h"
@@ -24,7 +25,9 @@ int main() {
   Histogram trace = GenerateNetTrace(config);
   std::printf("trace: %lld hosts, %.0f connections, %lld active hosts\n",
               static_cast<long long>(trace.size()), trace.Total(),
-              static_cast<long long>(trace.NonZeroCount()));
+              static_cast<long long>(
+                  trace.size() - std::count(trace.counts().begin(),
+                                            trace.counts().end(), 0.0)));
 
   UniversalOptions options;
   options.epsilon = 0.1;

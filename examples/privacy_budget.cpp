@@ -8,8 +8,8 @@
 #include <cstdio>
 
 #include "common/rng.h"
-#include "data/nettrace.h"
-#include "estimators/unattributed.h"
+#include "paper/data/nettrace.h"
+#include "paper/estimators/unattributed.h"
 #include "estimators/universal.h"
 #include "mechanism/privacy_accountant.h"
 

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "common/rng.h"
-#include "inference/constrained_ls.h"
+#include "paper/inference/constrained_ls.h"
 #include "mechanism/laplace_mechanism.h"
 
 int main() {

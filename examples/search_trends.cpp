@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "common/rng.h"
-#include "data/search_logs.h"
+#include "paper/data/search_logs.h"
 #include "estimators/universal.h"
 
 int main() {

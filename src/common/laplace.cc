@@ -10,10 +10,6 @@ LaplaceDistribution::LaplaceDistribution(double scale) : scale_(scale) {
   DPHIST_CHECK_MSG(scale > 0.0, "Laplace scale must be positive");
 }
 
-double LaplaceDistribution::Pdf(double x) const {
-  return std::exp(-std::abs(x) / scale_) / (2.0 * scale_);
-}
-
 double LaplaceDistribution::Cdf(double x) const {
   if (x < 0.0) return 0.5 * std::exp(x / scale_);
   return 1.0 - 0.5 * std::exp(-x / scale_);
@@ -28,20 +24,6 @@ double LaplaceDistribution::Quantile(double u) const {
 double LaplaceDistribution::Sample(Rng* rng) const {
   DPHIST_CHECK(rng != nullptr);
   return Quantile(rng->NextOpenDouble());
-}
-
-std::vector<double> LaplaceDistribution::SampleVector(std::size_t n,
-                                                      Rng* rng) const {
-  std::vector<double> out(n);
-  SampleInto(out.data(), n, rng);
-  return out;
-}
-
-void LaplaceDistribution::SampleInto(double* out, std::size_t n,
-                                     Rng* rng) const {
-  DPHIST_CHECK(rng != nullptr);
-  DPHIST_CHECK(n == 0 || out != nullptr);
-  for (std::size_t i = 0; i < n; ++i) out[i] = Quantile(rng->NextOpenDouble());
 }
 
 void LaplaceDistribution::AddSamplesTo(double* values, std::size_t n,

@@ -8,7 +8,6 @@
 #define DPHIST_COMMON_LAPLACE_H_
 
 #include <cstddef>
-#include <vector>
 
 #include "common/rng.h"
 
@@ -26,9 +25,6 @@ class LaplaceDistribution {
   /// Variance of Lap(b), equal to 2 b^2.
   double Variance() const { return 2.0 * scale_ * scale_; }
 
-  /// Density at x.
-  double Pdf(double x) const;
-
   /// Cumulative distribution function at x.
   double Cdf(double x) const;
 
@@ -38,16 +34,10 @@ class LaplaceDistribution {
   /// Draws a single sample.
   double Sample(Rng* rng) const;
 
-  /// Draws `n` i.i.d. samples.
-  std::vector<double> SampleVector(std::size_t n, Rng* rng) const;
-
-  /// Batched form: fills out[0..n) with i.i.d. samples. Consumes exactly
-  /// the same rng stream as n calls to Sample, with no allocation.
-  void SampleInto(double* out, std::size_t n, Rng* rng) const;
-
   /// Batched perturbation: adds an independent sample to each of
   /// values[0..n) in place — the Laplace-mechanism inner loop without an
-  /// intermediate noise vector or output copy.
+  /// intermediate noise vector or output copy. Consumes exactly the same
+  /// rng stream as n calls to Sample.
   void AddSamplesTo(double* values, std::size_t n, Rng* rng) const;
 
  private:

@@ -41,22 +41,4 @@ Result<Histogram> LoadHistogramCsv(const std::string& path) {
   return Histogram(std::move(counts), std::move(attribute));
 }
 
-Status AppendCsvRow(const std::string& path, const std::string& header,
-                    const std::vector<std::string>& fields) {
-  bool exists = false;
-  {
-    std::ifstream probe(path);
-    exists = probe.good();
-  }
-  std::ofstream out(path, std::ios::app);
-  if (!out) return Status::IoError("cannot open for appending: " + path);
-  if (!exists && !header.empty()) out << header << "\n";
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    out << fields[i] << (i + 1 < fields.size() ? "," : "");
-  }
-  out << "\n";
-  if (!out) return Status::IoError("append failed: " + path);
-  return Status::Ok();
-}
-
 }  // namespace dphist

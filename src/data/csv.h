@@ -1,14 +1,12 @@
-// CSV persistence for histograms and experiment results.
+// CSV persistence for histograms.
 //
 // Deliberately tiny: one numeric column for histogram counts (with an
-// optional header) and a generic row writer used by the bench harness to
-// dump series for external plotting.
+// optional header).
 
 #ifndef DPHIST_DATA_CSV_H_
 #define DPHIST_DATA_CSV_H_
 
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "domain/histogram.h"
@@ -21,11 +19,6 @@ Status SaveHistogramCsv(const Histogram& histogram, const std::string& path);
 /// Reads a histogram written by SaveHistogramCsv. Lines beginning with '#'
 /// are comments; blank lines are skipped.
 Result<Histogram> LoadHistogramCsv(const std::string& path);
-
-/// Appends a comma-joined row to an open text file at `path` (creating it
-/// with `header` if absent). Used by benches to export plot data.
-Status AppendCsvRow(const std::string& path, const std::string& header,
-                    const std::vector<std::string>& fields);
 
 }  // namespace dphist
 

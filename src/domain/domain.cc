@@ -9,15 +9,4 @@ Domain::Domain(std::int64_t size, std::string attribute)
   DPHIST_CHECK_MSG(size > 0, "domain size must be positive");
 }
 
-void Domain::SetLabels(std::vector<std::string> labels) {
-  DPHIST_CHECK(static_cast<std::int64_t>(labels.size()) == size_);
-  labels_ = std::move(labels);
-}
-
-std::string Domain::LabelAt(std::int64_t position) const {
-  DPHIST_CHECK(position >= 0 && position < size_);
-  if (labels_.empty()) return std::to_string(position);
-  return labels_[static_cast<std::size_t>(position)];
-}
-
 }  // namespace dphist

@@ -1,16 +1,14 @@
 // Ordered attribute domains.
 //
 // A histogram is built over one ordered "range attribute" (Section 1). The
-// Domain records the attribute's size and, optionally, printable labels for
-// positions (IP addresses, timestamps, ...). Labels are cosmetic: every
-// algorithm operates on positions 0..size-1.
+// Domain records the attribute's name and size; every algorithm operates
+// on positions 0..size-1.
 
 #ifndef DPHIST_DOMAIN_DOMAIN_H_
 #define DPHIST_DOMAIN_DOMAIN_H_
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "domain/interval.h"
 
@@ -36,16 +34,9 @@ class Domain {
     return range.lo() >= 0 && range.hi() < size_;
   }
 
-  /// Attaches printable labels; `labels.size()` must equal size().
-  void SetLabels(std::vector<std::string> labels);
-
-  /// Label for a position; falls back to the position number.
-  std::string LabelAt(std::int64_t position) const;
-
  private:
   std::int64_t size_;
   std::string attribute_;
-  std::vector<std::string> labels_;
 };
 
 }  // namespace dphist

@@ -2,16 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 #include <utility>
 
 #include "common/check.h"
 
 namespace dphist {
-
-Histogram::Histogram(Domain domain)
-    : domain_(std::move(domain)),
-      counts_(static_cast<std::size_t>(domain_.size()), 0.0) {}
 
 Histogram::Histogram(std::vector<double> counts, std::string attribute)
     : domain_(static_cast<std::int64_t>(counts.size()), std::move(attribute)),
@@ -133,19 +128,6 @@ std::vector<double> Histogram::SortedCounts() const {
   std::vector<double> sorted = counts_;
   std::sort(sorted.begin(), sorted.end());
   return sorted;
-}
-
-std::int64_t Histogram::NonZeroCount() const {
-  std::int64_t n = 0;
-  for (double c : counts_) {
-    if (c != 0.0) ++n;
-  }
-  return n;
-}
-
-std::int64_t Histogram::DistinctCountValues() const {
-  std::set<double> distinct(counts_.begin(), counts_.end());
-  return static_cast<std::int64_t>(distinct.size());
 }
 
 }  // namespace dphist

@@ -35,9 +35,6 @@ namespace dphist {
 /// for any container.
 class Histogram {
  public:
-  /// A zero histogram over `domain`.
-  explicit Histogram(Domain domain);
-
   /// A histogram with the given counts; counts.size() defines the domain.
   explicit Histogram(std::vector<double> counts,
                      std::string attribute = "value");
@@ -81,12 +78,6 @@ class Histogram {
 
   /// Counts in ascending order: the unattributed histogram S(I) (§3).
   std::vector<double> SortedCounts() const;
-
-  /// Number of nonzero positions.
-  std::int64_t NonZeroCount() const;
-
-  /// Number of distinct count values (the `d` of Theorem 2).
-  std::int64_t DistinctCountValues() const;
 
  private:
   void EnsurePrefix() const;

@@ -1,5 +1,4 @@
-// Common interface for private range-count estimators plus workload
-// generation helpers shared by the universal-histogram experiments.
+// Common interface for private range-count estimators.
 
 #ifndef DPHIST_ESTIMATORS_RANGE_ENGINE_H_
 #define DPHIST_ESTIMATORS_RANGE_ENGINE_H_
@@ -9,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
 #include "domain/interval.h"
 
 namespace dphist {
@@ -49,9 +47,6 @@ class RangeCountEstimator {
   virtual void RangeCountsInto(const Interval* ranges, std::size_t count,
                                double* out) const;
 
-  /// Convenience form of the batched path.
-  std::vector<double> RangeCounts(const std::vector<Interval>& ranges) const;
-
   /// The prefix-difference answer state, when this estimator has one
   /// (L~, wavelet, consistent H-bar); empty otherwise. The batch answer
   /// engine flattens non-empty views into its columnar AnswerPlan at
@@ -72,17 +67,6 @@ class RangeCountEstimator {
     return nullptr;
   }
 };
-
-/// Draws `count` ranges of exactly `size` positions with uniformly random
-/// location inside a domain of `domain_size` (the Fig. 6 workload).
-/// Requires 1 <= size <= domain_size.
-std::vector<Interval> RandomRangesOfSize(std::int64_t domain_size,
-                                         std::int64_t size,
-                                         std::int64_t count, Rng* rng);
-
-/// Every range size used by the Fig. 6 sweep: 2^1, 2^2, ..., 2^(height-2)
-/// for a binary tree of the given height, clipped to the domain.
-std::vector<std::int64_t> Fig6RangeSizes(std::int64_t domain_size);
 
 }  // namespace dphist
 

@@ -49,7 +49,9 @@ std::vector<double> InverseHaarTransform(
     const std::vector<double>& coefficients);
 
 /// The weighted L1 sensitivity of the Haar coefficient vector for a
-/// domain padded to 2^height_minus_one leaves: 1 + log2(n).
+/// domain padded to a power of two, `padded_leaf_count`: 1 + log2(n).
+/// The one wavelet formula: the estimator's noise and the planner's
+/// RecurrenceOracle both call it.
 double HaarWeightedSensitivity(std::int64_t padded_leaf_count);
 
 /// Options for the wavelet estimator.

@@ -1,7 +1,5 @@
 #include "inference/hierarchical.h"
 
-#include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 
@@ -86,27 +84,6 @@ std::vector<double> LeafEstimates(const TreeLayout& tree,
   const auto leaves =
       node_estimates.begin() + tree.LevelStart(tree.height() - 1);
   return std::vector<double>(leaves, leaves + domain_size);
-}
-
-double MaxConsistencyViolation(const TreeLayout& tree,
-                               const std::vector<double>& node_values) {
-  DPHIST_CHECK(node_values.size() ==
-               static_cast<std::size_t>(tree.node_count()));
-  const std::int64_t k = tree.branching();
-  const double* values = node_values.data();
-  double worst = 0.0;
-  for (std::int64_t d = 0; d + 1 < tree.height(); ++d) {
-    const double* level = values + tree.LevelStart(d);
-    const double* children = values + tree.LevelStart(d + 1);
-    const std::int64_t size = tree.LevelSize(d);
-    for (std::int64_t i = 0; i < size; ++i) {
-      const double* child = children + i * k;
-      double child_sum = 0.0;
-      for (std::int64_t c = 0; c < k; ++c) child_sum += child[c];
-      worst = std::max(worst, std::abs(level[i] - child_sum));
-    }
-  }
-  return worst;
 }
 
 }  // namespace dphist

@@ -72,12 +72,6 @@ std::vector<double> LeafEstimates(const TreeLayout& tree,
                                   const std::vector<double>& node_estimates,
                                   std::int64_t domain_size);
 
-/// Maximum violation of the parent-equals-children-sum constraints; zero
-/// (up to round-off) on any HierarchicalInference output. Exposed so tests
-/// and callers can audit consistency of arbitrary node vectors.
-double MaxConsistencyViolation(const TreeLayout& tree,
-                               const std::vector<double>& node_values);
-
 }  // namespace dphist
 
 #endif  // DPHIST_INFERENCE_HIERARCHICAL_H_

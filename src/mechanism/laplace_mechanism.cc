@@ -12,11 +12,6 @@ double LaplaceMechanism::NoiseScale(const QuerySequence& query) const {
   return query.Sensitivity() / epsilon_;
 }
 
-double LaplaceMechanism::NoiseVariance(const QuerySequence& query) const {
-  double b = NoiseScale(query);
-  return 2.0 * b * b;
-}
-
 std::vector<double> LaplaceMechanism::AnswerQuery(const QuerySequence& query,
                                                   const Histogram& data,
                                                   Rng* rng) const {

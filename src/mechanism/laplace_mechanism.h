@@ -31,10 +31,6 @@ class LaplaceMechanism {
   /// The noise scale b = Delta-Q / epsilon used for `query`.
   double NoiseScale(const QuerySequence& query) const;
 
-  /// Per-component noise variance 2 b^2 for `query`; this is the exact
-  /// per-answer mean squared error of the mechanism.
-  double NoiseVariance(const QuerySequence& query) const;
-
   /// Evaluates `query` on `data` and perturbs each answer with i.i.d.
   /// Laplace noise scaled to the query's sensitivity.
   std::vector<double> AnswerQuery(const QuerySequence& query,

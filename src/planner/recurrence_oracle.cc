@@ -2,8 +2,9 @@
 
 #include <algorithm>
 
-#include "analysis/strategy_matrix.h"
 #include "common/check.h"
+#include "estimators/wavelet.h"
+#include "query/hierarchical_query.h"
 #include "tree/tree_layout.h"
 
 namespace dphist::planner {
@@ -43,7 +44,7 @@ Result<RecurrenceOracle> RecurrenceOracle::Create(StrategyKind kind,
 
   if (kind == StrategyKind::kWavelet) {
     oracle.analyzer_width_ = NextPowerOfTwo(width);
-    oracle.sensitivity_ = WaveletStrategySensitivity(oracle.analyzer_width_);
+    oracle.sensitivity_ = HaarWeightedSensitivity(oracle.analyzer_width_);
     return oracle;
   }
 
@@ -55,7 +56,7 @@ Result<RecurrenceOracle> RecurrenceOracle::Create(StrategyKind kind,
   const TreeLayout tree(width, branching);
   const std::int64_t height = tree.height();
   oracle.height_ = height;
-  oracle.sensitivity_ = HierarchicalStrategySensitivity(width, branching);
+  oracle.sensitivity_ = HierarchicalSensitivity(tree);
 
   oracle.capacity_.assign(static_cast<std::size_t>(height), 1);
   for (std::int64_t d = height - 2; d >= 0; --d) {

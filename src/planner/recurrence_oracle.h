@@ -2,7 +2,7 @@
 // Gram matrix has exploitable structure — the paper's Section 4 variance
 // recurrences turned into an O(branching * height) range-variance oracle.
 //
-// The dense route (analysis/strategy_matrix.h) materializes A, factorizes
+// The dense route (paper/analysis/strategy_matrix.h) materializes A, factorizes
 // the width x width Gram matrix (O(width^3)) and back-substitutes a dense
 // workload vector per query (O(width^2)). That is exact but unaffordable
 // at serving widths, so it survives only as the tests' reference. Both
@@ -46,8 +46,10 @@
 //     cL/cR count range positions in the block's halves — zero unless
 //     the block straddles a range endpoint, leaving O(log P) terms.
 //
-// Sensitivities are the known column sums: tree height for H, and
-// 1 + log2(P) for the weighted Haar (estimators/wavelet.h), so
+// Sensitivities are the known column sums, each written once in core:
+// tree height for H (HierarchicalSensitivity, query/hierarchical_query.h)
+// and 1 + log2(P) for the weighted Haar (HaarWeightedSensitivity,
+// estimators/wavelet.h), so
 //
 //   Var(w) = 2 (Delta / eps)^2 * w^T (A^T A)^{-1} w
 //

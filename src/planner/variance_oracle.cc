@@ -1,10 +1,10 @@
 #include "planner/variance_oracle.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "common/check.h"
+#include "query/hierarchical_query.h"
 #include "tree/range_decomposition.h"
 #include "tree/tree_layout.h"
 
@@ -39,14 +39,6 @@ Result<VarianceOracle> VarianceOracle::Create(
                         ShardWidth(domain_size, options.shards));
 }
 
-VarianceOracle::VarianceOracle(const SnapshotOptions& options,
-                               std::int64_t domain_size)
-    : options_(options), domain_size_(domain_size) {
-  Status valid = ValidateOracleConfig(options, domain_size);
-  DPHIST_CHECK_MSG(valid.ok(), valid.message().c_str());
-  shard_width_ = ShardWidth(domain_size_, options_.shards);
-}
-
 double VarianceOracle::RangeVariance(const Interval& range) const {
   DPHIST_CHECK_MSG(range.lo() >= 0 && range.hi() < domain_size_,
                    "range outside the oracle's domain");
@@ -79,7 +71,7 @@ double VarianceOracle::ShardVariance(std::int64_t width,
       TreeLayout tree(width, options_.branching);
       const std::int64_t nodes =
           static_cast<std::int64_t>(DecomposeRange(tree, local).size());
-      const double scale = static_cast<double>(tree.height()) / eps;
+      const double scale = HierarchicalSensitivity(tree) / eps;
       return static_cast<double>(nodes) * 2.0 * scale * scale;
     }
     case StrategyKind::kHBar:
@@ -109,11 +101,6 @@ const RecurrenceOracle& VarianceOracle::RecurrenceFor(
              .first;
   }
   return *it->second;
-}
-
-double SquaredErrorRelativeBound(std::int64_t trials, double z_score) {
-  DPHIST_CHECK_MSG(trials >= 1, "trials must be >= 1");
-  return z_score * std::sqrt(5.0 / static_cast<double>(trials));
 }
 
 }  // namespace dphist::planner

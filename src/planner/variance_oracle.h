@@ -1,6 +1,6 @@
 // Closed-form error oracle for published snapshot configurations.
 //
-// The matrix-mechanism view (src/analysis/strategy_matrix.h) gives the
+// The matrix-mechanism view (src/paper/analysis/strategy_matrix.h) gives the
 // *exact* expected squared error of every snapshot configuration the
 // serving layer can publish, as long as the estimators stay linear
 // (rounding and pruning off):
@@ -22,7 +22,7 @@
 //
 // The H-bar and wavelet OLS forms are evaluated by the Gram recurrences
 // of planner/recurrence_oracle.h: O(branching * log width) per query and
-// exact at any width. The dense Cholesky of analysis/strategy_matrix.h
+// exact at any width. The dense Cholesky of paper/analysis/strategy_matrix.h
 // computes the same quantity in O(width^3) and is the tests' reference.
 
 #ifndef DPHIST_PLANNER_VARIANCE_ORACLE_H_
@@ -45,7 +45,7 @@ namespace dphist::planner {
 /// integers and options.prune_nonpositive_subtrees must be false
 /// (rounding/pruning are nonlinear post-processing with no closed form),
 /// and options.strategy must be a concrete kind (not kAuto). Create
-/// reports violations as a Status; the legacy constructor CHECK-fails.
+/// reports violations as a Status.
 class VarianceOracle {
  public:
   /// Validating factory. Fails (never aborts) on kAuto, the nonlinear
@@ -53,10 +53,6 @@ class VarianceOracle {
   /// refuses.
   static Result<VarianceOracle> Create(const SnapshotOptions& options,
                                        std::int64_t domain_size);
-
-  /// Convenience constructor for statically known-good configurations
-  /// (tests, benches); CHECK-fails where Create would return an error.
-  VarianceOracle(const SnapshotOptions& options, std::int64_t domain_size);
 
   /// Exact Var[answer(q) - truth(q)] for a snapshot published with these
   /// options over this domain. `q` must lie within [0, domain_size).
@@ -86,17 +82,6 @@ class VarianceOracle {
   mutable std::map<std::int64_t, std::unique_ptr<RecurrenceOracle>>
       recurrences_;
 };
-
-/// Conservative relative half-width of a Monte-Carlo mean of `trials`
-/// iid squared errors, at `z_score` standard deviations.
-///
-/// Every linear-protocol answer error X is a sum of independent Laplace
-/// terms, whose excess kurtosis (3 for a single Laplace) can only shrink
-/// under independent summation, so Var(X^2) <= 5 Var(X)^2. The mean of T
-/// trials therefore has relative standard deviation at most sqrt(5/T),
-/// and |empirical / exact - 1| <= z * sqrt(5/T) holds except with the
-/// z-score's tail probability.
-double SquaredErrorRelativeBound(std::int64_t trials, double z_score);
 
 }  // namespace dphist::planner
 

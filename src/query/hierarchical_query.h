@@ -15,6 +15,14 @@
 
 namespace dphist {
 
+/// The L1 sensitivity of H over `tree`: its height ell (Proposition 4).
+/// The one formula for H~ and H-bar — their estimators (through
+/// HierarchicalQuery::Sensitivity), the planner's RecurrenceOracle and
+/// VarianceOracle's H~ case all call it.
+inline double HierarchicalSensitivity(const TreeLayout& tree) {
+  return static_cast<double>(tree.height());
+}
+
 /// Tree-of-intervals query; answers are one count per tree node.
 class HierarchicalQuery : public QuerySequence {
  public:
@@ -35,7 +43,7 @@ class HierarchicalQuery : public QuerySequence {
   std::vector<double> Evaluate(const Histogram& data) const override;
 
   double Sensitivity() const override {
-    return static_cast<double>(tree_.height());
+    return HierarchicalSensitivity(tree_);
   }
 
   std::string Name() const override { return "H"; }

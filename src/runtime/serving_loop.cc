@@ -62,7 +62,6 @@ bool SessionExecutor::ExecuteLine(std::string_view line,
     if (!status.ok()) writer_.Error(status);
     PollAndReport();
   }
-  writer_.Flush();
   return true;
 }
 
@@ -209,6 +208,9 @@ Result<SessionSummary> RunStreamingSession(std::istream& in,
   std::int64_t line_number = 0;
   while (std::getline(in, line) &&
          executor.ExecuteLine(line, ++line_number)) {
+    // Flush only before a read that may block: a piped workload is
+    // written in large chunks, an interactive line is answered at once.
+    if (in.rdbuf()->in_avail() <= 0) writer.Flush();
   }
   // Let any in-flight asynchronous replan land so the transcript ends in
   // a deterministic state, then announce it.

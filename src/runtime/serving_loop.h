@@ -88,10 +88,10 @@ class SessionExecutor {
   /// Runs one text line (no trailing newline), the REPL's and the
   /// socket text protocol's one entry point: parses it (`line_number`,
   /// 1-based, names it in diagnostics), executes it interactively,
-  /// reports a failure as "error: ..." and keeps serving, polls the
-  /// triggers, and flushes the writer. A blank, comment or malformed
-  /// line executes nothing and polls nothing. Returns false on `quit`,
-  /// which the caller ends the session on.
+  /// reports a failure as "error: ..." and keeps serving, and polls
+  /// the triggers; flushing is the caller's. A blank, comment or
+  /// malformed line executes nothing and polls nothing. Returns false on
+  /// `quit`, which the caller ends the session on.
   bool ExecuteLine(std::string_view line, std::int64_t line_number);
 
   /// Executes one command over `ranges`. kQuery answers them all as one
@@ -169,7 +169,11 @@ class SessionExecutor {
 };
 
 /// Interactive session: runs the lines of `in` through ExecuteLine until
-/// quit/EOF. Requires a published snapshot (PublishInitial first). The
+/// quit/EOF, flushing the writer whenever `in` has no more input
+/// buffered (so a REPL line is answered before the next read blocks,
+/// and a piped workload is written in large chunks; a stream synced
+/// with stdio never reports buffered input, so every line flushes).
+/// Requires a published snapshot (PublishInitial first). The
 /// session holds its own EpochManager subscription, so any number of
 /// concurrent sessions may share one service + manager.
 Result<SessionSummary> RunStreamingSession(std::istream& in,

@@ -632,7 +632,7 @@ class ConnDriver {
   bool DispatchFrame(Conn& c, const wire::Frame& frame) {
     switch (frame.type) {
       case wire::FrameType::kQuery: {
-        wire::QueryFrame query;
+        wire::QueryFrame& query = query_;
         Status parsed = wire::ParseQuery(frame.payload, c.domain_size, &query);
         if (!parsed.ok()) {
           if (parsed.code() == StatusCode::kOutOfRange) {
@@ -737,7 +737,9 @@ class ConnDriver {
   QueryService& service_;
   EpochManager& manager_;
   const TransportOptions& options_;
-  std::vector<double> answers_;  // reused across QUERY frames
+  // Reused across QUERY frames: a warm binary frame allocates nothing.
+  wire::QueryFrame query_;
+  std::vector<double> answers_;
 };
 
 /// Folds one closed connection into the server's totals (the caller

@@ -12,6 +12,16 @@ Status Malformed(const char* what) {
   return Status::InvalidArgument(std::string("malformed frame: ") + what);
 }
 
+/// Bytes PutVarint writes for `value`.
+std::uint64_t VarintSize(std::uint64_t value) {
+  std::uint64_t size = 1;
+  while (value >= 0x80) {
+    value >>= 7;
+    ++size;
+  }
+  return size;
+}
+
 }  // namespace
 
 void PutVarint(std::string* out, std::uint64_t value) {
@@ -123,13 +133,15 @@ void EncodeHello(std::uint64_t domain_size, std::uint64_t epoch,
 void EncodeAnswers(std::uint64_t id, std::uint64_t epoch,
                    const double* values, std::size_t count,
                    std::string* out) {
-  std::string payload;
-  payload.reserve(16 + count * 8);
-  PutVarint(&payload, id);
-  PutVarint(&payload, epoch);
-  PutVarint(&payload, count);
-  for (std::size_t i = 0; i < count; ++i) PutF64(&payload, values[i]);
-  AppendFrame(FrameType::kAnswers, payload, out);
+  // Written straight into `out`: the payload length is known up front.
+  const std::uint64_t payload_size = VarintSize(id) + VarintSize(epoch) +
+                                     VarintSize(count) + 8 * count;
+  out->push_back(static_cast<char>(FrameType::kAnswers));
+  PutVarint(out, payload_size);
+  PutVarint(out, id);
+  PutVarint(out, epoch);
+  PutVarint(out, count);
+  for (std::size_t i = 0; i < count; ++i) PutF64(out, values[i]);
 }
 
 void EncodePlan(std::uint64_t epoch, std::string_view strategy,
@@ -226,6 +238,8 @@ Status ParseQuery(std::string_view payload, std::int64_t domain_size,
                   QueryFrame* out) {
   PayloadReader reader(payload);
   std::uint64_t count = 0;
+  out->id = 0;
+  out->expect_epoch = 0;
   if (!reader.GetVarint(&out->id) || !reader.GetVarint(&out->expect_epoch) ||
       !reader.GetVarint(&count)) {
     return Malformed("truncated QUERY header");
@@ -234,6 +248,11 @@ Status ParseQuery(std::string_view payload, std::int64_t domain_size,
     return Status::InvalidArgument(
         "QUERY batch of " + std::to_string(count) + " ranges exceeds " +
         std::to_string(kMaxSessionBatch));
+  }
+  // Two varints of at least one byte each per range: a larger count
+  // could only end truncated, so fail before reserving for it.
+  if (count > reader.remaining() / 2) {
+    return Malformed("truncated QUERY range");
   }
   out->ranges.clear();
   out->ranges.reserve(static_cast<std::size_t>(count));

@@ -129,6 +129,8 @@ class PayloadReader {
   /// Everything has been consumed — a well-formed payload ends exactly
   /// where its fields do.
   bool AtEnd() const { return pos_ == data_.size(); }
+  /// Bytes not yet consumed.
+  std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
   std::string_view data_;
@@ -183,8 +185,12 @@ struct QueryFrame {
   std::uint64_t expect_epoch = 0;  // 0 = any
   std::vector<Interval> ranges;
 };
-/// Validates count against kMaxSessionBatch and every range against
-/// [0, domain_size).
+/// Validates count against kMaxSessionBatch and against the payload
+/// left to hold it (each range takes at least 2 bytes, so a payload that
+/// claims more ranges than it can hold fails before anything is
+/// reserved), and every range against [0, domain_size). Refills `out`
+/// in place, so a caller that reuses one frame allocates nothing once
+/// its range vector has grown.
 Status ParseQuery(std::string_view payload, std::int64_t domain_size,
                   QueryFrame* out);
 

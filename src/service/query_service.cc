@@ -13,8 +13,7 @@
 
 namespace dphist {
 
-QueryService::QueryService(const QueryServiceOptions& options)
-    : planner_options_(options.planner) {
+QueryService::QueryService(const QueryServiceOptions& options) {
   if (options.observed_reservoir > 0) {
     // Spread the capacity over the stripes (ceil, so it is never lost to
     // rounding); each stripe samples its own sub-stream and
@@ -31,23 +30,7 @@ QueryService::QueryService(const QueryServiceOptions& options)
 
 Result<QueryService::PendingPublish> QueryService::BuildForPublish(
     const Histogram& data, const SnapshotOptions& options,
-    std::uint64_t seed, const planner::WorkloadProfile* workload) {
-  SnapshotOptions resolved = options;
-  if (options.strategy == StrategyKind::kAuto) {
-    // Plan against the best available picture of the traffic: an
-    // explicit profile beats observation, observation beats the neutral
-    // prior. Planning happens before the publish lock — it reads no
-    // service state that a concurrent publisher could change.
-    planner::WorkloadProfile profile =
-        workload != nullptr ? *workload : ObservedWorkload(data.size());
-    if (profile.empty()) {
-      profile = planner::WorkloadProfile::GeometricSweep(data.size());
-    }
-    Result<SnapshotOptions> planned =
-        planner::ResolveAutoStrategy(resolved, profile, planner_options_);
-    if (!planned.ok()) return planned.status();
-    resolved = planned.value();
-  }
+    std::uint64_t seed) {
   // Serializing publishers keeps epoch order equal to publish order;
   // the expensive Build happens under the publish token (not the
   // mutex), which readers never touch. The token rides inside the
@@ -55,7 +38,7 @@ Result<QueryService::PendingPublish> QueryService::BuildForPublish(
   const std::uint64_t epoch = AcquirePublishToken();
   Rng rng(seed);
   Result<std::shared_ptr<const Snapshot>> built =
-      Snapshot::Build(data, resolved, epoch, &rng);
+      Snapshot::Build(data, options, epoch, &rng);
   if (!built.ok()) {
     ReleasePublishToken();
     return built.status();
@@ -105,9 +88,8 @@ std::shared_ptr<const Snapshot> QueryService::CommitPublish(
 
 Result<std::shared_ptr<const Snapshot>> QueryService::Publish(
     const Histogram& data, const SnapshotOptions& options,
-    std::uint64_t seed, const planner::WorkloadProfile* workload) {
-  Result<PendingPublish> pending =
-      BuildForPublish(data, options, seed, workload);
+    std::uint64_t seed) {
+  Result<PendingPublish> pending = BuildForPublish(data, options, seed);
   if (!pending.ok()) return pending.status();
   return CommitPublish(std::move(pending).value());
 }

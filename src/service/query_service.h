@@ -17,13 +17,10 @@
 //     its start, so its answers are internally consistent — one epoch,
 //     one release — even when a swap lands mid-batch.
 //
-// Publishing with SnapshotOptions{strategy = kAuto} invokes the
-// cost-based planner (src/planner/planner.h): the service keeps a
-// lock-free log2-bucketed histogram of every query length it has
-// answered, and the planner picks the variance-minimizing
-// (strategy, shard count) for that observed workload — or for an
-// explicitly supplied WorkloadProfile, or for a neutral geometric sweep
-// when nothing has been observed yet.
+// A publish carries a resolved strategy. StrategyKind::kAuto is resolved
+// in one place, the EpochManager (runtime/epoch_manager.h), which plans
+// against the lock-free log2-bucketed histogram of every query length
+// this service has answered (ObservedWorkload).
 //
 // Lifetime: readers hold a shared_ptr to the snapshot for the duration
 // of a batch; a replaced snapshot is destroyed when its last in-flight
@@ -49,12 +46,12 @@
 
 namespace dphist {
 
-// ---- Retired answer-cache surface, kept for perfbench only ------------
-// The LRU answer cache is gone, but the perfbench/ sources still read
-// these names, and those sources change only in a benchmark change of
-// their own. Delete this block, the two base-class mentions below and
-// TryQueryBatch's `cache_hits` argument in the next change to
-// perfbench/.
+// ---- Retired surface, kept for perfbench only --------------------------
+// The LRU answer cache and the service's own kAuto planning are gone,
+// but the perfbench/ sources still read these names, and those sources
+// change only in a benchmark change of their own. Delete this block,
+// the two base-class mentions below and TryQueryBatch's `cache_hits`
+// argument in the next change to perfbench/.
 struct AnswerCache {
   struct Stats {
     std::uint64_t hits = 0;
@@ -62,20 +59,19 @@ struct AnswerCache {
     std::uint64_t insertions = 0;
   };
 };
-struct RetiredCacheOptions {
+struct RetiredServiceOptions {
   std::int64_t cache_capacity = 0;  // accepted and ignored
+  planner::PlannerOptions planner;  // accepted and ignored
 };
 class RetiredCacheCounters {
  public:
   AnswerCache::Stats cache_stats() const { return {}; }  // always zero
   std::int64_t cache_size() const { return 0; }
 };
-// ---- end of the retired answer-cache surface ---------------------------
+// ---- end of the retired surface -----------------------------------------
 
 /// Serving-side knobs (the per-release knobs live in SnapshotOptions).
-struct QueryServiceOptions : RetiredCacheOptions {
-  /// Candidate enumeration used when a publish must resolve kAuto.
-  planner::PlannerOptions planner;
+struct QueryServiceOptions : RetiredServiceOptions {
   /// Capacity of the exact-length query reservoir sampled from answered
   /// traffic (spread over the counter stripes). 0 disables it: the
   /// observed profile then only knows log2-bucketed lengths, and a
@@ -98,15 +94,10 @@ class QueryService : public RetiredCacheCounters {
   /// Building happens outside the swap, so concurrent readers keep
   /// answering from the previous snapshot until the new one is ready.
   /// Concurrent publishers are serialized; readers are never blocked.
-  ///
-  /// options.strategy == kAuto is resolved by the cost-based planner
-  /// against `workload` when given, else against the observed traffic
-  /// profile, else against a neutral geometric length sweep. The
-  /// resolved choice is readable from the returned snapshot's options().
+  /// `options.strategy` must be resolved (Snapshot::Build refuses kAuto).
   Result<std::shared_ptr<const Snapshot>> Publish(
       const Histogram& data, const SnapshotOptions& options,
-      std::uint64_t seed,
-      const planner::WorkloadProfile* workload = nullptr);
+      std::uint64_t seed);
 
   /// A release that has been built but is not yet visible to readers.
   /// Holds the publish token (publishing_), so no other publish can
@@ -155,14 +146,13 @@ class QueryService : public RetiredCacheCounters {
     std::shared_ptr<const Snapshot> snapshot_;
   };
 
-  /// The first half of Publish: resolves kAuto exactly as Publish does,
-  /// assigns the next epoch, and builds the release — without making it
-  /// visible. Pass the result to CommitPublish to swap it in, or drop it
-  /// to abandon the publish entirely.
-  Result<PendingPublish> BuildForPublish(
-      const Histogram& data, const SnapshotOptions& options,
-      std::uint64_t seed,
-      const planner::WorkloadProfile* workload = nullptr);
+  /// The first half of Publish: assigns the next epoch and builds the
+  /// release — without making it visible. Pass the result to
+  /// CommitPublish to swap it in, or drop it to abandon the publish
+  /// entirely.
+  Result<PendingPublish> BuildForPublish(const Histogram& data,
+                                         const SnapshotOptions& options,
+                                         std::uint64_t seed);
 
   /// The second half of Publish: atomically swaps the pending snapshot
   /// in. Returns the now-current snapshot.
@@ -236,7 +226,6 @@ class QueryService : public RetiredCacheCounters {
   /// line; ObservedWorkload sums across stripes.
   static constexpr std::size_t kLengthStripes = 8;
 
-  planner::PlannerOptions planner_options_;
   /// Serializes publishers so epochs increase in publish order. The
   /// mutex itself is only held for short flag/epoch updates; the
   /// publishing_ token is what is held across an entire Snapshot::Build,

@@ -163,7 +163,7 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Build(
   if (options.strategy == StrategyKind::kAuto) {
     return Status::InvalidArgument(
         "auto strategy must be resolved by the planner before Build "
-        "(QueryService::Publish and serve --strategy auto resolve it)");
+        "(the EpochManager resolves it for serve --strategy auto)");
   }
 
   const std::int64_t width = ShardWidth(n, options.shards);

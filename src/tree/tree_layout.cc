@@ -90,11 +90,4 @@ std::int64_t TreeLayout::LeafPosition(std::int64_t v) const {
   return v - level_start_[static_cast<std::size_t>(height_ - 1)];
 }
 
-std::int64_t TreeLayout::LeavesUnder(std::int64_t v) const {
-  std::int64_t depth = Depth(v);
-  std::int64_t width = leaf_count_;
-  for (std::int64_t d = 0; d < depth; ++d) width /= branching_;
-  return width;
-}
-
 }  // namespace dphist

@@ -79,9 +79,6 @@ class TreeLayout {
   /// Domain position of leaf node v. Requires IsLeaf(v).
   std::int64_t LeafPosition(std::int64_t v) const;
 
-  /// Number of leaves under node v: k^(height-1-depth).
-  std::int64_t LeavesUnder(std::int64_t v) const;
-
  private:
   std::int64_t branching_;
   std::int64_t requested_leaf_count_;

@@ -1,11 +1,11 @@
-#include "analysis/strategy_matrix.h"
+#include "paper/analysis/strategy_matrix.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.h"
-#include "common/statistics.h"
+#include "paper/common/statistics.h"
 #include "domain/histogram.h"
 #include "estimators/universal.h"
 #include "estimators/wavelet.h"

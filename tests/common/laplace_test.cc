@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "common/statistics.h"
+#include "paper/common/statistics.h"
 
 namespace dphist {
 namespace {
@@ -14,13 +14,6 @@ TEST(LaplaceTest, VarianceFormula) {
   EXPECT_DOUBLE_EQ(LaplaceDistribution(1.0).Variance(), 2.0);
   EXPECT_DOUBLE_EQ(LaplaceDistribution(10.0).Variance(), 200.0);
   EXPECT_DOUBLE_EQ(LaplaceDistribution(0.5).Variance(), 0.5);
-}
-
-TEST(LaplaceTest, PdfSymmetricAndPeaked) {
-  LaplaceDistribution lap(2.0);
-  EXPECT_DOUBLE_EQ(lap.Pdf(1.5), lap.Pdf(-1.5));
-  EXPECT_GT(lap.Pdf(0.0), lap.Pdf(0.1));
-  EXPECT_DOUBLE_EQ(lap.Pdf(0.0), 1.0 / (2.0 * 2.0));
 }
 
 TEST(LaplaceTest, CdfAtZeroIsHalf) {
@@ -74,8 +67,8 @@ TEST(LaplaceTest, SampleAbsMeanMatchesScale) {
 TEST(LaplaceTest, SampleVectorLengthAndIndependence) {
   LaplaceDistribution lap(1.0);
   Rng rng(101);
-  std::vector<double> v = lap.SampleVector(1000, &rng);
-  ASSERT_EQ(v.size(), 1000u);
+  std::vector<double> v(1000, 0.0);
+  lap.AddSamplesTo(v.data(), v.size(), &rng);
   // Neighboring draws should not be identical.
   int identical = 0;
   for (std::size_t i = 1; i < v.size(); ++i) {

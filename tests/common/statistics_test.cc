@@ -1,4 +1,4 @@
-#include "common/statistics.h"
+#include "paper/common/statistics.h"
 
 #include <gtest/gtest.h>
 

@@ -6,6 +6,8 @@
 #include <fstream>
 #include <string>
 
+#include "paper/experiments/report.h"
+
 namespace dphist {
 namespace {
 

@@ -1,4 +1,4 @@
-#include "domain/grid.h"
+#include "paper/domain/grid.h"
 
 #include <gtest/gtest.h>
 

@@ -12,7 +12,7 @@ namespace dphist {
 namespace {
 
 TEST(HistogramTest, ZeroConstruction) {
-  Histogram h(Domain(4, "src"));
+  Histogram h(std::vector<double>(4, 0.0), "src");
   EXPECT_EQ(h.size(), 4);
   EXPECT_DOUBLE_EQ(h.Total(), 0.0);
   EXPECT_EQ(h.domain().attribute(), "src");
@@ -102,12 +102,6 @@ TEST(HistogramTest, SortedCountsIsUnattributedHistogram) {
   EXPECT_DOUBLE_EQ(sorted[3], 10.0);
 }
 
-TEST(HistogramTest, NonZeroAndDistinctCounts) {
-  Histogram h = Histogram::FromCounts({2, 0, 10, 2});
-  EXPECT_EQ(h.NonZeroCount(), 3);
-  EXPECT_EQ(h.DistinctCountValues(), 3);  // {0, 2, 10}
-}
-
 TEST(HistogramTest, RandomRangeAgreesWithNaiveSum) {
   Rng rng(21);
   std::vector<double> counts(257);
@@ -126,14 +120,6 @@ TEST(HistogramDeathTest, RangeOutsideDomainRejected) {
   Histogram h = Histogram::FromCounts({1, 2, 3});
   EXPECT_DEATH(h.Count(Interval(0, 3)), "outside the domain");
   EXPECT_DEATH(h.At(3), "");
-}
-
-TEST(DomainTest, LabelsFallBackToPositions) {
-  Domain d(3, "grade");
-  EXPECT_EQ(d.LabelAt(1), "1");
-  d.SetLabels({"A", "B", "C"});
-  EXPECT_EQ(d.LabelAt(0), "A");
-  EXPECT_EQ(d.LabelAt(2), "C");
 }
 
 TEST(DomainTest, FullRangeAndContainment) {

@@ -1,11 +1,11 @@
-#include "estimators/blum_histogram.h"
+#include "paper/estimators/blum_histogram.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/rng.h"
-#include "common/statistics.h"
+#include "paper/common/statistics.h"
 #include "data/zipf.h"
 
 namespace dphist {

@@ -1,11 +1,11 @@
-#include "estimators/continual_counter.h"
+#include "paper/estimators/continual_counter.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/laplace.h"
-#include "common/statistics.h"
+#include "paper/common/statistics.h"
 
 namespace dphist {
 namespace {

@@ -15,10 +15,10 @@
 
 #include "common/rng.h"
 #include "data/zipf.h"
-#include "domain/grid.h"
+#include "paper/domain/grid.h"
 #include "domain/histogram.h"
 #include "estimators/universal.h"
-#include "estimators/universal2d.h"
+#include "paper/estimators/universal2d.h"
 #include "estimators/wavelet.h"
 #include "inference/hierarchical.h"
 #include "inference/nonnegative_pruning.h"

@@ -1,12 +1,12 @@
-#include "estimators/unattributed.h"
+#include "paper/estimators/unattributed.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "common/rng.h"
-#include "common/statistics.h"
-#include "data/social_network.h"
+#include "paper/common/statistics.h"
+#include "paper/data/social_network.h"
 
 namespace dphist {
 namespace {

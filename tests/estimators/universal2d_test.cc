@@ -1,4 +1,4 @@
-#include "estimators/universal2d.h"
+#include "paper/estimators/universal2d.h"
 
 #include <gtest/gtest.h>
 
@@ -8,9 +8,10 @@
 
 #include "common/laplace.h"
 #include "common/rng.h"
-#include "common/statistics.h"
-#include "data/spatial.h"
+#include "paper/common/statistics.h"
+#include "paper/data/spatial.h"
 #include "inference/hierarchical.h"
+#include "tests/support/consistency.h"
 
 namespace dphist {
 namespace {

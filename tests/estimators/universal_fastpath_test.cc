@@ -14,6 +14,7 @@
 #include "domain/histogram.h"
 #include "estimators/range_engine.h"
 #include "estimators/universal.h"
+#include "paper/experiments/runner.h"
 #include "mechanism/laplace_mechanism.h"
 #include "query/hierarchical_query.h"
 #include "tree/tree_layout.h"
@@ -138,8 +139,8 @@ TEST(BatchedRangeCountsTest, MatchesScalarAnswersOnAllThreeEstimators) {
        {static_cast<const RangeCountEstimator*>(&l_tilde),
         static_cast<const RangeCountEstimator*>(&h_tilde),
         static_cast<const RangeCountEstimator*>(&h_bar)}) {
-    std::vector<double> batched = est->RangeCounts(ranges);
-    ASSERT_EQ(batched.size(), ranges.size());
+    std::vector<double> batched(ranges.size());
+    est->RangeCountsInto(ranges.data(), ranges.size(), batched.data());
     for (std::size_t i = 0; i < ranges.size(); ++i) {
       EXPECT_DOUBLE_EQ(batched[i], est->RangeCount(ranges[i]))
           << est->Name() << " range " << ranges[i].ToString();
@@ -160,8 +161,8 @@ TEST(BatchedRangeCountsTest, DefaultBaseImplementationForwardsToScalar) {
   ConstantEstimator est;
   std::vector<Interval> ranges = {Interval(0, 4), Interval(2, 2),
                                   Interval(1, 9)};
-  std::vector<double> out = est.RangeCounts(ranges);
-  ASSERT_EQ(out.size(), 3u);
+  std::vector<double> out(ranges.size());
+  est.RangeCountsInto(ranges.data(), ranges.size(), out.data());
   EXPECT_DOUBLE_EQ(out[0], 5.0);
   EXPECT_DOUBLE_EQ(out[1], 1.0);
   EXPECT_DOUBLE_EQ(out[2], 9.0);

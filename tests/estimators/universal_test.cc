@@ -5,10 +5,11 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "common/statistics.h"
+#include "paper/common/statistics.h"
 #include "inference/hierarchical.h"
 #include "mechanism/laplace_mechanism.h"
 #include "query/hierarchical_query.h"
+#include "tests/support/consistency.h"
 #include "tree/range_decomposition.h"
 
 namespace dphist {

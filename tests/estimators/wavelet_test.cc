@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "common/statistics.h"
+#include "paper/common/statistics.h"
 
 namespace dphist {
 namespace {

@@ -21,7 +21,7 @@
 
 #include <cstdint>
 
-#include "estimators/unattributed.h"
+#include "paper/estimators/unattributed.h"
 
 namespace dphist::golden {
 

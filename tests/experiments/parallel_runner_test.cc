@@ -8,9 +8,9 @@
 #include <cstdlib>
 #include <vector>
 
-#include "data/social_network.h"
-#include "estimators/unattributed.h"
-#include "experiments/runner.h"
+#include "paper/data/social_network.h"
+#include "paper/estimators/unattributed.h"
+#include "paper/experiments/runner.h"
 #include "tests/experiments/golden_cells.h"
 
 namespace dphist {

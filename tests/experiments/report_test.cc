@@ -1,4 +1,4 @@
-#include "experiments/report.h"
+#include "paper/experiments/report.h"
 
 #include <gtest/gtest.h>
 

@@ -1,8 +1,8 @@
-#include "experiments/runner.h"
+#include "paper/experiments/runner.h"
 
 #include <gtest/gtest.h>
 
-#include "data/social_network.h"
+#include "paper/data/social_network.h"
 
 namespace dphist {
 namespace {

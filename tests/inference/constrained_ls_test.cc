@@ -1,10 +1,10 @@
-#include "inference/constrained_ls.h"
+#include "paper/inference/constrained_ls.h"
 
 #include <gtest/gtest.h>
 
 #include "common/laplace.h"
 #include "common/rng.h"
-#include "common/statistics.h"
+#include "paper/common/statistics.h"
 
 namespace dphist {
 namespace {

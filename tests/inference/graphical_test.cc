@@ -1,4 +1,4 @@
-#include "inference/graphical.h"
+#include "paper/inference/graphical.h"
 
 #include <gtest/gtest.h>
 
@@ -6,8 +6,8 @@
 #include <numeric>
 
 #include "common/rng.h"
-#include "data/social_network.h"
-#include "estimators/unattributed.h"
+#include "paper/data/social_network.h"
+#include "paper/estimators/unattributed.h"
 #include "inference/nonnegative_pruning.h"
 
 namespace dphist {

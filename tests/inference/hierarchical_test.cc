@@ -7,10 +7,11 @@
 
 #include "common/laplace.h"
 #include "common/rng.h"
-#include "common/statistics.h"
+#include "paper/common/statistics.h"
 #include "domain/histogram.h"
-#include "linalg/least_squares.h"
+#include "paper/linalg/least_squares.h"
 #include "query/hierarchical_query.h"
+#include "tests/support/consistency.h"
 
 namespace dphist {
 namespace {

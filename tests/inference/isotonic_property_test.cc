@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "inference/isotonic.h"
-#include "inference/minmax_isotonic.h"
+#include "paper/inference/isotonic.h"
+#include "paper/inference/minmax_isotonic.h"
 
 namespace dphist {
 namespace {

@@ -1,11 +1,11 @@
-#include "inference/isotonic.h"
+#include "paper/inference/isotonic.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "common/rng.h"
-#include "common/statistics.h"
+#include "paper/common/statistics.h"
 
 namespace dphist {
 namespace {

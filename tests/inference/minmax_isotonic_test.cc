@@ -3,12 +3,12 @@
 // inputs. This is the closed form the paper states; PAVA is the O(n)
 // production algorithm.
 
-#include "inference/minmax_isotonic.h"
+#include "paper/inference/minmax_isotonic.h"
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "inference/isotonic.h"
+#include "paper/inference/isotonic.h"
 
 namespace dphist {
 namespace {

@@ -8,10 +8,10 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "common/statistics.h"
-#include "data/nettrace.h"
-#include "data/search_logs.h"
-#include "estimators/unattributed.h"
+#include "paper/common/statistics.h"
+#include "paper/data/nettrace.h"
+#include "paper/data/search_logs.h"
+#include "paper/estimators/unattributed.h"
 #include "estimators/universal.h"
 #include "mechanism/laplace_mechanism.h"
 #include "mechanism/privacy_accountant.h"

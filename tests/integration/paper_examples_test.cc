@@ -6,9 +6,9 @@
 
 #include "domain/histogram.h"
 #include "inference/hierarchical.h"
-#include "inference/isotonic.h"
+#include "paper/inference/isotonic.h"
 #include "query/hierarchical_query.h"
-#include "query/sorted_query.h"
+#include "paper/query/sorted_query.h"
 #include "query/unit_query.h"
 #include "tree/tree_layout.h"
 

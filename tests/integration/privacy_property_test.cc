@@ -14,11 +14,11 @@
 
 #include "common/rng.h"
 #include "domain/histogram.h"
-#include "estimators/unattributed.h"
-#include "inference/isotonic.h"
+#include "paper/estimators/unattributed.h"
+#include "paper/inference/isotonic.h"
 #include "mechanism/laplace_mechanism.h"
 #include "query/hierarchical_query.h"
-#include "query/sorted_query.h"
+#include "paper/query/sorted_query.h"
 #include "query/unit_query.h"
 
 namespace dphist {

@@ -8,11 +8,12 @@
 
 #include "common/laplace.h"
 #include "common/rng.h"
-#include "common/statistics.h"
+#include "paper/common/statistics.h"
 #include "domain/histogram.h"
 #include "estimators/range_engine.h"
 #include "estimators/universal.h"
-#include "inference/isotonic.h"
+#include "paper/experiments/runner.h"
+#include "paper/inference/isotonic.h"
 #include "mechanism/laplace_mechanism.h"
 #include "query/hierarchical_query.h"
 #include "tree/range_decomposition.h"

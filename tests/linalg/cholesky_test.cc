@@ -1,4 +1,4 @@
-#include "linalg/cholesky.h"
+#include "paper/linalg/cholesky.h"
 
 #include <gtest/gtest.h>
 

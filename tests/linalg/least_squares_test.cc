@@ -1,4 +1,4 @@
-#include "linalg/least_squares.h"
+#include "paper/linalg/least_squares.h"
 
 #include <gtest/gtest.h>
 

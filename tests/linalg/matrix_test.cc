@@ -1,4 +1,4 @@
-#include "linalg/matrix.h"
+#include "paper/linalg/matrix.h"
 
 #include <gtest/gtest.h>
 

@@ -1,4 +1,4 @@
-#include "linalg/qr.h"
+#include "paper/linalg/qr.h"
 
 #include <gtest/gtest.h>
 

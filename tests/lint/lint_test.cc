@@ -55,6 +55,8 @@ TEST(LintFixtures, MustFailFixturesAreFlagged) {
       {"must_fail/factory_status.h", "src/service/widget.h",
        "factory-status", 1},
       {"must_fail/tsa_optout.cc", "src/runtime/loop.cc", "tsa-optout", 1},
+      {"must_fail/paper_include.cc", "src/planner/oracle.cc",
+       "paper-include", 1},
   };
   for (const FixtureCase& c : cases) {
     SCOPED_TRACE(c.fixture);
@@ -78,6 +80,8 @@ TEST(LintFixtures, MustPassFixturesAreClean) {
       {"must_pass/factory_status_clean.h", "src/service/widget.h", "", 0},
       {"must_pass/allow_marker.cc", "src/common/worker.cc", "", 0},
       {"must_pass/comments_only.cc", "src/service/notes.cc", "", 0},
+      {"must_pass/paper_include_clean.cc", "src/paper/experiments/sweep.cc",
+       "", 0},
   };
   for (const FixtureCase& c : cases) {
     SCOPED_TRACE(c.fixture);
@@ -94,6 +98,16 @@ TEST(LintRules, ServingRulesOnlyApplyToServingDirs) {
   const std::vector<Finding> findings =
       LintFixture("must_fail/serving_check.cc", "src/tree/layout.cc");
   EXPECT_FALSE(HasRule(findings, "serving-check"));
+}
+
+TEST(LintRules, PaperIncludeAppliesOnlyToCoreSources) {
+  // The same include is fine inside src/paper/ and outside src/ (tools,
+  // tests and bench link dphist_paper on purpose).
+  EXPECT_TRUE(LintFixture("must_fail/paper_include.cc",
+                          "src/paper/analysis/oracle.cc")
+                  .empty());
+  EXPECT_TRUE(
+      LintFixture("must_fail/paper_include.cc", "tools/cli.cc").empty());
 }
 
 TEST(LintRules, HotAllocOnlyAppliesToDeclaredHotFiles) {

@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include "common/statistics.h"
+#include "paper/common/statistics.h"
 #include "query/hierarchical_query.h"
-#include "query/sorted_query.h"
+#include "paper/query/sorted_query.h"
 #include "query/unit_query.h"
 
 namespace dphist {
@@ -22,7 +22,8 @@ TEST(LaplaceMechanismTest, NoiseVarianceFormula) {
   // error per answer = 2 (Delta/eps)^2; for L at eps=1 that's 2.
   LaplaceMechanism mechanism(1.0);
   UnitQuery l(16);
-  EXPECT_DOUBLE_EQ(mechanism.NoiseVariance(l), 2.0);
+  const double b = mechanism.NoiseScale(l);
+  EXPECT_DOUBLE_EQ(2.0 * b * b, 2.0);
 }
 
 TEST(LaplaceMechanismTest, AnswerHasQueryLength) {

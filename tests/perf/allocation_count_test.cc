@@ -2,15 +2,20 @@
 // global operator new/delete with counting versions and asserts that
 // answering ranges — scalar or batched, on all three universal
 // estimators and on the raw tree visitor — performs zero heap
-// allocations per query, and that a warm text-protocol command is
-// parsed, answered and rendered without one. It also counts requested
-// bytes, to bound what one H-bar build, one default Snapshot::Build, one
-// wavelet Snapshot::Build, one persisted snapshot image, one cold
-// unsharded engine batch, one read session script and one hostile `qb`
-// line ask for. Kept out of dphist_tests so the instrumentation cannot
-// interfere with unrelated suites.
+// allocations per query, and that a warm text-protocol command and a
+// warm binary QUERY frame are parsed, answered and rendered without one.
+// It also counts requested bytes, to bound what one H-bar build, one
+// default Snapshot::Build, one wavelet Snapshot::Build, one persisted
+// snapshot image, one cold unsharded engine batch, one read session
+// script, one hostile `qb` line and one hostile QUERY payload ask for.
+// Kept out of dphist_tests so the instrumentation cannot interfere with
+// unrelated suites.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -29,13 +34,14 @@
 #include "data/zipf.h"
 #include "domain/histogram.h"
 #include "engine/answer_engine.h"
-#include "estimators/range_engine.h"
 #include "estimators/universal.h"
 #include "mechanism/laplace_mechanism.h"
 #include "query/hierarchical_query.h"
 #include "runtime/epoch_manager.h"
 #include "runtime/serving_loop.h"
 #include "runtime/session.h"
+#include "runtime/transport.h"
+#include "runtime/wire_format.h"
 #include "service/query_service.h"
 #include "service/snapshot.h"
 #include "storage/epoch_store.h"
@@ -98,9 +104,22 @@ Requests RequestsDuring(Fn&& fn) {
           g_large_allocation_count.load() - large};
 }
 
+/// `count` ranges of `size` positions at uniformly random locations.
+std::vector<Interval> RangesOfSize(std::int64_t domain_size,
+                                   std::int64_t size, std::int64_t count,
+                                   Rng* rng) {
+  std::vector<Interval> ranges;
+  ranges.reserve(static_cast<std::size_t>(count));
+  for (std::int64_t i = 0; i < count; ++i) {
+    const std::int64_t lo = rng->NextInt(0, domain_size - size);
+    ranges.emplace_back(lo, lo + size - 1);
+  }
+  return ranges;
+}
+
 std::vector<Interval> FixedWorkload(std::int64_t domain_size) {
   Rng rng(5);
-  return RandomRangesOfSize(domain_size, domain_size / 3, 256, &rng);
+  return RangesOfSize(domain_size, domain_size / 3, 256, &rng);
 }
 
 TEST(AllocationCountTest, ForEachRangeNodeAllocatesNothing) {
@@ -316,7 +335,7 @@ TEST(ServiceAllocationTest, ColdUnshardedBatchGrowsOnlyTheGatherArrays) {
 
   Rng range_rng(5);
   const std::vector<Interval> ranges =
-      RandomRangesOfSize(kDomain, kDomain / 3, 1 << 16, &range_rng);
+      RangesOfSize(kDomain, kDomain / 3, 1 << 16, &range_rng);
   std::vector<double> answers(ranges.size());
   const std::size_t before = g_allocated_bytes.load();
   std::thread cold([&] {
@@ -455,7 +474,7 @@ TEST(SessionAllocationTest, WarmTextBatchIsParsedAnsweredAndRenderedInPlace) {
   Rng range_rng(5);
   std::string line = "qb 64";
   for (const Interval& range :
-       RandomRangesOfSize(kDomain, kDomain / 3, 64, &range_rng)) {
+       RangesOfSize(kDomain, kDomain / 3, 64, &range_rng)) {
     line += " " + std::to_string(range.lo()) + " " +
             std::to_string(range.hi());
   }
@@ -482,6 +501,113 @@ TEST(SessionAllocationTest, BatchCountAloneReservesNothing) {
     const Result<bool> parsed =
         runtime::ParseSessionLine("qb 1048576 0 1", 1 << 16, 1, &command);
     EXPECT_FALSE(parsed.ok());
+  });
+  EXPECT_LT(requests.bytes, 4096u);
+}
+
+/// Reads exactly `size` bytes from `fd` into `out`.
+bool ReadExactly(int fd, char* out, std::size_t size) {
+  while (size > 0) {
+    const ssize_t n = ::recv(fd, out, size, 0);
+    if (n <= 0) return false;
+    out += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Reads one frame from `fd` into `buffer` (`capacity` bytes) and
+/// returns its type byte, or -1. A raw client with fixed buffers, so
+/// the allocations counted around it are the server's.
+int ReadFrameType(int fd, char* buffer, std::size_t capacity) {
+  char type = 0;
+  if (!ReadExactly(fd, &type, 1)) return -1;
+  std::uint64_t length = 0;
+  for (int shift = 0;; shift += 7) {
+    char byte = 0;
+    if (shift > 63 || !ReadExactly(fd, &byte, 1)) return -1;
+    length |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+    if ((byte & 0x80) == 0) break;
+  }
+  if (length > capacity) return -1;
+  return ReadExactly(fd, buffer, length) ? static_cast<unsigned char>(type)
+                                         : -1;
+}
+
+TEST(WireAllocationTest, WarmBinaryQueryFrameAllocatesNothing) {
+  // One 64-range QUERY frame per round trip through a live socket
+  // server: the worker decodes it, parses it into its reused frame,
+  // answers it and encodes ANSWERS straight into the connection's
+  // output buffer. The release is serve's default (walker-served
+  // H-bar, round+prune), the one hbar-default serves.
+  constexpr std::int64_t kDomain = 1 << 12;
+  Rng data_rng(3);
+  const Histogram data = Histogram::FromCounts(
+      ZipfCounts(kDomain, 1.2, 4 * kDomain, &data_rng));
+  QueryService service;
+  runtime::EpochManagerOptions manager_options;
+  manager_options.async = false;
+  runtime::EpochManager manager(&service, data, manager_options, 9);
+  ASSERT_TRUE(manager.PublishInitial().ok());
+  runtime::TransportOptions transport;
+  transport.workers = 1;
+  runtime::SocketServer server(service, manager, transport);
+  ASSERT_TRUE(server.Start().ok());
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  std::vector<char> buffer(1 << 16);
+  char c = 0;
+  while (ReadExactly(fd, &c, 1) && c != '\n') {
+  }  // the "# serving" banner
+  const char magic = static_cast<char>(runtime::wire::kMagic);
+  ASSERT_EQ(::send(fd, &magic, 1, MSG_NOSIGNAL), 1);
+  ASSERT_EQ(ReadFrameType(fd, buffer.data(), buffer.size()),
+            static_cast<int>(runtime::wire::FrameType::kHello));
+
+  Rng range_rng(5);
+  const std::vector<Interval> ranges =
+      RangesOfSize(kDomain, kDomain / 3, 64, &range_rng);
+  std::string request;
+  runtime::wire::EncodeQuery(1, 0, ranges.data(), ranges.size(), &request);
+  std::size_t answered = 0;
+  const auto round_trip = [&] {
+    for (int i = 0; i < 8; ++i) {
+      if (::send(fd, request.data(), request.size(), MSG_NOSIGNAL) !=
+          static_cast<ssize_t>(request.size())) {
+        return;
+      }
+      if (ReadFrameType(fd, buffer.data(), buffer.size()) ==
+          static_cast<int>(runtime::wire::FrameType::kAnswers)) {
+        answered += 1;
+      }
+    }
+  };
+  EXPECT_EQ(AllocationsDuring(round_trip), 0u);
+  EXPECT_EQ(answered, 16u);
+  ::close(fd);
+  server.Stop();
+}
+
+TEST(WireAllocationTest, QueryCountAloneReservesNothing) {
+  // A QUERY count is a claim, not data: a 5-byte payload (id, epoch,
+  // then a count of 2^20) fails as truncated before reserving the
+  // 16 MiB its count asks for.
+  std::string payload;
+  runtime::wire::PutVarint(&payload, 1);
+  runtime::wire::PutVarint(&payload, 0);
+  runtime::wire::PutVarint(&payload, std::uint64_t{1} << 20);
+  ASSERT_EQ(payload.size(), 5u);
+  runtime::wire::QueryFrame frame;
+  const Requests requests = RequestsDuring([&] {
+    EXPECT_FALSE(runtime::wire::ParseQuery(payload, 1 << 16, &frame).ok());
   });
   EXPECT_LT(requests.bytes, 4096u);
 }

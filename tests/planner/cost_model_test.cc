@@ -7,10 +7,11 @@
 #include <string>
 #include <utility>
 
-#include "analysis/strategy_matrix.h"
+#include "paper/analysis/strategy_matrix.h"
 #include "planner/variance_oracle.h"
 #include "planner/workload_profile.h"
 #include "service/snapshot.h"
+#include "tests/support/variance_oracle.h"
 
 namespace dphist::planner {
 namespace {
@@ -52,7 +53,7 @@ TEST(CostModelTest, SinglePlacementLengthMatchesOracleExactly) {
     SnapshotOptions options = LinearOptions(kind, 1.0, 2);
     auto cost = model.Evaluate(options, full);
     ASSERT_TRUE(cost.ok()) << StrategyKindName(kind);
-    VarianceOracle oracle(options, n);
+    VarianceOracle oracle = test_support::MakeVarianceOracle(options, n);
     EXPECT_DOUBLE_EQ(cost.value().mean_variance,
                      oracle.RangeVariance(Interval(0, n - 1)))
         << StrategyKindName(kind);
@@ -152,7 +153,8 @@ TEST(CostModelTest, ShardedOracleMatchesDenseShardSums) {
       SCOPED_TRACE(std::string(StrategyKindName(kind)) + " shards " +
                    std::to_string(shards));
       const SnapshotOptions config = LinearOptions(kind, 0.7, shards);
-      const VarianceOracle oracle(config, n);
+      const VarianceOracle oracle =
+          test_support::MakeVarianceOracle(config, n);
       const DenseShardedVariance dense(config, n);
       for (std::int64_t length : {1, 7, 40, 96}) {
         for (std::int64_t lo = 0; lo + length <= n; ++lo) {
@@ -182,7 +184,7 @@ TEST(CostModelTest, PositionHeatReweightsPlacements) {
   // Find the placement-grid query of length 64 with the lowest variance
   // and pile the heat onto its midpoint: aligned ranges decompose into
   // fewer nodes. The grid is the cost model's: lo = p * (n - 64) / 7.
-  VarianceOracle oracle(config, n);
+  VarianceOracle oracle = test_support::MakeVarianceOracle(config, n);
   double best_variance = 0.0;
   Interval best(0, 63);
   for (std::int64_t p = 0; p < 8; ++p) {

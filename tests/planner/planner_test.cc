@@ -21,6 +21,7 @@
 #include "domain/histogram.h"
 #include "planner/variance_oracle.h"
 #include "service/query_service.h"
+#include "tests/support/variance_oracle.h"
 
 namespace dphist::planner {
 namespace {
@@ -260,7 +261,8 @@ TEST(PlannerConformanceTest, ChosenPlanDeliversItsPredictedError) {
   // the placement-averaged mean still favors L~).
   constexpr std::int64_t kDomain = 256;
   constexpr std::int64_t kTrials = 4000;
-  const double tolerance = SquaredErrorRelativeBound(kTrials, 4.6);
+  const double tolerance =
+      test_support::SquaredErrorRelativeBound(kTrials, 4.6);
 
   Rng data_rng(43);
   Histogram data = Histogram::FromCounts(

@@ -1,6 +1,6 @@
 // Property suite pinning the Section 4 variance recurrences
 // (planner/recurrence_oracle.h) against the dense matrix-mechanism
-// oracle (analysis/strategy_matrix.h). The two implementations share no
+// oracle (paper/analysis/strategy_matrix.h). The two implementations share no
 // code beyond the strategy definitions: the dense path materializes A,
 // forms A^T A, and Cholesky-solves per query; the recurrence path never
 // builds a matrix. Agreement to 1e-9 relative across widths, branchings,
@@ -20,10 +20,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/strategy_matrix.h"
 #include "domain/interval.h"
+#include "estimators/wavelet.h"
+#include "paper/analysis/strategy_matrix.h"
 #include "planner/recurrence_oracle.h"
+#include "query/hierarchical_query.h"
 #include "service/snapshot.h"
+#include "tree/tree_layout.h"
 
 namespace dphist::planner {
 namespace {
@@ -238,28 +241,100 @@ TEST(RecurrenceOracleTest, WaveletPadsShardWidthToAPowerOfTwo) {
                                            shard_width, 2, 1.0);
       EXPECT_EQ(oracle.analyzer_width(), padded)
           << "domain " << domain << " shards " << shards;
-      EXPECT_DOUBLE_EQ(
-          oracle.sensitivity(),
-          WaveletStrategySensitivity(oracle.analyzer_width()));
+      EXPECT_DOUBLE_EQ(oracle.sensitivity(),
+                       HaarWeightedSensitivity(oracle.analyzer_width()));
     }
   }
 }
 
-TEST(RecurrenceOracleTest, ClosedFormSensitivitiesMatchTheBuiltMatrices) {
-  for (std::int64_t branching : {2, 3, 7}) {
-    for (std::int64_t width : {1, 2, 17, 64, 100}) {
-      EXPECT_DOUBLE_EQ(
-          HierarchicalStrategySensitivity(width, branching),
-          StrategyL1Sensitivity(HierarchicalStrategy(width, branching)))
-          << "width " << width << " branching " << branching;
+/// Domain sizes the sensitivity sweep covers: 1..70, then 2^j - 1, 2^j
+/// and 2^j + 1 up to 2^12.
+std::vector<std::int64_t> SensitivitySweepSizes() {
+  std::vector<std::int64_t> sizes;
+  for (std::int64_t n = 1; n <= 70; ++n) sizes.push_back(n);
+  for (std::int64_t p = 128; p <= 4096; p *= 2) {
+    sizes.insert(sizes.end(), {p - 1, p, p + 1});
+  }
+  return sizes;
+}
+
+/// The largest dense strategy matrix the sweep materializes (32 MiB).
+constexpr std::int64_t kDenseEntryBudget = std::int64_t{1} << 22;
+
+/// StrategyL1Sensitivity of a strategy over `cols` columns whose rows
+/// hold +-1 on the columns of one interval each (H and the weighted
+/// Haar are both of this shape), computed with a difference array
+/// instead of the dense matrix: the most rows covering one column.
+double MaxColumnCover(std::int64_t cols, const std::vector<Interval>& rows) {
+  std::vector<std::int64_t> delta(static_cast<std::size_t>(cols) + 1, 0);
+  for (const Interval& row : rows) {
+    delta[static_cast<std::size_t>(row.lo())] += 1;
+    delta[static_cast<std::size_t>(row.hi()) + 1] -= 1;
+  }
+  std::int64_t cover = 0;
+  std::int64_t worst = 0;
+  for (std::int64_t j = 0; j < cols; ++j) {
+    cover += delta[static_cast<std::size_t>(j)];
+    worst = std::max(worst, cover);
+  }
+  return static_cast<double>(worst);
+}
+
+/// L1 sensitivity of HierarchicalStrategy(n, k): from the dense matrix
+/// when it fits the budget, else from its rows' column cover.
+double DenseHierarchicalSensitivity(std::int64_t n, std::int64_t k) {
+  const TreeLayout tree(n, k);
+  if (tree.node_count() * n <= kDenseEntryBudget) {
+    return StrategyL1Sensitivity(HierarchicalStrategy(n, k));
+  }
+  std::vector<Interval> rows;
+  for (std::int64_t v = 0; v < tree.node_count(); ++v) {
+    const Interval covered = tree.NodeRange(v);
+    if (covered.lo() >= n) continue;  // padding only: an all-zero row
+    rows.emplace_back(covered.lo(), std::min(covered.hi(), n - 1));
+  }
+  return MaxColumnCover(n, rows);
+}
+
+/// L1 sensitivity of WaveletStrategy(padded), the same way.
+double DenseWaveletSensitivity(std::int64_t padded) {
+  if (padded * padded <= kDenseEntryBudget) {
+    return StrategyL1Sensitivity(WaveletStrategy(padded));
+  }
+  std::vector<Interval> rows = {Interval(0, padded - 1)};  // base row
+  for (std::int64_t level = 1; level < padded; level *= 2) {
+    const std::int64_t block = padded / level;
+    for (std::int64_t i = 0; i < level; ++i) {
+      rows.emplace_back(i * block, (i + 1) * block - 1);
     }
   }
-  for (std::int64_t width : {1, 2, 8, 64, 256}) {
-    EXPECT_DOUBLE_EQ(WaveletStrategySensitivity(width),
-                     StrategyL1Sensitivity(WaveletStrategy(width)))
-        << "width " << width;
+  return MaxColumnCover(padded, rows);
+}
+
+// Each strategy's sensitivity is written once in core and called by its
+// estimator and by the planner's oracles; the dense strategy matrices
+// (the matrix-mechanism definition) are the reference.
+TEST(RecurrenceOracleTest, ClosedFormSensitivitiesMatchTheBuiltMatrices) {
+  for (std::int64_t n : SensitivitySweepSizes()) {
+    for (std::int64_t k : {2, 3, 4, 16}) {
+      const double dense = DenseHierarchicalSensitivity(n, k);
+      EXPECT_DOUBLE_EQ(HierarchicalSensitivity(TreeLayout(n, k)), dense)
+          << "n " << n << " branching " << k;
+      EXPECT_DOUBLE_EQ(HierarchicalQuery(n, k).Sensitivity(), dense);
+      EXPECT_DOUBLE_EQ(MakeOracle(StrategyKind::kHBar, n, k, 1.0).sensitivity(),
+                       dense)
+          << "n " << n << " branching " << k;
+    }
+    std::int64_t padded = 1;
+    while (padded < n) padded *= 2;
+    const double dense = DenseWaveletSensitivity(padded);
+    EXPECT_DOUBLE_EQ(HaarWeightedSensitivity(padded), dense) << "n " << n;
+    EXPECT_DOUBLE_EQ(
+        MakeOracle(StrategyKind::kWavelet, n, 2, 1.0).sensitivity(), dense)
+        << "n " << n;
   }
 }
+
 
 }  // namespace
 }  // namespace dphist::planner

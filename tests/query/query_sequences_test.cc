@@ -2,7 +2,7 @@
 
 #include "domain/histogram.h"
 #include "query/hierarchical_query.h"
-#include "query/sorted_query.h"
+#include "paper/query/sorted_query.h"
 #include "query/unit_query.h"
 
 namespace dphist {

@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/statistics.h"
+#include "paper/common/statistics.h"
 #include "domain/histogram.h"
 #include "query/hierarchical_query.h"
-#include "query/sorted_query.h"
+#include "paper/query/sorted_query.h"
 #include "query/unit_query.h"
 
 namespace dphist {

@@ -24,23 +24,67 @@ Histogram TestData(std::int64_t n) {
 }
 
 TEST(EpochManagerTest, InitialPublishPlansWhenAuto) {
-  Histogram data = TestData(64);
-  QueryService service;
-  EpochManagerOptions options;
-  options.base.strategy = StrategyKind::kAuto;
-  options.async = false;
-  EpochManager manager(&service, data, options, 7);
+  // kAuto is resolved here and only here. The planner's picture of the
+  // traffic: an explicit profile beats observed traffic, which beats the
+  // neutral geometric sweep.
+  enum class Observed { kNothing, kUnitCounts, kFullRanges };
+  struct Row {
+    const char* name;
+    std::int64_t n;
+    bool unit_profile;  // PublishInitial(&units) rather than (nullptr)
+    Observed observed;  // traffic answered before the publish
+    StrategyKind expected;  // kAuto: any concrete strategy
+  };
+  const Row rows[] = {
+      {"explicit profile", 64, true, Observed::kNothing,
+       StrategyKind::kLTilde},
+      {"observed traffic", 64, false, Observed::kUnitCounts,
+       StrategyKind::kLTilde},
+      {"neutral prior", 48, false, Observed::kNothing, StrategyKind::kAuto},
+      {"explicit profile over observation", 64, true, Observed::kFullRanges,
+       StrategyKind::kLTilde},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    Histogram data = TestData(row.n);
+    QueryService service;
+    std::uint64_t epoch = 1;
+    if (row.observed != Observed::kNothing) {
+      // Traffic is observed only once a release answers it.
+      ASSERT_TRUE(service.Publish(data, SnapshotOptions(), 1).ok());
+      epoch = 2;
+      double answer = 0.0;
+      for (std::int64_t i = 0; i < row.n; ++i) {
+        const Interval q = row.observed == Observed::kUnitCounts
+                               ? Interval(i, i)
+                               : Interval(0, row.n - 1);
+        EXPECT_TRUE(service.TryQueryBatch(&q, 1, &answer).ok());
+      }
+    }
+    EpochManagerOptions options;
+    options.base.strategy = StrategyKind::kAuto;
+    options.async = false;
+    EpochManager manager(&service, data, options, 7);
 
-  planner::WorkloadProfile units(64);
-  units.AddLength(1, 50.0);
-  auto outcome = manager.PublishInitial(&units);
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_TRUE(outcome.value().republished);
-  EXPECT_TRUE(outcome.value().planned);
-  EXPECT_EQ(outcome.value().epoch, 1u);
-  EXPECT_EQ(outcome.value().snapshot->strategy(), StrategyKind::kLTilde);
-  EXPECT_EQ(service.current_epoch(), 1u);
-  EXPECT_DOUBLE_EQ(manager.stats().epsilon_spent, options.base.epsilon);
+    planner::WorkloadProfile units(row.n);
+    units.AddLength(1, 50.0);
+    auto outcome = manager.PublishInitial(row.unit_profile ? &units : nullptr);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_TRUE(outcome.value().republished);
+    EXPECT_TRUE(outcome.value().planned);
+    EXPECT_EQ(outcome.value().epoch, epoch);
+    EXPECT_EQ(service.current_epoch(), epoch);
+    const StrategyKind chosen = outcome.value().snapshot->strategy();
+    if (row.expected == StrategyKind::kAuto) {
+      EXPECT_NE(chosen, StrategyKind::kAuto);
+    } else {
+      EXPECT_EQ(chosen, row.expected);
+    }
+    double answer = 0.0;
+    const Interval full(0, row.n - 1);
+    EXPECT_EQ(service.TryQueryBatch(&full, 1, &answer).value(), epoch);
+    EXPECT_DOUBLE_EQ(manager.stats().epsilon_spent, options.base.epsilon);
+  }
 }
 
 TEST(EpochManagerTest, ManualReplanMatchesChoosePlanOnExportedProfile) {

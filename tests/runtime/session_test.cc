@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cstdint>
 #include <limits>
 #include <random>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -639,6 +641,68 @@ TEST_F(SessionExecutorTest, ExecuteLineReportsABadLineAndKeepsServing) {
                 Answer(0, 0) + Answer(3, 9) + "# batch n=2 epoch=1\n");
   EXPECT_EQ(executor.summary().queries, 3u);
   EXPECT_EQ(executor.summary().batches, 1u);
+}
+
+/// An output buffer that counts flushes (sync calls).
+class CountingSyncBuf : public std::stringbuf {
+ public:
+  int syncs = 0;
+
+ protected:
+  int sync() override {
+    ++syncs;
+    return std::stringbuf::sync();
+  }
+};
+
+/// An input buffer that yields one line per read, as a terminal does:
+/// nothing beyond the current line is ever buffered.
+class LinePerReadBuf : public std::streambuf {
+ public:
+  explicit LinePerReadBuf(std::vector<std::string> lines)
+      : lines_(std::move(lines)) {}
+
+ protected:
+  int_type underflow() override {
+    if (next_ == lines_.size()) return traits_type::eof();
+    std::string& line = lines_[next_++];
+    setg(line.data(), line.data(), line.data() + line.size());
+    return traits_type::to_int_type(line[0]);
+  }
+
+ private:
+  std::vector<std::string> lines_;  // each ends in '\n'
+  std::size_t next_ = 0;
+};
+
+TEST_F(SessionExecutorTest, StreamingSessionFlushesWhenItsInputIsDrained) {
+  ASSERT_TRUE(manager_.PublishInitial().ok());
+  // Piped input: 10 000 buffered lines flush when the buffer drains and
+  // once at the end, not once per line.
+  std::string piped;
+  for (int i = 0; i < 10000; ++i) {
+    piped += std::to_string(i % 64) + " " + std::to_string(i % 64) + "\n";
+  }
+  std::istringstream in(piped);
+  CountingSyncBuf out_buf;
+  std::ostream out(&out_buf);
+  SessionWriter writer(out);
+  auto summary = RunStreamingSession(in, writer, service_, manager_);
+  ASSERT_TRUE(summary.ok());
+  EXPECT_EQ(summary.value().queries, 10000u);
+  EXPECT_LE(out_buf.syncs, 2);
+  const std::string piped_out = out_buf.str();
+  EXPECT_EQ(std::count(piped_out.begin(), piped_out.end(), '\n'), 10000);
+
+  // A terminal: every line's answer is flushed before the next read
+  // (one flush per line, plus the one at the end).
+  LinePerReadBuf tty_buf({"q 0 1\n", "q 2 3\n", "q 4 5\n"});
+  std::istream tty(&tty_buf);
+  CountingSyncBuf tty_out_buf;
+  std::ostream tty_out(&tty_out_buf);
+  SessionWriter tty_writer(tty_out);
+  ASSERT_TRUE(RunStreamingSession(tty, tty_writer, service_, manager_).ok());
+  EXPECT_EQ(tty_out_buf.syncs, 4);
 }
 
 TEST(SessionWriterTest, FormatsAnswersAndReports) {

@@ -105,6 +105,55 @@ TEST(WireFormatTest, ParseQueryRejectsOversizedBatch) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
 }
 
+TEST(WireFormatTest, ParseQueryRefusesACountItsPayloadCannotHold) {
+  // Five bytes that claim 2^20 ranges: refused as truncated (framing is
+  // broken) without reading or reserving a range, and a reused frame
+  // comes back with the fields this payload carried.
+  std::string payload;
+  PutVarint(&payload, 7);  // id
+  PutVarint(&payload, 0);  // expect_epoch
+  PutVarint(&payload, std::uint64_t{1} << 20);
+  ASSERT_EQ(payload.size(), 5u);
+  QueryFrame query;
+  query.expect_epoch = 3;
+  query.ranges = {Interval(0, 1)};
+  Status status = ParseQuery(payload, /*domain_size=*/1 << 16, &query);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("truncated QUERY range"), std::string::npos);
+  EXPECT_EQ(query.id, 7u);
+  EXPECT_EQ(query.expect_epoch, 0u);
+
+  // One range short of its count: still truncated, as before.
+  std::string short_payload;
+  PutVarint(&short_payload, 8);
+  PutVarint(&short_payload, 0);
+  PutVarint(&short_payload, 2);
+  PutVarint(&short_payload, 1);
+  PutVarint(&short_payload, 2);
+  PutVarint(&short_payload, 3);
+  EXPECT_EQ(ParseQuery(short_payload, 16, &query).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(WireFormatTest, AnswersFrameBytesArePinned) {
+  // EncodeAnswers writes the frame in place; its bytes are the frame of
+  // the payload (id, epoch, count, little-endian doubles).
+  const double values[] = {1.0, -0.0, 1801.365, 1e300};
+  std::string payload;
+  PutVarint(&payload, 300);
+  PutVarint(&payload, std::uint64_t{1} << 40);
+  PutVarint(&payload, 4);
+  for (double value : values) PutF64(&payload, value);
+  std::string expected = "prefix";
+  AppendFrame(FrameType::kAnswers, payload, &expected);
+  std::string encoded = "prefix";
+  EncodeAnswers(300, std::uint64_t{1} << 40, values, 4, &encoded);
+  EXPECT_EQ(encoded, expected);
+  std::string empty;
+  EncodeAnswers(0, 1, values, 0, &empty);
+  EXPECT_EQ(empty, std::string("\x82\x03\x00\x01\x00", 5));
+}
+
 TEST(WireFormatTest, AnswersPlanAndByeRoundTrip) {
   std::string buffer;
   const double values[] = {1.0, 2.5, -3.0};

@@ -27,6 +27,7 @@
 namespace dphist {
 namespace {
 
+using test_support::MakeVarianceOracle;
 using test_support::SquaredErrorRelativeBound;
 using test_support::VarianceOracle;
 
@@ -109,7 +110,8 @@ TEST(ServiceConformanceTest, EmpiricalErrorMatchesClosedFormPerQuery) {
     Histogram data = Histogram::FromCounts(
         ZipfCounts(test_case.domain_size, 1.2, 5 * test_case.domain_size,
                    &data_rng));
-    VarianceOracle oracle(test_case.options, test_case.domain_size);
+    VarianceOracle oracle =
+        MakeVarianceOracle(test_case.options, test_case.domain_size);
     std::vector<Interval> queries = ProbeQueries(test_case.domain_size);
 
     QueryService service;
@@ -160,8 +162,8 @@ TEST(ServiceConformanceTest, ShardedVarianceOracleMatchesUnshardedOnLTilde) {
   SnapshotOptions sharded = unsharded;
   sharded.shards = 5;
 
-  VarianceOracle a(unsharded, 50);
-  VarianceOracle b(sharded, 50);
+  VarianceOracle a = MakeVarianceOracle(unsharded, 50);
+  VarianceOracle b = MakeVarianceOracle(sharded, 50);
   for (const Interval& q : ProbeQueries(50)) {
     EXPECT_NEAR(a.RangeVariance(q), b.RangeVariance(q), 1e-9)
         << q.ToString();
@@ -180,8 +182,8 @@ TEST(ServiceConformanceTest, ShardingReducesHierarchicalVariance) {
   SnapshotOptions sharded = unsharded;
   sharded.shards = 4;
 
-  VarianceOracle deep(unsharded, 64);
-  VarianceOracle shallow(sharded, 64);
+  VarianceOracle deep = MakeVarianceOracle(unsharded, 64);
+  VarianceOracle shallow = MakeVarianceOracle(sharded, 64);
   // [0, 15] is exactly shard 0 of the sharded layout.
   EXPECT_LT(shallow.RangeVariance(Interval(0, 15)),
             deep.RangeVariance(Interval(0, 15)));

@@ -139,60 +139,6 @@ TEST(QueryServiceTest, ObservedWorkloadTracksAnsweredLengths) {
   }
 }
 
-TEST(QueryServiceTest, AutoStrategyPlansFromObservedTraffic) {
-  Histogram data = TestData(64);
-  QueryService service;
-  ASSERT_TRUE(service.Publish(data, SnapshotOptions(), 1).ok());
-
-  // Unit-count traffic only; the replan must resolve auto to L~.
-  std::vector<double> answer(1);
-  for (std::int64_t i = 0; i < 64; ++i) {
-    Interval q(i, i);
-    EXPECT_TRUE(service.TryQueryBatch(&q, 1, answer.data()).ok());
-  }
-  SnapshotOptions auto_options;
-  auto_options.strategy = StrategyKind::kAuto;
-  auto republished = service.Publish(data, auto_options, 2);
-  ASSERT_TRUE(republished.ok()) << republished.status().ToString();
-  EXPECT_EQ(republished.value()->strategy(), StrategyKind::kLTilde);
-  EXPECT_EQ(republished.value()->epoch(), 2u);
-}
-
-TEST(QueryServiceTest, AutoStrategyFallsBackToNeutralPriorWhenUnobserved) {
-  // First publish with kAuto and no traffic at all: the geometric-sweep
-  // prior must still produce a concrete, buildable plan.
-  Histogram data = TestData(48);
-  QueryService service;
-  SnapshotOptions auto_options;
-  auto_options.strategy = StrategyKind::kAuto;
-  auto published = service.Publish(data, auto_options, 5);
-  ASSERT_TRUE(published.ok()) << published.status().ToString();
-  EXPECT_NE(published.value()->strategy(), StrategyKind::kAuto);
-  double out = 0.0;
-  const Interval range(0, 47);
-  EXPECT_EQ(service.TryQueryBatch(&range, 1, &out).value(), 1u);
-}
-
-TEST(QueryServiceTest, AutoStrategyHonorsExplicitProfileOverObservation) {
-  Histogram data = TestData(64);
-  QueryService service;
-  ASSERT_TRUE(service.Publish(data, SnapshotOptions(), 1).ok());
-  // Observed traffic is long-range...
-  std::vector<double> answer(1);
-  for (int i = 0; i < 32; ++i) {
-    Interval q(0, 63);
-    EXPECT_TRUE(service.TryQueryBatch(&q, 1, answer.data()).ok());
-  }
-  // ...but the caller plans for a unit-count profile explicitly.
-  planner::WorkloadProfile units(64);
-  units.AddLength(1, 100.0);
-  SnapshotOptions auto_options;
-  auto_options.strategy = StrategyKind::kAuto;
-  auto published = service.Publish(data, auto_options, 2, &units);
-  ASSERT_TRUE(published.ok());
-  EXPECT_EQ(published.value()->strategy(), StrategyKind::kLTilde);
-}
-
 // The acceptance-criterion test: concurrent readers during repeated
 // snapshot swaps must always see internally consistent single-epoch
 // batches — every answer in a batch comes from the release whose epoch

@@ -53,6 +53,43 @@ TEST(CliTest, UnknownCommandFails) {
   EXPECT_NE(err.find("unknown command"), std::string::npos);
 }
 
+TEST(CliTest, UsageFollowsOnlyCommandLineErrors) {
+  // An unknown command, an unknown flag and a missing required flag are
+  // mistakes in the command line: the usage text follows the error.
+  std::string out, err;
+  EXPECT_EQ(RunMain({"frobnicate"}, &out, &err), 1);
+  EXPECT_EQ(err.rfind("error: InvalidArgument: unknown command: frobnicate\n"
+                      "usage: dphist_cli",
+                      0),
+            0u)
+      << err;
+  EXPECT_EQ(RunMain({"serve", "--bogus", "1"}, &out, &err), 1);
+  EXPECT_EQ(err.rfind("error: InvalidArgument: unknown flag --bogus\n"
+                      "usage: dphist_cli",
+                      0),
+            0u)
+      << err;
+  EXPECT_EQ(RunMain({"plan", "--epsilon", "1", "--domain", "16"}, &out, &err),
+            1);
+  EXPECT_NE(err.find("missing required flag --queries\nusage:"),
+            std::string::npos)
+      << err;
+
+  // A malformed workload file is a data error: one line, no usage.
+  const std::string path = TempPath("cli_bad_workload.txt");
+  {
+    std::ofstream file(path);
+    file << "0 5\nabc\n";
+  }
+  EXPECT_EQ(RunMain({"plan", "--queries", path.c_str(), "--epsilon", "1",
+                     "--domain", "16"},
+                    &out, &err),
+            1);
+  EXPECT_EQ(err,
+            "error: InvalidArgument: query line 2: unknown command "
+            "\"abc\"\n");
+}
+
 TEST(CliTest, MissingFlagsReported) {
   std::string out, err;
   EXPECT_EQ(RunMain({"generate", "--dataset", "social"}, &out, &err), 1);

@@ -1,4 +1,4 @@
-#include "tree/quadtree.h"
+#include "paper/tree/quadtree.h"
 
 #include <gtest/gtest.h>
 

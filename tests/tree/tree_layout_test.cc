@@ -99,13 +99,6 @@ TEST(TreeLayoutTest, LeafNodeRoundTrip) {
   }
 }
 
-TEST(TreeLayoutTest, LeavesUnderMatchesRangeLength) {
-  TreeLayout tree(64, 4);
-  for (std::int64_t v = 0; v < tree.node_count(); ++v) {
-    EXPECT_EQ(tree.LeavesUnder(v), tree.NodeRange(v).Length());
-  }
-}
-
 class TreeGeometrySweep
     : public ::testing::TestWithParam<std::tuple<std::int64_t, std::int64_t>> {
 };

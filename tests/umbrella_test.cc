@@ -1,8 +1,10 @@
-// Compilation test for the umbrella header: every public type must be
-// reachable from a single include, and a miniature end-to-end pipeline
-// must work with only that include.
+// Compilation test for the umbrella headers: every public type must be
+// reachable from the core umbrella and the paper umbrella on top of it,
+// and a miniature end-to-end pipeline must work with only those
+// includes.
 
 #include "dphist.h"
+#include "paper/paper.h"
 
 #include <gtest/gtest.h>
 

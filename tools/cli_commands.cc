@@ -11,13 +11,13 @@
 
 #include "common/rng.h"
 #include "data/csv.h"
-#include "data/nettrace.h"
-#include "data/search_logs.h"
-#include "data/social_network.h"
+#include "paper/data/nettrace.h"
+#include "paper/data/search_logs.h"
+#include "paper/data/social_network.h"
 #include "domain/histogram.h"
 #include "engine/answer_engine.h"
 #include "engine/kernels.h"
-#include "estimators/unattributed.h"
+#include "paper/estimators/unattributed.h"
 #include "estimators/universal.h"
 #include "mechanism/privacy_accountant.h"
 #include "planner/planner.h"
@@ -87,10 +87,25 @@ constexpr char kUsage[] =
     "                    [--write-baseline] [--summary-md P]\n"
     "                    (repo invariant checker over root/src: serving-\n"
     "                     path asserts, hot-file allocations, unguarded\n"
-    "                     mutexes, non-Status factories; ratcheted\n"
-    "                     baseline — see tools/lint/lint.h)\n"
+    "                     mutexes, non-Status factories, core includes\n"
+    "                     of paper/ headers; ratcheted baseline — see\n"
+    "                     tools/lint/lint.h)\n"
     "\n"
     "Every command rejects a flag it does not read.\n";
+
+/// True for the errors that say the command line itself is wrong: an
+/// unknown command, an unknown flag or a missing required flag. Only
+/// these print the usage text; a malformed value or a bad input file
+/// prints its one-line diagnostic alone.
+bool WantsUsage(const Status& status) {
+  if (status.code() != StatusCode::kInvalidArgument) return false;
+  const std::string& message = status.message();
+  for (const char* prefix :
+       {"unknown command: ", "unknown flag --", "missing required flag --"}) {
+    if (message.starts_with(prefix)) return true;
+  }
+  return false;
+}
 
 Status RequireFlag(const Flags& flags, const std::string& name) {
   if (!flags.Has(name)) {
@@ -403,11 +418,10 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
   if (service_options.observed_reservoir < 0) {
     return Status::InvalidArgument("reservoir must be >= 0");
   }
-  Status planner_status = FillPlannerOptions(flags, &service_options.planner);
+  Status planner_status = FillPlannerOptions(flags, &manager_options.planner);
   if (!planner_status.ok()) return planner_status;
 
   manager_options.base = options;
-  manager_options.planner = service_options.planner;
   manager_options.async = !replan_sync;
   if (manager_options.replan_every < 0 ||
       manager_options.drift_ratio < 0.0 ||
@@ -1014,7 +1028,7 @@ int Main(int argc, const char* const* argv, std::istream& in,
   }
   if (!status.ok()) {
     err << "error: " << status.ToString() << "\n";
-    if (status.code() == StatusCode::kInvalidArgument) err << kUsage;
+    if (WantsUsage(status)) err << kUsage;
     return 1;
   }
   return 0;

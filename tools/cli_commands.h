@@ -102,7 +102,9 @@ Status RunLint(const Flags& flags, std::ostream& out);
 /// WAL tail (the same repair a restart performs).
 Status RunRecover(const Flags& flags, std::ostream& out);
 
-/// Dispatches on the first positional argument; prints usage on error.
+/// Dispatches on the first positional argument. Prints the usage text
+/// after an unknown command, an unknown flag or a missing required flag,
+/// and only the one-line error otherwise.
 /// Returns a process exit code. `in` feeds `serve --stdin`.
 int Main(int argc, const char* const* argv, std::istream& in,
          std::ostream& out, std::ostream& err);

@@ -13,7 +13,7 @@ namespace {
 
 constexpr const char* kRules[] = {
     "serving-check", "hot-alloc", "mutex-guard", "factory-status",
-    "tsa-optout",
+    "tsa-optout",    "paper-include",
 };
 
 std::string Trim(const std::string& s) {
@@ -130,6 +130,12 @@ const std::regex& MutexDeclPattern() {
   return re;
 }
 
+const std::regex& PaperIncludePattern() {
+  // `#include "paper/..."` or `#include <paper/...>`.
+  static const std::regex re(R"(^\s*#\s*include\s*["<]paper/)");
+  return re;
+}
+
 const std::regex& FactoryPattern() {
   // `static <return-type> Create*(` — return type captured between.
   static const std::regex re(R"(\bstatic\b(.*?)\b(Create\w*)\s*\()");
@@ -150,6 +156,10 @@ std::vector<Finding> LintSource(const std::string& rel_path,
   const std::vector<std::string> code = StripComments(raw);
   const bool serving = InAnyDir(rel_path, config.serving_dirs);
   const bool hot = IsListed(rel_path, config.hot_files);
+  // src/paper/ is the whole boundary of dphist_paper; every other
+  // source under src/ is dphist_core.
+  const bool core =
+      HasPrefix(rel_path, "src/") && !HasPrefix(rel_path, "src/paper/");
   // The annotation machinery itself is the one place raw std::mutex
   // legitimately appears.
   const bool mutex_exempt = rel_path == "src/common/mutex.h" ||
@@ -225,6 +235,13 @@ std::vector<Finding> LintSource(const std::string& rel_path,
                   ") sibling: an unguarded mutex guards nothing");
         }
       }
+    }
+
+    if (core && std::regex_search(line, PaperIncludePattern())) {
+      add(i, "paper-include",
+          "dphist_core includes a src/paper/ header: the server must "
+          "not link paper-only code (move the code into core, or this "
+          "file under src/paper/)");
     }
 
     {

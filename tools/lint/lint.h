@@ -23,6 +23,10 @@
 //   tsa-optout      DPHIST_NO_THREAD_SAFETY_ANALYSIS is banned in the
 //                   serving directories; use a documented
 //                   DPHIST_ASSERT_CAPABILITY escape instead.
+//   paper-include   no source under src/ outside src/paper/ (dphist_core)
+//                   may include a src/paper/ header (dphist_paper): the
+//                   server must not link paper-only code. Fixed by the
+//                   directory layout, so it has no config key.
 //
 // Suppression: a line (or the line directly above it) containing
 // `dphist-lint: allow(<rule>)` exempts that line from <rule>, for cases
