@@ -1,6 +1,10 @@
 #include "common/laplace.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 
 #include "common/check.h"
 
@@ -30,8 +34,22 @@ void LaplaceDistribution::AddSamplesTo(double* values, std::size_t n,
                                        Rng* rng) const {
   DPHIST_CHECK(rng != nullptr);
   DPHIST_CHECK(n == 0 || values != nullptr);
-  for (std::size_t i = 0; i < n; ++i) {
-    values[i] += Quantile(rng->NextOpenDouble());
+  double uniforms[MersenneTwister64::kStateWords];
+  while (n > 0) {
+    const std::size_t chunk = std::min(n, std::size(uniforms));
+    rng->NextOpenDoubles(uniforms, chunk);
+    for (std::size_t i = 0; i < chunk; ++i) {
+      // Quantile(u) without its branch on u < 0.5: for u >= 0.5, 1 - u is
+      // exact and the smaller of the two, and negating the product flips
+      // only its sign bit, so every value equals Quantile's bit for bit.
+      const double u = uniforms[i];
+      const double magnitude = scale_ * std::log(2.0 * std::min(u, 1.0 - u));
+      const std::uint64_t sign = static_cast<std::uint64_t>(u >= 0.5) << 63;
+      values[i] += std::bit_cast<double>(
+          std::bit_cast<std::uint64_t>(magnitude) ^ sign);
+    }
+    values += chunk;
+    n -= chunk;
   }
 }
 

@@ -3,6 +3,12 @@
 // This is the noise distribution of the Laplace mechanism (Dwork et al.,
 // TCC 2006; Proposition 1 of Hay et al.). Sampling uses the inverse CDF so
 // a single uniform draw yields one noise value deterministically.
+//
+// Quantile is the definition. AddSamplesTo, which every release draws
+// through, computes the same values bit for bit from the same words, a
+// state block of the generator at a time: Rng::NextOpenDoubles fills the
+// block's uniforms, and each draw takes one log of 2 min(u, 1 - u) and
+// sets the sign as a bit where Quantile branches on u < 0.5.
 
 #ifndef DPHIST_COMMON_LAPLACE_H_
 #define DPHIST_COMMON_LAPLACE_H_
@@ -36,8 +42,8 @@ class LaplaceDistribution {
 
   /// Batched perturbation: adds an independent sample to each of
   /// values[0..n) in place — the Laplace-mechanism inner loop without an
-  /// intermediate noise vector or output copy. Consumes exactly the same
-  /// rng stream as n calls to Sample.
+  /// intermediate noise vector or output copy. Adds exactly what n calls
+  /// to Sample would return and consumes exactly the same rng stream.
   void AddSamplesTo(double* values, std::size_t n, Rng* rng) const;
 
  private:

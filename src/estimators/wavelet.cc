@@ -1,5 +1,6 @@
 #include "estimators/wavelet.h"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -84,26 +85,23 @@ WaveletEstimator::WaveletEstimator(const Histogram& data,
   }
   std::vector<double> coefficients = HaarTransform(std::move(padded));
 
-  // Per-coefficient weighted Laplace noise (the Privelet mechanism).
+  // Per-coefficient weighted Laplace noise (the Privelet mechanism), one
+  // draw per coefficient in index order. A coefficient's weight is the
+  // number of leaves it covers: the base coefficient and the top detail
+  // coefficient, [0, 2), cover all padded_size_ leaves, and the detail
+  // coefficients [2^d, 2^(d+1)) of depth d cover padded_size_ >> d.
   const double sensitivity = HaarWeightedSensitivity(padded_size_);
-  // Base coefficient: weight n.
-  {
-    LaplaceDistribution noise(
-        sensitivity / (options.epsilon * static_cast<double>(padded_size_)));
-    coefficients[0] += noise.Sample(rng);
-  }
-  // Detail coefficient of BFS node i: covers padded_size_ >> depth leaves,
-  // weight equal to that block size.
+  std::int64_t begin = 0;
+  std::int64_t end = std::min<std::int64_t>(2, padded_size_);
   std::int64_t block = padded_size_;
-  std::int64_t level_start = 1;
-  while (level_start < padded_size_) {
+  while (begin < padded_size_) {
     LaplaceDistribution noise(
         sensitivity / (options.epsilon * static_cast<double>(block)));
-    for (std::int64_t i = level_start; i < 2 * level_start; ++i) {
-      coefficients[static_cast<std::size_t>(i)] += noise.Sample(rng);
-    }
+    noise.AddSamplesTo(coefficients.data() + begin,
+                       static_cast<std::size_t>(end - begin), rng);
+    begin = end;
+    end *= 2;
     block /= 2;
-    level_start *= 2;
   }
 
   std::vector<double> reconstructed = InverseHaarTransform(coefficients);

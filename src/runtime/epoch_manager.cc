@@ -410,6 +410,12 @@ bool EpochManager::TryStartSyncReplan(ReplanTrigger* trigger) {
 }
 
 bool EpochManager::Poll() {
+  // Every text line and QUERY frame polls. With neither trigger set,
+  // PollTriggerLocked returns false whatever the state, so skip its lock
+  // and the count.
+  if (options_.replan_every <= 0 && options_.drift_ratio <= 0.0) {
+    return false;
+  }
   if (options_.async) {
     ReplanTrigger trigger;
     {

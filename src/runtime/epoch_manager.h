@@ -157,7 +157,8 @@ class EpochManager {
   /// Checks the triggers against the service's observed counters and
   /// starts (async) or performs (sync) at most one replan. Returns true
   /// when a replan or drift check was started/performed by this call.
-  /// Cheap when nothing fires: two atomic sums and a compare.
+  /// Returns false without locking when neither trigger is configured;
+  /// otherwise a configured trigger reads one counter per stripe.
   bool Poll();
 
   /// Explicit synchronous replan (the REPL `replan` command): waits for

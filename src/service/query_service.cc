@@ -159,11 +159,13 @@ std::uint64_t QueryService::QueryBatchOn(const Snapshot& snap,
   const std::size_t stripe_index =
       std::hash<std::thread::id>{}(std::this_thread::get_id()) %
       kLengthStripes;
-  auto& stripe = observed_lengths_[stripe_index];
+  LengthStripe& stripe = observed_lengths_[stripe_index];
   for (; touched != 0; touched &= touched - 1) {
     const auto bucket = static_cast<std::size_t>(std::countr_zero(touched));
-    stripe[bucket].fetch_add(lengths[bucket], std::memory_order_relaxed);
+    stripe.buckets[bucket].fetch_add(lengths[bucket],
+                                     std::memory_order_relaxed);
   }
+  stripe.total.fetch_add(count, std::memory_order_relaxed);
   if (reservoirs_[stripe_index] != nullptr) {
     // Optional exact-length sampling (one short lock per batch): keeps
     // raw (lo, hi) pairs so a replan from observation can match a
@@ -201,7 +203,7 @@ planner::WorkloadProfile QueryService::ObservedWorkload(
   for (std::size_t b = 0; b < kLengthBuckets; ++b) {
     std::uint64_t seen = 0;
     for (std::size_t s = 0; s < kLengthStripes; ++s) {
-      seen += observed_lengths_[s][b].load(std::memory_order_relaxed);
+      seen += observed_lengths_[s].buckets[b].load(std::memory_order_relaxed);
     }
     if (seen == 0) continue;
     // Midpoint of the bucket [2^b, 2^(b+1) - 1], clamped to the domain.
@@ -215,10 +217,8 @@ planner::WorkloadProfile QueryService::ObservedWorkload(
 
 std::uint64_t QueryService::observed_query_count() const {
   std::uint64_t total = 0;
-  for (std::size_t s = 0; s < kLengthStripes; ++s) {
-    for (std::size_t b = 0; b < kLengthBuckets; ++b) {
-      total += observed_lengths_[s][b].load(std::memory_order_relaxed);
-    }
+  for (const LengthStripe& stripe : observed_lengths_) {
+    total += stripe.total.load(std::memory_order_relaxed);
   }
   return total;
 }

@@ -196,7 +196,7 @@ class QueryService : public RetiredCacheCounters {
   /// domain). Empty when nothing has been answered yet.
   planner::WorkloadProfile ObservedWorkload(std::int64_t domain_size) const;
 
-  /// Total queries answered so far (sums the length-counter stripes).
+  /// Total queries answered so far (sums the stripes' running totals).
   /// The EpochManager's every-N and drift triggers anchor on this.
   std::uint64_t observed_query_count() const;
 
@@ -238,12 +238,17 @@ class QueryService : public RetiredCacheCounters {
   bool publishing_ DPHIST_GUARDED_BY(publish_mutex_) = false;
   std::uint64_t last_epoch_ DPHIST_GUARDED_BY(publish_mutex_) = 0;
   std::atomic<std::shared_ptr<const Snapshot>> snapshot_;
-  /// observed_lengths_[s][b] counts answered queries with
-  /// 2^b <= length < 2^(b+1) recorded by stripe s; the read path adds a
-  /// whole batch's count per bucket with one relaxed add.
-  mutable std::array<std::array<std::atomic<std::uint64_t>, kLengthBuckets>,
-                     kLengthStripes>
-      observed_lengths_{};
+  /// One stripe's counters. buckets[b] counts answered queries with
+  /// 2^b <= length < 2^(b+1); the read path adds a whole batch's count
+  /// per bucket with one relaxed add, and the batch size to `total`, so
+  /// observed_query_count reads one counter per stripe. `total` leads so
+  /// it shares a cache line with its own stripe's short-length buckets,
+  /// not with the next stripe's.
+  struct LengthStripe {
+    std::atomic<std::uint64_t> total{0};
+    std::array<std::atomic<std::uint64_t>, kLengthBuckets> buckets{};
+  };
+  mutable std::array<LengthStripe, kLengthStripes> observed_lengths_{};
   /// Optional exact-length sampling beside the buckets: one reservoir
   /// per counter stripe (same stripe selection), each behind its own
   /// mutex so concurrent readers rarely contend. Null when disabled.

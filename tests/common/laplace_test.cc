@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.h"
 #include "paper/common/statistics.h"
@@ -75,6 +78,38 @@ TEST(LaplaceTest, SampleVectorLengthAndIndependence) {
     if (v[i] == v[i - 1]) ++identical;
   }
   EXPECT_EQ(identical, 0);
+}
+
+TEST(LaplaceTest, AddSamplesToEqualsScalarQuantileDraws) {
+  // Chunks of one state block (312 words): sizes on either side of a
+  // block, from stream offsets that start mid-block, up to a default
+  // H-bar build's 131071 draws.
+  const LaplaceDistribution lap(1.7);
+  for (const std::size_t offset : {0, 5, 311}) {
+    for (const std::size_t n : {0, 1, 311, 312, 313, 1000, 131071}) {
+      Rng block(42);
+      Rng scalar(42);
+      for (std::size_t i = 0; i < offset; ++i) {
+        block.engine()();
+        scalar.engine()();
+      }
+      std::vector<double> added(n);
+      std::vector<double> expected(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        added[i] = expected[i] = 0.25 * static_cast<double>(i) - 7.0;
+      }
+      lap.AddSamplesTo(added.data(), n, &block);
+      for (double& x : expected) x += lap.Quantile(scalar.NextOpenDouble());
+      std::size_t mismatches = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        mismatches += std::bit_cast<std::uint64_t>(added[i]) !=
+                      std::bit_cast<std::uint64_t>(expected[i]);
+      }
+      EXPECT_EQ(mismatches, 0u) << "offset " << offset << ", n " << n;
+      EXPECT_EQ(block.engine()(), scalar.engine()())
+          << "offset " << offset << ", n " << n;
+    }
+  }
 }
 
 TEST(LaplaceTest, TailProbabilityExponential) {

@@ -1,4 +1,4 @@
-// Pins the exact bits of the hierarchical and wavelet releases. Every
+// Pins the exact bits of the L~, hierarchical and wavelet releases. Every
 // value is folded into a CRC-32 of its in-memory bytes, so a changed
 // summation order, a -0.0 that became +0.0, a different fast-path choice
 // or one extra noise draw all change a checksum. The hierarchical values
@@ -22,6 +22,7 @@
 #include "estimators/wavelet.h"
 #include "inference/hierarchical.h"
 #include "inference/nonnegative_pruning.h"
+#include "service/snapshot.h"
 #include "storage/page.h"
 
 namespace dphist {
@@ -131,6 +132,65 @@ TEST(ReleasePinTest, WaveletBuildsAreBitIdentical) {
       }
     }
     EXPECT_EQ(pin.crc(), expected[s]) << "n=" << n;
+  }
+}
+
+TEST(ReleasePinTest, LTildeBuildsAreBitIdentical) {
+  // The leaves are the data plus one draw each; the answers pin the
+  // rounding on top of them.
+  const std::int64_t sizes[] = {1, 7, 100, 4096, 70000};
+  const std::uint32_t expected[] = {0x19363d2c, 0xc00f5141, 0xc6e8a7a9,
+                                    0x4cbf7008, 0xd7635d52};
+  for (std::size_t s = 0; s < 5; ++s) {
+    const std::int64_t n = sizes[s];
+    const Histogram data = ZipfData(n);
+    Pin pin;
+    for (const BuildSeed& build : kSeeds) {
+      for (const bool round : {false, true}) {
+        UniversalOptions options;
+        options.epsilon = build.epsilon;
+        options.round_to_nonnegative_integers = round;
+        Rng rng(build.seed);
+        const LTildeEstimator est(data, options, &rng);
+        pin.Add(est.leaf_estimates());
+        std::vector<double> answers;
+        for (std::int64_t lo = 0; lo < n; lo += 1 + n / 16) {
+          answers.push_back(est.RangeCount(Interval(lo / 2, lo)));
+        }
+        pin.Add(answers);
+        pin.Add(static_cast<std::uint64_t>(rng.engine()()));
+      }
+    }
+    EXPECT_EQ(pin.crc(), expected[s]) << "n=" << n;
+  }
+}
+
+TEST(ReleasePinTest, ShardedLTildeSnapshotIsBitIdentical) {
+  // Each of the three shards draws from a stream forked off the parent in
+  // shard order: every answer over the domain pins all three, and the
+  // parent's next word pins what the forks took from it.
+  const std::int64_t n = 40;
+  const Histogram data = ZipfData(n);
+  const std::uint32_t expected[] = {0xbb8c56c9, 0xebb8ef0d};
+  for (std::size_t b = 0; b < 2; ++b) {
+    SnapshotOptions options;
+    options.epsilon = kSeeds[b].epsilon;
+    options.strategy = StrategyKind::kLTilde;
+    options.shards = 3;
+    options.round_to_nonnegative_integers = false;
+    Rng rng(kSeeds[b].seed);
+    auto built = Snapshot::Build(data, options, 1, &rng);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    std::vector<double> answers;
+    for (std::int64_t lo = 0; lo < n; ++lo) {
+      for (std::int64_t hi = lo; hi < n; ++hi) {
+        answers.push_back(built.value()->RangeCount(Interval(lo, hi)));
+      }
+    }
+    Pin pin;
+    pin.Add(answers);
+    pin.Add(static_cast<std::uint64_t>(rng.engine()()));
+    EXPECT_EQ(pin.crc(), expected[b]) << "seed " << kSeeds[b].seed;
   }
 }
 

@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/laplace.h"
 #include "common/rng.h"
 #include "data/zipf.h"
 #include "domain/histogram.h"
@@ -345,6 +346,20 @@ TEST(ServiceAllocationTest, ColdUnshardedBatchGrowsOnlyTheGatherArrays) {
   cold.join();
   EXPECT_LE(g_allocated_bytes.load() - before, 16 * ranges.size() + 4096);
   EXPECT_EQ(answers[0], service.snapshot()->RangeCount(ranges[0]));
+}
+
+TEST(BuildAllocationTest, LaplaceNoiseDrawsThroughAStackBuffer) {
+  // A default H-bar build's worth of draws: the uniforms of each state
+  // block live on the stack, so perturbing a warm buffer asks the heap
+  // for nothing.
+  std::vector<double> values(std::size_t{1} << 17, 0.0);
+  const LaplaceDistribution noise(17.0);
+  Rng rng(9);
+  EXPECT_EQ(AllocationsDuring([&] {
+              noise.AddSamplesTo(values.data(), values.size(), &rng);
+            }),
+            0u);
+  EXPECT_NE(values[0], 0.0);
 }
 
 TEST(BuildAllocationTest, DefaultHBarBuildWorksInOneNodeBuffer) {
