@@ -204,6 +204,11 @@ Result<SessionSummary> RunStreamingSession(std::istream& in,
         "streaming session needs a published snapshot");
   }
   SessionExecutor executor(writer, service, manager);
+  // An input tied to an output (std::cin is tied to std::cout) flushes
+  // that output before every line, one write(2) per line on a pipe; the
+  // loop below flushes before every read that may block, which is all an
+  // interactive reader needs, so the session runs untied.
+  std::ostream* const tied = in.tie(nullptr);
   std::string line;
   std::int64_t line_number = 0;
   while (std::getline(in, line) &&
@@ -212,6 +217,7 @@ Result<SessionSummary> RunStreamingSession(std::istream& in,
     // written in large chunks, an interactive line is answered at once.
     if (in.rdbuf()->in_avail() <= 0) writer.Flush();
   }
+  in.tie(tied);
   // Let any in-flight asynchronous replan land so the transcript ends in
   // a deterministic state, then announce it.
   manager.Drain();

@@ -173,6 +173,8 @@ class SessionExecutor {
 /// buffered (so a REPL line is answered before the next read blocks,
 /// and a piped workload is written in large chunks; a stream synced
 /// with stdio never reports buffered input, so every line flushes).
+/// `in` is untied for the session, so a tied output is not flushed
+/// before every line, and its tie is restored before returning.
 /// Requires a published snapshot (PublishInitial first). The
 /// session holds its own EpochManager subscription, so any number of
 /// concurrent sessions may share one service + manager.

@@ -151,6 +151,36 @@ TEST(EpochManagerTest, EveryNTriggerFiresOnPoll) {
   EXPECT_FALSE(manager.Poll());
 }
 
+TEST(EpochManagerTest, PollWithoutTriggersNeverReplans) {
+  // serve's default sets neither trigger: Poll, which every session line
+  // and QUERY frame calls, must stay quiet however much traffic arrives,
+  // in both sync and async modes.
+  const std::int64_t n = 64;
+  Histogram data = TestData(n);
+  for (const bool async : {false, true}) {
+    QueryService service;
+    EpochManagerOptions options;
+    options.base.strategy = StrategyKind::kHTilde;
+    options.async = async;
+    EpochManager manager(&service, data, options, 7);
+    ASSERT_TRUE(manager.PublishInitial().ok());
+    std::vector<double> answers(n);
+    std::vector<Interval> ranges;
+    for (std::int64_t i = 0; i < n; ++i) ranges.emplace_back(0, i);
+    for (int round = 0; round < 64; ++round) {
+      ASSERT_TRUE(
+          service.TryQueryBatch(ranges.data(), ranges.size(), answers.data())
+              .ok());
+      EXPECT_FALSE(manager.Poll());
+    }
+    manager.Drain();
+    EXPECT_EQ(service.observed_query_count(), 64u * n);
+    EXPECT_EQ(service.current_epoch(), 1u);
+    EXPECT_EQ(manager.stats().republishes, 1u);
+    EXPECT_EQ(manager.stats().drift_checks, 0u);
+  }
+}
+
 TEST(EpochManagerTest, DriftTriggerRepublishesOnlyOnMeasuredDrift) {
   const std::int64_t n = 128;
   Histogram data = TestData(n);

@@ -686,11 +686,14 @@ TEST_F(SessionExecutorTest, StreamingSessionFlushesWhenItsInputIsDrained) {
   std::istringstream in(piped);
   CountingSyncBuf out_buf;
   std::ostream out(&out_buf);
+  // Tied as std::cin is to std::cout; the tie is restored afterwards.
+  in.tie(&out);
   SessionWriter writer(out);
   auto summary = RunStreamingSession(in, writer, service_, manager_);
   ASSERT_TRUE(summary.ok());
   EXPECT_EQ(summary.value().queries, 10000u);
   EXPECT_LE(out_buf.syncs, 2);
+  EXPECT_EQ(in.tie(), &out);
   const std::string piped_out = out_buf.str();
   EXPECT_EQ(std::count(piped_out.begin(), piped_out.end(), '\n'), 10000);
 
