@@ -205,16 +205,19 @@ Result<SessionSummary> RunStreamingSession(std::istream& in,
   }
   SessionExecutor executor(writer, service, manager);
   // An input tied to an output (std::cin is tied to std::cout) flushes
-  // that output before every line, one write(2) per line on a pipe; the
-  // loop below flushes before every read that may block, which is all an
-  // interactive reader needs, so the session runs untied.
+  // that output before every line, one write(2) per line on a pipe, so
+  // the session runs untied and flushes only when `in` has nothing
+  // buffered. That answers a reader who sends whole lines before each
+  // read blocks. A read that leaves part of the next line buffered does
+  // not flush, so a sender that stops mid-line gets the answers to its
+  // earlier lines only once that line completes (or the input ends).
   std::ostream* const tied = in.tie(nullptr);
   std::string line;
   std::int64_t line_number = 0;
   while (std::getline(in, line) &&
          executor.ExecuteLine(line, ++line_number)) {
-    // Flush only before a read that may block: a piped workload is
-    // written in large chunks, an interactive line is answered at once.
+    // Flush only when nothing is buffered: a piped workload is written
+    // in large chunks, an interactive line is answered at once.
     if (in.rdbuf()->in_avail() <= 0) writer.Flush();
   }
   in.tie(tied);

@@ -174,7 +174,9 @@ class SessionExecutor {
 /// and a piped workload is written in large chunks; a stream synced
 /// with stdio never reports buffered input, so every line flushes).
 /// `in` is untied for the session, so a tied output is not flushed
-/// before every line, and its tie is restored before returning.
+/// before every line, and its tie is restored before returning. A
+/// partial line left buffered holds back the answers to the lines
+/// before it until that line completes or the input ends.
 /// Requires a published snapshot (PublishInitial first). The
 /// session holds its own EpochManager subscription, so any number of
 /// concurrent sessions may share one service + manager.

@@ -241,10 +241,10 @@ class QueryService : public RetiredCacheCounters {
   /// One stripe's counters. buckets[b] counts answered queries with
   /// 2^b <= length < 2^(b+1); the read path adds a whole batch's count
   /// per bucket with one relaxed add, and the batch size to `total`, so
-  /// observed_query_count reads one counter per stripe. `total` leads so
-  /// it shares a cache line with its own stripe's short-length buckets,
-  /// not with the next stripe's.
-  struct LengthStripe {
+  /// observed_query_count reads one counter per stripe. A stripe is 64
+  /// counters aligned to 64 bytes, so `total` shares its cache line only
+  /// with its own stripe's short-length buckets.
+  struct alignas(64) LengthStripe {
     std::atomic<std::uint64_t> total{0};
     std::array<std::atomic<std::uint64_t>, kLengthBuckets> buckets{};
   };
