@@ -8,9 +8,8 @@
 // --max-shards). Two timings are recorded, best of --repeats:
 //
 //   plan_seconds        cold ChoosePlan on the recurrence closed forms,
-//   warm_replan_seconds ChoosePlan through a pre-warmed
-//                       IncrementalCostModel after a one-query drift
-//                       (the runtime's replan loop).
+//   warm_replan_seconds ChoosePlan through a pre-warmed CostModel after
+//                       a one-query drift (the runtime's replan loop).
 //
 // The summary's acceptance metric is plan_seconds at the largest domain:
 // the sweep at n = 2^24 must land in microseconds-to-low-milliseconds.
@@ -108,10 +107,10 @@ int main(int argc, char** argv) {
       row.plan_seconds = std::min(row.plan_seconds, elapsed);
     }
 
-    // Warm replan: one-query drift through a pre-warmed incremental
-    // cache, the exact shape of the runtime's replan loop. The drift
-    // reuses every length whose observed weight did not move.
-    planner::IncrementalCostModel cache(n);
+    // Warm replan: one-query drift through a pre-warmed cost model, the
+    // exact shape of the runtime's replan loop. The drift reuses every
+    // length whose observed weight did not move.
+    planner::CostModel cache(n);
     DPHIST_CHECK_MSG(
         planner::ChoosePlan(profile, base, options, &cache).ok(),
         "cache warmup failed");

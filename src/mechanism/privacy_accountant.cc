@@ -75,9 +75,9 @@ Status PrivacyAccountant::ImportLedger(std::vector<Entry> entries) {
         "ImportLedger needs a fresh accountant");
   }
   for (const Entry& entry : entries) {
-    if (entry.epsilon <= 0.0) {
+    if (!std::isfinite(entry.epsilon) || entry.epsilon <= 0.0) {
       return Status::InvalidArgument(
-          "ledger entry with non-positive epsilon");
+          "ledger entry with an epsilon that is not positive and finite");
     }
   }
   ledger_ = std::move(entries);

@@ -73,9 +73,10 @@ class PrivacyAccountant {
   /// what the original accountant computed, bit for bit. Entries are
   /// NOT re-gated against the budget: they describe releases that
   /// already happened — importing a ledger that exceeds the current
-  /// budget simply leaves CanSpend refusing everything. Non-positive
-  /// epsilons are rejected (a ledger that gated its spends can never
-  /// contain one).
+  /// budget simply leaves CanSpend refusing everything. An epsilon that
+  /// is not positive and finite is rejected (a ledger that gated its
+  /// spends can never contain one, and one NaN or infinity would leave
+  /// spent() unusable for good).
   Status ImportLedger(std::vector<Entry> entries);
 
   /// The expenditure ledger in order.

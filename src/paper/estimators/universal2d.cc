@@ -86,7 +86,7 @@ Quad2dTildeEstimator::Quad2dTildeEstimator(const GridHistogram& data,
   nodes_ = EvaluateQuadtreeCounts(quad_, data);
   LaplaceDistribution noise(static_cast<double>(quad_.height()) /
                             options.epsilon);
-  for (double& v : nodes_) v += noise.Sample(rng);
+  noise.AddSamplesTo(nodes_.data(), nodes_.size(), rng);
 }
 
 Result<std::unique_ptr<Quad2dTildeEstimator>> Quad2dTildeEstimator::Create(

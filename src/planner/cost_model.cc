@@ -10,12 +10,13 @@ namespace {
 
 /// Uniform smoothing floor added to every placement's heat share before
 /// normalizing: one bin's worth of uniform traffic. Keeps placements in
-/// regions the observed stream never visited at a small positive weight
+/// regions the workload never visited at a small positive weight
 /// (traffic shifts; a plan must not be blind outside yesterday's hot
 /// spots) while letting real heat dominate.
 constexpr double kPlacementHeatSmoothing =
     1.0 / static_cast<double>(WorkloadProfile::kHeatBins);
 
+/// What costing needs beyond the release gate, which the oracle applies.
 Status ValidateForCosting(const SnapshotOptions& config,
                           const WorkloadProfile& profile,
                           std::int64_t domain_size) {
@@ -29,21 +30,13 @@ Status ValidateForCosting(const SnapshotOptions& config,
   if (profile.empty()) {
     return Status::InvalidArgument("cannot cost an empty workload profile");
   }
-  if (config.epsilon <= 0.0) {
-    return Status::InvalidArgument("epsilon must be positive");
-  }
-  if (config.branching < 2) {
-    return Status::InvalidArgument("branching must be >= 2");
-  }
-  if (config.shards < 1) {
-    return Status::InvalidArgument("shards must be >= 1");
-  }
   return Status::Ok();
 }
 
 /// Builds the candidate's oracle over the linear protocol (the closed
 /// forms' precondition; rounding/pruning only ever shrink error, so the
 /// linear cost ranks configurations as a monotone proxy either way).
+/// Fails on anything CheckReleaseOptions refuses.
 Result<VarianceOracle> MakeOracle(const SnapshotOptions& config,
                                   std::int64_t domain_size) {
   SnapshotOptions linear = config;
@@ -68,7 +61,7 @@ std::int64_t PlacementLo(std::int64_t domain_size, std::int64_t length,
 /// The per-placement variances of one query length, in grid order — the
 /// only part of an evaluation that touches the oracle, and a pure
 /// function of (configuration, length): profile weights and heat never
-/// enter, which is what makes IncrementalCostModel's memo exact.
+/// enter, which is what makes the memo exact.
 std::vector<double> PlacementVariances(const VarianceOracle& oracle,
                                        std::int64_t length) {
   const std::int64_t domain_size = oracle.domain_size();
@@ -85,9 +78,7 @@ std::vector<double> PlacementVariances(const VarianceOracle& oracle,
 /// Folds one length's placement variances into its placement mean:
 /// uniform when the profile has no placement information, otherwise
 /// weighted by the (smoothed) observed traffic share at each placement's
-/// midpoint. Also folds into the running worst-case. Shared verbatim by
-/// CostModel::Evaluate and IncrementalCostModel so a cached re-cost can
-/// never diverge from a from-scratch evaluation.
+/// midpoint. Also folds into the running worst-case.
 double FoldLength(const std::vector<double>& variances,
                   const WorkloadProfile& profile, std::int64_t length,
                   double* worst) {
@@ -121,67 +112,45 @@ CostModel::CostModel(std::int64_t domain_size) : domain_size_(domain_size) {
 }
 
 Result<QueryCost> CostModel::Evaluate(const SnapshotOptions& config,
-                                      const WorkloadProfile& profile) const {
+                                      const WorkloadProfile& profile) {
   Status valid = ValidateForCosting(config, profile, domain_size_);
   if (!valid.ok()) return valid;
-  Result<VarianceOracle> oracle = MakeOracle(config, domain_size_);
-  if (!oracle.ok()) return oracle.status();
-
-  QueryCost cost;
-  double weighted_sum = 0.0;
-  for (const auto& [length, weight] : profile.length_weights()) {
-    const std::vector<double> variances =
-        PlacementVariances(oracle.value(), length);
-    weighted_sum +=
-        weight * FoldLength(variances, profile, length, &cost.worst_variance);
-  }
-  cost.mean_variance = weighted_sum / profile.total_weight();
-  return cost;
-}
-
-IncrementalCostModel::IncrementalCostModel(std::int64_t domain_size)
-    : model_(domain_size) {}
-
-Result<QueryCost> IncrementalCostModel::Evaluate(
-    const SnapshotOptions& config, const WorkloadProfile& profile) {
-  const std::int64_t domain_size = model_.domain_size();
-  Status valid = ValidateForCosting(config, profile, domain_size);
-  if (!valid.ok()) return valid;
-
-  stats_.evaluations += 1;
-  if (!seen_profile_ || profile.length_weights() != last_weights_) {
-    stats_.generation += 1;
-    last_weights_ = profile.length_weights();
-    seen_profile_ = true;
-  }
 
   const CandidateKey key{config.strategy, config.shards, config.branching,
                          config.epsilon};
-  CandidateEntry& entry = candidates_[key];
-  if (entry.oracle == nullptr) {
-    Result<VarianceOracle> oracle = MakeOracle(config, domain_size);
-    if (!oracle.ok()) {
-      candidates_.erase(key);
-      return oracle.status();
-    }
+  auto candidate = candidates_.find(key);
+  if (candidate == candidates_.end()) {
+    // The oracle gates the config before its key enters the memo.
+    Result<VarianceOracle> oracle = MakeOracle(config, domain_size_);
+    if (!oracle.ok()) return oracle.status();
+    CandidateEntry entry;
     entry.oracle =
         std::make_unique<VarianceOracle>(std::move(oracle).value());
+    candidate = candidates_.emplace(key, std::move(entry)).first;
   }
+  CandidateEntry& entry = candidate->second;
 
+  const bool memoize =
+      profile.length_weights().size() <= kMemoizedProfileLengths;
   QueryCost cost;
   double weighted_sum = 0.0;
+  std::vector<double> unkept;
   for (const auto& [length, weight] : profile.length_weights()) {
+    const std::vector<double>* variances = &unkept;
     auto it = entry.lengths.find(length);
-    if (it == entry.lengths.end()) {
-      it = entry.lengths
-               .emplace(length, PlacementVariances(*entry.oracle, length))
-               .first;
-      stats_.lengths_costed += 1;
-    } else {
+    if (it != entry.lengths.end()) {
+      variances = &it->second;
       stats_.lengths_reused += 1;
+    } else {
+      unkept = PlacementVariances(*entry.oracle, length);
+      if (memoize) {
+        variances =
+            &entry.lengths.emplace(length, std::move(unkept)).first->second;
+      }
+      stats_.lengths_costed += 1;
     }
     weighted_sum +=
-        weight * FoldLength(it->second, profile, length, &cost.worst_variance);
+        weight * FoldLength(*variances, profile, length, &cost.worst_variance);
   }
   cost.mean_variance = weighted_sum / profile.total_weight();
   return cost;

@@ -45,14 +45,13 @@ std::vector<std::int64_t> DefaultShardCounts(std::int64_t domain_size,
 Result<Plan> ChoosePlan(const WorkloadProfile& profile,
                         const SnapshotOptions& base,
                         const PlannerOptions& planner_options,
-                        IncrementalCostModel* cost_cache) {
+                        CostModel* model) {
   if (profile.empty()) {
     return Status::InvalidArgument("cannot plan for an empty workload");
   }
-  if (cost_cache != nullptr &&
-      cost_cache->model().domain_size() != profile.domain_size()) {
+  if (model != nullptr && model->domain_size() != profile.domain_size()) {
     return Status::InvalidArgument(
-        "cost cache was built for a different domain");
+        "cost model was built for a different domain");
   }
   std::vector<StrategyKind> strategies = planner_options.strategies;
   if (strategies.empty()) {
@@ -78,7 +77,8 @@ Result<Plan> ChoosePlan(const WorkloadProfile& profile,
     }
   }
 
-  const CostModel model(profile.domain_size());
+  CostModel local(profile.domain_size());
+  if (model == nullptr) model = &local;
   Plan plan;
   plan.candidates.reserve(strategies.size() * shard_counts.size());
   for (StrategyKind kind : strategies) {
@@ -87,10 +87,7 @@ Result<Plan> ChoosePlan(const WorkloadProfile& profile,
       candidate.options = base;
       candidate.options.strategy = kind;
       candidate.options.shards = shards;
-      Result<QueryCost> cost =
-          cost_cache != nullptr
-              ? cost_cache->Evaluate(candidate.options, profile)
-              : model.Evaluate(candidate.options, profile);
+      Result<QueryCost> cost = model->Evaluate(candidate.options, profile);
       // One oracle costs every configuration at every width, so a
       // failure here is the shared base's (epsilon, or a branching too
       // small or too large for the domain), not a quirk of this
@@ -102,10 +99,8 @@ Result<Plan> ChoosePlan(const WorkloadProfile& profile,
     }
   }
 
-  const bool worst = planner_options.minimize_worst_case;
-  auto rank = [worst](const Candidate& c) {
-    return std::make_tuple(worst ? c.worst_variance : c.mean_variance,
-                           StrategyOrder(c.options.strategy),
+  auto rank = [](const Candidate& c) {
+    return std::make_tuple(c.mean_variance, StrategyOrder(c.options.strategy),
                            c.options.shards);
   };
   std::stable_sort(plan.candidates.begin(), plan.candidates.end(),
@@ -121,9 +116,9 @@ Result<Plan> ChoosePlan(const WorkloadProfile& profile,
 
 Result<SnapshotOptions> ResolveAutoStrategy(
     const SnapshotOptions& base, const WorkloadProfile& profile,
-    const PlannerOptions& planner_options, IncrementalCostModel* cost_cache) {
+    const PlannerOptions& planner_options, CostModel* model) {
   if (base.strategy != StrategyKind::kAuto) return base;
-  Result<Plan> plan = ChoosePlan(profile, base, planner_options, cost_cache);
+  Result<Plan> plan = ChoosePlan(profile, base, planner_options, model);
   if (!plan.ok()) return plan.status();
   return plan.value().options;
 }

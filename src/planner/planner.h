@@ -2,7 +2,8 @@
 //
 // The planner enumerates candidate (StrategyKind, shard_count)
 // configurations, costs each against a WorkloadProfile with the
-// closed-form CostModel, and returns the variance-minimizing plan. This
+// closed-form CostModel, and returns the plan with the least mean
+// per-query variance (the worst case is reported beside it). This
 // is the paper's Section 4 variance analysis acting as a query
 // optimizer: unit-count traffic selects L~ (2/eps^2 beats any tree),
 // long-range traffic selects a constrained hierarchy (O(log^3 n / eps^2)
@@ -36,9 +37,6 @@ struct PlannerOptions {
   /// 1, 2, 4, ..., up to min(max_shards, domain size).
   std::vector<std::int64_t> shard_counts;
   std::int64_t max_shards = 64;
-  /// Minimize the worst per-query variance instead of the
-  /// profile-weighted mean.
-  bool minimize_worst_case = false;
 };
 
 /// One evaluated configuration.
@@ -62,30 +60,30 @@ struct Plan {
 
 /// Enumerates candidates around `base` (its epsilon, branching, and
 /// protocol knobs are kept; strategy and shards are replaced by each
-/// candidate's) and returns the cost-minimizing plan for `profile`.
-/// Fails on an empty profile, a kAuto candidate strategy, a shard count
-/// below 1, or an empty shard ladder (max_shards < 1), and on the first
-/// candidate the cost model refuses (a non-positive epsilon or
-/// branching < 2 in `base`, or a branching whose trees would pass 2^31
-/// nodes); that error is returned as is.
+/// candidate's) and returns the plan with the least mean variance for
+/// `profile`. Fails on an empty profile, a kAuto candidate strategy, a
+/// shard count below 1, or an empty shard ladder (max_shards < 1), and
+/// on the first candidate the cost model refuses (an epsilon that is not
+/// positive and finite or a branching < 2 in `base`, or a branching
+/// whose trees would pass 2^31 nodes); that error is returned as is.
 ///
-/// When `cost_cache` is non-null, candidates are costed through it
-/// instead of a fresh CostModel, so repeated plans over a drifting
-/// profile reuse every previously computed (candidate, length) variance
-/// vector — the runtime's replan loop passes its long-lived cache here.
-/// The cache must have been built for the profile's domain (checked).
+/// Candidates are costed through `model` when it is non-null, else
+/// through a model local to the call. The runtime's replan loop passes
+/// its long-lived model, so repeated plans over a drifting profile reuse
+/// every (candidate, length) variance vector it has computed. The model
+/// must have been built for the profile's domain (checked).
 Result<Plan> ChoosePlan(const WorkloadProfile& profile,
                         const SnapshotOptions& base,
                         const PlannerOptions& planner_options = {},
-                        IncrementalCostModel* cost_cache = nullptr);
+                        CostModel* model = nullptr);
 
 /// Resolves StrategyKind::kAuto: when `base.strategy == kAuto`, plans
-/// against `profile` and returns `base` with the chosen strategy and
-/// shard count substituted; otherwise returns `base` unchanged.
+/// against `profile` (through `model`, as ChoosePlan) and returns `base`
+/// with the chosen strategy and shard count substituted; otherwise
+/// returns `base` unchanged.
 Result<SnapshotOptions> ResolveAutoStrategy(
     const SnapshotOptions& base, const WorkloadProfile& profile,
-    const PlannerOptions& planner_options = {},
-    IncrementalCostModel* cost_cache = nullptr);
+    const PlannerOptions& planner_options = {}, CostModel* model = nullptr);
 
 /// Renders the plan as an aligned human-readable table (the `dphist
 /// plan` output): one row per candidate plus the chosen configuration.

@@ -1,6 +1,7 @@
 #include "planner/workload_profile.h"
 
-#include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "common/check.h"
 
@@ -15,17 +16,12 @@ WorkloadProfile::WorkloadProfile(std::int64_t domain_size)
 }
 
 void WorkloadProfile::AddQuery(const Interval& query) {
-  AddQueryWeighted(query, 1.0);
-}
-
-void WorkloadProfile::AddQueryWeighted(const Interval& query,
-                                       double weight) {
   DPHIST_CHECK_MSG(query.lo() >= 0 && query.hi() < domain_size_,
                    "query outside the profile's domain");
-  AddLength(query.Length(), weight);
+  AddLength(query.Length());
   const std::int64_t midpoint = query.lo() + (query.hi() - query.lo()) / 2;
-  heat_[HeatBin(midpoint)] += weight;
-  heat_weight_ += weight;
+  heat_[HeatBin(midpoint)] += 1.0;
+  heat_weight_ += 1.0;
 }
 
 std::size_t WorkloadProfile::HeatBin(std::int64_t position) const {
@@ -68,69 +64,27 @@ Result<WorkloadProfile> WorkloadProfile::Restore(
       return Status::InvalidArgument(
           "persisted profile length outside [1, domain_size]");
     }
-    if (weight <= 0.0) {
+    if (!std::isfinite(weight) || weight <= 0.0) {
       return Status::InvalidArgument(
-          "persisted profile weight must be positive");
+          "persisted profile weight must be positive and finite");
     }
     profile.total_weight_ += weight;
   }
   profile.lengths_ = std::move(lengths);
   for (double bin : heat) {
-    if (bin < 0.0) {
-      return Status::InvalidArgument("persisted heat bin must be >= 0");
+    if (!std::isfinite(bin) || bin < 0.0) {
+      return Status::InvalidArgument(
+          "persisted heat bin must be finite and >= 0");
     }
     profile.heat_weight_ += bin;
   }
+  if (!std::isfinite(profile.total_weight_) ||
+      !std::isfinite(profile.heat_weight_)) {
+    return Status::InvalidArgument(
+        "persisted profile weights must sum to a finite total");
+  }
   profile.heat_ = heat;
   return profile;
-}
-
-namespace {
-
-/// splitmix64 finalizer: the deterministic replacement stream behind
-/// QueryReservoir (no RNG object to seed or thread through).
-std::uint64_t MixCount(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
-QueryReservoir::QueryReservoir(std::size_t capacity) : capacity_(capacity) {
-  sample_.reserve(capacity_);
-}
-
-void QueryReservoir::Observe(const Interval& query) {
-  ++seen_;
-  if (sample_.size() < capacity_) {
-    sample_.push_back(query);  // within reserved capacity: no allocation
-    return;
-  }
-  if (capacity_ == 0) return;
-  // Algorithm R: admit the t-th query with probability capacity/t by
-  // drawing a pseudo-uniform slot in [0, t) and keeping it only when the
-  // slot lands inside the reservoir.
-  const std::uint64_t slot = MixCount(seen_) % seen_;
-  if (slot < capacity_) {
-    sample_[static_cast<std::size_t>(slot)] = query;
-  }
-}
-
-void QueryReservoir::AddTo(WorkloadProfile* profile) const {
-  if (sample_.empty()) return;
-  const double weight = static_cast<double>(seen_) /
-                        static_cast<double>(sample_.size());
-  const std::int64_t max_position = profile->domain_size() - 1;
-  for (const Interval& query : sample_) {
-    // Clamp to the profile's domain (a reservoir can outlive a domain
-    // change in tests); in-domain queries pass through untouched, so the
-    // profile keeps their exact lengths AND placements.
-    const Interval clipped(std::min(query.lo(), max_position),
-                           std::min(query.hi(), max_position));
-    profile->AddQueryWeighted(clipped, weight);
-  }
 }
 
 }  // namespace dphist::planner

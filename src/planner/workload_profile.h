@@ -9,11 +9,15 @@
 // needs: how often each query *length* occurs. (Within a length the
 // cost model averages over placements, so positions need not be kept.)
 //
-// Profiles come from three places:
+// Profiles come from four places:
 //   - the ranges of a workload file (AddQuery over what the session
-//     parser read for `serve --queries` and `plan --queries`),
-//   - observed QueryService traffic (log2-bucketed, lock-free counters),
-//   - an explicit prior (AddLength) when neither exists yet.
+//     parser read for `serve --queries` and `plan --queries`), the only
+//     source of position heat,
+//   - observed QueryService traffic (log2-bucketed, lock-free counters:
+//     one representative length per bucket, no positions),
+//   - a state directory's persisted profile (Restore), which replans
+//     use after a restart until fresh traffic arrives,
+//   - the neutral prior (GeometricSweep) when none of those exists.
 
 #ifndef DPHIST_PLANNER_WORKLOAD_PROFILE_H_
 #define DPHIST_PLANNER_WORKLOAD_PROFILE_H_
@@ -21,7 +25,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <vector>
 
 #include "common/status.h"
 #include "domain/interval.h"
@@ -41,14 +44,9 @@ class WorkloadProfile {
 
   explicit WorkloadProfile(std::int64_t domain_size);
 
-  /// Records one observed query (weight 1), including its midpoint in
-  /// the position heat.
+  /// Records one placed query (weight 1), including its midpoint in the
+  /// position heat.
   void AddQuery(const Interval& query);
-
-  /// Records `weight` queries shaped like `query` (same length, same
-  /// midpoint heat). The reservoir export path, where one retained
-  /// sample stands for seen/|sample| observed queries.
-  void AddQueryWeighted(const Interval& query, double weight);
 
   /// Records `weight` queries of the given length with *unknown*
   /// placement (contributes no heat). Checked:
@@ -62,7 +60,8 @@ class WorkloadProfile {
   /// Rebuilds a profile from its persisted summary (the length_weights
   /// map plus the raw position-heat bins); total and heat weights are
   /// recomputed as the plain sums of what is restored. Rejects lengths
-  /// outside [1, domain_size], non-positive weights, and negative heat.
+  /// outside [1, domain_size], weights that are not positive and finite,
+  /// heat that is negative or not finite, and sums that overflow.
   static Result<WorkloadProfile> Restore(
       std::int64_t domain_size, std::map<std::int64_t, double> lengths,
       const std::array<double, kHeatBins>& heat);
@@ -77,9 +76,9 @@ class WorkloadProfile {
   }
 
   /// True when at least one query carried placement information (via
-  /// AddQuery/AddQueryWeighted). False for pure-length profiles
-  /// (AddLength, GeometricSweep, the service's bucketed counters),
-  /// where the cost model falls back to uniform placement weighting.
+  /// AddQuery). False for pure-length profiles (AddLength,
+  /// GeometricSweep, the service's bucketed counters), where the cost
+  /// model falls back to uniform placement weighting.
   bool has_position_heat() const { return heat_weight_ > 0.0; }
 
   /// Fraction of the placed-query weight whose midpoint landed in the
@@ -104,53 +103,6 @@ class WorkloadProfile {
   double heat_weight_ = 0.0;
   std::map<std::int64_t, double> lengths_;
   std::array<double, kHeatBins> heat_{};
-};
-
-/// Fixed-capacity uniform sample of observed queries (Algorithm R).
-///
-/// The service's lock-free traffic counters bucket query lengths at
-/// powers of two, so a replan from observation can differ from a replan
-/// given the raw workload (a stream of length-3 queries is profiled as
-/// its bucket representative, length 2). A reservoir keeps raw (lo, hi)
-/// pairs: when every observed query fits the capacity the sample IS the
-/// workload and replanning from it matches replanning from the file
-/// exactly; beyond capacity it stays a uniform sample, still
-/// length-exact on what it kept.
-///
-/// Replacement uses a deterministic splitmix64 stream over the running
-/// count, so a single-threaded observation sequence always yields the
-/// same sample. Observe never allocates after construction. Not
-/// thread-safe — concurrent callers shard reservoirs and merge via
-/// AddTo (QueryService does).
-class QueryReservoir {
- public:
-  explicit QueryReservoir(std::size_t capacity);
-
-  /// Records one query: kept outright while the reservoir has room,
-  /// afterwards admitted with probability capacity/seen, replacing a
-  /// pseudo-uniformly chosen resident.
-  void Observe(const Interval& query);
-
-  /// Queries observed (not the number retained).
-  std::uint64_t seen() const { return seen_; }
-
-  std::size_t capacity() const { return capacity_; }
-  bool empty() const { return sample_.empty(); }
-  const std::vector<Interval>& sample() const { return sample_; }
-
-  /// Folds the sample into `profile` at the queries' exact lengths and
-  /// placements (clamped to the profile's domain), weighting each
-  /// retained query by seen/|sample| so the contributed total weight
-  /// equals the observed count — an unbiased length histogram of the
-  /// underlying stream. Because the reservoir keeps raw (lo, hi) pairs,
-  /// this also populates the profile's position heat, which the cost
-  /// model uses to weight placements by where traffic actually lands.
-  void AddTo(WorkloadProfile* profile) const;
-
- private:
-  std::size_t capacity_;
-  std::uint64_t seen_ = 0;
-  std::vector<Interval> sample_;
 };
 
 }  // namespace dphist::planner

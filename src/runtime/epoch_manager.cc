@@ -32,7 +32,7 @@ EpochManager::EpochManager(QueryService* service, Histogram data,
     : service_(service),
       data_(std::move(data)),
       options_(options),
-      cost_cache_(data_.size()),
+      cost_model_(data_.size()),
       accountant_(options.epsilon_budget > 0.0
                       ? options.epsilon_budget
                       : std::numeric_limits<double>::infinity()),
@@ -175,17 +175,9 @@ Result<ReplanOutcome> EpochManager::PublishInitial(
   const planner::WorkloadProfile* persist_profile = profile;
   std::optional<planner::WorkloadProfile> planning;
   if (options_.base.strategy == StrategyKind::kAuto) {
-    planning = (profile != nullptr && !profile->empty())
-                   ? *profile
-                   : service_->ObservedWorkload(data_.size());
-    if (planning->empty() && recovered_profile_.has_value()) {
-      planning = *recovered_profile_;
-    }
-    if (planning->empty()) {
-      planning = planner::WorkloadProfile::GeometricSweep(data_.size());
-    }
+    planning = PlanningProfile(profile);
     Result<planner::Plan> plan = planner::ChoosePlan(
-        *planning, options_.base, options_.planner, &cost_cache_);
+        *planning, options_.base, options_.planner, &cost_model_);
     if (!plan.ok()) {
       ReleaseBusy();
       return plan.status();
@@ -277,22 +269,27 @@ Result<ReplanOutcome> EpochManager::Recover() {
   return outcome;
 }
 
+planner::WorkloadProfile EpochManager::PlanningProfile(
+    const planner::WorkloadProfile* given) const {
+  if (given != nullptr && !given->empty()) return *given;
+  planner::WorkloadProfile observed =
+      service_->ObservedWorkload(data_.size());
+  if (!observed.empty()) return observed;
+  // Fresh restart, no traffic yet: plan against the profile the crashed
+  // process persisted rather than a blind prior.
+  if (recovered_profile_.has_value() && !recovered_profile_->empty()) {
+    return *recovered_profile_;
+  }
+  return planner::WorkloadProfile::GeometricSweep(data_.size());
+}
+
 ReplanOutcome EpochManager::ExecuteReplan(ReplanTrigger trigger) {
   ReplanOutcome outcome;
   outcome.trigger = trigger;
 
-  planner::WorkloadProfile profile =
-      service_->ObservedWorkload(data_.size());
-  if (profile.empty() && recovered_profile_.has_value()) {
-    // Fresh restart, no traffic yet: plan against the profile the
-    // crashed process persisted rather than a blind prior.
-    profile = *recovered_profile_;
-  }
-  if (profile.empty()) {
-    profile = planner::WorkloadProfile::GeometricSweep(data_.size());
-  }
+  const planner::WorkloadProfile profile = PlanningProfile(nullptr);
   Result<planner::Plan> plan = planner::ChoosePlan(
-      profile, options_.base, options_.planner, &cost_cache_);
+      profile, options_.base, options_.planner, &cost_model_);
   if (!plan.ok()) {
     outcome.status = plan.status();
     return outcome;
@@ -316,7 +313,7 @@ ReplanOutcome EpochManager::ExecuteReplan(ReplanTrigger trigger) {
     // Snapshot::Build and Restore refuse every configuration the cost
     // model would, so the live release is always costable.
     Result<planner::QueryCost> current_cost =
-        cost_cache_.Evaluate(current->options(), profile);
+        cost_model_.Evaluate(current->options(), profile);
     if (!current_cost.ok()) {
       outcome.status = current_cost.status();
       return outcome;
@@ -392,9 +389,7 @@ bool EpochManager::PollTriggerLocked(ReplanTrigger* trigger) {
     return true;
   }
   if (options_.drift_ratio > 0.0 &&
-      count - count_at_last_drift_check_ >=
-          static_cast<std::uint64_t>(
-              std::max<std::int64_t>(1, options_.drift_check_every))) {
+      count - count_at_last_drift_check_ >= kDriftCheckEvery) {
     *trigger = ReplanTrigger::kDrift;
     return true;
   }

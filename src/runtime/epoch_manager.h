@@ -8,13 +8,20 @@
 //   every-N   an automatic republish every `replan_every` observed
 //             queries (unconditional — a standing re-publication
 //             schedule);
-//   drift     every `drift_check_every` queries the manager re-runs
+//   drift     every kDriftCheckEvery (256) queries the manager re-runs
 //             ChoosePlan on the exported profile and compares the
 //             current release's predicted MSE against the best
 //             candidate's; a ratio of at least 1 + drift_ratio
 //             republishes, anything less is recorded as a drift check
 //             and costs no privacy;
 //   manual    ReplanNow() — the REPL `replan` command.
+//
+// Every plan is made for one profile, chosen by one rule: the traffic
+// given to PublishInitial, else the service's observed traffic, else
+// the profile recovered from the store, else a neutral geometric sweep.
+// Every plan and drift check costs its candidates through one
+// long-lived planner::CostModel, so a replan re-runs the closed forms
+// only for lengths it has not costed before.
 //
 // A replan runs off the serving thread (options.async): the worker
 // exports the profile, runs ChoosePlan, builds the snapshot, and the
@@ -73,10 +80,9 @@ struct EpochManagerOptions {
   /// 0 disables the every-N trigger.
   std::int64_t replan_every = 0;
   /// Republish when predicted-MSE(current) / predicted-MSE(best) is at
-  /// least 1 + drift_ratio; 0 disables the drift trigger.
+  /// least 1 + drift_ratio, checked every EpochManager::kDriftCheckEvery
+  /// observed queries; 0 disables the drift trigger.
   double drift_ratio = 0.0;
-  /// Observed queries between drift evaluations.
-  std::int64_t drift_check_every = 256;
   /// Run triggered replans on the manager's worker thread (readers and
   /// the serving loop never wait on a build). False makes every replan
   /// synchronous — deterministic transcripts for scripted sessions.
@@ -121,6 +127,8 @@ class EpochManager {
   /// Outcomes queued per subscriber before the oldest is dropped (a
   /// session that never polls must not pin every old snapshot alive).
   static constexpr std::size_t kMaxQueuedPerSubscriber = 64;
+  /// Observed queries between drift evaluations.
+  static constexpr std::uint64_t kDriftCheckEvery = 256;
 
   /// Keeps a copy of `data` (replans rebuild from it) and spends from
   /// a deterministic seed stream derived from `seed`.
@@ -134,11 +142,11 @@ class EpochManager {
   EpochManager& operator=(const EpochManager&) = delete;
 
   /// First publish (synchronous). With base.strategy == kAuto, plans
-  /// against `profile` when given and non-empty, else the service's
-  /// observed traffic, else a neutral geometric sweep. Serialized
-  /// through the same busy token replans hold, so the budget check and
-  /// the spend are atomic against concurrent replans; an exhausted
-  /// budget is a graceful FailedPrecondition, never an abort.
+  /// against `profile` when given and non-empty, else by the rule every
+  /// replan follows (see the header comment). Serialized through the
+  /// same busy token replans hold, so the budget check and the spend are
+  /// atomic against concurrent replans; an exhausted budget is a
+  /// graceful FailedPrecondition, never an abort.
   Result<ReplanOutcome> PublishInitial(
       const planner::WorkloadProfile* profile = nullptr);
 
@@ -226,6 +234,12 @@ class EpochManager {
   ReplanOutcome ExecuteReplan(ReplanTrigger trigger)
       DPHIST_REQUIRES(busy_cap_);
 
+  /// The header comment's profile rule: `given` when non-null and
+  /// non-empty, else the observed traffic, else the recovered profile,
+  /// else the geometric sweep.
+  planner::WorkloadProfile PlanningProfile(
+      const planner::WorkloadProfile* given) const DPHIST_REQUIRES(busy_cap_);
+
   /// The spend-before-publish core shared by PublishInitial and
   /// ExecuteReplan (busy token held, mutex_ not). In order: budget gate
   /// + seed draw + in-memory charge (atomic under mutex_), durable WAL
@@ -294,11 +308,11 @@ class EpochManager {
   /// class here was an early return that left busy_ stuck).
   PhantomCapability busy_cap_;
 
-  /// Long-lived incremental cost cache shared by every plan and drift
-  /// evaluation this manager runs. Guarded by the busy token, not
-  /// mutex_: only the token holder may touch it, and holding the token
-  /// never requires holding the mutex.
-  planner::IncrementalCostModel cost_cache_ DPHIST_GUARDED_BY(busy_cap_);
+  /// The cost model every plan and drift evaluation of this manager
+  /// shares, so its memo outlives each replan. Guarded by the busy
+  /// token, not mutex_: only the token holder may touch it, and holding
+  /// the token never requires holding the mutex.
+  planner::CostModel cost_model_ DPHIST_GUARDED_BY(busy_cap_);
 
   mutable Mutex mutex_;
   CondVar work_cv_;  // wakes the worker

@@ -13,21 +13,6 @@
 
 namespace dphist {
 
-QueryService::QueryService(const QueryServiceOptions& options) {
-  if (options.observed_reservoir > 0) {
-    // Spread the capacity over the stripes (ceil, so it is never lost to
-    // rounding); each stripe samples its own sub-stream and
-    // ObservedWorkload merges them with per-stripe weights.
-    const std::size_t per_stripe =
-        (static_cast<std::size_t>(options.observed_reservoir) +
-         kLengthStripes - 1) /
-        kLengthStripes;
-    for (auto& stripe : reservoirs_) {
-      stripe = std::make_unique<ReservoirStripe>(per_stripe);
-    }
-  }
-}
-
 Result<QueryService::PendingPublish> QueryService::BuildForPublish(
     const Histogram& data, const SnapshotOptions& options,
     std::uint64_t seed) {
@@ -166,14 +151,6 @@ std::uint64_t QueryService::QueryBatchOn(const Snapshot& snap,
                                      std::memory_order_relaxed);
   }
   stripe.total.fetch_add(count, std::memory_order_relaxed);
-  if (reservoirs_[stripe_index] != nullptr) {
-    // Optional exact-length sampling (one short lock per batch): keeps
-    // raw (lo, hi) pairs so a replan from observation can match a
-    // replan from the raw workload instead of bucket midpoints.
-    ReservoirStripe& res = *reservoirs_[stripe_index];
-    MutexLock lock(res.mutex);
-    for (std::size_t i = 0; i < count; ++i) res.reservoir.Observe(ranges[i]);
-  }
   // Planned releases answer any range as a prefix difference in one
   // columnar engine pass; walker releases (H~, round+prune H-bar) sum at
   // most 2(k-1) log_k n tree nodes per range. Neither allocates.
@@ -188,18 +165,6 @@ std::uint64_t QueryService::QueryBatchOn(const Snapshot& snap,
 planner::WorkloadProfile QueryService::ObservedWorkload(
     std::int64_t domain_size) const {
   planner::WorkloadProfile profile(domain_size);
-  if (reservoirs_[0] != nullptr) {
-    // Exact-length path: merge the per-stripe reservoirs. Each stripe
-    // contributes its sample weighted by its own seen/|sample|, so the
-    // merged profile is an unbiased length histogram of the full stream.
-    for (const auto& stripe : reservoirs_) {
-      MutexLock lock(stripe->mutex);
-      stripe->reservoir.AddTo(&profile);
-    }
-    if (!profile.empty()) return profile;
-    // Nothing sampled yet — fall through to the bucketed counters
-    // (always empty too in that case, returning an empty profile).
-  }
   for (std::size_t b = 0; b < kLengthBuckets; ++b) {
     std::uint64_t seen = 0;
     for (std::size_t s = 0; s < kLengthStripes; ++s) {

@@ -20,7 +20,9 @@
 // A publish carries a resolved strategy. StrategyKind::kAuto is resolved
 // in one place, the EpochManager (runtime/epoch_manager.h), which plans
 // against the lock-free log2-bucketed histogram of every query length
-// this service has answered (ObservedWorkload).
+// this service has answered (ObservedWorkload). Those buckets are the
+// service's one record of its traffic: each stands for one
+// representative length, and no range positions are kept.
 //
 // Lifetime: readers hold a shared_ptr to the snapshot for the duration
 // of a batch; a replaced snapshot is destroyed when its last in-flight
@@ -71,20 +73,14 @@ class RetiredCacheCounters {
 // ---- end of the retired surface -----------------------------------------
 
 /// Serving-side knobs (the per-release knobs live in SnapshotOptions).
-struct QueryServiceOptions : RetiredServiceOptions {
-  /// Capacity of the exact-length query reservoir sampled from answered
-  /// traffic (spread over the counter stripes). 0 disables it: the
-  /// observed profile then only knows log2-bucketed lengths, and a
-  /// replan from observation can differ from one given the raw workload
-  /// (see planner::QueryReservoir). Enabling it adds one short
-  /// mutex-protected reservoir update per answered query.
-  std::int64_t observed_reservoir = 0;
-};
+/// Only the retired fields above remain.
+struct QueryServiceOptions : RetiredServiceOptions {};
 
 /// Concurrent range-count server over atomically swappable snapshots.
 class QueryService : public RetiredCacheCounters {
  public:
-  explicit QueryService(const QueryServiceOptions& options = {});
+  /// The options hold only the retired fields, which are ignored.
+  explicit QueryService(const QueryServiceOptions& /*options*/ = {}) {}
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
@@ -249,15 +245,6 @@ class QueryService : public RetiredCacheCounters {
     std::array<std::atomic<std::uint64_t>, kLengthBuckets> buckets{};
   };
   mutable std::array<LengthStripe, kLengthStripes> observed_lengths_{};
-  /// Optional exact-length sampling beside the buckets: one reservoir
-  /// per counter stripe (same stripe selection), each behind its own
-  /// mutex so concurrent readers rarely contend. Null when disabled.
-  struct ReservoirStripe {
-    Mutex mutex;
-    planner::QueryReservoir reservoir DPHIST_GUARDED_BY(mutex);
-    explicit ReservoirStripe(std::size_t capacity) : reservoir(capacity) {}
-  };
-  std::array<std::unique_ptr<ReservoirStripe>, kLengthStripes> reservoirs_;
 };
 
 }  // namespace dphist

@@ -1,6 +1,7 @@
 #include "service/snapshot.h"
 
 #include <algorithm>
+#include <cmath>
 #include <string>
 #include <utility>
 
@@ -121,6 +122,9 @@ Status CheckReleaseOptions(const SnapshotOptions& options,
                            std::int64_t domain_size) {
   if (options.epsilon <= 0.0) {
     return Status::InvalidArgument("epsilon must be positive");
+  }
+  if (!std::isfinite(options.epsilon)) {
+    return Status::InvalidArgument("epsilon must be finite");
   }
   if (options.branching < 2) {
     return Status::InvalidArgument("branching must be >= 2");

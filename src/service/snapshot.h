@@ -83,8 +83,9 @@ struct SnapshotOptions {
 /// The one release-options gate. Snapshot::Build and Snapshot::Restore
 /// apply it, and the planner's oracle and the serve, plan and
 /// release-universal commands call it before they plan, open a state
-/// directory or write anything. Refuses, as an InvalidArgument,
-/// non-positive epsilon, branching < 2, shards < 1, an empty domain, and,
+/// directory or write anything. Refuses, as an InvalidArgument, an
+/// epsilon that is not positive and finite (NaN included), branching < 2,
+/// shards < 1, an empty domain, and,
 /// for H~, H-bar and an unresolved kAuto, a release whose shard trees,
 /// padded as TreeLayout pads them, would hold more than 2^31 nodes in
 /// all (counted without allocating or overflowing). kAuto itself passes:

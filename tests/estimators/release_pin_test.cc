@@ -220,6 +220,42 @@ TEST(ReleasePinTest, Quad2dBarBuildsAreBitIdentical) {
   }
 }
 
+TEST(ReleasePinTest, Quad2dTildeBuildsAreBitIdentical) {
+  // Recorded from the build that drew each node's noise with its own
+  // Sample call. The answers pin the rectangle decomposition and the
+  // rounding on top of the nodes; the next word pins how many draws the
+  // build took.
+  const std::int64_t shapes[3][2] = {{1, 1}, {5, 9}, {200, 130}};
+  const std::uint32_t expected[] = {0xe18c4b98, 0x93cd9d24, 0x5fed1365};
+  for (std::size_t s = 0; s < 3; ++s) {
+    const std::int64_t rows = shapes[s][0];
+    const std::int64_t cols = shapes[s][1];
+    Rng data_rng(77u + static_cast<std::uint64_t>(s));
+    const GridHistogram data = GridHistogram::FromCounts(
+        rows, cols, ZipfCounts(rows * cols, 1.1, 3 * rows * cols, &data_rng));
+    Pin pin;
+    for (const BuildSeed& build : kSeeds) {
+      for (const bool round : {false, true}) {
+        Universal2dOptions options;
+        options.epsilon = build.epsilon;
+        options.round_to_nonnegative_integers = round;
+        Rng rng(build.seed);
+        const Quad2dTildeEstimator est(data, options, &rng);
+        pin.Add(est.node_answers());
+        std::vector<double> answers;
+        for (std::int64_t r = 0; r < rows; r += 1 + rows / 8) {
+          for (std::int64_t c = 0; c < cols; c += 1 + cols / 8) {
+            answers.push_back(est.RectCount(Rect(r / 2, r, c / 3, c)));
+          }
+        }
+        pin.Add(answers);
+        pin.Add(static_cast<std::uint64_t>(rng.engine()()));
+      }
+    }
+    EXPECT_EQ(pin.crc(), expected[s]) << rows << "x" << cols;
+  }
+}
+
 TEST(ReleasePinTest, InferenceVectorsAreBitIdentical) {
   const std::int64_t shapes[2][2] = {{100, 3}, {1000, 2}};
   const std::uint32_t expected[] = {0x6dd1deb3, 0x07fd8895};

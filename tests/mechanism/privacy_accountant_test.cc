@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace dphist {
 namespace {
 
@@ -136,6 +138,14 @@ TEST(PrivacyAccountantTest, ImportRequiresEmptyAccountantAndValidEntries) {
   PrivacyAccountant accountant(1.0);
   EXPECT_FALSE(accountant.ImportLedger({{-0.1, "negative"}}).ok());
   EXPECT_FALSE(accountant.ImportLedger({{0.0, "zero"}}).ok());
+  // One NaN or infinite entry would leave spent() NaN or +inf for good,
+  // so CanSpend would refuse every later spend, however large the budget.
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    PrivacyAccountant fresh(std::numeric_limits<double>::infinity());
+    EXPECT_FALSE(fresh.ImportLedger({{0.5, "publish"}, {bad, "replan"}}).ok())
+        << bad;
+  }
   EXPECT_TRUE(accountant.Spend(0.1, "a").ok());
   EXPECT_FALSE(accountant.ImportLedger({{0.1, "b"}}).ok());
 }

@@ -208,13 +208,12 @@ TEST(CostModelTest, PositionHeatReweightsPlacements) {
                    uniform_cost.value().worst_variance);
 }
 
-TEST(IncrementalCostModelTest, CachedRecostEqualsFromScratchBitForBit) {
-  // The contract that makes the cache safe to trust: an incremental
-  // re-evaluation over memoized placement variances must equal a fresh
-  // CostModel::Evaluate exactly — no tolerance.
+TEST(CostModelTest, CachedRecostEqualsFromScratchBitForBit) {
+  // The contract that makes the memo safe to trust: a warm model's
+  // re-evaluation over memoized placement variances must equal a cold
+  // model's first evaluation exactly — no tolerance.
   const std::int64_t n = 128;
-  IncrementalCostModel cache(n);
-  CostModel fresh(n);
+  CostModel warm(n);
 
   WorkloadProfile first(n);
   first.AddQuery(Interval(0, 0));
@@ -234,8 +233,9 @@ TEST(IncrementalCostModelTest, CachedRecostEqualsFromScratchBitForBit) {
     for (std::int64_t shards : {1, 4}) {
       const SnapshotOptions config = LinearOptions(kind, 1.0, shards);
       for (const WorkloadProfile* profile : {&first, &drifted}) {
-        auto cached = cache.Evaluate(config, *profile);
-        auto scratch = fresh.Evaluate(config, *profile);
+        CostModel cold(n);
+        auto cached = warm.Evaluate(config, *profile);
+        auto scratch = cold.Evaluate(config, *profile);
         ASSERT_TRUE(cached.ok());
         ASSERT_TRUE(scratch.ok());
         EXPECT_EQ(cached.value().mean_variance,
@@ -248,49 +248,77 @@ TEST(IncrementalCostModelTest, CachedRecostEqualsFromScratchBitForBit) {
     }
   }
   // Second pass over `drifted` for every candidate: all lengths reused.
-  const auto before = cache.stats();
+  const auto before = warm.stats();
   for (StrategyKind kind :
        {StrategyKind::kLTilde, StrategyKind::kHTilde, StrategyKind::kHBar,
         StrategyKind::kWavelet}) {
     for (std::int64_t shards : {1, 4}) {
-      auto cached = cache.Evaluate(LinearOptions(kind, 1.0, shards), drifted);
+      auto cached = warm.Evaluate(LinearOptions(kind, 1.0, shards), drifted);
       ASSERT_TRUE(cached.ok());
     }
   }
-  const auto after = cache.stats();
+  const auto after = warm.stats();
   EXPECT_EQ(after.lengths_costed, before.lengths_costed);
   EXPECT_GT(after.lengths_reused, before.lengths_reused);
 }
 
-TEST(IncrementalCostModelTest, ReusesCachedLengthsAndBumpsGeneration) {
+TEST(CostModelTest, ReusesMemoizedLengths) {
   const std::int64_t n = 64;
-  IncrementalCostModel cache(n);
+  CostModel model(n);
   const SnapshotOptions config = LinearOptions(StrategyKind::kHBar);
 
   WorkloadProfile profile(n);
   profile.AddLength(4);
   profile.AddLength(16);
-  ASSERT_TRUE(cache.Evaluate(config, profile).ok());
-  EXPECT_EQ(cache.stats().lengths_costed, 2u);
-  EXPECT_EQ(cache.stats().lengths_reused, 0u);
-  EXPECT_EQ(cache.stats().generation, 1u);
+  ASSERT_TRUE(model.Evaluate(config, profile).ok());
+  EXPECT_EQ(model.stats().lengths_costed, 2u);
+  EXPECT_EQ(model.stats().lengths_reused, 0u);
 
-  // Same weights: same generation; every length served from the memo.
-  ASSERT_TRUE(cache.Evaluate(config, profile).ok());
-  EXPECT_EQ(cache.stats().lengths_costed, 2u);
-  EXPECT_EQ(cache.stats().lengths_reused, 2u);
-  EXPECT_EQ(cache.stats().generation, 1u);
+  // Same profile: every length served from the memo.
+  ASSERT_TRUE(model.Evaluate(config, profile).ok());
+  EXPECT_EQ(model.stats().lengths_costed, 2u);
+  EXPECT_EQ(model.stats().lengths_reused, 2u);
 
-  // Weight moves on a known length: new generation, still no oracle
-  // work; only a never-seen length runs the oracle.
+  // Weight moves on a known length: still no oracle work; only a
+  // never-seen length runs the oracle.
   profile.AddLength(4, 2.0);
-  ASSERT_TRUE(cache.Evaluate(config, profile).ok());
-  EXPECT_EQ(cache.stats().generation, 2u);
-  EXPECT_EQ(cache.stats().lengths_costed, 2u);
+  ASSERT_TRUE(model.Evaluate(config, profile).ok());
+  EXPECT_EQ(model.stats().lengths_costed, 2u);
   profile.AddLength(32);
-  ASSERT_TRUE(cache.Evaluate(config, profile).ok());
-  EXPECT_EQ(cache.stats().generation, 3u);
-  EXPECT_EQ(cache.stats().lengths_costed, 3u);
+  ASSERT_TRUE(model.Evaluate(config, profile).ok());
+  EXPECT_EQ(model.stats().lengths_costed, 3u);
+}
+
+TEST(CostModelTest, WideProfilesAreCostedWithoutBeingKept) {
+  // A profile with more distinct lengths than an observed one can hold
+  // (a workload file's exact lengths) is costed the same way, but none
+  // of its lengths enter the memo.
+  const std::int64_t n = 256;
+  CostModel model(n);
+  const SnapshotOptions config = LinearOptions(StrategyKind::kHBar);
+  const auto wide_lengths =
+      static_cast<std::int64_t>(CostModel::kMemoizedProfileLengths) + 1;
+  WorkloadProfile wide(n);
+  for (std::int64_t length = 1; length <= wide_lengths; ++length) {
+    wide.AddLength(length);
+  }
+  auto first = model.Evaluate(config, wide);
+  auto second = model.Evaluate(config, wide);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(first.value().mean_variance, second.value().mean_variance);
+  EXPECT_EQ(model.stats().lengths_costed,
+            2 * static_cast<std::uint64_t>(wide_lengths));
+  EXPECT_EQ(model.stats().lengths_reused, 0u);
+
+  // A narrow profile over the same model is memoized as usual.
+  WorkloadProfile narrow(n);
+  narrow.AddLength(3);
+  ASSERT_TRUE(model.Evaluate(config, narrow).ok());
+  ASSERT_TRUE(model.Evaluate(config, narrow).ok());
+  EXPECT_EQ(model.stats().lengths_costed,
+            2 * static_cast<std::uint64_t>(wide_lengths) + 1);
+  EXPECT_EQ(model.stats().lengths_reused, 1u);
 }
 
 TEST(CostModelTest, RejectsAutoEmptyProfilesAndBadConfigs) {
@@ -309,6 +337,11 @@ TEST(CostModelTest, RejectsAutoEmptyProfilesAndBadConfigs) {
   EXPECT_FALSE(
       model.Evaluate(LinearOptions(StrategyKind::kLTilde, -1.0), profile)
           .ok());
+  // A refused config leaves nothing in the memo: the valid one after it
+  // still runs the oracle once.
+  ASSERT_TRUE(
+      model.Evaluate(LinearOptions(StrategyKind::kLTilde), profile).ok());
+  EXPECT_EQ(model.stats().lengths_costed, 1u);
 }
 
 }  // namespace

@@ -97,23 +97,6 @@ TEST(PlannerTest, CandidatesAreSortedBestFirstAndChosenIsMinimal) {
   }
 }
 
-TEST(PlannerTest, WorstCaseObjectiveChangesTheRanking) {
-  WorkloadProfile profile(64);
-  profile.AddLength(1, 1000.0);  // the mean is dominated by units...
-  profile.AddLength(64);         // ...but the worst case by the full range
-  PlannerOptions mean_objective;
-  mean_objective.strategies = {StrategyKind::kLTilde, StrategyKind::kHBar};
-  PlannerOptions worst_objective = mean_objective;
-  worst_objective.minimize_worst_case = true;
-
-  auto by_mean = ChoosePlan(profile, LinearBase(), mean_objective);
-  auto by_worst = ChoosePlan(profile, LinearBase(), worst_objective);
-  ASSERT_TRUE(by_mean.ok());
-  ASSERT_TRUE(by_worst.ok());
-  EXPECT_EQ(by_mean.value().options.strategy, StrategyKind::kLTilde);
-  EXPECT_EQ(by_worst.value().options.strategy, StrategyKind::kHBar);
-}
-
 TEST(PlannerTest, UnshardedWideHBarPlans) {
   // The recurrence closed forms have no width cap: a lone unsharded
   // width-256 H-bar candidate is costed and chosen.
@@ -157,9 +140,9 @@ TEST(PlannerTest, EnumerationAndBaseErrorsAreReturnedAsIs) {
       << plan.status().ToString();
 }
 
-TEST(PlannerTest, IncrementalCostCacheMatchesFreshEvaluation) {
-  // ChoosePlan through a shared IncrementalCostModel must rank and cost
-  // candidates identically to the cache-free path — including on a
+TEST(PlannerTest, SharedCostModelMatchesFreshEvaluation) {
+  // ChoosePlan through a caller's long-lived CostModel must rank and
+  // cost candidates identically to a call-local model — including on a
   // heat-carrying profile — while reusing oracle work across calls.
   const std::int64_t n = 256;
   WorkloadProfile profile(n);
@@ -170,7 +153,7 @@ TEST(PlannerTest, IncrementalCostCacheMatchesFreshEvaluation) {
   PlannerOptions options;
   options.max_shards = 8;
 
-  IncrementalCostModel cache(n);
+  CostModel cache(n);
   auto fresh = ChoosePlan(profile, LinearBase(), options);
   auto cached = ChoosePlan(profile, LinearBase(), options, &cache);
   ASSERT_TRUE(fresh.ok());
@@ -199,7 +182,7 @@ TEST(PlannerTest, IncrementalCostCacheMatchesFreshEvaluation) {
   EXPECT_EQ(after.lengths_costed - before.lengths_costed, candidates);
   EXPECT_GT(after.lengths_reused, before.lengths_reused);
 
-  // The cache refuses a profile over another domain instead of serving
+  // The model refuses a profile over another domain instead of serving
   // stale geometry.
   WorkloadProfile other(128);
   other.AddLength(1);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <limits>
+
 namespace dphist::planner {
 namespace {
 
@@ -40,51 +43,27 @@ TEST(WorkloadProfileDeathTest, RejectsQueriesOutsideTheDomain) {
   EXPECT_DEATH(profile.AddLength(4, 0.0), "weight");
 }
 
-TEST(QueryReservoirTest, KeepsEverythingWhileUnderCapacity) {
-  QueryReservoir reservoir(8);
-  for (std::int64_t i = 0; i < 5; ++i) {
-    reservoir.Observe(Interval(i, i + 2));
+TEST(WorkloadProfileTest, RestoreRefusesNonFiniteValues) {
+  // Restore reads a state directory's bytes after their CRC passes. A
+  // NaN or infinite weight, or non-finite heat, would give every plan
+  // over the profile a mean_var of nan.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::array<double, WorkloadProfile::kHeatBins> cold{};
+  ASSERT_TRUE(WorkloadProfile::Restore(64, {{4, 1.0}}, cold).ok());
+  for (const double weight : {kNan, kInf, -kInf}) {
+    SCOPED_TRACE(weight);
+    EXPECT_FALSE(WorkloadProfile::Restore(64, {{4, weight}}, cold).ok());
   }
-  EXPECT_EQ(reservoir.seen(), 5u);
-  ASSERT_EQ(reservoir.sample().size(), 5u);
-  for (std::int64_t i = 0; i < 5; ++i) {
-    EXPECT_EQ(reservoir.sample()[static_cast<std::size_t>(i)].lo(), i);
+  for (const double bin : {kNan, kInf}) {
+    SCOPED_TRACE(bin);
+    std::array<double, WorkloadProfile::kHeatBins> heat{};
+    heat[3] = bin;
+    EXPECT_FALSE(WorkloadProfile::Restore(64, {{4, 1.0}}, heat).ok());
   }
-  // Under capacity the contributed weights are exactly 1 per query.
-  WorkloadProfile profile(64);
-  reservoir.AddTo(&profile);
-  EXPECT_DOUBLE_EQ(profile.total_weight(), 5.0);
-  EXPECT_DOUBLE_EQ(profile.length_weights().at(3), 5.0);
-}
-
-TEST(QueryReservoirTest, BoundedAndDeterministicBeyondCapacity) {
-  QueryReservoir a(16);
-  QueryReservoir b(16);
-  for (std::int64_t i = 0; i < 1000; ++i) {
-    a.Observe(Interval(i % 50, i % 50));
-    b.Observe(Interval(i % 50, i % 50));
-  }
-  EXPECT_EQ(a.seen(), 1000u);
-  ASSERT_EQ(a.sample().size(), 16u);
-  // The replacement stream is a pure function of the running count, so
-  // the same observation sequence always yields the same sample.
-  for (std::size_t i = 0; i < 16; ++i) {
-    EXPECT_EQ(a.sample()[i].lo(), b.sample()[i].lo());
-  }
-  // AddTo scales the retained weights back up to the observed count.
-  WorkloadProfile profile(64);
-  a.AddTo(&profile);
-  EXPECT_DOUBLE_EQ(profile.total_weight(), 1000.0);
-}
-
-TEST(QueryReservoirTest, ZeroCapacityObservesWithoutSampling) {
-  QueryReservoir reservoir(0);
-  reservoir.Observe(Interval(0, 3));
-  EXPECT_EQ(reservoir.seen(), 1u);
-  EXPECT_TRUE(reservoir.empty());
-  WorkloadProfile profile(8);
-  reservoir.AddTo(&profile);  // nothing sampled, nothing added
-  EXPECT_TRUE(profile.empty());
+  // Finite values whose sum overflows are refused too.
+  EXPECT_FALSE(
+      WorkloadProfile::Restore(64, {{4, 1e308}, {8, 1e308}}, cold).ok());
 }
 
 }  // namespace

@@ -192,7 +192,6 @@ TEST(EpochManagerTest, DriftTriggerRepublishesOnlyOnMeasuredDrift) {
   // sharding than the current release.
   options.planner.strategies = {StrategyKind::kHBar};
   options.drift_ratio = 0.25;
-  options.drift_check_every = 8;
   options.async = false;
   EpochManager manager(&service, data, options, 7);
   ASSERT_TRUE(manager.PublishInitial().ok());
@@ -200,11 +199,14 @@ TEST(EpochManagerTest, DriftTriggerRepublishesOnlyOnMeasuredDrift) {
 
   // Full-domain traffic: unsharded H-bar is exactly what the planner
   // would choose, so the check keeps the release and spends nothing.
-  std::vector<double> answer(1);
-  for (int i = 0; i < 8; ++i) {
-    Interval q(0, n - 1);
-    EXPECT_TRUE(service.TryQueryBatch(&q, 1, answer.data()).ok());
-  }
+  // The check waits for kDriftCheckEvery queries.
+  const std::size_t cadence = EpochManager::kDriftCheckEvery;
+  std::vector<Interval> full(cadence - 1, Interval(0, n - 1));
+  std::vector<double> answers(8 * cadence);
+  ASSERT_TRUE(
+      service.TryQueryBatch(full.data(), full.size(), answers.data()).ok());
+  EXPECT_FALSE(manager.Poll());
+  ASSERT_TRUE(service.TryQueryBatch(full.data(), 1, answers.data()).ok());
   EXPECT_TRUE(manager.Poll());  // a drift check ran...
   EXPECT_EQ(manager.stats().drift_checks, 1u);
   EXPECT_EQ(manager.stats().drift, 0u);  // ...but kept the release
@@ -213,10 +215,13 @@ TEST(EpochManagerTest, DriftTriggerRepublishesOnlyOnMeasuredDrift) {
 
   // Unit-count traffic wants aggressive sharding; the ratio blows past
   // 1.25 and the manager republishes.
-  for (std::int64_t i = 0; i < 64; ++i) {
-    Interval q(i % n, i % n);
-    EXPECT_TRUE(service.TryQueryBatch(&q, 1, answer.data()).ok());
+  std::vector<Interval> units;
+  for (std::size_t i = 0; i < 8 * cadence; ++i) {
+    const auto at = static_cast<std::int64_t>(i) % n;
+    units.emplace_back(at, at);
   }
+  ASSERT_TRUE(
+      service.TryQueryBatch(units.data(), units.size(), answers.data()).ok());
   EXPECT_TRUE(manager.Poll());
   EXPECT_EQ(manager.stats().drift, 1u);
   EXPECT_EQ(service.current_epoch(), 2u);

@@ -293,53 +293,5 @@ TEST(QueryServiceTest, ObservedQueryCountSumsAllTraffic) {
   EXPECT_EQ(service.observed_query_count(), 38u);
 }
 
-TEST(QueryServiceTest, ReservoirMakesObservedProfileLengthExact) {
-  // The divergence case from the ROADMAP: a stream of length-3 queries
-  // is bucketed into [2, 4) and reported at representative length 2,
-  // so a replan from observation differs from one given the raw
-  // workload. With the reservoir on, the observed profile carries the
-  // exact lengths and the two replans see identical inputs.
-  Histogram data = TestData(64);
-  std::vector<Interval> workload;
-  for (std::int64_t i = 0; i < 20; ++i) workload.emplace_back(i, i + 2);
-  std::vector<double> answers(workload.size());
-
-  QueryServiceOptions bucketed_options;
-  QueryService bucketed(bucketed_options);
-  ASSERT_TRUE(bucketed.Publish(data, SnapshotOptions(), 1).ok());
-  EXPECT_TRUE(
-      bucketed.TryQueryBatch(workload.data(), workload.size(), answers.data())
-          .ok());
-  planner::WorkloadProfile bucketed_profile = bucketed.ObservedWorkload(64);
-  EXPECT_DOUBLE_EQ(bucketed_profile.length_weights().at(2), 20.0);
-  EXPECT_EQ(bucketed_profile.length_weights().count(3), 0u);
-
-  QueryServiceOptions exact_options;
-  exact_options.observed_reservoir = 256;  // holds the whole stream
-  QueryService exact(exact_options);
-  ASSERT_TRUE(exact.Publish(data, SnapshotOptions(), 1).ok());
-  EXPECT_TRUE(
-      exact.TryQueryBatch(workload.data(), workload.size(), answers.data())
-          .ok());
-  planner::WorkloadProfile exact_profile = exact.ObservedWorkload(64);
-  EXPECT_DOUBLE_EQ(exact_profile.length_weights().at(3), 20.0);
-  EXPECT_DOUBLE_EQ(exact_profile.total_weight(), 20.0);
-
-  // Replan-from-observation now equals replan-from-the-raw-workload.
-  planner::WorkloadProfile raw(64);
-  for (const Interval& query : workload) raw.AddQuery(query);
-  SnapshotOptions base;
-  auto from_observation = planner::ChoosePlan(exact_profile, base);
-  auto from_raw = planner::ChoosePlan(raw, base);
-  ASSERT_TRUE(from_observation.ok());
-  ASSERT_TRUE(from_raw.ok());
-  EXPECT_EQ(from_observation.value().options.strategy,
-            from_raw.value().options.strategy);
-  EXPECT_EQ(from_observation.value().options.shards,
-            from_raw.value().options.shards);
-  EXPECT_DOUBLE_EQ(from_observation.value().predicted_mean_variance,
-                   from_raw.value().predicted_mean_variance);
-}
-
 }  // namespace
 }  // namespace dphist

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -74,6 +75,36 @@ TEST(SnapshotTest, BuildValidatesOptions) {
     if (!tree) {
       EXPECT_TRUE(Snapshot::Build(data, absurd, 1, &rng).ok());
     }
+  }
+}
+
+TEST(SnapshotTest, GateRefusesNonFiniteEpsilon) {
+  // NaN passes a plain `epsilon <= 0.0` test and +inf makes a zero
+  // noise scale, so either would reach the noise samplers' aborts. A
+  // state directory's bytes can carry both once their CRC passes, so
+  // Build and Restore must refuse them as the gate's InvalidArgument.
+  const Histogram data = TestData(16);
+  for (const double epsilon : {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(epsilon);
+    SnapshotOptions options;
+    options.strategy = StrategyKind::kLTilde;
+    options.epsilon = epsilon;
+    const Status gate = CheckReleaseOptions(options, data.size());
+    ASSERT_FALSE(gate.ok());
+    EXPECT_EQ(gate.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(gate.message(), "epsilon must be finite");
+
+    auto restored = Snapshot::Restore(
+        options, 1, data.size(),
+        {std::vector<double>(static_cast<std::size_t>(data.size()), 1.0)});
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+
+    Rng rng(1);
+    auto built = Snapshot::Build(data, options, 1, &rng);
+    ASSERT_FALSE(built.ok());
+    EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
   }
 }
 

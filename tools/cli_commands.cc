@@ -50,11 +50,10 @@ constexpr char kUsage[] =
     "                    [--branching K] [--shards S]\n"
     "                    [--build-threads B] [--seed S]\n"
     "                    [--no-round] [--no-prune] [--max-shards M]\n"
-    "                    [--strategies a,b,c] [--objective mean|worst]\n"
-    "                                               (auto planning)\n"
+    "                    [--strategies a,b,c]      (auto planning)\n"
     "                    [--replan-every N] [--replan-drift X]\n"
-    "                    [--drift-check-every N] [--replan-sync]\n"
-    "                    [--reservoir N] [--epsilon-budget B]\n"
+    "                     (drift is checked every 256 queries)\n"
+    "                    [--replan-sync] [--epsilon-budget B]\n"
     "                    [--state-dir D]  (durable WAL + snapshot:\n"
     "                     restart resumes the epsilon ledger and the\n"
     "                     last published epoch bit-identically)\n"
@@ -72,13 +71,13 @@ constexpr char kUsage[] =
     "                     release; nothing is cached)\n"
     "  client            --port P [--host A] [--auth-token T] [--binary]\n"
     "                    [--queries P]  (else reads commands from stdin)\n"
-    "                    (drives one serve --listen session and prints\n"
-    "                     the transcript; --binary speaks the pipelined\n"
-    "                     frame protocol and renders the same transcript\n"
-    "                     a text session would produce)\n"
+    "                    (drives one session against a listening serve\n"
+    "                     and prints the transcript; --binary speaks the\n"
+    "                     pipelined frame protocol and renders the same\n"
+    "                     transcript a text session would produce)\n"
     "  plan              --queries P --epsilon E (--input P | --domain N)\n"
     "                    [--branching K] [--max-shards M]\n"
-    "                    [--strategies a,b,c] [--objective mean|worst]\n"
+    "                    [--strategies a,b,c]\n"
     "  recover           --state-dir D [--inspect]\n"
     "                    (replay a serve --state-dir directory offline:\n"
     "                     ledger total, last epoch, persisted snapshot;\n"
@@ -184,12 +183,6 @@ Status FillPlannerOptions(const Flags& flags,
     auto strategies = ParseStrategiesList(flags.GetString("strategies", ""));
     if (!strategies.ok()) return strategies.status();
     options->strategies = strategies.value();
-  }
-  const std::string objective = flags.GetString("objective", "mean");
-  if (objective == "worst") {
-    options->minimize_worst_case = true;
-  } else if (objective != "mean") {
-    return Status::InvalidArgument("objective must be mean or worst");
   }
   return Status::Ok();
 }
@@ -352,17 +345,15 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
   Status known = flags.CheckKnown(
       {"input", "epsilon", "queries", "stdin", "listen", "strategy",
        "branching", "shards", "no-round", "no-prune", "build-threads",
-       "reservoir", "max-shards", "strategies", "objective", "replan-every",
-       "replan-drift", "drift-check-every", "replan-sync", "epsilon-budget",
-       "state-dir", "seed", "max-sessions", "port-file", "workers",
-       "bind-addr", "auth-token"});
+       "max-shards", "strategies", "replan-every", "replan-drift",
+       "replan-sync", "epsilon-budget", "state-dir", "seed", "max-sessions",
+       "port-file", "workers", "bind-addr", "auth-token"});
   if (!known.ok()) return known;
   for (const char* required : {"input", "epsilon"}) {
     Status s = RequireFlag(flags, required);
     if (!s.ok()) return s;
   }
   SnapshotOptions options;
-  QueryServiceOptions service_options;
   runtime::EpochManagerOptions manager_options;
   std::int64_t seed = 42;
   std::int64_t port = 0;
@@ -377,11 +368,8 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
        ReadInt(flags, "branching", 2, &options.branching),
        ReadInt(flags, "shards", 1, &options.shards),
        ReadInt(flags, "build-threads", 1, &options.build_threads),
-       ReadInt(flags, "reservoir", 0, &service_options.observed_reservoir),
        ReadInt(flags, "replan-every", 0, &manager_options.replan_every),
        ReadDouble(flags, "replan-drift", 0.0, &manager_options.drift_ratio),
-       ReadInt(flags, "drift-check-every", 256,
-               &manager_options.drift_check_every),
        ReadDouble(flags, "epsilon-budget", 0.0,
                   &manager_options.epsilon_budget),
        ReadInt(flags, "seed", 42, &seed), ReadInt(flags, "listen", 0, &port),
@@ -415,9 +403,6 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
   options.round_to_nonnegative_integers = !no_round;
   options.prune_nonpositive_subtrees = !no_prune;
 
-  if (service_options.observed_reservoir < 0) {
-    return Status::InvalidArgument("reservoir must be >= 0");
-  }
   Status planner_status = FillPlannerOptions(flags, &manager_options.planner);
   if (!planner_status.ok()) return planner_status;
 
@@ -425,11 +410,9 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
   manager_options.async = !replan_sync;
   if (manager_options.replan_every < 0 ||
       manager_options.drift_ratio < 0.0 ||
-      manager_options.drift_check_every < 1 ||
       manager_options.epsilon_budget < 0.0) {
     return Status::InvalidArgument(
-        "replan-every/replan-drift/epsilon-budget must be >= 0 and "
-        "drift-check-every >= 1");
+        "replan-every/replan-drift/epsilon-budget must be >= 0");
   }
 
   // --state-dir makes the lifecycle durable: every budget spend hits the
@@ -443,7 +426,7 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
     manager_options.store = store.get();
   }
 
-  QueryService service(service_options);
+  QueryService service;
   runtime::EpochManager manager(&service, data.value(), manager_options,
                                 static_cast<std::uint64_t>(seed));
   runtime::SessionWriter writer(out);
@@ -834,7 +817,7 @@ Status RunClient(const Flags& flags, std::istream& in, std::ostream& out) {
 Status RunPlan(const Flags& flags, std::ostream& out) {
   Status known = flags.CheckKnown(
       {"queries", "epsilon", "input", "domain", "branching", "max-shards",
-       "strategies", "objective"});
+       "strategies"});
   if (!known.ok()) return known;
   for (const char* required : {"queries", "epsilon"}) {
     Status s = RequireFlag(flags, required);

@@ -48,8 +48,7 @@ Status RunQuery(const Flags& flags, std::ostream& out);
 ///  --listen PORT) [--strategy hbar|htilde|ltilde|wavelet|auto]
 ///  [--branching K] [--shards S] [--build-threads B] [--seed S]
 ///  [--no-round] [--no-prune] [--max-shards M] [--strategies a,b,c]
-///  [--objective mean|worst] [--replan-every N] [--replan-drift X]
-///  [--drift-check-every N] [--replan-sync] [--reservoir N]
+///  [--replan-every N] [--replan-drift X] [--replan-sync]
 ///  [--epsilon-budget B] [--state-dir D] (+ --listen's --max-sessions,
 ///  --port-file, --workers, --bind-addr, --auth-token)`
 /// The serving runtime. With --queries it publishes one snapshot and
@@ -60,9 +59,9 @@ Status RunQuery(const Flags& flags, std::ostream& out);
 /// standard input (`q lo hi`, `qb k ...`, `stats`, `replan`, `quit` —
 /// see runtime/session.h).
 /// Either way the EpochManager can republish mid-session: every N
-/// observed queries, on predicted-MSE drift, or on the `replan` command
-/// — each republish spends a fresh epsilon and is announced as a
-/// `# planned strategy=...` line.
+/// observed queries, on predicted-MSE drift (checked every 256
+/// queries), or on the `replan` command — each republish spends a fresh
+/// epsilon and is announced as a `# planned strategy=...` line.
 Status RunServe(const Flags& flags, std::istream& in, std::ostream& out);
 
 /// `client --port P [--host A] [--auth-token T] [--binary]
@@ -77,11 +76,10 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out);
 Status RunClient(const Flags& flags, std::istream& in, std::ostream& out);
 
 /// `plan --queries PATH --epsilon E (--input PATH | --domain N)
-///  [--branching K] [--max-shards M] [--strategies a,b,c]
-///  [--objective mean|worst]`
+///  [--branching K] [--max-shards M] [--strategies a,b,c]`
 /// Costs every candidate (strategy, shard count) against the workload
 /// file's length profile and prints the full evaluation table plus the
-/// chosen plan. Purely analytical: reads no private data beyond the
+/// plan with the least mean variance. Purely analytical: reads no private data beyond the
 /// domain size, draws no noise.
 Status RunPlan(const Flags& flags, std::ostream& out);
 
