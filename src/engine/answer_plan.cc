@@ -27,6 +27,7 @@ AlignedDoubles::AlignedDoubles(std::size_t count) : size_(count) {
       (count * sizeof(double) + kAlignment - 1) / kAlignment * kAlignment;
   double* raw = static_cast<double*>(
       std::aligned_alloc(kAlignment, bytes == 0 ? kAlignment : bytes));
+  // dphist-lint: allow(serving-check) out of memory; other allocations throw
   DPHIST_CHECK_MSG(raw != nullptr, "AnswerPlan allocation failed");
   data_.reset(raw);
 }

@@ -37,6 +37,7 @@ EpochManager::EpochManager(QueryService* service, Histogram data,
                       ? options.epsilon_budget
                       : std::numeric_limits<double>::infinity()),
       seed_rng_(seed) {
+  // dphist-lint: allow(serving-check) constructor precondition, not input
   DPHIST_CHECK_MSG(service_ != nullptr, "EpochManager needs a service");
   if (options_.async) {
     worker_ = std::thread([this] { WorkerLoop(); });
@@ -76,9 +77,10 @@ void EpochManager::ReleaseBusy() {
 void EpochManager::RollbackCharge(bool logged, std::uint64_t wal_offset) {
   {
     MutexLock lock(mutex_);
+    Status rolled = accountant_.RollbackLast();
     // Can only fail on an empty ledger, and we charged moments ago under
     // the busy token nobody else holds — a true programming error.
-    Status rolled = accountant_.RollbackLast();
+    // dphist-lint: allow(serving-check) rolls back our own fresh charge
     DPHIST_CHECK_MSG(rolled.ok(), "rollback of a fresh charge failed");
     stats_.epsilon_spent = accountant_.spent();
   }
@@ -321,6 +323,7 @@ ReplanOutcome EpochManager::ExecuteReplan(ReplanTrigger trigger) {
     outcome.measured_drift = current_cost.value().mean_variance /
                              outcome.plan.predicted_mean_variance;
     if (outcome.measured_drift < 1.0 + options_.drift_ratio) {
+      outcome.epoch = current->epoch();
       return outcome;  // still the right release
     }
   }

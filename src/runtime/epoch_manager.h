@@ -107,7 +107,8 @@ struct ReplanOutcome {
   /// initial publish); `plan` is meaningful only then.
   bool planned = false;
   planner::Plan plan;
-  /// Epoch of the new snapshot when republished.
+  /// Epoch of the new snapshot when republished, of the kept one when a
+  /// drift check keeps it.
   std::uint64_t epoch = 0;
   std::shared_ptr<const Snapshot> snapshot;
   /// Measured predicted-MSE ratio current/best for drift evaluations.

@@ -54,12 +54,12 @@ bool SessionExecutor::ExecuteLine(std::string_view line,
       ParseSessionLine(line, domain_size_, line_number, &command_);
   if (!parsed.ok()) {
     // A typo should not end a session mid-stream.
-    writer_.Error(parsed.status());
+    writer_.Error(parsed.status().ToString());
   } else if (parsed.value()) {  // not blank, not a comment
     if (command_.verb == SessionVerb::kQuit) return false;
     Status status =
         Execute(command_.verb, command_.ranges, /*interactive=*/true);
-    if (!status.ok()) writer_.Error(status);
+    if (!status.ok()) writer_.Error(status.ToString());
     PollAndReport();
   }
   return true;
@@ -124,7 +124,7 @@ std::string SessionExecutor::OutcomeComment(const ReplanOutcome& outcome) {
   std::ostringstream text;
   if (outcome.status.ok()) {
     text.precision(4);
-    text << "drift check kept "
+    text << "drift check kept epoch " << outcome.epoch << " over candidate "
          << StrategyKindName(outcome.plan.options.strategy)
          << " measured=" << outcome.measured_drift;
   } else {
@@ -142,8 +142,10 @@ std::string SessionExecutor::OutcomeComment(const ReplanOutcome& outcome) {
 
 void SessionExecutor::ReportOutcome(const ReplanOutcome& outcome) {
   if (outcome.republished) {
-    writer_.PlanNote(outcome.plan, outcome.epoch,
-                     ReplanTriggerName(outcome.trigger));
+    writer_.PlanNote(StrategyKindName(outcome.plan.options.strategy),
+                     outcome.plan.options.shards, outcome.epoch,
+                     ReplanTriggerName(outcome.trigger),
+                     outcome.plan.predicted_mean_variance);
     summary_.replans_reported += 1;
   } else {
     writer_.Comment(OutcomeComment(outcome));

@@ -232,18 +232,28 @@ void SessionWriter::BatchReceipt(std::size_t count, std::uint64_t epoch) {
   WriteThrough();
 }
 
-void SessionWriter::PlanNote(const planner::Plan& plan, std::uint64_t epoch,
-                             const char* reason) {
+void SessionWriter::PlanNote(std::string_view strategy, std::int64_t shards,
+                             std::uint64_t epoch, std::string_view reason,
+                             double predicted_mean_var) {
   text_->append("# planned strategy=");
-  text_->append(StrategyKindName(plan.options.strategy));
+  text_->append(strategy);
   text_->append(" shards=");
-  AppendInteger(plan.options.shards, text_);
+  AppendInteger(shards, text_);
   text_->append(" epoch=");
   AppendInteger(epoch, text_);
   text_->append(" reason=");
   text_->append(reason);
   text_->append(" predicted_mean_var=");
-  AppendGeneral(plan.predicted_mean_variance, 6, text_);
+  AppendGeneral(predicted_mean_var, 6, text_);
+  text_->push_back('\n');
+  WriteThrough();
+}
+
+void SessionWriter::ServedReceipt(std::uint64_t queries, std::uint64_t epoch) {
+  text_->append("# served ");
+  AppendInteger(queries, text_);
+  text_->append(" queries from epoch ");
+  AppendInteger(epoch, text_);
   text_->push_back('\n');
   WriteThrough();
 }
@@ -255,9 +265,9 @@ void SessionWriter::Comment(const std::string& text) {
   WriteThrough();
 }
 
-void SessionWriter::Error(const Status& status) {
+void SessionWriter::Error(std::string_view message) {
   text_->append("error: ");
-  text_->append(status.ToString());
+  text_->append(message);
   text_->push_back('\n');
   WriteThrough();
 }

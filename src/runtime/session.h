@@ -36,7 +36,6 @@
 
 #include "common/status.h"
 #include "domain/interval.h"
-#include "planner/planner.h"
 
 namespace dphist::runtime {
 
@@ -113,8 +112,8 @@ Result<SessionScript> ReadSessionScript(std::istream& in,
 /// transcripts have always used. An integral value below 1e15 in
 /// magnitude (every count Section 5.2 rounding serves), other than -0.0,
 /// goes through integer std::to_chars: "%.15g" prints exactly its
-/// digits. Shared by SessionWriter and the binary client's ANSWERS
-/// rendering so both transcripts stay identical.
+/// digits. SessionWriter::Answers writes every transcript's answers
+/// through it, the binary client's included.
 void AppendAnswerLine(double value, std::string* out);
 
 /// Formats session output: answer lines at full precision plus the
@@ -143,14 +142,20 @@ class SessionWriter {
 
   /// "# planned strategy=S shards=K epoch=E reason=R
   ///  predicted_mean_var=V" — emitted whenever a (re)plan publishes.
-  void PlanNote(const planner::Plan& plan, std::uint64_t epoch,
-                const char* reason);
+  /// The server passes its plan's fields, the binary client a PLAN
+  /// frame's.
+  void PlanNote(std::string_view strategy, std::int64_t shards,
+                std::uint64_t epoch, std::string_view reason,
+                double predicted_mean_var);
+
+  /// "# served N queries from epoch E" — a socket session's receipt.
+  void ServedReceipt(std::uint64_t queries, std::uint64_t epoch);
 
   /// "# <text>"
   void Comment(const std::string& text);
 
-  /// "error: <status>" — interactive sessions keep serving after this.
-  void Error(const Status& status);
+  /// "error: <message>" — interactive sessions keep serving after this.
+  void Error(std::string_view message);
 
   /// Flushes the stream form's stream; the string form has nothing
   /// buffered.

@@ -521,9 +521,7 @@ class ConnDriver {
         wire::EncodeBye(c.executor->summary().queries, epoch, &c.outbuf);
       } else {
         c.executor->PollAndReport();
-        c.writer.Comment("served " +
-                         std::to_string(c.executor->summary().queries) +
-                         " queries from epoch " + std::to_string(epoch));
+        c.writer.ServedReceipt(c.executor->summary().queries, epoch);
       }
     }
     c.close_after_flush = true;
@@ -537,7 +535,7 @@ class ConnDriver {
     if (snapshot == nullptr) {
       c.session_status = Status::FailedPrecondition(
           "socket session needs a published snapshot");
-      c.writer.Error(c.session_status);
+      c.writer.Error(c.session_status.ToString());
       c.close_after_flush = true;
       return;
     }

@@ -54,6 +54,7 @@ void QueryService::PendingPublish::Abandon() {
 
 std::shared_ptr<const Snapshot> QueryService::CommitPublish(
     PendingPublish pending) {
+  // dphist-lint: allow(serving-check) our own uncommitted PendingPublish only
   DPHIST_CHECK_MSG(pending.service_ == this && pending.snapshot_ != nullptr,
                    "CommitPublish needs a pending publish from this service");
   const std::uint64_t epoch = pending.snapshot_->epoch();

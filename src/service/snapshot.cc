@@ -285,6 +285,7 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Restore(
 }
 
 const RangeCountEstimator& Snapshot::shard(std::int64_t index) const {
+  // dphist-lint: allow(serving-check) indices come from 0..shard_count() loops
   DPHIST_CHECK_MSG(index >= 0 && index < shard_count(),
                    "shard index out of range");
   return *shards_[static_cast<std::size_t>(index)];
@@ -306,6 +307,7 @@ Status Snapshot::ValidateRanges(const Interval* ranges,
 }
 
 double Snapshot::RangeCount(const Interval& range) const {
+  // dphist-lint: allow(serving-check) each range already passed ValidateRanges
   DPHIST_CHECK_MSG(range.lo() >= 0 && range.hi() < domain_size_,
                    "range outside the snapshot's domain");
   const std::int64_t first = range.lo() / shard_width_;

@@ -1,7 +1,6 @@
 // Self-tests for dphist_lint (tools/lint/): every rule has a must-fail
 // and a must-pass fixture under tests/lint/fixtures/ (lint *inputs*,
-// never compiled), the baseline implements ratchet semantics, and the
-// checked-in tree is clean against the committed baseline.
+// never compiled), and the checked-in tree has no finding at all.
 
 #include <algorithm>
 #include <fstream>
@@ -31,7 +30,7 @@ std::vector<Finding> LintFixture(const std::string& fixture,
                                  const std::string& as_path) {
   const std::string content =
       ReadFile(RepoPath("tests/lint/fixtures/" + fixture));
-  return LintSource(as_path, content, Config());
+  return LintSource(as_path, content);
 }
 
 bool HasRule(const std::vector<Finding>& findings, const std::string& rule) {
@@ -88,7 +87,8 @@ TEST(LintFixtures, MustPassFixturesAreClean) {
     const std::vector<Finding> findings = LintFixture(c.fixture, c.as_path);
     EXPECT_TRUE(findings.empty())
         << findings.size() << " unexpected finding(s), first: "
-        << (findings.empty() ? "" : findings[0].Key());
+        << (findings.empty() ? "" : findings[0].rule + " at line " +
+                                        std::to_string(findings[0].line));
   }
 }
 
@@ -120,116 +120,20 @@ TEST(LintRules, MutexWrapperHeaderIsExempt) {
   // common/mutex.h legitimately contains the raw std::mutex it wraps.
   const std::string content = ReadFile(RepoPath("src/common/mutex.h"));
   const std::vector<Finding> findings =
-      LintSource("src/common/mutex.h", content, Config());
+      LintSource("src/common/mutex.h", content);
   EXPECT_TRUE(findings.empty());
 }
 
-TEST(LintBaseline, SuppressesExactlyTheListedFindings) {
-  const std::vector<Finding> findings =
-      LintFixture("must_fail/serving_check.cc", "src/service/handler.cc");
-  ASSERT_GE(findings.size(), 2u);
-
-  // Baseline one of the two findings: it is suppressed, the other is
-  // fresh, nothing is stale.
-  const Report report = ApplyBaseline(findings, {findings[0].Key()});
-  EXPECT_EQ(report.suppressed.size(), 1u);
-  EXPECT_EQ(report.fresh.size(), findings.size() - 1);
-  EXPECT_TRUE(report.stale.empty());
-}
-
-TEST(LintBaseline, StaleEntriesAreReportedForRatchet) {
-  const std::vector<Finding> findings =
-      LintFixture("must_pass/serving_clean.cc", "src/service/handler.cc");
-  ASSERT_TRUE(findings.empty());
-
-  // Debt that no longer exists must surface as stale — the ratchet:
-  // the baseline may only shrink, so a paid-down entry fails the run
-  // until it is removed.
-  const Report report =
-      ApplyBaseline(findings, {"serving-check|src/service/handler.cc|gone"});
-  EXPECT_TRUE(report.fresh.empty());
-  EXPECT_TRUE(report.suppressed.empty());
-  ASSERT_EQ(report.stale.size(), 1u);
-  EXPECT_EQ(report.stale[0], "serving-check|src/service/handler.cc|gone");
-}
-
-TEST(LintBaseline, EachEntrySuppressesOneFindingOnly) {
-  // Two identical lines produce two findings with the same key; one
-  // baseline line absorbs only one of them.
-  const std::string content =
-      "void Check() { DPHIST_CHECK(true); }\n"
-      "void Check() { DPHIST_CHECK(true); }\n";
-  std::vector<Finding> findings =
-      LintSource("src/service/dup.cc", content, Config());
-  ASSERT_EQ(findings.size(), 2u);
-  ASSERT_EQ(findings[0].Key(), findings[1].Key());
-
-  const Report report = ApplyBaseline(findings, {findings[0].Key()});
-  EXPECT_EQ(report.suppressed.size(), 1u);
-  EXPECT_EQ(report.fresh.size(), 1u);
-  EXPECT_TRUE(report.stale.empty());
-}
-
-TEST(LintBaseline, KeysSurviveLineNumberDrift) {
-  const std::string before = "void A() { DPHIST_CHECK(true); }\n";
-  const std::string after =  // an unrelated line added above
-      "void Unrelated();\nvoid A() { DPHIST_CHECK(true); }\n";
-  const std::vector<Finding> f1 =
-      LintSource("src/service/drift.cc", before, Config());
-  const std::vector<Finding> f2 =
-      LintSource("src/service/drift.cc", after, Config());
-  ASSERT_EQ(f1.size(), 1u);
-  ASSERT_EQ(f2.size(), 1u);
-  EXPECT_NE(f1[0].line, f2[0].line);
-  EXPECT_EQ(f1[0].Key(), f2[0].Key());
-}
-
-TEST(LintConfig, CommittedConfigLoads) {
-  Config config;
+TEST(LintTreeCheck, CheckedInTreeHasNoFindings) {
+  // The same gate CI runs: any finding fails. A site that must keep a
+  // CHECK says why in its `dphist-lint: allow(<rule>)` comment.
+  Report report;
   std::string error;
-  ASSERT_TRUE(
-      LoadConfig(RepoPath("tools/lint/dphist_lint.conf"), &config, &error))
-      << error;
-  EXPECT_EQ(config.serving_dirs.size(), 4u);
-  EXPECT_EQ(config.hot_files.size(), 1u);
-  EXPECT_EQ(config.hot_files[0], "src/engine/kernels.cc");
-  EXPECT_EQ(config.baseline, "tools/lint/lint_baseline.txt");
-}
-
-TEST(LintConfig, UnknownKeyIsRejected) {
-  Config config;
-  std::string error;
-  EXPECT_FALSE(LoadConfig(RepoPath("tests/lint/fixtures/config_bad.conf"),
-                          &config, &error));
-  EXPECT_NE(error.find("unknown key"), std::string::npos) << error;
-}
-
-TEST(LintTreeCheck, CheckedInTreeIsCleanAgainstCommittedBaseline) {
-  // The same gate CI runs: the committed baseline must cover every
-  // finding (no fresh) and carry no stale entries (debt only shrinks).
-  Config config;
-  std::string error;
-  ASSERT_TRUE(
-      LoadConfig(RepoPath("tools/lint/dphist_lint.conf"), &config, &error))
-      << error;
-  std::vector<Finding> findings;
-  std::size_t files_scanned = 0;
-  ASSERT_TRUE(LintTree(DPHIST_SOURCE_DIR, config, &findings, &error,
-                       &files_scanned))
-      << error;
-  EXPECT_GT(files_scanned, 100u);
-
-  std::vector<std::string> baseline;
-  ASSERT_TRUE(
-      LoadBaseline(RepoPath(config.baseline), &baseline, &error))
-      << error;
-  const Report report = ApplyBaseline(findings, baseline);
-  for (const Finding& f : report.fresh) {
-    ADD_FAILURE() << "fresh lint finding: " << f.file << ":" << f.line
-                  << " [" << f.rule << "] " << f.message;
-  }
-  for (const std::string& key : report.stale) {
-    ADD_FAILURE() << "stale baseline entry (remove it): " << key;
+  ASSERT_TRUE(LintTree(DPHIST_SOURCE_DIR, &report, &error)) << error;
+  EXPECT_GT(report.files_scanned, 100u);
+  for (const Finding& f : report.findings) {
+    ADD_FAILURE() << "lint finding: " << f.file << ":" << f.line << " ["
+                  << f.rule << "] " << f.message;
   }
 }
 
@@ -243,26 +147,6 @@ TEST(LintFormat, TablesListEveryRule) {
     EXPECT_NE(md.find("`" + rule + "`"), std::string::npos) << rule;
   }
   EXPECT_NE(md.find("| --- |"), std::string::npos);
-}
-
-TEST(LintFormat, BaselineRoundTrips) {
-  const std::vector<Finding> findings =
-      LintFixture("must_fail/mutex_guard.h", "src/service/cache.h");
-  ASSERT_FALSE(findings.empty());
-  const std::string serialized = FormatBaseline(findings);
-
-  // Parse it back through LoadBaseline semantics (skip comments).
-  std::vector<std::string> keys;
-  std::istringstream in(serialized);
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    keys.push_back(line);
-  }
-  const Report report = ApplyBaseline(findings, keys);
-  EXPECT_TRUE(report.fresh.empty());
-  EXPECT_TRUE(report.stale.empty());
-  EXPECT_EQ(report.suppressed.size(), findings.size());
 }
 
 }  // namespace

@@ -715,9 +715,11 @@ TEST(SessionWriterTest, FormatsAnswersAndReports) {
   writer.Answers(answers, 2);
   writer.BatchReceipt(2, 7);
   writer.Comment("hello");
-  writer.Error(Status::InvalidArgument("bad"));
+  writer.ServedReceipt(3, 7);
+  writer.Error("InvalidArgument: bad");
   EXPECT_EQ(out.str(),
             "1234567\n2.5\n# batch n=2 epoch=7\n# hello\n"
+            "# served 3 queries from epoch 7\n"
             "error: InvalidArgument: bad\n");
 }
 
@@ -738,9 +740,6 @@ TEST(SessionWriterTest, StreamFormWritesThroughEveryCall) {
 }
 
 TEST(SessionWriterTest, StringFormAppendsTheStreamFormsBytes) {
-  planner::Plan plan;
-  plan.options.strategy = StrategyKind::kWavelet;
-  plan.options.shards = 2;
   std::string text = "kept ";
   SessionWriter to_string(&text);
   std::ostringstream stream;
@@ -756,11 +755,10 @@ TEST(SessionWriterTest, StringFormAppendsTheStreamFormsBytes) {
     writer->Answers(answers, 6);
     writer->BatchReceipt(6, 18446744073709551615u);
     for (double variance : variances) {
-      plan.predicted_mean_variance = variance;
-      writer->PlanNote(plan, 3, "every");
+      writer->PlanNote("wavelet", 2, 3, "every", variance);
     }
-    writer->Comment("served 6 queries from epoch 3");
-    writer->Error(Status::OutOfRange("range out of bounds"));
+    writer->ServedReceipt(6, 3);
+    writer->Error("OutOfRange: range out of bounds");
     writer->Flush();
   }
   EXPECT_EQ(text, "kept " + stream.str());

@@ -66,6 +66,14 @@ TEST(CliTest, UsageFollowsOnlyCommandLineErrors) {
                       0),
             0u)
       << err;
+  // dphist_lint is the one linter driver: `lint` is no command.
+  EXPECT_EQ(RunMain({"lint", "--root", DPHIST_SOURCE_DIR}, &out, &err), 1);
+  EXPECT_EQ(out, "");
+  EXPECT_EQ(err.rfind("error: InvalidArgument: unknown command: lint\n"
+                      "usage: dphist_cli",
+                      0),
+            0u)
+      << err;
   EXPECT_EQ(RunMain({"serve", "--bogus", "1"}, &out, &err), 1);
   EXPECT_EQ(err.rfind("error: InvalidArgument: unknown flag --bogus\n"
                       "usage: dphist_cli",
@@ -123,7 +131,7 @@ TEST(CliTest, UsageNamesOnlyFlagsItsCommandReads) {
       flags_by_command[command].insert(line.substr(at, end - at));
     }
   }
-  ASSERT_EQ(flags_by_command.size(), 9u) << usage;
+  ASSERT_EQ(flags_by_command.size(), 8u) << usage;
   for (const auto& [name, flags] : flags_by_command) {
     for (const std::string& flag : flags) {
       SCOPED_TRACE(name + " " + flag);
@@ -409,7 +417,7 @@ TEST(CliTest, EveryCommandChecksItsFlagsFirst) {
   // even when every required flag is missing too.
   for (const char* command : {"generate", "release-universal",
                               "release-sorted", "query", "serve", "client",
-                              "plan", "recover", "lint"}) {
+                              "plan", "recover"}) {
     SCOPED_TRACE(command);
     std::string out, err;
     EXPECT_EQ(RunMain({command, "--bogus", "1"}, &out, &err), 1);
@@ -752,6 +760,105 @@ TEST(CliTest, ServeStdinCrossingReplanTriggerSwitchesStrategy) {
   std::remove(data_path.c_str());
 }
 
+TEST(CliTest, ServeStdinDriftNoteNamesTheKeptRelease) {
+  // 256 unit ranges trip one drift check. L~ would answer them better,
+  // but by less than the 1000x ratio, so H-bar (epoch 1) keeps serving
+  // and the note must say so: the declined L~ is only a candidate.
+  const std::string data_path = TempPath("cli_drift_note_data.csv");
+  std::string out, err;
+  ASSERT_EQ(RunMain({"generate", "--dataset", "social", "--output",
+                     data_path.c_str(), "--size", "256"},
+                    &out, &err),
+            0)
+      << err;
+  std::string script;
+  for (int i = 0; i < 256; ++i) {
+    script += "q " + std::to_string(i) + " " + std::to_string(i) + "\n";
+  }
+  ASSERT_EQ(RunMainWithInput(script,
+                             {"serve", "--input", data_path.c_str(),
+                              "--stdin", "--epsilon", "1", "--strategy",
+                              "hbar", "--replan-drift", "1000",
+                              "--replan-sync"},
+                             &out, &err),
+            0)
+      << err;
+  EXPECT_NE(out.find("\n# drift check kept epoch 1 over candidate ltilde "
+                     "measured="),
+            std::string::npos)
+      << out;
+  EXPECT_EQ(out.find("kept ltilde"), std::string::npos) << out;
+  EXPECT_EQ(out.find("# planned"), std::string::npos) << out;
+  EXPECT_NE(out.find("# served 256 queries from epoch 1 (hbar, "),
+            std::string::npos)
+      << out;
+  std::remove(data_path.c_str());
+}
+
+// 32 unit ranges trip --replan-every 32 after the last answer, so the
+// release that answered them (epoch 1, H-bar) is no longer the current
+// one (epoch 2, L~) when the final receipt is printed. The receipt must
+// not describe epoch 1 as L~.
+constexpr char kTrailingReplanReceipt[] =
+    "# served 32 queries from epoch 1 (now epoch 2: ltilde, eps=1, "
+    "shards=1, engine_kernel=";
+
+TEST(CliTest, ServeQueriesReceiptNamesTheEpochAfterATrailingReplan) {
+  const std::string data_path = TempPath("cli_receipt_file_data.csv");
+  const std::string queries_path = TempPath("cli_receipt_file_queries.txt");
+  std::string out, err;
+  ASSERT_EQ(RunMain({"generate", "--dataset", "social", "--output",
+                     data_path.c_str(), "--size", "256"},
+                    &out, &err),
+            0)
+      << err;
+  {
+    std::ofstream queries(queries_path);
+    for (int i = 0; i < 32; ++i) queries << i << " " << i << "\n";
+  }
+  ASSERT_EQ(RunMain({"serve", "--input", data_path.c_str(), "--queries",
+                     queries_path.c_str(), "--epsilon", "1", "--strategy",
+                     "hbar", "--replan-every", "32", "--replan-sync"},
+                    &out, &err),
+            0)
+      << err;
+  EXPECT_NE(out.find("# planned strategy=ltilde shards=1 epoch=2 "
+                     "reason=every"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find(kTrailingReplanReceipt), std::string::npos) << out;
+  std::remove(data_path.c_str());
+  std::remove(queries_path.c_str());
+}
+
+TEST(CliTest, ServeStdinReceiptNamesTheEpochAfterATrailingReplan) {
+  const std::string data_path = TempPath("cli_receipt_stdin_data.csv");
+  std::string out, err;
+  ASSERT_EQ(RunMain({"generate", "--dataset", "social", "--output",
+                     data_path.c_str(), "--size", "256"},
+                    &out, &err),
+            0)
+      << err;
+  std::string script;
+  for (int i = 0; i < 32; ++i) {
+    script += "q " + std::to_string(i) + " " + std::to_string(i) + "\n";
+  }
+  ASSERT_EQ(RunMainWithInput(script,
+                             {"serve", "--input", data_path.c_str(),
+                              "--stdin", "--epsilon", "1", "--strategy",
+                              "hbar", "--replan-every", "32",
+                              "--replan-sync"},
+                             &out, &err),
+            0)
+      << err;
+  EXPECT_NE(out.find("# planned strategy=ltilde shards=1 epoch=2 "
+                     "reason=every"),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find(kTrailingReplanReceipt), std::string::npos) << out;
+  std::remove(data_path.c_str());
+}
+
 TEST(CliTest, ServeStdinManualReplanAndStats) {
   std::string data_path = TempPath("cli_stdin_manual_data.csv");
   std::string out, err;
@@ -1088,6 +1195,70 @@ TEST(CliTest, ServeListenServesTwoConcurrentClients) {
   std::remove(port_path.c_str());
 }
 
+TEST(CliTest, BinaryClientTranscriptMatchesTheTextClients) {
+  // One script against two fresh, identically seeded servers: the text
+  // client echoes what the server wrote, the binary client renders the
+  // frames through the same SessionWriter, so the transcripts match
+  // byte for byte, "#" lines included. (`stats` stays out: its
+  // protocol= field names the protocol.)
+  const std::string data_path = TempPath("cli_client_parity_data.csv");
+  std::string out, err;
+  ASSERT_EQ(RunMain({"generate", "--dataset", "social", "--output",
+                     data_path.c_str(), "--size", "128"},
+                    &out, &err),
+            0)
+      << err;
+  const std::string script =
+      "q 0 7\nq 8 15\nq 16 31\nq 0 127\nq 64 64\nqb 3 0 0 1 1 2 2\n"
+      "q 3 3\nreplan\nq 0 63\nq 5 9\nquit\n";
+  std::string transcripts[2];
+  for (int binary = 0; binary < 2; ++binary) {
+    SCOPED_TRACE(binary != 0 ? "client --binary" : "client");
+    const std::string port_path =
+        TempPath("cli_client_parity_port" + std::to_string(binary));
+    std::remove(port_path.c_str());
+    std::string server_out, server_err;
+    int server_code = -1;
+    std::thread server_thread([&] {
+      server_code = RunMain(
+          {"serve", "--input", data_path.c_str(), "--listen", "0",
+           "--max-sessions", "1", "--epsilon", "400", "--strategy", "hbar",
+           "--replan-every", "8", "--replan-sync", "--port-file",
+           port_path.c_str()},
+          &server_out, &server_err);
+    });
+    int port = 0;
+    for (int i = 0; i < 200 && port == 0; ++i) {
+      std::ifstream port_file(port_path);
+      if (!(port_file >> port)) {
+        port = 0;
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      }
+    }
+    ASSERT_GT(port, 0) << "server never wrote its port file";
+    const std::string port_text = std::to_string(port);
+    std::vector<const char*> args = {"client", "--port", port_text.c_str()};
+    if (binary != 0) args.push_back("--binary");
+    std::string client_err;
+    EXPECT_EQ(RunMainWithInput(script, args, &transcripts[binary],
+                               &client_err),
+              0)
+        << client_err;
+    server_thread.join();
+    EXPECT_EQ(server_code, 0) << server_err;
+    std::remove(port_path.c_str());
+  }
+  EXPECT_NE(transcripts[0].find("reason=every"), std::string::npos)
+      << transcripts[0];
+  EXPECT_NE(transcripts[0].find("reason=manual"), std::string::npos)
+      << transcripts[0];
+  EXPECT_NE(transcripts[0].find("\n# served 11 queries from epoch 3\n"),
+            std::string::npos)
+      << transcripts[0];
+  EXPECT_EQ(transcripts[1], transcripts[0]);
+  std::remove(data_path.c_str());
+}
+
 TEST(CliTest, ServeListenValidatesFlags) {
   std::string data_path = TempPath("cli_listen_flags_data.csv");
   std::string out, err;
@@ -1118,31 +1289,6 @@ TEST(CliTest, ServeListenValidatesFlags) {
             1);
   EXPECT_NE(err.find("port"), std::string::npos) << err;
   std::remove(data_path.c_str());
-}
-
-TEST(CliTest, LintVerbIsCleanAgainstCommittedBaseline) {
-  // Regression: the verb once crashed on flag parsing before linting a
-  // single file, so this exercises the full path — tree walk, baseline
-  // application, per-rule table — through the real CLI entry point.
-  std::string out, err;
-  EXPECT_EQ(RunMain({"lint", "--root", DPHIST_SOURCE_DIR}, &out, &err), 0)
-      << err;
-  EXPECT_NE(out.find("serving-check"), std::string::npos) << out;
-  EXPECT_NE(out.find("files scanned"), std::string::npos) << out;
-}
-
-TEST(CliTest, LintVerbFailsWithoutBaseline) {
-  // Pointing at an empty baseline exposes the pre-existing debt as
-  // fresh findings: non-zero exit and a count in the error.
-  const std::string empty = TempPath("empty_baseline.txt");
-  { std::ofstream touch(empty); }
-  std::string out, err;
-  EXPECT_EQ(RunMain({"lint", "--root", DPHIST_SOURCE_DIR, "--baseline",
-                     empty.c_str()},
-                    &out, &err),
-            1);
-  EXPECT_NE(err.find("fresh finding"), std::string::npos) << err;
-  EXPECT_NE(out.find("[serving-check]"), std::string::npos) << out;
 }
 
 TEST(CliTest, MissingInputFileSurfacesIoError) {

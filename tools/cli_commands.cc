@@ -29,7 +29,6 @@
 #include "service/query_service.h"
 #include "service/snapshot.h"
 #include "storage/epoch_store.h"
-#include "tools/lint/lint.h"
 
 namespace dphist::cli {
 namespace {
@@ -82,13 +81,6 @@ constexpr char kUsage[] =
     "                    (replay a serve --state-dir directory offline:\n"
     "                     ledger total, last epoch, persisted snapshot;\n"
     "                     --inspect lists every WAL spend record)\n"
-    "  lint              [--root D] [--config P] [--baseline P]\n"
-    "                    [--write-baseline] [--summary-md P]\n"
-    "                    (repo invariant checker over root/src: serving-\n"
-    "                     path asserts, hot-file allocations, unguarded\n"
-    "                     mutexes, non-Status factories, core includes\n"
-    "                     of paper/ headers; ratcheted baseline — see\n"
-    "                     tools/lint/lint.h)\n"
     "\n"
     "Every command rejects a flag it does not read.\n";
 
@@ -452,6 +444,12 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
 
   runtime::SessionSummary summary;
   Result<runtime::ReplanOutcome> initial = Status::Internal("unset");
+  auto note_initial_plan = [&] {
+    const planner::Plan& plan = initial.value().plan;
+    writer.PlanNote(StrategyKindName(plan.options.strategy),
+                    plan.options.shards, initial.value().epoch, "initial",
+                    plan.predicted_mean_variance);
+  };
   if (listening) {
     // Network mode: publish once, then let the socket transport fan
     // accepted connections into streaming sessions over this one
@@ -535,9 +533,7 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
     if (!initial.ok()) return initial.status();
     const Snapshot& snap = *initial.value().snapshot;
     runtime::WriteServingBanner(writer, snap);
-    if (initial.value().planned) {
-      writer.PlanNote(initial.value().plan, snap.epoch(), "initial");
-    }
+    if (initial.value().planned) note_initial_plan();
     writer.Flush();
     auto session = runtime::RunStreamingSession(in, writer, service, manager);
     if (!session.ok()) return session.status();
@@ -568,91 +564,87 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
   std::shared_ptr<const Snapshot> current = service.snapshot();
   const std::uint64_t report_epoch =
       summary.last_epoch != 0 ? summary.last_epoch : current->epoch();
-  // Report the *resolved* strategy: with --strategy auto this is the
-  // planner's choice, otherwise it echoes the flag.
+  // Report the *resolved* strategy of the current release: with
+  // --strategy auto this is the planner's choice, otherwise it echoes
+  // the flag. A replan after the last batch makes the current release a
+  // later epoch than the answers', so that epoch is named.
   out << "# served " << summary.queries << " queries from epoch "
-      << report_epoch << " (" << StrategyKindName(current->strategy())
+      << report_epoch << " (";
+  if (report_epoch != current->epoch()) {
+    out << "now epoch " << current->epoch() << ": ";
+  }
+  out << StrategyKindName(current->strategy())
       << ", eps=" << options.epsilon << ", shards="
       << current->shard_count()
       << ", engine_kernel=" << engine::KernelKindName(engine::ActiveKernel())
       << " engine_batches=" << engine::GlobalEngineCounters().total_batches()
       << " engine_queries=" << engine::GlobalEngineCounters().total_queries()
       << ")\n";
-  if (!streaming && initial.value().planned) {
-    writer.PlanNote(initial.value().plan, initial.value().epoch, "initial");
-  }
+  if (!streaming && initial.value().planned) note_initial_plan();
   return Status::Ok();
 }
 
 namespace {
 
-/// Renders one server push/reply frame the way a text session transcript
-/// would, so a binary client's output projects onto a text client's.
+/// Renders one server push/reply frame through `writer` as the text
+/// session would have written it, so a binary client's transcript
+/// projects onto a text client's.
 void RenderFrame(const runtime::BinaryClient::OwnedFrame& frame,
-                 bool batch_receipt, std::ostream& out) {
+                 bool batch_receipt, runtime::SessionWriter& writer) {
   namespace wire = runtime::wire;
   switch (frame.type) {
     case wire::FrameType::kAnswers: {
       wire::AnswersFrame answers;
       if (!wire::ParseAnswers(frame.payload, &answers).ok()) {
-        out << "error: malformed ANSWERS frame\n";
+        writer.Error("malformed ANSWERS frame");
         return;
       }
-      std::string lines;
-      for (double value : answers.values) {
-        runtime::AppendAnswerLine(value, &lines);
-      }
-      out << lines;
+      writer.Answers(answers.values.data(), answers.values.size());
       if (batch_receipt) {
-        out << "# batch n=" << answers.values.size()
-            << " epoch=" << answers.epoch << "\n";
+        writer.BatchReceipt(answers.values.size(), answers.epoch);
       }
       return;
     }
     case wire::FrameType::kPlan: {
       wire::PlanFrame plan;
       if (!wire::ParsePlan(frame.payload, &plan).ok()) {
-        out << "error: malformed PLAN frame\n";
+        writer.Error("malformed PLAN frame");
         return;
       }
-      const std::streamsize old_precision = out.precision(6);
-      out << "# planned strategy=" << plan.strategy
-          << " shards=" << plan.shards << " epoch=" << plan.epoch
-          << " reason=" << plan.reason
-          << " predicted_mean_var=" << plan.predicted_mean_var << "\n";
-      out.precision(old_precision);
+      writer.PlanNote(plan.strategy, static_cast<std::int64_t>(plan.shards),
+                      plan.epoch, plan.reason, plan.predicted_mean_var);
       return;
     }
     case wire::FrameType::kStatsText: {
       wire::StatsTextFrame stats;
       if (!wire::ParseStatsText(frame.payload, &stats).ok()) {
-        out << "error: malformed STATS_TEXT frame\n";
+        writer.Error("malformed STATS_TEXT frame");
         return;
       }
-      out << "# " << stats.text << "\n";
+      writer.Comment(stats.text);
       return;
     }
     case wire::FrameType::kNote: {
       std::string text;
       if (!wire::ParseNote(frame.payload, &text).ok()) {
-        out << "error: malformed NOTE frame\n";
+        writer.Error("malformed NOTE frame");
         return;
       }
-      out << "# " << text << "\n";
+      writer.Comment(text);
       return;
     }
     case wire::FrameType::kError: {
       wire::ErrorFrame error;
       if (!wire::ParseError(frame.payload, &error).ok()) {
-        out << "error: malformed ERROR frame\n";
+        writer.Error("malformed ERROR frame");
         return;
       }
-      out << "error: " << error.message << "\n";
+      writer.Error(error.message);
       return;
     }
     default:
-      out << "error: unexpected frame type "
-          << static_cast<int>(frame.type) << "\n";
+      writer.Error("unexpected frame type " +
+                   std::to_string(static_cast<int>(frame.type)));
       return;
   }
 }
@@ -669,6 +661,7 @@ Status RunBinaryClientSession(const std::string& host, int port,
   if (!connected.ok()) return connected.status();
   std::unique_ptr<runtime::BinaryClient> client =
       std::move(connected).value();
+  runtime::SessionWriter writer(out);
   out << client->banner() << "\n";
   const std::int64_t domain_size =
       static_cast<std::int64_t>(client->hello().domain_size);
@@ -686,7 +679,7 @@ Status RunBinaryClientSession(const std::string& host, int port,
     if (!parsed.ok()) {
       // Match the text server's behavior for a malformed line: one
       // error line, session continues.
-      out << "error: " << parsed.status().ToString() << "\n";
+      writer.Error(parsed.status().ToString());
       continue;
     }
     if (!parsed.value()) continue;  // blank or comment
@@ -728,8 +721,7 @@ Status RunBinaryClientSession(const std::string& host, int port,
       Status parsed =
           runtime::wire::ParseBye(frame.value().payload, &bye);
       if (!parsed.ok()) return parsed;
-      out << "# served " << bye.queries << " queries from epoch "
-          << bye.epoch << "\n";
+      writer.ServedReceipt(bye.queries, bye.epoch);
       return Status::Ok();
     }
     bool batch_receipt = false;
@@ -741,7 +733,7 @@ Status RunBinaryClientSession(const std::string& host, int port,
         batch_receipt = batch_by_id[answers.id];
       }
     }
-    RenderFrame(frame.value(), batch_receipt, out);
+    RenderFrame(frame.value(), batch_receipt, writer);
   }
 }
 
@@ -909,78 +901,6 @@ Status RunRecover(const Flags& flags, std::ostream& out) {
   return Status::Ok();
 }
 
-Status RunLint(const Flags& flags, std::ostream& out) {
-  Status known = flags.CheckKnown(
-      {"root", "config", "baseline", "write-baseline", "summary-md"});
-  if (!known.ok()) return known;
-  bool write_baseline = false;
-  Status parsed = ReadBool(flags, "write-baseline", &write_baseline);
-  if (!parsed.ok()) return parsed;
-  const std::string root = flags.GetString("root", ".");
-  lint::Config config;
-  std::string error;
-  std::string config_path = flags.GetString("config", "");
-  if (config_path.empty()) {
-    const std::string candidate = root + "/tools/lint/dphist_lint.conf";
-    if (std::ifstream(candidate)) config_path = candidate;
-  }
-  if (!config_path.empty() &&
-      !lint::LoadConfig(config_path, &config, &error)) {
-    return Status::InvalidArgument(error);
-  }
-
-  std::vector<lint::Finding> findings;
-  std::size_t files_scanned = 0;
-  if (!lint::LintTree(root, config, &findings, &error, &files_scanned)) {
-    return Status::IoError(error);
-  }
-
-  const std::string baseline_path =
-      flags.GetString("baseline", root + "/" + config.baseline);
-
-  if (write_baseline) {
-    std::ofstream baseline_out(baseline_path, std::ios::trunc);
-    if (!baseline_out) {
-      return Status::IoError("cannot write " + baseline_path);
-    }
-    baseline_out << lint::FormatBaseline(findings);
-    out << "wrote " << findings.size() << " baseline entries to "
-        << baseline_path << "\n";
-    return Status::Ok();
-  }
-
-  std::vector<std::string> baseline_keys;
-  if (!lint::LoadBaseline(baseline_path, &baseline_keys, &error)) {
-    return Status::IoError(error);
-  }
-  lint::Report report = lint::ApplyBaseline(findings, baseline_keys);
-  report.files_scanned = files_scanned;
-
-  for (const lint::Finding& finding : report.fresh) {
-    out << finding.file << ":" << finding.line << ": [" << finding.rule
-        << "] " << finding.message << "\n    " << finding.snippet << "\n";
-  }
-  for (const std::string& key : report.stale) {
-    out << "stale baseline entry: " << key << "\n";
-  }
-  out << lint::FormatTable(report);
-
-  const std::string summary_md = flags.GetString("summary-md", "");
-  if (!summary_md.empty()) {
-    std::ofstream summary(summary_md, std::ios::app);
-    if (!summary) return Status::IoError("cannot write " + summary_md);
-    summary << lint::FormatMarkdownTable(report);
-  }
-
-  if (!report.fresh.empty() || !report.stale.empty()) {
-    return Status::FailedPrecondition(
-        "lint: " + std::to_string(report.fresh.size()) +
-        " fresh finding(s), " + std::to_string(report.stale.size()) +
-        " stale baseline entr(y/ies)");
-  }
-  return Status::Ok();
-}
-
 int Main(int argc, const char* const* argv, std::istream& in,
          std::ostream& out, std::ostream& err) {
   Flags flags = Flags::Parse(argc, argv);
@@ -1006,8 +926,6 @@ int Main(int argc, const char* const* argv, std::istream& in,
     status = RunPlan(flags, out);
   } else if (command == "recover") {
     status = RunRecover(flags, out);
-  } else if (command == "lint") {
-    status = RunLint(flags, out);
   }
   if (!status.ok()) {
     err << "error: " << status.ToString() << "\n";

@@ -13,9 +13,14 @@
 //                     --strategy auto lets the planner pick and
 //                     --replan-every/--replan-drift let the EpochManager
 //                     republish as observed traffic shifts
+//   client            drive one session against `serve --listen` and
+//                     print its transcript (text or binary protocol)
 //   plan              cost every (strategy, shards) candidate against a
 //                     workload and print the variance-minimizing plan
 //                     (src/planner/)
+//   recover           replay a `serve --state-dir` directory offline
+//
+// The repo linter is its own binary, tools/lint/lint_main.cc.
 
 #ifndef DPHIST_TOOLS_CLI_COMMANDS_H_
 #define DPHIST_TOOLS_CLI_COMMANDS_H_
@@ -61,7 +66,10 @@ Status RunQuery(const Flags& flags, std::ostream& out);
 /// Either way the EpochManager can republish mid-session: every N
 /// observed queries, on predicted-MSE drift (checked every 256
 /// queries), or on the `replan` command — each republish spends a fresh
-/// epsilon and is announced as a `# planned strategy=...` line.
+/// epsilon and is announced as a `# planned strategy=...` line. The
+/// `# served N queries from epoch E (...)` line names the epoch of the
+/// last answered batch and describes the current release; when a
+/// replan followed that batch, the description opens `now epoch E':`.
 Status RunServe(const Flags& flags, std::istream& in, std::ostream& out);
 
 /// `client --port P [--host A] [--auth-token T] [--binary]
@@ -70,9 +78,9 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out);
 /// transcript. Commands come from --queries or stdin (same grammar as
 /// the REPL); a missing `quit` is appended. --binary negotiates the
 /// length-prefixed frame protocol, pipelines every request in one
-/// flush, and renders replies/pushes as the text transcript lines a
-/// plain session would have produced — so the two protocols' outputs
-/// can be diffed directly.
+/// flush, and renders replies/pushes through the SessionWriter a text
+/// session writes with — so the two protocols' outputs can be diffed
+/// directly.
 Status RunClient(const Flags& flags, std::istream& in, std::ostream& out);
 
 /// `plan --queries PATH --epsilon E (--input PATH | --domain N)
@@ -82,14 +90,6 @@ Status RunClient(const Flags& flags, std::istream& in, std::ostream& out);
 /// plan with the least mean variance. Purely analytical: reads no private data beyond the
 /// domain size, draws no noise.
 Status RunPlan(const Flags& flags, std::ostream& out);
-
-/// `lint [--root DIR] [--config FILE] [--baseline FILE]
-///  [--write-baseline] [--summary-md FILE]`
-/// Runs the repo invariant checker (tools/lint/) over root/src and
-/// prints fresh findings plus the per-rule count table. Fails
-/// (FailedPrecondition) on fresh findings or stale baseline entries —
-/// the same ratchet the standalone dphist_lint binary enforces in CI.
-Status RunLint(const Flags& flags, std::ostream& out);
 
 /// `recover --state-dir DIR [--inspect]`
 /// Offline replay of a `serve --state-dir` directory: refolds the WAL

@@ -4,6 +4,8 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <regex>
 #include <sstream>
 
@@ -15,6 +17,15 @@ constexpr const char* kRules[] = {
     "serving-check", "hot-alloc", "mutex-guard", "factory-status",
     "tsa-optout",    "paper-include",
 };
+
+/// Where serving-check and tsa-optout apply: code here must degrade
+/// gracefully (Status), never assert or abort on request data.
+constexpr const char* kServingDirs[] = {
+    "src/service/", "src/runtime/", "src/engine/", "src/storage/",
+};
+
+/// The file under the allocation-free contract (hot-alloc).
+constexpr const char* kHotFile = "src/engine/kernels.cc";
 
 std::string Trim(const std::string& s) {
   std::size_t b = 0;
@@ -51,17 +62,9 @@ bool HasPrefix(const std::string& s, const std::string& prefix) {
          s.compare(0, prefix.size(), prefix) == 0;
 }
 
-bool InAnyDir(const std::string& rel_path,
-              const std::vector<std::string>& dirs) {
-  for (const std::string& dir : dirs) {
-    if (HasPrefix(rel_path, dir)) return true;
-  }
-  return false;
-}
-
-bool IsListed(const std::string& rel_path,
-              const std::vector<std::string>& files) {
-  return std::find(files.begin(), files.end(), rel_path) != files.end();
+bool InServingDir(const std::string& rel_path) {
+  return std::any_of(std::begin(kServingDirs), std::end(kServingDirs),
+                     [&](const char* dir) { return HasPrefix(rel_path, dir); });
 }
 
 /// Splits `content` into raw lines (no trailing newline).
@@ -149,13 +152,12 @@ std::vector<std::string> RuleNames() {
 }
 
 std::vector<Finding> LintSource(const std::string& rel_path,
-                                const std::string& content,
-                                const Config& config) {
+                                const std::string& content) {
   std::vector<Finding> findings;
   const std::vector<std::string> raw = SplitLines(content);
   const std::vector<std::string> code = StripComments(raw);
-  const bool serving = InAnyDir(rel_path, config.serving_dirs);
-  const bool hot = IsListed(rel_path, config.hot_files);
+  const bool serving = InServingDir(rel_path);
+  const bool hot = rel_path == kHotFile;
   // src/paper/ is the whole boundary of dphist_paper; every other
   // source under src/ is dphist_core.
   const bool core =
@@ -261,9 +263,7 @@ std::vector<Finding> LintSource(const std::string& rel_path,
   return findings;
 }
 
-bool LintTree(const std::string& root, const Config& config,
-              std::vector<Finding>* findings, std::string* error,
-              std::size_t* files_scanned) {
+bool LintTree(const std::string& root, Report* report, std::string* error) {
   namespace fs = std::filesystem;
   const fs::path src = fs::path(root) / "src";
   std::error_code ec;
@@ -283,7 +283,7 @@ bool LintTree(const std::string& root, const Config& config,
     if (ext == ".h" || ext == ".cc") files.push_back(it->path());
   }
   std::sort(files.begin(), files.end());
-  if (files_scanned != nullptr) *files_scanned = files.size();
+  report->files_scanned = files.size();
   for (const fs::path& path : files) {
     std::ifstream in(path, std::ios::binary);
     if (!in) {
@@ -295,124 +295,20 @@ bool LintTree(const std::string& root, const Config& config,
     const std::string rel =
         fs::relative(path, fs::path(root), ec).generic_string();
     std::vector<Finding> file_findings =
-        LintSource(ec ? path.generic_string() : rel, buffer.str(), config);
-    findings->insert(findings->end(),
-                     std::make_move_iterator(file_findings.begin()),
-                     std::make_move_iterator(file_findings.end()));
+        LintSource(ec ? path.generic_string() : rel, buffer.str());
+    report->findings.insert(report->findings.end(),
+                            std::make_move_iterator(file_findings.begin()),
+                            std::make_move_iterator(file_findings.end()));
   }
   return true;
-}
-
-bool LoadConfig(const std::string& path, Config* config,
-                std::string* error) {
-  std::ifstream in(path);
-  if (!in) {
-    *error = "cannot read config: " + path;
-    return false;
-  }
-  auto parse_list = [](const std::string& value) {
-    std::vector<std::string> items;
-    std::string item;
-    std::istringstream stream(value);
-    while (std::getline(stream, item, ',')) {
-      item = Trim(item);
-      if (!item.empty()) items.push_back(item);
-    }
-    return items;
-  };
-  std::string line;
-  int line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    line = Trim(line);
-    if (line.empty()) continue;
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      *error = path + ":" + std::to_string(line_no) +
-               ": expected `key = value`";
-      return false;
-    }
-    const std::string key = Trim(line.substr(0, eq));
-    const std::string value = Trim(line.substr(eq + 1));
-    if (key == "serving_dirs") {
-      config->serving_dirs = parse_list(value);
-    } else if (key == "hot_files") {
-      config->hot_files = parse_list(value);
-    } else if (key == "baseline") {
-      config->baseline = value;
-    } else {
-      // A typo must not silently disable a rule.
-      *error = path + ":" + std::to_string(line_no) + ": unknown key '" +
-               key + "'";
-      return false;
-    }
-  }
-  return true;
-}
-
-bool LoadBaseline(const std::string& path, std::vector<std::string>* keys,
-                  std::string* error) {
-  std::ifstream in(path);
-  if (!in) return true;  // missing baseline == empty baseline
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (line.empty() || line[0] == '#') continue;
-    keys->push_back(line);
-  }
-  (void)error;
-  return true;
-}
-
-Report ApplyBaseline(const std::vector<Finding>& findings,
-                     const std::vector<std::string>& baseline_keys) {
-  Report report;
-  // Multiset semantics: each baseline line absorbs one finding.
-  std::map<std::string, int> remaining;
-  for (const std::string& key : baseline_keys) ++remaining[key];
-  for (const Finding& finding : findings) {
-    auto it = remaining.find(finding.Key());
-    if (it != remaining.end() && it->second > 0) {
-      --it->second;
-      report.suppressed.push_back(finding);
-    } else {
-      report.fresh.push_back(finding);
-    }
-  }
-  for (const auto& [key, count] : remaining) {
-    for (int i = 0; i < count; ++i) report.stale.push_back(key);
-  }
-  return report;
-}
-
-std::string FormatBaseline(const std::vector<Finding>& findings) {
-  std::vector<std::string> keys;
-  keys.reserve(findings.size());
-  for (const Finding& finding : findings) keys.push_back(finding.Key());
-  std::sort(keys.begin(), keys.end());
-  std::ostringstream out;
-  out << "# dphist_lint baseline: pre-existing findings, keyed\n"
-         "# rule|file|line-text (line-number independent). This file may\n"
-         "# only shrink; regenerate with `dphist_lint --write-baseline`\n"
-         "# after paying debt down.\n";
-  for (const std::string& key : keys) out << key << "\n";
-  return out.str();
 }
 
 namespace {
 
-struct RuleCounts {
-  std::size_t fresh = 0;
-  std::size_t suppressed = 0;
-};
-
-std::map<std::string, RuleCounts> CountByRule(const Report& report) {
-  std::map<std::string, RuleCounts> counts;
+std::map<std::string, std::size_t> CountByRule(const Report& report) {
+  std::map<std::string, std::size_t> counts;
   for (const std::string& rule : RuleNames()) counts[rule];  // stable rows
-  for (const Finding& f : report.fresh) ++counts[f.rule].fresh;
-  for (const Finding& f : report.suppressed) ++counts[f.rule].suppressed;
+  for (const Finding& f : report.findings) ++counts[f.rule];
   return counts;
 }
 
@@ -420,28 +316,24 @@ std::map<std::string, RuleCounts> CountByRule(const Report& report) {
 
 std::string FormatTable(const Report& report) {
   std::ostringstream out;
-  out << "rule             fresh  baselined\n";
-  for (const auto& [rule, counts] : CountByRule(report)) {
+  out << "rule             findings\n";
+  for (const auto& [rule, count] : CountByRule(report)) {
     out << rule << std::string(rule.size() < 17 ? 17 - rule.size() : 1, ' ')
-        << counts.fresh << "      " << counts.suppressed << "\n";
+        << count << "\n";
   }
-  out << "files scanned: " << report.files_scanned
-      << ", stale baseline entries: " << report.stale.size() << "\n";
+  out << "files scanned: " << report.files_scanned << "\n";
   return out.str();
 }
 
 std::string FormatMarkdownTable(const Report& report) {
   std::ostringstream out;
   out << "### dphist_lint\n\n"
-         "| rule | fresh | baselined |\n"
-         "| --- | ---: | ---: |\n";
-  for (const auto& [rule, counts] : CountByRule(report)) {
-    out << "| `" << rule << "` | " << counts.fresh << " | "
-        << counts.suppressed << " |\n";
+         "| rule | findings |\n"
+         "| --- | ---: |\n";
+  for (const auto& [rule, count] : CountByRule(report)) {
+    out << "| `" << rule << "` | " << count << " |\n";
   }
-  out << "\nFiles scanned: " << report.files_scanned
-      << " &middot; stale baseline entries: " << report.stale.size()
-      << "\n";
+  out << "\nFiles scanned: " << report.files_scanned << "\n";
   return out.str();
 }
 

@@ -1,17 +1,15 @@
 // dphist_lint command-line driver. See tools/lint/lint.h for the rules.
 //
 // Usage:
-//   dphist_lint [--root DIR] [--config FILE] [--baseline FILE]
-//               [--write-baseline] [--summary-md FILE] [--list-rules]
-//   dphist_lint --file PATH --as REL_PATH   (single file, no baseline;
-//               REL_PATH selects which rules apply — CI uses this to
-//               prove every must-fail fixture still fails)
+//   dphist_lint [--root DIR] [--summary-md FILE] [--list-rules]
+//   dphist_lint --file PATH --as REL_PATH   (single file; REL_PATH
+//               selects which rules apply — CI uses this to prove every
+//               must-fail fixture still fails)
 //
-// Exit status: 0 when the tree is clean modulo the baseline and the
-// baseline has no stale entries; 1 on findings or stale entries; 2 on
-// usage or I/O errors.
+// Exit status: 0 when nothing is found; 1 on any finding; 2 on usage or
+// I/O errors.
 
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -24,22 +22,26 @@ namespace {
 
 int Usage(const char* argv0) {
   std::cerr << "usage: " << argv0
-            << " [--root DIR] [--config FILE] [--baseline FILE]\n"
-               "       [--write-baseline] [--summary-md FILE] "
-               "[--list-rules]\n";
+            << " [--root DIR] [--summary-md FILE] [--list-rules]\n"
+               "       "
+            << argv0 << " --file PATH [--as REL_PATH]\n";
   return 2;
+}
+
+void PrintFindings(const std::vector<dphist::lint::Finding>& findings) {
+  for (const dphist::lint::Finding& f : findings) {
+    std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
+              << f.message << "\n    " << f.snippet << "\n";
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   std::string root = ".";
-  std::string config_path;
-  std::string baseline_override;
   std::string summary_md;
   std::string single_file;
   std::string as_path;
-  bool write_baseline = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -52,18 +54,12 @@ int main(int argc, char** argv) {
     };
     if (arg == "--root") {
       root = value("--root");
-    } else if (arg == "--config") {
-      config_path = value("--config");
-    } else if (arg == "--baseline") {
-      baseline_override = value("--baseline");
     } else if (arg == "--summary-md") {
       summary_md = value("--summary-md");
     } else if (arg == "--file") {
       single_file = value("--file");
     } else if (arg == "--as") {
       as_path = value("--as");
-    } else if (arg == "--write-baseline") {
-      write_baseline = true;
     } else if (arg == "--list-rules") {
       for (const std::string& rule : dphist::lint::RuleNames()) {
         std::cout << rule << "\n";
@@ -72,19 +68,6 @@ int main(int argc, char** argv) {
     } else {
       return Usage(argv[0]);
     }
-  }
-
-  dphist::lint::Config config;
-  std::string error;
-  if (config_path.empty()) {
-    // Pick up the checked-in config when running from the repo root.
-    const std::string default_config = root + "/tools/lint/dphist_lint.conf";
-    if (std::ifstream(default_config)) config_path = default_config;
-  }
-  if (!config_path.empty() &&
-      !dphist::lint::LoadConfig(config_path, &config, &error)) {
-    std::cerr << "dphist_lint: " << error << "\n";
-    return 2;
   }
 
   if (!single_file.empty()) {
@@ -97,58 +80,19 @@ int main(int argc, char** argv) {
     buffer << in.rdbuf();
     const std::string rel = as_path.empty() ? single_file : as_path;
     const std::vector<dphist::lint::Finding> findings =
-        dphist::lint::LintSource(rel, buffer.str(), config);
-    for (const dphist::lint::Finding& f : findings) {
-      std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
-                << f.message << "\n    " << f.snippet << "\n";
-    }
+        dphist::lint::LintSource(rel, buffer.str());
+    PrintFindings(findings);
     std::cout << findings.size() << " finding(s)\n";
     return findings.empty() ? 0 : 1;
   }
 
-  std::vector<dphist::lint::Finding> findings;
-  std::size_t files_scanned = 0;
-  if (!dphist::lint::LintTree(root, config, &findings, &error,
-                              &files_scanned)) {
+  dphist::lint::Report report;
+  std::string error;
+  if (!dphist::lint::LintTree(root, &report, &error)) {
     std::cerr << "dphist_lint: " << error << "\n";
     return 2;
   }
-
-  const std::string baseline_path =
-      baseline_override.empty() ? root + "/" + config.baseline
-                                : baseline_override;
-
-  if (write_baseline) {
-    std::ofstream out(baseline_path, std::ios::trunc);
-    if (!out) {
-      std::cerr << "dphist_lint: cannot write " << baseline_path << "\n";
-      return 2;
-    }
-    out << dphist::lint::FormatBaseline(findings);
-    std::cout << "wrote " << findings.size() << " baseline entries to "
-              << baseline_path << "\n";
-    return 0;
-  }
-
-  std::vector<std::string> baseline_keys;
-  if (!dphist::lint::LoadBaseline(baseline_path, &baseline_keys, &error)) {
-    std::cerr << "dphist_lint: " << error << "\n";
-    return 2;
-  }
-
-  dphist::lint::Report report =
-      dphist::lint::ApplyBaseline(findings, baseline_keys);
-  report.files_scanned = files_scanned;
-
-  for (const dphist::lint::Finding& f : report.fresh) {
-    std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
-              << f.message << "\n    " << f.snippet << "\n";
-  }
-  for (const std::string& key : report.stale) {
-    std::cout << "stale baseline entry (debt already paid — remove it, or "
-                 "re-run with --write-baseline): "
-              << key << "\n";
-  }
+  PrintFindings(report.findings);
   std::cout << dphist::lint::FormatTable(report);
 
   if (!summary_md.empty()) {
@@ -160,5 +104,5 @@ int main(int argc, char** argv) {
     out << dphist::lint::FormatMarkdownTable(report);
   }
 
-  return report.fresh.empty() && report.stale.empty() ? 0 : 1;
+  return report.findings.empty() ? 0 : 1;
 }
