@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
         const double elapsed = NowSeconds() - start;
         DPHIST_CHECK_MSG(published.ok(), "durable publish failed");
         auto replanned = manager.ReplanNow();
-        DPHIST_CHECK_MSG(replanned.ok(), "replan failed");
+        DPHIST_CHECK_MSG(replanned.status.ok(), "replan failed");
         DPHIST_CHECK_MSG(service
                              .TryQueryBatch(probes.data(), probes.size(),
                                             before.data())

@@ -143,7 +143,7 @@ int main(int argc, char** argv) {
       const double t0 = NowSeconds();
       auto outcome = manager.ReplanNow();
       replan_seconds = NowSeconds() - t0;
-      DPHIST_CHECK_MSG(outcome.ok(), "replan failed");
+      DPHIST_CHECK_MSG(outcome.status.ok(), "replan failed");
       replan_done.store(true, std::memory_order_release);
     });
     ReplanWindow window{};

@@ -7,11 +7,8 @@
 namespace dphist::engine {
 namespace {
 
-struct CounterCell {
-  std::atomic<std::uint64_t> batches{0};
-  std::atomic<std::uint64_t> queries{0};
-};
-CounterCell g_counters[kKernelKindCount];
+std::atomic<std::uint64_t> g_batches{0};
+std::atomic<std::uint64_t> g_queries{0};
 
 /// Per-thread arenas, grown to the high-water batch size and reused so
 /// steady-state batches never touch the heap. Readers on different
@@ -131,17 +128,14 @@ void AnswerBatch(const AnswerPlan& plan, const Interval* ranges,
     }
   }
 
-  CounterCell& cell = g_counters[static_cast<int>(kind)];
-  cell.batches.fetch_add(1, std::memory_order_relaxed);
-  cell.queries.fetch_add(count, std::memory_order_relaxed);
+  g_batches.fetch_add(1, std::memory_order_relaxed);
+  g_queries.fetch_add(count, std::memory_order_relaxed);
 }
 
 EngineCounters GlobalEngineCounters() {
   EngineCounters counters;
-  for (int k = 0; k < kKernelKindCount; ++k) {
-    counters.batches[k] = g_counters[k].batches.load(std::memory_order_relaxed);
-    counters.queries[k] = g_counters[k].queries.load(std::memory_order_relaxed);
-  }
+  counters.batches = g_batches.load(std::memory_order_relaxed);
+  counters.queries = g_queries.load(std::memory_order_relaxed);
   return counters;
 }
 

@@ -21,9 +21,9 @@
 // size and are then reused: steady-state batches perform zero heap
 // allocations (proved by dphist_alloc_test).
 //
-// Counters: every batch/query answered is tallied per kernel level;
-// `stats` and the server receipt surface them as engine_kernel= /
-// engine_batches= / engine_queries=.
+// Counters: every batch and query answered is tallied, whatever the
+// kernel level; `stats` and the server receipt surface them beside the
+// live level as engine_kernel= / engine_batches= / engine_queries=.
 
 #ifndef DPHIST_ENGINE_ANSWER_ENGINE_H_
 #define DPHIST_ENGINE_ANSWER_ENGINE_H_
@@ -46,21 +46,13 @@ namespace dphist::engine {
 void AnswerBatch(const AnswerPlan& plan, const Interval* ranges,
                  const std::int32_t* sel, std::size_t count, double* out);
 
-/// Cumulative process-wide batch/query tallies, indexed by KernelKind.
+/// Cumulative process-wide batch/query tallies over every kernel level.
 struct EngineCounters {
-  std::uint64_t batches[kKernelKindCount] = {};
-  std::uint64_t queries[kKernelKindCount] = {};
+  std::uint64_t batches = 0;
+  std::uint64_t queries = 0;
 
-  std::uint64_t total_batches() const {
-    std::uint64_t total = 0;
-    for (std::uint64_t b : batches) total += b;
-    return total;
-  }
-  std::uint64_t total_queries() const {
-    std::uint64_t total = 0;
-    for (std::uint64_t q : queries) total += q;
-    return total;
-  }
+  std::uint64_t total_batches() const { return batches; }
+  std::uint64_t total_queries() const { return queries; }
 };
 
 /// Snapshot of the counters (relaxed reads; exact once writers quiesce).

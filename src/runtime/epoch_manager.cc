@@ -1,6 +1,5 @@
 #include "runtime/epoch_manager.h"
 
-#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -39,9 +38,7 @@ EpochManager::EpochManager(QueryService* service, Histogram data,
       seed_rng_(seed) {
   // dphist-lint: allow(serving-check) constructor precondition, not input
   DPHIST_CHECK_MSG(service_ != nullptr, "EpochManager needs a service");
-  if (options_.async) {
-    worker_ = std::thread([this] { WorkerLoop(); });
-  }
+  worker_ = std::thread([this] { WorkerLoop(); });
 }
 
 EpochManager::~EpochManager() {
@@ -50,7 +47,7 @@ EpochManager::~EpochManager() {
     stop_ = true;
   }
   work_cv_.NotifyAll();
-  if (worker_.joinable()) worker_.join();
+  worker_.join();
 }
 
 std::uint64_t EpochManager::NextSeedLocked() {
@@ -104,7 +101,6 @@ Result<std::shared_ptr<const Snapshot>> EpochManager::ChargeAndPublish(
   {
     MutexLock lock(mutex_);
     if (!accountant_.CanSpend(options.epsilon)) {
-      stats_.budget_refusals += 1;
       return Status::FailedPrecondition(
           "refused: spending " + std::to_string(options.epsilon) +
           " would exceed the epsilon budget (remaining " +
@@ -115,7 +111,6 @@ Result<std::shared_ptr<const Snapshot>> EpochManager::ChargeAndPublish(
     if (!spent.ok()) {
       // Unreachable after a passing gate, but a refused spend must stay
       // a refusal — not a CHECK-abort — on the server.
-      stats_.budget_refusals += 1;
       return spent;
     }
     stats_.epsilon_spent = accountant_.spent();
@@ -198,13 +193,11 @@ Result<ReplanOutcome> EpochManager::PublishInitial(
   }
 
   outcome.republished = true;
-  outcome.snapshot = published.value();
-  outcome.epoch = outcome.snapshot->epoch();
+  outcome.epoch = published.value()->epoch();
   {
     MutexLock lock(mutex_);
     stats_.republishes += 1;
     count_at_last_publish_ = service_->observed_query_count();
-    count_at_last_drift_check_ = count_at_last_publish_;
   }
   ReleaseBusy();
   return outcome;
@@ -255,17 +248,14 @@ Result<ReplanOutcome> EpochManager::Recover() {
       return installed.status();
     }
     outcome.republished = true;
-    outcome.snapshot = std::move(state.snapshot);
-    outcome.epoch = outcome.snapshot->epoch();
+    outcome.epoch = state.snapshot->epoch();
   }
   recovered_profile_ = std::move(state.profile);
 
   {
     MutexLock lock(mutex_);
-    stats_.recoveries += 1;
     if (outcome.republished) stats_.republishes += 1;
     count_at_last_publish_ = service_->observed_query_count();
-    count_at_last_drift_check_ = count_at_last_publish_;
   }
   ReleaseBusy();
   return outcome;
@@ -336,50 +326,27 @@ ReplanOutcome EpochManager::ExecuteReplan(ReplanTrigger trigger) {
     return outcome;
   }
   outcome.republished = true;
-  outcome.snapshot = published.value();
-  outcome.epoch = outcome.snapshot->epoch();
+  outcome.epoch = published.value()->epoch();
   return outcome;
 }
 
-void EpochManager::RecordLocked(const ReplanOutcome& outcome,
-                                SubscriberId skip) {
+void EpochManager::RecordLocked(ReplanOutcome& outcome) {
   if (outcome.republished) {
     stats_.republishes += 1;
-    switch (outcome.trigger) {
-      case ReplanTrigger::kManual:
-        stats_.manual += 1;
-        break;
-      case ReplanTrigger::kEveryN:
-        stats_.every += 1;
-        break;
-      case ReplanTrigger::kDrift:
-        stats_.drift += 1;
-        break;
-      case ReplanTrigger::kInitial:
-      case ReplanTrigger::kRecover:
-        break;
-    }
+    stats_.replans += 1;
   } else if (outcome.status.ok()) {
     stats_.drift_checks += 1;
   } else if (outcome.status.code() != StatusCode::kFailedPrecondition) {
-    // Budget refusals were already counted at the gate.
     stats_.failures += 1;
   }
-  // Re-anchor both triggers at the traffic level the decision saw, so a
+  // Re-anchor the triggers at the traffic level the decision saw, so a
   // refusal or no-drift verdict backs off instead of refiring every
   // Poll.
   count_at_last_publish_ = service_->observed_query_count();
-  count_at_last_drift_check_ = count_at_last_publish_;
-  // Broadcast: every subscribed session gets its own copy, so one
-  // session draining its queue never consumes another's announcement.
-  for (auto& [id, queue] : subscribers_) {
-    if (id == skip) continue;
-    if (queue.size() >= kMaxQueuedPerSubscriber) {
-      queue.pop_front();
-      stats_.announcements_dropped += 1;
-    }
-    queue.push_back(outcome);
-  }
+  outcome.sequence = last_sequence_.load(std::memory_order_relaxed) + 1;
+  if (log_.size() == kLogCapacity) log_.pop_front();
+  log_.push_back(outcome);
+  last_sequence_.store(outcome.sequence, std::memory_order_release);
 }
 
 bool EpochManager::PollTriggerLocked(ReplanTrigger* trigger) {
@@ -392,19 +359,11 @@ bool EpochManager::PollTriggerLocked(ReplanTrigger* trigger) {
     return true;
   }
   if (options_.drift_ratio > 0.0 &&
-      count - count_at_last_drift_check_ >= kDriftCheckEvery) {
+      count - count_at_last_publish_ >= kDriftCheckEvery) {
     *trigger = ReplanTrigger::kDrift;
     return true;
   }
   return false;
-}
-
-bool EpochManager::TryStartSyncReplan(ReplanTrigger* trigger) {
-  MutexLock lock(mutex_);
-  if (!PollTriggerLocked(trigger)) return false;
-  busy_ = true;
-  busy_cap_.Acquire();
-  return true;
 }
 
 bool EpochManager::Poll() {
@@ -414,31 +373,21 @@ bool EpochManager::Poll() {
   if (options_.replan_every <= 0 && options_.drift_ratio <= 0.0) {
     return false;
   }
-  if (options_.async) {
+  {
+    MutexLock lock(mutex_);
     ReplanTrigger trigger;
-    {
-      MutexLock lock(mutex_);
-      if (!PollTriggerLocked(&trigger)) return false;
-      request_pending_ = true;
-      request_trigger_ = trigger;
-    }
-    work_cv_.NotifyOne();
-    return true;
+    if (!PollTriggerLocked(&trigger)) return false;
+    request_pending_ = true;
+    request_trigger_ = trigger;
   }
-  ReplanTrigger trigger;
-  if (!TryStartSyncReplan(&trigger)) return false;
-  FinishReplan(ExecuteReplan(trigger));
+  work_cv_.NotifyOne();
+  if (!options_.async) Drain();
   return true;
 }
 
-Result<ReplanOutcome> EpochManager::ReplanNow(SubscriberId reporter) {
+ReplanOutcome EpochManager::ReplanNow() {
   AcquireBusy();
-  ReplanOutcome outcome = ExecuteReplan(ReplanTrigger::kManual);
-  // The caller reports this outcome directly, so its own subscription is
-  // skipped; every other session still gets the announcement.
-  FinishReplan(outcome, /*skip=*/reporter);
-  if (!outcome.status.ok()) return outcome.status;
-  return outcome;
+  return FinishReplan(ExecuteReplan(ReplanTrigger::kManual));
 }
 
 void EpochManager::Drain() {
@@ -446,58 +395,32 @@ void EpochManager::Drain() {
   while (busy_ || request_pending_) idle_cv_.Wait(mutex_);
 }
 
-EpochManager::SubscriberId EpochManager::Subscribe() {
+std::vector<ReplanOutcome> EpochManager::OutcomesAfter(
+    std::uint64_t after) const {
   MutexLock lock(mutex_);
-  const SubscriberId id = next_subscriber_++;
-  subscribers_[id];  // creates the empty queue
-  return id;
-}
-
-void EpochManager::Unsubscribe(SubscriberId id) {
-  MutexLock lock(mutex_);
-  subscribers_.erase(id);
-}
-
-std::vector<ReplanOutcome> EpochManager::TakeCompleted(SubscriberId id) {
-  MutexLock lock(mutex_);
-  auto it = subscribers_.find(id);
-  if (it == subscribers_.end()) return {};
-  std::vector<ReplanOutcome> taken(
-      std::make_move_iterator(it->second.begin()),
-      std::make_move_iterator(it->second.end()));
-  it->second.clear();
-  return taken;
+  std::vector<ReplanOutcome> outcomes;
+  for (const ReplanOutcome& outcome : log_) {
+    if (outcome.sequence > after) outcomes.push_back(outcome);
+  }
+  return outcomes;
 }
 
 void EpochManager::SetAnnouncementNotifier(std::function<void()> notifier) {
-  MutexLock lock(mutex_);
-  // FinishReplan copies the notifier and bumps the in-flight count under
-  // mutex_ before invoking it unlocked, so waiting for zero here means
-  // the OLD callback is not mid-call on any thread — the caller may tear
-  // down whatever it captures the moment we return.
-  while (notifier_calls_in_flight_ != 0) idle_cv_.Wait(mutex_);
+  MutexLock lock(notifier_mutex_);
   announcement_notifier_ = std::move(notifier);
 }
 
-void EpochManager::FinishReplan(const ReplanOutcome& outcome,
-                                SubscriberId skip) {
-  std::function<void()> notify;
+ReplanOutcome EpochManager::FinishReplan(ReplanOutcome outcome) {
   {
     MutexLock lock(mutex_);
-    RecordLocked(outcome, skip);
+    RecordLocked(outcome);
     busy_ = false;
     busy_cap_.Release();
-    notify = announcement_notifier_;
-    if (notify) notifier_calls_in_flight_ += 1;
   }
   idle_cv_.NotifyAll();
-  if (!notify) return;
-  notify();
-  {
-    MutexLock lock(mutex_);
-    notifier_calls_in_flight_ -= 1;
-  }
-  idle_cv_.NotifyAll();
+  MutexLock lock(notifier_mutex_);
+  if (announcement_notifier_) announcement_notifier_();
+  return outcome;
 }
 
 EpochManager::Stats EpochManager::stats() const {

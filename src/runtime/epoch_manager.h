@@ -23,14 +23,19 @@
 // long-lived planner::CostModel, so a replan re-runs the closed forms
 // only for lengths it has not costed before.
 //
-// A replan runs off the serving thread (options.async): the worker
+// Every triggered replan runs on the manager's worker thread: it
 // exports the profile, runs ChoosePlan, builds the snapshot, and the
 // QueryService swaps it in atomically — readers never block, and every
-// in-flight batch still finishes under the epoch it started on. The
-// completed outcome is broadcast to every subscribed session
-// (Subscribe/TakeCompleted), so each session's transcript shows each
-// "# planned ..." line exactly once — with several concurrent sessions
-// (the socket transport) no client can steal another's announcements.
+// in-flight batch still finishes under the epoch it started on. With
+// options.async false the Poll that queued the replan waits for it, so
+// a scripted session reports it before its next line. ReplanNow,
+// PublishInitial and Recover run on their caller.
+//
+// Each replan outcome is recorded once, with a sequence number, in a log
+// of the last kLogCapacity outcomes. A serving session reads the log
+// from its own cursor (last_sequence / OutcomesAfter), so its transcript
+// shows each "# planned ..." line exactly once, and a session that stops
+// reading holds nothing but its cursor: the log keeps no release alive.
 //
 // Privacy: every republish is a fresh interaction with the private data
 // and spends a fresh options.base.epsilon (sequential composition across
@@ -42,10 +47,10 @@
 #ifndef DPHIST_RUNTIME_EPOCH_MANAGER_H_
 #define DPHIST_RUNTIME_EPOCH_MANAGER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -83,12 +88,13 @@ struct EpochManagerOptions {
   /// least 1 + drift_ratio, checked every EpochManager::kDriftCheckEvery
   /// observed queries; 0 disables the drift trigger.
   double drift_ratio = 0.0;
-  /// Run triggered replans on the manager's worker thread (readers and
-  /// the serving loop never wait on a build). False makes every replan
-  /// synchronous — deterministic transcripts for scripted sessions.
+  /// Triggered replans always run on the manager's worker thread; true
+  /// lets the Poll that queued one return at once (the serving loop never
+  /// waits on a build). False makes that Poll wait for the replan —
+  /// deterministic transcripts for scripted sessions.
   bool async = true;
   /// Total epsilon the manager may spend across every publish; 0 means
-  /// unlimited. A replan that would overspend is refused and counted.
+  /// unlimited. A replan that would overspend is refused.
   double epsilon_budget = 0.0;
   /// Durable state (not owned; must outlive the manager). When set,
   /// every spend is WAL-appended and every committed publish persisted
@@ -110,24 +116,21 @@ struct ReplanOutcome {
   /// Epoch of the new snapshot when republished, of the kept one when a
   /// drift check keeps it.
   std::uint64_t epoch = 0;
-  std::shared_ptr<const Snapshot> snapshot;
   /// Measured predicted-MSE ratio current/best for drift evaluations.
   double measured_drift = 0.0;
   Status status = Status::Ok();
+  /// Position in the manager's outcome log (1, 2, ...); 0 for the
+  /// outcomes PublishInitial and Recover return, which are not logged.
+  std::uint64_t sequence = 0;
 };
 
 /// Drives republishing for one QueryService over one private histogram.
 /// All public methods are thread-safe; any number of serving sessions
-/// may share one manager (each holding its own subscription).
+/// may share one manager (each reading the outcome log by its own cursor).
 class EpochManager {
  public:
-  /// Identifies one completed-outcome subscriber (a serving session).
-  using SubscriberId = std::uint64_t;
-  /// Never a valid subscription: "report to nobody in particular".
-  static constexpr SubscriberId kNoSubscriber = 0;
-  /// Outcomes queued per subscriber before the oldest is dropped (a
-  /// session that never polls must not pin every old snapshot alive).
-  static constexpr std::size_t kMaxQueuedPerSubscriber = 64;
+  /// Outcomes the log keeps; a reader further behind misses the oldest.
+  static constexpr std::size_t kLogCapacity = 64;
   /// Observed queries between drift evaluations.
   static constexpr std::uint64_t kDriftCheckEvery = 256;
 
@@ -136,7 +139,7 @@ class EpochManager {
   EpochManager(QueryService* service, Histogram data,
                const EpochManagerOptions& options, std::uint64_t seed);
 
-  /// Joins the worker; any in-flight replan completes first.
+  /// Joins the worker; any running replan completes first.
   ~EpochManager();
 
   EpochManager(const EpochManager&) = delete;
@@ -164,64 +167,54 @@ class EpochManager {
   Result<ReplanOutcome> Recover();
 
   /// Checks the triggers against the service's observed counters and
-  /// starts (async) or performs (sync) at most one replan. Returns true
-  /// when a replan or drift check was started/performed by this call.
-  /// Returns false without locking when neither trigger is configured;
-  /// otherwise a configured trigger reads one counter per stripe.
+  /// queues at most one replan for the worker; with options.async false
+  /// it then waits for the worker to finish (Drain). Returns true when
+  /// this call queued a replan or drift check. Returns false without
+  /// locking when neither trigger is configured; otherwise a configured
+  /// trigger reads one counter per stripe.
   bool Poll();
 
-  /// Explicit synchronous replan (the REPL `replan` command): waits for
-  /// any in-flight replan, then plans and republishes on this thread.
-  /// Fails (without publishing) when the budget would be overspent or
-  /// planning fails. The outcome is returned to the caller
-  /// AND broadcast to every subscriber except `reporter` (the calling
-  /// session reports it directly; everyone else still learns the epoch
-  /// changed under them).
-  Result<ReplanOutcome> ReplanNow(SubscriberId reporter = kNoSubscriber);
+  /// Explicit replan on this thread (the REPL `replan` command): waits
+  /// for any queued or running replan, then plans and republishes.
+  /// `status` says whether it failed (without publishing) because the
+  /// budget would be overspent or planning failed. Logged like every
+  /// other replan: the calling session reports it directly and skips
+  /// its `sequence` in the log.
+  ReplanOutcome ReplanNow();
 
   /// Blocks until no replan is queued or running.
   void Drain();
 
-  /// Registers a session for completed-outcome announcements. Only
-  /// outcomes recorded after this call are delivered.
-  SubscriberId Subscribe();
+  /// Sequence number of the newest logged outcome (0 before any): one
+  /// atomic load, so a session checks for news on every command
+  /// without taking the manager's lock.
+  std::uint64_t last_sequence() const {
+    return last_sequence_.load(std::memory_order_acquire);
+  }
 
-  /// Drops a subscription and its undelivered outcomes. Unknown ids are
-  /// ignored (a session may outlive a manager reset in tests).
-  void Unsubscribe(SubscriberId id);
+  /// The logged outcomes whose sequence number is above `after`, oldest
+  /// first (at most the last kLogCapacity).
+  std::vector<ReplanOutcome> OutcomesAfter(std::uint64_t after) const;
 
-  /// Outcomes recorded for `id` since its last call, oldest first. Each
-  /// serving session polls its own subscription to print "# planned
-  /// ..." lines — one session consuming its queue never steals
-  /// another's announcements.
-  std::vector<ReplanOutcome> TakeCompleted(SubscriberId id);
-
-  /// Registers a callback invoked — outside every manager lock — right
-  /// after an outcome has been broadcast to the subscriber queues. The
-  /// non-blocking transport binds this to its wakeup pipe so completed
-  /// replans become write-queue pushes: sessions parked in epoll learn
-  /// about a republish immediately instead of at their next command.
-  /// At most one notifier (last call wins); nullptr clears it. The
-  /// callback runs on whichever thread finished the replan (worker or a
-  /// sync caller) and must be cheap and must not call back into the
-  /// manager. This call BLOCKS until any in-flight invocation of the
-  /// previous notifier returns, so `SetAnnouncementNotifier(nullptr)`
-  /// is a safe unhook: afterwards the old callback's captures may be
-  /// destroyed.
+  /// Registers a callback invoked right after each outcome is logged.
+  /// The non-blocking transport binds this to its wakeup pipe so
+  /// completed replans become write-queue pushes: sessions parked in
+  /// epoll learn about a republish immediately instead of at their next
+  /// command. At most one notifier (last call wins); nullptr clears it.
+  /// The callback runs on whichever thread finished the replan (the
+  /// worker or a ReplanNow caller), under a mutex this call also takes,
+  /// and must be cheap and must not call back into the manager. So
+  /// `SetAnnouncementNotifier(nullptr)` is a safe unhook: afterwards the
+  /// old callback's captures may be destroyed.
   void SetAnnouncementNotifier(std::function<void()> notifier);
 
   struct Stats {
-    std::uint64_t republishes = 0;    // successful publishes incl. initial
-    std::uint64_t manual = 0;         // republishes by trigger
-    std::uint64_t every = 0;
-    std::uint64_t drift = 0;
-    std::uint64_t drift_checks = 0;   // evaluations that kept the release
-    std::uint64_t failures = 0;       // attempts that errored
-    std::uint64_t budget_refusals = 0;
-    std::uint64_t recoveries = 0;     // successful Recover() calls
-    /// Announcements evicted from a subscriber queue that outgrew
-    /// kMaxQueuedPerSubscriber (a session that stopped polling).
-    std::uint64_t announcements_dropped = 0;
+    std::uint64_t republishes = 0;   // successful publishes incl. initial
+    std::uint64_t replans = 0;       // republishes by a trigger or ReplanNow
+    std::uint64_t drift_checks = 0;  // evaluations that kept the release
+    /// Replans that errored; a refusal (budget, no release yet) is not
+    /// counted.
+    std::uint64_t failures = 0;
     double epsilon_spent = 0.0;
   };
   Stats stats() const;
@@ -273,25 +266,16 @@ class EpochManager {
   /// already queued/running/stopping.
   bool PollTriggerLocked(ReplanTrigger* trigger) DPHIST_REQUIRES(mutex_);
 
-  /// Sync-mode Poll: evaluates the triggers and takes the busy token in
-  /// ONE critical section (decision and take must be atomic, or two
-  /// concurrent pollers could both fire). True = token taken.
-  bool TryStartSyncReplan(ReplanTrigger* trigger)
-      DPHIST_TRY_ACQUIRE(true, busy_cap_) DPHIST_EXCLUDES(mutex_);
-
-  /// The tail of every replan (sync Poll, ReplanNow, the worker):
-  /// records the outcome and broadcasts it (RecordLocked), frees the
-  /// busy token, then calls the announcement notifier outside every
-  /// lock, counted in notifier_calls_in_flight_ for the duration so
-  /// SetAnnouncementNotifier can wait it out.
-  void FinishReplan(const ReplanOutcome& outcome,
-                    SubscriberId skip = kNoSubscriber)
+  /// The tail of every logged replan (ReplanNow, the worker): logs the
+  /// outcome (RecordLocked), frees the busy token, then calls the
+  /// announcement notifier under notifier_mutex_. Returns the outcome
+  /// with its sequence number.
+  ReplanOutcome FinishReplan(ReplanOutcome outcome)
       DPHIST_RELEASE(busy_cap_) DPHIST_EXCLUDES(mutex_);
 
-  /// Records the outcome in stats_ and broadcasts it to every
-  /// subscriber queue except `skip`.
-  void RecordLocked(const ReplanOutcome& outcome, SubscriberId skip)
-      DPHIST_REQUIRES(mutex_);
+  /// Counts the outcome in stats_, re-anchors the triggers and appends
+  /// it to the log under the next sequence number.
+  void RecordLocked(ReplanOutcome& outcome) DPHIST_REQUIRES(mutex_);
 
   /// Next publish seed from the deterministic stream.
   std::uint64_t NextSeedLocked() DPHIST_REQUIRES(mutex_);
@@ -322,51 +306,27 @@ class EpochManager {
   bool request_pending_ DPHIST_GUARDED_BY(mutex_) = false;
   ReplanTrigger request_trigger_ DPHIST_GUARDED_BY(mutex_) =
       ReplanTrigger::kManual;
-  /// A replan is executing (worker or sync caller); runtime twin of
-  /// busy_cap_.
+  /// A replan is executing (worker or ReplanNow caller); runtime twin
+  /// of busy_cap_.
   bool busy_ DPHIST_GUARDED_BY(mutex_) = false;
-  /// Per-subscriber undelivered outcomes; every recorded outcome is
-  /// appended to every queue (minus the skip id), bounded at
-  /// kMaxQueuedPerSubscriber by dropping the oldest.
-  std::map<SubscriberId, std::deque<ReplanOutcome>> subscribers_
-      DPHIST_GUARDED_BY(mutex_);
-  SubscriberId next_subscriber_ DPHIST_GUARDED_BY(mutex_) = 1;
-  /// Copied out under mutex_ and invoked unlocked after each broadcast.
-  std::function<void()> announcement_notifier_ DPHIST_GUARDED_BY(mutex_);
-  /// Unlocked notifier calls currently executing. SetAnnouncementNotifier
-  /// waits for zero before swapping, so unhooking guarantees the old
-  /// callback is not (and will never again be) mid-call — the caller may
-  /// free whatever it touches.
-  int notifier_calls_in_flight_ DPHIST_GUARDED_BY(mutex_) = 0;
+  /// The last kLogCapacity outcomes, oldest first, sequence numbers
+  /// consecutive; last_sequence_ is the back's (written under mutex_).
+  std::deque<ReplanOutcome> log_ DPHIST_GUARDED_BY(mutex_);
+  std::atomic<std::uint64_t> last_sequence_{0};
   Stats stats_ DPHIST_GUARDED_BY(mutex_);
   PrivacyAccountant accountant_ DPHIST_GUARDED_BY(mutex_);
-  /// Observed-query counts anchoring the every-N and drift triggers.
+  /// Observed-query count anchoring the every-N and drift triggers.
   std::uint64_t count_at_last_publish_ DPHIST_GUARDED_BY(mutex_) = 0;
-  std::uint64_t count_at_last_drift_check_ DPHIST_GUARDED_BY(mutex_) = 0;
   Rng seed_rng_ DPHIST_GUARDED_BY(mutex_);
   /// The planner profile recovered from the store, used by replans while
   /// the observed workload is still empty. Mutated under the busy token.
   std::optional<planner::WorkloadProfile> recovered_profile_
       DPHIST_GUARDED_BY(busy_cap_);
-  std::thread worker_;  // running only when options_.async
-};
-
-/// Scoped subscription: subscribes on construction, unsubscribes on
-/// destruction. Every serving session holds one for its lifetime.
-class EpochSubscription {
- public:
-  explicit EpochSubscription(EpochManager& manager)
-      : manager_(manager), id_(manager.Subscribe()) {}
-  ~EpochSubscription() { manager_.Unsubscribe(id_); }
-
-  EpochSubscription(const EpochSubscription&) = delete;
-  EpochSubscription& operator=(const EpochSubscription&) = delete;
-
-  EpochManager::SubscriberId id() const { return id_; }
-
- private:
-  EpochManager& manager_;
-  EpochManager::SubscriberId id_;
+  /// Held while the notifier is called or replaced.
+  Mutex notifier_mutex_;
+  std::function<void()> announcement_notifier_
+      DPHIST_GUARDED_BY(notifier_mutex_);
+  std::thread worker_;  // runs every triggered replan
 };
 
 }  // namespace dphist::runtime

@@ -15,7 +15,7 @@ SessionExecutor::SessionExecutor(
     : writer_(writer),
       service_(service),
       manager_(manager),
-      subscription_(manager),
+      cursor_(manager.last_sequence()),
       session_write_errors_(std::move(session_write_errors)) {
   std::shared_ptr<const Snapshot> snapshot = service.snapshot();
   if (snapshot != nullptr) domain_size_ = snapshot->domain_size();
@@ -100,9 +100,10 @@ Status SessionExecutor::Execute(SessionVerb verb,
 }
 
 Result<ReplanOutcome> SessionExecutor::ManualReplan() {
-  // Pass our subscription so the broadcast skips this session — we
-  // report the outcome directly; other sessions still get theirs.
-  return manager_.ReplanNow(subscription_.id());
+  ReplanOutcome outcome = manager_.ReplanNow();
+  own_replan_ = outcome.sequence;
+  if (!outcome.status.ok()) return outcome.status;
+  return outcome;
 }
 
 void SessionExecutor::PollAndReport() {
@@ -113,11 +114,18 @@ void SessionExecutor::PollAndReport() {
 
 std::vector<ReplanOutcome> SessionExecutor::PollAndTake() {
   manager_.Poll();
-  return manager_.TakeCompleted(subscription_.id());
+  return TakeAnnouncements();
 }
 
 std::vector<ReplanOutcome> SessionExecutor::TakeAnnouncements() {
-  return manager_.TakeCompleted(subscription_.id());
+  std::vector<ReplanOutcome> outcomes;
+  if (manager_.last_sequence() == cursor_) return outcomes;
+  outcomes = manager_.OutcomesAfter(cursor_);
+  if (!outcomes.empty()) cursor_ = outcomes.back().sequence;
+  std::erase_if(outcomes, [this](const ReplanOutcome& outcome) {
+    return outcome.sequence == own_replan_;
+  });
+  return outcomes;
 }
 
 std::string SessionExecutor::OutcomeComment(const ReplanOutcome& outcome) {
@@ -163,13 +171,11 @@ std::string SessionExecutor::StatsText() {
        << " shards=" << (snap != nullptr ? snap->shard_count() : 0)
        << " queries=" << service_.observed_query_count()
        << " publishes=" << lifecycle.republishes
-       << " replans=" << (lifecycle.manual + lifecycle.every +
-                          lifecycle.drift)
+       << " replans=" << lifecycle.replans
        << " drift_checks=" << lifecycle.drift_checks
        << " epsilon_spent=" << lifecycle.epsilon_spent;
   // Batch answer engine: which kernel level is live and how much traffic
-  // it has absorbed (totals across levels differ only when a force
-  // override changed mid-run).
+  // it has absorbed at every level.
   const engine::EngineCounters engine_counters =
       engine::GlobalEngineCounters();
   text << " engine_kernel=" << engine::KernelKindName(engine::ActiveKernel())

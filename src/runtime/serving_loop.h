@@ -4,8 +4,9 @@
 // Every text line, from the stdin REPL or a socket connection, goes
 // through SessionExecutor::ExecuteLine: parsed by ParseSessionLine,
 // executed, then the EpochManager is polled (which is what lets the
-// every-N and drift triggers fire mid-session and announces completed
-// asynchronous replans as "# planned ..." lines). A malformed line is
+// every-N and drift triggers fire mid-session) and its outcome log is
+// read from the session's cursor (which announces completed replans as
+// "# planned ..." lines). A malformed line is
 // reported as "error: ..." and survived. RunStreamingSession is a
 // getline loop over it; the non-blocking socket state machines call it
 // from their readiness loop for each complete line.
@@ -58,9 +59,11 @@ void WriteServingBanner(SessionWriter& writer, const Snapshot& snapshot);
 
 /// Shared command executor: every way a session reaches the server —
 /// blocking REPL, scripted file, or a non-blocking socket state machine
-/// — funnels through one of these. It owns the session's EpochManager
-/// subscription (so concurrent sessions each see every completed replan
-/// exactly once) and the per-session counters. The text entry points
+/// — funnels through one of these. It owns the session's cursor into
+/// the EpochManager's outcome log (so concurrent sessions each see every
+/// completed replan exactly once) and the per-session counters. The
+/// cursor starts at the newest outcome logged when the executor is
+/// built; only later outcomes are announced. The text entry points
 /// (ExecuteLine / Execute / PollAndReport) render through the
 /// SessionWriter; the binary frame path uses the raw entry points
 /// (AnswerBatch / StatsText / PollAndTake) and encodes the same data
@@ -122,16 +125,18 @@ class SessionExecutor {
   /// The body of the `stats` reply (no leading "# ").
   std::string StatsText();
 
-  /// Manual replan with this session as the reporter: its own queue is
-  /// skipped by the broadcast, the outcome comes back here to encode.
+  /// Manual replan with this session as the reporter: the outcome comes
+  /// back here to encode, and the log read skips its sequence number.
+  /// Take the announcements before the next ManualReplan.
   Result<ReplanOutcome> ManualReplan();
 
-  /// Fires due triggers, then drains this session's announcement queue
-  /// (oldest first) without writing anything.
+  /// Fires due triggers, then takes the outcomes logged since the last
+  /// take (oldest first) without writing anything.
   std::vector<ReplanOutcome> PollAndTake();
 
-  /// Drains the queue without polling — the notifier-wakeup path, where
-  /// the trigger already ran on another thread.
+  /// Takes them without polling — the notifier-wakeup path, where the
+  /// trigger already ran on another thread. When nothing is new this is
+  /// one atomic load; only news takes the manager's lock.
   std::vector<ReplanOutcome> TakeAnnouncements();
 
   /// Writes one outcome through the SessionWriter: a "# planned ..."
@@ -158,7 +163,10 @@ class SessionExecutor {
   SessionWriter& writer_;
   QueryService& service_;
   EpochManager& manager_;
-  EpochSubscription subscription_;
+  /// Sequence number of the newest logged outcome this session has
+  /// taken, and of its own last manual replan (reported directly).
+  std::uint64_t cursor_;
+  std::uint64_t own_replan_ = 0;
   std::function<std::uint64_t()> session_write_errors_;
   const char* protocol_ = "text";
   std::uint64_t last_answer_epoch_ = 0;  // 0 = nothing answered yet
@@ -178,7 +186,7 @@ class SessionExecutor {
 /// partial line left buffered holds back the answers to the lines
 /// before it until that line completes or the input ends.
 /// Requires a published snapshot (PublishInitial first). The
-/// session holds its own EpochManager subscription, so any number of
+/// session reads the outcome log by its own cursor, so any number of
 /// concurrent sessions may share one service + manager.
 Result<SessionSummary> RunStreamingSession(std::istream& in,
                                            SessionWriter& writer,

@@ -53,19 +53,7 @@ FdStreamBuf::int_type FdStreamBuf::underflow() {
   do {
     n = ::recv(fd_, in_buf_, kBufSize, 0);
   } while (n < 0 && errno == EINTR);
-  if (n == 0) {
-    // Clean FIN: the peer finished its script and hung up on purpose.
-    orderly_eof_.store(true, std::memory_order_relaxed);
-    return traits_type::eof();
-  }
-  if (n < 0) {
-    // Socket error. ECONNRESET (peer vanished mid-conversation) is the
-    // crash signature worth distinguishing from an orderly goodbye.
-    if (errno == ECONNRESET) {
-      peer_reset_.store(true, std::memory_order_relaxed);
-    }
-    return traits_type::eof();
-  }
+  if (n <= 0) return traits_type::eof();  // FIN or a socket error
   setg(in_buf_, in_buf_, in_buf_ + static_cast<std::size_t>(n));
   return traits_type::to_int_type(*gptr());
 }
@@ -80,9 +68,6 @@ bool FdStreamBuf::FlushOut() {
                        MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
-      if (errno == ECONNRESET || errno == EPIPE) {
-        peer_reset_.store(true, std::memory_order_relaxed);
-      }
       // The pending bytes are gone; count the loss instead of silently
       // resetting the buffer — `stats` and the server receipt report it.
       write_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -490,8 +475,8 @@ class ConnDriver {
   void DeliverAnnouncements(Conn& c) {
     if (c.executor == nullptr || c.close_after_flush) return;
     // A connection that has not picked its protocol yet must not get
-    // text pushed at it that a binary client would misparse; its queue
-    // drains right after negotiation.
+    // text pushed at it that a binary client would misparse; it reads
+    // the log from its cursor right after negotiation.
     if (c.phase == Conn::Phase::kText) {
       for (const ReplanOutcome& outcome : c.executor->TakeAnnouncements()) {
         c.executor->ReportOutcome(outcome);
@@ -596,7 +581,7 @@ class ConnDriver {
     } else {
       c.phase = Conn::Phase::kText;
     }
-    // Announcements that queued while the protocol was undecided.
+    // Announcements logged while the protocol was undecided.
     DeliverAnnouncements(c);
     return true;
   }
@@ -701,6 +686,10 @@ class ConnDriver {
                             outcome.status().ToString(), &c.outbuf);
         } else {
           ReportBinary(c, outcome.value());
+        }
+        // As after a text `replan` line: announce what else landed.
+        for (const ReplanOutcome& landed : c.executor->PollAndTake()) {
+          ReportBinary(c, landed);
         }
         return true;
       }

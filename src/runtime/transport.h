@@ -27,11 +27,13 @@
 //
 //   - each connection owns a private write buffer and SessionWriter, so
 //     per-connection transcripts can never interleave mid-line;
-//   - each session holds its own EpochManager subscription, and
-//     completed replans are PUSHED into every session's write buffer
-//     (the manager's announcement notifier wakes every worker), so every
-//     client sees every replan announcement exactly once — without
-//     waiting for its own next command;
+//   - each session reads the manager's one outcome log by its own
+//     cursor, and completed replans are PUSHED into every session's
+//     write buffer (the manager's announcement notifier wakes every
+//     worker), so every client sees every replan announcement exactly
+//     once — without waiting for its own next command. A connection
+//     that has not picked its protocol yet reads the log once it does;
+//     until then it holds only its cursor;
 //   - queries from every connection feed the same observed-traffic
 //     profile, so the every-N and drift triggers fire on the aggregate
 //     load, and a republish lands for all clients at once (each
@@ -92,16 +94,6 @@ class FdStreamBuf : public std::streambuf {
   std::uint64_t write_errors() const {
     return write_errors_.load(std::memory_order_relaxed);
   }
-  /// True once a read saw a clean FIN (recv returned 0): the peer
-  /// finished and hung up on purpose.
-  bool orderly_eof() const {
-    return orderly_eof_.load(std::memory_order_relaxed);
-  }
-  /// True once a read failed with ECONNRESET: the peer vanished
-  /// mid-conversation rather than closing.
-  bool peer_reset() const {
-    return peer_reset_.load(std::memory_order_relaxed);
-  }
 
  protected:
   int_type underflow() override;
@@ -116,11 +108,8 @@ class FdStreamBuf : public std::streambuf {
   int fd_;
   char in_buf_[kBufSize];
   char out_buf_[kBufSize];
-  /// Atomics: bumped on the session thread, read by the server's stats
-  /// aggregation from other threads.
+  /// Atomic: bumped on the session thread, read from other threads.
   std::atomic<std::uint64_t> write_errors_{0};
-  std::atomic<bool> orderly_eof_{false};
-  std::atomic<bool> peer_reset_{false};
 };
 
 /// Owning iostream over a connected socket: closes the fd on
@@ -135,10 +124,8 @@ class SocketStream : public std::iostream {
 
   int fd() const { return fd_; }
 
-  /// See FdStreamBuf::write_errors / orderly_eof / peer_reset.
+  /// See FdStreamBuf::write_errors.
   std::uint64_t write_errors() const { return buf_.write_errors(); }
-  bool orderly_eof() const { return buf_.orderly_eof(); }
-  bool peer_reset() const { return buf_.peer_reset(); }
 
  private:
   FdStreamBuf buf_;

@@ -7,11 +7,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <string_view>
 #include <utility>
 
 #include "storage/codec.h"
+#include "storage/fd_io.h"
 #include "storage/page.h"
 
 namespace dphist::storage {
@@ -21,10 +21,6 @@ constexpr std::uint16_t kSnapshotFormatVersion = 1;
 constexpr char kWalFile[] = "wal.log";
 constexpr char kSnapshotFile[] = "snapshot.db";
 constexpr char kSnapshotTmpFile[] = "snapshot.db.tmp";
-
-Status ErrnoStatus(const std::string& what) {
-  return Status::IoError(what + ": " + std::strerror(errno));
-}
 
 /// Owns one file descriptor and closes it on every return path.
 class ScopedFd {
@@ -42,36 +38,11 @@ class ScopedFd {
   int fd_;
 };
 
-Status SyncFd(int fd, const std::string& what) {
-  int rc;
-  do {
-    rc = ::fsync(fd);
-  } while (rc < 0 && errno == EINTR);
-  return rc < 0 ? ErrnoStatus("fsync " + what) : Status::Ok();
-}
-
 /// fsync on the directory so a rename inside it is itself durable.
 Status SyncDir(const std::string& dir) {
   const ScopedFd fd(::open(dir.c_str(), O_RDONLY | O_DIRECTORY));
   if (fd.get() < 0) return ErrnoStatus("open dir " + dir);
   return SyncFd(fd.get(), "dir " + dir);
-}
-
-/// write(2) of all `size` bytes, retrying EINTR and short writes.
-Status WriteAll(int fd, const void* data, std::size_t size,
-                const std::string& path) {
-  const auto* p = static_cast<const char*>(data);
-  while (size > 0) {
-    const ssize_t n = ::write(fd, p, size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return ErrnoStatus("write " + path);
-    }
-    if (n == 0) return Status::IoError("write " + path + " made no progress");
-    p += n;
-    size -= static_cast<std::size_t>(n);
-  }
-  return Status::Ok();
 }
 
 /// read(2) of exactly `size` bytes, retrying EINTR and short reads; an

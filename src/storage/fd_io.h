@@ -1,0 +1,54 @@
+// The storage layer's POSIX write path, shared by the write-ahead log
+// and the epoch store: errno to Status, a whole-buffer write(2) and an
+// fsync(2), each retrying EINTR. Every durable byte the store writes
+// goes through these, so a fault-injection test has one place to hook.
+// Internal to src/storage/.
+
+#ifndef DPHIST_STORAGE_FD_IO_H_
+#define DPHIST_STORAGE_FD_IO_H_
+
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstddef>
+#include <cstring>
+#include <string>
+
+#include "common/status.h"
+
+namespace dphist::storage {
+
+/// IoError "`what`: strerror(errno)".
+inline Status ErrnoStatus(const std::string& what) {
+  return Status::IoError(what + ": " + std::strerror(errno));
+}
+
+/// write(2) of all `size` bytes, retrying EINTR and short writes.
+inline Status WriteAll(int fd, const void* data, std::size_t size,
+                       const std::string& path) {
+  const auto* p = static_cast<const char*>(data);
+  while (size > 0) {
+    const ssize_t n = ::write(fd, p, size);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("write " + path);
+    }
+    if (n == 0) return Status::IoError("write " + path + " made no progress");
+    p += n;
+    size -= static_cast<std::size_t>(n);
+  }
+  return Status::Ok();
+}
+
+/// fsync(2), retrying EINTR; a failure names "fsync `what`".
+inline Status SyncFd(int fd, const std::string& what) {
+  int rc;
+  do {
+    rc = ::fsync(fd);
+  } while (rc < 0 && errno == EINTR);
+  return rc < 0 ? ErrnoStatus("fsync " + what) : Status::Ok();
+}
+
+}  // namespace dphist::storage
+
+#endif  // DPHIST_STORAGE_FD_IO_H_

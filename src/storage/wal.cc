@@ -5,10 +5,10 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "storage/codec.h"
+#include "storage/fd_io.h"
 #include "storage/page.h"
 
 namespace dphist::storage {
@@ -22,10 +22,6 @@ constexpr std::size_t kWalHeaderSize = 16;
 /// A structurally absurd payload length is treated as corruption, not
 /// as a gigantic allocation attempt.
 constexpr std::uint32_t kWalMaxPayload = 1u << 20;
-
-Status ErrnoStatus(const std::string& what) {
-  return Status::IoError(what + ": " + std::strerror(errno));
-}
 
 std::string EncodePayload(const WalRecord& record) {
   ByteWriter payload;
@@ -94,26 +90,14 @@ Result<std::uint64_t> WriteAheadLog::Append(const WalRecord& record) {
 
   const std::uint64_t offset = size_;
   const std::string& bytes = framed.data();
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    const ssize_t n = ::write(fd_, bytes.data() + done, bytes.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      // Drop whatever partial bytes landed so the in-memory offset and
-      // the file stay consistent; a torn tail here would otherwise be
-      // blamed on the NEXT crash.
-      (void)::ftruncate(fd_, static_cast<off_t>(offset));
-      return ErrnoStatus("write " + path_);
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  int rc;
-  do {
-    rc = ::fsync(fd_);
-  } while (rc < 0 && errno == EINTR);
-  if (rc < 0) {
+  Status status = WriteAll(fd_, bytes.data(), bytes.size(), path_);
+  if (status.ok()) status = SyncFd(fd_, path_);
+  if (!status.ok()) {
+    // Drop whatever partial bytes landed so the in-memory offset and
+    // the file stay consistent; a torn tail here would otherwise be
+    // blamed on the NEXT crash.
     (void)::ftruncate(fd_, static_cast<off_t>(offset));
-    return ErrnoStatus("fsync " + path_);
+    return status;
   }
   size_ = offset + bytes.size();
   return offset;
@@ -126,11 +110,8 @@ Status WriteAheadLog::TruncateTo(std::uint64_t offset) {
   if (::ftruncate(fd_, static_cast<off_t>(offset)) < 0) {
     return ErrnoStatus("ftruncate " + path_);
   }
-  int rc;
-  do {
-    rc = ::fsync(fd_);
-  } while (rc < 0 && errno == EINTR);
-  if (rc < 0) return ErrnoStatus("fsync " + path_);
+  Status synced = SyncFd(fd_, path_);
+  if (!synced.ok()) return synced;
   size_ = offset;
   return Status::Ok();
 }

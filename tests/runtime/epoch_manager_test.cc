@@ -7,6 +7,8 @@
 #include <chrono>
 #include <cstdint>
 #include <map>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,6 +16,7 @@
 #include "data/zipf.h"
 #include "domain/histogram.h"
 #include "planner/planner.h"
+#include "runtime/serving_loop.h"
 
 namespace dphist::runtime {
 namespace {
@@ -74,7 +77,7 @@ TEST(EpochManagerTest, InitialPublishPlansWhenAuto) {
     EXPECT_TRUE(outcome.value().planned);
     EXPECT_EQ(outcome.value().epoch, epoch);
     EXPECT_EQ(service.current_epoch(), epoch);
-    const StrategyKind chosen = outcome.value().snapshot->strategy();
+    const StrategyKind chosen = service.snapshot()->strategy();
     if (row.expected == StrategyKind::kAuto) {
       EXPECT_NE(chosen, StrategyKind::kAuto);
     } else {
@@ -109,18 +112,16 @@ TEST(EpochManagerTest, ManualReplanMatchesChoosePlanOnExportedProfile) {
                                       options.base, options.planner);
   ASSERT_TRUE(expected.ok());
 
-  auto outcome = manager.ReplanNow();
-  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_TRUE(outcome.value().republished);
-  EXPECT_EQ(outcome.value().epoch, 2u);
-  EXPECT_EQ(outcome.value().plan.options.strategy,
-            expected.value().options.strategy);
-  EXPECT_EQ(outcome.value().plan.options.shards,
-            expected.value().options.shards);
+  ReplanOutcome outcome = manager.ReplanNow();
+  ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
+  EXPECT_TRUE(outcome.republished);
+  EXPECT_EQ(outcome.epoch, 2u);
+  EXPECT_EQ(outcome.plan.options.strategy, expected.value().options.strategy);
+  EXPECT_EQ(outcome.plan.options.shards, expected.value().options.shards);
   EXPECT_EQ(service.snapshot()->strategy(),
             expected.value().options.strategy);
   EXPECT_EQ(expected.value().options.strategy, StrategyKind::kLTilde);
-  EXPECT_EQ(manager.stats().manual, 1u);
+  EXPECT_EQ(manager.stats().replans, 1u);
   EXPECT_DOUBLE_EQ(manager.stats().epsilon_spent,
                    2 * options.base.epsilon);
 }
@@ -145,7 +146,7 @@ TEST(EpochManagerTest, EveryNTriggerFiresOnPoll) {
   Interval q(0, 0);
   EXPECT_TRUE(service.TryQueryBatch(&q, 1, answer.data()).ok());
   EXPECT_TRUE(manager.Poll());
-  EXPECT_EQ(manager.stats().every, 1u);
+  EXPECT_EQ(manager.stats().replans, 1u);
   EXPECT_EQ(service.current_epoch(), 2u);
   // The trigger re-anchors: the very next poll is quiet again.
   EXPECT_FALSE(manager.Poll());
@@ -209,7 +210,7 @@ TEST(EpochManagerTest, DriftTriggerRepublishesOnlyOnMeasuredDrift) {
   ASSERT_TRUE(service.TryQueryBatch(full.data(), 1, answers.data()).ok());
   EXPECT_TRUE(manager.Poll());  // a drift check ran...
   EXPECT_EQ(manager.stats().drift_checks, 1u);
-  EXPECT_EQ(manager.stats().drift, 0u);  // ...but kept the release
+  EXPECT_EQ(manager.stats().replans, 0u);  // ...but kept the release
   EXPECT_EQ(service.current_epoch(), 1u);
   EXPECT_DOUBLE_EQ(manager.stats().epsilon_spent, options.base.epsilon);
 
@@ -223,7 +224,7 @@ TEST(EpochManagerTest, DriftTriggerRepublishesOnlyOnMeasuredDrift) {
   ASSERT_TRUE(
       service.TryQueryBatch(units.data(), units.size(), answers.data()).ok());
   EXPECT_TRUE(manager.Poll());
-  EXPECT_EQ(manager.stats().drift, 1u);
+  EXPECT_EQ(manager.stats().replans, 1u);
   EXPECT_EQ(service.current_epoch(), 2u);
   EXPECT_GT(service.snapshot()->shard_count(), 1);
 }
@@ -238,10 +239,11 @@ TEST(EpochManagerTest, BudgetRefusalKeepsServingTheOldEpoch) {
   EpochManager manager(&service, data, options, 7);
   ASSERT_TRUE(manager.PublishInitial().ok());
 
-  auto refused = manager.ReplanNow();
-  EXPECT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(manager.stats().budget_refusals, 1u);
+  ReplanOutcome refused = manager.ReplanNow();
+  EXPECT_FALSE(refused.status.ok());
+  EXPECT_EQ(refused.status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(refused.republished);
+  EXPECT_EQ(manager.stats().failures, 0u);  // a refusal is no failure
   EXPECT_EQ(manager.stats().republishes, 1u);
   EXPECT_EQ(service.current_epoch(), 1u);  // old release still serving
   double out = 0.0;
@@ -249,11 +251,11 @@ TEST(EpochManagerTest, BudgetRefusalKeepsServingTheOldEpoch) {
   EXPECT_EQ(service.TryQueryBatch(&probe, 1, &out).value(), 1u);
 }
 
-// Subscriber queues are independent: every broadcast lands in every
-// queue exactly once, a manual replan skips its reporter (the caller
-// prints it directly), and a late subscriber sees nothing from before
-// it subscribed.
-TEST(EpochManagerTest, SubscriberQueuesAreIndependent) {
+// One outcome log: every replan outcome, triggered or manual, is logged
+// once under the next sequence number; readers at different cursors
+// read it independently, a reader that starts at last_sequence() sees
+// nothing from before, and the log keeps only the last kLogCapacity.
+TEST(EpochManagerTest, OutcomeLogIsReadByCursor) {
   const std::int64_t n = 64;
   Histogram data = TestData(n);
   QueryService service;
@@ -263,9 +265,7 @@ TEST(EpochManagerTest, SubscriberQueuesAreIndependent) {
   options.async = false;
   EpochManager manager(&service, data, options, 7);
   ASSERT_TRUE(manager.PublishInitial().ok());
-
-  const EpochManager::SubscriberId a = manager.Subscribe();
-  const EpochManager::SubscriberId b = manager.Subscribe();
+  EXPECT_EQ(manager.last_sequence(), 0u);  // the initial publish is not logged
 
   std::vector<double> answer(1);
   for (std::int64_t i = 0; i < 4; ++i) {
@@ -273,42 +273,35 @@ TEST(EpochManagerTest, SubscriberQueuesAreIndependent) {
     EXPECT_TRUE(service.TryQueryBatch(&q, 1, answer.data()).ok());
   }
   ASSERT_TRUE(manager.Poll());  // every-N republish -> epoch 2
+  ASSERT_EQ(manager.last_sequence(), 1u);
+  const ReplanOutcome manual = manager.ReplanNow();
+  ASSERT_TRUE(manual.status.ok()) << manual.status.ToString();
+  EXPECT_EQ(manual.epoch, 3u);
+  EXPECT_EQ(manual.sequence, 2u);
 
-  // Both subscribers get the announcement; draining one queue does not
-  // touch the other, and a second take is empty.
-  auto taken_a = manager.TakeCompleted(a);
-  ASSERT_EQ(taken_a.size(), 1u);
-  EXPECT_EQ(taken_a[0].epoch, 2u);
-  EXPECT_EQ(taken_a[0].trigger, ReplanTrigger::kEveryN);
-  EXPECT_TRUE(manager.TakeCompleted(a).empty());
-  auto taken_b = manager.TakeCompleted(b);
-  ASSERT_EQ(taken_b.size(), 1u);
-  EXPECT_EQ(taken_b[0].epoch, 2u);
+  // Reading at one cursor leaves the log whole for every other cursor.
+  std::vector<ReplanOutcome> all = manager.OutcomesAfter(0);
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[0].sequence, 1u);
+  EXPECT_EQ(all[0].epoch, 2u);
+  EXPECT_EQ(all[0].trigger, ReplanTrigger::kEveryN);
+  EXPECT_EQ(all[1].sequence, 2u);
+  EXPECT_EQ(all[1].trigger, ReplanTrigger::kManual);
+  std::vector<ReplanOutcome> newer = manager.OutcomesAfter(1);
+  ASSERT_EQ(newer.size(), 1u);
+  EXPECT_EQ(newer[0].epoch, 3u);
+  EXPECT_EQ(manager.OutcomesAfter(0).size(), 2u);
+  EXPECT_TRUE(manager.OutcomesAfter(manager.last_sequence()).empty());
 
-  // A manual replan reported by session `a` is skipped in a's queue and
-  // still announced to b.
-  auto manual = manager.ReplanNow(a);
-  ASSERT_TRUE(manual.ok()) << manual.status().ToString();
-  EXPECT_EQ(manual.value().epoch, 3u);
-  EXPECT_TRUE(manager.TakeCompleted(a).empty());
-  taken_b = manager.TakeCompleted(b);
-  ASSERT_EQ(taken_b.size(), 1u);
-  EXPECT_EQ(taken_b[0].epoch, 3u);
-  EXPECT_EQ(taken_b[0].trigger, ReplanTrigger::kManual);
-
-  // A subscriber that joins now has missed everything so far.
-  const EpochManager::SubscriberId late = manager.Subscribe();
-  EXPECT_TRUE(manager.TakeCompleted(late).empty());
-
-  // Unsubscribed queues stop accumulating (and unknown ids are inert).
-  manager.Unsubscribe(b);
-  ASSERT_TRUE(manager.ReplanNow().ok());
-  EXPECT_TRUE(manager.TakeCompleted(b).empty());
-  auto taken_late = manager.TakeCompleted(late);
-  ASSERT_EQ(taken_late.size(), 1u);
-  EXPECT_EQ(taken_late[0].epoch, 4u);
-  manager.Unsubscribe(a);
-  manager.Unsubscribe(late);
+  // The log keeps the newest kLogCapacity outcomes, oldest first.
+  while (manager.last_sequence() < EpochManager::kLogCapacity + 3) {
+    ASSERT_TRUE(manager.ReplanNow().status.ok());
+  }
+  all = manager.OutcomesAfter(0);
+  ASSERT_EQ(all.size(), EpochManager::kLogCapacity);
+  EXPECT_EQ(all.front().sequence, 4u);
+  EXPECT_EQ(all.back().sequence, manager.last_sequence());
+  EXPECT_EQ(all.back().epoch, service.current_epoch());
 }
 
 // Regression test for the PublishInitial epsilon-budget TOCTOU: an
@@ -347,7 +340,7 @@ TEST(EpochManagerTest, PublishInitialBudgetRaceIsGraceful) {
   manager.Drain();
   const EpochManager::Stats stats = manager.stats();
   EXPECT_EQ(stats.republishes, 2u);  // initial + the every-N replan
-  EXPECT_EQ(stats.budget_refusals, 1u);
+  EXPECT_EQ(stats.failures, 0u);     // the refusal is no failure
   EXPECT_DOUBLE_EQ(stats.epsilon_spent, 2.0);
   EXPECT_EQ(service.current_epoch(), 2u);  // still serving
   double out = 0.0;
@@ -355,12 +348,12 @@ TEST(EpochManagerTest, PublishInitialBudgetRaceIsGraceful) {
   EXPECT_EQ(service.TryQueryBatch(&probe, 1, &out).value(), 2u);
 }
 
-// The multi-session satellite: two threaded sessions share one manager,
-// each streaming traffic, polling its own subscription, and firing one
-// manual replan. Every session must see every republished epoch exactly
-// once — its own manual replans via the direct return value, everything
-// else via its queue — with no lost or duplicated announcements. Runs
-// under the TSan CI job.
+// Two threaded sessions share one manager, each streaming traffic
+// through its own SessionExecutor, reading the outcome log by its own
+// cursor, and firing one manual replan. Every session must see every
+// republished epoch exactly once — its own manual replan via the direct
+// return value, everything else via the log — with no lost or
+// duplicated announcements. Runs under the TSan CI job.
 TEST(EpochManagerTest, TwoThreadedSessionsEachSeeEveryRepublishOnce) {
   const std::int64_t n = 64;
   Histogram data = TestData(n);
@@ -371,39 +364,44 @@ TEST(EpochManagerTest, TwoThreadedSessionsEachSeeEveryRepublishOnce) {
   options.replan_every = 60;
   options.async = true;
   EpochManager manager(&service, data, options, 7);
-  EpochSubscription subs[2] = {EpochSubscription(manager),
-                               EpochSubscription(manager)};
   ASSERT_TRUE(manager.PublishInitial().ok());
 
   struct SessionLog {
-    std::vector<std::uint64_t> queued_epochs;  // from TakeCompleted
-    std::uint64_t manual_epoch = 0;            // from ReplanNow directly
+    std::string text;  // the executors write nothing on this path
+    std::vector<ReplanOutcome> taken;  // from the log
+    std::uint64_t manual_epoch = 0;    // from ManualReplan directly
   };
   SessionLog logs[2];
+  std::vector<std::unique_ptr<SessionWriter>> writers;
+  std::vector<std::unique_ptr<SessionExecutor>> executors;
+  for (SessionLog& log : logs) {
+    writers.push_back(std::make_unique<SessionWriter>(&log.text));
+    executors.push_back(
+        std::make_unique<SessionExecutor>(*writers.back(), service, manager));
+  }
 
   std::vector<std::thread> sessions;
   for (int t = 0; t < 2; ++t) {
     sessions.emplace_back([&, t] {
-      const EpochManager::SubscriberId id = subs[t].id();
+      SessionExecutor& executor = *executors[static_cast<std::size_t>(t)];
       Rng rng(200 + static_cast<std::uint64_t>(t));
       std::vector<Interval> batch(4, Interval(0, 0));
-      std::vector<double> answers(4);
+      std::vector<double> answers;
+      auto take = [&](std::vector<ReplanOutcome> outcomes) {
+        for (ReplanOutcome& outcome : outcomes) {
+          logs[t].taken.push_back(std::move(outcome));
+        }
+      };
       for (int iter = 0; iter < 40; ++iter) {
         for (auto& range : batch) {
           const std::int64_t lo = rng.NextInt(0, n - 2);
           range = Interval(lo, rng.NextInt(lo, n - 1));
         }
         EXPECT_TRUE(
-            service.TryQueryBatch(batch.data(), batch.size(), answers.data())
-                .ok());
-        manager.Poll();
-        for (const ReplanOutcome& outcome : manager.TakeCompleted(id)) {
-          ASSERT_TRUE(outcome.status.ok());
-          ASSERT_TRUE(outcome.republished);
-          logs[t].queued_epochs.push_back(outcome.epoch);
-        }
+            executor.AnswerBatch(batch.data(), batch.size(), &answers).ok());
+        take(executor.PollAndTake());
         if (iter == 10) {
-          auto manual = manager.ReplanNow(id);
+          auto manual = executor.ManualReplan();
           ASSERT_TRUE(manual.ok()) << manual.status().ToString();
           logs[t].manual_epoch = manual.value().epoch;
         }
@@ -413,29 +411,32 @@ TEST(EpochManagerTest, TwoThreadedSessionsEachSeeEveryRepublishOnce) {
   for (std::thread& session : sessions) session.join();
   manager.Drain();
   for (int t = 0; t < 2; ++t) {
-    for (const ReplanOutcome& outcome :
-         manager.TakeCompleted(subs[t].id())) {
-      ASSERT_TRUE(outcome.status.ok());
-      logs[t].queued_epochs.push_back(outcome.epoch);
+    for (ReplanOutcome& outcome : executors[static_cast<std::size_t>(t)]
+                                      ->TakeAnnouncements()) {
+      logs[t].taken.push_back(std::move(outcome));
     }
   }
 
   const EpochManager::Stats stats = manager.stats();
-  ASSERT_EQ(stats.manual, 2u);
-  ASSERT_GE(stats.every, 1u);  // 320 queries over replan_every=60
-  EXPECT_EQ(stats.announcements_dropped, 0u);
+  ASSERT_GE(stats.replans, 3u);  // 2 manual + >= 1 of 320 queries / 60
   // Republished epochs are 2..K+1 (the initial publish made epoch 1 and
-  // is returned directly, never broadcast).
+  // is returned directly, never logged).
   const std::uint64_t last_epoch = stats.republishes;  // == 1 + replans
   for (int t = 0; t < 2; ++t) {
-    // No session sees its own manual replan through its queue...
-    for (std::uint64_t epoch : logs[t].queued_epochs) {
-      EXPECT_NE(epoch, logs[t].manual_epoch)
+    std::vector<std::uint64_t> seen;
+    int manual_from_log = 0;
+    for (const ReplanOutcome& outcome : logs[t].taken) {
+      ASSERT_TRUE(outcome.status.ok());
+      ASSERT_TRUE(outcome.republished);
+      // No session sees its own manual replan through the log...
+      EXPECT_NE(outcome.epoch, logs[t].manual_epoch)
           << "session " << t << " was echoed its own manual replan";
+      if (outcome.trigger == ReplanTrigger::kManual) ++manual_from_log;
+      seen.push_back(outcome.epoch);
     }
-    // ...and (queue + direct manual) covers every republished epoch
+    EXPECT_EQ(manual_from_log, 1) << "session " << t;  // the other's
+    // ...and (log + direct manual) covers every republished epoch
     // exactly once: nothing lost, nothing duplicated.
-    std::vector<std::uint64_t> seen = logs[t].queued_epochs;
     seen.push_back(logs[t].manual_epoch);
     std::sort(seen.begin(), seen.end());
     ASSERT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end())
@@ -444,15 +445,16 @@ TEST(EpochManagerTest, TwoThreadedSessionsEachSeeEveryRepublishOnce) {
     for (std::size_t i = 0; i < seen.size(); ++i) {
       EXPECT_EQ(seen[i], static_cast<std::uint64_t>(i + 2));
     }
+    EXPECT_TRUE(logs[t].text.empty());
   }
 }
 
-// The satellite's threaded lifecycle test: reader threads stream batches
-// while the manager's every-N trigger republishes asynchronously. Every
-// recorded batch must be answerable bit-for-bit from the snapshot of the
-// epoch it reported — one epoch, one release, even mid-swap — and the
-// post-replan strategy is whatever the plan that published it chose.
-// Runs under the TSan CI job (EpochManagerTest.* is in its filter).
+// Reader threads stream batches while the manager's every-N trigger
+// republishes asynchronously. Every recorded batch must be answerable
+// bit-for-bit from the release of the epoch it reported — one epoch,
+// one release, even mid-swap — and each release's strategy is whatever
+// the logged plan that published it chose. Runs under the TSan CI job
+// (EpochManagerTest.* is in its filter).
 TEST(EpochManagerTest, ReplanLifecycleUnderConcurrentReaders) {
   const std::int64_t n = 128;
   Histogram data = TestData(n);
@@ -463,9 +465,6 @@ TEST(EpochManagerTest, ReplanLifecycleUnderConcurrentReaders) {
   options.replan_every = 150;
   options.async = true;
   EpochManager manager(&service, data, options, 7);
-  // Subscribed before any replan can fire, so every completed outcome
-  // is delivered here.
-  EpochSubscription subscription(manager);
   auto initial = manager.PublishInitial();
   ASSERT_TRUE(initial.ok());
 
@@ -473,6 +472,9 @@ TEST(EpochManagerTest, ReplanLifecycleUnderConcurrentReaders) {
     std::uint64_t epoch;
     std::vector<Interval> ranges;
     std::vector<double> answers;
+    /// The release current just before or just after the batch whose
+    /// epoch the batch reported.
+    std::shared_ptr<const Snapshot> release;
   };
   constexpr int kReaders = 3;
   constexpr std::size_t kBatch = 8;
@@ -503,13 +505,17 @@ TEST(EpochManagerTest, ReplanLifecycleUnderConcurrentReaders) {
           const std::int64_t lo = rng.NextInt(0, n - 3);
           ranges[j] = Interval(lo, rng.NextInt(lo + 1, n - 1));
         }
+        std::shared_ptr<const Snapshot> before = service.snapshot();
         const std::uint64_t epoch =
             service.TryQueryBatch(ranges.data(), kBatch, answers.data())
                 .value();
-        if (iter % 5 == 0 &&
+        std::shared_ptr<const Snapshot> release =
+            before->epoch() == epoch ? std::move(before) : service.snapshot();
+        // Two swaps during one batch leave neither release; skip it.
+        if (iter % 5 == 0 && release->epoch() == epoch &&
             samples[static_cast<std::size_t>(t)].size() < 100) {
           samples[static_cast<std::size_t>(t)].push_back(
-              Sample{epoch, ranges, answers});
+              Sample{epoch, ranges, answers, std::move(release)});
         }
         // Readers poll too — in a real server any thread may notice the
         // trigger; the manager must keep that race benign.
@@ -517,16 +523,16 @@ TEST(EpochManagerTest, ReplanLifecycleUnderConcurrentReaders) {
         // Stop generating triggers once the wanted replans have fired.
         // On a starved single-core host the controller may not observe
         // the count for thousands of iterations; unbounded overshoot
-        // would wrap the bounded subscriber queue and drop the early
+        // would wrap the bounded outcome log and drop the early
         // outcomes the verification below replays.
-        if (manager.stats().every >= kWantedReplans) break;
+        if (manager.stats().replans >= kWantedReplans) break;
       }
     });
   }
   std::thread controller([&] {
     while (std::chrono::steady_clock::now() < deadline) {
       manager.Poll();
-      if (manager.stats().every >= kWantedReplans) break;
+      if (manager.stats().replans >= kWantedReplans) break;
       std::this_thread::yield();
     }
     done.store(true, std::memory_order_relaxed);
@@ -535,36 +541,39 @@ TEST(EpochManagerTest, ReplanLifecycleUnderConcurrentReaders) {
   for (std::thread& reader : readers) reader.join();
   manager.Drain();
 
-  // Gather every published snapshot by epoch.
-  std::map<std::uint64_t, std::shared_ptr<const Snapshot>> snapshots;
-  snapshots[initial.value().epoch] = initial.value().snapshot;
-  std::uint64_t republishes = 0;
-  for (const ReplanOutcome& outcome :
-       manager.TakeCompleted(subscription.id())) {
+  // Every logged republish, by epoch.
+  std::map<std::uint64_t, planner::Plan> plans;
+  for (const ReplanOutcome& outcome : manager.OutcomesAfter(0)) {
     ASSERT_TRUE(outcome.status.ok()) << outcome.status.ToString();
-    if (!outcome.republished) continue;
-    snapshots[outcome.epoch] = outcome.snapshot;
-    ++republishes;
-    // publish-from-plan really published the planned configuration.
-    ASSERT_NE(outcome.snapshot, nullptr);
-    EXPECT_EQ(outcome.snapshot->strategy(), outcome.plan.options.strategy);
-    EXPECT_EQ(outcome.snapshot->shard_count(),
-              std::min(outcome.plan.options.shards, n));
+    if (outcome.republished) plans[outcome.epoch] = outcome.plan;
   }
-  EXPECT_GE(republishes, 2u);
-  EXPECT_EQ(manager.stats().every, republishes);
+  EXPECT_GE(plans.size(), 2u);
+  EXPECT_EQ(manager.stats().replans, plans.size());
+  // publish-from-plan really published the planned configuration.
+  const std::shared_ptr<const Snapshot> last = service.snapshot();
+  ASSERT_EQ(plans.rbegin()->first, last->epoch());
+  EXPECT_EQ(last->strategy(), plans.rbegin()->second.options.strategy);
+  EXPECT_EQ(last->shard_count(),
+            std::min(plans.rbegin()->second.options.shards, n));
 
   // Single-epoch batch consistency: every sampled batch reproduces
-  // bit-for-bit from the snapshot of the epoch it reported.
+  // bit-for-bit from the release of the epoch it reported, a release
+  // the initial publish or a logged plan made.
   std::size_t verified = 0;
   for (const auto& reader_samples : samples) {
     for (const Sample& sample : reader_samples) {
-      auto it = snapshots.find(sample.epoch);
-      ASSERT_NE(it, snapshots.end())
+      ASSERT_TRUE(sample.epoch == initial.value().epoch ||
+                  plans.count(sample.epoch) == 1)
           << "batch reported unpublished epoch " << sample.epoch;
+      if (sample.epoch != initial.value().epoch) {
+        const planner::Plan& plan = plans[sample.epoch];
+        EXPECT_EQ(sample.release->strategy(), plan.options.strategy);
+        EXPECT_EQ(sample.release->shard_count(),
+                  std::min(plan.options.shards, n));
+      }
       for (std::size_t j = 0; j < sample.ranges.size(); ++j) {
         ASSERT_EQ(sample.answers[j],
-                  it->second->RangeCount(sample.ranges[j]))
+                  sample.release->RangeCount(sample.ranges[j]))
             << "epoch " << sample.epoch << " range "
             << sample.ranges[j].ToString();
         ++verified;

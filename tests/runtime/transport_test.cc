@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -101,12 +102,12 @@ TEST(SocketTransportTest, SingleClientGetsBannerAnswersAndReceipts) {
   EXPECT_EQ(lines[0].rfind("# serving n=128 epoch=1 strategy=hbar", 0), 0u)
       << lines[0];
   // The three answers reproduce the published snapshot bit-for-bit.
-  const Snapshot& snap = *initial.value().snapshot;
+  const std::shared_ptr<const Snapshot> snap = service.snapshot();
   const Interval queries[3] = {Interval(3, 10), Interval(0, 0),
                                Interval(5, 9)};
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(std::stod(lines[static_cast<std::size_t>(1 + i)]),
-              snap.RangeCount(queries[i]))
+              snap->RangeCount(queries[i]))
         << lines[static_cast<std::size_t>(1 + i)];
   }
   EXPECT_EQ(lines[4], "# batch n=2 epoch=1");
@@ -179,7 +180,7 @@ TEST(SocketTransportTest, ConcurrentClientsIdenticalAcrossAsyncRepublish) {
     const int planned = CountPlanned(transcripts[t], "every");
     EXPECT_GE(planned, 1) << "client " << t
                           << " never saw the republish announced";
-    EXPECT_LE(planned, static_cast<int>(manager.stats().every));
+    EXPECT_LE(planned, static_cast<int>(manager.stats().replans));
     // Its qb batch carries a single-epoch receipt.
     const bool receipt =
         std::any_of(transcripts[t].begin(), transcripts[t].end(),
@@ -188,7 +189,7 @@ TEST(SocketTransportTest, ConcurrentClientsIdenticalAcrossAsyncRepublish) {
                     });
     EXPECT_TRUE(receipt);
   }
-  EXPECT_GE(manager.stats().every, 1u);
+  EXPECT_GE(manager.stats().replans, 1u);
   // The deterministic projection is byte-identical across the clients.
   EXPECT_EQ(AnswerLines(transcripts[0]), AnswerLines(transcripts[1]));
 
@@ -267,11 +268,10 @@ TEST(FdStreamBufTest, LostWritesAreCountedNotSilent) {
   out.flush();
   EXPECT_TRUE(out.fail());
   EXPECT_GE(buf.write_errors(), 1u);
-  EXPECT_TRUE(buf.peer_reset());
   ::close(fds[0]);
 }
 
-TEST(FdStreamBufTest, OrderlyCloseIsNotAPeerReset) {
+TEST(FdStreamBufTest, OrderlyCloseEndsTheStream) {
   int fds[2];
   ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   {
@@ -288,11 +288,65 @@ TEST(FdStreamBufTest, OrderlyCloseIsNotAPeerReset) {
   ASSERT_TRUE(static_cast<bool>(std::getline(in, line)));
   EXPECT_EQ(line, "q 0 1");
   EXPECT_FALSE(static_cast<bool>(std::getline(in, line)));
-  EXPECT_TRUE(reader.orderly_eof());
-  EXPECT_FALSE(reader.peer_reset());
   EXPECT_EQ(reader.write_errors(), 0u);
   ::close(fds[0]);
   ::close(fds[1]);
+}
+
+// A connection that reads its banner and never sends a byte (so never
+// picks a protocol) must not keep old releases alive while another
+// connection replans again and again: announcements are logged once,
+// and the silent connection holds only its cursor into that log.
+TEST(SocketTransportTest, SilentConnectionPinsNoOldRelease) {
+  const std::int64_t n = 64;
+  Histogram data = TestData(n);
+  QueryService service;
+  EpochManagerOptions options;
+  options.base.strategy = StrategyKind::kHTilde;
+  options.base.epsilon = 0.5;
+  EpochManager manager(&service, data, options, 7);
+  ASSERT_TRUE(manager.PublishInitial().ok());
+
+  TransportOptions transport;
+  transport.port = 0;
+  transport.max_sessions = 2;
+  SocketServer server(service, manager, transport);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto silent = ConnectLoopback(server.port());
+  ASSERT_TRUE(silent.ok()) << silent.status().ToString();
+  std::string line;
+  ASSERT_TRUE(static_cast<bool>(std::getline(*silent.value(), line)));
+  EXPECT_EQ(line.rfind("# serving ", 0), 0u) << line;
+
+  auto replanner = ConnectLoopback(server.port());
+  ASSERT_TRUE(replanner.ok()) << replanner.status().ToString();
+  SocketStream& stream = *replanner.value();
+  ASSERT_TRUE(static_cast<bool>(std::getline(stream, line)));  // banner
+  constexpr int kReplans = 80;
+  std::vector<std::weak_ptr<const Snapshot>> releases;
+  for (int i = 0; i < kReplans; ++i) {
+    stream << "replan\n";
+    stream.flush();
+    ASSERT_TRUE(static_cast<bool>(std::getline(stream, line)));
+    ASSERT_EQ(line.rfind("# planned ", 0), 0u) << line;
+    releases.push_back(service.snapshot());
+  }
+  const auto alive = std::count_if(
+      releases.begin(), releases.end(),
+      [](const std::weak_ptr<const Snapshot>& release) {
+        return !release.expired();
+      });
+  EXPECT_EQ(alive, 1) << "old releases outlive their epoch";
+
+  stream << "quit\n";
+  stream.flush();
+  while (std::getline(stream, line)) {
+  }
+  ::shutdown(silent.value()->fd(), SHUT_WR);
+  while (std::getline(*silent.value(), line)) {
+  }
+  server.WaitUntilStopped();
 }
 
 TEST(SocketTransportTest, ServerReceiptAggregatesWriteErrors) {

@@ -1200,7 +1200,10 @@ TEST(CliTest, BinaryClientTranscriptMatchesTheTextClients) {
   // client echoes what the server wrote, the binary client renders the
   // frames through the same SessionWriter, so the transcripts match
   // byte for byte, "#" lines included. (`stats` stays out: its
-  // protocol= field names the protocol.)
+  // protocol= field names the protocol.) The binary client parses and
+  // pipelines the whole script, yet each malformed line's error lands
+  // where the text server writes it: first, after an announced replan,
+  // and right after a `replan` reply.
   const std::string data_path = TempPath("cli_client_parity_data.csv");
   std::string out, err;
   ASSERT_EQ(RunMain({"generate", "--dataset", "social", "--output",
@@ -1209,8 +1212,9 @@ TEST(CliTest, BinaryClientTranscriptMatchesTheTextClients) {
             0)
       << err;
   const std::string script =
-      "q 0 7\nq 8 15\nq 16 31\nq 0 127\nq 64 64\nqb 3 0 0 1 1 2 2\n"
-      "q 3 3\nreplan\nq 0 63\nq 5 9\nquit\n";
+      "bogus 1\nq 0 7\nq 8 15\nq 16 31\nq 0 127\nq 64 64\n"
+      "qb 3 0 0 1 1 2 2\nq 3 999\nq 3 3\nreplan\nq 5\nq 0 63\nq 5 9\n"
+      "quit\n";
   std::string transcripts[2];
   for (int binary = 0; binary < 2; ++binary) {
     SCOPED_TRACE(binary != 0 ? "client --binary" : "client");
@@ -1255,6 +1259,12 @@ TEST(CliTest, BinaryClientTranscriptMatchesTheTextClients) {
   EXPECT_NE(transcripts[0].find("\n# served 11 queries from epoch 3\n"),
             std::string::npos)
       << transcripts[0];
+  std::size_t errors = 0;
+  for (std::size_t at = transcripts[0].find("\nerror: ");
+       at != std::string::npos; at = transcripts[0].find("\nerror: ", at + 1)) {
+    ++errors;
+  }
+  EXPECT_EQ(errors, 3u) << transcripts[0];
   EXPECT_EQ(transcripts[1], transcripts[0]);
   std::remove(data_path.c_str());
 }

@@ -1,6 +1,7 @@
 #include "tools/cli_commands.h"
 
 #include <algorithm>
+#include <deque>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -474,16 +475,18 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
 
     initial = publish_initial(nullptr);
     if (!initial.ok()) return initial.status();
+    // Read before Start: a connection may replan at once.
+    std::shared_ptr<const Snapshot> snap = service.snapshot();
     runtime::SocketServer server(service, manager, transport_options);
     Status started = server.Start();
     if (!started.ok()) return started;
 
-    const Snapshot& snap = *initial.value().snapshot;
     out << "# listening port=" << server.port() << " n=" << n
-        << " epoch=" << snap.epoch() << " strategy="
-        << StrategyKindName(snap.strategy()) << " eps=" << snap.epsilon()
+        << " epoch=" << snap->epoch() << " strategy="
+        << StrategyKindName(snap->strategy()) << " eps=" << snap->epsilon()
         << "\n";
     out.flush();
+    snap.reset();  // serving holds no release but the current one
     // Scripts read the resolved port from --port-file instead of
     // scraping stdout (the CI smoke and the in-process CLI test do).
     if (flags.Has("port-file")) {
@@ -531,8 +534,7 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
     // greet, then serve until quit/EOF. Replans land mid-session.
     initial = publish_initial(nullptr);
     if (!initial.ok()) return initial.status();
-    const Snapshot& snap = *initial.value().snapshot;
-    runtime::WriteServingBanner(writer, snap);
+    runtime::WriteServingBanner(writer, *service.snapshot());
     if (initial.value().planned) note_initial_plan();
     writer.Flush();
     auto session = runtime::RunStreamingSession(in, writer, service, manager);
@@ -652,11 +654,19 @@ void RenderFrame(const runtime::BinaryClient::OwnedFrame& frame,
 /// The frame-protocol client session: parse the whole script locally,
 /// pipeline every request in one flush, then render replies and pushes
 /// in arrival order (which matches the text transcript order — the
-/// server polls triggers after each command).
+/// server polls triggers after each command and pushes what landed
+/// right after the reply). A malformed line's error is rendered just
+/// before the reply to the next request, or before the final receipt:
+/// after the replies and pushes above it, where the text server writes
+/// it. The server answers in order: a reply is the next ANSWERS,
+/// STATS_TEXT or ERROR frame, or — while the oldest unanswered request
+/// is a REPLAN — the next PLAN frame of a manual replan (a successful
+/// manual replan always republishes; NOTE frames are always pushes).
 Status RunBinaryClientSession(const std::string& host, int port,
                               const std::string& auth_token,
                               const std::vector<std::string>& lines,
                               std::ostream& out) {
+  namespace wire = runtime::wire;
   auto connected = runtime::BinaryClient::Connect(host, port, auth_token);
   if (!connected.ok()) return connected.status();
   std::unique_ptr<runtime::BinaryClient> client =
@@ -666,8 +676,14 @@ Status RunBinaryClientSession(const std::string& host, int port,
   const std::int64_t domain_size =
       static_cast<std::int64_t>(client->hello().domain_size);
 
-  // id -> whether this command was a `qb` (receipt line) or a `q`.
-  std::vector<bool> batch_by_id(1, false);
+  // The unanswered requests in order, each with the errors of the
+  // malformed lines just above it.
+  struct Request {
+    runtime::SessionVerb verb;
+    std::vector<std::string> errors_before;
+  };
+  std::deque<Request> unanswered;
+  std::vector<std::string> errors;  // since the last request
   std::uint64_t next_id = 1;
   std::int64_t line_number = 0;
   bool sent_goodbye = false;
@@ -679,28 +695,21 @@ Status RunBinaryClientSession(const std::string& host, int port,
     if (!parsed.ok()) {
       // Match the text server's behavior for a malformed line: one
       // error line, session continues.
-      writer.Error(parsed.status().ToString());
+      errors.push_back(parsed.status().ToString());
       continue;
     }
     if (!parsed.value()) continue;  // blank or comment
     switch (command.verb) {
       case runtime::SessionVerb::kQuery:
       case runtime::SessionVerb::kBatch:
-        client->SendQuery(next_id, /*expect_epoch=*/0,
+        client->SendQuery(next_id++, /*expect_epoch=*/0,
                           command.ranges.data(), command.ranges.size());
-        batch_by_id.push_back(command.verb ==
-                              runtime::SessionVerb::kBatch);
-        next_id += 1;
         break;
       case runtime::SessionVerb::kStats:
-        client->SendStats(next_id);
-        batch_by_id.push_back(false);
-        next_id += 1;
+        client->SendStats(next_id++);
         break;
       case runtime::SessionVerb::kReplan:
-        client->SendReplan(next_id);
-        batch_by_id.push_back(false);
-        next_id += 1;
+        client->SendReplan(next_id++);
         break;
       case runtime::SessionVerb::kQuit:
         client->SendGoodbye();
@@ -708,32 +717,45 @@ Status RunBinaryClientSession(const std::string& host, int port,
         break;
     }
     if (sent_goodbye) break;
+    unanswered.push_back({command.verb, std::move(errors)});
+    errors.clear();
   }
   if (!sent_goodbye) client->SendGoodbye();
   Status flushed = client->Flush();
   if (!flushed.ok()) return flushed;
 
+  auto render_errors = [&writer](const std::vector<std::string>& messages) {
+    for (const std::string& error : messages) writer.Error(error);
+  };
   while (true) {
     auto frame = client->ReadFrame();
     if (!frame.ok()) return frame.status();
-    if (frame.value().type == runtime::wire::FrameType::kBye) {
-      runtime::wire::ByeFrame bye;
-      Status parsed =
-          runtime::wire::ParseBye(frame.value().payload, &bye);
+    const wire::FrameType type = frame.value().type;
+    if (type == wire::FrameType::kBye) {
+      wire::ByeFrame bye;
+      Status parsed = wire::ParseBye(frame.value().payload, &bye);
       if (!parsed.ok()) return parsed;
+      render_errors(errors);
       writer.ServedReceipt(bye.queries, bye.epoch);
       return Status::Ok();
     }
-    bool batch_receipt = false;
-    if (frame.value().type == runtime::wire::FrameType::kAnswers) {
-      runtime::wire::AnswersFrame answers;
-      if (runtime::wire::ParseAnswers(frame.value().payload, &answers)
-              .ok() &&
-          answers.id < batch_by_id.size()) {
-        batch_receipt = batch_by_id[answers.id];
-      }
+    bool reply = type != wire::FrameType::kNote && !unanswered.empty();
+    if (reply && type == wire::FrameType::kPlan) {
+      wire::PlanFrame plan;
+      reply = unanswered.front().verb == runtime::SessionVerb::kReplan &&
+              wire::ParsePlan(frame.value().payload, &plan).ok() &&
+              plan.reason == runtime::ReplanTriggerName(
+                                 runtime::ReplanTrigger::kManual);
     }
-    RenderFrame(frame.value(), batch_receipt, writer);
+    if (!reply) {
+      RenderFrame(frame.value(), /*batch_receipt=*/false, writer);
+      continue;
+    }
+    render_errors(unanswered.front().errors_before);
+    RenderFrame(frame.value(),
+                unanswered.front().verb == runtime::SessionVerb::kBatch,
+                writer);
+    unanswered.pop_front();
   }
 }
 
