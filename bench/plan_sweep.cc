@@ -2,10 +2,10 @@
 // planning latency across PRs (see tools/run_bench.sh).
 //
 // Protocol: at each domain n = 2^log2 from --min-log2 to --max-log2, a
-// deterministic mixed workload (placed units, short/medium/long ranges,
-// one full-domain scan) is planned with ChoosePlan over the default
-// candidate grid (every strategy x power-of-two shard ladder up to
-// --max-shards). Two timings are recorded, best of --repeats:
+// deterministic mixed workload (units, short/medium/long ranges, one
+// full-domain scan) is planned with ChoosePlan over the default
+// candidate grid (L~, H-bar and wavelet x power-of-two shard ladder up
+// to --max-shards). Two timings are recorded, best of --repeats:
 //
 //   plan_seconds        cold ChoosePlan on the recurrence closed forms,
 //   warm_replan_seconds ChoosePlan through a pre-warmed CostModel after
@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -28,6 +29,7 @@
 #include "planner/cost_model.h"
 #include "planner/planner.h"
 #include "planner/workload_profile.h"
+#include "provenance.h"
 #include "service/snapshot.h"
 
 using namespace dphist;  // NOLINT(build/namespaces)
@@ -40,19 +42,18 @@ double NowSeconds() {
       .count();
 }
 
-// Deterministic mixed workload with placement heat: a hot unit count, a
-// handful of placed ranges across the length scales, and one full scan.
+// Deterministic mixed workload: a unit count, a handful of ranges
+// across the length scales, and one full scan.
 planner::WorkloadProfile MakeProfile(std::int64_t n) {
   planner::WorkloadProfile profile(n);
-  profile.AddQuery(Interval(0, 0));
+  profile.AddLength(1);
   for (std::int64_t length :
        {std::int64_t{16}, std::int64_t{256}, std::int64_t{4096}, n / 16,
         n / 4}) {
     if (length < 2 || length > n) continue;
-    const std::int64_t lo = (n - length) / 3;
-    profile.AddQuery(Interval(lo, lo + length - 1));
+    profile.AddLength(length);
   }
-  profile.AddLength(n, 1.0);
+  profile.AddLength(n);
   return profile;
 }
 
@@ -115,7 +116,7 @@ int main(int argc, char** argv) {
         planner::ChoosePlan(profile, base, options, &cache).ok(),
         "cache warmup failed");
     planner::WorkloadProfile drifted = MakeProfile(n);
-    drifted.AddQuery(Interval(n / 2, n / 2 + 15));
+    drifted.AddLength(16);
     for (std::int64_t r = 0; r < repeats; ++r) {
       const std::uint64_t reused_before = cache.stats().lengths_reused;
       const double start = NowSeconds();
@@ -149,6 +150,10 @@ int main(int argc, char** argv) {
               "Debug"
 #endif
   );
+  std::printf("  \"hardware_concurrency\": %u,\n",
+              std::thread::hardware_concurrency());
+  std::printf("  \"cpu_model\": \"%s\",\n", bench::CpuModel().c_str());
+  std::printf("  \"compiler\": \"%s\",\n", bench::Compiler());
   std::printf("  \"epsilon\": %g,\n", epsilon);
   std::printf("  \"max_shards\": %lld,\n",
               static_cast<long long>(max_shards));

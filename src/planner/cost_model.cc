@@ -8,14 +8,6 @@
 namespace dphist::planner {
 namespace {
 
-/// Uniform smoothing floor added to every placement's heat share before
-/// normalizing: one bin's worth of uniform traffic. Keeps placements in
-/// regions the workload never visited at a small positive weight
-/// (traffic shifts; a plan must not be blind outside yesterday's hot
-/// spots) while letting real heat dominate.
-constexpr double kPlacementHeatSmoothing =
-    1.0 / static_cast<double>(WorkloadProfile::kHeatBins);
-
 /// What costing needs beyond the release gate, which the oracle applies.
 Status ValidateForCosting(const SnapshotOptions& config,
                           const WorkloadProfile& profile,
@@ -60,8 +52,8 @@ std::int64_t PlacementLo(std::int64_t domain_size, std::int64_t length,
 
 /// The per-placement variances of one query length, in grid order — the
 /// only part of an evaluation that touches the oracle, and a pure
-/// function of (configuration, length): profile weights and heat never
-/// enter, which is what makes the memo exact.
+/// function of (configuration, length): profile weights never enter,
+/// which is what makes the memo exact.
 std::vector<double> PlacementVariances(const VarianceOracle& oracle,
                                        std::int64_t length) {
   const std::int64_t domain_size = oracle.domain_size();
@@ -75,34 +67,15 @@ std::vector<double> PlacementVariances(const VarianceOracle& oracle,
   return variances;
 }
 
-/// Folds one length's placement variances into its placement mean:
-/// uniform when the profile has no placement information, otherwise
-/// weighted by the (smoothed) observed traffic share at each placement's
-/// midpoint. Also folds into the running worst-case.
-double FoldLength(const std::vector<double>& variances,
-                  const WorkloadProfile& profile, std::int64_t length,
-                  double* worst) {
-  const std::int64_t domain_size = profile.domain_size();
-  const std::int64_t placements = PlacementCount(domain_size, length);
-  DPHIST_CHECK_MSG(static_cast<std::size_t>(placements) == variances.size(),
-                   "placement grid and variance vector disagree");
-  const bool heat = profile.has_position_heat();
-  double weighted = 0.0;
-  double weight_sum = 0.0;
-  for (std::int64_t p = 0; p < placements; ++p) {
-    const double variance = variances[static_cast<std::size_t>(p)];
-    double weight = 1.0;
-    if (heat) {
-      const std::int64_t lo =
-          PlacementLo(domain_size, length, placements, p);
-      const std::int64_t midpoint = lo + (length - 1) / 2;
-      weight = profile.PositionHeat(midpoint) + kPlacementHeatSmoothing;
-    }
-    weighted += weight * variance;
-    weight_sum += weight;
+/// One length's placement mean, summed in grid order; also folds into
+/// the running worst case.
+double FoldLength(const std::vector<double>& variances, double* worst) {
+  double sum = 0.0;
+  for (const double variance : variances) {
+    sum += variance;
     *worst = std::max(*worst, variance);
   }
-  return weighted / weight_sum;
+  return sum / static_cast<double>(variances.size());
 }
 
 }  // namespace
@@ -130,27 +103,19 @@ Result<QueryCost> CostModel::Evaluate(const SnapshotOptions& config,
   }
   CandidateEntry& entry = candidate->second;
 
-  const bool memoize =
-      profile.length_weights().size() <= kMemoizedProfileLengths;
   QueryCost cost;
   double weighted_sum = 0.0;
-  std::vector<double> unkept;
   for (const auto& [length, weight] : profile.length_weights()) {
-    const std::vector<double>* variances = &unkept;
     auto it = entry.lengths.find(length);
     if (it != entry.lengths.end()) {
-      variances = &it->second;
       stats_.lengths_reused += 1;
     } else {
-      unkept = PlacementVariances(*entry.oracle, length);
-      if (memoize) {
-        variances =
-            &entry.lengths.emplace(length, std::move(unkept)).first->second;
-      }
+      it = entry.lengths
+               .emplace(length, PlacementVariances(*entry.oracle, length))
+               .first;
       stats_.lengths_costed += 1;
     }
-    weighted_sum +=
-        weight * FoldLength(*variances, profile, length, &cost.worst_variance);
+    weighted_sum += weight * FoldLength(it->second, &cost.worst_variance);
   }
   cost.mean_variance = weighted_sum / profile.total_weight();
   return cost;

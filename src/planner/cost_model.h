@@ -4,15 +4,12 @@
 // For every configuration the serving layer can publish, the closed-form
 // oracle (planner/variance_oracle.h) gives the exact per-query variance
 // of the *linear* protocol. The cost model folds that over a
-// WorkloadProfile: for each query length it averages the variance over
-// a deterministic set of placements (variance depends on where a range
-// falls relative to shard and subtree boundaries, not just on its
-// length), then weights by how often the length occurs. When the
-// profile carries position heat (the ranges of a workload file), each
-// placement is weighted by the traffic share at its midpoint — plus a
-// uniform smoothing floor so cold regions keep a voice — instead of
-// uniformly. The result is the expected squared error per query — the
-// quantity the planner minimizes.
+// WorkloadProfile: for each length the profile reports (one mean per
+// length bucket) it averages the variance uniformly over a deterministic
+// set of placements (variance depends on where a range falls relative
+// to shard and subtree boundaries, not just on its length), then
+// weights by how often the bucket occurs. The result is the expected
+// squared error per query — the quantity the planner minimizes.
 //
 // Rounding/pruning (Section 5.2) are nonlinear and only ever reduce
 // error, so configurations are ranked by their linear closed forms even
@@ -24,21 +21,20 @@
 // configuration CheckReleaseOptions accepts has a cost.
 //
 // A length's placement variances depend only on the configuration and
-// the length, never on the profile's weights or heat, so the model
-// memoizes them per candidate and per length: re-costing a drifted
-// profile runs the oracle only for lengths a candidate has never seen,
-// and the fold over memoized numbers is the one a cold model runs, so a
-// warm model's costs equal a cold one's bit for bit (pinned by
-// cost_model_test). The memo never evicts, so only profiles of at most
-// kMemoizedProfileLengths distinct lengths enter it: every observed
-// profile does (one length per log2 bucket, see
-// QueryService::ObservedWorkload), while a workload file's thousands of
-// exact lengths are costed and dropped.
+// the length, never on the profile's weights, so the model memoizes them
+// per candidate and per length: re-costing a drifted profile runs the
+// oracle only for lengths a candidate has never seen, and the fold over
+// memoized numbers is the one a cold model runs, so a warm model's costs
+// equal a cold one's bit for bit (pinned by cost_model_test). The memo
+// never evicts and keeps every length it is given. It stays small
+// because a profile holds one length per bucket (97 for a file of
+// lengths 1..20,000), and a server's model only ever sees the 63
+// traffic midpoints, one workload file's bucket means, one recovered
+// profile's and the geometric sweep's.
 
 #ifndef DPHIST_PLANNER_COST_MODEL_H_
 #define DPHIST_PLANNER_COST_MODEL_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -71,12 +67,8 @@ struct QueryCost {
 class CostModel {
  public:
   /// Placements sampled per query length (deterministic, evenly
-  /// spaced); variance is averaged over them (heat-weighted when the
-  /// profile knows where traffic lands).
+  /// spaced); variance is averaged over them uniformly.
   static constexpr std::int64_t kPlacementsPerLength = 8;
-  /// Largest profile, in distinct lengths, whose lengths are memoized:
-  /// above the 63 an observed profile can hold.
-  static constexpr std::size_t kMemoizedProfileLengths = 64;
 
   explicit CostModel(std::int64_t domain_size);
 

@@ -11,8 +11,7 @@ namespace dphist::planner {
 namespace {
 
 constexpr StrategyKind kDefaultStrategies[] = {
-    StrategyKind::kLTilde, StrategyKind::kHTilde, StrategyKind::kHBar,
-    StrategyKind::kWavelet};
+    StrategyKind::kLTilde, StrategyKind::kHBar, StrategyKind::kWavelet};
 
 /// Stable enumeration index of a strategy, for deterministic tie-breaks.
 std::int64_t StrategyOrder(StrategyKind kind) {

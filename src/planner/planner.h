@@ -9,7 +9,9 @@
 // long-range traffic selects a constrained hierarchy (O(log^3 n / eps^2)
 // beats the linear-in-|q| identity strategy), and the shard count moves
 // the crossover by trading tree depth against the number of independent
-// noise terms a spanning query sums.
+// noise terms a spanning query sums. H~ is not a default candidate:
+// H-bar's variance is at most H~'s for every range at the same shard
+// count (Theorem 4(ii)), so H~ could never be chosen.
 //
 // Plans are deterministic: candidates are evaluated in a fixed order and
 // ties break toward the earlier strategy and the fewer shards.
@@ -30,8 +32,7 @@ namespace dphist::planner {
 
 /// Knobs for the candidate enumeration.
 struct PlannerOptions {
-  /// Strategies to consider; empty means every concrete kind
-  /// (L~, H~, H-bar, wavelet).
+  /// Strategies to consider; empty means L~, H-bar and wavelet.
   std::vector<StrategyKind> strategies;
   /// Shard counts to consider; empty means powers of two
   /// 1, 2, 4, ..., up to min(max_shards, domain size).

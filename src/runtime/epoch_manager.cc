@@ -367,9 +367,9 @@ bool EpochManager::PollTriggerLocked(ReplanTrigger* trigger) {
 }
 
 bool EpochManager::Poll() {
-  // Every text line and QUERY frame polls. With neither trigger set,
-  // PollTriggerLocked returns false whatever the state, so skip its lock
-  // and the count.
+  // Sessions poll before every command's reply. With neither trigger
+  // set, PollTriggerLocked returns false whatever the state, so skip
+  // its lock and the count.
   if (options_.replan_every <= 0 && options_.drift_ratio <= 0.0) {
     return false;
   }

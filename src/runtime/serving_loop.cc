@@ -52,16 +52,17 @@ bool SessionExecutor::ExecuteLine(std::string_view line,
                                   std::int64_t line_number) {
   Result<bool> parsed =
       ParseSessionLine(line, domain_size_, line_number, &command_);
+  if (parsed.ok() && !parsed.value()) return true;  // blank or comment
+  if (parsed.ok() && command_.verb == SessionVerb::kQuit) return false;
+  // Polled before the reply, so no trigger fires after the last line.
+  PollAndReport();
   if (!parsed.ok()) {
     // A typo should not end a session mid-stream.
     writer_.Error(parsed.status().ToString());
-  } else if (parsed.value()) {  // not blank, not a comment
-    if (command_.verb == SessionVerb::kQuit) return false;
-    Status status =
-        Execute(command_.verb, command_.ranges, /*interactive=*/true);
-    if (!status.ok()) writer_.Error(status.ToString());
-    PollAndReport();
+    return true;
   }
+  Status status = Execute(command_.verb, command_.ranges, /*interactive=*/true);
+  if (!status.ok()) writer_.Error(status.ToString());
   return true;
 }
 
@@ -108,6 +109,12 @@ Result<ReplanOutcome> SessionExecutor::ManualReplan() {
 
 void SessionExecutor::PollAndReport() {
   for (const ReplanOutcome& outcome : PollAndTake()) {
+    ReportOutcome(outcome);
+  }
+}
+
+void SessionExecutor::ReportAnnouncements() {
+  for (const ReplanOutcome& outcome : TakeAnnouncements()) {
     ReportOutcome(outcome);
   }
 }
@@ -232,7 +239,7 @@ Result<SessionSummary> RunStreamingSession(std::istream& in,
   // Let any in-flight asynchronous replan land so the transcript ends in
   // a deterministic state, then announce it.
   manager.Drain();
-  executor.PollAndReport();
+  executor.ReportAnnouncements();
   writer.Flush();
   return executor.summary();
 }
@@ -248,14 +255,14 @@ Result<SessionSummary> RunScriptedSession(const SessionScript& script,
   SessionExecutor executor(writer, service, manager);
   const std::span<const Interval> ranges(script.ranges);
   for (const SessionStep& step : script.steps) {
+    executor.PollAndReport();
     Status status =
         executor.Execute(step.verb, ranges.subspan(step.first, step.count),
                          /*interactive=*/false);
     if (!status.ok()) return status;
-    executor.PollAndReport();
   }
   manager.Drain();
-  executor.PollAndReport();
+  executor.ReportAnnouncements();
   return executor.summary();
 }
 

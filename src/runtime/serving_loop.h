@@ -90,11 +90,11 @@ class SessionExecutor {
 
   /// Runs one text line (no trailing newline), the REPL's and the
   /// socket text protocol's one entry point: parses it (`line_number`,
-  /// 1-based, names it in diagnostics), executes it interactively,
-  /// reports a failure as "error: ..." and keeps serving, and polls
-  /// the triggers; flushing is the caller's. A blank, comment or
-  /// malformed line executes nothing and polls nothing. Returns false on
-  /// `quit`, which the caller ends the session on.
+  /// 1-based, names it in diagnostics), polls the triggers, executes it
+  /// interactively, and reports a failure as "error: ..." and keeps
+  /// serving; flushing is the caller's. A blank or comment line and
+  /// `quit` poll nothing. Returns false on `quit`, which the caller ends
+  /// the session on.
   bool ExecuteLine(std::string_view line, std::int64_t line_number);
 
   /// Executes one command over `ranges`. kQuery answers them all as one
@@ -109,8 +109,13 @@ class SessionExecutor {
                  bool interactive);
 
   /// Fires due triggers and announces any replans completed since the
-  /// last call (including asynchronous ones from earlier commands).
+  /// last take. Sessions call it before each command, never after one,
+  /// so a session's last command fires no trigger.
   void PollAndReport();
+
+  /// Announces the replans completed since the last take without
+  /// firing any trigger: how a session ends after its last command.
+  void ReportAnnouncements();
 
   // ---- raw (writer-free) entry points for the binary frame path ----
 
@@ -194,7 +199,7 @@ Result<SessionSummary> RunStreamingSession(std::istream& in,
                                            EpochManager& manager);
 
 /// Scripted session: executes the steps of `script` (see
-/// ReadSessionScript) in order, polling after each, and fails on the
+/// ReadSessionScript) in order, polling before each, and fails on the
 /// first command error. Requires a published snapshot.
 Result<SessionSummary> RunScriptedSession(const SessionScript& script,
                                           SessionWriter& writer,

@@ -478,9 +478,7 @@ class ConnDriver {
     // text pushed at it that a binary client would misparse; it reads
     // the log from its cursor right after negotiation.
     if (c.phase == Conn::Phase::kText) {
-      for (const ReplanOutcome& outcome : c.executor->TakeAnnouncements()) {
-        c.executor->ReportOutcome(outcome);
-      }
+      c.executor->ReportAnnouncements();
     } else if (c.phase == Conn::Phase::kBinary) {
       for (const ReplanOutcome& outcome : c.executor->TakeAnnouncements()) {
         ReportBinary(c, outcome);
@@ -493,19 +491,20 @@ class ConnDriver {
     if (c.executor != nullptr) {
       // Deterministic endings: let any in-flight replan land and
       // announce it before the receipt (the CI smoke requires the
-      // announcement to appear in every transcript).
+      // announcement to appear in every transcript). Triggers wait for
+      // the next command of any session.
       manager_.Drain();
       const std::uint64_t epoch =
           c.executor->summary().last_epoch != 0
               ? c.executor->summary().last_epoch
               : service_.current_epoch();
       if (c.phase == Conn::Phase::kBinary) {
-        for (const ReplanOutcome& outcome : c.executor->PollAndTake()) {
+        for (const ReplanOutcome& outcome : c.executor->TakeAnnouncements()) {
           ReportBinary(c, outcome);
         }
         wire::EncodeBye(c.executor->summary().queries, epoch, &c.outbuf);
       } else {
-        c.executor->PollAndReport();
+        c.executor->ReportAnnouncements();
         c.writer.ServedReceipt(c.executor->summary().queries, epoch);
       }
     }
@@ -612,9 +611,19 @@ class ConnDriver {
     return keep;
   }
 
+  /// Polls the triggers and announces what landed, before a QUERY,
+  /// STATS or REPLAN frame's reply: the binary form of
+  /// SessionExecutor::ExecuteLine's poll.
+  void PollBeforeReply(Conn& c) {
+    for (const ReplanOutcome& outcome : c.executor->PollAndTake()) {
+      ReportBinary(c, outcome);
+    }
+  }
+
   bool DispatchFrame(Conn& c, const wire::Frame& frame) {
     switch (frame.type) {
       case wire::FrameType::kQuery: {
+        PollBeforeReply(c);
         wire::QueryFrame& query = query_;
         Status parsed = wire::ParseQuery(frame.payload, c.domain_size, &query);
         if (!parsed.ok()) {
@@ -660,12 +669,10 @@ class ConnDriver {
           wire::EncodeAnswers(query.id, epoch, answers_.data(),
                               answers_.size(), &c.outbuf);
         }
-        for (const ReplanOutcome& outcome : c.executor->PollAndTake()) {
-          ReportBinary(c, outcome);
-        }
         return true;
       }
       case wire::FrameType::kStats: {
+        PollBeforeReply(c);
         std::uint64_t id = 0;
         if (!wire::ParseIdOnly(frame.payload, &id).ok()) {
           c.close_after_flush = true;
@@ -675,6 +682,7 @@ class ConnDriver {
         return true;
       }
       case wire::FrameType::kReplan: {
+        PollBeforeReply(c);
         std::uint64_t id = 0;
         if (!wire::ParseIdOnly(frame.payload, &id).ok()) {
           c.close_after_flush = true;
@@ -686,10 +694,6 @@ class ConnDriver {
                             outcome.status().ToString(), &c.outbuf);
         } else {
           ReportBinary(c, outcome.value());
-        }
-        // As after a text `replan` line: announce what else landed.
-        for (const ReplanOutcome& landed : c.executor->PollAndTake()) {
-          ReportBinary(c, landed);
         }
         return true;
       }

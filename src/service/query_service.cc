@@ -1,6 +1,5 @@
 #include "service/query_service.h"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <functional>
@@ -130,25 +129,25 @@ std::uint64_t QueryService::QueryBatchOn(const Snapshot& snap,
                                          std::size_t count,
                                          double* out) const {
   // Feed the observed-workload histogram the planner consumes: count the
-  // batch's lengths locally, then add each non-empty bucket to this
-  // thread's counter stripe with one relaxed add — at most 63 atomic
-  // adds per batch, no locks, no heap, and no hot cache line shared
-  // across readers.
-  std::array<std::uint64_t, kLengthBuckets> lengths{};
+  // batch's length octaves locally, then add each non-empty octave to
+  // this thread's counter stripe with one relaxed add — at most 63
+  // atomic adds per batch, no locks, no heap, and no hot cache line
+  // shared across readers.
+  std::array<std::uint64_t, kOctaves> lengths{};
   std::uint64_t touched = 0;  // bit b set: lengths[b] != 0
   for (std::size_t i = 0; i < count; ++i) {
-    const auto length = static_cast<std::uint64_t>(ranges[i].Length());
-    const auto bucket = static_cast<std::size_t>(std::bit_width(length)) - 1;
-    lengths[bucket] += 1;
-    touched |= std::uint64_t{1} << bucket;
+    const std::size_t octave =
+        planner::WorkloadProfile::OctaveOf(ranges[i].Length());
+    lengths[octave] += 1;
+    touched |= std::uint64_t{1} << octave;
   }
   const std::size_t stripe_index =
       std::hash<std::thread::id>{}(std::this_thread::get_id()) %
       kLengthStripes;
   LengthStripe& stripe = observed_lengths_[stripe_index];
   for (; touched != 0; touched &= touched - 1) {
-    const auto bucket = static_cast<std::size_t>(std::countr_zero(touched));
-    stripe.buckets[bucket].fetch_add(lengths[bucket],
+    const auto octave = static_cast<std::size_t>(std::countr_zero(touched));
+    stripe.octaves[octave].fetch_add(lengths[octave],
                                      std::memory_order_relaxed);
   }
   stripe.total.fetch_add(count, std::memory_order_relaxed);
@@ -166,17 +165,14 @@ std::uint64_t QueryService::QueryBatchOn(const Snapshot& snap,
 planner::WorkloadProfile QueryService::ObservedWorkload(
     std::int64_t domain_size) const {
   planner::WorkloadProfile profile(domain_size);
-  for (std::size_t b = 0; b < kLengthBuckets; ++b) {
+  for (std::size_t b = 0; b < kOctaves; ++b) {
     std::uint64_t seen = 0;
     for (std::size_t s = 0; s < kLengthStripes; ++s) {
-      seen += observed_lengths_[s].buckets[b].load(std::memory_order_relaxed);
+      seen += observed_lengths_[s].octaves[b].load(std::memory_order_relaxed);
     }
     if (seen == 0) continue;
-    // Midpoint of the bucket [2^b, 2^(b+1) - 1], clamped to the domain.
-    const std::int64_t lo = std::int64_t{1} << b;
-    const std::int64_t representative =
-        std::min(domain_size, (3 * lo - 1) / 2);
-    profile.AddLength(representative, static_cast<double>(seen));
+    profile.AddLength(planner::WorkloadProfile::OctaveMidpoint(b, domain_size),
+                      static_cast<double>(seen));
   }
   return profile;
 }

@@ -19,8 +19,8 @@
 //
 // A publish carries a resolved strategy. StrategyKind::kAuto is resolved
 // in one place, the EpochManager (runtime/epoch_manager.h), which plans
-// against the lock-free log2-bucketed histogram of every query length
-// this service has answered (ObservedWorkload). Those buckets are the
+// against the lock-free per-octave histogram of every query length this
+// service has answered (ObservedWorkload). Those octaves are the
 // service's one record of its traffic: each stands for one
 // representative length, and no range positions are kept.
 //
@@ -187,9 +187,10 @@ class QueryService : public RetiredCacheCounters {
   Status ValidateBatch(const Interval* ranges, std::size_t count) const;
 
   /// The traffic seen so far as a planner profile over `domain_size`
-  /// positions: query lengths are log2-bucketed at record time and each
-  /// non-empty bucket contributes its midpoint length (clamped to the
-  /// domain). Empty when nothing has been answered yet.
+  /// positions: query lengths are counted per octave at record time and
+  /// each non-empty octave contributes its
+  /// planner::WorkloadProfile::OctaveMidpoint. Empty when nothing has
+  /// been answered yet.
   planner::WorkloadProfile ObservedWorkload(std::int64_t domain_size) const;
 
   /// Total queries answered so far (sums the stripes' running totals).
@@ -215,8 +216,8 @@ class QueryService : public RetiredCacheCounters {
   std::uint64_t QueryBatchOn(const Snapshot& snap, const Interval* ranges,
                              std::size_t count, double* out) const;
 
-  /// floor(log2(length)) buckets; 63 covers any int64 length.
-  static constexpr std::size_t kLengthBuckets = 63;
+  /// One counter per length octave (planner::WorkloadProfile::OctaveOf).
+  static constexpr std::size_t kOctaves = planner::WorkloadProfile::kOctaves;
   /// Counter stripes, selected by thread id once per batch, so reader
   /// threads on different stripes never contend on a hot bucket's cache
   /// line; ObservedWorkload sums across stripes.
@@ -234,15 +235,15 @@ class QueryService : public RetiredCacheCounters {
   bool publishing_ DPHIST_GUARDED_BY(publish_mutex_) = false;
   std::uint64_t last_epoch_ DPHIST_GUARDED_BY(publish_mutex_) = 0;
   std::atomic<std::shared_ptr<const Snapshot>> snapshot_;
-  /// One stripe's counters. buckets[b] counts answered queries with
+  /// One stripe's counters. octaves[b] counts answered queries with
   /// 2^b <= length < 2^(b+1); the read path adds a whole batch's count
-  /// per bucket with one relaxed add, and the batch size to `total`, so
+  /// per octave with one relaxed add, and the batch size to `total`, so
   /// observed_query_count reads one counter per stripe. A stripe is 64
   /// counters aligned to 64 bytes, so `total` shares its cache line only
-  /// with its own stripe's short-length buckets.
+  /// with its own stripe's short-length octaves.
   struct alignas(64) LengthStripe {
     std::atomic<std::uint64_t> total{0};
-    std::array<std::atomic<std::uint64_t>, kLengthBuckets> buckets{};
+    std::array<std::atomic<std::uint64_t>, kOctaves> octaves{};
   };
   mutable std::array<LengthStripe, kLengthStripes> observed_lengths_{};
 };

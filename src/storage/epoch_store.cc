@@ -21,6 +21,10 @@ constexpr std::uint16_t kSnapshotFormatVersion = 1;
 constexpr char kWalFile[] = "wal.log";
 constexpr char kSnapshotFile[] = "snapshot.db";
 constexpr char kSnapshotTmpFile[] = "snapshot.db.tmp";
+/// Retired position-heat slots after the profile's lengths: written as
+/// zeros and skipped on read, so the format version (and every existing
+/// state dir) remains valid.
+constexpr int kRetiredHeatSlots = 64;
 
 /// Owns one file descriptor and closes it on every return path.
 class ScopedFd {
@@ -110,9 +114,10 @@ Result<std::string> EncodeDataStream(const Snapshot& snapshot,
     }
     bytes += 8 + state->size() * sizeof(double);
   }
+  std::map<std::int64_t, double> lengths;
   if (profile != nullptr) {
-    bytes += 16 + 16 * profile->length_weights().size() +
-             8 * profile->position_heat().size();
+    lengths = profile->length_weights();
+    bytes += 16 + 16 * lengths.size() + 8 * kRetiredHeatSlots;
   }
   ByteWriter out;
   out.Reserve(bytes);
@@ -123,12 +128,12 @@ Result<std::string> EncodeDataStream(const Snapshot& snapshot,
   out.U8(profile != nullptr ? 1 : 0);
   if (profile != nullptr) {
     out.I64(profile->domain_size());
-    out.U64(static_cast<std::uint64_t>(profile->length_weights().size()));
-    for (const auto& [length, weight] : profile->length_weights()) {
+    out.U64(static_cast<std::uint64_t>(lengths.size()));
+    for (const auto& [length, weight] : lengths) {
       out.I64(length);
       out.F64(weight);
     }
-    for (double bin : profile->position_heat()) out.F64(bin);
+    for (int i = 0; i < kRetiredHeatSlots; ++i) out.F64(0.0);
   }
   return std::move(out).Take();
 }
@@ -156,18 +161,19 @@ Result<DecodedDataStream> DecodeDataStream(std::string_view stream) {
     if (n_lengths > stream.size() / 16 + 1) {
       return Status::IoError("snapshot data stream: absurd profile size");
     }
+    // Lengths fold into the profile's buckets, so exact lengths from
+    // an older writer restore as their bucket means.
     std::map<std::int64_t, double> lengths;
     for (std::uint64_t i = 0; i < n_lengths; ++i) {
       const std::int64_t length = in.I64();
       lengths[length] = in.F64();
     }
-    std::array<double, planner::WorkloadProfile::kHeatBins> heat{};
-    for (double& bin : heat) bin = in.F64();
+    for (int i = 0; i < kRetiredHeatSlots; ++i) in.F64();
     if (!in.ok()) {
       return Status::IoError("snapshot data stream: truncated profile");
     }
     Result<planner::WorkloadProfile> profile =
-        planner::WorkloadProfile::Restore(domain, std::move(lengths), heat);
+        planner::WorkloadProfile::Restore(domain, lengths);
     if (!profile.ok()) return profile.status();
     out.profile.emplace(std::move(profile).value());
   }

@@ -167,47 +167,6 @@ TEST(CostModelTest, ShardedOracleMatchesDenseShardSums) {
   }
 }
 
-TEST(CostModelTest, PositionHeatReweightsPlacements) {
-  // H~ variance depends on where a range falls (decomposition size), so
-  // concentrating heat where the decomposition is cheap must lower the
-  // mean below the uniform-placement fold — and the worst case must not
-  // move (it scans every placement regardless of weight).
-  const std::int64_t n = 256;
-  CostModel model(n);
-  SnapshotOptions config = LinearOptions(StrategyKind::kHTilde);
-
-  WorkloadProfile uniform(n);
-  uniform.AddLength(64, 8.0);
-  auto uniform_cost = model.Evaluate(config, uniform);
-  ASSERT_TRUE(uniform_cost.ok());
-
-  // Find the placement-grid query of length 64 with the lowest variance
-  // and pile the heat onto its midpoint: aligned ranges decompose into
-  // fewer nodes. The grid is the cost model's: lo = p * (n - 64) / 7.
-  VarianceOracle oracle = test_support::MakeVarianceOracle(config, n);
-  double best_variance = 0.0;
-  Interval best(0, 63);
-  for (std::int64_t p = 0; p < 8; ++p) {
-    const std::int64_t lo = (p * (n - 64)) / 7;
-    const Interval q(lo, lo + 63);
-    const double v = oracle.RangeVariance(q);
-    if (p == 0 || v < best_variance) {
-      best_variance = v;
-      best = q;
-    }
-  }
-  WorkloadProfile hot(n);
-  for (int i = 0; i < 8; ++i) hot.AddQuery(best);
-  ASSERT_TRUE(hot.has_position_heat());
-  auto hot_cost = model.Evaluate(config, hot);
-  ASSERT_TRUE(hot_cost.ok());
-
-  EXPECT_LT(hot_cost.value().mean_variance,
-            uniform_cost.value().mean_variance);
-  EXPECT_DOUBLE_EQ(hot_cost.value().worst_variance,
-                   uniform_cost.value().worst_variance);
-}
-
 TEST(CostModelTest, CachedRecostEqualsFromScratchBitForBit) {
   // The contract that makes the memo safe to trust: a warm model's
   // re-evaluation over memoized placement variances must equal a cold
@@ -216,16 +175,16 @@ TEST(CostModelTest, CachedRecostEqualsFromScratchBitForBit) {
   CostModel warm(n);
 
   WorkloadProfile first(n);
-  first.AddQuery(Interval(0, 0));
-  first.AddQuery(Interval(10, 41));
+  first.AddLength(1);
+  first.AddLength(32);
   first.AddLength(8, 3.0);
 
   WorkloadProfile drifted(n);
-  drifted.AddQuery(Interval(0, 0));
-  drifted.AddQuery(Interval(10, 41));
-  drifted.AddQuery(Interval(90, 121));  // same length, new heat
-  drifted.AddLength(8, 9.0);            // weight moved
-  drifted.AddLength(64, 1.0);           // brand-new length
+  drifted.AddLength(1);
+  drifted.AddLength(32);
+  drifted.AddLength(32);       // same length, more weight
+  drifted.AddLength(8, 9.0);   // weight moved
+  drifted.AddLength(64, 1.0);  // brand-new length
 
   for (StrategyKind kind :
        {StrategyKind::kLTilde, StrategyKind::kHTilde, StrategyKind::kHBar,
@@ -287,38 +246,6 @@ TEST(CostModelTest, ReusesMemoizedLengths) {
   profile.AddLength(32);
   ASSERT_TRUE(model.Evaluate(config, profile).ok());
   EXPECT_EQ(model.stats().lengths_costed, 3u);
-}
-
-TEST(CostModelTest, WideProfilesAreCostedWithoutBeingKept) {
-  // A profile with more distinct lengths than an observed one can hold
-  // (a workload file's exact lengths) is costed the same way, but none
-  // of its lengths enter the memo.
-  const std::int64_t n = 256;
-  CostModel model(n);
-  const SnapshotOptions config = LinearOptions(StrategyKind::kHBar);
-  const auto wide_lengths =
-      static_cast<std::int64_t>(CostModel::kMemoizedProfileLengths) + 1;
-  WorkloadProfile wide(n);
-  for (std::int64_t length = 1; length <= wide_lengths; ++length) {
-    wide.AddLength(length);
-  }
-  auto first = model.Evaluate(config, wide);
-  auto second = model.Evaluate(config, wide);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(first.value().mean_variance, second.value().mean_variance);
-  EXPECT_EQ(model.stats().lengths_costed,
-            2 * static_cast<std::uint64_t>(wide_lengths));
-  EXPECT_EQ(model.stats().lengths_reused, 0u);
-
-  // A narrow profile over the same model is memoized as usual.
-  WorkloadProfile narrow(n);
-  narrow.AddLength(3);
-  ASSERT_TRUE(model.Evaluate(config, narrow).ok());
-  ASSERT_TRUE(model.Evaluate(config, narrow).ok());
-  EXPECT_EQ(model.stats().lengths_costed,
-            2 * static_cast<std::uint64_t>(wide_lengths) + 1);
-  EXPECT_EQ(model.stats().lengths_reused, 1u);
 }
 
 TEST(CostModelTest, RejectsAutoEmptyProfilesAndBadConfigs) {

@@ -142,13 +142,11 @@ TEST(PlannerTest, EnumerationAndBaseErrorsAreReturnedAsIs) {
 
 TEST(PlannerTest, SharedCostModelMatchesFreshEvaluation) {
   // ChoosePlan through a caller's long-lived CostModel must rank and
-  // cost candidates identically to a call-local model — including on a
-  // heat-carrying profile — while reusing oracle work across calls.
+  // cost candidates identically to a call-local model, while reusing
+  // oracle work across calls.
   const std::int64_t n = 256;
   WorkloadProfile profile(n);
-  for (std::int64_t lo : {0, 10, 110, 200}) {
-    profile.AddQuery(Interval(lo, lo + 31));
-  }
+  profile.AddLength(32, 4.0);
   profile.AddLength(1, 6.0);
   PlannerOptions options;
   options.max_shards = 8;
@@ -171,8 +169,8 @@ TEST(PlannerTest, SharedCostModelMatchesFreshEvaluation) {
 
   // A re-plan over a drifted profile re-runs the oracle only for the
   // brand-new length; everything else is a re-weighting fold.
-  profile.AddQuery(Interval(40, 71));  // length already cached
-  profile.AddLength(128);              // new length
+  profile.AddLength(32);   // length already cached
+  profile.AddLength(128);  // new length
   const auto before = cache.stats();
   auto replanned = ChoosePlan(profile, LinearBase(), options, &cache);
   ASSERT_TRUE(replanned.ok());
@@ -187,6 +185,42 @@ TEST(PlannerTest, SharedCostModelMatchesFreshEvaluation) {
   WorkloadProfile other(128);
   other.AddLength(1);
   EXPECT_FALSE(ChoosePlan(other, LinearBase(), options, &cache).ok());
+}
+
+TEST(PlannerTest, PlanningCostIsBoundedByTheLengthBuckets) {
+  // A workload file of 20,000 distinct lengths costs one mean per length
+  // bucket: 97 lengths (1..15 exact, then 8 buckets per octave) for each
+  // of the 21 default candidates (L~, H-bar and wavelet over shard
+  // counts 1..64), not 20,000 each.
+  const std::int64_t n = std::int64_t{1} << 16;
+  WorkloadProfile profile(n);
+  for (std::int64_t length = 1; length <= 20000; ++length) {
+    profile.AddLength(length);
+  }
+  ASSERT_EQ(profile.length_weights().size(), 97u);
+  CostModel model(n);
+  auto plan = ChoosePlan(profile, LinearBase(), {}, &model);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_EQ(plan.value().candidates.size(), 21u);
+  EXPECT_EQ(model.stats().lengths_costed, 97u * 21u);
+  EXPECT_EQ(model.stats().lengths_reused, 0u);
+}
+
+TEST(PlannerTest, DefaultCandidatesLeaveOutHTilde) {
+  // Theorem 4(ii): H-bar's variance is at most H~'s for every range at
+  // the same shard count, and ties fall to the earlier strategy, so H~
+  // is never a default candidate; it can still be named explicitly.
+  WorkloadProfile profile = WorkloadProfile::GeometricSweep(1024);
+  auto plan = ChoosePlan(profile, LinearBase());
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  for (const Candidate& candidate : plan.value().candidates) {
+    EXPECT_NE(candidate.options.strategy, StrategyKind::kHTilde);
+  }
+  PlannerOptions named;
+  named.strategies = {StrategyKind::kHTilde};
+  auto htilde = ChoosePlan(profile, LinearBase(), named);
+  ASSERT_TRUE(htilde.ok()) << htilde.status().ToString();
+  EXPECT_EQ(htilde.value().options.strategy, StrategyKind::kHTilde);
 }
 
 TEST(PlannerTest, ResolveAutoStrategySubstitutesOnlyForAuto) {
@@ -275,7 +309,7 @@ TEST(PlannerConformanceTest, ChosenPlanDeliversItsPredictedError) {
     for (std::int64_t length : scenario.lengths) {
       for (const Interval& q : PlacementGrid(
                kDomain, length, CostModel::kPlacementsPerLength)) {
-        profile.AddQuery(q);
+        profile.AddLength(q.Length());
         workload.push_back(q);
       }
     }

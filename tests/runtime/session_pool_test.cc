@@ -134,6 +134,69 @@ TEST(SessionPoolTransportTest, BinaryClientAnswersMatchTheSnapshot) {
   EXPECT_EQ(stats.session_errors, 0u);
 }
 
+// Sessions poll the replan triggers before a command's reply, never
+// after their last command. A text session whose one batch crosses the
+// every-4 trigger ends without a replan; the next command, here a binary
+// session's QUERY, fires it and is answered from the new release. That
+// session's own crossing is left unpolled at GOODBYE.
+TEST(SessionPoolTransportTest, TriggersArePolledBeforeACommandNotAfterTheLast) {
+  const std::int64_t n = 128;
+  Histogram data = TestData(n);
+  QueryService service;
+  EpochManagerOptions options;
+  options.base.strategy = StrategyKind::kHBar;
+  options.base.epsilon = 400.0;
+  options.replan_every = 4;
+  options.async = false;
+  EpochManager manager(&service, data, options, 7);
+  ASSERT_TRUE(manager.PublishInitial().ok());
+
+  TransportOptions transport;
+  transport.port = 0;
+  transport.max_sessions = 2;
+  SocketServer server(service, manager, transport);
+  ASSERT_TRUE(server.Start().ok());
+
+  const std::vector<std::string> text =
+      RunTextClient(server.port(), "qb 4 0 0 1 1 2 2 3 3\nquit\n");
+  ASSERT_FALSE(text.empty());
+  for (const std::string& line : text) {
+    EXPECT_EQ(line.rfind("# planned", 0), std::string::npos) << line;
+  }
+  EXPECT_EQ(text.back(), "# served 4 queries from epoch 1");
+  EXPECT_EQ(service.current_epoch(), 1u);
+
+  auto connected = BinaryClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(connected.ok()) << connected.status().ToString();
+  BinaryClient& client = *connected.value();
+  const Interval queries[4] = {Interval(0, 0), Interval(1, 1),
+                               Interval(2, 2), Interval(3, 3)};
+  client.SendQuery(1, 0, queries, 4);
+  client.SendGoodbye();
+  ASSERT_TRUE(client.Flush().ok());
+
+  auto plan = client.ReadFrame();
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ASSERT_EQ(plan.value().type, wire::FrameType::kPlan);
+  wire::PlanFrame planned;
+  ASSERT_TRUE(wire::ParsePlan(plan.value().payload, &planned).ok());
+  EXPECT_EQ(planned.epoch, 2u);
+  EXPECT_EQ(planned.reason, "every");
+  auto reply = client.ReadFrame();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply.value().type, wire::FrameType::kAnswers);
+  wire::AnswersFrame answers;
+  ASSERT_TRUE(wire::ParseAnswers(reply.value().payload, &answers).ok());
+  EXPECT_EQ(answers.epoch, 2u);
+  auto bye = client.ReadFrame();
+  ASSERT_TRUE(bye.ok()) << bye.status().ToString();
+  EXPECT_EQ(bye.value().type, wire::FrameType::kBye);
+
+  server.WaitUntilStopped();
+  EXPECT_EQ(service.current_epoch(), 2u);
+  EXPECT_EQ(manager.stats().replans, 1u);
+}
+
 TEST(SessionPoolTransportTest, PipelinedQueriesComeBackInOrder) {
   const std::int64_t n = 64;
   Histogram data = TestData(n);

@@ -104,7 +104,7 @@ TEST(QueryServiceTest, ObservedWorkloadTracksAnsweredLengths) {
 
   planner::WorkloadProfile profile = service.ObservedWorkload(64);
   EXPECT_DOUBLE_EQ(profile.total_weight(), 4.0);
-  // Lengths are log2-bucketed: two units land in bucket [1,1]; the two
+  // Lengths are counted per octave: two units land in [1,1]; the two
   // 42-length queries land in [32,63], reported at its midpoint 47.
   EXPECT_DOUBLE_EQ(profile.length_weights().at(1), 2.0);
   EXPECT_DOUBLE_EQ(profile.length_weights().at(47), 2.0);

@@ -20,6 +20,7 @@
 #include "domain/interval.h"
 #include "planner/workload_profile.h"
 #include "service/snapshot.h"
+#include "storage/codec.h"
 #include "storage/page.h"
 #include "tree/tree_layout.h"
 
@@ -78,14 +79,10 @@ std::vector<std::vector<double>> FixedShardStates(
 }
 
 /// A profile restored from fixed values, not built by GeometricSweep, so
-/// libm cannot move its bits.
+/// libm cannot move its bits. Each length has a bucket of its own.
 planner::WorkloadProfile FixedProfile(std::int64_t n) {
-  std::array<double, planner::WorkloadProfile::kHeatBins> heat{};
-  for (std::size_t i = 0; i < heat.size(); ++i) {
-    heat[i] = static_cast<double>(i % 5) * 0.75;
-  }
   auto profile = planner::WorkloadProfile::Restore(
-      n, {{1, 2.0}, {4, 0.375}, {17, 3.5}, {n, 1.25}}, heat);
+      n, {{1, 2.0}, {4, 0.375}, {17, 3.5}, {n, 1.25}});
   EXPECT_TRUE(profile.ok()) << profile.status().ToString();
   return std::move(profile).value();
 }
@@ -212,8 +209,8 @@ TEST(EpochStoreTest, WorkloadProfileRoundTrips) {
   ASSERT_TRUE(built.ok());
 
   planner::WorkloadProfile profile(n);
-  profile.AddQuery(Interval(2, 9));
-  profile.AddQuery(Interval(30, 60));
+  profile.AddLength(8);
+  profile.AddLength(31);
   profile.AddLength(5, 2.5);
 
   auto store = EpochStore::Open(FreshDir("es_profile"));
@@ -225,8 +222,92 @@ TEST(EpochStoreTest, WorkloadProfileRoundTrips) {
   const planner::WorkloadProfile& restored = *state.value().profile;
   EXPECT_EQ(restored.domain_size(), n);
   EXPECT_EQ(restored.length_weights(), profile.length_weights());
-  EXPECT_EQ(restored.position_heat(), profile.position_heat());
   EXPECT_EQ(restored.total_weight(), profile.total_weight());
+}
+
+// A state dir written before profiles were bucketed holds a file-planned
+// profile's exact lengths and 64 non-zero position-heat slots, under the
+// same format version. It must still restore: the heat is skipped and
+// the 100 lengths fold into their 36 buckets.
+TEST(EpochStoreTest, ExactLengthProfileFromAnOlderWriterRestoresBucketed) {
+  const std::int64_t n = 1000;
+  SnapshotOptions options;
+  options.strategy = StrategyKind::kLTilde;
+  options.epsilon = 0.5;
+  const std::vector<std::vector<double>> states = FixedShardStates(options, n);
+
+  std::map<std::int64_t, double> exact;
+  planner::WorkloadProfile expected(n);
+  double total = 0.0;
+  for (std::int64_t i = 0; i < 100; ++i) {
+    const std::int64_t length = 1 + 9 * i + (i * i) % 7;
+    const double weight = 0.5 * static_cast<double>(1 + i % 4);
+    exact[length] = weight;
+  }
+  ASSERT_EQ(exact.size(), 100u);
+  for (const auto& [length, weight] : exact) {
+    expected.AddLength(length, weight);
+    total += weight;
+  }
+
+  ByteWriter data;
+  data.U64(states.size());
+  for (const std::vector<double>& state : states) data.F64Vector(state);
+  data.U8(1);
+  data.I64(n);
+  data.U64(exact.size());
+  for (const auto& [length, weight] : exact) {
+    data.I64(length);
+    data.F64(weight);
+  }
+  for (int bin = 0; bin < 64; ++bin) data.F64(0.25 * (bin % 3));
+
+  ByteWriter meta;
+  meta.U16(1);  // format version
+  meta.U64(4);  // epoch
+  meta.I64(n);
+  meta.F64(options.epsilon);
+  meta.U16(0);  // L~
+  meta.I64(options.branching);
+  meta.I64(options.shards);
+  meta.U8(options.round_to_nonnegative_integers ? 1 : 0);
+  meta.U8(options.prune_nonpositive_subtrees ? 1 : 0);
+  meta.I64(options.build_threads);
+  meta.F64(2.0);  // retired cache-admission threshold
+  meta.U64(data.size());
+  meta.U32(Crc32(data.data().data(), data.size()));
+
+  const std::string dir = FreshDir("es_exact_profile");
+  std::filesystem::create_directories(dir);
+  {
+    std::ofstream file(dir + "/snapshot.db", std::ios::binary);
+    Page page;
+    ASSERT_TRUE(SealPage(PageType::kSnapshotMeta, meta.data().data(),
+                         meta.size(), &page)
+                    .ok());
+    file.write(reinterpret_cast<const char*>(&page), sizeof(page));
+    for (std::size_t offset = 0; offset < data.size();
+         offset += kPagePayloadCapacity) {
+      const std::size_t size =
+          std::min(kPagePayloadCapacity, data.size() - offset);
+      ASSERT_TRUE(SealPage(PageType::kSnapshotData,
+                           data.data().data() + offset, size, &page)
+                      .ok());
+      file.write(reinterpret_cast<const char*>(&page), sizeof(page));
+    }
+  }
+
+  auto store = EpochStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  auto state = store.value()->Recover();
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  ASSERT_NE(state.value().snapshot, nullptr);
+  EXPECT_EQ(state.value().snapshot->epoch(), 4u);
+  ASSERT_TRUE(state.value().profile.has_value());
+  const planner::WorkloadProfile& restored = *state.value().profile;
+  EXPECT_EQ(restored.length_weights().size(), 36u);
+  EXPECT_EQ(restored.length_weights(), expected.length_weights());
+  EXPECT_DOUBLE_EQ(restored.total_weight(), total);
 }
 
 // The snapshot file format, pinned byte for byte: each fixed release
@@ -251,7 +332,7 @@ TEST(EpochStoreTest, SnapshotFileFormatIsPinned) {
       {StrategyKind::kHTilde, 1000, 3, false, 32768, 0xBC4A2064u},
       {StrategyKind::kHBar, 1000, 1, false, 24576, 0xEFD64A8Du},
       {StrategyKind::kHBar, 1000, 3, false, 32768, 0x6F95805Eu},
-      {StrategyKind::kHBar, 1000, 3, true, 32768, 0x40D77DC0u},
+      {StrategyKind::kHBar, 1000, 3, true, 32768, 0xFD658788u},
       {StrategyKind::kWavelet, 1000, 1, false, 12288, 0xBACDF528u},
       {StrategyKind::kWavelet, 1000, 3, false, 12288, 0x27E7C26Bu},
       {StrategyKind::kLTilde, 36000, 1, false, 294912, 0x632EBFD3u},
@@ -302,8 +383,6 @@ TEST(EpochStoreTest, SnapshotFileFormatIsPinned) {
     if (pin.with_profile) {
       EXPECT_EQ(state.value().profile->length_weights(),
                 profile->length_weights());
-      EXPECT_EQ(state.value().profile->position_heat(),
-                profile->position_heat());
     }
   }
 }

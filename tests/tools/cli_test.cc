@@ -761,9 +761,10 @@ TEST(CliTest, ServeStdinCrossingReplanTriggerSwitchesStrategy) {
 }
 
 TEST(CliTest, ServeStdinDriftNoteNamesTheKeptRelease) {
-  // 256 unit ranges trip one drift check. L~ would answer them better,
-  // but by less than the 1000x ratio, so H-bar (epoch 1) keeps serving
-  // and the note must say so: the declined L~ is only a candidate.
+  // 256 unit ranges trip one drift check, run before the trailing
+  // `stats` line. L~ would answer them better, but by less than the
+  // 1000x ratio, so H-bar (epoch 1) keeps serving and the note must say
+  // so: the declined L~ is only a candidate.
   const std::string data_path = TempPath("cli_drift_note_data.csv");
   std::string out, err;
   ASSERT_EQ(RunMain({"generate", "--dataset", "social", "--output",
@@ -775,6 +776,7 @@ TEST(CliTest, ServeStdinDriftNoteNamesTheKeptRelease) {
   for (int i = 0; i < 256; ++i) {
     script += "q " + std::to_string(i) + " " + std::to_string(i) + "\n";
   }
+  script += "stats\n";
   ASSERT_EQ(RunMainWithInput(script,
                              {"serve", "--input", data_path.c_str(),
                               "--stdin", "--epsilon", "1", "--strategy",
@@ -795,10 +797,10 @@ TEST(CliTest, ServeStdinDriftNoteNamesTheKeptRelease) {
   std::remove(data_path.c_str());
 }
 
-// 32 unit ranges trip --replan-every 32 after the last answer, so the
-// release that answered them (epoch 1, H-bar) is no longer the current
-// one (epoch 2, L~) when the final receipt is printed. The receipt must
-// not describe epoch 1 as L~.
+// 32 unit ranges trip --replan-every 32 after the last answer, before a
+// trailing `stats` line, so the release that answered them (epoch 1,
+// H-bar) is no longer the current one (epoch 2, L~) when the final
+// receipt is printed. The receipt must not describe epoch 1 as L~.
 constexpr char kTrailingReplanReceipt[] =
     "# served 32 queries from epoch 1 (now epoch 2: ltilde, eps=1, "
     "shards=1, engine_kernel=";
@@ -815,6 +817,7 @@ TEST(CliTest, ServeQueriesReceiptNamesTheEpochAfterATrailingReplan) {
   {
     std::ofstream queries(queries_path);
     for (int i = 0; i < 32; ++i) queries << i << " " << i << "\n";
+    queries << "stats\n";
   }
   ASSERT_EQ(RunMain({"serve", "--input", data_path.c_str(), "--queries",
                      queries_path.c_str(), "--epsilon", "1", "--strategy",
@@ -831,6 +834,65 @@ TEST(CliTest, ServeQueriesReceiptNamesTheEpochAfterATrailingReplan) {
   std::remove(queries_path.c_str());
 }
 
+// A session's triggers are polled before each command, never after its
+// last. When 32 unit ranges are the whole input, through a workload file
+// or stdin alike, nothing reads a release published after them, so none
+// is published: the state dir's ledger holds the initial publish alone.
+TEST(CliTest, ServeSpendsNothingAfterItsLastLine) {
+  const std::string data_path = TempPath("cli_no_trailing_data.csv");
+  const std::string queries_path = TempPath("cli_no_trailing_queries.txt");
+  const std::string state_dir = TempPath("cli_no_trailing_state");
+  std::string out, err;
+  ASSERT_EQ(RunMain({"generate", "--dataset", "social", "--output",
+                     data_path.c_str(), "--size", "256"},
+                    &out, &err),
+            0)
+      << err;
+  std::string script;
+  for (int i = 0; i < 32; ++i) {
+    script += std::to_string(i) + " " + std::to_string(i) + "\n";
+  }
+  {
+    std::ofstream queries(queries_path);
+    queries << script;
+  }
+  for (const bool from_file : {true, false}) {
+    SCOPED_TRACE(from_file ? "--queries" : "--stdin");
+    std::filesystem::remove_all(state_dir);
+    std::vector<const char*> args = {
+        "serve",         "--input",       data_path.c_str(),
+        "--epsilon",     "1",             "--strategy",
+        "hbar",          "--replan-every", "32",
+        "--replan-sync", "--state-dir",   state_dir.c_str()};
+    if (from_file) {
+      args.insert(args.end(), {"--queries", queries_path.c_str()});
+      ASSERT_EQ(RunMainWithInput("", args, &out, &err), 0) << err;
+    } else {
+      args.push_back("--stdin");
+      ASSERT_EQ(RunMainWithInput(script, args, &out, &err), 0) << err;
+    }
+    EXPECT_EQ(out.find("# planned"), std::string::npos) << out;
+    const std::size_t receipt = out.rfind("\n# served ");
+    ASSERT_NE(receipt, std::string::npos) << out;
+    EXPECT_EQ(out.compare(receipt + 1, 40,
+                          "# served 32 queries from epoch 1 (hbar, "),
+              0)
+        << out;
+    EXPECT_EQ(out.find('\n', receipt + 1), out.size() - 1) << out;
+
+    ASSERT_EQ(RunMain({"recover", "--state-dir", state_dir.c_str(),
+                       "--inspect"},
+                      &out, &err),
+              0)
+        << err;
+    EXPECT_NE(out.find("ledger_entries 1\n"), std::string::npos) << out;
+    EXPECT_NE(out.find("snapshot epoch=1 "), std::string::npos) << out;
+  }
+  std::filesystem::remove_all(state_dir);
+  std::remove(data_path.c_str());
+  std::remove(queries_path.c_str());
+}
+
 TEST(CliTest, ServeStdinReceiptNamesTheEpochAfterATrailingReplan) {
   const std::string data_path = TempPath("cli_receipt_stdin_data.csv");
   std::string out, err;
@@ -843,6 +905,7 @@ TEST(CliTest, ServeStdinReceiptNamesTheEpochAfterATrailingReplan) {
   for (int i = 0; i < 32; ++i) {
     script += "q " + std::to_string(i) + " " + std::to_string(i) + "\n";
   }
+  script += "stats\n";
   ASSERT_EQ(RunMainWithInput(script,
                              {"serve", "--input", data_path.c_str(),
                               "--stdin", "--epsilon", "1", "--strategy",

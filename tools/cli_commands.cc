@@ -552,7 +552,7 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
     planner::WorkloadProfile profile(n);
     if (options.strategy == StrategyKind::kAuto) {
       for (const Interval& query : script.value().ranges) {
-        profile.AddQuery(query);
+        profile.AddLength(query.Length());
       }
     }
     initial = publish_initial(profile.empty() ? nullptr : &profile);
@@ -865,7 +865,9 @@ Status RunPlan(const Flags& flags, std::ostream& out) {
   auto script = ReadQueryFile(flags, n);
   if (!script.ok()) return script.status();
   planner::WorkloadProfile profile(n);
-  for (const Interval& query : script.value().ranges) profile.AddQuery(query);
+  for (const Interval& query : script.value().ranges) {
+    profile.AddLength(query.Length());
+  }
 
   auto plan = planner::ChoosePlan(profile, base, planner_options);
   if (!plan.ok()) return plan.status();
