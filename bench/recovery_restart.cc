@@ -29,6 +29,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -37,6 +38,7 @@
 #include "data/zipf.h"
 #include "domain/histogram.h"
 #include "domain/interval.h"
+#include "provenance.h"
 #include "runtime/epoch_manager.h"
 #include "service/query_service.h"
 #include "storage/epoch_store.h"
@@ -217,6 +219,17 @@ int main(int argc, char** argv) {
 
   std::printf("{\n");
   std::printf("  \"benchmark\": \"recovery_restart\",\n");
+  std::printf("  \"build\": \"%s\",\n",
+#ifdef NDEBUG
+              "Release"
+#else
+              "Debug"
+#endif
+  );
+  std::printf("  \"hardware_concurrency\": %u,\n",
+              std::thread::hardware_concurrency());
+  std::printf("  \"cpu_model\": \"%s\",\n", bench::CpuModel().c_str());
+  std::printf("  \"compiler\": \"%s\",\n", bench::Compiler());
   std::printf("  \"strategy\": \"%s\",\n", strategy_name.c_str());
   std::printf("  \"epsilon\": %.17g,\n", epsilon);
   std::printf("  \"shards\": %lld,\n", static_cast<long long>(shards));

@@ -86,6 +86,12 @@ CostModel::CostModel(std::int64_t domain_size) : domain_size_(domain_size) {
 
 Result<QueryCost> CostModel::Evaluate(const SnapshotOptions& config,
                                       const WorkloadProfile& profile) {
+  return Evaluate(config, profile, profile.length_weights());
+}
+
+Result<QueryCost> CostModel::Evaluate(
+    const SnapshotOptions& config, const WorkloadProfile& profile,
+    const std::map<std::int64_t, double>& lengths) {
   Status valid = ValidateForCosting(config, profile, domain_size_);
   if (!valid.ok()) return valid;
 
@@ -105,7 +111,7 @@ Result<QueryCost> CostModel::Evaluate(const SnapshotOptions& config,
 
   QueryCost cost;
   double weighted_sum = 0.0;
-  for (const auto& [length, weight] : profile.length_weights()) {
+  for (const auto& [length, weight] : lengths) {
     auto it = entry.lengths.find(length);
     if (it != entry.lengths.end()) {
       stats_.lengths_reused += 1;

@@ -80,6 +80,13 @@ class CostModel {
   Result<QueryCost> Evaluate(const SnapshotOptions& config,
                              const WorkloadProfile& profile);
 
+  /// The same cost over `lengths`, which must be
+  /// profile.length_weights(): a caller costing many candidates against
+  /// one profile takes its lengths once.
+  Result<QueryCost> Evaluate(const SnapshotOptions& config,
+                             const WorkloadProfile& profile,
+                             const std::map<std::int64_t, double>& lengths);
+
   struct Stats {
     std::uint64_t lengths_costed = 0;  // lengths that ran the oracle
     std::uint64_t lengths_reused = 0;  // lengths served from the memo

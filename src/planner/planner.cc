@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <tuple>
 #include <utility>
 
@@ -78,6 +79,7 @@ Result<Plan> ChoosePlan(const WorkloadProfile& profile,
 
   CostModel local(profile.domain_size());
   if (model == nullptr) model = &local;
+  const std::map<std::int64_t, double> lengths = profile.length_weights();
   Plan plan;
   plan.candidates.reserve(strategies.size() * shard_counts.size());
   for (StrategyKind kind : strategies) {
@@ -86,7 +88,8 @@ Result<Plan> ChoosePlan(const WorkloadProfile& profile,
       candidate.options = base;
       candidate.options.strategy = kind;
       candidate.options.shards = shards;
-      Result<QueryCost> cost = model->Evaluate(candidate.options, profile);
+      Result<QueryCost> cost =
+          model->Evaluate(candidate.options, profile, lengths);
       // One oracle costs every configuration at every width, so a
       // failure here is the shared base's (epsilon, or a branching too
       // small or too large for the domain), not a quirk of this

@@ -139,19 +139,22 @@ Result<std::shared_ptr<const Snapshot>> EpochManager::ChargeAndPublish(
   }
 
   if (options_.store != nullptr) {
-    // Swap record before snapshot persist: if either fails, truncating
-    // back to wal_offset removes both and no durable artifact of this
-    // never-visible epoch remains (PersistSnapshot replaces the
-    // snapshot file atomically as its last step).
+    // Swap record before snapshot persist: if either fails before the
+    // snapshot file's rename, truncating back to wal_offset removes both
+    // and no durable artifact of this never-visible epoch remains.
     Status swap = options_.store->AppendEpochSwap(pending.value().epoch());
     if (!swap.ok()) {
       RollbackCharge(true, wal_offset);
       return swap;
     }
+    bool installed = false;
     Status persisted = options_.store->PersistSnapshot(
-        *pending.value().snapshot(), profile);
+        *pending.value().snapshot(), profile, &installed);
     if (!persisted.ok()) {
-      RollbackCharge(true, wal_offset);
+      // Past the rename a restart serves this release, so its records
+      // and charge stay (epsilon lost, never minted); it still does not
+      // commit here.
+      if (!installed) RollbackCharge(true, wal_offset);
       return persisted;
     }
   }

@@ -241,7 +241,9 @@ class EpochManager {
   /// persist, and only then the in-memory commit — so a crash at ANY
   /// point either never charged, or charged for a release that was
   /// never served (conservative). Any failure after the charge rolls
-  /// back both the ledger entry and the WAL records.
+  /// back both the ledger entry and the WAL records, except one after
+  /// the snapshot file's rename: a restart serves that release, so its
+  /// charge and records stay, and it is still not committed.
   Result<std::shared_ptr<const Snapshot>> ChargeAndPublish(
       const SnapshotOptions& options, const std::string& purpose,
       const planner::WorkloadProfile* profile)

@@ -1,14 +1,16 @@
 // Byte-level serialization helpers for the durable epoch store.
 //
-// Everything the storage layer writes — WAL record payloads, snapshot
-// page payloads — goes through these two classes so the on-disk
-// encoding is defined in exactly one place: fixed-width little-endian
-// integers, IEEE-754 doubles carried bit-exactly through a uint64
-// round-trip (recovery must reproduce estimator state and the
-// accountant ledger to the last bit, so no decimal formatting is ever
-// involved), and u32-length-prefixed strings. Double vectors, the bulk
-// of a snapshot, are copied with one memcpy: on a little-endian host a
-// double's object representation is already its on-disk encoding.
+// Everything the storage layer encodes — WAL record payloads, the
+// snapshot's meta payload and the framing around its doubles — goes
+// through these two classes so the on-disk encoding is defined in
+// exactly one place: fixed-width little-endian integers, IEEE-754
+// doubles carried bit-exactly through a uint64 round-trip (recovery
+// must reproduce estimator state and the accountant ledger to the last
+// bit, so no decimal formatting is ever involved), and u32-length-
+// prefixed strings. Double vectors, the bulk of a snapshot, are copied
+// as raw bytes: on a little-endian host a double's object
+// representation is already its on-disk encoding, so the snapshot
+// writer copies a release's doubles straight into its pages.
 
 #ifndef DPHIST_STORAGE_CODEC_H_
 #define DPHIST_STORAGE_CODEC_H_
@@ -63,10 +65,6 @@ class ByteWriter {
     U64(static_cast<std::uint64_t>(values.size()));
     Bytes(values.data(), values.size() * sizeof(double));
   }
-
-  /// Sizes the buffer for `bytes` in all, so a large image is encoded
-  /// without regrowth.
-  void Reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
   const std::string& data() const { return buf_; }
   std::size_t size() const { return buf_.size(); }

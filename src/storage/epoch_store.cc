@@ -7,8 +7,11 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <map>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "storage/codec.h"
 #include "storage/fd_io.h"
@@ -41,13 +44,6 @@ class ScopedFd {
  private:
   int fd_;
 };
-
-/// fsync on the directory so a rename inside it is itself durable.
-Status SyncDir(const std::string& dir) {
-  const ScopedFd fd(::open(dir.c_str(), O_RDONLY | O_DIRECTORY));
-  if (fd.get() < 0) return ErrnoStatus("open dir " + dir);
-  return SyncFd(fd.get(), "dir " + dir);
-}
 
 /// read(2) of exactly `size` bytes, retrying EINTR and short reads; an
 /// early end of file is an IoError.
@@ -98,44 +94,73 @@ std::uint16_t EncodeStrategy(StrategyKind kind) {
   return 0xffff;  // refused by DecodeStrategy on the way back in
 }
 
-/// The snapshot's data stream: every shard's estimator state in domain
-/// order, then the optional planner profile.
-Result<std::string> EncodeDataStream(const Snapshot& snapshot,
-                                     const planner::WorkloadProfile* profile) {
-  // Size the whole image up front, so a publish asks for one buffer
-  // instead of a doubling series of them.
-  std::size_t bytes = 8 + 1;
-  for (std::int64_t i = 0; i < snapshot.shard_count(); ++i) {
-    const std::vector<double>* state = snapshot.shard(i).SerializableState();
-    if (state == nullptr) {
+/// The snapshot's data stream — the shard count, then each shard's
+/// estimator state (count, doubles) in domain order, then the optional
+/// planner profile — as the pieces it is made of, never one buffer: the
+/// doubles stay where the release holds them, and every other byte is
+/// encoded into `framing`. Pinned in place, as its pieces view its own
+/// framing.
+struct DataStream {
+  DataStream() = default;
+  DataStream(const DataStream&) = delete;
+  DataStream& operator=(const DataStream&) = delete;
+
+  std::string framing;
+  /// The stream in order: views into `framing` and the shards' states.
+  std::vector<std::string_view> pieces;
+  std::uint64_t size = 0;
+  std::uint32_t crc = 0;
+};
+
+/// Fills `stream` with `snapshot`'s data stream, its length and its CRC.
+Status ViewDataStream(const Snapshot& snapshot,
+                      const planner::WorkloadProfile* profile,
+                      DataStream* stream) {
+  const auto shards = static_cast<std::size_t>(snapshot.shard_count());
+  std::vector<const std::vector<double>*> states(shards);
+  ByteWriter framing;
+  framing.U64(shards);
+  for (std::size_t i = 0; i < shards; ++i) {
+    const auto shard = static_cast<std::int64_t>(i);
+    states[i] = snapshot.shard(shard).SerializableState();
+    if (states[i] == nullptr) {
       return Status::FailedPrecondition(
-          "shard estimator \"" + snapshot.shard(i).Name() +
+          "shard estimator \"" + snapshot.shard(shard).Name() +
           "\" does not support persistence");
     }
-    bytes += 8 + state->size() * sizeof(double);
+    framing.U64(states[i]->size());
   }
-  std::map<std::int64_t, double> lengths;
+  framing.U8(profile != nullptr ? 1 : 0);
   if (profile != nullptr) {
-    lengths = profile->length_weights();
-    bytes += 16 + 16 * lengths.size() + 8 * kRetiredHeatSlots;
-  }
-  ByteWriter out;
-  out.Reserve(bytes);
-  out.U64(static_cast<std::uint64_t>(snapshot.shard_count()));
-  for (std::int64_t i = 0; i < snapshot.shard_count(); ++i) {
-    out.F64Vector(*snapshot.shard(i).SerializableState());
-  }
-  out.U8(profile != nullptr ? 1 : 0);
-  if (profile != nullptr) {
-    out.I64(profile->domain_size());
-    out.U64(static_cast<std::uint64_t>(lengths.size()));
+    const std::map<std::int64_t, double> lengths = profile->length_weights();
+    framing.I64(profile->domain_size());
+    framing.U64(static_cast<std::uint64_t>(lengths.size()));
     for (const auto& [length, weight] : lengths) {
-      out.I64(length);
-      out.F64(weight);
+      framing.I64(length);
+      framing.F64(weight);
     }
-    for (int i = 0; i < kRetiredHeatSlots; ++i) out.F64(0.0);
+    for (int i = 0; i < kRetiredHeatSlots; ++i) framing.F64(0.0);
   }
-  return std::move(out).Take();
+
+  stream->framing = std::move(framing).Take();
+  const std::string_view encoded = stream->framing;
+  stream->pieces.reserve(2 * shards + 1);
+  // The framing up to and including shard i's count, then its doubles.
+  std::size_t from = 0;
+  for (std::size_t i = 0; i < shards; ++i) {
+    const std::size_t to = 8 * (i + 2);
+    stream->pieces.push_back(encoded.substr(from, to - from));
+    stream->pieces.emplace_back(
+        reinterpret_cast<const char*>(states[i]->data()),
+        states[i]->size() * sizeof(double));
+    from = to;
+  }
+  stream->pieces.push_back(encoded.substr(from));
+  for (const std::string_view piece : stream->pieces) {
+    stream->size += piece.size();
+    stream->crc = Crc32(piece.data(), piece.size(), stream->crc);
+  }
+  return Status::Ok();
 }
 
 struct DecodedDataStream {
@@ -186,7 +211,7 @@ Result<DecodedDataStream> DecodeDataStream(std::string_view stream) {
 /// The meta page's payload: format, epoch, domain, resolved options,
 /// and the length + CRC of the data stream in the following pages.
 std::string EncodeMetaPayload(const Snapshot& snapshot,
-                              const std::string& data_stream) {
+                              const DataStream& stream) {
   const SnapshotOptions& options = snapshot.options();
   ByteWriter out;
   out.U16(kSnapshotFormatVersion);
@@ -202,9 +227,9 @@ std::string EncodeMetaPayload(const Snapshot& snapshot,
   // Retired cache-admission threshold: the slot stays so the format
   // version (and every existing state dir) remains valid.
   out.F64(2.0);
-  out.U64(static_cast<std::uint64_t>(data_stream.size()));
-  out.U32(Crc32(data_stream.data(), data_stream.size()));
-  return out.data();
+  out.U64(stream.size);
+  out.U32(stream.crc);
+  return std::move(out).Take();
 }
 
 struct DecodedMeta {
@@ -247,11 +272,13 @@ Result<DecodedMeta> DecodeMetaPayload(std::string_view payload) {
 static_assert(sizeof(Page) == kPageSize);
 
 /// Writes the meta page and then the data stream's pages to `fd` in one
-/// sequential pass: pages are sealed into `staging`, and each full
-/// buffer goes down with one write loop. Returns the pages written.
+/// sequential pass: the pieces are copied straight into the payloads of
+/// pages in `staging` (a payload may span pieces), each page is sealed
+/// where it lies, and each full buffer goes down with one write loop.
+/// Returns the pages written.
 Result<std::uint64_t> WriteSnapshotPages(int fd, const std::string& path,
                                          std::string_view meta,
-                                         std::string_view data,
+                                         const DataStream& stream,
                                          std::vector<Page>& staging) {
   std::size_t staged = 0;
   std::uint64_t pages = 0;
@@ -260,19 +287,32 @@ Result<std::uint64_t> WriteSnapshotPages(int fd, const std::string& path,
     staged = 0;
     return written;
   };
-  auto stage = [&](PageType type, std::string_view payload) {
-    Status status = SealPage(type, payload.data(), payload.size(),
-                             &staging[staged]);
+  auto stage = [&](PageType type, const char* payload, std::size_t size) {
+    Status status = SealPage(type, payload, size, &staging[staged]);
     ++staged;
     ++pages;
     if (status.ok() && staged == staging.size()) status = flush();
     return status;
   };
-  Status status = stage(PageType::kSnapshotMeta, meta);
-  for (std::size_t offset = 0; status.ok() && offset < data.size();
-       offset += kPagePayloadCapacity) {
-    status = stage(PageType::kSnapshotData,
-                   data.substr(offset, kPagePayloadCapacity));
+  Status status = stage(PageType::kSnapshotMeta, meta.data(), meta.size());
+  std::size_t filled = 0;  // payload bytes already in staging[staged]
+  for (std::string_view piece : stream.pieces) {
+    while (status.ok() && !piece.empty()) {
+      char* payload = PagePayload(&staging[staged]);
+      const std::size_t take =
+          std::min(piece.size(), kPagePayloadCapacity - filled);
+      std::memcpy(payload + filled, piece.data(), take);
+      piece.remove_prefix(take);
+      filled += take;
+      if (filled == kPagePayloadCapacity) {
+        status = stage(PageType::kSnapshotData, payload, filled);
+        filled = 0;
+      }
+    }
+  }
+  if (status.ok() && filled > 0) {
+    status = stage(PageType::kSnapshotData, PagePayload(&staging[staged]),
+                   filled);
   }
   if (status.ok() && staged > 0) status = flush();
   if (!status.ok()) return status;
@@ -357,12 +397,19 @@ Result<std::unique_ptr<EpochStore>> EpochStore::Open(const std::string& dir) {
   // A leftover tmp file is a publish that never committed; drop it so it
   // can never be confused for durable state.
   (void)::unlink((dir + "/" + kSnapshotTmpFile).c_str());
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dir_fd < 0) return ErrnoStatus("open dir " + dir);
   Result<std::unique_ptr<WriteAheadLog>> wal =
       WriteAheadLog::Open(dir + "/" + kWalFile);
-  if (!wal.ok()) return wal.status();
+  if (!wal.ok()) {
+    ::close(dir_fd);
+    return wal.status();
+  }
   return std::unique_ptr<EpochStore>(
-      new EpochStore(dir, std::move(wal).value()));
+      new EpochStore(dir, dir_fd, std::move(wal).value()));
 }
+
+EpochStore::~EpochStore() { ::close(dir_fd_); }
 
 Result<std::uint64_t> EpochStore::AppendSpend(double epsilon,
                                               const std::string& purpose) {
@@ -385,11 +432,13 @@ Status EpochStore::RollbackTo(std::uint64_t wal_offset) {
 }
 
 Status EpochStore::PersistSnapshot(const Snapshot& snapshot,
-                                   const planner::WorkloadProfile* profile) {
-  Result<std::string> stream = EncodeDataStream(snapshot, profile);
-  if (!stream.ok()) return stream.status();
-  const std::string& data = stream.value();
-  const std::string meta = EncodeMetaPayload(snapshot, data);
+                                   const planner::WorkloadProfile* profile,
+                                   bool* installed) {
+  if (installed != nullptr) *installed = false;
+  DataStream stream;
+  Status viewed = ViewDataStream(snapshot, profile, &stream);
+  if (!viewed.ok()) return viewed;
+  const std::string meta = EncodeMetaPayload(snapshot, stream);
 
   const std::string tmp_path = dir_ + "/" + kSnapshotTmpFile;
   {
@@ -397,7 +446,7 @@ Status EpochStore::PersistSnapshot(const Snapshot& snapshot,
         ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
     if (fd.get() < 0) return ErrnoStatus("open " + tmp_path);
     Result<std::uint64_t> pages =
-        WriteSnapshotPages(fd.get(), tmp_path, meta, data, staging_);
+        WriteSnapshotPages(fd.get(), tmp_path, meta, stream, staging_);
     if (!pages.ok()) return pages.status();
     Status synced = SyncFd(fd.get(), tmp_path);
     if (!synced.ok()) return synced;
@@ -408,7 +457,8 @@ Status EpochStore::PersistSnapshot(const Snapshot& snapshot,
   if (::rename(tmp_path.c_str(), final_path.c_str()) < 0) {
     return ErrnoStatus("rename " + tmp_path);
   }
-  return SyncDir(dir_);
+  if (installed != nullptr) *installed = true;
+  return SyncFd(dir_fd_, "dir " + dir_);
 }
 
 Result<RecoveredState> EpochStore::Recover() {

@@ -10,17 +10,21 @@
 //   DIR/snapshot.db  fixed-size checksummed pages (page.h): page 0 is a
 //                    kSnapshotMeta header (epoch, domain, the resolved
 //                    SnapshotOptions, byte count and CRC of the data
-//                    stream), pages 1..N carry the serialized per-shard
-//                    estimator state and the planner's WorkloadProfile.
-//                    Replaced atomically by every publish, so the file
-//                    is always a complete epoch: the pages are written
-//                    front to back into a fresh temp file, 64 at a time
-//                    from one reusable staging buffer, then the temp
+//                    stream), pages 1..N carry the data stream: the
+//                    shard count, each shard's serialized estimator
+//                    state (count, then doubles), and the planner's
+//                    WorkloadProfile. Replaced atomically by every
+//                    publish, so the file is always a complete epoch.
+//                    A publish never builds the stream as one buffer:
+//                    it checksums the stream piece by piece where the
+//                    release holds it, then copies the pieces into
+//                    data pages that one reusable 64-page staging
+//                    buffer seals in place, writing each full buffer
+//                    front to back into a fresh temp file. The temp
 //                    file is fsynced, renamed over snapshot.db, and the
-//                    directory fsynced. Recovery reads the file front to
-//                    back in the same batches and verifies every page
-//                    it uses, so neither direction holds a whole-file
-//                    copy.
+//                    directory (open since Open) fsynced. Recovery
+//                    reads the file front to back in the same batches
+//                    and verifies every page it uses.
 //
 // Ordering contract with the EpochManager (all under the busy token):
 //
@@ -30,10 +34,14 @@
 // A crash between AppendSpend and the commit loses at most the epsilon
 // of a release that never served a byte — conservative by construction:
 // budget can be lost to a crash, never minted, and no served release is
-// ever uncharged. A build failure after the spend is rolled back by
-// truncating the WAL to the offset AppendSpend returned (plus
+// ever uncharged. A failure before PersistSnapshot's rename is rolled
+// back by truncating the WAL to the offset AppendSpend returned (plus
 // PrivacyAccountant::RollbackLast in memory, which matches the
-// truncated replay bit for bit).
+// truncated replay bit for bit); snapshot.db still holds the previous
+// release. The rename rule: once the rename has returned, snapshot.db
+// holds the new release and a restart will serve it, so a failure after
+// it (the directory fsync) keeps the spend and swap records and the
+// in-memory charge, and the publish still does not commit.
 //
 // Not thread-safe; the EpochManager serializes all calls.
 
@@ -76,8 +84,13 @@ struct RecoveredState {
 class EpochStore {
  public:
   /// Opens (creating the directory and an empty WAL if needed) the
-  /// durable state at `dir`.
+  /// durable state at `dir`, and holds the directory open for the
+  /// fsync that makes each snapshot rename durable.
   static Result<std::unique_ptr<EpochStore>> Open(const std::string& dir);
+
+  ~EpochStore();
+  EpochStore(const EpochStore&) = delete;
+  EpochStore& operator=(const EpochStore&) = delete;
 
   /// Durably records one accountant charge BEFORE the release it pays
   /// for is built. Returns the record's WAL offset for RollbackTo.
@@ -94,9 +107,13 @@ class EpochStore {
 
   /// Atomically replaces snapshot.db with the serialized `snapshot`
   /// (via SerializableState per shard) plus the optional planner
-  /// profile. The old snapshot file survives any failure here.
+  /// profile. When `installed` is given it is set to whether the rename
+  /// returned: a failure with it false left the old snapshot file in
+  /// place, one with it true (the directory fsync failed) left the new
+  /// release in snapshot.db, so its spend must stay charged.
   Status PersistSnapshot(const Snapshot& snapshot,
-                         const planner::WorkloadProfile* profile);
+                         const planner::WorkloadProfile* profile,
+                         bool* installed = nullptr);
 
   /// Replays the WAL (truncating a torn tail) and loads the persisted
   /// snapshot, refusing loudly — IoError, never garbage — on any
@@ -117,13 +134,19 @@ class EpochStore {
   /// Pages per sequential write or read batch (256 KB).
   static constexpr std::size_t kStagingPages = 64;
 
-  EpochStore(std::string dir, std::unique_ptr<WriteAheadLog> wal)
-      : dir_(std::move(dir)), wal_(std::move(wal)), staging_(kStagingPages) {}
+  EpochStore(std::string dir, int dir_fd, std::unique_ptr<WriteAheadLog> wal)
+      : dir_(std::move(dir)),
+        dir_fd_(dir_fd),
+        wal_(std::move(wal)),
+        staging_(kStagingPages) {}
 
   std::string dir_;
+  /// `dir_` opened read-only at Open, so no persist has to open it
+  /// after its rename; closed by the destructor.
+  int dir_fd_;
   std::unique_ptr<WriteAheadLog> wal_;
-  /// The one buffer PersistSnapshot and Recover move snapshot.db
-  /// through, so neither holds a whole-file copy.
+  /// The one buffer PersistSnapshot seals snapshot.db's pages in and
+  /// Recover reads them through.
   std::vector<Page> staging_;
   Stats stats_;
 };

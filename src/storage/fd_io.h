@@ -1,7 +1,8 @@
 // The storage layer's POSIX write path, shared by the write-ahead log
 // and the epoch store: errno to Status, a whole-buffer write(2) and an
 // fsync(2), each retrying EINTR. Every durable byte the store writes
-// goes through these, so a fault-injection test has one place to hook.
+// goes through these, so a fault-injection test has one place to hook;
+// SyncFd carries the one hook there is (g_sync_fault_for_test).
 // Internal to src/storage/.
 
 #ifndef DPHIST_STORAGE_FD_IO_H_
@@ -40,8 +41,21 @@ inline Status WriteAll(int fd, const void* data, std::size_t size,
   return Status::Ok();
 }
 
+/// Test-only fault injection, null in every program. When set, SyncFd
+/// first calls it with its `what` ("dir DIR" for the state directory,
+/// else a file's path); a non-zero return fails that fsync with the
+/// returned errno, before fsync(2) runs. Set it only while no store
+/// call is running, and reset it to null after.
+inline int (*g_sync_fault_for_test)(const std::string& what) = nullptr;
+
 /// fsync(2), retrying EINTR; a failure names "fsync `what`".
 inline Status SyncFd(int fd, const std::string& what) {
+  if (g_sync_fault_for_test != nullptr) {
+    if (const int injected = g_sync_fault_for_test(what); injected != 0) {
+      errno = injected;
+      return ErrnoStatus("fsync " + what);
+    }
+  }
   int rc;
   do {
     rc = ::fsync(fd);

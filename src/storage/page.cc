@@ -4,6 +4,13 @@
 
 #include "storage/codec.h"
 
+#if defined(__x86_64__) || defined(_M_X64)
+#define DPHIST_CRC32_CLMUL 1
+#include <immintrin.h>
+#else
+#define DPHIST_CRC32_CLMUL 0
+#endif
+
 namespace dphist::storage {
 namespace {
 
@@ -41,9 +48,96 @@ std::uint32_t LoadLittleEndian32(const unsigned char* p) {
          static_cast<std::uint32_t>(p[3]) << 24;
 }
 
+/// `value`'s low `bytes` bytes at `p`, little-endian.
+void StoreLittleEndian(char* p, std::uint32_t value, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    p[i] = static_cast<char>((value >> (8 * i)) & 0xffu);
+  }
+}
+
+#if DPHIST_CRC32_CLMUL
+
+/// One fold: the 128-bit lane `x` times the fold constants `k` (low
+/// qword by k's low, high qword by k's high), plus the next 16 input
+/// bytes `next`.
+__attribute__((target("pclmul,sse4.1"))) inline __m128i Fold(
+    __m128i x, __m128i k, __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                     _mm_clmulepi64_si128(x, k, 0x11)),
+                       next);
+}
+
+/// The CRC register `crc` (inverted, as the table loop keeps it) run
+/// over `size` bytes, a multiple of 16 and at least 64, by carry-less
+/// multiplication (Intel, "Fast CRC Computation for Generic Polynomials
+/// Using PCLMULQDQ"). The constants are that paper's bit-reflected ones
+/// for the IEEE polynomial P, as zlib and Linux use them: k1 and k2
+/// fold each lane 64 bytes ahead, k3 and k4 fold one lane 16 bytes
+/// ahead, k5 folds 128 bits to 64, and P with mu = floor(x^64 / P)
+/// reduce the rest to 32 bits.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t Crc32Clmul(
+    const unsigned char* p, std::size_t size, std::uint32_t crc) {
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  const __m128i poly_mu = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  auto load = [](const unsigned char* at) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
+  };
+
+  __m128i x0 = _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x1 = load(p + 16);
+  __m128i x2 = load(p + 32);
+  __m128i x3 = load(p + 48);
+  for (p += 64, size -= 64; size >= 64; p += 64, size -= 64) {
+    x0 = Fold(x0, k1k2, load(p));
+    x1 = Fold(x1, k1k2, load(p + 16));
+    x2 = Fold(x2, k1k2, load(p + 32));
+    x3 = Fold(x3, k1k2, load(p + 48));
+  }
+  x0 = Fold(x0, k3k4, x1);
+  x0 = Fold(x0, k3k4, x2);
+  x0 = Fold(x0, k3k4, x3);
+  for (; size >= 16; p += 16, size -= 16) x0 = Fold(x0, k3k4, load(p));
+
+  // 128 bits to 64, then to 32 + 32 bits of remainder.
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                     _mm_clmulepi64_si128(x0, k3k4, 0x10));
+  x0 = _mm_xor_si128(
+      _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k5, 0x00),
+      _mm_srli_si128(x0, 4));
+  // Barrett reduction to the 32-bit remainder.
+  __m128i t = _mm_and_si128(x0, low32);
+  t = _mm_and_si128(_mm_clmulepi64_si128(t, poly_mu, 0x10), low32);
+  t = _mm_clmulepi64_si128(t, poly_mu, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x0, t), 1));
+}
+
+bool ClmulSupported() {
+  static const bool supported = __builtin_cpu_supports("pclmul") != 0 &&
+                                __builtin_cpu_supports("sse4.1") != 0;
+  return supported;
+}
+
+#endif  // DPHIST_CRC32_CLMUL
+
 }  // namespace
 
 std::uint32_t Crc32(const void* data, std::size_t size, std::uint32_t seed) {
+#if DPHIST_CRC32_CLMUL
+  if (size >= 64 && ClmulSupported()) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    const std::size_t folded = size & ~std::size_t{15};
+    seed = ~Crc32Clmul(p, folded, ~seed);
+    return internal::Crc32SlicingBy8(p + folded, size - folded, seed);
+  }
+#endif
+  return internal::Crc32SlicingBy8(data, size, seed);
+}
+
+std::uint32_t internal::Crc32SlicingBy8(const void* data, std::size_t size,
+                                        std::uint32_t seed) {
   const std::array<Crc32Table, 8>& t = kCrc32Tables;
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t crc = ~seed;
@@ -65,17 +159,17 @@ Status SealPage(PageType type, const void* payload, std::size_t payload_size,
   if (payload_size > kPagePayloadCapacity) {
     return Status::InvalidArgument("page payload exceeds capacity");
   }
-  ByteWriter header;
-  header.U32(kPageMagic);
-  header.U16(kPageFormatVersion);
-  header.U16(static_cast<std::uint16_t>(type));
-  header.U32(static_cast<std::uint32_t>(payload_size));
-  header.U32(Crc32(payload, payload_size));
-  page->bytes.fill(0);
-  std::memcpy(page->bytes.data(), header.data().data(), kPageHeaderSize);
-  if (payload_size > 0) {
-    std::memcpy(page->bytes.data() + kPageHeaderSize, payload, payload_size);
+  char* body = PagePayload(page);
+  if (payload != body && payload_size > 0) {
+    std::memcpy(body, payload, payload_size);
   }
+  std::memset(body + payload_size, 0, kPagePayloadCapacity - payload_size);
+  char* header = page->bytes.data();
+  StoreLittleEndian(header, kPageMagic, 4);
+  StoreLittleEndian(header + 4, kPageFormatVersion, 2);
+  StoreLittleEndian(header + 6, static_cast<std::uint16_t>(type), 2);
+  StoreLittleEndian(header + 8, static_cast<std::uint32_t>(payload_size), 4);
+  StoreLittleEndian(header + 12, Crc32(body, payload_size), 4);
   return Status::Ok();
 }
 

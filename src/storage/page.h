@@ -45,8 +45,23 @@ struct Page {
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG checksum) of `size`
 /// bytes. `seed` chains multi-buffer checksums: pass the previous call's
 /// result to continue a running CRC.
+///
+/// Two implementations, one value. On an x86-64 CPU with PCLMULQDQ and
+/// SSE4.1 (checked once per process) an input of 64 bytes or more folds
+/// four 128-bit lanes per 64-byte block with carry-less multiplies and
+/// reduces them by Barrett reduction; its last size % 16 bytes, every
+/// shorter input, and every other build go through the slicing-by-8
+/// table loop below. Both compute the same reflected polynomial with the
+/// same seed and chaining, so a checksum never depends on the host.
 std::uint32_t Crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0);
+
+namespace internal {
+/// The slicing-by-8 table loop: Crc32's portable path and its tests'
+/// reference.
+std::uint32_t Crc32SlicingBy8(const void* data, std::size_t size,
+                              std::uint32_t seed);
+}  // namespace internal
 
 /// What OpenPage found in a verified page.
 struct PageView {
@@ -55,8 +70,15 @@ struct PageView {
   std::string_view payload;
 };
 
-/// Writes header + payload + zero padding into `page`. Fails when the
-/// payload exceeds kPagePayloadCapacity.
+/// Where a page's payload starts. A writer that fills it in place and
+/// passes it to SealPage seals the page without copying the payload.
+inline char* PagePayload(Page* page) {
+  return page->bytes.data() + kPageHeaderSize;
+}
+
+/// Writes header + payload + zero padding into `page`. `payload` lies
+/// outside `page` or is PagePayload(page) itself. Fails when the payload
+/// exceeds kPagePayloadCapacity.
 Status SealPage(PageType type, const void* payload, std::size_t payload_size,
                 Page* page);
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
@@ -18,6 +19,7 @@
 #include "runtime/epoch_manager.h"
 #include "service/query_service.h"
 #include "storage/epoch_store.h"
+#include "storage/fd_io.h"
 
 namespace dphist::runtime {
 namespace {
@@ -168,6 +170,59 @@ TEST(RecoveryTest, CrashMidReplanStillCountsTheEpsilon) {
   // never becomes visible.
   EXPECT_TRUE(recovered.value().republished);
   EXPECT_EQ(recovered.value().epoch, 1u);
+}
+
+TEST(RecoveryTest, FailedDirectoryFsyncAfterRenameKeepsTheSpend) {
+  const std::int64_t n = 64;
+  Histogram data = TestData(n);
+  const std::string dir = FreshDir("rec_dir_fsync");
+
+  {
+    auto store = storage::EpochStore::Open(dir);
+    ASSERT_TRUE(store.ok());
+    QueryService service;
+    EpochManager manager(&service, data,
+                         DurableOptions(store.value().get(), 0.3, 2.0), 42);
+    ASSERT_TRUE(manager.PublishInitial().ok());
+    std::vector<double> answers_before;
+    for (const Interval& probe : Probes(n)) {
+      double answer = 0.0;
+      EXPECT_TRUE(service.TryQueryBatch(&probe, 1, &answer).ok());
+      answers_before.push_back(answer);
+    }
+    // The replan's snapshot.db rename succeeds; the directory fsync
+    // that would make it durable fails.
+    storage::g_sync_fault_for_test = [](const std::string& what) {
+      return what.rfind("dir ", 0) == 0 ? EIO : 0;
+    };
+    const ReplanOutcome failed = manager.ReplanNow();
+    storage::g_sync_fault_for_test = nullptr;
+    ASSERT_FALSE(failed.status.ok());
+    EXPECT_EQ(failed.status.code(), StatusCode::kIoError)
+        << failed.status.ToString();
+    EXPECT_FALSE(failed.republished);
+    // Not committed: the old epoch keeps serving the same answers...
+    EXPECT_EQ(service.current_epoch(), 1u);
+    std::size_t i = 0;
+    for (const Interval& probe : Probes(n)) {
+      double answer = 0.0;
+      EXPECT_TRUE(service.TryQueryBatch(&probe, 1, &answer).ok());
+      EXPECT_EQ(answer, answers_before[i++]);
+    }
+    // ...yet the release may be served after a restart, so it stays paid.
+    EXPECT_EQ(manager.stats().epsilon_spent, 0.3 + 0.3);
+  }
+
+  // Whichever epoch snapshot.db holds after the crash, the ledger pays
+  // for it: the failed publish's spend was not truncated away.
+  auto store = storage::EpochStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  auto state = store.value()->Recover();
+  ASSERT_TRUE(state.ok()) << state.status().ToString();
+  ASSERT_EQ(state.value().ledger.size(), 2u);
+  EXPECT_EQ(state.value().ledger[1].epsilon, 0.3);
+  ASSERT_NE(state.value().snapshot, nullptr);
+  EXPECT_LE(state.value().snapshot->epoch(), state.value().ledger.size());
 }
 
 TEST(RecoveryTest, RecoverWithoutStoreIsRefusedNotFatal) {

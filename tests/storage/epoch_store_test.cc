@@ -387,6 +387,79 @@ TEST(EpochStoreTest, SnapshotFileFormatIsPinned) {
   }
 }
 
+// More pins, each placing a piece of the data stream against a page
+// boundary. The stream is the shard count, then each shard's count and
+// doubles, then the profile block; a data page carries 4080 payload
+// bytes, so shard 0 of L~ over 2 x w positions ends its doubles at
+// stream byte 16 + 8w.
+TEST(EpochStoreTest, PageBoundaryLayoutsArePinned) {
+  struct Pinned {
+    const char* layout;
+    StrategyKind strategy;
+    std::int64_t n;
+    std::int64_t shards;
+    bool with_profile;
+    std::uint64_t file_size;
+    std::uint32_t file_crc;
+  };
+  const Pinned pins[] = {
+      {"shard 0 ends exactly at a payload's end (w = 508)",
+       StrategyKind::kLTilde, 1016, 2, false, 12288, 0x76428752u},
+      {"shard 0 ends one double before it (w = 507)", StrategyKind::kLTilde,
+       1014, 2, false, 12288, 0x162F2E2Du},
+      {"shard 0 ends one double after it (w = 509)", StrategyKind::kLTilde,
+       1018, 2, false, 16384, 0x4389391Du},
+      {"profile block from stream byte 3776 to 4369", StrategyKind::kLTilde,
+       470, 1, true, 12288, 0x5A9A27A3u},
+      {"one shard at n = 2^16 over five write batches", StrategyKind::kHBar,
+       1 << 16, 1, false, 1060864, 0x7F027F63u},
+  };
+  for (const Pinned& pin : pins) {
+    const std::int64_t n = pin.n;
+    SCOPED_TRACE(pin.layout);
+    SnapshotOptions options;
+    options.strategy = pin.strategy;
+    options.epsilon = 0.5;
+    options.shards = pin.shards;
+    const std::vector<std::vector<double>> states =
+        FixedShardStates(options, n);
+    auto snapshot = Snapshot::Restore(options, 9, n, states);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    std::optional<planner::WorkloadProfile> profile;
+    if (pin.with_profile) profile = FixedProfile(n);
+
+    const std::string dir = FreshDir("es_boundary");
+    auto store = EpochStore::Open(dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.value()
+                    ->PersistSnapshot(*snapshot.value(),
+                                      profile ? &*profile : nullptr)
+                    .ok());
+    const std::string bytes = ReadFile(dir + "/snapshot.db");
+    EXPECT_EQ(bytes.size(), pin.file_size);
+    EXPECT_EQ(Crc32(bytes.data(), bytes.size()), pin.file_crc);
+
+    auto state = store.value()->Recover();
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    ASSERT_NE(state.value().snapshot, nullptr);
+    const Snapshot& restored = *state.value().snapshot;
+    EXPECT_EQ(restored.epoch(), 9u);
+    ASSERT_EQ(restored.shard_count(),
+              static_cast<std::int64_t>(states.size()));
+    for (std::int64_t i = 0; i < restored.shard_count(); ++i) {
+      const std::vector<double>* got = restored.shard(i).SerializableState();
+      ASSERT_NE(got, nullptr);
+      EXPECT_TRUE(BitIdentical(*got, states[static_cast<std::size_t>(i)]))
+          << "shard " << i;
+    }
+    ASSERT_EQ(state.value().profile.has_value(), pin.with_profile);
+    if (pin.with_profile) {
+      EXPECT_EQ(state.value().profile->length_weights(),
+                profile->length_weights());
+    }
+  }
+}
+
 TEST(EpochStoreTest, CorruptSnapshotRefusesLoudly) {
   const std::int64_t n = 2000;
   Histogram data = TestData(n);

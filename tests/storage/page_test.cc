@@ -86,6 +86,23 @@ TEST(PageTest, FullCapacityPayloadFitsExactly) {
           .ok());
 }
 
+TEST(PageTest, SealingInPlaceEqualsSealingACopy) {
+  // A payload written straight into PagePayload seals to the same bytes
+  // as a copied one, whatever the page held past it before.
+  const std::string payload = "written where it will be sealed";
+  Page copied;
+  ASSERT_TRUE(
+      SealPage(PageType::kSnapshotData, payload.data(), payload.size(), &copied)
+          .ok());
+  Page in_place;
+  in_place.bytes.fill('?');
+  std::memcpy(PagePayload(&in_place), payload.data(), payload.size());
+  ASSERT_TRUE(SealPage(PageType::kSnapshotData, PagePayload(&in_place),
+                       payload.size(), &in_place)
+                  .ok());
+  EXPECT_EQ(in_place.bytes, copied.bytes);
+}
+
 TEST(PageTest, BitFlipInPayloadIsRefused) {
   const std::string payload = "the checksum must catch this";
   Page page;
@@ -146,6 +163,45 @@ TEST(PageTest, Crc32ChainsAcrossEverySplit) {
     const std::uint32_t head = Crc32(bytes.data(), split);
     EXPECT_EQ(Crc32(bytes.data() + split, bytes.size() - split, head), whole)
         << "split " << split;
+  }
+}
+
+// Crc32 may run a carry-less-multiply kernel; whatever this host runs
+// must equal the slicing-by-8 loop at every length and alignment around
+// the kernel's 64-byte entry and 16-byte tail, and at the sizes the
+// store checksums (a page payload, a page, a 64 KB run, a 2.1 MB image).
+TEST(PageTest, Crc32DispatchMatchesSlicingBy8) {
+  const std::vector<unsigned char> bytes = TestBytes(2113597 + 16);
+  std::vector<std::size_t> lengths;
+  for (std::size_t length = 0; length <= 1100; ++length) {
+    lengths.push_back(length);
+  }
+  lengths.insert(lengths.end(), {kPagePayloadCapacity, kPageSize, 65536,
+                                 2113597});
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    for (std::uint32_t seed : {0u, 1u, 0xFFFFFFFFu}) {
+      for (std::size_t length : lengths) {
+        const unsigned char* p = bytes.data() + offset;
+        ASSERT_EQ(Crc32(p, length, seed),
+                  internal::Crc32SlicingBy8(p, length, seed))
+            << "offset " << offset << " length " << length << " seed "
+            << seed;
+      }
+    }
+  }
+}
+
+TEST(PageTest, Crc32DispatchChainsAcrossEverySplit) {
+  const std::vector<unsigned char> bytes = TestBytes(1100);
+  for (std::uint32_t seed : {0u, 1u, 0xFFFFFFFFu}) {
+    const std::uint32_t whole =
+        internal::Crc32SlicingBy8(bytes.data(), bytes.size(), seed);
+    for (std::size_t split = 0; split <= bytes.size(); ++split) {
+      const std::uint32_t head = Crc32(bytes.data(), split, seed);
+      EXPECT_EQ(Crc32(bytes.data() + split, bytes.size() - split, head),
+                whole)
+          << "seed " << seed << " split " << split;
+    }
   }
 }
 
