@@ -23,16 +23,8 @@ Histogram Histogram::FromCounts(const std::vector<std::int64_t>& counts,
   return Histogram(std::move(values), std::move(attribute));
 }
 
-Histogram::Histogram(const Histogram& other) : domain_(other.domain_) {
-  // Copying from a const& is a const access, so it must be safe against
-  // a concurrent EnsurePrefix rebuild in `other`: take its mutex while
-  // reading the prefix state.
-  MutexLock lock(other.prefix_mutex_);
-  counts_ = other.counts_;
-  prefix_ = other.prefix_;
-  prefix_valid_.store(other.prefix_valid_.load(std::memory_order_acquire),
-                      std::memory_order_release);
-}
+Histogram::Histogram(const Histogram& other)
+    : domain_(other.domain_), counts_(other.counts_) {}
 
 Histogram::Histogram(Histogram&& other) noexcept
     : domain_(std::move(other.domain_)),
@@ -41,20 +33,9 @@ Histogram::Histogram(Histogram&& other) noexcept
       prefix_valid_(other.prefix_valid_.load(std::memory_order_acquire)) {}
 
 Histogram& Histogram::operator=(const Histogram& other) {
-  if (this == &other) return *this;
-  domain_ = other.domain_;
-  // Mutating *this concurrently with any other access is undefined (as
-  // for any container), so this thread is the sole accessor of our own
-  // prefix state — assert our capability rather than locking, which
-  // keeps the lock order single-mutex (no A=B vs B=A deadlock).
-  prefix_mutex_.AssertHeld();
-  {
-    MutexLock lock(other.prefix_mutex_);
-    counts_ = other.counts_;
-    prefix_ = other.prefix_;
-    prefix_valid_.store(other.prefix_valid_.load(std::memory_order_acquire),
-                        std::memory_order_release);
-  }
+  // Through a copy and the move: this histogram's stale prefix table is
+  // freed, and the copy's is built on its first Count or Total.
+  if (this != &other) *this = Histogram(other);
   return *this;
 }
 

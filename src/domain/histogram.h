@@ -31,8 +31,9 @@ namespace dphist {
 /// first call after a mutation). Laziness is kept deliberately:
 /// histograms on the publish hot path (per-shard slices inside
 /// Snapshot::Build) are consumed through counts() and never pay for a
-/// prefix pass. Mutating concurrently with reads is still undefined, as
-/// for any container.
+/// prefix pass. Copying is a const access too, and takes no lock: the
+/// counts are never written during one. Mutating concurrently with reads
+/// is still undefined, as for any container.
 class Histogram {
  public:
   /// A histogram with the given counts; counts.size() defines the domain.
@@ -44,8 +45,11 @@ class Histogram {
                               std::string attribute = "value");
 
   // The internal prefix mutex is not copyable/movable, so the special
-  // members are spelled out; they copy/move the data and the cached
-  // prefix state but give each instance its own mutex.
+  // members are spelled out, and each instance has its own mutex. A copy
+  // carries the domain and the counts only: like a fresh histogram, it
+  // builds its prefix table on its first Count() or Total(), so copying
+  // one whose table was built asks for the counts alone (half the bytes).
+  // A move carries the prefix table along with the counts.
   Histogram(const Histogram& other);
   Histogram(Histogram&& other) noexcept;
   Histogram& operator=(const Histogram& other);

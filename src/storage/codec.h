@@ -10,7 +10,8 @@
 // prefixed strings. Double vectors, the bulk of a snapshot, are copied
 // as raw bytes: on a little-endian host a double's object
 // representation is already its on-disk encoding, so the snapshot
-// writer copies a release's doubles straight into its pages.
+// writer copies a release's doubles straight into its pages and the
+// reader copies them straight back into a shard's array.
 
 #ifndef DPHIST_STORAGE_CODEC_H_
 #define DPHIST_STORAGE_CODEC_H_
@@ -26,8 +27,8 @@
 namespace dphist::storage {
 
 static_assert(std::endian::native == std::endian::little,
-              "F64Vector copies doubles in host byte order; the storage "
-              "format is little-endian");
+              "doubles are copied in host byte order; the storage format "
+              "is little-endian");
 
 /// Appends fixed-width little-endian values to a growing byte buffer.
 class ByteWriter {
@@ -114,20 +115,6 @@ class ByteReader {
     if (!Require(size)) return {};
     std::string out(p_, size);
     p_ += size;
-    return out;
-  }
-
-  std::vector<double> F64Vector() {
-    const std::uint64_t count = U64();
-    // Each element needs 8 bytes; reject counts the remaining bytes
-    // cannot hold instead of attempting a huge allocation.
-    if (count > Remaining() / 8) {
-      ok_ = false;
-      return {};
-    }
-    std::vector<double> out(static_cast<std::size_t>(count));
-    if (count > 0) std::memcpy(out.data(), p_, out.size() * sizeof(double));
-    p_ += out.size() * sizeof(double);
     return out;
   }
 

@@ -163,27 +163,17 @@ Status ViewDataStream(const Snapshot& snapshot,
   return Status::Ok();
 }
 
-struct DecodedDataStream {
-  std::vector<std::vector<double>> shard_states;
-  std::optional<planner::WorkloadProfile> profile;
-};
-
-Result<DecodedDataStream> DecodeDataStream(std::string_view stream) {
-  ByteReader in(stream);
-  DecodedDataStream out;
-  const std::uint64_t shard_count = in.U64();
-  if (shard_count > stream.size() / 8 + 1) {
-    return Status::IoError("snapshot data stream: absurd shard count");
-  }
-  out.shard_states.reserve(static_cast<std::size_t>(shard_count));
-  for (std::uint64_t i = 0; i < shard_count; ++i) {
-    out.shard_states.push_back(in.F64Vector());
-  }
+/// Decodes the profile block, the stream's last piece: a flag, then
+/// (when it is set) the profile's domain, its lengths with their weights
+/// and the retired heat slots. Nothing may follow it.
+Status DecodeProfileBlock(std::string_view block,
+                          std::optional<planner::WorkloadProfile>* profile) {
+  ByteReader in(block);
   const bool has_profile = in.U8() != 0;
   if (has_profile) {
     const std::int64_t domain = in.I64();
     const std::uint64_t n_lengths = in.U64();
-    if (n_lengths > stream.size() / 16 + 1) {
+    if (n_lengths > block.size() / 16 + 1) {
       return Status::IoError("snapshot data stream: absurd profile size");
     }
     // Lengths fold into the profile's buckets, so exact lengths from
@@ -197,15 +187,15 @@ Result<DecodedDataStream> DecodeDataStream(std::string_view stream) {
     if (!in.ok()) {
       return Status::IoError("snapshot data stream: truncated profile");
     }
-    Result<planner::WorkloadProfile> profile =
+    Result<planner::WorkloadProfile> restored =
         planner::WorkloadProfile::Restore(domain, lengths);
-    if (!profile.ok()) return profile.status();
-    out.profile.emplace(std::move(profile).value());
+    if (!restored.ok()) return restored.status();
+    profile->emplace(std::move(restored).value());
   }
   if (!in.ok() || !in.AtEnd()) {
     return Status::IoError("snapshot data stream: structure mismatch");
   }
-  return out;
+  return Status::Ok();
 }
 
 /// The meta page's payload: format, epoch, domain, resolved options,
@@ -319,18 +309,119 @@ Result<std::uint64_t> WriteSnapshotPages(int fd, const std::string& path,
   return pages;
 }
 
-struct SnapshotFile {
-  DecodedMeta meta;
-  /// The data stream reassembled from the data pages, CRC-verified.
-  std::string data;
+/// Reads a snapshot file's data stream front to back, after the meta
+/// page, in batches of `staging.size()` pages, opening (and so
+/// verifying) each data page as the stream reaches it. Read copies the
+/// stream's next bytes wherever the caller wants them, so a read may
+/// span pages and no buffer holds the whole stream. It keeps the CRC of
+/// the payloads it opened, and refuses a file that ends before the
+/// stream's recorded length or whose payloads run past it.
+class DataPageReader {
+ public:
+  /// `staging` holds the file's first batch; page 0 was the meta page.
+  DataPageReader(int fd, const std::string& path, std::vector<Page>& staging,
+                 std::uint64_t file_pages, std::uint64_t stream_bytes)
+      : fd_(fd),
+        path_(path),
+        staging_(staging),
+        file_pages_(file_pages),
+        unread_(stream_bytes),
+        unopened_(stream_bytes) {}
+
+  /// Stream bytes not yet read.
+  std::uint64_t left() const { return unread_; }
+  /// CRC of the payloads opened so far.
+  std::uint32_t crc() const { return crc_; }
+
+  /// Copies the stream's next `size` bytes to `to`.
+  Status Read(void* to, std::uint64_t size) {
+    if (size > unread_) {
+      return Status::IoError("snapshot data stream: structure mismatch");
+    }
+    unread_ -= size;
+    auto* out = static_cast<char*>(to);
+    while (size > 0) {
+      if (payload_.empty()) {
+        Status opened = OpenNextPage();
+        if (!opened.ok()) return opened;
+        continue;
+      }
+      const std::size_t take = static_cast<std::size_t>(
+          std::min<std::uint64_t>(size, payload_.size()));
+      std::memcpy(out, payload_.data(), take);
+      out += take;
+      size -= take;
+      payload_.remove_prefix(take);
+    }
+    return Status::Ok();
+  }
+
+  /// Reads one little-endian u64 of the stream into `*value`.
+  Status U64(std::uint64_t* value) {
+    char word[8] = {};
+    Status read = Read(word, sizeof(word));
+    *value = ByteReader(word, sizeof(word)).U64();
+    return read;
+  }
+
+ private:
+  Status OpenNextPage() {
+    if (next_page_ == file_pages_) {
+      return Status::IoError(path_ + " ends before its data stream does");
+    }
+    const std::size_t slot = next_page_ % staging_.size();
+    if (slot == 0) {
+      const std::uint64_t count =
+          std::min<std::uint64_t>(staging_.size(), file_pages_ - next_page_);
+      Status loaded = ReadAll(fd_, staging_.data(), count * kPageSize, path_);
+      if (!loaded.ok()) return loaded;
+    }
+    Result<PageView> view = OpenPage(staging_[slot]);
+    if (!view.ok()) return view.status();
+    if (view.value().type != PageType::kSnapshotData) {
+      return Status::IoError("snapshot page " + std::to_string(next_page_) +
+                             " is not a data page");
+    }
+    payload_ = view.value().payload;
+    if (payload_.size() > unopened_) {
+      return Status::IoError("snapshot data stream length mismatch");
+    }
+    unopened_ -= payload_.size();
+    crc_ = Crc32(payload_.data(), payload_.size(), crc_);
+    ++next_page_;
+    return Status::Ok();
+  }
+
+  const int fd_;
+  const std::string& path_;
+  std::vector<Page>& staging_;
+  const std::uint64_t file_pages_;
+  std::uint64_t next_page_ = 1;
+  /// The current page's payload bytes not yet read.
+  std::string_view payload_;
+  std::uint64_t unread_;
+  /// Stream bytes in pages not yet opened.
+  std::uint64_t unopened_;
+  std::uint32_t crc_ = 0;
 };
 
-/// Reads a snapshot file front to back in batches of `staging.size()`
-/// pages, verifying every page it consumes with OpenPage: page 0 must be
-/// the meta page, and data pages follow until the stream's recorded
-/// length is reached. A short, torn or damaged file is an IoError.
-Result<SnapshotFile> ReadSnapshotPages(int fd, const std::string& path,
-                                       std::vector<Page>& staging) {
+/// Everything a snapshot file restores.
+struct SnapshotFile {
+  DecodedMeta meta;
+  /// The shards' states, in domain order.
+  std::vector<std::vector<double>> shard_states;
+  std::optional<planner::WorkloadProfile> profile;
+};
+
+/// Reads and decodes a snapshot file: page 0 must be the meta page, and
+/// the data stream it describes follows in data pages, read as the
+/// pieces ViewDataStream writes. Each shard's doubles are copied from
+/// the pages straight into that shard's array, sized from its count
+/// once a count the rest of the stream can hold has been read; the
+/// profile block is copied into a small buffer for DecodeProfileBlock.
+/// A short, torn, damaged or inconsistent file is an IoError.
+Result<SnapshotFile> ReadSnapshotFile(int fd, const std::string& path,
+                                      std::vector<Page>& staging) {
   struct stat info {};
   if (::fstat(fd, &info) < 0) return ErrnoStatus("fstat " + path);
   const auto size = static_cast<std::uint64_t>(info.st_size);
@@ -339,13 +430,9 @@ Result<SnapshotFile> ReadSnapshotPages(int fd, const std::string& path,
                                   "pages (torn write?)");
   }
   const std::uint64_t file_pages = size / kPageSize;
-  auto read_batch = [&](std::uint64_t first_page) {
-    const std::uint64_t count =
-        std::min<std::uint64_t>(staging.size(), file_pages - first_page);
-    return ReadAll(fd, staging.data(), count * kPageSize, path);
-  };
-
-  Status loaded = read_batch(0);
+  Status loaded = ReadAll(
+      fd, staging.data(),
+      std::min<std::uint64_t>(staging.size(), file_pages) * kPageSize, path);
   if (!loaded.ok()) return loaded;
   Result<PageView> meta_view = OpenPage(staging[0]);
   if (!meta_view.ok()) return meta_view.status();
@@ -356,35 +443,43 @@ Result<SnapshotFile> ReadSnapshotPages(int fd, const std::string& path,
   if (!meta.ok()) return meta.status();
   SnapshotFile file;
   file.meta = meta.value();
-  const std::uint64_t data_bytes = file.meta.data_bytes;
-  // Bounded by what the file can hold, whatever the meta page claims.
-  file.data.reserve(std::min<std::uint64_t>(data_bytes, size - kPageSize));
-  std::uint32_t crc = 0;
-  for (std::uint64_t page_id = 1; file.data.size() < data_bytes; ++page_id) {
-    if (page_id == file_pages) {
-      return Status::IoError(path + " ends before its data stream does");
-    }
-    const std::size_t slot = page_id % staging.size();
-    if (slot == 0) {
-      loaded = read_batch(page_id);
-      if (!loaded.ok()) return loaded;
-    }
-    Result<PageView> view = OpenPage(staging[slot]);
-    if (!view.ok()) return view.status();
-    if (view.value().type != PageType::kSnapshotData) {
-      return Status::IoError("snapshot page " + std::to_string(page_id) +
-                             " is not a data page");
-    }
-    const std::string_view payload = view.value().payload;
-    crc = Crc32(payload.data(), payload.size(), crc);
-    file.data.append(payload);
+  // Bounded by what the file can hold, whatever the meta page claims, so
+  // no count checked against the stream's length asks for more.
+  if (file.meta.data_bytes > (file_pages - 1) * kPagePayloadCapacity) {
+    return Status::IoError(path + " ends before its data stream does");
   }
-  if (file.data.size() != data_bytes) {
-    return Status::IoError("snapshot data stream length mismatch");
+
+  DataPageReader in(fd, path, staging, file_pages, file.meta.data_bytes);
+  std::vector<std::vector<double>>& shards = file.shard_states;
+  std::uint64_t shard_count = 0;
+  Status status = in.U64(&shard_count);
+  if (!status.ok()) return status;
+  // Each shard's count alone takes 8 of the bytes left.
+  if (shard_count > in.left() / 8) {
+    return Status::IoError("snapshot data stream: absurd shard count");
   }
-  if (crc != file.meta.data_crc) {
+  shards.reserve(static_cast<std::size_t>(shard_count));
+  for (std::uint64_t i = 0; i < shard_count; ++i) {
+    std::uint64_t count = 0;
+    status = in.U64(&count);
+    if (!status.ok()) return status;
+    if (count > in.left() / sizeof(double)) {
+      return Status::IoError("snapshot data stream: absurd shard length");
+    }
+    std::vector<double>& state =
+        shards.emplace_back(static_cast<std::size_t>(count));
+    status = in.Read(state.data(), count * sizeof(double));
+    if (!status.ok()) return status;
+  }
+  // The profile block is the rest of the stream.
+  std::string profile_block(static_cast<std::size_t>(in.left()), '\0');
+  status = in.Read(profile_block.data(), profile_block.size());
+  if (!status.ok()) return status;
+  if (in.crc() != file.meta.data_crc) {
     return Status::IoError("snapshot data stream checksum mismatch");
   }
+  status = DecodeProfileBlock(profile_block, &file.profile);
+  if (!status.ok()) return status;
   return file;
 }
 
@@ -411,8 +506,20 @@ Result<std::unique_ptr<EpochStore>> EpochStore::Open(const std::string& dir) {
 
 EpochStore::~EpochStore() { ::close(dir_fd_); }
 
+Status EpochStore::Writable() const {
+  // Only a write path sets either, and each refuses once one is set, so
+  // both are set only when Recover's torn-tail truncation failed after
+  // the store's own fsync did.
+  const Status& first =
+      sync_failure_.ok() ? wal_->sync_failure() : sync_failure_;
+  if (first.ok()) return first;
+  return Status::IoError("state store stopped until it is reopened: " +
+                         first.message());
+}
+
 Result<std::uint64_t> EpochStore::AppendSpend(double epsilon,
                                               const std::string& purpose) {
+  if (Status writable = Writable(); !writable.ok()) return writable;
   WalRecord record;
   record.type = WalRecordType::kSpend;
   record.epsilon = epsilon;
@@ -421,6 +528,7 @@ Result<std::uint64_t> EpochStore::AppendSpend(double epsilon,
 }
 
 Status EpochStore::AppendEpochSwap(std::uint64_t epoch) {
+  if (Status writable = Writable(); !writable.ok()) return writable;
   WalRecord record;
   record.type = WalRecordType::kEpochSwap;
   record.epoch = epoch;
@@ -428,6 +536,7 @@ Status EpochStore::AppendEpochSwap(std::uint64_t epoch) {
 }
 
 Status EpochStore::RollbackTo(std::uint64_t wal_offset) {
+  if (Status writable = Writable(); !writable.ok()) return writable;
   return wal_->TruncateTo(wal_offset);
 }
 
@@ -435,6 +544,7 @@ Status EpochStore::PersistSnapshot(const Snapshot& snapshot,
                                    const planner::WorkloadProfile* profile,
                                    bool* installed) {
   if (installed != nullptr) *installed = false;
+  if (Status writable = Writable(); !writable.ok()) return writable;
   DataStream stream;
   Status viewed = ViewDataStream(snapshot, profile, &stream);
   if (!viewed.ok()) return viewed;
@@ -448,7 +558,7 @@ Status EpochStore::PersistSnapshot(const Snapshot& snapshot,
     Result<std::uint64_t> pages =
         WriteSnapshotPages(fd.get(), tmp_path, meta, stream, staging_);
     if (!pages.ok()) return pages.status();
-    Status synced = SyncFd(fd.get(), tmp_path);
+    Status synced = SyncFd(fd.get(), tmp_path, &sync_failure_);
     if (!synced.ok()) return synced;
     stats_.snapshot_pages_written += pages.value();
   }
@@ -458,7 +568,7 @@ Status EpochStore::PersistSnapshot(const Snapshot& snapshot,
     return ErrnoStatus("rename " + tmp_path);
   }
   if (installed != nullptr) *installed = true;
-  return SyncFd(dir_fd_, "dir " + dir_);
+  return SyncFd(dir_fd_, "dir " + dir_, &sync_failure_);
 }
 
 Result<RecoveredState> EpochStore::Recover() {
@@ -493,21 +603,17 @@ Result<RecoveredState> EpochStore::Recover() {
     if (errno == ENOENT) return state;  // never persisted: WAL-only state
     return ErrnoStatus("open " + snapshot_path);
   }
-  Result<SnapshotFile> file =
-      ReadSnapshotPages(fd.get(), snapshot_path, staging_);
-  if (!file.ok()) return file.status();
-  const DecodedMeta& meta = file.value().meta;
+  Result<SnapshotFile> read =
+      ReadSnapshotFile(fd.get(), snapshot_path, staging_);
+  if (!read.ok()) return read.status();
+  SnapshotFile file = std::move(read).value();
 
-  Result<DecodedDataStream> decoded = DecodeDataStream(file.value().data);
-  if (!decoded.ok()) return decoded.status();
-  DecodedDataStream stream = std::move(decoded).value();
-
-  Result<std::shared_ptr<const Snapshot>> snapshot =
-      Snapshot::Restore(meta.options, meta.epoch, meta.domain_size,
-                        std::move(stream.shard_states));
+  Result<std::shared_ptr<const Snapshot>> snapshot = Snapshot::Restore(
+      file.meta.options, file.meta.epoch, file.meta.domain_size,
+      std::move(file.shard_states));
   if (!snapshot.ok()) return snapshot.status();
   state.snapshot = std::move(snapshot).value();
-  state.profile = std::move(stream.profile);
+  state.profile = std::move(file.profile);
   return state;
 }
 

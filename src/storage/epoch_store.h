@@ -23,8 +23,15 @@
 //                    front to back into a fresh temp file. The temp
 //                    file is fsynced, renamed over snapshot.db, and the
 //                    directory (open since Open) fsynced. Recovery
-//                    reads the file front to back in the same batches
-//                    and verifies every page it uses.
+//                    reads the file front to back in the same batches,
+//                    verifies every page it uses, and copies each
+//                    payload's bytes straight to where the restored
+//                    release keeps them: every shard's doubles into
+//                    that shard's array, sized from its count once the
+//                    count is read (a count the rest of the stream
+//                    cannot hold is refused first), and the profile
+//                    block into a small buffer. Nothing holds the
+//                    whole stream, on the way out or back in.
 //
 // Ordering contract with the EpochManager (all under the busy token):
 //
@@ -42,6 +49,17 @@
 // holds the new release and a restart will serve it, so a failure after
 // it (the directory fsync) keeps the spend and swap records and the
 // in-memory charge, and the publish still does not commit.
+//
+// The fsync rule: after a failed fsync the kernel may drop the dirty
+// pages and clear the error, so a later fsync can report success for
+// bytes that never reached the disk. The store therefore remembers the
+// first fsync that failed — the WAL append's, the WAL truncate's, the
+// snapshot temp file's or the directory's — and until the next Open
+// every AppendSpend, AppendEpochSwap, RollbackTo and PersistSnapshot
+// returns an IoError naming it. A refused spend is never charged, and
+// serving continues on the last committed release. Recover only reads
+// (bar truncating a torn WAL tail) and still works; a restart reopens
+// the store and rebuilds its state from what the disk actually holds.
 //
 // Not thread-safe; the EpochManager serializes all calls.
 
@@ -134,6 +152,9 @@ class EpochStore {
   /// Pages per sequential write or read batch (256 KB).
   static constexpr std::size_t kStagingPages = 64;
 
+  /// OK until an fsync has failed; then the IoError every write returns.
+  Status Writable() const;
+
   EpochStore(std::string dir, int dir_fd, std::unique_ptr<WriteAheadLog> wal)
       : dir_(std::move(dir)),
         dir_fd_(dir_fd),
@@ -149,6 +170,9 @@ class EpochStore {
   /// Recover reads them through.
   std::vector<Page> staging_;
   Stats stats_;
+  /// The first fsync of a snapshot temp file or of the directory that
+  /// failed since Open, or OK; the WAL keeps its own (sync_failure()).
+  Status sync_failure_;
 };
 
 }  // namespace dphist::storage

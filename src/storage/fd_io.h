@@ -2,7 +2,8 @@
 // and the epoch store: errno to Status, a whole-buffer write(2) and an
 // fsync(2), each retrying EINTR. Every durable byte the store writes
 // goes through these, so a fault-injection test has one place to hook;
-// SyncFd carries the one hook there is (g_sync_fault_for_test).
+// SyncFd carries the one hook there is (g_sync_fault_for_test), and
+// keeps the first fsync that failed for the store's stop rule.
 // Internal to src/storage/.
 
 #ifndef DPHIST_STORAGE_FD_IO_H_
@@ -48,19 +49,26 @@ inline Status WriteAll(int fd, const void* data, std::size_t size,
 /// call is running, and reset it to null after.
 inline int (*g_sync_fault_for_test)(const std::string& what) = nullptr;
 
-/// fsync(2), retrying EINTR; a failure names "fsync `what`".
-inline Status SyncFd(int fd, const std::string& what) {
-  if (g_sync_fault_for_test != nullptr) {
-    if (const int injected = g_sync_fault_for_test(what); injected != 0) {
-      errno = injected;
-      return ErrnoStatus("fsync " + what);
-    }
+/// fsync(2), retrying EINTR; a failure names "fsync `what`" and is kept
+/// in `*first_failure` unless an earlier one is there. After a failed
+/// fsync the kernel may have dropped the dirty pages and cleared the
+/// error, so a later fsync of the same file can report success for bytes
+/// that never reached the disk: the first failure is the one to act on.
+inline Status SyncFd(int fd, const std::string& what, Status* first_failure) {
+  const int injected =
+      g_sync_fault_for_test != nullptr ? g_sync_fault_for_test(what) : 0;
+  int rc = -1;
+  if (injected != 0) {
+    errno = injected;
+  } else {
+    do {
+      rc = ::fsync(fd);
+    } while (rc < 0 && errno == EINTR);
   }
-  int rc;
-  do {
-    rc = ::fsync(fd);
-  } while (rc < 0 && errno == EINTR);
-  return rc < 0 ? ErrnoStatus("fsync " + what) : Status::Ok();
+  if (rc == 0) return Status::Ok();
+  Status failed = ErrnoStatus("fsync " + what);
+  if (first_failure->ok()) *first_failure = failed;
+  return failed;
 }
 
 }  // namespace dphist::storage

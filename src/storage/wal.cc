@@ -91,7 +91,7 @@ Result<std::uint64_t> WriteAheadLog::Append(const WalRecord& record) {
   const std::uint64_t offset = size_;
   const std::string& bytes = framed.data();
   Status status = WriteAll(fd_, bytes.data(), bytes.size(), path_);
-  if (status.ok()) status = SyncFd(fd_, path_);
+  if (status.ok()) status = SyncFd(fd_, path_, &sync_failure_);
   if (!status.ok()) {
     // Drop whatever partial bytes landed so the in-memory offset and
     // the file stay consistent; a torn tail here would otherwise be
@@ -110,7 +110,7 @@ Status WriteAheadLog::TruncateTo(std::uint64_t offset) {
   if (::ftruncate(fd_, static_cast<off_t>(offset)) < 0) {
     return ErrnoStatus("ftruncate " + path_);
   }
-  Status synced = SyncFd(fd_, path_);
+  Status synced = SyncFd(fd_, path_, &sync_failure_);
   if (!synced.ok()) return synced;
   size_ = offset;
   return Status::Ok();

@@ -86,6 +86,10 @@ class WriteAheadLog {
   /// Current append offset.
   std::uint64_t size() const { return size_; }
 
+  /// The first fsync of this log that failed since Open, or OK (see
+  /// SyncFd): the epoch store stops writing on it.
+  const Status& sync_failure() const { return sync_failure_; }
+
  private:
   WriteAheadLog(std::string path, int fd, std::uint64_t size)
       : path_(std::move(path)), fd_(fd), size_(size) {}
@@ -93,6 +97,7 @@ class WriteAheadLog {
   std::string path_;
   int fd_;
   std::uint64_t size_;
+  Status sync_failure_;
 };
 
 }  // namespace dphist::storage

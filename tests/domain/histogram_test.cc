@@ -72,7 +72,7 @@ TEST(HistogramTest, ConcurrentFirstCountAfterMutationIsSafe) {
   for (double total : totals) EXPECT_DOUBLE_EQ(total, 4099.0 + 4.0);
 }
 
-TEST(HistogramTest, CopyAndMoveCarryCountsAndPrefixState) {
+TEST(HistogramTest, CopyCarriesCountsAndMoveCarriesPrefixState) {
   Histogram original = Histogram::FromCounts({1, 2, 3});
   Histogram copy = original;
   EXPECT_DOUBLE_EQ(copy.Count(Interval(0, 2)), 6.0);
@@ -89,6 +89,30 @@ TEST(HistogramTest, CopyAndMoveCarryCountsAndPrefixState) {
   EXPECT_DOUBLE_EQ(assigned.Count(Interval(0, 2)), 6.0);
   assigned = Histogram::FromCounts({4, 4});
   EXPECT_DOUBLE_EQ(assigned.Count(Interval(0, 1)), 8.0);
+}
+
+TEST(HistogramTest, CopyDuringConcurrentFirstCountsIsSafe) {
+  // Copying is a const access and takes no lock: it reads the counts,
+  // which no const access writes, while the first Count() calls build
+  // the prefix table. Each copy then builds its own. Under
+  // ThreadSanitizer this is a data-race probe.
+  const Histogram h =
+      Histogram::FromCounts(std::vector<std::int64_t>(4096, 1));
+  constexpr int kThreads = 4;
+  std::vector<double> totals(2 * kThreads, -1.0);
+  std::vector<std::thread> workers;
+  workers.reserve(2 * kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&h, &totals, t] {
+      totals[static_cast<std::size_t>(t)] = h.Count(Interval(0, 4095));
+    });
+    workers.emplace_back([&h, &totals, t] {
+      const Histogram copy = h;
+      totals[static_cast<std::size_t>(kThreads + t)] = copy.Total();
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (double total : totals) EXPECT_DOUBLE_EQ(total, 4096.0);
 }
 
 TEST(HistogramTest, SortedCountsIsUnattributedHistogram) {

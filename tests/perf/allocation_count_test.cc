@@ -6,8 +6,9 @@
 // warm binary QUERY frame are parsed, answered and rendered without one.
 // It also counts requested bytes, to bound what one H-bar build, one
 // default Snapshot::Build, one wavelet Snapshot::Build, one snapshot
-// persist, one cold unsharded engine batch, one read session
-// script, one hostile `qb` line and one hostile QUERY payload ask for.
+// persist and one restore, one histogram copy, one cold unsharded
+// engine batch, one read session script, one hostile `qb` line and one
+// hostile QUERY payload ask for.
 // Kept out of dphist_tests so the instrumentation cannot interfere with
 // unrelated suites.
 
@@ -654,6 +655,61 @@ TEST(BuildAllocationTest, PersistingAsksForNoImageSizedBuffer) {
   });
   EXPECT_LE(requests.bytes, 64 * 1024);
   std::filesystem::remove_all(dir);
+}
+
+TEST(BuildAllocationTest, RestoringDecodesPagesStraightIntoTheShards) {
+  // A warm restart of the release PersistingAsksForNoImageSizedBuffer
+  // persists. Recover reads snapshot.db through the page staging Open
+  // allocated and copies each payload straight into the shards' leaf
+  // arrays; each restored shard then builds its prefix table. Those are
+  // the only node-sized requests: a buffer holding the data stream, or a
+  // copy of a shard's leaves, fails here. The answer plan's row comes
+  // from aligned_alloc, which this counter does not see.
+  constexpr std::int64_t kDomain = 1 << 16;
+  Rng data_rng(3);
+  const Histogram data = Histogram::FromCounts(
+      ZipfCounts(kDomain, 1.2, 4 * kDomain, &data_rng));
+  SnapshotOptions options;
+  options.strategy = StrategyKind::kWavelet;
+  options.shards = 2;
+  Rng rng(9);
+  Result<std::shared_ptr<const Snapshot>> built =
+      Snapshot::Build(data, options, 1, &rng);
+  ASSERT_TRUE(built.ok());
+  const std::string dir = ::testing::TempDir() + "/alloc_restore";
+  std::filesystem::remove_all(dir);
+  Result<std::unique_ptr<storage::EpochStore>> store =
+      storage::EpochStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  ASSERT_TRUE(store.value()->PersistSnapshot(*built.value(), nullptr).ok());
+  const Requests requests = RequestsDuring([&] {
+    Result<storage::RecoveredState> state = store.value()->Recover();
+    ASSERT_TRUE(state.ok());
+    ASSERT_NE(state.value().snapshot, nullptr);
+    EXPECT_EQ(state.value().snapshot->shard_count(), 2);
+  });
+  // Per shard: 2^15 leaves and a prefix table of 2^15 + 1 sums.
+  constexpr std::size_t kShardLeaves = kDomain / 2;
+  constexpr std::size_t kKept = 2 * (2 * kShardLeaves + 1) * sizeof(double);
+  EXPECT_LE(requests.bytes, kKept + 64 * 1024);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(HistogramAllocationTest, CopyAsksForTheCountsOnly) {
+  // EpochManager takes its histogram by value, and perfbench has built
+  // the prefix table computing true answers. A copy carries the counts
+  // and leaves the table behind, to be built on its first Count():
+  // copying the table too asks for twice the bytes.
+  constexpr std::int64_t kDomain = 1 << 16;
+  Rng data_rng(3);
+  const Histogram data = Histogram::FromCounts(
+      ZipfCounts(kDomain, 1.2, 4 * kDomain, &data_rng));
+  ASSERT_GT(data.Total(), 0.0);  // builds the prefix table
+  const Requests requests = RequestsDuring([&] {
+    const Histogram copy = data;
+    EXPECT_EQ(copy.size(), kDomain);
+  });
+  EXPECT_LE(requests.bytes, kDomain * sizeof(double));
 }
 
 TEST_F(EstimatorAllocationTest, LegacyDecomposeRangeStillAllocates) {

@@ -225,6 +225,83 @@ TEST(RecoveryTest, FailedDirectoryFsyncAfterRenameKeepsTheSpend) {
   EXPECT_LE(state.value().snapshot->epoch(), state.value().ledger.size());
 }
 
+TEST(RecoveryTest, FailedWalFsyncRefusesPublishesUntilReopened) {
+  const std::int64_t n = 64;
+  Histogram data = TestData(n);
+  const std::string dir = FreshDir("rec_wal_fsync");
+
+  {
+    auto store = storage::EpochStore::Open(dir);
+    ASSERT_TRUE(store.ok());
+    QueryService service;
+    EpochManager manager(&service, data,
+                         DurableOptions(store.value().get(), 0.3, 2.0), 42);
+    ASSERT_TRUE(manager.PublishInitial().ok());
+    std::vector<double> answers_before;
+    for (const Interval& probe : Probes(n)) {
+      double answer = 0.0;
+      EXPECT_TRUE(service.TryQueryBatch(&probe, 1, &answer).ok());
+      answers_before.push_back(answer);
+    }
+    // The replan's spend record is written, but its fsync fails.
+    storage::g_sync_fault_for_test = [](const std::string& what) {
+      const std::string wal = "/wal.log";
+      return what.size() >= wal.size() &&
+                     what.compare(what.size() - wal.size(), wal.size(),
+                                  wal) == 0
+                 ? EIO
+                 : 0;
+    };
+    const ReplanOutcome failed = manager.ReplanNow();
+    storage::g_sync_fault_for_test = nullptr;
+    ASSERT_FALSE(failed.status.ok());
+    EXPECT_EQ(failed.status.code(), StatusCode::kIoError)
+        << failed.status.ToString();
+    EXPECT_EQ(manager.stats().epsilon_spent, 0.3);
+    const std::uint64_t wal_size = store.value()->wal_size();
+
+    // The kernel may have dropped the record's pages and cleared the
+    // error, so a retry could be told its bytes are on disk when they
+    // are not. The next replan is refused before it spends, naming the
+    // first failure, and the last committed release keeps serving.
+    const ReplanOutcome refused = manager.ReplanNow();
+    ASSERT_FALSE(refused.status.ok());
+    EXPECT_EQ(refused.status.code(), StatusCode::kIoError)
+        << refused.status.ToString();
+    EXPECT_NE(refused.status.message().find("fsync " + dir + "/wal.log"),
+              std::string::npos)
+        << refused.status.ToString();
+    EXPECT_FALSE(refused.republished);
+    EXPECT_EQ(store.value()->wal_size(), wal_size);
+    EXPECT_EQ(manager.stats().epsilon_spent, 0.3);
+    EXPECT_EQ(service.current_epoch(), 1u);
+    std::size_t i = 0;
+    for (const Interval& probe : Probes(n)) {
+      double answer = 0.0;
+      EXPECT_TRUE(service.TryQueryBatch(&probe, 1, &answer).ok());
+      EXPECT_EQ(answer, answers_before[i++]);
+    }
+  }
+
+  // A restart reopens the store: it re-serves the committed release and
+  // publishes again.
+  auto store = storage::EpochStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  QueryService service;
+  EpochManager manager(&service, data,
+                       DurableOptions(store.value().get(), 0.3, 2.0), 42);
+  auto recovered = manager.Recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE(recovered.value().republished);
+  EXPECT_EQ(recovered.value().epoch, 1u);
+  EXPECT_EQ(manager.stats().epsilon_spent, 0.3);
+  const ReplanOutcome replanned = manager.ReplanNow();
+  ASSERT_TRUE(replanned.status.ok()) << replanned.status.ToString();
+  EXPECT_TRUE(replanned.republished);
+  EXPECT_EQ(service.current_epoch(), 2u);
+  EXPECT_EQ(manager.stats().epsilon_spent, 0.3 + 0.3);
+}
+
 TEST(RecoveryTest, RecoverWithoutStoreIsRefusedNotFatal) {
   Histogram data = TestData(16);
   QueryService service;

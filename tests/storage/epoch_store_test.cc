@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -21,6 +22,7 @@
 #include "planner/workload_profile.h"
 #include "service/snapshot.h"
 #include "storage/codec.h"
+#include "storage/fd_io.h"
 #include "storage/page.h"
 #include "tree/tree_layout.h"
 
@@ -85,6 +87,60 @@ planner::WorkloadProfile FixedProfile(std::int64_t n) {
       n, {{1, 2.0}, {4, 0.375}, {17, 3.5}, {n, 1.25}});
   EXPECT_TRUE(profile.ok()) << profile.status().ToString();
   return std::move(profile).value();
+}
+
+/// Writes `dir`/snapshot.db by hand, sealed through page.h: a meta page
+/// for an epoch-4 release of `options` over `n` positions that records
+/// `data`'s length and CRC, then `data` in full data pages. Every page
+/// verifies and the stream's length and CRC match, so only what `data`
+/// itself says can be wrong.
+void WriteSnapshotFile(const std::string& dir, std::int64_t n,
+                       const SnapshotOptions& options,
+                       const ByteWriter& data) {
+  ByteWriter meta;
+  meta.U16(1);  // format version
+  meta.U64(4);  // epoch
+  meta.I64(n);
+  meta.F64(options.epsilon);
+  meta.U16(0);  // L~
+  meta.I64(options.branching);
+  meta.I64(options.shards);
+  meta.U8(options.round_to_nonnegative_integers ? 1 : 0);
+  meta.U8(options.prune_nonpositive_subtrees ? 1 : 0);
+  meta.I64(options.build_threads);
+  meta.F64(2.0);  // retired cache-admission threshold
+  meta.U64(data.size());
+  meta.U32(Crc32(data.data().data(), data.size()));
+
+  std::filesystem::create_directories(dir);
+  std::ofstream file(dir + "/snapshot.db", std::ios::binary);
+  Page page;
+  ASSERT_TRUE(SealPage(PageType::kSnapshotMeta, meta.data().data(),
+                       meta.size(), &page)
+                  .ok());
+  file.write(reinterpret_cast<const char*>(&page), sizeof(page));
+  for (std::size_t offset = 0; offset < data.size();
+       offset += kPagePayloadCapacity) {
+    const std::size_t size =
+        std::min(kPagePayloadCapacity, data.size() - offset);
+    ASSERT_TRUE(SealPage(PageType::kSnapshotData,
+                         data.data().data() + offset, size, &page)
+                    .ok());
+    file.write(reinterpret_cast<const char*>(&page), sizeof(page));
+  }
+  ASSERT_TRUE(file.good());
+}
+
+/// Recovers `dir` and expects an IoError whose message names `reason`.
+void ExpectRefused(const std::string& dir, const std::string& reason) {
+  auto store = EpochStore::Open(dir);
+  ASSERT_TRUE(store.ok());
+  auto state = store.value()->Recover();
+  ASSERT_FALSE(state.ok());
+  EXPECT_EQ(state.status().code(), StatusCode::kIoError)
+      << state.status().ToString();
+  EXPECT_NE(state.status().message().find(reason), std::string::npos)
+      << state.status().ToString();
 }
 
 TEST(EpochStoreTest, FreshDirectoryRecoversEmpty) {
@@ -519,6 +575,148 @@ TEST(EpochStoreTest, CorruptSnapshotRefusesLoudly) {
     ASSERT_FALSE(state.ok());
     EXPECT_EQ(state.status().code(), StatusCode::kIoError)
         << state.status().ToString();
+  }
+}
+
+// Restore sizes each shard's array from the count the stream records,
+// so a count is refused before anything is sized from it when the rest
+// of the stream cannot hold what it claims. One double past what the
+// file holds is refused like 2^40 of them (8 TiB, which no allocation
+// could serve: an attempt would throw and fail the test), so no claim
+// asks for more than the file.
+TEST(EpochStoreTest, ShardLengthPastTheFileIsRefusedBeforeAllocating) {
+  const std::int64_t n = 1000;
+  SnapshotOptions options;
+  options.strategy = StrategyKind::kLTilde;
+  options.epsilon = 0.5;
+  const std::vector<double> leaves = FixedShardStates(options, n)[0];
+  // After shard 0's count the stream holds its doubles and the profile
+  // flag: room for n doubles, not n + 1.
+  for (const std::uint64_t claim :
+       {static_cast<std::uint64_t>(n) + 1, std::uint64_t{1} << 40}) {
+    SCOPED_TRACE("shard 0 claims " + std::to_string(claim) + " doubles");
+    ByteWriter data;
+    data.U64(1);
+    data.U64(claim);
+    for (const double leaf : leaves) data.F64(leaf);
+    data.U8(0);
+    const std::string dir = FreshDir("es_shard_length");
+    WriteSnapshotFile(dir, n, options, data);
+    ExpectRefused(dir, "absurd shard length");
+  }
+}
+
+TEST(EpochStoreTest, ShardCountPastTheFileIsRefusedBeforeAllocating) {
+  const std::int64_t n = 1000;
+  SnapshotOptions options;
+  options.strategy = StrategyKind::kLTilde;
+  options.epsilon = 0.5;
+  const std::vector<double> leaves = FixedShardStates(options, n)[0];
+  // After the shard count the stream holds 8 + 8n + 1 bytes: room for
+  // at most n + 1 shards' counts, not n + 2.
+  for (const std::uint64_t claim :
+       {static_cast<std::uint64_t>(n) + 2, std::uint64_t{1} << 40}) {
+    SCOPED_TRACE("the stream claims " + std::to_string(claim) + " shards");
+    ByteWriter data;
+    data.U64(claim);
+    data.U64(leaves.size());
+    for (const double leaf : leaves) data.F64(leaf);
+    data.U8(0);
+    const std::string dir = FreshDir("es_shard_count");
+    WriteSnapshotFile(dir, n, options, data);
+    ExpectRefused(dir, "absurd shard count");
+  }
+}
+
+/// FailSync fails every fsync whose `what` (a file's path, or "dir DIR")
+/// ends with this.
+std::string g_failing_sync;
+
+int FailSync(const std::string& what) {
+  return what.size() >= g_failing_sync.size() &&
+                 what.compare(what.size() - g_failing_sync.size(),
+                              g_failing_sync.size(), g_failing_sync) == 0
+             ? EIO
+             : 0;
+}
+
+// After a failed fsync the kernel may have dropped the dirty pages and
+// cleared the error, so a retry could report success for bytes that
+// never reached the disk. Whichever of the store's four fsyncs fails
+// first, every later write is refused with an IoError naming it, until
+// the store is reopened; Recover still reads.
+TEST(EpochStoreTest, FailedFsyncStopsEveryWriteUntilReopened) {
+  const std::int64_t n = 64;
+  Histogram data = TestData(n);
+  SnapshotOptions options;
+  options.strategy = StrategyKind::kHBar;
+  options.epsilon = 0.3;
+  Rng rng(5);
+  auto release = Snapshot::Build(data, options, 1, &rng);
+  ASSERT_TRUE(release.ok());
+
+  struct Site {
+    const char* name;
+    const char* suffix;  // of the failing fsync's `what`
+    Status (*fail)(EpochStore& store, const Snapshot& release);
+  };
+  const Site sites[] = {
+      {"WAL append", "/wal.log",
+       [](EpochStore& store, const Snapshot&) {
+         return store.AppendSpend(0.3, "replan (manual)").status();
+       }},
+      {"WAL truncate", "/wal.log",
+       [](EpochStore& store, const Snapshot&) {
+         return store.RollbackTo(0);
+       }},
+      {"snapshot temp file", "/snapshot.db.tmp",
+       [](EpochStore& store, const Snapshot& release) {
+         return store.PersistSnapshot(release, nullptr);
+       }},
+      {"directory", "es_fsync_stop",
+       [](EpochStore& store, const Snapshot& release) {
+         return store.PersistSnapshot(release, nullptr);
+       }},
+  };
+  for (const Site& site : sites) {
+    SCOPED_TRACE(site.name);
+    const std::string dir = FreshDir("es_fsync_stop");
+    auto opened = EpochStore::Open(dir);
+    ASSERT_TRUE(opened.ok());
+    EpochStore& store = *opened.value();
+    ASSERT_TRUE(store.AppendSpend(0.3, "publish (initial)").ok());
+    ASSERT_TRUE(store.AppendEpochSwap(1).ok());
+    ASSERT_TRUE(store.PersistSnapshot(*release.value(), nullptr).ok());
+
+    g_failing_sync = site.suffix;
+    storage::g_sync_fault_for_test = FailSync;
+    const Status failed = site.fail(store, *release.value());
+    storage::g_sync_fault_for_test = nullptr;
+    ASSERT_FALSE(failed.ok());
+    ASSERT_EQ(failed.message().rfind("fsync ", 0), 0u) << failed.ToString();
+
+    // The same fsyncs would succeed now; the store still refuses.
+    const std::uint64_t wal_size = store.wal_size();
+    const Status refusals[] = {
+        store.AppendSpend(0.3, "replan (manual)").status(),
+        store.AppendEpochSwap(2),
+        store.RollbackTo(0),
+        store.PersistSnapshot(*release.value(), nullptr),
+    };
+    for (const Status& refused : refusals) {
+      EXPECT_EQ(refused.code(), StatusCode::kIoError) << refused.ToString();
+      EXPECT_NE(refused.message().find(failed.message()), std::string::npos)
+          << refused.ToString();
+    }
+    EXPECT_EQ(store.wal_size(), wal_size);
+    auto state = store.Recover();
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    ASSERT_NE(state.value().snapshot, nullptr);
+
+    // A reopened store starts clean.
+    auto reopened = EpochStore::Open(dir);
+    ASSERT_TRUE(reopened.ok());
+    EXPECT_TRUE(reopened.value()->AppendSpend(0.3, "replan (manual)").ok());
   }
 }
 

@@ -420,7 +420,10 @@ Status RunServe(const Flags& flags, std::istream& in, std::ostream& out) {
   }
 
   QueryService service;
-  runtime::EpochManager manager(&service, data.value(), manager_options,
+  // The manager keeps the only copy of the histogram: `data` is not read
+  // again (`n` was taken above).
+  runtime::EpochManager manager(&service, std::move(data).value(),
+                                manager_options,
                                 static_cast<std::uint64_t>(seed));
   runtime::SessionWriter writer(out);
 
