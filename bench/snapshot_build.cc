@@ -18,20 +18,24 @@
 // honestly measured ratio lands near 1x and is reported as such).
 //
 // `hbar_build_steps` splits one unsharded H-bar build in serve's default
-// config (n = 2^16, k = 2, eps = 1, round+prune) into the steps
-// HBarEstimator runs over its node buffer, each the median of
-// kStepRepeats runs, so a publish-latency change can be placed in one
-// step: counts, Laplace noise, inference (z and h passes), prune,
-// round, leaf state (leaf copy and the streamed consistency check, plus
-// the prefix table for a consistent tree, as Restore runs them), and the
-// whole constructor.
+// config (n = 2^16, k = 2, eps = 1, round+prune) into the steps a
+// release runs over its node buffer, each the median of kStepRepeats
+// runs with the first and third quartiles as its spread, so a
+// publish-latency change can be placed in one step: counts, Laplace
+// noise, inference (z and h passes), prune, round, leaf state
+// (IsPrefixConsistent's streamed check over the leaf level, read in
+// place, plus the answer plan's fold of that level for a consistent
+// tree, as Snapshot::Build and Restore run them), and the whole
+// HBarEstimator constructor.
 //
 // Flags (DPHIST_* env equivalents): --domain-log2, --strategy,
 // --branching, --epsilon, --shards, --threads-list (comma separated),
 // --repeats, --seed.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <memory>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -43,6 +47,7 @@
 #include "common/rng.h"
 #include "data/zipf.h"
 #include "domain/histogram.h"
+#include "engine/answer_plan.h"
 #include "estimators/universal.h"
 #include "inference/hierarchical.h"
 #include "inference/nonnegative_pruning.h"
@@ -81,24 +86,23 @@ std::vector<int> ParseThreadsList(const std::string& csv) {
   return threads;
 }
 
-double Median(std::vector<double> values) {
+/// The value at fraction `q` of the sorted `values` (nearest rank).
+double Quantile(std::vector<double> values, double q) {
   std::sort(values.begin(), values.end());
-  return values[values.size() / 2];
+  return values[static_cast<std::size_t>(
+      q * static_cast<double>(values.size() - 1) + 0.5)];
 }
 
 constexpr std::int64_t kStepsDomainLog2 = 16;
 constexpr int kStepRepeats = 41;
 
-/// Median milliseconds of each step of one default H-bar build.
-struct BuildSteps {
-  double counts = 0.0;
-  double noise = 0.0;
-  double inference = 0.0;
-  double prune = 0.0;
-  double round = 0.0;
-  double leaf_state = 0.0;
-  double whole_build = 0.0;
-};
+constexpr const char* kStepNames[7] = {"counts", "noise",      "inference",
+                                       "prune",  "round",      "leaf_state",
+                                       "whole_build"};
+
+/// Milliseconds of each step of one default H-bar build, one vector of
+/// kStepRepeats runs per step, in kStepNames order.
+using BuildSteps = std::array<std::vector<double>, 7>;
 
 BuildSteps TimeHBarBuildSteps(std::uint64_t seed) {
   const std::int64_t n = std::int64_t{1} << kStepsDomainLog2;
@@ -109,7 +113,7 @@ BuildSteps TimeHBarBuildSteps(std::uint64_t seed) {
   const HierarchicalQuery query(n, options.branching);
   const TreeLayout& tree = query.tree();
   const LaplaceMechanism mechanism(options.epsilon);
-  std::vector<double> steps[7];
+  BuildSteps steps;
   Rng rng(seed + 1);
   for (int r = 0; r < kStepRepeats; ++r) {
     double t[8];
@@ -125,16 +129,20 @@ BuildSteps TimeHBarBuildSteps(std::uint64_t seed) {
     t[4] = NowSeconds();
     nodes = RoundToNonNegativeIntegers(std::move(nodes));
     t[5] = NowSeconds();
-    auto restored = HBarEstimator::Restore(n, options, std::move(nodes));
+    // What a release runs over its node vector: the consistency check,
+    // reading the leaf level in place, and the plan's fold of that level
+    // when the tree passes it.
+    if (IsPrefixConsistent(tree, nodes)) {
+      const std::unique_ptr<const engine::AnswerPlan> plan =
+          engine::BuildAnswerPlan({LeafLevel(tree, nodes)}, n, n, false);
+      DPHIST_CHECK_MSG(plan != nullptr, "plan failed");
+    }
     t[6] = NowSeconds();
-    DPHIST_CHECK_MSG(restored.ok(), "restore failed");
     HBarEstimator built(data, options, &rng);
     t[7] = NowSeconds();
     for (int i = 0; i < 7; ++i) steps[i].push_back((t[i + 1] - t[i]) * 1e3);
   }
-  return {Median(steps[0]), Median(steps[1]), Median(steps[2]),
-          Median(steps[3]), Median(steps[4]), Median(steps[5]),
-          Median(steps[6])};
+  return steps;
 }
 
 }  // namespace
@@ -264,12 +272,18 @@ int main(int argc, char** argv) {
   std::printf("    \"domain_log2\": %lld,\n",
               static_cast<long long>(kStepsDomainLog2));
   std::printf("    \"repeats\": %d,\n", kStepRepeats);
-  std::printf(
-      "    \"median_ms\": {\"counts\": %.3f, \"noise\": %.3f, "
-      "\"inference\": %.3f, \"prune\": %.3f, \"round\": %.3f, "
-      "\"leaf_state\": %.3f, \"whole_build\": %.3f}\n",
-      steps.counts, steps.noise, steps.inference, steps.prune, steps.round,
-      steps.leaf_state, steps.whole_build);
+  // The median of each step, then its spread as the first and third
+  // quartiles of the same runs.
+  const std::pair<const char*, double> quantiles[3] = {
+      {"median_ms", 0.5}, {"p25_ms", 0.25}, {"p75_ms", 0.75}};
+  for (int q = 0; q < 3; ++q) {
+    std::printf("    \"%s\": {", quantiles[q].first);
+    for (int i = 0; i < 7; ++i) {
+      std::printf("%s\"%s\": %.3f", i == 0 ? "" : ", ", kStepNames[i],
+                  Quantile(steps[i], quantiles[q].second));
+    }
+    std::printf("}%s\n", q < 2 ? "," : "");
+  }
   std::printf("  },\n");
   std::printf("  \"summary\": {\n");
   std::printf("    \"min_threads\": %d,\n", min_threads);

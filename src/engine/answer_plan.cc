@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <cstring>
 
 #include "common/check.h"
+#include "estimators/range_engine.h"
 
 namespace dphist::engine {
 namespace {
@@ -35,38 +35,29 @@ AlignedDoubles::AlignedDoubles(std::size_t count) : size_(count) {
 void AlignedDoubles::Deleter::operator()(double* p) const { std::free(p); }
 
 std::unique_ptr<const AnswerPlan> BuildAnswerPlan(
-    const std::unique_ptr<RangeCountEstimator>* shards,
-    std::int64_t shard_count, std::int64_t domain_size,
-    std::int64_t shard_width) {
-  if (shard_count < 1 || domain_size < 1 || shard_width < 1) return nullptr;
+    const std::vector<const double*>& leaves, std::int64_t domain_size,
+    std::int64_t shard_width, bool round_answers) {
+  const auto shard_count = static_cast<std::int64_t>(leaves.size());
   auto plan = std::make_unique<AnswerPlan>();
   plan->domain_size = domain_size;
   plan->shard_width = shard_width;
   plan->shard_count = shard_count;
-  plan->offsets.reserve(static_cast<std::size_t>(shard_count));
+  plan->round_answers = round_answers;
 
-  // First pass: eligibility + total flattened size. Every shard must be
-  // prefix-served, cover exactly its slice of the domain, and agree on
-  // the rounding semantics — a mixed release (possible in principle for
-  // H-bar, where consistency is detected per shard) keeps the walker.
+  // Row offsets: each shard's w_s + 1 sums start on a 64-byte boundary.
+  const auto width_of = [&](std::int64_t s) {
+    return std::min(shard_width, domain_size - s * shard_width);
+  };
+  plan->offsets.reserve(static_cast<std::size_t>(shard_count));
   std::int64_t total = 0;
-  bool round = false;
   for (std::int64_t s = 0; s < shard_count; ++s) {
-    const PrefixAnswerView view = shards[s]->PrefixView();
-    if (view.prefix == nullptr) return nullptr;
-    const std::int64_t lo = s * shard_width;
-    const std::int64_t expected_width =
-        std::min(domain_size - 1, lo + shard_width - 1) - lo + 1;
-    if (view.size != expected_width) return nullptr;
-    if (s == 0) {
-      round = view.round_final_answer;
-    } else if (view.round_final_answer != round) {
-      return nullptr;
+    if (leaves[static_cast<std::size_t>(s)] == nullptr) {
+      plan->offsets.push_back(-1);
+      continue;
     }
     plan->offsets.push_back(total);
-    total = AlignUp(total + view.size + 1);
+    total = AlignUp(total + width_of(s) + 1);
   }
-  plan->round_answers = round;
 
   // Precompute the division-free shard locator. Power-of-two widths
   // (the common geometry: power-of-two domains over power-of-two shard
@@ -97,18 +88,23 @@ std::unique_ptr<const AnswerPlan> BuildAnswerPlan(
     if (exact) plan->shard_magic = magic;
   }
 
-  // Second pass: copy each shard's table into its 64-byte-aligned row
-  // and precompute the whole-shard answers (rounded with the kernels'
-  // exact semantics — `x <= 0` clamps to +0.0, else round half away).
+  // Fold each shard's leaves into its row and precompute the whole-shard
+  // answers (rounded with the kernels' exact semantics — `x <= 0` clamps
+  // to +0.0, else round half away).
   plan->prefix = AlignedDoubles(static_cast<std::size_t>(total));
   plan->full_shard.reserve(static_cast<std::size_t>(shard_count));
   for (std::int64_t s = 0; s < shard_count; ++s) {
-    const PrefixAnswerView view = shards[s]->PrefixView();
-    std::memcpy(plan->prefix.data() + plan->offsets[static_cast<std::size_t>(s)],
-                view.prefix,
-                static_cast<std::size_t>(view.size + 1) * sizeof(double));
-    double whole = view.prefix[view.size] - view.prefix[0];
-    if (round) whole = whole <= 0.0 ? 0.0 : std::round(whole);
+    const double* shard_leaves = leaves[static_cast<std::size_t>(s)];
+    if (shard_leaves == nullptr) {
+      plan->full_shard.push_back(0.0);
+      continue;
+    }
+    const std::int64_t width = width_of(s);
+    double* row =
+        plan->prefix.data() + plan->offsets[static_cast<std::size_t>(s)];
+    FoldLeafPrefixSums(shard_leaves, static_cast<std::size_t>(width), row);
+    double whole = row[width] - row[0];
+    if (round_answers) whole = whole <= 0.0 ? 0.0 : std::round(whole);
     plan->full_shard.push_back(whole);
   }
   return plan;

@@ -1,13 +1,14 @@
 // Columnar answer state for the batch answer engine.
 //
 // Every strategy that answers a range as one prefix-sum difference (L~,
-// wavelet, consistent H-bar) keeps a per-shard prefix table inside its
-// estimator. The AnswerPlan flattens those tables — at publish time,
-// once per release — into ONE contiguous 64-byte-aligned buffer with a
-// side index of per-shard offsets, so a whole query batch can be
-// answered by gather/subtract kernels (engine/kernels.h) without
-// touching a single per-query abstraction: no virtual dispatch, no
-// shard pointer chase, no per-answer branch on strategy.
+// wavelet, consistent H-bar) is served from its release's leaves. The
+// AnswerPlan folds those leaves — at publish or restore time, once per
+// release, straight from the Snapshot's per-shard state — into ONE
+// contiguous 64-byte-aligned buffer of per-shard prefix rows with a side
+// index of row offsets, so a whole query batch can be answered by
+// gather/subtract kernels (engine/kernels.h) without touching a single
+// per-query abstraction: no virtual dispatch, no shard pointer chase, no
+// per-answer branch on strategy.
 //
 // Layout (shard s covering width w_s positions):
 //
@@ -17,13 +18,12 @@
 // The answer for a range [lo, hi] inside shard s (shard-local
 // coordinates) is prefix[offsets[s] + hi + 1] - prefix[offsets[s] + lo],
 // optionally rounded to the nearest non-negative integer (Section 5.2
-// semantics — exactly when the flattened strategy rounds its final
-// answers; consistent H-bar never does, its rounding happened at node
-// level during inference).
+// semantics — exactly when the strategy rounds its final answers;
+// consistent H-bar never does, its rounding happened at node level
+// during inference).
 //
 // Strategies that walk a decomposition per answer (H~, inconsistent
-// H-bar) have no flattenable state: BuildAnswerPlan returns null and the
-// snapshot keeps the existing walker path.
+// H-bar) have no rows: the Snapshot walks their node vectors instead.
 
 #ifndef DPHIST_ENGINE_ANSWER_PLAN_H_
 #define DPHIST_ENGINE_ANSWER_PLAN_H_
@@ -32,8 +32,6 @@
 #include <cstdint>
 #include <memory>
 #include <vector>
-
-#include "estimators/range_engine.h"
 
 namespace dphist::engine {
 
@@ -56,9 +54,9 @@ class AlignedDoubles {
   std::size_t size_ = 0;
 };
 
-/// The flattened per-shard prefix tables of one published release.
-/// Immutable after BuildAnswerPlan; owned by the Snapshot and shared by
-/// every concurrent reader with no synchronization.
+/// The per-shard prefix rows of one published release. Immutable after
+/// BuildAnswerPlan; owned by the Snapshot and shared by every concurrent
+/// reader with no synchronization.
 struct AnswerPlan {
   std::int64_t domain_size = 0;
   /// Positions per shard (the last shard may be narrower).
@@ -79,7 +77,8 @@ struct AnswerPlan {
   int shard_shift = -1;
   std::uint64_t shard_magic = 0;
   /// offsets[s] = index of shard s's first prefix entry inside `prefix`;
-  /// each shard's table starts on a 64-byte boundary.
+  /// each shard's row starts on a 64-byte boundary. -1 for a shard
+  /// without a row (see BuildAnswerPlan).
   std::vector<std::int64_t> offsets;
   /// full_shard[s] = shard s's answer for its entire slice (rounded
   /// exactly as a kernel lane would round it). A query spanning shards
@@ -88,20 +87,23 @@ struct AnswerPlan {
   /// end pieces — same bits, ~2 lanes per spanning query instead of one
   /// per shard touched.
   std::vector<double> full_shard;
-  /// The flattened tables: shard s occupies
+  /// The rows: shard s occupies
   /// prefix[offsets[s] .. offsets[s] + width_s] (width_s + 1 entries).
   AlignedDoubles prefix;
 };
 
-/// Flattens `shard_count` estimators' prefix tables into one plan.
-/// Returns null when any shard cannot be served by prefix differences
-/// (its PrefixView is empty) or the shards disagree on rounding — the
-/// caller then keeps the decomposition-walker path. Runs at publish
-/// time; cost is one memcpy of the release's leaf state.
+/// Folds each shard's leaves into its 64-byte-aligned row, left to right
+/// exactly as FoldLeafPrefixSums folds them, and precomputes the
+/// whole-shard answers. `leaves[s]` points at shard s's leaves (its
+/// slice of the domain under `shard_width`). A null entry gives shard s
+/// no row (offsets[s] = -1, full_shard[s] = 0): only a Snapshot that
+/// walks that shard holds such a plan, and it never hands it to the
+/// engine, which needs a row for every shard. `round_answers` is the
+/// strategy's final-answer rounding. Runs at publish and restore time;
+/// its cost is one pass over the release's leaves.
 std::unique_ptr<const AnswerPlan> BuildAnswerPlan(
-    const std::unique_ptr<RangeCountEstimator>* shards,
-    std::int64_t shard_count, std::int64_t domain_size,
-    std::int64_t shard_width);
+    const std::vector<const double*>& leaves, std::int64_t domain_size,
+    std::int64_t shard_width, bool round_answers);
 
 }  // namespace dphist::engine
 

@@ -11,11 +11,17 @@ void RangeCountEstimator::RangeCountsInto(const Interval* ranges,
   for (std::size_t i = 0; i < count; ++i) out[i] = RangeCount(ranges[i]);
 }
 
-std::vector<double> LeafPrefixSums(const std::vector<double>& leaves) {
-  std::vector<double> prefix(leaves.size() + 1, 0.0);
-  for (std::size_t i = 0; i < leaves.size(); ++i) {
+void FoldLeafPrefixSums(const double* leaves, std::size_t count,
+                        double* prefix) {
+  prefix[0] = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
     prefix[i + 1] = prefix[i] + leaves[i];
   }
+}
+
+std::vector<double> LeafPrefixSums(const std::vector<double>& leaves) {
+  std::vector<double> prefix(leaves.size() + 1);
+  FoldLeafPrefixSums(leaves.data(), leaves.size(), prefix.data());
   return prefix;
 }
 

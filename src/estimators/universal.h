@@ -15,22 +15,24 @@
 // number of ranges as pure post-processing. Following Section 5.2, all
 // estimators round to non-negative integers (configurable).
 //
-// The drawing constructors CHECK their inputs (positive epsilon, an RNG,
-// a non-empty domain, branching >= 2 for the trees). The serving layer
-// reaches them only through Snapshot::Build, which refuses bad release
-// options as a Status before any shard exists; the Restore factories
-// validate persisted state, which comes from outside the process.
+// Each strategy's draw is one free function returning the release
+// state: L~ and wavelet (wavelet.h) leaves, H~ noisy nodes, H-bar final
+// nodes. The estimators and Snapshot::Build both call it, so a served
+// release and the paper's estimator share every noise draw and every
+// post-processing step; the estimators here are the paper's objects and
+// the tests' oracles, and no release holds one. The draws CHECK their
+// inputs (positive epsilon, an RNG, a non-empty domain, branching >= 2
+// for the trees); the serving layer reaches them only through
+// Snapshot::Build, which refuses bad release options as a Status first.
 
 #ifndef DPHIST_ESTIMATORS_UNIVERSAL_H_
 #define DPHIST_ESTIMATORS_UNIVERSAL_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/status.h"
 #include "domain/histogram.h"
 #include "estimators/range_engine.h"
 #include "tree/tree_layout.h"
@@ -57,43 +59,61 @@ struct UniversalOptions {
   bool prune_nonpositive_subtrees = true;
 };
 
+/// L~'s release state: one Laplace(1/epsilon) noisy count per position.
+std::vector<double> DrawLTildeLeaves(const Histogram& data, double epsilon,
+                                     Rng* rng);
+
+/// H~'s release state: every tree node's count plus Laplace(height /
+/// epsilon) noise, BFS order over TreeLayout(data.size(), branching).
+std::vector<double> DrawHTildeNodes(const Histogram& data,
+                                    const UniversalOptions& options,
+                                    Rng* rng);
+
+/// H-bar's release state: DrawHTildeNodes, then Theorem 3's inference
+/// and the configured Section 4.2 pruning and Section 5.2 rounding, all
+/// in the one node buffer.
+std::vector<double> DrawHBarNodes(const Histogram& data,
+                                  const UniversalOptions& options, Rng* rng);
+
+/// The leaf level of a BFS node vector over `tree`: the first
+/// tree.requested_leaf_count() entries are the domain's leaves.
+inline const double* LeafLevel(const TreeLayout& tree,
+                               const std::vector<double>& nodes) {
+  return nodes.data() + tree.LevelStart(tree.height() - 1);
+}
+
+/// The decomposition walk: the sum of `nodes` over the minimal subtree
+/// decomposition of `range`, added in increasing interval order. `range`
+/// must lie in [0, tree.requested_leaf_count()). Allocates nothing.
+double DecompositionSum(const TreeLayout& tree,
+                        const std::vector<double>& nodes,
+                        const Interval& range);
+
+/// The consistency check: true when every node wholly inside the
+/// (unpadded) domain equals the sum of its leaves, within 1e-9 times
+/// max(1, largest |node|), so that a difference of two leaf prefix sums
+/// (FoldLeafPrefixSums over LeafLevel) answers every in-domain range as
+/// the walk does. Inference makes the tree consistent; pruning and
+/// rounding can break it. Streams one left-to-right fold of the leaves,
+/// read in place; allocates one boundary sum per level.
+bool IsPrefixConsistent(const TreeLayout& tree,
+                        const std::vector<double>& nodes);
+
 /// The L~ strategy: unit counts + Laplace(1/epsilon) noise.
 class LTildeEstimator : public RangeCountEstimator {
  public:
   LTildeEstimator(const Histogram& data, const UniversalOptions& options,
                   Rng* rng);
 
-  /// Rebuilds the estimator from a persisted leaf vector (the
-  /// SerializableState of a previous construction): the prefix table is
-  /// recomputed by the same deterministic fold, so every answer is
-  /// bit-identical to the original's. Fails on an empty vector.
-  static Result<std::unique_ptr<LTildeEstimator>> Restore(
-      const UniversalOptions& options, std::vector<double> leaves);
-
   double RangeCount(const Interval& range) const override;
   void RangeCountsInto(const Interval* ranges, std::size_t count,
                        double* out) const override;
   std::string Name() const override { return "L~"; }
 
-  /// L~ is always prefix-served; the final answer is rounded exactly
-  /// when Section 5.2 rounding is on.
-  PrefixAnswerView PrefixView() const override {
-    return {prefix_.data(), static_cast<std::int64_t>(leaves_.size()),
-            round_answers_};
-  }
-
   /// Raw noisy per-position answers (rounding happens per range answer).
   const std::vector<double>& leaf_estimates() const { return leaves_; }
 
-  /// The leaves: everything Restore needs (see range_engine.h).
-  const std::vector<double>* SerializableState() const override {
-    return &leaves_;
-  }
-
  private:
-  LTildeEstimator(const UniversalOptions& options,
-                  std::vector<double> leaves);
-
   bool round_answers_;
   std::vector<double> leaves_;
   std::vector<double> prefix_;
@@ -111,13 +131,6 @@ class HTildeEstimator : public RangeCountEstimator {
   HTildeEstimator(std::int64_t domain_size, const UniversalOptions& options,
                   std::vector<double> noisy_nodes);
 
-  /// Validating form of the noisy-node constructor for the storage
-  /// layer: a persisted node vector that does not match the tree of
-  /// (domain_size, branching) is a Status, not an abort.
-  static Result<std::unique_ptr<HTildeEstimator>> Restore(
-      std::int64_t domain_size, const UniversalOptions& options,
-      std::vector<double> noisy_nodes);
-
   double RangeCount(const Interval& range) const override;
   void RangeCountsInto(const Interval* ranges, std::size_t count,
                        double* out) const override;
@@ -129,18 +142,8 @@ class HTildeEstimator : public RangeCountEstimator {
   /// Raw noisy per-node answers (rounding happens per range answer).
   const std::vector<double>& node_answers() const { return nodes_; }
 
-  /// The raw noisy nodes: everything Restore needs.
-  const std::vector<double>* SerializableState() const override {
-    return &nodes_;
-  }
-
  private:
-  /// Non-virtual core shared by the scalar and batched entry points so
-  /// the batched loop pays no per-query virtual dispatch.
-  double RangeCountImpl(const Interval& range) const;
-
   bool round_answers_;
-  std::int64_t domain_size_;
   TreeLayout tree_;
   std::vector<double> nodes_;
 };
@@ -154,13 +157,11 @@ class HTildeEstimator : public RangeCountEstimator {
 /// subtree level — clipping at the leaf level instead would add a
 /// positive bias proportional to the range length across sparse regions.
 ///
-/// Performance: construction detects whether the final node estimates are
-/// exactly consistent (they are whenever pruning and rounding leave the
-/// inference output untouched). If so, every decomposition answer equals
-/// a difference of two leaf prefix sums, so RangeCount runs in O(1) off a
-/// prefix table built for that case alone; otherwise it falls back to the
-/// allocation-free O(k log_k n) decomposition walk. Both paths allocate
-/// nothing per query.
+/// Performance: construction runs IsPrefixConsistent. When it holds,
+/// every decomposition answer equals a difference of two leaf prefix
+/// sums, so RangeCount runs in O(1) off a prefix table built for that
+/// case alone; otherwise it falls back to the allocation-free
+/// O(k log_k n) DecompositionSum. Both paths allocate nothing per query.
 class HBarEstimator : public RangeCountEstimator {
  public:
   HBarEstimator(const Histogram& data, const UniversalOptions& options,
@@ -171,17 +172,6 @@ class HBarEstimator : public RangeCountEstimator {
   /// `HierarchicalQuery(domain_size, options.branching)`.
   HBarEstimator(std::int64_t domain_size, const UniversalOptions& options,
                 const std::vector<double>& noisy_nodes);
-
-  /// Rebuilds the estimator from persisted *final* node estimates (the
-  /// output of inference + pruning + rounding, i.e. node_estimates()):
-  /// the expensive inference is skipped, while the leaf extraction,
-  /// prefix table, and consistency detection re-run the same
-  /// deterministic code the original construction did — so answers and
-  /// the fast-path choice are bit-identical. Fails when the vector does
-  /// not match the tree of (domain_size, branching).
-  static Result<std::unique_ptr<HBarEstimator>> Restore(
-      std::int64_t domain_size, const UniversalOptions& options,
-      std::vector<double> final_nodes);
 
   double RangeCount(const Interval& range) const override;
   void RangeCountsInto(const Interval* ranges, std::size_t count,
@@ -197,15 +187,6 @@ class HBarEstimator : public RangeCountEstimator {
   /// enabling the O(1) prefix-sum answer path.
   bool uses_prefix_fast_path() const { return consistent_; }
 
-  /// Only the consistent fast path is a raw prefix difference; the
-  /// final answer is never rounded (rounding was applied to the node
-  /// estimates during inference). Inconsistent trees must keep the
-  /// decomposition walk, so they expose no view.
-  PrefixAnswerView PrefixView() const override {
-    if (!consistent_) return {};
-    return {prefix_.data(), domain_size_, /*round_final_answer=*/false};
-  }
-
   const TreeLayout& tree() const { return tree_; }
 
   /// Final per-node estimates (inference, then pruning and rounding as
@@ -216,31 +197,11 @@ class HBarEstimator : public RangeCountEstimator {
   /// Final per-position estimates: the leaf level of node_estimates().
   const std::vector<double>& leaf_estimates() const { return leaves_; }
 
-  /// The final node estimates: everything Restore needs.
-  const std::vector<double>* SerializableState() const override {
-    return &nodes_;
-  }
-
  private:
-  /// Restore path: adopts final nodes without re-running inference.
-  struct RestoreTag {};
-  HBarEstimator(RestoreTag, std::int64_t domain_size,
-                std::vector<double> final_nodes, std::int64_t branching);
-
-  /// Runs inference and the configured post-processing on the noisy
-  /// counts in nodes_, then computes the leaf state.
-  void FinishConstruction(const UniversalOptions& options);
-
-  /// The deterministic tail of construction shared with Restore:
-  /// computes leaves_ and consistent_ from nodes_, and prefix_ only when
-  /// the tree is consistent.
+  /// Copies the leaf level, runs the consistency check, and builds the
+  /// prefix table when it holds.
   void ComputeLeafState();
 
-  /// Non-virtual decomposition walk shared by the fallback paths and
-  /// RangeCountViaDecomposition.
-  double DecompositionAnswer(const Interval& range) const;
-
-  std::int64_t domain_size_;
   TreeLayout tree_;
   std::vector<double> nodes_;
   std::vector<double> leaves_;

@@ -71,16 +71,16 @@ double HaarWeightedSensitivity(std::int64_t padded_leaf_count) {
   return 1.0 + std::log2(static_cast<double>(padded_leaf_count));
 }
 
-WaveletEstimator::WaveletEstimator(const Histogram& data,
-                                   const WaveletOptions& options, Rng* rng)
-    : round_answers_(options.round_to_nonnegative_integers),
-      domain_size_(data.size()),
-      padded_size_(PadToPowerOfTwo(data.size())) {
+std::vector<double> DrawWaveletLeaves(const Histogram& data,
+                                      const WaveletOptions& options,
+                                      Rng* rng) {
   DPHIST_CHECK(rng != nullptr);
   DPHIST_CHECK_MSG(options.epsilon > 0.0, "epsilon must be positive");
+  const std::int64_t domain_size = data.size();
+  const std::int64_t padded_size = PadToPowerOfTwo(domain_size);
 
-  std::vector<double> padded(static_cast<std::size_t>(padded_size_), 0.0);
-  for (std::int64_t i = 0; i < domain_size_; ++i) {
+  std::vector<double> padded(static_cast<std::size_t>(padded_size), 0.0);
+  for (std::int64_t i = 0; i < domain_size; ++i) {
     padded[static_cast<std::size_t>(i)] = data.At(i);
   }
   std::vector<double> coefficients = HaarTransform(std::move(padded));
@@ -88,13 +88,13 @@ WaveletEstimator::WaveletEstimator(const Histogram& data,
   // Per-coefficient weighted Laplace noise (the Privelet mechanism), one
   // draw per coefficient in index order. A coefficient's weight is the
   // number of leaves it covers: the base coefficient and the top detail
-  // coefficient, [0, 2), cover all padded_size_ leaves, and the detail
-  // coefficients [2^d, 2^(d+1)) of depth d cover padded_size_ >> d.
-  const double sensitivity = HaarWeightedSensitivity(padded_size_);
+  // coefficient, [0, 2), cover all padded_size leaves, and the detail
+  // coefficients [2^d, 2^(d+1)) of depth d cover padded_size >> d.
+  const double sensitivity = HaarWeightedSensitivity(padded_size);
   std::int64_t begin = 0;
-  std::int64_t end = std::min<std::int64_t>(2, padded_size_);
-  std::int64_t block = padded_size_;
-  while (begin < padded_size_) {
+  std::int64_t end = std::min<std::int64_t>(2, padded_size);
+  std::int64_t block = padded_size;
+  while (begin < padded_size) {
     LaplaceDistribution noise(
         sensitivity / (options.epsilon * static_cast<double>(block)));
     noise.AddSamplesTo(coefficients.data() + begin,
@@ -105,33 +105,19 @@ WaveletEstimator::WaveletEstimator(const Histogram& data,
   }
 
   std::vector<double> reconstructed = InverseHaarTransform(coefficients);
-  if (padded_size_ == domain_size_) {
-    leaves_ = std::move(reconstructed);
-  } else {
-    // A copy, so the leaves never keep the padding's capacity.
-    leaves_.assign(reconstructed.begin(),
-                   reconstructed.begin() + domain_size_);
-  }
-  prefix_ = LeafPrefixSums(leaves_);
+  if (padded_size == domain_size) return reconstructed;
+  // A copy, so the leaves never keep the padding's capacity.
+  return std::vector<double>(reconstructed.begin(),
+                             reconstructed.begin() + domain_size);
 }
 
-WaveletEstimator::WaveletEstimator(const WaveletOptions& options,
-                                   std::vector<double> leaves)
+WaveletEstimator::WaveletEstimator(const Histogram& data,
+                                   const WaveletOptions& options, Rng* rng)
     : round_answers_(options.round_to_nonnegative_integers),
-      domain_size_(static_cast<std::int64_t>(leaves.size())),
-      padded_size_(PadToPowerOfTwo(static_cast<std::int64_t>(leaves.size()))),
-      leaves_(std::move(leaves)) {
-  prefix_ = LeafPrefixSums(leaves_);
-}
-
-Result<std::unique_ptr<WaveletEstimator>> WaveletEstimator::Restore(
-    const WaveletOptions& options, std::vector<double> leaves) {
-  if (leaves.empty()) {
-    return Status::InvalidArgument("wavelet restore needs a non-empty domain");
-  }
-  return std::unique_ptr<WaveletEstimator>(
-      new WaveletEstimator(options, std::move(leaves)));
-}
+      domain_size_(data.size()),
+      padded_size_(PadToPowerOfTwo(data.size())),
+      leaves_(DrawWaveletLeaves(data, options, rng)),
+      prefix_(LeafPrefixSums(leaves_)) {}
 
 double WaveletEstimator::RangeCount(const Interval& range) const {
   DPHIST_CHECK_MSG(range.lo() >= 0 && range.hi() < domain_size_,

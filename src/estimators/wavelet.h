@@ -27,11 +27,9 @@
 #define DPHIST_ESTIMATORS_WAVELET_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/status.h"
 #include "domain/histogram.h"
 #include "estimators/range_engine.h"
 
@@ -61,30 +59,23 @@ struct WaveletOptions {
   bool round_to_nonnegative_integers = true;
 };
 
+/// The wavelet release state: the Haar coefficients of `data` padded to
+/// a power of two, each plus its weighted Laplace noise, reconstructed
+/// by the inverse transform and cut back to data.size() leaves. CHECKs
+/// an RNG and a positive epsilon. The estimator and Snapshot::Build both
+/// draw through it.
+std::vector<double> DrawWaveletLeaves(const Histogram& data,
+                                      const WaveletOptions& options, Rng* rng);
+
 /// Privelet-style epsilon-DP range-count estimator.
 class WaveletEstimator : public RangeCountEstimator {
  public:
-  /// Draws the noise; CHECKs an RNG and a positive epsilon. The serving
-  /// layer reaches it only through Snapshot::Build, which refuses bad
-  /// release options as a Status first.
+  /// Draws the noise through DrawWaveletLeaves.
   WaveletEstimator(const Histogram& data, const WaveletOptions& options,
                    Rng* rng);
 
-  /// Rebuilds the estimator from persisted reconstructed leaves: padding
-  /// geometry and the prefix table are recomputed deterministically, so
-  /// every answer is bit-identical to the original's. Fails on an empty
-  /// vector.
-  static Result<std::unique_ptr<WaveletEstimator>> Restore(
-      const WaveletOptions& options, std::vector<double> leaves);
-
   double RangeCount(const Interval& range) const override;
   std::string Name() const override { return "Wavelet"; }
-
-  /// Prefix-served over the reconstructed leaves, rounding the final
-  /// answer exactly when Section 5.2 rounding is on.
-  PrefixAnswerView PrefixView() const override {
-    return {prefix_.data(), domain_size_, round_answers_};
-  }
 
   /// Reconstructed per-position estimates (raw; domain-sized).
   const std::vector<double>& leaf_estimates() const { return leaves_; }
@@ -92,14 +83,7 @@ class WaveletEstimator : public RangeCountEstimator {
   /// Padded transform length (power of two).
   std::int64_t padded_size() const { return padded_size_; }
 
-  /// The reconstructed leaves: everything Restore needs.
-  const std::vector<double>* SerializableState() const override {
-    return &leaves_;
-  }
-
  private:
-  WaveletEstimator(const WaveletOptions& options, std::vector<double> leaves);
-
   bool round_answers_;
   std::int64_t domain_size_;
   std::int64_t padded_size_;

@@ -62,28 +62,33 @@ std::int64_t CappedTreeNodes(std::int64_t leaves, std::int64_t branching) {
   return total;
 }
 
-/// Draws one shard's release with the plain constructors, whose CHECKs
-/// Build's gate has already satisfied. Null only for a StrategyKind no
-/// case handles (kAuto, which Build also refuses first).
-std::unique_ptr<RangeCountEstimator> BuildShard(
-    const Histogram& shard_data, const SnapshotOptions& options, Rng* rng) {
+/// True for the strategies whose release state is a node vector.
+bool IsTreeStrategy(StrategyKind strategy) {
+  return strategy == StrategyKind::kHTilde || strategy == StrategyKind::kHBar;
+}
+
+/// Draws one shard's release state with its strategy's draw function,
+/// whose CHECKs Build's gate has already satisfied. kAuto, which Build
+/// refuses first, draws nothing.
+std::vector<double> DrawShardState(const Histogram& shard_data,
+                                   const SnapshotOptions& options, Rng* rng) {
   switch (options.strategy) {
     case StrategyKind::kLTilde:
-      return std::make_unique<LTildeEstimator>(
-          shard_data, UniversalOptionsOf(options), rng);
+      return DrawLTildeLeaves(shard_data, options.epsilon, rng);
     case StrategyKind::kHTilde:
-      return std::make_unique<HTildeEstimator>(
-          shard_data, UniversalOptionsOf(options), rng);
+      return DrawHTildeNodes(shard_data, UniversalOptionsOf(options), rng);
     case StrategyKind::kHBar:
-      return std::make_unique<HBarEstimator>(
-          shard_data, UniversalOptionsOf(options), rng);
+      return DrawHBarNodes(shard_data, UniversalOptionsOf(options), rng);
     case StrategyKind::kWavelet:
-      return std::make_unique<WaveletEstimator>(
-          shard_data, WaveletOptionsOf(options), rng);
+      return DrawWaveletLeaves(shard_data, WaveletOptionsOf(options), rng);
     case StrategyKind::kAuto:
       break;
   }
-  return nullptr;
+  return {};
+}
+
+double RoundAnswer(double answer) {
+  return answer <= 0.0 ? 0.0 : std::round(answer);
 }
 
 }  // namespace
@@ -135,8 +140,7 @@ Status CheckReleaseOptions(const SnapshotOptions& options,
   if (domain_size < 1) {
     return Status::InvalidArgument("domain must be non-empty");
   }
-  if (options.strategy == StrategyKind::kHTilde ||
-      options.strategy == StrategyKind::kHBar ||
+  if (IsTreeStrategy(options.strategy) ||
       options.strategy == StrategyKind::kAuto) {
     const std::int64_t width = ShardWidth(domain_size, options.shards);
     const std::int64_t count = (domain_size + width - 1) / width;
@@ -174,87 +178,29 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Build(
   const std::int64_t count = (n + width - 1) / width;
 
   // Fork every shard stream up front, in shard order, so the release is
-  // reproducible regardless of how the estimator constructors consume
-  // their streams AND regardless of how the build below is scheduled.
+  // reproducible regardless of how the draws consume their streams AND
+  // regardless of how the build below is scheduled.
   std::vector<Rng> shard_rngs;
   shard_rngs.reserve(static_cast<std::size_t>(count));
   for (std::int64_t i = 0; i < count; ++i) shard_rngs.push_back(rng->Fork());
 
-  std::vector<std::unique_ptr<RangeCountEstimator>> shards(
-      static_cast<std::size_t>(count));
+  std::vector<std::vector<double>> states(static_cast<std::size_t>(count));
   if (count == 1) {
     // The one shard is the whole histogram: read it in place.
-    shards[0] = BuildShard(data, options, &shard_rngs[0]);
+    states[0] = DrawShardState(data, options, &shard_rngs[0]);
   } else {
     ParallelFor(count, ResolveThreadCount(options.build_threads),
                 [&](std::int64_t i) {
                   const std::int64_t lo = i * width;
                   const std::int64_t hi = std::min(n - 1, lo + width - 1);
-                  shards[static_cast<std::size_t>(i)] =
-                      BuildShard(SliceHistogram(data, lo, hi), options,
-                                 &shard_rngs[static_cast<std::size_t>(i)]);
+                  states[static_cast<std::size_t>(i)] =
+                      DrawShardState(SliceHistogram(data, lo, hi), options,
+                                     &shard_rngs[static_cast<std::size_t>(i)]);
                 });
   }
-  for (const std::unique_ptr<RangeCountEstimator>& shard : shards) {
-    if (shard == nullptr) {
-      return Status::Internal("cannot build a shard for an unknown strategy");
-    }
-  }
   return std::shared_ptr<const Snapshot>(
-      new Snapshot(options, epoch, n, width, std::move(shards)));
+      new Snapshot(options, epoch, n, width, std::move(states)));
 }
-
-namespace {
-
-Result<std::unique_ptr<RangeCountEstimator>> RestoreShard(
-    std::int64_t shard_domain, const SnapshotOptions& options,
-    std::vector<double> state) {
-  switch (options.strategy) {
-    case StrategyKind::kLTilde: {
-      if (static_cast<std::int64_t>(state.size()) != shard_domain) {
-        return Status::IoError("persisted L~ shard has the wrong width");
-      }
-      Result<std::unique_ptr<LTildeEstimator>> restored =
-          LTildeEstimator::Restore(UniversalOptionsOf(options),
-                                   std::move(state));
-      if (!restored.ok()) return restored.status();
-      return std::unique_ptr<RangeCountEstimator>(
-          std::move(restored).value());
-    }
-    case StrategyKind::kHTilde: {
-      Result<std::unique_ptr<HTildeEstimator>> restored =
-          HTildeEstimator::Restore(shard_domain, UniversalOptionsOf(options),
-                                   std::move(state));
-      if (!restored.ok()) return restored.status();
-      return std::unique_ptr<RangeCountEstimator>(
-          std::move(restored).value());
-    }
-    case StrategyKind::kHBar: {
-      Result<std::unique_ptr<HBarEstimator>> restored =
-          HBarEstimator::Restore(shard_domain, UniversalOptionsOf(options),
-                                 std::move(state));
-      if (!restored.ok()) return restored.status();
-      return std::unique_ptr<RangeCountEstimator>(
-          std::move(restored).value());
-    }
-    case StrategyKind::kWavelet: {
-      if (static_cast<std::int64_t>(state.size()) != shard_domain) {
-        return Status::IoError("persisted wavelet shard has the wrong width");
-      }
-      Result<std::unique_ptr<WaveletEstimator>> restored =
-          WaveletEstimator::Restore(WaveletOptionsOf(options),
-                                    std::move(state));
-      if (!restored.ok()) return restored.status();
-      return std::unique_ptr<RangeCountEstimator>(
-          std::move(restored).value());
-    }
-    case StrategyKind::kAuto:
-      break;
-  }
-  return Status::IoError("persisted snapshot has an unrestorable strategy");
-}
-
-}  // namespace
 
 Result<std::shared_ptr<const Snapshot>> Snapshot::Restore(
     const SnapshotOptions& options, std::uint64_t epoch,
@@ -263,32 +209,79 @@ Result<std::shared_ptr<const Snapshot>> Snapshot::Restore(
   const std::int64_t n = domain_size;
   Status valid = CheckReleaseOptions(options, n);
   if (!valid.ok()) return valid;
+  if (options.strategy == StrategyKind::kAuto) {
+    return Status::IoError("persisted snapshot has an unrestorable strategy");
+  }
   const std::int64_t width = ShardWidth(n, options.shards);
   const std::int64_t count = (n + width - 1) / width;
   if (static_cast<std::int64_t>(shard_states.size()) != count) {
     return Status::IoError(
         "persisted snapshot shard count does not match its options");
   }
-  std::vector<std::unique_ptr<RangeCountEstimator>> shards;
-  shards.reserve(shard_states.size());
+  // The one shape check: a leaf per position, or a node per tree node
+  // (the gate above bounds every tree, so CappedTreeNodes counts it).
   for (std::int64_t i = 0; i < count; ++i) {
-    const std::int64_t lo = i * width;
-    const std::int64_t hi = std::min(n - 1, lo + width - 1);
-    Result<std::unique_ptr<RangeCountEstimator>> shard =
-        RestoreShard(hi - lo + 1, options,
-                     std::move(shard_states[static_cast<std::size_t>(i)]));
-    if (!shard.ok()) return shard.status();
-    shards.push_back(std::move(shard).value());
+    const std::int64_t shard_domain = std::min(width, n - i * width);
+    const std::int64_t expected =
+        IsTreeStrategy(options.strategy)
+            ? CappedTreeNodes(shard_domain, options.branching)
+            : shard_domain;
+    const auto got =
+        static_cast<std::int64_t>(shard_states[static_cast<std::size_t>(i)]
+                                      .size());
+    if (got != expected) {
+      return Status::IoError(
+          std::string("persisted ") + StrategyKindName(options.strategy) +
+          " shard " + std::to_string(i) + " holds " + std::to_string(got) +
+          " doubles, not the " + std::to_string(expected) +
+          " its shape needs");
+    }
   }
   return std::shared_ptr<const Snapshot>(
-      new Snapshot(options, epoch, n, width, std::move(shards)));
+      new Snapshot(options, epoch, n, width, std::move(shard_states)));
 }
 
-const RangeCountEstimator& Snapshot::shard(std::int64_t index) const {
-  // dphist-lint: allow(serving-check) indices come from 0..shard_count() loops
-  DPHIST_CHECK_MSG(index >= 0 && index < shard_count(),
-                   "shard index out of range");
-  return *shards_[static_cast<std::size_t>(index)];
+Snapshot::Snapshot(const SnapshotOptions& options, std::uint64_t epoch,
+                   std::int64_t domain_size, std::int64_t shard_width,
+                   std::vector<std::vector<double>> states)
+    : options_(options),
+      epoch_(epoch),
+      domain_size_(domain_size),
+      shard_width_(shard_width),
+      states_(std::move(states)) {
+  // Each shard's leaves, for the plan; null for a shard that is walked.
+  std::vector<const double*> leaves(states_.size());
+  bool round = options_.round_to_nonnegative_integers;
+  if (IsTreeStrategy(options_.strategy)) {
+    // H~ always walks, and so does an H-bar shard whose tree fails the
+    // consistency check; a consistent H-bar shard is served from the
+    // leaf level of its node vector, read in place, and its answers are
+    // never rounded (its rounding happened at node level).
+    round = false;
+    bool walked = false;
+    std::vector<TreeLayout> trees;
+    trees.reserve(states_.size());
+    for (std::size_t s = 0; s < states_.size(); ++s) {
+      const std::int64_t lo = static_cast<std::int64_t>(s) * shard_width_;
+      trees.emplace_back(std::min(shard_width_, domain_size_ - lo),
+                         options_.branching);
+      if (options_.strategy == StrategyKind::kHBar &&
+          IsPrefixConsistent(trees.back(), states_[s])) {
+        leaves[s] = LeafLevel(trees.back(), states_[s]);
+      } else {
+        walked = true;
+      }
+    }
+    if (walked) trees_ = std::move(trees);
+  } else {
+    for (std::size_t s = 0; s < states_.size(); ++s) {
+      leaves[s] = states_[s].data();
+    }
+  }
+  if (std::any_of(leaves.begin(), leaves.end(),
+                  [](const double* p) { return p != nullptr; })) {
+    plan_ = engine::BuildAnswerPlan(leaves, domain_size_, shard_width_, round);
+  }
 }
 
 Status Snapshot::ValidateRanges(const Interval* ranges,
@@ -306,6 +299,23 @@ Status Snapshot::ValidateRanges(const Interval* ranges,
   return Status::Ok();
 }
 
+double Snapshot::ShardAnswer(std::size_t s, std::int64_t lo,
+                             std::int64_t hi) const {
+  if (plan_ != nullptr) {
+    const std::int64_t offset = plan_->offsets[s];
+    if (offset >= 0) {
+      const double* row = plan_->prefix.data() + offset;
+      const double answer = row[hi + 1] - row[lo];
+      return plan_->round_answers ? RoundAnswer(answer) : answer;
+    }
+  }
+  const double sum = DecompositionSum(trees_[s], states_[s], Interval(lo, hi));
+  return options_.strategy == StrategyKind::kHTilde &&
+                 options_.round_to_nonnegative_integers
+             ? RoundAnswer(sum)
+             : sum;
+}
+
 double Snapshot::RangeCount(const Interval& range) const {
   // dphist-lint: allow(serving-check) each range already passed ValidateRanges
   DPHIST_CHECK_MSG(range.lo() >= 0 && range.hi() < domain_size_,
@@ -314,8 +324,8 @@ double Snapshot::RangeCount(const Interval& range) const {
   const std::int64_t last = range.hi() / shard_width_;
   if (first == last) {
     const std::int64_t base = first * shard_width_;
-    return shards_[static_cast<std::size_t>(first)]->RangeCount(
-        Interval(range.lo() - base, range.hi() - base));
+    return ShardAnswer(static_cast<std::size_t>(first), range.lo() - base,
+                       range.hi() - base);
   }
   double total = 0.0;
   for (std::int64_t s = first; s <= last; ++s) {
@@ -323,16 +333,21 @@ double Snapshot::RangeCount(const Interval& range) const {
     const std::int64_t hi =
         std::min({range.hi(), base + shard_width_ - 1, domain_size_ - 1});
     const std::int64_t lo = std::max(range.lo(), base);
-    total += shards_[static_cast<std::size_t>(s)]->RangeCount(
-        Interval(lo - base, hi - base));
+    total += ShardAnswer(static_cast<std::size_t>(s), lo - base, hi - base);
   }
   return total;
 }
 
 void Snapshot::RangeCountsInto(const Interval* ranges, std::size_t count,
                                double* out) const {
-  if (shards_.size() == 1) {
-    shards_[0]->RangeCountsInto(ranges, count, out);
+  if (states_.size() == 1) {
+    // One shard: no shard to locate, so no division per range.
+    for (std::size_t i = 0; i < count; ++i) {
+      // dphist-lint: allow(serving-check) ranges passed ValidateRanges
+      DPHIST_CHECK_MSG(ranges[i].lo() >= 0 && ranges[i].hi() < domain_size_,
+                       "range outside the snapshot's domain");
+      out[i] = ShardAnswer(0, ranges[i].lo(), ranges[i].hi());
+    }
     return;
   }
   for (std::size_t i = 0; i < count; ++i) out[i] = RangeCount(ranges[i]);

@@ -5,7 +5,7 @@
 // through these two classes so the on-disk encoding is defined in
 // exactly one place: fixed-width little-endian integers, IEEE-754
 // doubles carried bit-exactly through a uint64 round-trip (recovery
-// must reproduce estimator state and the accountant ledger to the last
+// must reproduce release state and the accountant ledger to the last
 // bit, so no decimal formatting is ever involved), and u32-length-
 // prefixed strings. Double vectors, the bulk of a snapshot, are copied
 // as raw bytes: on a little-endian host a double's object

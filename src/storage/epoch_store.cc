@@ -95,7 +95,7 @@ std::uint16_t EncodeStrategy(StrategyKind kind) {
 }
 
 /// The snapshot's data stream — the shard count, then each shard's
-/// estimator state (count, doubles) in domain order, then the optional
+/// release state (count, doubles) in domain order, then the optional
 /// planner profile — as the pieces it is made of, never one buffer: the
 /// doubles stay where the release holds them, and every other byte is
 /// encoded into `framing`. Pinned in place, as its pieces view its own
@@ -113,22 +113,14 @@ struct DataStream {
 };
 
 /// Fills `stream` with `snapshot`'s data stream, its length and its CRC.
-Status ViewDataStream(const Snapshot& snapshot,
-                      const planner::WorkloadProfile* profile,
-                      DataStream* stream) {
+void ViewDataStream(const Snapshot& snapshot,
+                    const planner::WorkloadProfile* profile,
+                    DataStream* stream) {
   const auto shards = static_cast<std::size_t>(snapshot.shard_count());
-  std::vector<const std::vector<double>*> states(shards);
   ByteWriter framing;
   framing.U64(shards);
   for (std::size_t i = 0; i < shards; ++i) {
-    const auto shard = static_cast<std::int64_t>(i);
-    states[i] = snapshot.shard(shard).SerializableState();
-    if (states[i] == nullptr) {
-      return Status::FailedPrecondition(
-          "shard estimator \"" + snapshot.shard(shard).Name() +
-          "\" does not support persistence");
-    }
-    framing.U64(states[i]->size());
+    framing.U64(snapshot.shard_state(static_cast<std::int64_t>(i)).size());
   }
   framing.U8(profile != nullptr ? 1 : 0);
   if (profile != nullptr) {
@@ -149,10 +141,11 @@ Status ViewDataStream(const Snapshot& snapshot,
   std::size_t from = 0;
   for (std::size_t i = 0; i < shards; ++i) {
     const std::size_t to = 8 * (i + 2);
+    const std::vector<double>& state =
+        snapshot.shard_state(static_cast<std::int64_t>(i));
     stream->pieces.push_back(encoded.substr(from, to - from));
-    stream->pieces.emplace_back(
-        reinterpret_cast<const char*>(states[i]->data()),
-        states[i]->size() * sizeof(double));
+    stream->pieces.emplace_back(reinterpret_cast<const char*>(state.data()),
+                                state.size() * sizeof(double));
     from = to;
   }
   stream->pieces.push_back(encoded.substr(from));
@@ -160,7 +153,6 @@ Status ViewDataStream(const Snapshot& snapshot,
     stream->size += piece.size();
     stream->crc = Crc32(piece.data(), piece.size(), stream->crc);
   }
-  return Status::Ok();
 }
 
 /// Decodes the profile block, the stream's last piece: a flag, then
@@ -546,8 +538,7 @@ Status EpochStore::PersistSnapshot(const Snapshot& snapshot,
   if (installed != nullptr) *installed = false;
   if (Status writable = Writable(); !writable.ok()) return writable;
   DataStream stream;
-  Status viewed = ViewDataStream(snapshot, profile, &stream);
-  if (!viewed.ok()) return viewed;
+  ViewDataStream(snapshot, profile, &stream);
   const std::string meta = EncodeMetaPayload(snapshot, stream);
 
   const std::string tmp_path = dir_ + "/" + kSnapshotTmpFile;

@@ -11,10 +11,11 @@
 //                    kSnapshotMeta header (epoch, domain, the resolved
 //                    SnapshotOptions, byte count and CRC of the data
 //                    stream), pages 1..N carry the data stream: the
-//                    shard count, each shard's serialized estimator
-//                    state (count, then doubles), and the planner's
-//                    WorkloadProfile. Replaced atomically by every
-//                    publish, so the file is always a complete epoch.
+//                    shard count, each shard's release state
+//                    (Snapshot::shard_state: count, then doubles), and
+//                    the planner's WorkloadProfile. Replaced atomically
+//                    by every publish, so the file is always a complete
+//                    epoch.
 //                    A publish never builds the stream as one buffer:
 //                    it checksums the stream piece by piece where the
 //                    release holds it, then copies the pieces into
@@ -124,8 +125,8 @@ class EpochStore {
   Status RollbackTo(std::uint64_t wal_offset);
 
   /// Atomically replaces snapshot.db with the serialized `snapshot`
-  /// (via SerializableState per shard) plus the optional planner
-  /// profile. When `installed` is given it is set to whether the rename
+  /// (each shard's shard_state()) plus the optional planner profile.
+  /// When `installed` is given it is set to whether the rename
   /// returned: a failure with it false left the old snapshot file in
   /// place, one with it true (the directory fsync failed) left the new
   /// release in snapshot.db, so its spend must stay charged.

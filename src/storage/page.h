@@ -6,7 +6,7 @@
 // kPagePayloadCapacity payload bytes and zero padding. A page is sealed
 // once when written and verified on every read, so a torn write, a
 // bit flip, or a file from a different format version surfaces as a
-// Status at open time — never as garbage estimator state served to
+// Status at open time — never as garbage release state served to
 // clients.
 
 #ifndef DPHIST_STORAGE_PAGE_H_
@@ -33,7 +33,7 @@ inline constexpr std::uint16_t kPageFormatVersion = 1;
 enum class PageType : std::uint16_t {
   kFree = 0,
   kSnapshotMeta = 1,  // epoch/options/profile header of a snapshot file
-  kSnapshotData = 2,  // one chunk of the serialized estimator state
+  kSnapshotData = 2,  // one chunk of the serialized release state
 };
 
 /// One fixed-size disk page. Plain bytes; sealed/verified by the

@@ -1,10 +1,13 @@
 // Kernel conformance suite: the columnar answer engine must be
-// BIT-identical to the decomposition-walker path (Snapshot::RangeCount)
-// for every strategy it flattens, at every dispatch level this machine
+// BIT-identical to an oracle that shares none of the release's answer
+// code — each shard's paper estimator, drawn from the stream
+// Snapshot::Build forks for it (tests/support/shard_oracle.h) — for
+// every strategy it serves, at every dispatch level this machine
 // supports, over randomized domains / shard counts / batch sizes and the
 // adversarial edges (single points, full domain, shard boundaries,
-// shard-spanning ranges). "Bit-identical" is checked by comparing the
-// doubles' bit patterns, not with a tolerance.
+// shard-spanning ranges). Snapshot::RangeCount, which reads the same
+// plan rows, is held to the same oracle. "Bit-identical" is checked by
+// comparing the doubles' bit patterns, not with a tolerance.
 
 #include "engine/answer_engine.h"
 
@@ -22,6 +25,7 @@
 #include "engine/answer_plan.h"
 #include "engine/kernels.h"
 #include "service/snapshot.h"
+#include "tests/support/shard_oracle.h"
 
 namespace dphist {
 namespace {
@@ -105,7 +109,7 @@ void ExpectBitIdentical(const std::vector<double>& expected,
     std::memcpy(&got, &actual[i], sizeof(got));
     ASSERT_EQ(want, got)
         << "kernel=" << KernelKindName(kind) << " query " << i << " ["
-        << ranges[i].lo() << ", " << ranges[i].hi() << "]: walker "
+        << ranges[i].lo() << ", " << ranges[i].hi() << "]: oracle "
         << expected[i] << " vs engine " << actual[i];
   }
 }
@@ -118,7 +122,7 @@ struct Config {
   std::size_t batch;
 };
 
-TEST(AnswerEngineConformance, BitIdenticalToWalkerAtEveryKernelLevel) {
+TEST(AnswerEngineConformance, BitIdenticalToShardEstimatorsAtEveryKernelLevel) {
   const std::vector<Config> configs = {
       {StrategyKind::kLTilde, 1, 1, true, 1},
       {StrategyKind::kLTilde, 7, 3, true, 64},
@@ -137,7 +141,7 @@ TEST(AnswerEngineConformance, BitIdenticalToWalkerAtEveryKernelLevel) {
     options.shards = config.shards;
     options.round_to_nonnegative_integers = config.round;
     if (config.strategy == StrategyKind::kHBar) {
-      // H-bar only flattens when inference leaves the tree exactly
+      // H-bar is only plan-served when inference leaves the tree exactly
       // consistent, which is guaranteed with rounding and pruning off
       // (its answers are then raw prefix differences — the rounding that
       // did happen was at node level, never on the final answer).
@@ -145,25 +149,29 @@ TEST(AnswerEngineConformance, BitIdenticalToWalkerAtEveryKernelLevel) {
       options.prune_nonpositive_subtrees = false;
     }
     auto snap = MustBuild(data, options, ++seed);
+    const ShardOracle oracle(data, options, seed);
     const engine::AnswerPlan* plan = snap->answer_plan();
     ASSERT_NE(plan, nullptr)
-        << StrategyKindName(config.strategy) << " should flatten";
+        << StrategyKindName(config.strategy) << " should be plan-served";
 
     Rng range_rng(++seed);
     std::vector<Interval> ranges =
         MixedBatch(config.domain, snap->shard_width(), config.batch,
                    &range_rng);
-    std::vector<double> walker(ranges.size());
+    std::vector<double> expected(ranges.size());
+    std::vector<double> scalar(ranges.size());
     for (std::size_t i = 0; i < ranges.size(); ++i) {
-      walker[i] = snap->RangeCount(ranges[i]);
+      expected[i] = oracle.RangeCount(ranges[i]);
+      scalar[i] = snap->RangeCount(ranges[i]);
     }
+    ExpectBitIdentical(expected, scalar, ranges, ActiveKernel());
     for (KernelKind kind : SupportedKernels()) {
       ScopedKernel forced(kind);
       ASSERT_EQ(ActiveKernel(), kind);
       std::vector<double> engine_out(ranges.size(), -1.0);
       AnswerBatch(*plan, ranges.data(), /*sel=*/nullptr, ranges.size(),
                   engine_out.data());
-      ExpectBitIdentical(walker, engine_out, ranges, kind);
+      ExpectBitIdentical(expected, engine_out, ranges, kind);
     }
   }
 }
@@ -174,6 +182,7 @@ TEST(AnswerEngineConformance, SelectionListAnswersTheSelectedQueries) {
   options.strategy = StrategyKind::kLTilde;
   options.shards = 4;
   auto snap = MustBuild(data, options, 100);
+  const ShardOracle oracle(data, options, 100);
   ASSERT_NE(snap->answer_plan(), nullptr);
 
   Rng range_rng(101);
@@ -181,21 +190,22 @@ TEST(AnswerEngineConformance, SelectionListAnswersTheSelectedQueries) {
       MixedBatch(512, snap->shard_width(), 64, &range_rng);
   // Every other query, in scrambled order — the cache-miss shape.
   std::vector<std::int32_t> sel;
+  std::vector<Interval> selected;
   for (std::int32_t i = static_cast<std::int32_t>(ranges.size()) - 1; i >= 0;
        i -= 2) {
     sel.push_back(i);
+    selected.push_back(ranges[static_cast<std::size_t>(i)]);
   }
-  std::vector<double> out(sel.size(), -1.0);
-  AnswerBatch(*snap->answer_plan(), ranges.data(), sel.data(), sel.size(),
-              out.data());
-  for (std::size_t j = 0; j < sel.size(); ++j) {
-    const double want = snap->RangeCount(ranges[static_cast<std::size_t>(
-        sel[j])]);
-    std::uint64_t want_bits = 0;
-    std::uint64_t got_bits = 0;
-    std::memcpy(&want_bits, &want, sizeof(want_bits));
-    std::memcpy(&got_bits, &out[j], sizeof(got_bits));
-    EXPECT_EQ(want_bits, got_bits) << "sel[" << j << "] = " << sel[j];
+  std::vector<double> expected(selected.size());
+  for (std::size_t j = 0; j < selected.size(); ++j) {
+    expected[j] = oracle.RangeCount(selected[j]);
+  }
+  for (KernelKind kind : SupportedKernels()) {
+    ScopedKernel forced(kind);
+    std::vector<double> out(sel.size(), -1.0);
+    AnswerBatch(*snap->answer_plan(), ranges.data(), sel.data(), sel.size(),
+                out.data());
+    ExpectBitIdentical(expected, out, selected, kind);
   }
 }
 
@@ -210,33 +220,41 @@ TEST(AnswerEnginePlan, PresenceMatchesStrategy) {
   options.strategy = StrategyKind::kWavelet;
   EXPECT_NE(MustBuild(data, options, 9)->answer_plan(), nullptr);
 
-  // H~ answers by decomposition walk; never flattenable.
+  // H~ answers by decomposition walk; never plan-served.
   options.strategy = StrategyKind::kHTilde;
   EXPECT_EQ(MustBuild(data, options, 10)->answer_plan(), nullptr);
 
   // H-bar with rounding and pruning off is exactly consistent and
-  // serves from its inferred prefix table.
+  // serves from the prefix rows of its inferred leaves.
   options.strategy = StrategyKind::kHBar;
   options.round_to_nonnegative_integers = false;
   options.prune_nonpositive_subtrees = false;
   EXPECT_NE(MustBuild(data, options, 11)->answer_plan(), nullptr);
 
   // With Section 5.2 rounding/pruning the tree may lose exact
-  // consistency; whatever the construction decided, the plan's presence
-  // must agree with the fast-path choice, and any plan that does exist
-  // must still answer identically to the walker.
+  // consistency; whatever the construction decided, the plan is there
+  // exactly when every shard estimator took its prefix path, and the
+  // release answers as the estimators do.
   options.round_to_nonnegative_integers = true;
   options.prune_nonpositive_subtrees = true;
   auto rounded = MustBuild(data, options, 12);
-  if (rounded->answer_plan() != nullptr) {
-    std::vector<Interval> ranges = {Interval(0, 127), Interval(3, 90)};
-    std::vector<double> out(ranges.size());
-    AnswerBatch(*rounded->answer_plan(), ranges.data(), nullptr, ranges.size(),
-                out.data());
-    for (std::size_t i = 0; i < ranges.size(); ++i) {
-      EXPECT_EQ(out[i], rounded->RangeCount(ranges[i]));
-    }
+  const ShardOracle oracle(data, options, 12);
+  bool every_shard_prefix = true;
+  for (std::int64_t s = 0; s < oracle.shard_count(); ++s) {
+    every_shard_prefix &=
+        static_cast<const HBarEstimator&>(oracle.shard(s))
+            .uses_prefix_fast_path();
   }
+  EXPECT_EQ(rounded->answer_plan() != nullptr, every_shard_prefix);
+  const std::vector<Interval> ranges = {Interval(0, 127), Interval(3, 90),
+                                        Interval(40, 40)};
+  std::vector<double> expected(ranges.size());
+  std::vector<double> out(ranges.size());
+  for (std::size_t i = 0; i < ranges.size(); ++i) {
+    expected[i] = oracle.RangeCount(ranges[i]);
+  }
+  rounded->RangeCountsInto(ranges.data(), ranges.size(), out.data());
+  ExpectBitIdentical(expected, out, ranges, ActiveKernel());
 }
 
 TEST(AnswerEnginePlan, LayoutIsAlignedAndIndexed) {
@@ -305,6 +323,14 @@ TEST(AnswerEngineCounters, TallyBatchesAndQueries) {
   const engine::EngineCounters after = engine::GlobalEngineCounters();
   EXPECT_EQ(after.total_batches(), before.total_batches() + 1);
   EXPECT_EQ(after.total_queries(), before.total_queries() + ranges.size());
+
+  // The snapshot reads the same rows itself, outside the engine's
+  // tallies, which the stats line reports as the engine's share.
+  snap->RangeCountsInto(ranges.data(), ranges.size(), out.data());
+  EXPECT_EQ(snap->RangeCount(ranges[1]), out[1]);
+  const engine::EngineCounters untouched = engine::GlobalEngineCounters();
+  EXPECT_EQ(untouched.total_batches(), after.total_batches());
+  EXPECT_EQ(untouched.total_queries(), after.total_queries());
 }
 
 }  // namespace

@@ -228,53 +228,5 @@ TEST_P(BranchingSweep, HBarConsistentForAnyBranching) {
 INSTANTIATE_TEST_SUITE_P(Branchings, BranchingSweep,
                          ::testing::Values(2, 3, 4, 8, 16));
 
-TEST(RestoreTest, AllThreeStrategiesRoundTripBitForBit) {
-  Histogram data = Histogram::FromCounts({3, 0, 5, 1, 2, 8});
-  UniversalOptions options;
-  options.epsilon = 0.7;
-  const std::int64_t n = data.size();
-
-  Rng rng_l(21);
-  LTildeEstimator l(data, options, &rng_l);
-  auto l2 = LTildeEstimator::Restore(options, l.leaf_estimates());
-  ASSERT_TRUE(l2.ok()) << l2.status().ToString();
-
-  Rng rng_h(22);
-  HTildeEstimator h(data, options, &rng_h);
-  auto h2 = HTildeEstimator::Restore(n, options, h.node_answers());
-  ASSERT_TRUE(h2.ok()) << h2.status().ToString();
-
-  Rng rng_b(23);
-  HBarEstimator b(data, options, &rng_b);
-  auto b2 = HBarEstimator::Restore(n, options, b.node_estimates());
-  ASSERT_TRUE(b2.ok()) << b2.status().ToString();
-
-  for (std::int64_t lo = 0; lo < n; ++lo) {
-    for (std::int64_t hi = lo; hi < n; ++hi) {
-      const Interval range(lo, hi);
-      EXPECT_EQ(l2.value()->RangeCount(range), l.RangeCount(range));
-      EXPECT_EQ(h2.value()->RangeCount(range), h.RangeCount(range));
-      EXPECT_EQ(b2.value()->RangeCount(range), b.RangeCount(range));
-    }
-  }
-}
-
-TEST(RestoreTest, StructurallyWrongStateIsRefused) {
-  UniversalOptions options;
-  options.epsilon = 0.7;
-  EXPECT_FALSE(LTildeEstimator::Restore(options, {}).ok());
-  // A hierarchy over 6 leaves has more than 6 nodes; a leaf-sized
-  // vector cannot be a persisted node vector.
-  EXPECT_FALSE(
-      HTildeEstimator::Restore(6, options, std::vector<double>(6, 0.0))
-          .ok());
-  EXPECT_FALSE(
-      HBarEstimator::Restore(6, options, std::vector<double>(6, 0.0)).ok());
-  UniversalOptions bad = options;
-  bad.branching = 1;
-  EXPECT_FALSE(
-      HTildeEstimator::Restore(6, bad, std::vector<double>(11, 0.0)).ok());
-}
-
 }  // namespace
 }  // namespace dphist

@@ -161,23 +161,5 @@ TEST(WaveletEstimatorTest, ErrorComparableToBinaryHTheory) {
   EXPECT_GT(err.Mean(), 0.05 * log_n * log_n * log_n);
 }
 
-TEST(WaveletTest, RestoreReproducesAnswersBitForBit) {
-  Histogram data = Histogram::FromCounts({4, 1, 0, 7, 2});
-  WaveletOptions options;
-  options.epsilon = 0.8;
-  Rng rng(6);
-  WaveletEstimator original(data, options, &rng);
-  auto restored =
-      WaveletEstimator::Restore(options, original.leaf_estimates());
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  for (std::int64_t lo = 0; lo < data.size(); ++lo) {
-    for (std::int64_t hi = lo; hi < data.size(); ++hi) {
-      EXPECT_EQ(restored.value()->RangeCount(Interval(lo, hi)),
-                original.RangeCount(Interval(lo, hi)));
-    }
-  }
-  EXPECT_FALSE(WaveletEstimator::Restore(options, {}).ok());
-}
-
 }  // namespace
 }  // namespace dphist

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -11,6 +13,8 @@
 #include "common/rng.h"
 #include "data/zipf.h"
 #include "domain/histogram.h"
+#include "estimators/universal.h"
+#include "tests/support/shard_oracle.h"
 
 namespace dphist {
 namespace {
@@ -207,17 +211,170 @@ TEST(SnapshotTest, SpanningAnswersAreSumsOfClippedShardAnswers) {
   options.strategy = StrategyKind::kHBar;
   auto snap = MustBuild(data, options, 1, 3);
   ASSERT_EQ(snap->shard_count(), 4);
+  const ShardOracle oracle(data, options, 3);
 
   // [7, 33] clips to [7,9] in shard 0, [0,9] in shards 1-2, [0,3] in 3.
-  double manual = snap->shard(0).RangeCount(Interval(7, 9)) +
-                  snap->shard(1).RangeCount(Interval(0, 9)) +
-                  snap->shard(2).RangeCount(Interval(0, 9)) +
-                  snap->shard(3).RangeCount(Interval(0, 3));
+  double manual = oracle.shard(0).RangeCount(Interval(7, 9)) +
+                  oracle.shard(1).RangeCount(Interval(0, 9)) +
+                  oracle.shard(2).RangeCount(Interval(0, 9)) +
+                  oracle.shard(3).RangeCount(Interval(0, 3));
   EXPECT_DOUBLE_EQ(snap->RangeCount(Interval(7, 33)), manual);
 
   // A range inside one shard is exactly that shard's local answer.
-  EXPECT_DOUBLE_EQ(snap->RangeCount(Interval(12, 17)),
-                   snap->shard(1).RangeCount(Interval(2, 7)));
+  EXPECT_EQ(snap->RangeCount(Interval(12, 17)),
+            oracle.shard(1).RangeCount(Interval(2, 7)));
+}
+
+/// Bit patterns, so a -0.0 for +0.0 or one ulp of drift shows.
+std::vector<std::uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<std::uint64_t> bits(values.size());
+  std::memcpy(bits.data(), values.data(), values.size() * sizeof(double));
+  return bits;
+}
+
+/// Every range of [0, n), answered by `snap` one at a time.
+std::vector<double> AllAnswers(const Snapshot& snap) {
+  std::vector<double> answers;
+  for (std::int64_t lo = 0; lo < snap.domain_size(); ++lo) {
+    for (std::int64_t hi = lo; hi < snap.domain_size(); ++hi) {
+      answers.push_back(snap.RangeCount(Interval(lo, hi)));
+    }
+  }
+  return answers;
+}
+
+TEST(SnapshotTest, RestoreFromShardStatesAnswersAsBuilt) {
+  // Restore takes the states Build drew (what snapshot.db persists) down
+  // the same path Build takes after its draws: same answer path, same
+  // bits, for every strategy and both H-bar answer paths.
+  const Histogram data = TestData(50);
+  struct Row {
+    StrategyKind strategy;
+    bool post_process;  // Section 5.2 rounding and 4.2 pruning
+  };
+  const Row rows[] = {
+      {StrategyKind::kLTilde, true},  {StrategyKind::kLTilde, false},
+      {StrategyKind::kHTilde, true},  {StrategyKind::kHBar, true},
+      {StrategyKind::kHBar, false},   {StrategyKind::kWavelet, true},
+      {StrategyKind::kWavelet, false},
+  };
+  for (const Row& row : rows) {
+    for (const std::int64_t shards : {1, 3}) {
+      SCOPED_TRACE(std::string(StrategyKindName(row.strategy)) +
+                   (row.post_process ? "" : " --no-round --no-prune") +
+                   " x" + std::to_string(shards));
+      SnapshotOptions options;
+      options.strategy = row.strategy;
+      options.epsilon = 0.7;
+      options.shards = shards;
+      options.round_to_nonnegative_integers = row.post_process;
+      options.prune_nonpositive_subtrees = row.post_process;
+      auto built = MustBuild(data, options, 4, 21);
+      std::vector<std::vector<double>> states;
+      for (std::int64_t s = 0; s < built->shard_count(); ++s) {
+        states.push_back(built->shard_state(s));
+      }
+      auto restored =
+          Snapshot::Restore(options, 4, data.size(), std::move(states));
+      ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+      EXPECT_EQ(restored.value()->answer_plan() != nullptr,
+                built->answer_plan() != nullptr);
+      EXPECT_EQ(Bits(AllAnswers(*restored.value())),
+                Bits(AllAnswers(*built)));
+    }
+  }
+}
+
+TEST(SnapshotTest, MixedHBarReleaseAnswersEachShardByItsOwnPath) {
+  // H-bar decides consistency per shard. Without rounding, pruning
+  // leaves a dense shard's tree consistent and breaks a sparse one's, so
+  // this release over a dense half and an empty half mixes the two: it
+  // is walked (no plan for the engine), yet its consistent shard still
+  // answers as a prefix difference of its leaves, as that shard's
+  // estimator does, and the other by the decomposition walk.
+  std::vector<std::int64_t> counts(256, 0);
+  std::fill(counts.begin(), counts.begin() + 128, 200);
+  const Histogram data = Histogram::FromCounts(counts);
+  SnapshotOptions options;
+  options.strategy = StrategyKind::kHBar;
+  options.shards = 2;
+  options.round_to_nonnegative_integers = false;
+  auto mixed = MustBuild(data, options, 1, 2);
+  const ShardOracle oracle(data, options, 2);
+  const auto& dense = static_cast<const HBarEstimator&>(oracle.shard(0));
+  const auto& sparse = static_cast<const HBarEstimator&>(oracle.shard(1));
+  ASSERT_TRUE(dense.uses_prefix_fast_path());
+  ASSERT_FALSE(sparse.uses_prefix_fast_path());
+  EXPECT_EQ(mixed->answer_plan(), nullptr);
+
+  std::vector<double> expected;
+  for (std::int64_t lo = 0; lo < data.size(); ++lo) {
+    for (std::int64_t hi = lo; hi < data.size(); ++hi) {
+      expected.push_back(oracle.RangeCount(Interval(lo, hi)));
+    }
+  }
+  EXPECT_EQ(Bits(AllAnswers(*mixed)), Bits(expected));
+  // The walk would not do for the consistent shard: its answers differ
+  // from the prefix differences in the last bits.
+  bool walk_differs = false;
+  for (std::int64_t hi = 1; hi < 128 && !walk_differs; ++hi) {
+    walk_differs = dense.RangeCount(Interval(1, hi)) !=
+                   dense.RangeCountViaDecomposition(Interval(1, hi));
+  }
+  EXPECT_TRUE(walk_differs);
+}
+
+TEST(SnapshotTest, RestoreRefusesAWrongShardShapeAsIoError) {
+  // Corrupt state is an IoError wherever Restore finds it (the code
+  // EpochStore::Recover and EpochManager::Recover document), and a
+  // CRC-valid snapshot.db can still carry a shard of the wrong shape.
+  // At n = 16 a shard holds 16 leaves (L~, wavelet) or 31 tree nodes
+  // (H~, H-bar at k = 2); 5 doubles fit neither, and 16 is a leaf-sized
+  // vector where a node vector belongs.
+  const std::int64_t n = 16;
+  for (StrategyKind kind :
+       {StrategyKind::kLTilde, StrategyKind::kHTilde, StrategyKind::kHBar,
+        StrategyKind::kWavelet}) {
+    SCOPED_TRACE(StrategyKindName(kind));
+    SnapshotOptions options;
+    options.strategy = kind;
+    const bool tree =
+        kind == StrategyKind::kHTilde || kind == StrategyKind::kHBar;
+    const std::size_t wrong_sizes[] = {0, 5, tree ? 16u : 31u};
+    for (const std::size_t size : wrong_sizes) {
+      SCOPED_TRACE(std::to_string(size) + " doubles");
+      auto restored = Snapshot::Restore(options, 1, n,
+                                        {std::vector<double>(size, 1.0)});
+      ASSERT_FALSE(restored.ok());
+      EXPECT_EQ(restored.status().code(), StatusCode::kIoError)
+          << restored.status().ToString();
+    }
+    // One shard too many is refused the same way.
+    auto two = Snapshot::Restore(
+        options, 1, n,
+        {std::vector<double>(tree ? 31 : 16, 1.0),
+         std::vector<double>(tree ? 31 : 16, 1.0)});
+    ASSERT_FALSE(two.ok());
+    EXPECT_EQ(two.status().code(), StatusCode::kIoError);
+    // The right shape restores.
+    EXPECT_TRUE(Snapshot::Restore(options, 1, n,
+                                  {std::vector<double>(tree ? 31 : 16, 1.0)})
+                    .ok());
+    // Options the release gate refuses stay its InvalidArgument.
+    SnapshotOptions bad = options;
+    bad.branching = 1;
+    auto gated = Snapshot::Restore(bad, 1, n,
+                                   {std::vector<double>(tree ? 31 : 16, 1.0)});
+    ASSERT_FALSE(gated.ok());
+    EXPECT_EQ(gated.status().code(), StatusCode::kInvalidArgument);
+  }
+  // kAuto is never persisted: a state naming it is corrupt.
+  SnapshotOptions unresolved;
+  unresolved.strategy = StrategyKind::kAuto;
+  auto restored =
+      Snapshot::Restore(unresolved, 1, n, {std::vector<double>(31, 1.0)});
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kIoError);
 }
 
 TEST(SnapshotTest, EveryStrategyKindBuildsAndAnswers) {

@@ -89,6 +89,23 @@ planner::WorkloadProfile FixedProfile(std::int64_t n) {
   return std::move(profile).value();
 }
 
+/// snapshot.db's u16 code for `strategy`.
+std::uint16_t StrategyCode(StrategyKind strategy) {
+  switch (strategy) {
+    case StrategyKind::kLTilde:
+      return 0;
+    case StrategyKind::kHTilde:
+      return 1;
+    case StrategyKind::kHBar:
+      return 2;
+    case StrategyKind::kWavelet:
+      return 3;
+    case StrategyKind::kAuto:
+      break;
+  }
+  return 0xffff;
+}
+
 /// Writes `dir`/snapshot.db by hand, sealed through page.h: a meta page
 /// for an epoch-4 release of `options` over `n` positions that records
 /// `data`'s length and CRC, then `data` in full data pages. Every page
@@ -102,7 +119,7 @@ void WriteSnapshotFile(const std::string& dir, std::int64_t n,
   meta.U64(4);  // epoch
   meta.I64(n);
   meta.F64(options.epsilon);
-  meta.U16(0);  // L~
+  meta.U16(StrategyCode(options.strategy));
   meta.I64(options.branching);
   meta.I64(options.shards);
   meta.U8(options.round_to_nonnegative_integers ? 1 : 0);
@@ -323,7 +340,7 @@ TEST(EpochStoreTest, ExactLengthProfileFromAnOlderWriterRestoresBucketed) {
   meta.U64(4);  // epoch
   meta.I64(n);
   meta.F64(options.epsilon);
-  meta.U16(0);  // L~
+  meta.U16(StrategyCode(options.strategy));
   meta.I64(options.branching);
   meta.I64(options.shards);
   meta.U8(options.round_to_nonnegative_integers ? 1 : 0);
@@ -430,9 +447,8 @@ TEST(EpochStoreTest, SnapshotFileFormatIsPinned) {
     ASSERT_EQ(restored.shard_count(),
               static_cast<std::int64_t>(states.size()));
     for (std::int64_t i = 0; i < restored.shard_count(); ++i) {
-      const std::vector<double>* got = restored.shard(i).SerializableState();
-      ASSERT_NE(got, nullptr);
-      EXPECT_TRUE(BitIdentical(*got, states[static_cast<std::size_t>(i)]))
+      EXPECT_TRUE(BitIdentical(restored.shard_state(i),
+                               states[static_cast<std::size_t>(i)]))
           << "shard " << i;
     }
     ASSERT_EQ(state.value().profile.has_value(), pin.with_profile);
@@ -503,9 +519,8 @@ TEST(EpochStoreTest, PageBoundaryLayoutsArePinned) {
     ASSERT_EQ(restored.shard_count(),
               static_cast<std::int64_t>(states.size()));
     for (std::int64_t i = 0; i < restored.shard_count(); ++i) {
-      const std::vector<double>* got = restored.shard(i).SerializableState();
-      ASSERT_NE(got, nullptr);
-      EXPECT_TRUE(BitIdentical(*got, states[static_cast<std::size_t>(i)]))
+      EXPECT_TRUE(BitIdentical(restored.shard_state(i),
+                               states[static_cast<std::size_t>(i)]))
           << "shard " << i;
     }
     ASSERT_EQ(state.value().profile.has_value(), pin.with_profile);
@@ -513,6 +528,58 @@ TEST(EpochStoreTest, PageBoundaryLayoutsArePinned) {
       EXPECT_EQ(state.value().profile->length_weights(),
                 profile->length_weights());
     }
+  }
+}
+
+// What Snapshot::Build hands the store, pinned: a seeded build of every
+// strategy (H-bar both with Section 5.2's rounding and pruning and
+// without), over one shard and three, persisted and checksummed. The
+// pins above fix the file format over fixed states; these fix the
+// states each strategy's draw and post-processing produce, so a rewrite
+// of the build path must reproduce snapshot.db byte for byte.
+TEST(EpochStoreTest, BuiltReleasesPersistPinnedBytes) {
+  struct Pinned {
+    StrategyKind strategy;
+    bool post_process;
+    std::int64_t shards;
+    std::uint64_t file_size;
+    std::uint32_t file_crc;
+  };
+  const Pinned pins[] = {
+      {StrategyKind::kLTilde, true, 1, 12288, 0x6985C88Cu},
+      {StrategyKind::kLTilde, true, 3, 12288, 0xC42BB0F0u},
+      {StrategyKind::kHTilde, true, 1, 24576, 0xCED97CB6u},
+      {StrategyKind::kHTilde, true, 3, 32768, 0xB683C01Eu},
+      {StrategyKind::kHBar, true, 1, 24576, 0x059C6473u},
+      {StrategyKind::kHBar, true, 3, 32768, 0xBC3591DEu},
+      {StrategyKind::kHBar, false, 1, 24576, 0x711C4F54u},
+      {StrategyKind::kHBar, false, 3, 32768, 0x43DA4C2Cu},
+      {StrategyKind::kWavelet, true, 1, 12288, 0x6F7215F2u},
+      {StrategyKind::kWavelet, true, 3, 12288, 0x7D3819E2u},
+  };
+  const std::int64_t n = 1000;
+  const Histogram data = TestData(n);
+  for (const Pinned& pin : pins) {
+    SCOPED_TRACE(std::string(StrategyKindName(pin.strategy)) +
+                 (pin.post_process ? "" : " --no-round --no-prune") + " x" +
+                 std::to_string(pin.shards));
+    SnapshotOptions options;
+    options.strategy = pin.strategy;
+    options.epsilon = 0.5;
+    options.shards = pin.shards;
+    options.round_to_nonnegative_integers = pin.post_process;
+    options.prune_nonpositive_subtrees = pin.post_process;
+    Rng rng(2024);
+    auto built = Snapshot::Build(data, options, 3, &rng);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+
+    const std::string dir = FreshDir("es_built_pin");
+    auto store = EpochStore::Open(dir);
+    ASSERT_TRUE(store.ok());
+    ASSERT_TRUE(store.value()->PersistSnapshot(*built.value(), nullptr).ok());
+    const std::string bytes = ReadFile(dir + "/snapshot.db");
+    EXPECT_EQ(bytes.size(), pin.file_size);
+    EXPECT_EQ(Crc32(bytes.data(), bytes.size()), pin.file_crc);
   }
 }
 
@@ -626,6 +693,25 @@ TEST(EpochStoreTest, ShardCountPastTheFileIsRefusedBeforeAllocating) {
     WriteSnapshotFile(dir, n, options, data);
     ExpectRefused(dir, "absurd shard count");
   }
+}
+
+// A CRC-valid snapshot.db can still carry a shard of the wrong shape.
+// Here an H-bar shard holds 5 doubles where its 16-leaf tree has 31
+// nodes: corrupt state like any other, so Recover refuses it with the
+// IoError it documents, as it does a short L~ shard.
+TEST(EpochStoreTest, ShortTreeShardRecoversAsIoError) {
+  const std::int64_t n = 16;
+  SnapshotOptions options;
+  options.strategy = StrategyKind::kHBar;
+  options.epsilon = 0.5;
+  ByteWriter data;
+  data.U64(1);  // one shard
+  data.U64(5);  // of 5 doubles
+  for (int i = 0; i < 5; ++i) data.F64(1.0);
+  data.U8(0);  // no profile
+  const std::string dir = FreshDir("es_short_tree_shard");
+  WriteSnapshotFile(dir, n, options, data);
+  ExpectRefused(dir, "hbar shard 0 holds 5 doubles");
 }
 
 /// FailSync fails every fsync whose `what` (a file's path, or "dir DIR")
